@@ -1,5 +1,7 @@
 //! The `campaign` CLI: expand, run, resume, shard, merge, compact and
-//! inspect declarative scenario campaigns.
+//! inspect declarative scenario campaigns. Every executing subcommand is a
+//! thin call onto the library's run/resume/merge/serve-sched/work entry
+//! points, and one flag parser serves every subcommand.
 //!
 //! ```text
 //! campaign expand  <spec.toml|spec.json>
@@ -15,11 +17,10 @@
 //! campaign report  <report.json|campaign-dir> [--timings]
 //! ```
 
-use dl2fence_campaign::stream::{run_shard_expanded, run_streaming_expanded_with};
 use dl2fence_campaign::{
-    compact, expand, merge_with_opts, resume_with, serve_sched, spec_fingerprint, status,
-    summarize_events, work, CampaignOutcome, CampaignReport, CampaignSpec, Executor, ServeOptions,
-    ShardSlice, SpillPolicy, WatchSnapshot, WorkOptions, EVENTS_FILE,
+    compact, expand, merge, resume, run, serve_sched, spec_fingerprint, status, summarize_events,
+    work, CampaignOutcome, CampaignReport, CampaignSpec, Executor, ServeOptions, ShardSlice,
+    SpillPolicy, WatchSnapshot, WorkOptions, EVENTS_FILE,
 };
 use dl2fence_telemetry::Telemetry;
 use std::io::IsTerminal as _;
@@ -47,8 +48,10 @@ usage:
       Resume an interrupted `run --out` or `shard` campaign: verify the
       stored spec fingerprint (and PATH's, when given), re-execute only the
       missing run indices, and — for whole-campaign directories — rebuild a
-      report byte-identical to an uninterrupted run. --telemetry appends to
-      DIR/events.jsonl, continuing the original run's sequence numbers.
+      report byte-identical to an uninterrupted run. On a serve-sched
+      coordinator directory, runs its workers/ already hold count as stored
+      and are folded in. --telemetry appends to DIR/events.jsonl,
+      continuing the original run's sequence numbers.
   campaign shard <spec.toml|spec.json> --shards N --index I --out DIR
                  [--workers W] [--quiet] [--telemetry]
       Execute shard I of N: the run indices congruent to I modulo N, streamed
@@ -62,7 +65,8 @@ usage:
       byte-identical to an uninterrupted single-machine run. With
       --reexec-gaps, run indices no input holds are speculatively
       re-executed locally instead of refused — runs are deterministic, so
-      the report stays byte-identical.
+      the report stays byte-identical. A coordinator directory contributes
+      its workers/ records.
   campaign serve-sched <campaign-dir> [--spec PATH] [--workers N] [--quiet]
                        [--lease-size N] [--lease-ttl SECS] [--poll SECS]
                        [--spill-threshold N | --no-spill] [--telemetry]
@@ -96,13 +100,15 @@ usage:
       Read-only progress inspection: per directory the stored/missing run
       counts, exact gap list, shard slice, torn-tail state, log and spill
       sizes; over several directories, the union gap list a merge would
-      refuse on. Safe to run while a campaign is executing.
+      refuse on. A coordinator directory counts its workers/ records.
+      Safe to run while a campaign is executing.
   campaign watch <campaign-dir> [--interval SECS] [--json]
       Live progress for one campaign directory: completed/missing runs with
       a progress bar, throughput and ETA, per-worker utilization and
       per-stage latency quantiles (from DIR/events.jsonl when the campaign
       runs with --telemetry). Loops every --interval seconds (default 2)
-      until every run is stored; --json prints one snapshot and exits.
+      until every run is stored (for a coordinator directory, until its
+      report is written); --json prints one snapshot and exits.
       Read-only and torn-tail-tolerant — safe against a live campaign.
   campaign report <report.json|campaign-dir> [--timings]
       Render a saved report as a human-readable table. With --timings,
@@ -113,7 +119,7 @@ usage:
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
@@ -123,12 +129,12 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn dispatch(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("expand") => cmd_expand(args.get(1).ok_or("expand needs a spec path")?),
-        Some("run") => cmd_run(&args[1..]),
+        Some("run") => cmd_run(&args[1..], false),
         Some("resume") => cmd_resume(&args[1..]),
-        Some("shard") => cmd_shard(&args[1..]),
+        Some("shard") => cmd_run(&args[1..], true),
         Some("merge") => cmd_merge(&args[1..]),
         Some("serve-sched") => cmd_serve_sched(&args[1..]),
         Some("work") => cmd_work(&args[1..]),
@@ -141,11 +147,10 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Shared flags of the executing subcommands (`run`/`resume`/`shard`/
-/// `merge`). Positional arguments collect into `paths` (`run`, `resume` and
-/// `shard` use exactly one; `merge` takes any number of input directories).
+/// Every flag of the subcommands; each subcommand names the flags it
+/// accepts and refuses the rest. Positional arguments collect into `paths`.
 #[derive(Debug, Default)]
-struct ExecFlags {
+struct Flags {
     paths: Vec<String>,
     spec: Option<String>,
     workers: Option<usize>,
@@ -154,63 +159,74 @@ struct ExecFlags {
     index: Option<usize>,
     spill_threshold: Option<usize>,
     no_spill: bool,
+    reexec_gaps: bool,
     telemetry: bool,
     quiet: bool,
+    lease_size: Option<usize>,
+    lease_ttl: Option<Duration>,
+    poll: Option<Duration>,
+    worker: Option<String>,
+    patience: Option<Duration>,
+    fail_after: Option<usize>,
+    strip_samples: bool,
+    json: bool,
+    interval: Option<f64>,
+    timings: bool,
 }
 
-impl ExecFlags {
-    fn parse(
-        args: &[String],
-        allow_out: bool,
-        allow_spec: bool,
-        allow_shard: bool,
-        allow_spill: bool,
-    ) -> Result<Self, String> {
-        let mut flags = ExecFlags::default();
+impl Flags {
+    /// Parses `args`, accepting only the space-separated flags `allowed`.
+    fn parse(args: &[String], allowed: &str) -> Result<Self, String> {
+        let mut flags = Flags::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--workers" => {
-                    let v = it.next().ok_or("--workers needs a value")?;
-                    flags.workers = Some(
-                        v.parse::<usize>()
-                            .map_err(|_| format!("invalid worker count `{v}`"))?,
-                    );
+            let flag = arg.as_str();
+            if !flag.starts_with('-') {
+                flags.paths.push(arg.clone());
+                continue;
+            }
+            if !allowed.split(' ').any(|a| a == flag) {
+                return Err(format!("unexpected argument `{flag}`"));
+            }
+            let mut value = || {
+                it.next()
+                    .map(String::as_str)
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match flag {
+                "--spec" => flags.spec = Some(value()?.to_string()),
+                "--out" => flags.out = Some(PathBuf::from(value()?)),
+                "--worker" => flags.worker = Some(value()?.to_string()),
+                "--workers" => flags.workers = Some(parse_count(flag, value()?)?),
+                "--shards" => flags.shards = Some(parse_count(flag, value()?)?),
+                "--index" => flags.index = Some(parse_count(flag, value()?)?),
+                "--spill-threshold" => flags.spill_threshold = Some(parse_count(flag, value()?)?),
+                "--fail-after" => flags.fail_after = Some(parse_count(flag, value()?)?),
+                "--lease-size" => {
+                    let size = parse_count(flag, value()?)?;
+                    if size == 0 {
+                        return Err("invalid --lease-size `0`".to_string());
+                    }
+                    flags.lease_size = Some(size);
                 }
-                "--out" if allow_out => {
-                    flags.out = Some(PathBuf::from(it.next().ok_or("--out needs a path")?));
+                "--lease-ttl" => flags.lease_ttl = Some(parse_secs(flag, value()?)?),
+                "--poll" => flags.poll = Some(parse_secs(flag, value()?)?),
+                "--patience" => flags.patience = Some(parse_secs(flag, value()?)?),
+                "--interval" => {
+                    let v = value()?;
+                    let secs = v
+                        .parse::<f64>()
+                        .map_err(|_| format!("invalid interval `{v}`"))?;
+                    flags.interval = Some(secs);
                 }
-                "--spec" if allow_spec => {
-                    flags.spec = Some(it.next().ok_or("--spec needs a path")?.clone());
-                }
-                "--shards" if allow_shard => {
-                    let v = it.next().ok_or("--shards needs a value")?;
-                    flags.shards = Some(
-                        v.parse::<usize>()
-                            .map_err(|_| format!("invalid shard count `{v}`"))?,
-                    );
-                }
-                "--index" if allow_shard => {
-                    let v = it.next().ok_or("--index needs a value")?;
-                    flags.index = Some(
-                        v.parse::<usize>()
-                            .map_err(|_| format!("invalid shard index `{v}`"))?,
-                    );
-                }
-                "--spill-threshold" if allow_spill => {
-                    let v = it.next().ok_or("--spill-threshold needs a value")?;
-                    flags.spill_threshold = Some(
-                        v.parse::<usize>()
-                            .map_err(|_| format!("invalid spill threshold `{v}`"))?,
-                    );
-                }
-                "--no-spill" if allow_spill => flags.no_spill = true,
+                "--no-spill" => flags.no_spill = true,
+                "--reexec-gaps" => flags.reexec_gaps = true,
                 "--telemetry" => flags.telemetry = true,
                 "--quiet" => flags.quiet = true,
-                other if !other.starts_with('-') => {
-                    flags.paths.push(other.to_string());
-                }
-                other => return Err(format!("unexpected argument `{other}`")),
+                "--strip-samples" => flags.strip_samples = true,
+                "--json" => flags.json = true,
+                "--timings" => flags.timings = true,
+                other => unreachable!("allowed flag `{other}` has no parser"),
             }
         }
         if flags.no_spill && flags.spill_threshold.is_some() {
@@ -219,15 +235,20 @@ impl ExecFlags {
         Ok(flags)
     }
 
-    fn spill_policy(&self) -> SpillPolicy {
-        if self.no_spill {
-            SpillPolicy::InMemory
-        } else {
-            match self.spill_threshold {
-                Some(threshold) => SpillPolicy::Threshold(threshold),
-                None => SpillPolicy::default(),
-            }
+    /// The spill policy `--no-spill` / `--spill-threshold` select.
+    fn spill(&self) -> SpillPolicy {
+        match (self.no_spill, self.spill_threshold) {
+            (true, _) => SpillPolicy::InMemory,
+            (false, Some(threshold)) => SpillPolicy::Threshold(threshold),
+            (false, None) => SpillPolicy::default(),
         }
+    }
+
+    /// The shard slice `--shards` and `--index` select together.
+    fn shard(&self) -> Option<ShardSlice> {
+        self.shards
+            .zip(self.index)
+            .map(|(count, index)| ShardSlice { index, count })
     }
 
     fn single_path(&self, what: &str) -> Result<&str, String> {
@@ -238,12 +259,48 @@ impl ExecFlags {
         }
     }
 
-    fn executor(&self) -> Executor {
-        match self.workers {
+    /// The executor the flags select; with `--telemetry`, events stream to
+    /// `events_dir/events.jsonl`, appending (with continued sequence
+    /// numbers) when a previous session left one there.
+    fn executor(&self, events_dir: Option<&Path>) -> Result<Executor, String> {
+        let executor = match self.workers {
             Some(n) => Executor::new(n),
             None => Executor::with_available_parallelism(),
+        };
+        if !self.telemetry {
+            return Ok(executor);
         }
+        let events_dir =
+            events_dir.ok_or("--telemetry needs a campaign directory (run with --out DIR)")?;
+        std::fs::create_dir_all(events_dir)
+            .map_err(|e| format!("cannot create {}: {e}", events_dir.display()))?;
+        let path = events_dir.join(EVENTS_FILE);
+        let telemetry = if path.exists() {
+            Telemetry::append_jsonl_file(&path)
+        } else {
+            Telemetry::to_jsonl_file(&path)
+        };
+        let telemetry =
+            telemetry.map_err(|e| format!("cannot open event log {}: {e}", path.display()))?;
+        Ok(executor.with_telemetry(telemetry))
     }
+}
+
+fn parse_count(flag: &str, value: &str) -> Result<usize, String> {
+    value
+        .parse::<usize>()
+        .map_err(|_| format!("invalid {flag} `{value}`"))
+}
+
+/// Parses a positive seconds value (fractions allowed) for the scheduler's
+/// duration flags.
+fn parse_secs(flag: &str, value: &str) -> Result<Duration, String> {
+    let secs = value
+        .parse::<f64>()
+        .ok()
+        .filter(|s| s.is_finite() && *s > 0.0)
+        .ok_or_else(|| format!("invalid {flag} `{value}` (need positive seconds)"))?;
+    Ok(Duration::from_secs_f64(secs))
 }
 
 fn load_spec(path: &str) -> Result<CampaignSpec, String> {
@@ -263,177 +320,115 @@ fn cmd_expand(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the telemetry handle for an executing subcommand: a JSONL sink
-/// on `dir/events.jsonl`, created fresh (`run`/`shard`) or appended to
-/// with continued sequence numbers (`resume`).
-fn telemetry_in(dir: &Path, append: bool) -> Result<Telemetry, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let path = dir.join(EVENTS_FILE);
-    let telemetry = if append {
-        Telemetry::append_jsonl_file(&path)
+/// `run` and `shard`: execute a spec into a fresh campaign directory — a
+/// shard only its strided slice, building no report. `run` without a
+/// campaign directory aggregates in memory instead.
+fn cmd_run(args: &[String], sharded: bool) -> Result<(), String> {
+    let (what, allowed) = if sharded {
+        (
+            "shard",
+            "--shards --index --out --workers --quiet --telemetry",
+        )
     } else {
-        Telemetry::to_jsonl_file(&path)
+        (
+            "run",
+            "--out --workers --quiet --spill-threshold --no-spill --telemetry",
+        )
     };
-    telemetry.map_err(|e| format!("cannot open event log {}: {e}", path.display()))
-}
-
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let flags = ExecFlags::parse(args, true, false, false, true)?;
-    let spec = load_spec(flags.single_path("run")?)?;
-    let mut executor = flags.executor();
-    let runs = expand(&spec).map_err(|e| e.to_string())?;
-    if !flags.quiet {
-        eprintln!(
-            "campaign `{}` (fingerprint {}): {} runs on {} workers...",
-            spec.name,
-            spec_fingerprint(&spec),
-            runs.len(),
-            executor.workers()
+    let flags = Flags::parse(args, allowed)?;
+    let spec = load_spec(flags.single_path(what)?)?;
+    let shard = flags.shard();
+    let out = match &flags.out {
+        // A .json path keeps the single-file behaviour; anything else is a
+        // campaign directory that streams runs.jsonl.
+        Some(path) if path.extension().and_then(|e| e.to_str()) != Some("json") => Some(path),
+        _ => None,
+    };
+    if sharded {
+        if shard.is_none() {
+            return Err("shard needs --shards N and --index I".to_string());
+        }
+        if out.is_none() {
+            return Err("shard needs --out DIR".to_string());
+        }
+    }
+    if out.is_none() && flags.spill_threshold.is_some() {
+        return Err(
+            "--spill-threshold needs a campaign directory (run with --out DIR)".to_string(),
         );
     }
-    let started = Instant::now();
-    let (report, written_to) = match &flags.out {
-        // A .json path keeps the original single-file behaviour; anything
-        // else is a campaign directory that streams runs.jsonl.
-        Some(path) if path.extension().and_then(|e| e.to_str()) != Some("json") => {
-            if flags.telemetry {
-                executor = executor.with_telemetry(telemetry_in(path, false)?);
-            }
-            let report =
-                run_streaming_expanded_with(&executor, &spec, &runs, path, flags.spill_policy())
-                    .map_err(|e| e.to_string())?;
-            (report, Some(path.join("report.json")))
-        }
-        _ => {
-            if flags.spill_threshold.is_some() {
-                return Err(
-                    "--spill-threshold needs a campaign directory (run with --out DIR)".to_string(),
-                );
-            }
-            if flags.telemetry {
-                return Err(
-                    "--telemetry needs a campaign directory (run with --out DIR)".to_string(),
-                );
-            }
-            let results = executor.execute_runs(&spec.sim, &runs);
-            let outcome = CampaignOutcome {
-                spec,
-                runs: results,
-            };
-            let report =
-                CampaignReport::build_with(&outcome, &executor).map_err(|e| e.to_string())?;
-            if let Some(path) = &flags.out {
-                std::fs::write(path, report.to_json())
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            }
-            (report, flags.out.clone())
+    let executor = flags.executor(out.map(PathBuf::as_path))?;
+    let announce = |runs: String| {
+        if !flags.quiet {
+            eprintln!(
+                "campaign `{}` (fingerprint {}){runs}{} on {} workers...",
+                spec.name,
+                spec_fingerprint(&spec),
+                shard
+                    .map(|s| format!(", shard {}/{}", s.index, s.count))
+                    .unwrap_or_default(),
+                executor.workers()
+            );
         }
     };
-    finish(&report, started, written_to.as_deref(), flags.quiet);
+    if let Some(dir) = out {
+        // `run` expands the spec itself; the summary line counts the runs.
+        announce(String::new());
+        let started = Instant::now();
+        let report = run(&executor, &spec, dir, shard, flags.spill()).map_err(|e| e.to_string())?;
+        finish_dir(report, started, dir, flags.quiet);
+        return Ok(());
+    }
+    let runs = expand(&spec).map_err(|e| e.to_string())?;
+    announce(format!(": {} runs", runs.len()));
+    let started = Instant::now();
+    let results = executor.execute_runs(&spec.sim, &runs);
+    let outcome = CampaignOutcome {
+        spec,
+        runs: results,
+    };
+    let report = CampaignReport::build_with(&outcome, &executor).map_err(|e| e.to_string())?;
+    if let Some(path) = &flags.out {
+        std::fs::write(path, report.to_json())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    }
+    finish(&report, started, flags.out.as_deref(), flags.quiet);
     Ok(())
 }
 
 fn cmd_resume(args: &[String]) -> Result<(), String> {
-    let flags = ExecFlags::parse(args, false, true, false, true)?;
-    let dir = flags.single_path("resume")?;
-    let expected = match &flags.spec {
-        Some(path) => Some(load_spec(path)?),
-        None => None,
-    };
-    let mut executor = flags.executor();
-    if flags.telemetry {
-        executor = executor.with_telemetry(telemetry_in(Path::new(dir), true)?);
-    }
+    let flags = Flags::parse(
+        args,
+        "--spec --workers --quiet --spill-threshold --no-spill --telemetry",
+    )?;
+    let dir = Path::new(flags.single_path("resume")?);
+    let expected = flags.spec.as_deref().map(load_spec).transpose()?;
+    let executor = flags.executor(Some(dir))?;
     if !flags.quiet {
         eprintln!(
-            "resuming campaign in {dir} on {} workers...",
+            "resuming campaign in {} on {} workers...",
+            dir.display(),
             executor.workers()
         );
     }
     let started = Instant::now();
-    match resume_with(&executor, dir, expected.as_ref(), flags.spill_policy())
-        .map_err(|e| e.to_string())?
-    {
-        Some(report) => finish(
-            &report,
-            started,
-            Some(&Path::new(dir).join("report.json")),
-            flags.quiet,
-        ),
-        // A shard directory: runs are complete, but a shard builds no
-        // report — that is merge's job.
-        None => {
-            if !flags.quiet {
-                eprintln!(
-                    "shard in {dir} is complete ({:.2}s); merge the shards to build the report",
-                    started.elapsed().as_secs_f64()
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
-fn cmd_shard(args: &[String]) -> Result<(), String> {
-    let flags = ExecFlags::parse(args, true, false, true, false)?;
-    let spec = load_spec(flags.single_path("shard")?)?;
-    let shard = ShardSlice {
-        index: flags.index.ok_or("shard needs --index I")?,
-        count: flags.shards.ok_or("shard needs --shards N")?,
-    };
-    let out = flags.out.clone().ok_or("shard needs --out DIR")?;
-    let mut executor = flags.executor();
-    if flags.telemetry {
-        executor = executor.with_telemetry(telemetry_in(&out, false)?);
-    }
-    let runs = expand(&spec).map_err(|e| e.to_string())?;
-    if !flags.quiet {
-        eprintln!(
-            "campaign `{}` (fingerprint {}): shard {}/{} on {} workers...",
-            spec.name,
-            spec_fingerprint(&spec),
-            shard.index,
-            shard.count,
-            executor.workers()
-        );
-    }
-    let started = Instant::now();
-    let executed =
-        run_shard_expanded(&executor, &spec, &runs, shard, &out).map_err(|e| e.to_string())?;
-    if !flags.quiet {
-        eprintln!(
-            "shard {}/{}: {executed} of {} runs streamed to {} in {:.2}s",
-            shard.index,
-            shard.count,
-            runs.len(),
-            out.display(),
-            started.elapsed().as_secs_f64()
-        );
-    }
+    let report =
+        resume(&executor, dir, expected.as_ref(), flags.spill()).map_err(|e| e.to_string())?;
+    finish_dir(report, started, dir, flags.quiet);
     Ok(())
 }
 
 fn cmd_merge(args: &[String]) -> Result<(), String> {
-    let mut reexec_gaps = false;
-    let args: Vec<String> = args
-        .iter()
-        .filter(|arg| {
-            let hit = arg.as_str() == "--reexec-gaps";
-            reexec_gaps |= hit;
-            !hit
-        })
-        .cloned()
-        .collect();
-    let flags = ExecFlags::parse(&args, true, false, false, true)?;
+    let flags = Flags::parse(
+        args,
+        "--out --workers --reexec-gaps --quiet --spill-threshold --no-spill",
+    )?;
     if flags.paths.is_empty() {
         return Err("merge needs at least one shard directory".to_string());
     }
-    if flags.telemetry {
-        return Err("merge does not execute runs; --telemetry applies to run/resume/shard".into());
-    }
     let out = flags.out.clone().ok_or("merge needs --out DIR")?;
     let inputs: Vec<PathBuf> = flags.paths.iter().map(PathBuf::from).collect();
-    let executor = flags.executor();
+    let executor = flags.executor(None)?;
     if !flags.quiet {
         eprintln!(
             "merging {} campaign director{} into {}...",
@@ -443,7 +438,7 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
         );
     }
     let started = Instant::now();
-    let report = merge_with_opts(&executor, &inputs, &out, flags.spill_policy(), reexec_gaps)
+    let report = merge(&executor, &inputs, &out, flags.spill(), flags.reexec_gaps)
         .map_err(|e| e.to_string())?;
     finish(
         &report,
@@ -454,183 +449,58 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses a positive seconds value (fractions allowed) for the scheduler's
-/// duration flags.
-fn parse_secs(flag: &str, value: &str) -> Result<Duration, String> {
-    let secs = value
-        .parse::<f64>()
-        .ok()
-        .filter(|s| s.is_finite() && *s > 0.0)
-        .ok_or_else(|| format!("invalid {flag} `{value}` (need positive seconds)"))?;
-    Ok(Duration::from_secs_f64(secs))
-}
-
 fn cmd_serve_sched(args: &[String]) -> Result<(), String> {
-    let mut opts = ServeOptions::default();
-    let mut spec_path = None;
-    let mut workers = None;
-    let mut spill_threshold = None;
-    let mut no_spill = false;
-    let mut telemetry = false;
-    let mut quiet = false;
-    let mut paths = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--spec" => spec_path = Some(it.next().ok_or("--spec needs a path")?.clone()),
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                workers = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("invalid worker count `{v}`"))?,
-                );
-            }
-            "--lease-size" => {
-                let v = it.next().ok_or("--lease-size needs a value")?;
-                opts.lease_size = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or_else(|| format!("invalid lease size `{v}`"))?;
-            }
-            "--lease-ttl" => {
-                let v = it.next().ok_or("--lease-ttl needs seconds")?;
-                opts.lease_ttl = parse_secs("--lease-ttl", v)?;
-            }
-            "--poll" => {
-                let v = it.next().ok_or("--poll needs seconds")?;
-                opts.poll = parse_secs("--poll", v)?;
-            }
-            "--spill-threshold" => {
-                let v = it.next().ok_or("--spill-threshold needs a value")?;
-                spill_threshold = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("invalid spill threshold `{v}`"))?,
-                );
-            }
-            "--no-spill" => no_spill = true,
-            "--telemetry" => telemetry = true,
-            "--quiet" => quiet = true,
-            other if !other.starts_with('-') => paths.push(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    if no_spill && spill_threshold.is_some() {
-        return Err("--no-spill and --spill-threshold are mutually exclusive".to_string());
-    }
-    let [dir] = paths.as_slice() else {
-        return Err("serve-sched takes exactly one campaign directory".to_string());
+    let flags = Flags::parse(
+        args,
+        "--spec --workers --quiet --lease-size --lease-ttl --poll --spill-threshold \
+         --no-spill --telemetry",
+    )?;
+    let dir = Path::new(flags.single_path("serve-sched")?);
+    let defaults = ServeOptions::default();
+    let opts = ServeOptions {
+        lease_size: flags.lease_size.unwrap_or(defaults.lease_size),
+        lease_ttl: flags.lease_ttl.unwrap_or(defaults.lease_ttl),
+        poll: flags.poll.unwrap_or(defaults.poll),
+        spill: flags.spill(),
     };
-    opts.spill = if no_spill {
-        SpillPolicy::InMemory
-    } else {
-        match spill_threshold {
-            Some(threshold) => SpillPolicy::Threshold(threshold),
-            None => SpillPolicy::default(),
-        }
-    };
-    let spec = match &spec_path {
-        Some(path) => Some(load_spec(path)?),
-        None => None,
-    };
-    let mut executor = match workers {
-        Some(n) => Executor::new(n),
-        None => Executor::with_available_parallelism(),
-    };
-    let dir_path = Path::new(dir);
-    if telemetry {
-        // A re-served campaign appends, continuing the original sequence
-        // numbers — exactly like `resume`.
-        let append = dir_path.join(EVENTS_FILE).exists();
-        executor = executor.with_telemetry(telemetry_in(dir_path, append)?);
-    }
-    if !quiet {
+    let spec = flags.spec.as_deref().map(load_spec).transpose()?;
+    let executor = flags.executor(Some(dir))?;
+    if !flags.quiet {
         eprintln!(
-            "serving campaign in {dir}: leases of {} run(s), ttl {:.1}s...",
+            "serving campaign in {}: leases of {} run(s), ttl {:.1}s...",
+            dir.display(),
             opts.lease_size,
             opts.lease_ttl.as_secs_f64()
         );
     }
     let started = Instant::now();
-    let report =
-        serve_sched(&executor, dir_path, spec.as_ref(), &opts).map_err(|e| e.to_string())?;
-    finish(&report, started, Some(&dir_path.join("report.json")), quiet);
+    let report = serve_sched(&executor, dir, spec.as_ref(), &opts).map_err(|e| e.to_string())?;
+    finish_dir(Some(report), started, dir, flags.quiet);
     Ok(())
 }
 
 fn cmd_work(args: &[String]) -> Result<(), String> {
-    let mut worker_id = None;
-    let mut poll = None;
-    let mut patience = None;
-    let mut fail_after = None;
-    let mut strip_samples = false;
-    let mut workers = None;
-    let mut telemetry = false;
-    let mut quiet = false;
-    let mut paths = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--worker" => worker_id = Some(it.next().ok_or("--worker needs an id")?.clone()),
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                workers = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("invalid worker count `{v}`"))?,
-                );
-            }
-            "--poll" => {
-                let v = it.next().ok_or("--poll needs seconds")?;
-                poll = Some(parse_secs("--poll", v)?);
-            }
-            "--patience" => {
-                let v = it.next().ok_or("--patience needs seconds")?;
-                patience = Some(parse_secs("--patience", v)?);
-            }
-            "--fail-after" => {
-                let v = it.next().ok_or("--fail-after needs a run count")?;
-                fail_after = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("invalid --fail-after `{v}`"))?,
-                );
-            }
-            "--strip-samples" => strip_samples = true,
-            "--telemetry" => telemetry = true,
-            "--quiet" => quiet = true,
-            other if !other.starts_with('-') => paths.push(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let [dir] = paths.as_slice() else {
-        return Err("work takes exactly one (coordinator) campaign directory".to_string());
-    };
-    let mut opts = WorkOptions::named(worker_id.ok_or("work needs --worker ID")?);
-    if let Some(poll) = poll {
-        opts.poll = poll;
-    }
-    if let Some(patience) = patience {
-        opts.patience = patience;
-    }
-    opts.fail_after = fail_after;
-    opts.strip_samples = strip_samples;
-    let mut executor = match workers {
-        Some(n) => Executor::new(n),
-        None => Executor::with_available_parallelism(),
-    };
-    if telemetry {
-        let wdir = Path::new(dir).join("workers").join(&opts.worker);
-        let append = wdir.join(EVENTS_FILE).exists();
-        executor = executor.with_telemetry(telemetry_in(&wdir, append)?);
-    }
-    if !quiet {
+    let flags = Flags::parse(
+        args,
+        "--worker --workers --quiet --poll --patience --fail-after --strip-samples --telemetry",
+    )?;
+    let dir = Path::new(flags.single_path("work")?);
+    let mut opts = WorkOptions::named(flags.worker.clone().ok_or("work needs --worker ID")?);
+    opts.poll = flags.poll.unwrap_or(opts.poll);
+    opts.patience = flags.patience.unwrap_or(opts.patience);
+    opts.fail_after = flags.fail_after;
+    opts.strip_samples = flags.strip_samples;
+    let executor = flags.executor(Some(&dir.join("workers").join(&opts.worker)))?;
+    if !flags.quiet {
         eprintln!(
-            "worker `{}` joining the fleet serving {dir}...",
-            opts.worker
+            "worker `{}` joining the fleet serving {}...",
+            opts.worker,
+            dir.display()
         );
     }
     let started = Instant::now();
-    let outcome = work(&executor, Path::new(dir), &opts).map_err(|e| e.to_string())?;
-    if !quiet {
+    let outcome = work(&executor, dir, &opts).map_err(|e| e.to_string())?;
+    if !flags.quiet {
         eprintln!(
             "worker `{}`: {} run(s) executed over {} lease(s) in {:.2}s",
             outcome.worker,
@@ -643,22 +513,10 @@ fn cmd_work(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compact(args: &[String]) -> Result<(), String> {
-    let mut strip_samples = false;
-    let mut quiet = false;
-    let mut paths = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--strip-samples" => strip_samples = true,
-            "--quiet" => quiet = true,
-            other if !other.starts_with('-') => paths.push(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let [dir] = paths.as_slice() else {
-        return Err("compact takes exactly one campaign directory".to_string());
-    };
-    let stats = compact(dir, strip_samples).map_err(|e| e.to_string())?;
-    if !quiet {
+    let flags = Flags::parse(args, "--strip-samples --quiet")?;
+    let dir = flags.single_path("compact")?;
+    let stats = compact(dir, flags.strip_samples).map_err(|e| e.to_string())?;
+    if !flags.quiet {
         eprintln!(
             "compacted {dir}: {} records, {} duplicate(s) dropped{}{}; {} -> {} bytes",
             stats.records,
@@ -681,22 +539,29 @@ fn cmd_compact(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_status(args: &[String]) -> Result<(), String> {
-    let mut json = false;
-    let mut paths = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            other if !other.starts_with('-') => paths.push(PathBuf::from(other)),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
+    let flags = Flags::parse(args, "--json")?;
+    let paths: Vec<PathBuf> = flags.paths.iter().map(PathBuf::from).collect();
     let report = status(&paths).map_err(|e| e.to_string())?;
-    if json {
+    if flags.json {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render());
     }
     Ok(())
+}
+
+/// Reports a finished directory verb: the report summary, or — for a shard
+/// or worker directory, which builds none — a completion line.
+fn finish_dir(report: Option<CampaignReport>, started: Instant, dir: &Path, quiet: bool) {
+    match report {
+        Some(report) => finish(&report, started, Some(&dir.join("report.json")), quiet),
+        None if !quiet => eprintln!(
+            "{} holds every run it owes ({:.2}s); merge the shards to build the report",
+            dir.display(),
+            started.elapsed().as_secs_f64()
+        ),
+        None => {}
+    }
 }
 
 fn finish(report: &CampaignReport, started: Instant, written_to: Option<&Path>, quiet: bool) {
@@ -720,29 +585,10 @@ fn finish(report: &CampaignReport, started: Instant, written_to: Option<&Path>, 
 }
 
 fn cmd_watch(args: &[String]) -> Result<(), String> {
-    let mut json = false;
-    let mut interval = 2.0f64;
-    let mut paths = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--interval" => {
-                let v = it.next().ok_or("--interval needs seconds")?;
-                interval = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("invalid interval `{v}`"))?
-                    .max(0.1);
-            }
-            other if !other.starts_with('-') => paths.push(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let [dir] = paths.as_slice() else {
-        return Err("watch takes exactly one campaign directory".to_string());
-    };
-    let path = Path::new(dir);
-    if json {
+    let flags = Flags::parse(args, "--interval --json")?;
+    let path = Path::new(flags.single_path("watch")?);
+    let interval = flags.interval.unwrap_or(2.0).max(0.1);
+    if flags.json {
         // One machine-readable snapshot and exit — the CI entry point.
         let snapshot = WatchSnapshot::capture(path).map_err(|e| e.to_string())?;
         println!("{}", snapshot.to_json());
@@ -765,19 +611,9 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    let mut timings = false;
-    let mut paths = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--timings" => timings = true,
-            other if !other.starts_with('-') => paths.push(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let [path] = paths.as_slice() else {
-        return Err("report takes exactly one report path or campaign directory".to_string());
-    };
-    if timings {
+    let flags = Flags::parse(args, "--timings")?;
+    let path = flags.single_path("report")?;
+    if flags.timings {
         // Aggregate the telemetry event log instead of the run report.
         let file = if Path::new(path).is_dir() {
             Path::new(path).join(EVENTS_FILE)

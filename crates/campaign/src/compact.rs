@@ -19,7 +19,6 @@
 //! mixing a stripped and an unstripped copy of the *same* record trips the
 //! merge's byte-level conflict check: strip duplicates consistently.)
 
-use crate::grid;
 use crate::spec::SpecError;
 use crate::spill::SampleStore;
 use crate::stream::{spec_fingerprint, CampaignDir};
@@ -63,17 +62,8 @@ pub fn compact(
     root: impl AsRef<std::path::Path>,
     strip_samples: bool,
 ) -> Result<CompactStats, SpecError> {
-    let dir = CampaignDir::open(root.as_ref())?;
-    let manifest = dir.manifest()?;
-    let runs = grid::expand(&manifest.spec)?;
-    if runs.len() != manifest.total_runs {
-        return Err(SpecError::new(format!(
-            "manifest records {} runs but the spec expands to {}; the campaign \
-             directory is corrupt",
-            manifest.total_runs,
-            runs.len()
-        )));
-    }
+    let (dir, manifest) = CampaignDir::open_checked(root.as_ref(), None)?;
+    let runs = manifest.expand()?;
     let index = dir.index_log(&runs)?;
     let bytes_before = std::fs::metadata(dir.runs_path())
         .map(|m| m.len())

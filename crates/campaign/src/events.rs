@@ -12,10 +12,9 @@
 //! emits as the benchmark baseline schema.
 
 use crate::spec::SpecError;
-use crate::stream::scan_jsonl;
+use crate::stream::read_jsonl;
 use dl2fence_telemetry::{Event, EventData, Histogram};
 use serde::{Deserialize, Serialize};
-use std::fs::File;
 use std::path::Path;
 
 /// Schema tag stamped into every [`TimingSummary`] so committed baselines
@@ -41,29 +40,12 @@ pub struct EventLog {
 /// Returns a [`SpecError`] if the log holds an unparseable line that is
 /// *not* the final one, or on any I/O failure other than the file missing.
 pub fn read_events(path: &Path) -> Result<EventLog, SpecError> {
-    let file = match File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(EventLog::default()),
-        Err(e) => {
-            return Err(SpecError::new(format!(
-                "cannot open event log {}: {e}",
-                path.display()
-            )))
-        }
-    };
-    let mut events = Vec::new();
-    let scan = scan_jsonl(file, path, "event log", |_, _, line| {
-        match Event::parse(line) {
-            Ok(event) => {
-                events.push(event);
-                Ok(None)
-            }
-            Err(e) => Ok(Some(e.0)),
-        }
+    let (events, truncated_tail) = read_jsonl(path, "event log", |line| {
+        Event::parse(line).map_err(|e| e.0)
     })?;
     Ok(EventLog {
         events,
-        truncated_tail: scan.truncated_tail,
+        truncated_tail,
     })
 }
 

@@ -9,7 +9,7 @@
 
 use crate::grid::{self, RunSpec};
 use crate::spec::{CampaignSpec, SimParams, SpecError};
-use dl2fence_telemetry::Telemetry;
+use dl2fence_telemetry::{Recorder, Telemetry};
 use noc_monitor::{FrameSampler, GroundTruth, LabeledSample};
 use noc_sim::{EnergyModel, NocConfig, Topology};
 use serde::{Deserialize, Serialize};
@@ -236,28 +236,12 @@ impl Executor {
 
     /// Executes an already expanded run matrix, returning results in matrix
     /// order.
-    pub fn execute_runs(&self, sim: &SimParams, runs: &[RunSpec]) -> Vec<RunResult> {
-        self.execute_runs_with(sim, runs, |_| {})
-    }
-
-    /// Executes a run matrix, invoking `observer` on the calling thread for
-    /// each result **as it completes** — in completion order, not matrix
-    /// order — before returning all results reassembled in matrix order.
     ///
     /// Callers that persist results and do not need them reassembled (the
     /// streaming layer, [`crate::stream`]) use [`Self::try_run_jobs_foreach`]
     /// instead, which retains nothing.
-    pub fn execute_runs_with(
-        &self,
-        sim: &SimParams,
-        runs: &[RunSpec],
-        mut observer: impl FnMut(&RunResult),
-    ) -> Vec<RunResult> {
-        self.run_jobs_with(
-            runs,
-            |run| execute_run(sim, run),
-            |_, result| observer(result),
-        )
+    pub fn execute_runs(&self, sim: &SimParams, runs: &[RunSpec]) -> Vec<RunResult> {
+        self.run_jobs(runs, |run| execute_run(sim, run))
     }
 
     /// Runs arbitrary independent jobs on the worker pool, returning results
@@ -266,71 +250,26 @@ impl Executor {
     /// This is the generic pool behind both run execution and the parallel
     /// eval phase: workers pull job indices from a shared atomic counter and
     /// results are slotted back by index.
-    pub fn run_jobs<T, R>(&self, jobs: &[T], job: impl Fn(&T) -> R + Sync) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        self.run_jobs_with(jobs, job, |_, _| {})
-    }
-
-    /// [`Self::run_jobs`] plus a completion observer invoked on the calling
-    /// thread, in completion order, with each `(job index, result)` pair.
     ///
     /// # Panics
     ///
     /// Panics if a job closure panics, with a message naming the job index
     /// (see [`JobPanic`]).
-    pub fn run_jobs_with<T, R>(
-        &self,
-        jobs: &[T],
-        job: impl Fn(&T) -> R + Sync,
-        mut observer: impl FnMut(usize, &R),
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        self.try_run_jobs_with(jobs, job, |i, r| {
-            observer(i, r);
-            true
-        })
-        .unwrap_or_else(|p| panic!("{p}"))
-        .expect("an always-continue observer cannot abort")
-    }
-
-    /// [`Self::run_jobs_with`] with an abortable observer: returning `false`
-    /// stops scheduling new jobs, drains the pool (in-flight jobs finish and
-    /// are discarded) and yields `Ok(None)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JobPanic`] naming the failing job index if a job closure
-    /// panics.
-    pub fn try_run_jobs_with<T, R>(
-        &self,
-        jobs: &[T],
-        job: impl Fn(&T) -> R + Sync,
-        mut observer: impl FnMut(usize, &R) -> bool,
-    ) -> Result<Option<Vec<R>>, JobPanic>
+    pub fn run_jobs<T, R>(&self, jobs: &[T], job: impl Fn(&T) -> R + Sync) -> Vec<R>
     where
         T: Sync,
         R: Send,
     {
         let mut slots: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
-        match self.try_run_jobs_foreach(jobs, job, |i, result| {
-            let keep_going = observer(i, &result);
+        self.try_run_jobs_foreach(jobs, job, |i, result| {
             slots[i] = Some(result);
-            keep_going
-        })? {
-            None => Ok(None),
-            Some(()) => Ok(Some(
-                slots
-                    .into_iter()
-                    .map(|r| r.expect("every job index is executed exactly once"))
-                    .collect(),
-            )),
-        }
+            true
+        })
+        .unwrap_or_else(|p| panic!("{p}"));
+        slots
+            .into_iter()
+            .map(|r| r.expect("every job index is executed exactly once"))
+            .collect()
     }
 
     /// The streaming primitive behind the pool: runs every job, handing each
@@ -364,35 +303,35 @@ impl Executor {
         if jobs.is_empty() {
             return Ok(Some(()));
         }
+        // One job on worker `w`: queue wait, busy time and job count go to
+        // telemetry, and a panic is caught as its rendered message.
+        let run_one = |rec: &Recorder, w: u64, idle_since: &mut Option<Instant>, i: usize| {
+            if let Some(at) = *idle_since {
+                rec.record("worker.queue_wait", at.elapsed());
+            }
+            let started = idle_since.is_some().then(Instant::now);
+            let outcome = catch_unwind(AssertUnwindSafe(|| job(&jobs[i])));
+            if let Some(at) = started {
+                rec.add_indexed("worker.busy_us", w, at.elapsed().as_micros() as u64);
+                rec.add_indexed("worker.jobs", w, 1);
+                *idle_since = Some(Instant::now());
+            }
+            outcome.map_err(|payload| {
+                rec.add("executor.worker_panics", 1);
+                panic_message(payload)
+            })
+        };
         let workers = self.workers.min(jobs.len());
         if workers == 1 {
             let rec = self.telemetry.recorder();
-            let enabled = rec.is_enabled();
-            let mut idle_since = enabled.then(Instant::now);
-            for (i, j) in jobs.iter().enumerate() {
-                if let Some(at) = idle_since {
-                    rec.record("worker.queue_wait", at.elapsed());
-                }
-                let started = enabled.then(Instant::now);
-                let outcome = catch_unwind(AssertUnwindSafe(|| job(j)));
-                if let Some(at) = started {
-                    rec.add_indexed("worker.busy_us", 0, at.elapsed().as_micros() as u64);
-                    rec.add_indexed("worker.jobs", 0, 1);
-                    idle_since = Some(Instant::now());
-                }
-                match outcome {
-                    Ok(result) => {
-                        if !observer(i, result) {
-                            return Ok(None);
-                        }
-                    }
-                    Err(payload) => {
-                        rec.add("executor.worker_panics", 1);
-                        return Err(JobPanic {
-                            job_index: i,
-                            message: panic_message(payload),
-                        });
-                    }
+            let mut idle_since = rec.is_enabled().then(Instant::now);
+            for i in 0..jobs.len() {
+                let result = run_one(&rec, 0, &mut idle_since, i).map_err(|message| JobPanic {
+                    job_index: i,
+                    message,
+                })?;
+                if !observer(i, result) {
+                    return Ok(None);
                 }
             }
             return Ok(Some(()));
@@ -410,45 +349,28 @@ impl Executor {
             for w in 0..workers {
                 let tx = tx.clone();
                 let next = &next;
-                let job = &job;
+                let run_one = &run_one;
                 scope.spawn(move || {
                     let rec = telemetry.recorder();
-                    let enabled = rec.is_enabled();
-                    let mut idle_since = enabled.then(Instant::now);
+                    let mut idle_since = rec.is_enabled().then(Instant::now);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= jobs.len() {
                             break;
                         }
-                        if let Some(at) = idle_since {
-                            rec.record("worker.queue_wait", at.elapsed());
-                        }
-                        let started = enabled.then(Instant::now);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| job(&jobs[i])));
-                        if let Some(at) = started {
-                            rec.add_indexed(
-                                "worker.busy_us",
-                                w as u64,
-                                at.elapsed().as_micros() as u64,
-                            );
-                            rec.add_indexed("worker.jobs", w as u64, 1);
-                            idle_since = Some(Instant::now());
-                        }
-                        match outcome {
-                            Ok(result) => {
-                                if tx.send(WorkerMsg::Done(i, result)).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(payload) => {
-                                rec.add("executor.worker_panics", 1);
+                        let msg = match run_one(&rec, w as u64, &mut idle_since, i) {
+                            Ok(result) => WorkerMsg::Done(i, result),
+                            Err(message) => {
                                 // Stop handing out new indices; sibling
                                 // workers finish their in-flight job and
                                 // drain.
                                 next.store(jobs.len(), Ordering::Relaxed);
-                                let _ = tx.send(WorkerMsg::Panicked(i, panic_message(payload)));
-                                break;
+                                WorkerMsg::Panicked(i, message)
                             }
+                        };
+                        let stop = matches!(msg, WorkerMsg::Panicked(..));
+                        if tx.send(msg).is_err() || stop {
+                            break;
                         }
                     }
                 });
@@ -539,10 +461,16 @@ mod tests {
         let runs = grid::expand(&spec).unwrap();
         for workers in [1, 4] {
             let mut seen = Vec::new();
-            let results = Executor::new(workers).execute_runs_with(&spec.sim, &runs, |r| {
-                seen.push(r.spec.index);
-            });
-            assert_eq!(results.len(), runs.len());
+            let done = Executor::new(workers).try_run_jobs_foreach(
+                &runs,
+                |run| execute_run(&spec.sim, run),
+                |i, r| {
+                    assert_eq!(r.spec.index, runs[i].index);
+                    seen.push(r.spec.index);
+                    true
+                },
+            );
+            assert_eq!(done, Ok(Some(())));
             seen.sort_unstable();
             assert_eq!(seen, (0..runs.len()).collect::<Vec<_>>());
         }
@@ -611,6 +539,18 @@ mod tests {
             assert!(err.message.contains("boom on 5"), "{err:?}");
             assert!(err.to_string().contains("worker job 5 panicked"));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "worker job 3 panicked: boom on 3")]
+    fn run_jobs_panic_names_the_job_index() {
+        let jobs: Vec<u64> = (0..8).collect();
+        Executor::new(4).run_jobs(&jobs, |&j| {
+            if j == 3 {
+                panic!("boom on {j}");
+            }
+            j
+        });
     }
 
     #[test]

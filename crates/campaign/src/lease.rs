@@ -18,10 +18,9 @@
 //! exactly like a torn run record.
 
 use crate::spec::SpecError;
-use crate::stream::scan_jsonl;
+use crate::stream::{append_jsonl, read_jsonl};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Directory (inside a campaign directory) holding every scheduler artifact:
@@ -105,12 +104,8 @@ pub struct LedgerRecord {
 ///
 /// Returns a [`SpecError`] if the record cannot be written.
 pub fn append_ledger(writer: &mut File, record: &LedgerRecord) -> Result<(), SpecError> {
-    let mut line = serde_json::to_string(record).expect("ledger serialization cannot fail");
-    line.push('\n');
-    writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.flush())
-        .map_err(|e| SpecError::new(format!("cannot append to lease ledger: {e}")))
+    let line = serde_json::to_string(record).expect("ledger serialization cannot fail");
+    append_jsonl(writer, line, Path::new(LEDGER_FILE))
 }
 
 /// Opens the ledger of the campaign directory at `root` for appending,
@@ -138,30 +133,9 @@ pub fn open_ledger_for_append(root: &Path) -> Result<File, SpecError> {
 ///
 /// Returns a [`SpecError`] on mid-file garbage or I/O failure.
 pub fn read_ledger(root: &Path) -> Result<Vec<LedgerRecord>, SpecError> {
-    let path = ledger_path(root);
-    let file = match File::open(&path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(SpecError::new(format!(
-                "cannot open {}: {e}",
-                path.display()
-            )))
-        }
-    };
-    let mut records = Vec::new();
-    let _ = scan_jsonl(
-        file,
-        &path,
-        "lease record",
-        |_, _, line| match serde_json::from_str::<LedgerRecord>(line) {
-            Ok(record) => {
-                records.push(record);
-                Ok(None)
-            }
-            Err(e) => Ok(Some(e.to_string())),
-        },
-    )?;
+    let (records, _) = read_jsonl(&ledger_path(root), "lease record", |line| {
+        serde_json::from_str(line).map_err(|e| e.to_string())
+    })?;
     Ok(records)
 }
 

@@ -22,16 +22,24 @@
 //!    localization metrics. All aggregation is incremental: the
 //!    [`ReportAccumulator`] folds runs one at a time and retains none of
 //!    them, so campaigns bigger than memory still aggregate.
-//! 5. **Streaming & resume** — [`stream`] persists every finished run as a
-//!    JSONL record in a campaign directory the moment it completes, and
-//!    [`resume`] re-executes only the missing run indices after a crash,
-//!    rebuilding a byte-identical report (the stored [`spec_fingerprint`]
-//!    guards against mixing results from different specs).
-//! 6. **Cross-machine sharding** — [`run_shard`] executes a deterministic
-//!    strided slice of the run matrix into an ordinary campaign directory,
-//!    and [`merge`](merge::merge) reunites shard directories (verifying
-//!    fingerprints, deduplicating identical records, refusing gaps and
-//!    conflicts) into a report byte-identical to a single-machine run.
+//! 5. **Streaming & resume** — every campaign verb is a thin call onto two
+//!    primitives. *Execute* ([`stream`]) opens and verifies a campaign
+//!    directory, heals a torn tail, and runs an index set on the pool,
+//!    persisting each finished run as a JSONL record the moment it
+//!    completes. *Fold* ([`merge`](mod@merge)) unites directories into a
+//!    report, refusing or re-executing gaps. [`run`] creates a directory and
+//!    folds it; [`resume`] folds an existing one after a crash, executing
+//!    only the missing run indices and rebuilding a byte-identical report
+//!    (the stored [`spec_fingerprint`] guards against mixing results from
+//!    different specs). Each verb takes only the values it reads: the
+//!    spill policy, plus a shard slice for [`run`] and gap re-execution
+//!    for [`merge`](merge::merge).
+//! 6. **Cross-machine sharding** — [`run`] with a [`ShardSlice`]
+//!    executes a deterministic strided slice of the run matrix into
+//!    an ordinary campaign directory, and [`merge`](merge::merge) folds
+//!    shard directories (verifying fingerprints, deduplicating identical
+//!    records, refusing or re-executing gaps and refusing conflicts) into a
+//!    report byte-identical to a single-machine run.
 //! 7. **Bounded memory end to end** — the eval phase's per-mesh sample
 //!    pools (the one remaining campaign-sized buffer) spill to a
 //!    [`spill::SampleStore`] inside the campaign directory past a
@@ -42,10 +50,13 @@
 //! 8. **Dynamic fleet scheduling** — [`sched::serve_sched`] turns a
 //!    campaign directory into a coordinator that leases bounded run-index
 //!    batches ([`lease::Lease`]) to any number of [`sched::work`] workers
-//!    over a shared filesystem, expiring and re-issuing abandoned leases;
-//!    idempotent replay plus speculative gap re-execution at assembly keep
-//!    the final report byte-identical to a single-machine run even after
-//!    worker crashes.
+//!    over a shared filesystem, expiring and re-issuing abandoned leases. A
+//!    worker executes each lease through the execute primitive, its per-run
+//!    hook reporting progress; the final assembly is the fold primitive, so
+//!    idempotent replay plus speculative gap re-execution keep the report
+//!    byte-identical to a single-machine run even after worker crashes —
+//!    and `resume`/`status`/`merge` on a coordinator directory count the
+//!    records its workers hold.
 //!
 //! The `campaign` binary exposes the engine on the command line
 //! (`expand` / `run` / `resume` / `shard` / `merge` / `compact` /
@@ -102,7 +113,7 @@ pub use events::{
 pub use executor::{execute_run, CampaignOutcome, Executor, JobPanic, RunMetrics, RunResult};
 pub use grid::{derive_run_seed, expand, runs_from_scenarios, RunSpec};
 pub use lease::{sched_status, Lease, LeaseInfo, SchedStatus};
-pub use merge::{merge, merge_with, merge_with_opts};
+pub use merge::merge;
 pub use report::{split_by_benchmark, CampaignReport, EvalEntry, GroupSummary, ReportAccumulator};
 pub use sched::{
     serve_sched, work, Grant, SchedConfig, SchedCounters, Scheduler, ServeOptions, WorkOptions,
@@ -115,7 +126,7 @@ pub use spec::{
 pub use spill::{SampleBatch, SampleStore, SpillStats};
 pub use status::{human_bytes, status, DirStatus, StatusReport};
 pub use stream::{
-    resume, resume_with, run_shard, run_streaming, spec_fingerprint, CampaignDir, LogIndex,
-    Manifest, RecordEntry, ShardSlice, SpillPolicy, DEFAULT_SPILL_THRESHOLD, EVENTS_FILE,
+    resume, run, run_streaming, spec_fingerprint, CampaignDir, LogIndex, Manifest, RecordEntry,
+    ShardSlice, SpillPolicy, DEFAULT_SPILL_THRESHOLD, EVENTS_FILE,
 };
 pub use watch::WatchSnapshot;

@@ -1,61 +1,97 @@
-//! Merging sharded campaign directories back into one campaign.
+//! The **fold primitive**: uniting campaign directories into one report.
 //!
-//! [`merge`] reunites any set of campaign directories that share a spec
-//! fingerprint — the shard directories written by
-//! [`crate::stream::run_shard`] on different machines, a whole-campaign
-//! directory, or any mix — into a fresh campaign directory whose
-//! `report.json` is **byte-identical** to an uninterrupted single-machine
-//! `campaign run` of the same spec.
+//! Every report-building verb folds one or more directories into a target
+//! directory: [`crate::stream::run`] and [`crate::stream::resume`] fold a
+//! directory into itself, [`merge`] folds any set of directories sharing a
+//! spec fingerprint — the shard directories [`crate::stream::run`] wrote
+//! on different machines, a whole-campaign directory, or any mix — into a
+//! fresh one, and the scheduler's final assembly folds the worker
+//! directories into the coordinator's. The target's `report.json` is
+//! **byte-identical** to an uninterrupted single-machine `campaign run` of
+//! the same spec.
 //!
-//! The merge is a two-pass stream over the inputs, so it never materializes
+//! A fold is a two-pass stream over its sources, so it never materializes
 //! the combined result set:
 //!
-//! 1. **Index** — every input log is scanned record-by-record into a byte
+//! 1. **Index** — every source log is scanned record-by-record into a byte
 //!    offset [`LogIndex`] (each record parsed for validation and dropped).
 //!    Records for the same run index must be byte-identical — identical
-//!    duplicates dedupe cleanly (first directory in argument order wins),
-//!    conflicting ones abort the merge. A torn tail record in an input is
-//!    tolerated exactly as [`crate::stream::resume`]'s scan tolerates its
-//!    own: ignored, with its run index treated as not stored.
+//!    duplicates dedupe cleanly (the target's own log first, then sources
+//!    in argument order), conflicting ones abort the fold. A torn tail
+//!    record in an input is ignored, with its run index treated as not
+//!    stored.
 //! 2. **Replay** — the union is walked in run-index order; each record is
-//!    re-read from its source, appended to the merged `runs.jsonl`, folded
-//!    into the shared [`ReportAccumulator`], and dropped.
+//!    re-read from its source, appended to the target's `runs.jsonl`
+//!    (unless it is already there), folded into the shared
+//!    [`ReportAccumulator`], and dropped.
 //!
-//! Before replaying, the union must be gapless: any run index stored by no
-//! input aborts the merge with the exact gap list (resume the shard that
-//! owns it, then merge again). With gap re-execution enabled
-//! ([`merge_with_opts`], `campaign merge --reexec-gaps`, and the
-//! scheduler's final assembly), residual gaps are instead **speculatively
-//! re-executed** locally — every run is deterministic from spec + index, so
-//! the re-executed records are byte-identical to what a lost shard or
-//! crashed worker would have produced, and the merged report still matches
-//! a single-machine run exactly.
+//! Before replaying, every run index the target owes must be stored
+//! somewhere: a gap aborts with the exact gap list (resume the shard that
+//! owns it, then merge again). With gap re-execution
+//! (`campaign merge --reexec-gaps`; always on for run, resume and the
+//! scheduler's assembly) gaps are instead executed locally — every run is
+//! deterministic from spec + index, so the re-executed records are
+//! byte-identical to what a lost shard or crashed worker would have
+//! produced, and the report still matches a single-machine run exactly.
 
 use crate::executor::Executor;
-use crate::grid::{self, RunSpec};
+use crate::grid::RunSpec;
 use crate::report::{CampaignReport, ReportAccumulator};
-use crate::spec::{CampaignSpec, SpecError};
-use crate::spill::SampleStore;
-use crate::stream::{spec_fingerprint, CampaignDir, LogIndex, RecordEntry, SpillPolicy};
+use crate::sched::worker_dirs;
+use crate::spec::SpecError;
+use crate::spill::{SampleStore, SAMPLES_MANIFEST_FILE};
+use crate::stream::{
+    append_jsonl, CampaignDir, LogIndex, Manifest, RecordEntry, SpillPolicy, Target, MANIFEST_FILE,
+};
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Scratch directory (inside the merge output) where gap re-execution
-/// streams its records; removed once the merged report is written.
+/// Scratch directory (inside the fold target) where gap re-execution
+/// streams its records when other directories are folded in; removed once
+/// the report is written.
 const GAPFILL_DIR: &str = ".gapfill";
 
-/// One opened input of a merge: its directory, record index, and (once the
+/// How [`fold`] builds its report. Each public verb sets only what it
+/// reads: [`crate::stream::run`] and [`crate::stream::resume`] take the
+/// spill policy and always execute gaps, [`merge`] takes both values. The
+/// index set a fold owes comes from the target's manifest.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FoldOptions {
+    /// How the report fold bounds its eval-phase sample memory.
+    pub(crate) spill: SpillPolicy,
+    /// Execute owed run indices that no source stores instead of refusing
+    /// them with the gap list.
+    pub(crate) reexec_gaps: bool,
+}
+
+/// One record source of a fold: its directory, record index, and (once the
 /// first record is read back) an open `runs.jsonl` handle — duplicate
 /// checks and the replay loop seek within it instead of reopening the file
 /// per record. Lazy because a source may hold no records at all.
-struct MergeSource {
+pub(crate) struct Source {
     dir: CampaignDir,
-    index: LogIndex,
+    pub(crate) index: LogIndex,
     reader: Option<File>,
 }
 
-impl MergeSource {
+impl Source {
+    fn new(dir: CampaignDir, index: LogIndex) -> Self {
+        Source {
+            dir,
+            index,
+            reader: None,
+        }
+    }
+
+    /// Opens the campaign directory at `root` read-only: its manifest must
+    /// carry `fingerprint`, and its log is indexed against `runs`.
+    fn load(root: &Path, fingerprint: &str, runs: &[RunSpec]) -> Result<Self, SpecError> {
+        let (dir, _) = CampaignDir::open_checked(root, Some(fingerprint))?;
+        let index = dir.index_log(runs)?;
+        Ok(Source::new(dir, index))
+    }
+
     /// Reads one record's exact bytes through the cached handle.
     fn read_record(&mut self, entry: &RecordEntry) -> Result<String, SpecError> {
         if self.reader.is_none() {
@@ -66,13 +102,57 @@ impl MergeSource {
     }
 }
 
+/// The worker directories under a whole-campaign directory, loaded as
+/// record sources: a scheduler coordinator's records live in them until
+/// final assembly. Shard and worker directories have none.
+///
+/// With `skip_unparsed`, a worker directory whose manifest does not parse
+/// yet — a worker starting up while a read-only `status` poll looks — is
+/// skipped instead of failing the call.
+pub(crate) fn worker_sources(
+    dir: &CampaignDir,
+    manifest: &Manifest,
+    runs: &[RunSpec],
+    skip_unparsed: bool,
+) -> Result<Vec<Source>, SpecError> {
+    if !manifest.is_whole() {
+        return Ok(Vec::new());
+    }
+    worker_dirs(dir.root())?
+        .iter()
+        .filter(|root| !skip_unparsed || manifest_parses(root))
+        .map(|root| Source::load(root, &manifest.fingerprint, runs))
+        .collect()
+}
+
+/// Whether the campaign directory at `root` holds a manifest that parses
+/// as JSON (it may still fail its self-check).
+fn manifest_parses(root: &Path) -> bool {
+    std::fs::read_to_string(root.join(MANIFEST_FILE))
+        .is_ok_and(|text| serde_json::from_str::<Manifest>(&text).is_ok())
+}
+
+/// Which run indices a log or any of `sources` stores.
+pub(crate) fn stored_union(own: &LogIndex, sources: &[Source]) -> Vec<bool> {
+    let mut stored: Vec<bool> = own.entries.iter().map(Option::is_some).collect();
+    for source in sources {
+        for (i, entry) in source.index.entries.iter().enumerate() {
+            stored[i] |= entry.is_some();
+        }
+    }
+    stored
+}
+
 /// Merges campaign directories sharing one spec fingerprint into a fresh
-/// whole-campaign directory at `out`, returning the rebuilt report.
+/// whole-campaign directory at `out`, returning the rebuilt report. The
+/// report fold bounds its eval sample memory by `spill`.
 ///
 /// The merged directory holds the union of the inputs' run records in
 /// run-index order plus a `report.json` byte-identical to an uninterrupted
 /// single-machine run (it is itself an ordinary, resumable campaign
-/// directory). Inputs are only read, never modified.
+/// directory). A whole-campaign input contributes its `workers/` records
+/// too, exactly as `campaign status` and `campaign resume` count them.
+/// Inputs are only read, never modified.
 ///
 /// # Errors
 ///
@@ -82,227 +162,186 @@ impl MergeSource {
 /// - two inputs fingerprint differently (no mixing results across specs);
 /// - a run index is stored with conflicting payloads (within one input or
 ///   across two);
-/// - the union has gaps — the error lists every missing run index;
+/// - the union has gaps and `reexec_gaps` is off — the error lists every
+///   missing run index;
 /// - the output directory already holds a campaign, or any I/O fails.
 pub fn merge(
     executor: &Executor,
     inputs: &[PathBuf],
     out: impl Into<PathBuf>,
-) -> Result<CampaignReport, SpecError> {
-    merge_with(executor, inputs, out, SpillPolicy::default())
-}
-
-/// [`merge`] with an explicit [`SpillPolicy`] for the report-building
-/// phase of the merged directory.
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] under the same conditions as [`merge`].
-pub fn merge_with(
-    executor: &Executor,
-    inputs: &[PathBuf],
-    out: impl Into<PathBuf>,
-    spill: SpillPolicy,
-) -> Result<CampaignReport, SpecError> {
-    merge_with_opts(executor, inputs, out, spill, false)
-}
-
-/// [`merge_with`] with optional speculative gap re-execution: when
-/// `reexec_gaps` is set, run indices stored by no input are re-executed
-/// locally (into a scratch directory removed afterwards) instead of
-/// aborting the merge — every run is deterministic from spec + index, so
-/// the merged report is still byte-identical to a single-machine run.
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] under the same conditions as [`merge`], except
-/// that with `reexec_gaps` a gapped union re-executes instead of erroring.
-pub fn merge_with_opts(
-    executor: &Executor,
-    inputs: &[PathBuf],
-    out: impl Into<PathBuf>,
     spill: SpillPolicy,
     reexec_gaps: bool,
 ) -> Result<CampaignReport, SpecError> {
-    let (spec, runs, sources) = index_inputs(inputs)?;
-    let out_dir = CampaignDir::create(out, &spec, runs.len())?;
-    let plan = MergePlan {
-        out_dir: &out_dir,
-        spec: &spec,
-        runs: &runs,
-        spill,
-        reexec_gaps,
-        existing_source: None,
+    let Some(first) = inputs.first() else {
+        return Err(SpecError::new(
+            "merge needs at least one campaign directory",
+        ));
     };
-    merge_core(executor, plan, sources)
-}
-
-/// Assembles `extra_inputs` (the scheduler's worker directories) **into**
-/// the existing campaign directory at `root`, which doubles as merge source
-/// 0: records already in its own log are folded but not re-appended, and
-/// its sample store is not self-unioned. Residual gaps re-execute when
-/// `reexec_gaps` is set. On success `root` is a complete, ordinary campaign
-/// directory with a `report.json` byte-identical to a single-machine run.
-pub(crate) fn merge_into_existing(
-    executor: &Executor,
-    root: &Path,
-    extra_inputs: &[PathBuf],
-    spill: SpillPolicy,
-    reexec_gaps: bool,
-) -> Result<CampaignReport, SpecError> {
-    let mut inputs: Vec<PathBuf> = Vec::with_capacity(extra_inputs.len() + 1);
-    inputs.push(root.to_path_buf());
-    inputs.extend(extra_inputs.iter().cloned());
-    let (spec, runs, sources) = index_inputs(&inputs)?;
-    let out_dir = CampaignDir::open(root)?;
-    if sources[0].index.truncated_tail {
-        // Heal before appending, or the first merged record would fuse into
-        // the torn line.
-        out_dir.truncate_runs_to(sources[0].index.valid_bytes)?;
+    let (_, manifest) = CampaignDir::open_checked(first, None)?;
+    let runs = manifest.expand()?;
+    let mut sources = Vec::with_capacity(inputs.len());
+    for input in inputs {
+        let (dir, input_manifest) = CampaignDir::open_checked(input, Some(&manifest.fingerprint))?;
+        let workers = worker_sources(&dir, &input_manifest, &runs, false)?;
+        let index = dir.index_log(&runs)?;
+        sources.push(Source::new(dir, index));
+        sources.extend(workers);
     }
-    let plan = MergePlan {
-        out_dir: &out_dir,
-        spec: &spec,
-        runs: &runs,
-        spill,
-        reexec_gaps,
-        existing_source: Some(0),
-    };
-    merge_core(executor, plan, sources)
+    let total = runs.len();
+    let target = Target::create(out, &manifest.spec, runs, None, None)?;
+    let opts = FoldOptions { spill, reexec_gaps };
+    fold(executor, target, LogIndex::empty(total), sources, &opts)
+        .map(|report| report.expect("a whole campaign folds to a report"))
 }
 
-/// How [`merge_core`] should treat one merge: where the union lands, and
-/// whether one source *is* the output directory (its records are folded but
-/// never re-appended).
-struct MergePlan<'a> {
-    out_dir: &'a CampaignDir,
-    spec: &'a CampaignSpec,
-    runs: &'a [RunSpec],
-    spill: SpillPolicy,
-    reexec_gaps: bool,
-    existing_source: Option<usize>,
-}
-
-/// The shared merge engine: unite, optionally re-execute gaps, then replay
-/// the union in run-index order — copying each record's exact bytes into
-/// the merged log and folding the parsed record into the accumulator, one
-/// record in memory at a time, one open handle per source.
-fn merge_core(
+/// The fold primitive: unites `target`'s own log (indexed as `own`) with
+/// the `extra` sources, refuses or executes the run indices the target owes
+/// but no source stores, and — for a whole-campaign target — replays the
+/// union in run-index order into the report, one record in memory at a
+/// time, one open handle per source. Records from `extra` are copied into
+/// the target's log on the way.
+///
+/// With no `extra` sources the fold is in place (run, resume of a
+/// directory without workers): gaps execute straight into the target's
+/// log, crash-durable. Folding other directories in (merge, fleet
+/// assembly, resume of a coordinator) executes gaps into a scratch
+/// directory instead, so the target's log gains the union in run-index
+/// order.
+pub(crate) fn fold(
     executor: &Executor,
-    plan: MergePlan<'_>,
-    mut sources: Vec<MergeSource>,
-) -> Result<CampaignReport, SpecError> {
-    let MergePlan {
-        out_dir,
-        spec,
-        runs,
-        spill,
-        reexec_gaps,
-        existing_source,
-    } = plan;
-    let mut slots = unite(runs, &mut sources)?;
-    let gaps: Vec<usize> = slots
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.is_none().then_some(i))
-        .collect();
-    let mut gapfill_root: Option<PathBuf> = None;
+    mut target: Target,
+    own: LogIndex,
+    extra: Vec<Source>,
+    opts: &FoldOptions,
+) -> Result<Option<CampaignReport>, SpecError> {
+    let in_place = extra.is_empty();
+    let whole = target.manifest.is_whole();
+    let mut sources = Vec::with_capacity(extra.len() + 2);
+    sources.push(Source::new(target.dir.clone(), own));
+    sources.extend(extra);
+    let mut slots = unite(target.runs.len(), &mut sources)?;
+    let stored: Vec<bool> = slots.iter().map(Option::is_some).collect();
+    let (owed, gaps) = target.manifest.owed(&stored);
+    if !gaps.is_empty() && !opts.reexec_gaps {
+        return Err(SpecError::new(format!(
+            "merge is missing {} of {owed} run indices: [{}]; resume the shard(s) that \
+             own them, then merge again",
+            gaps.len(),
+            gaps.iter()
+                .map(usize::to_string)
+                .collect::<Vec<_>>()
+                .join(", ")
+        )));
+    }
+    if in_place && !whole {
+        // A shard or worker directory folded into itself only executes what
+        // it owes: there is nothing to copy and no report to build.
+        target.execute(executor, &gaps, |_| Ok(true))?;
+        return Ok(None);
+    }
+    let mut scratch: Option<PathBuf> = None;
     if !gaps.is_empty() {
-        if !reexec_gaps {
-            return Err(SpecError::new(format!(
-                "merge is missing {} of {} run indices: [{}]; resume the shard(s) that \
-                 own them, then merge again",
-                gaps.len(),
-                runs.len(),
-                render_indices(&gaps)
-            )));
-        }
-        // Speculative gap re-execution: runs are deterministic from
-        // spec + index, so executing the residual indices here yields the
-        // exact bytes the lost shard or crashed worker would have written.
-        executor
-            .telemetry()
-            .recorder()
-            .add("merge.gap_reexec_runs", gaps.len() as u64);
-        let scratch = out_dir.root().join(GAPFILL_DIR);
-        let _ = std::fs::remove_dir_all(&scratch);
-        let gap_dir = CampaignDir::create(&scratch, spec, runs.len())?;
-        let pending: Vec<RunSpec> = gaps.iter().map(|&i| runs[i].clone()).collect();
-        let mut writer = gap_dir.open_runs_for_append()?;
-        crate::stream::stream_pending(executor, spec, &pending, &gap_dir, &mut writer)?;
-        writer
-            .flush()
-            .map_err(|e| SpecError::new(format!("cannot flush gap re-execution log: {e}")))?;
-        drop(writer);
-        let index = gap_dir.index_log(runs)?;
-        let source_id = sources.len();
-        sources.push(MergeSource {
-            dir: gap_dir,
-            index,
-            reader: None,
-        });
+        // Runs are deterministic from spec + index, so executing the gaps
+        // here yields the exact bytes the lost shard or crashed worker
+        // would have written.
+        let gap_source = if in_place {
+            target.execute(executor, &gaps, |_| Ok(true))?;
+            sources[0].index = target.dir.index_log(&target.runs)?;
+            0
+        } else {
+            executor
+                .telemetry()
+                .recorder()
+                .add("merge.gap_reexec_runs", gaps.len() as u64);
+            let root = target.dir.root().join(GAPFILL_DIR);
+            let _ = std::fs::remove_dir_all(&root);
+            let mut gap = Target::create(
+                &root,
+                &target.manifest.spec,
+                target.runs.clone(),
+                None,
+                None,
+            )?;
+            gap.execute(executor, &gaps, |_| Ok(true))?;
+            let index = gap.dir.index_log(&gap.runs)?;
+            sources.push(Source::new(gap.dir, index));
+            scratch = Some(root);
+            sources.len() - 1
+        };
         for &i in &gaps {
-            let entry = sources[source_id].index.entries[i].ok_or_else(|| {
+            let entry = sources[gap_source].index.entries[i].ok_or_else(|| {
                 SpecError::new(format!(
                     "gap re-execution produced no record for run index {i}"
                 ))
             })?;
-            slots[i] = Some((source_id, entry));
+            slots[i] = Some((gap_source, entry));
         }
-        gapfill_root = Some(scratch);
     }
-    let union: Vec<(usize, RecordEntry)> = slots
-        .into_iter()
-        .map(|s| s.expect("gapless after re-execution"))
-        .collect();
 
-    let fingerprint = spec_fingerprint(spec);
-    let out_store = unite_sample_stores(&sources, out_dir, &fingerprint, existing_source)?;
-    let mut writer = out_dir.open_runs_for_append()?;
-    let mut acc = ReportAccumulator::for_spec(spec)?;
-    if spec.eval.enabled {
-        // The merged directory aggregates under the requested spill policy;
-        // a store carried over from stripped inputs must be attached even
-        // under `InMemory`, or the stripped records' samples stay invisible.
-        match (spill, out_store) {
-            (SpillPolicy::Threshold(threshold), store) => {
-                let store = match store {
-                    Some(store) => store,
-                    None => SampleStore::attach(out_dir.samples_path(), &fingerprint)?,
+    let rec = executor.telemetry().recorder();
+    let report = rec.time("campaign.report", || {
+        let spec = &target.manifest.spec;
+        let fingerprint = &target.manifest.fingerprint;
+        let store = unite_sample_stores(&target.dir, &sources[1..], fingerprint)?;
+        let mut acc = None;
+        if whole {
+            let mut fresh =
+                ReportAccumulator::for_spec(spec)?.with_telemetry(executor.telemetry().recorder());
+            if spec.eval.enabled {
+                // The target aggregates under the requested spill policy; a
+                // store carried over (a stripped log's, or the inputs')
+                // must be attached even under `InMemory`, or the stripped
+                // records' samples stay invisible.
+                fresh = match (opts.spill, store) {
+                    (SpillPolicy::Threshold(threshold), store) => {
+                        let store = match store {
+                            Some(store) => store,
+                            None => SampleStore::attach(target.dir.samples_path(), fingerprint)?,
+                        };
+                        fresh.with_spill(store, threshold)
+                    }
+                    (SpillPolicy::InMemory, Some(store)) => fresh.with_spill(store, usize::MAX),
+                    (SpillPolicy::InMemory, None) => fresh,
                 };
-                acc = acc.with_spill(store, threshold);
             }
-            (SpillPolicy::InMemory, Some(store)) => {
-                acc = acc.with_spill(store, usize::MAX);
-            }
-            (SpillPolicy::InMemory, None) => {}
+            acc = Some(fresh);
         }
-    }
-    for (source_id, entry) in union {
-        let source = &mut sources[source_id];
-        let line = source.read_record(&entry)?;
-        let record = parse_record(&source.dir, &line)?;
-        if existing_source != Some(source_id) {
+        let mut writer = if in_place {
+            None
+        } else {
+            Some(target.dir.open_runs_for_append()?)
+        };
+        for (source_id, entry) in slots.into_iter().flatten() {
+            let source = &mut sources[source_id];
+            let line = source.read_record(&entry)?;
+            let record = acc
+                .is_some()
+                .then(|| source.dir.parse_record(&line, &entry))
+                .transpose()?;
+            match &mut writer {
+                // Source 0 is the target's own log: folded, never re-appended.
+                Some(writer) if source_id != 0 => {
+                    append_jsonl(writer, line, &target.dir.runs_path())?
+                }
+                _ => {}
+            }
+            if let (Some(acc), Some(record)) = (&mut acc, record) {
+                acc.try_fold(&record)?;
+            }
+        }
+        if let Some(writer) = &mut writer {
             writer
-                .write_all(line.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .map_err(|e| {
-                    SpecError::new(format!(
-                        "cannot append to {}: {e}",
-                        out_dir.runs_path().display()
-                    ))
-                })?;
+                .flush()
+                .map_err(|e| SpecError::new(format!("cannot flush folded run log: {e}")))?;
         }
-        acc.try_fold(&record)?;
-    }
-    writer
-        .flush()
-        .map_err(|e| SpecError::new(format!("cannot flush merged run log: {e}")))?;
-    drop(writer);
-
-    let report = acc.finish(executor)?;
-    out_dir.write_report(&report)?;
-    if let Some(scratch) = gapfill_root {
+        let Some(acc) = acc else {
+            return Ok(None);
+        };
+        let report = acc.finish(executor)?;
+        target.dir.write_report(&report)?;
+        Ok::<_, SpecError>(Some(report))
+    })?;
+    if let Some(scratch) = scratch {
         drop(sources);
         std::fs::remove_dir_all(&scratch).map_err(|e| {
             SpecError::new(format!(
@@ -314,35 +353,29 @@ fn merge_core(
     Ok(report)
 }
 
-/// Unions the inputs' spilled sample stores (if any) into the merged
-/// directory's store, batch by batch in input order — identical duplicate
-/// batches dedupe (shards re-spilled after a resume overlap), conflicting
-/// ones abort. Returns `None` when no input carries a store.
+/// Unions the target's own spilled sample store (if any) and the other
+/// sources' stores into the target's store, batch by batch in source order
+/// — identical duplicate batches dedupe (shards re-spilled after a resume
+/// overlap), conflicting ones abort. Returns `None` when no store exists.
 fn unite_sample_stores(
-    sources: &[MergeSource],
-    out_dir: &CampaignDir,
+    target: &CampaignDir,
+    others: &[Source],
     fingerprint: &str,
-    existing_source: Option<usize>,
 ) -> Result<Option<SampleStore>, SpecError> {
-    let mut out_store: Option<SampleStore> = None;
-    for (source_id, source) in sources.iter().enumerate() {
+    let samples = target.samples_path();
+    let mut out_store = if samples.join(SAMPLES_MANIFEST_FILE).exists() {
+        Some(SampleStore::attach(&samples, fingerprint)?)
+    } else {
+        None
+    };
+    for source in others {
         let Some(in_store) =
             SampleStore::open_existing(source.dir.samples_path(), Some(fingerprint))?
         else {
             continue;
         };
-        if existing_source == Some(source_id) {
-            // This source *is* the output directory: its store is already
-            // the union target, so copying it onto itself is both redundant
-            // and unsound (reading a store while appending to it).
-            if out_store.is_none() {
-                out_store = Some(SampleStore::attach(out_dir.samples_path(), fingerprint)?);
-            }
-            drop(in_store);
-            continue;
-        }
         if out_store.is_none() {
-            out_store = Some(SampleStore::attach(out_dir.samples_path(), fingerprint)?);
+            out_store = Some(SampleStore::attach(&samples, fingerprint)?);
         }
         let out = out_store.as_mut().expect("just attached");
         for mesh in in_store.meshes() {
@@ -354,63 +387,15 @@ fn unite_sample_stores(
     Ok(out_store)
 }
 
-/// Opens every input, verifies the shared fingerprint and run-matrix size,
-/// and indexes each run log.
-fn index_inputs(
-    inputs: &[PathBuf],
-) -> Result<(CampaignSpec, Vec<RunSpec>, Vec<MergeSource>), SpecError> {
-    let Some(first) = inputs.first() else {
-        return Err(SpecError::new(
-            "merge needs at least one campaign directory",
-        ));
-    };
-    let first_dir = CampaignDir::open(first)?;
-    let first_manifest = first_dir.manifest()?;
-    let spec = first_manifest.spec.clone();
-    let runs = grid::expand(&spec)?;
-    if runs.len() != first_manifest.total_runs {
-        return Err(SpecError::new(format!(
-            "manifest of {} records {} runs but its spec expands to {}; the \
-             campaign directory is corrupt",
-            first_dir.root().display(),
-            first_manifest.total_runs,
-            runs.len()
-        )));
-    }
-
-    let mut sources = Vec::with_capacity(inputs.len());
-    for input in inputs {
-        let dir = CampaignDir::open(input)?;
-        let manifest = dir.manifest()?;
-        if manifest.fingerprint != first_manifest.fingerprint {
-            return Err(SpecError::new(format!(
-                "spec fingerprint mismatch: {} was created from fingerprint {}, but {} \
-                 holds fingerprint {}; refusing to merge results from different campaigns",
-                first_dir.root().display(),
-                first_manifest.fingerprint,
-                dir.root().display(),
-                manifest.fingerprint
-            )));
-        }
-        let index = dir.index_log(&runs)?;
-        sources.push(MergeSource {
-            dir,
-            index,
-            reader: None,
-        });
-    }
-    Ok((spec, runs, sources))
-}
-
 /// Unions the sources' record locations by run index: identical duplicates
-/// dedupe (first source in argument order wins), conflicting duplicates
-/// abort. Gaps stay `None` — the caller decides between erroring with the
-/// exact list and re-executing them.
+/// dedupe (first source wins), conflicting duplicates abort. Gaps stay
+/// `None` — the caller decides between erroring with the exact list and
+/// re-executing them.
 fn unite(
-    runs: &[RunSpec],
-    sources: &mut [MergeSource],
+    total: usize,
+    sources: &mut [Source],
 ) -> Result<Vec<Option<(usize, RecordEntry)>>, SpecError> {
-    let mut slots: Vec<Option<(usize, RecordEntry)>> = (0..runs.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<(usize, RecordEntry)>> = vec![None; total];
     for source_id in 0..sources.len() {
         // Snapshot the (Copy) locations so the reader handles stay free for
         // the duplicate comparisons below.
@@ -425,7 +410,7 @@ fn unite(
             match slots[run_index] {
                 None => slots[run_index] = Some((source_id, entry)),
                 Some((kept_id, kept_entry)) => {
-                    // Cross-input duplicate: runs are deterministic, so a
+                    // Cross-source duplicate: runs are deterministic, so a
                     // true re-execution is byte-identical. Compare the raw
                     // record bytes (one record from each side in memory).
                     let kept = sources[kept_id].read_record(&kept_entry)?;
@@ -444,24 +429,4 @@ fn unite(
         }
     }
     Ok(slots)
-}
-
-/// Renders a sorted index list exactly, one decimal per index.
-fn render_indices(indices: &[usize]) -> String {
-    indices
-        .iter()
-        .map(|i| i.to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-/// Parses a record line re-read during replay (the log changed underneath
-/// the index if this fails).
-fn parse_record(dir: &CampaignDir, line: &str) -> Result<crate::executor::RunResult, SpecError> {
-    serde_json::from_str(line.trim()).map_err(|e| {
-        SpecError::new(format!(
-            "record in {} changed under the merge index: {e}",
-            dir.runs_path().display()
-        ))
-    })
 }

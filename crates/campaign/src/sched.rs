@@ -1,7 +1,7 @@
 //! Coordinator-mode dynamic scheduling: lease run-index ranges to workers.
 //!
-//! Static sharding ([`crate::stream::run_shard`]) decides the split up
-//! front, so heterogeneous machines finish at wildly different times and a
+//! Static sharding ([`crate::stream::run`] with a
+//! [`crate::stream::ShardSlice`]) decides the split up front, so heterogeneous machines finish at wildly different times and a
 //! crashed shard is only discovered at merge. This module turns the
 //! campaign directory into a **fleet scheduler**:
 //!
@@ -26,22 +26,31 @@
 //! directory (speculatively re-executing any residual gap itself) into a
 //! `report.json` **byte-identical** to a single-machine run.
 //!
+//! Neither side has an execution path of its own: a worker executes each
+//! lease through the execute primitive ([`crate::stream`]), its per-run
+//! hook sending the progress messages, and the final assembly is the fold
+//! primitive ([`crate::merge`](mod@crate::merge)) — the same fold `campaign resume` runs on
+//! a coordinator directory.
+//!
 //! The wire protocol is deliberately file-first — one JSON message per
 //! file, written atomically via temp + rename under `<dir>/sched/` — so a
-//! shared filesystem is the only infrastructure a fleet needs. Both sides
-//! speak through the [`CoordTransport`] / [`WorkerTransport`] traits, so a
-//! socket front-end can replace the directory exchange without touching
-//! the scheduler or the worker loop.
+//! shared filesystem is the only infrastructure a fleet needs
+//! ([`FsCoordTransport`] / [`FsWorkerTransport`]). The [`Scheduler`] state
+//! machine never touches the exchange, so another transport only has to
+//! replace those two types.
 
-use crate::executor::{execute_run, Executor};
-use crate::grid::{self, RunSpec};
+use crate::executor::Executor;
+use crate::grid;
 use crate::lease::{
     append_ledger, open_ledger_for_append, read_ledger, Lease, LedgerRecord, LEDGER_COMPLETED,
     LEDGER_EXPIRED, LEDGER_ISSUED, LEDGER_PROGRESS, SCHED_DIR,
 };
+use crate::merge::{fold, stored_union, worker_sources, FoldOptions};
 use crate::report::CampaignReport;
 use crate::spec::{CampaignSpec, SpecError};
-use crate::stream::{spec_fingerprint, CampaignDir, SpillPolicy, MANIFEST_FILE};
+use crate::stream::{
+    spec_fingerprint, write_atomic, CampaignDir, LogIndex, SpillPolicy, Target, MANIFEST_FILE,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -298,74 +307,37 @@ impl Scheduler {
         self.counters
     }
 
-    /// Leases currently in flight.
-    pub fn active_leases(&self) -> &[Lease] {
-        &self.active
-    }
-
     /// Run indices awaiting a lease.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
 }
 
-/// The coordinator's side of the scheduling wire protocol.
-pub trait CoordTransport {
-    /// Drains every queued worker message, ordered by (worker, seq).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] on transport failure.
-    fn poll(&mut self) -> Result<Vec<WorkerMsg>, SpecError>;
-
-    /// Delivers `msg` to `worker` (replacing any unread previous reply —
-    /// a worker has at most one request outstanding).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] on transport failure.
-    fn reply(&mut self, worker: &str, msg: &CoordMsg) -> Result<(), SpecError>;
-
-    /// Raises the standing "drained" signal every current and future worker
-    /// observes, even ones the coordinator never heard from.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] on transport failure.
-    fn announce_done(&mut self) -> Result<(), SpecError>;
+/// Creates the `sched/` message exchange of the campaign directory at
+/// `root`, returning its `(sched, inbox, outbox)` paths.
+fn exchange(root: &Path) -> Result<(PathBuf, PathBuf, PathBuf), SpecError> {
+    let sched = root.join(SCHED_DIR);
+    let (inbox, outbox) = (sched.join(INBOX_DIR), sched.join(OUTBOX_DIR));
+    for dir in [&inbox, &outbox] {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| SpecError::new(format!("cannot create {}: {e}", dir.display())))?;
+    }
+    Ok((sched, inbox, outbox))
 }
 
-/// A worker's side of the scheduling wire protocol.
-pub trait WorkerTransport {
-    /// Sends one message to the coordinator.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] on transport failure.
-    fn send(&mut self, msg: &WorkerMsg) -> Result<(), SpecError>;
-
-    /// Non-blocking: the coordinator's reply to `reply_to`, if it has
-    /// arrived.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] on transport failure.
-    fn try_recv(&mut self, reply_to: u64) -> Result<Option<CoordMsg>, SpecError>;
-
-    /// Whether the coordinator has raised the standing "drained" signal.
-    fn done(&self) -> bool;
+/// Removes a stale file a previous session left behind, if any.
+fn clear_stale(path: &Path) -> Result<(), SpecError> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(SpecError::new(format!(
+            "cannot clear {}: {e}",
+            path.display()
+        ))),
+        _ => Ok(()),
+    }
 }
 
-fn write_atomic(path: &Path, text: &str) -> Result<(), SpecError> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, text)
-        .map_err(|e| SpecError::new(format!("cannot write {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| SpecError::new(format!("cannot finalize {}: {e}", path.display())))
-}
-
-/// [`CoordTransport`] over the shared-filesystem message directories in
-/// `<campaign-dir>/sched/`.
+/// The coordinator's side of the wire protocol, over the shared-filesystem
+/// message directories in `<campaign-dir>/sched/`.
 pub struct FsCoordTransport {
     inbox: PathBuf,
     outbox: PathBuf,
@@ -381,28 +353,22 @@ impl FsCoordTransport {
     ///
     /// Returns a [`SpecError`] if the directories cannot be created.
     pub fn new(root: &Path) -> Result<Self, SpecError> {
-        let sched = root.join(SCHED_DIR);
-        let inbox = sched.join(INBOX_DIR);
-        let outbox = sched.join(OUTBOX_DIR);
-        for dir in [&inbox, &outbox] {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| SpecError::new(format!("cannot create {}: {e}", dir.display())))?;
-        }
+        let (sched, inbox, outbox) = exchange(root)?;
         let done = sched.join(DONE_FILE);
-        if done.exists() {
-            std::fs::remove_file(&done)
-                .map_err(|e| SpecError::new(format!("cannot clear {}: {e}", done.display())))?;
-        }
+        clear_stale(&done)?;
         Ok(FsCoordTransport {
             inbox,
             outbox,
             done,
         })
     }
-}
 
-impl CoordTransport for FsCoordTransport {
-    fn poll(&mut self) -> Result<Vec<WorkerMsg>, SpecError> {
+    /// Drains every queued worker message, ordered by (worker, seq).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] on transport failure.
+    pub fn poll(&mut self) -> Result<Vec<WorkerMsg>, SpecError> {
         let entries = std::fs::read_dir(&self.inbox)
             .map_err(|e| SpecError::new(format!("cannot read {}: {e}", self.inbox.display())))?;
         let mut msgs = Vec::new();
@@ -436,17 +402,29 @@ impl CoordTransport for FsCoordTransport {
         Ok(msgs)
     }
 
-    fn reply(&mut self, worker: &str, msg: &CoordMsg) -> Result<(), SpecError> {
+    /// Delivers `msg` to `worker`, replacing any unread previous reply (a
+    /// worker has at most one request outstanding).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] on transport failure.
+    pub fn reply(&mut self, worker: &str, msg: &CoordMsg) -> Result<(), SpecError> {
         let text = serde_json::to_string(msg).expect("reply serialization cannot fail");
         write_atomic(&self.outbox.join(format!("{worker}.json")), &text)
     }
 
-    fn announce_done(&mut self) -> Result<(), SpecError> {
+    /// Raises the standing "drained" signal every current and future worker
+    /// observes, even ones the coordinator never heard from.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] on transport failure.
+    pub fn announce_done(&mut self) -> Result<(), SpecError> {
         write_atomic(&self.done, "{\"drained\":true}\n")
     }
 }
 
-/// [`WorkerTransport`] over the same `sched/` exchange.
+/// A worker's side of the wire protocol, over the same `sched/` exchange.
 pub struct FsWorkerTransport {
     worker: String,
     inbox: PathBuf,
@@ -465,19 +443,9 @@ impl FsWorkerTransport {
     /// Returns a [`SpecError`] if the directories cannot be created or the
     /// stale state cannot be cleared.
     pub fn new(root: &Path, worker: &str) -> Result<Self, SpecError> {
-        let sched = root.join(SCHED_DIR);
-        let inbox = sched.join(INBOX_DIR);
-        let outbox = sched.join(OUTBOX_DIR);
-        for dir in [&inbox, &outbox] {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| SpecError::new(format!("cannot create {}: {e}", dir.display())))?;
-        }
+        let (sched, inbox, outbox) = exchange(root)?;
         let outbox_file = outbox.join(format!("{worker}.json"));
-        if outbox_file.exists() {
-            std::fs::remove_file(&outbox_file).map_err(|e| {
-                SpecError::new(format!("cannot clear {}: {e}", outbox_file.display()))
-            })?;
-        }
+        clear_stale(&outbox_file)?;
         if let Ok(entries) = std::fs::read_dir(&inbox) {
             let prefix = format!("{worker}-");
             for entry in entries.flatten() {
@@ -498,10 +466,13 @@ impl FsWorkerTransport {
             done: sched.join(DONE_FILE),
         })
     }
-}
 
-impl WorkerTransport for FsWorkerTransport {
-    fn send(&mut self, msg: &WorkerMsg) -> Result<(), SpecError> {
+    /// Sends one message to the coordinator.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] on transport failure.
+    pub fn send(&mut self, msg: &WorkerMsg) -> Result<(), SpecError> {
         let text = serde_json::to_string(msg).expect("message serialization cannot fail");
         let path = self
             .inbox
@@ -509,7 +480,13 @@ impl WorkerTransport for FsWorkerTransport {
         write_atomic(&path, &text)
     }
 
-    fn try_recv(&mut self, reply_to: u64) -> Result<Option<CoordMsg>, SpecError> {
+    /// Non-blocking: the coordinator's reply to `reply_to`, if it has
+    /// arrived.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] on transport failure.
+    pub fn try_recv(&mut self, reply_to: u64) -> Result<Option<CoordMsg>, SpecError> {
         let text = match std::fs::read_to_string(&self.outbox_file) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -527,7 +504,8 @@ impl WorkerTransport for FsWorkerTransport {
         }
     }
 
-    fn done(&self) -> bool {
+    /// Whether the coordinator has raised the standing "drained" signal.
+    pub fn done(&self) -> bool {
         self.done.exists()
     }
 }
@@ -608,8 +586,9 @@ pub fn serve_sched(
     opts: &ServeOptions,
 ) -> Result<CampaignReport, SpecError> {
     let root = root.into();
-    let dir = if root.join(MANIFEST_FILE).exists() {
-        CampaignDir::open(&root)?
+    let expected = spec.map(spec_fingerprint);
+    let (target, own) = if root.join(MANIFEST_FILE).exists() {
+        Target::open(&root, expected.as_deref())?
     } else {
         let spec = spec.ok_or_else(|| {
             SpecError::new(format!(
@@ -617,62 +596,20 @@ pub fn serve_sched(
                 root.display()
             ))
         })?;
-        let runs = grid::expand(spec)?;
-        CampaignDir::create(&root, spec, runs.len())?
+        let target = Target::create(&root, spec, grid::expand(spec)?, None, None)?;
+        let own = LogIndex::empty(target.runs.len());
+        (target, own)
     };
-    let manifest = dir.manifest()?;
-    if let Some(expected) = spec {
-        let given = spec_fingerprint(expected);
-        if given != manifest.fingerprint {
-            return Err(SpecError::new(format!(
-                "spec fingerprint mismatch: the campaign directory was created from \
-                 fingerprint {}, but the given spec fingerprints as {given}; refusing \
-                 to schedule a different campaign into it",
-                manifest.fingerprint
-            )));
-        }
-    }
-    if manifest.shard.is_some() || manifest.worker.is_some() {
+    if !target.manifest.is_whole() {
         return Err(SpecError::new(
             "serve-sched needs a whole-campaign directory, not a shard or worker directory",
         ));
     }
-    let spec = manifest.spec.clone();
-    let runs = grid::expand(&spec)?;
-    if runs.len() != manifest.total_runs {
-        return Err(SpecError::new(format!(
-            "manifest records {} runs but the spec expands to {}; the campaign \
-             directory is corrupt",
-            manifest.total_runs,
-            runs.len()
-        )));
-    }
-
     // Everything already persisted — in the coordinator's own log or any
     // worker directory from a previous serving session — is never leased.
-    let own = dir.index_log(&runs)?;
-    if own.truncated_tail {
-        dir.truncate_runs_to(own.valid_bytes)?;
-    }
-    let mut stored: Vec<bool> = own.entries.iter().map(|e| e.is_some()).collect();
-    for wroot in worker_dirs(&root)? {
-        let wdir = CampaignDir::open(&wroot)?;
-        let wmanifest = wdir.manifest()?;
-        if wmanifest.fingerprint != manifest.fingerprint {
-            return Err(SpecError::new(format!(
-                "worker directory {} holds fingerprint {}, but the campaign is {}; \
-                 refusing to schedule over foreign results",
-                wroot.display(),
-                wmanifest.fingerprint,
-                manifest.fingerprint
-            )));
-        }
-        for (i, entry) in wdir.index_log(&runs)?.entries.iter().enumerate() {
-            if entry.is_some() {
-                stored[i] = true;
-            }
-        }
-    }
+    let workers = worker_sources(&target.dir, &target.manifest, &target.runs, false)?;
+    let stored = stored_union(&own, &workers);
+    drop(workers);
 
     let config = SchedConfig {
         lease_size: opts.lease_size,
@@ -684,7 +621,8 @@ pub fn serve_sched(
         .map(|r| r.id + 1)
         .max()
         .unwrap_or(0);
-    let mut sched = Scheduler::new(config, &manifest.fingerprint, &stored).with_next_id(next_id);
+    let mut sched =
+        Scheduler::new(config, &target.manifest.fingerprint, &stored).with_next_id(next_id);
     let mut ledger = open_ledger_for_append(&root)?;
     let mut transport = FsCoordTransport::new(&root)?;
     let rec = executor.telemetry().recorder();
@@ -710,7 +648,7 @@ pub fn serve_sched(
             let now_us = started.elapsed().as_micros() as u64;
             match msg.kind.as_str() {
                 MSG_REQUEST => {
-                    let reply = match sched.grant(&msg.worker, now_us) {
+                    let (kind, lease) = match sched.grant(&msg.worker, now_us) {
                         Grant::Lease {
                             lease,
                             reissued_indices,
@@ -732,22 +670,15 @@ pub fn serve_sched(
                                     reissued_indices,
                                 },
                             )?;
-                            CoordMsg {
-                                reply_to: msg.seq,
-                                kind: REPLY_LEASE.to_string(),
-                                lease: Some(lease),
-                            }
+                            (REPLY_LEASE, Some(lease))
                         }
-                        Grant::Wait => CoordMsg {
-                            reply_to: msg.seq,
-                            kind: REPLY_WAIT.to_string(),
-                            lease: None,
-                        },
-                        Grant::Drained => CoordMsg {
-                            reply_to: msg.seq,
-                            kind: REPLY_DRAINED.to_string(),
-                            lease: None,
-                        },
+                        Grant::Wait => (REPLY_WAIT, None),
+                        Grant::Drained => (REPLY_DRAINED, None),
+                    };
+                    let reply = CoordMsg {
+                        reply_to: msg.seq,
+                        kind: kind.to_string(),
+                        lease,
                     };
                     transport.reply(&msg.worker, &reply)?;
                 }
@@ -792,8 +723,13 @@ pub fn serve_sched(
     // Unblock every worker — including ones mid-wait the final batch never
     // heard from — before the (potentially long) assembly.
     transport.announce_done()?;
-    let workers = worker_dirs(&root)?;
-    crate::merge::merge_into_existing(executor, &root, &workers, opts.spill, true)
+    let workers = worker_sources(&target.dir, &target.manifest, &target.runs, false)?;
+    let fold_opts = FoldOptions {
+        spill: opts.spill,
+        reexec_gaps: true,
+    };
+    fold(executor, target, own, workers, &fold_opts)
+        .map(|report| report.expect("a whole campaign folds to a report"))
 }
 
 /// Worker knobs for [`work`].
@@ -870,56 +806,42 @@ pub fn work(
             opts.worker
         )));
     }
-    let coord = CampaignDir::open(&root)?;
-    let manifest = coord.manifest()?;
-    if manifest.shard.is_some() || manifest.worker.is_some() {
+    let (_, manifest) = CampaignDir::open_checked(&root, None)?;
+    if !manifest.is_whole() {
         return Err(SpecError::new(
             "work needs the coordinator's whole-campaign directory, not a shard \
              or worker directory",
         ));
     }
-    let spec = manifest.spec.clone();
-    let runs = grid::expand(&spec)?;
-
     let wroot = root.join(WORKERS_DIR).join(&opts.worker);
-    let wdir = if wroot.join(MANIFEST_FILE).exists() {
-        let wdir = CampaignDir::open(&wroot)?;
-        let wmanifest = wdir.manifest()?;
-        if wmanifest.fingerprint != manifest.fingerprint {
-            return Err(SpecError::new(format!(
-                "worker directory {} belongs to fingerprint {}, but the coordinator \
-                 serves {}; refusing to mix campaigns",
-                wroot.display(),
-                wmanifest.fingerprint,
-                manifest.fingerprint
-            )));
-        }
-        wdir
+    let mut target = if wroot.join(MANIFEST_FILE).exists() {
+        Target::open(&wroot, Some(&manifest.fingerprint))?.0
     } else {
-        CampaignDir::create_worker(&wroot, &spec, runs.len(), &opts.worker)?
+        let runs = manifest.expand()?;
+        Target::create(
+            &wroot,
+            &manifest.spec,
+            runs,
+            None,
+            Some(opts.worker.clone()),
+        )?
     };
-    let index = wdir.index_log(&runs)?;
-    if index.truncated_tail {
-        wdir.truncate_runs_to(index.valid_bytes)?;
-    }
-    let mut stored: Vec<bool> = index.entries.iter().map(|e| e.is_some()).collect();
 
     let mut transport = FsWorkerTransport::new(&root, &opts.worker)?;
-    let telemetry = executor.telemetry();
     let mut seq = 0u64;
     let mut executed = 0usize;
     let mut leases = 0u64;
-    let mut writer = wdir.open_runs_for_append()?;
+    let message = |seq: u64, kind: &str, lease_id: u64, index: Option<usize>| WorkerMsg {
+        worker: opts.worker.clone(),
+        seq,
+        kind: kind.to_string(),
+        lease_id,
+        index,
+    };
     'serve: loop {
         seq += 1;
         let request_seq = seq;
-        transport.send(&WorkerMsg {
-            worker: opts.worker.clone(),
-            seq: request_seq,
-            kind: MSG_REQUEST.to_string(),
-            lease_id: 0,
-            index: None,
-        })?;
+        transport.send(&message(request_seq, MSG_REQUEST, 0, None))?;
         let mut waited = Duration::ZERO;
         let reply = loop {
             if let Some(reply) = transport.try_recv(request_seq)? {
@@ -958,99 +880,39 @@ pub fn work(
                 leases += 1;
                 // Indices a previous incarnation already persisted are
                 // acknowledged, not re-executed — replay stays idempotent.
-                let mut pending: Vec<RunSpec> = Vec::new();
                 for &i in &lease.indices {
-                    if i >= runs.len() {
+                    if i >= target.runs.len() {
                         return Err(SpecError::new(format!(
                             "lease {} grants run index {i}, but the campaign expands \
                              to {} runs",
                             lease.id,
-                            runs.len()
+                            target.runs.len()
                         )));
                     }
-                    if stored[i] {
+                    if target.is_stored(i) {
                         seq += 1;
-                        transport.send(&WorkerMsg {
-                            worker: opts.worker.clone(),
-                            seq,
-                            kind: MSG_PROGRESS.to_string(),
-                            lease_id: lease.id,
-                            index: Some(i),
-                        })?;
-                    } else {
-                        pending.push(runs[i].clone());
+                        transport.send(&message(seq, MSG_PROGRESS, lease.id, Some(i)))?;
                     }
                 }
-                let mut write_error: Option<SpecError> = None;
-                let mut injected_abort = false;
-                let done = executor.try_run_jobs_foreach(
-                    &pending,
-                    |run| {
-                        let rec = telemetry.recorder();
-                        let _span = rec.span_indexed("run", run.index as u64);
-                        execute_run(&spec.sim, run)
-                    },
-                    |_, result| {
-                        let run_index = result.spec.index;
-                        if let Err(e) = wdir.append_result(&mut writer, &result) {
-                            write_error = Some(e);
-                            return false;
-                        }
-                        stored[run_index] = true;
-                        executed += 1;
-                        seq += 1;
-                        if let Err(e) = transport.send(&WorkerMsg {
-                            worker: opts.worker.clone(),
-                            seq,
-                            kind: MSG_PROGRESS.to_string(),
-                            lease_id: lease.id,
-                            index: Some(run_index),
-                        }) {
-                            write_error = Some(e);
-                            return false;
-                        }
-                        if opts.fail_after.is_some_and(|limit| executed >= limit) {
-                            injected_abort = true;
-                            return false;
-                        }
-                        true
-                    },
-                );
-                match (done, write_error, injected_abort) {
-                    (Err(panic), _, _) => {
-                        return Err(SpecError::new(format!(
-                            "run {} panicked mid-lease: {}; completed runs are \
-                             persisted in {} — restart the worker to continue",
-                            pending[panic.job_index].index,
-                            panic.message,
-                            wroot.display()
-                        )))
-                    }
-                    (_, Some(e), _) => return Err(e),
-                    (Ok(None), None, true) => {
-                        // The injected crash: persisted work stays, the lease
-                        // is never completed — the coordinator must expire
-                        // and re-lease the rest.
-                        return Err(SpecError::new(format!(
-                            "worker {} aborted after {executed} run(s) (--fail-after); \
-                             lease {} left incomplete",
-                            opts.worker, lease.id
-                        )));
-                    }
-                    (Ok(Some(())), None, _) => {
-                        seq += 1;
-                        transport.send(&WorkerMsg {
-                            worker: opts.worker.clone(),
-                            seq,
-                            kind: MSG_COMPLETE.to_string(),
-                            lease_id: lease.id,
-                            index: None,
-                        })?;
-                    }
-                    (Ok(None), None, false) => {
-                        unreachable!("the pool aborts only on a write error or injected abort")
-                    }
+                // Each persisted run reports progress (the lease heartbeat);
+                // the injected crash stops the pool right after a report.
+                let finished = target.execute(executor, &lease.indices, |index| {
+                    executed += 1;
+                    seq += 1;
+                    transport.send(&message(seq, MSG_PROGRESS, lease.id, Some(index)))?;
+                    Ok(opts.fail_after.is_none_or(|limit| executed < limit))
+                })?;
+                if !finished {
+                    // Persisted work stays, the lease is never completed —
+                    // the coordinator must expire and re-lease the rest.
+                    return Err(SpecError::new(format!(
+                        "worker {} aborted after {executed} run(s) (--fail-after); \
+                         lease {} left incomplete",
+                        opts.worker, lease.id
+                    )));
                 }
+                seq += 1;
+                transport.send(&message(seq, MSG_COMPLETE, lease.id, None))?;
             }
             other => {
                 return Err(SpecError::new(format!(
@@ -1059,7 +921,7 @@ pub fn work(
             }
         }
     }
-    drop(writer);
+    drop(target);
     if opts.strip_samples {
         crate::compact::compact(&wroot, true)?;
     }

@@ -33,12 +33,11 @@
 //! duplicate or a foreign fingerprint aborts.
 
 use crate::spec::SpecError;
-use crate::stream::{read_line_at, scan_jsonl, RecordEntry};
+use crate::stream::{append_jsonl, read_line_at, scan_jsonl, RecordEntry};
 use noc_monitor::LabeledSample;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// File name of the store manifest inside a samples directory.
@@ -135,15 +134,7 @@ impl SampleStore {
         let root = root.into();
         let manifest_path = root.join(SAMPLES_MANIFEST_FILE);
         if manifest_path.exists() {
-            let manifest = read_manifest(&manifest_path)?;
-            if manifest.fingerprint != fingerprint {
-                return Err(SpecError::new(format!(
-                    "sample store {} was written by a campaign with fingerprint {}, \
-                     not {fingerprint}; refusing to mix samples across campaigns",
-                    root.display(),
-                    manifest.fingerprint
-                )));
-            }
+            check_manifest(&root, Some(fingerprint))?;
         } else {
             std::fs::create_dir_all(&root)
                 .map_err(|e| SpecError::new(format!("cannot create {}: {e}", root.display())))?;
@@ -179,21 +170,10 @@ impl SampleStore {
         fingerprint: Option<&str>,
     ) -> Result<Option<Self>, SpecError> {
         let root = root.into();
-        let manifest_path = root.join(SAMPLES_MANIFEST_FILE);
-        if !manifest_path.exists() {
+        if !root.join(SAMPLES_MANIFEST_FILE).exists() {
             return Ok(None);
         }
-        let manifest = read_manifest(&manifest_path)?;
-        if let Some(expected) = fingerprint {
-            if manifest.fingerprint != expected {
-                return Err(SpecError::new(format!(
-                    "sample store {} was written by a campaign with fingerprint {}, \
-                     not {expected}; refusing to mix samples across campaigns",
-                    root.display(),
-                    manifest.fingerprint
-                )));
-            }
-        }
+        check_manifest(&root, fingerprint)?;
         let mut store = SampleStore {
             root,
             pools: Vec::new(),
@@ -320,19 +300,10 @@ impl SampleStore {
             );
         }
         let writer = pool.writer.as_mut().expect("just opened");
-        // One write_all for record + newline (matching the run-log append):
-        // a crash can only ever leave a *partial* final line, which the next
-        // scan heals as a torn tail — never a whole line missing its
-        // newline for a later append to merge into.
-        let mut framed = String::with_capacity(line.len() + 1);
-        framed.push_str(line);
-        framed.push('\n');
-        writer
-            .write_all(framed.as_bytes())
-            .and_then(|()| writer.flush())
-            .map_err(|e| {
-                SpecError::new(format!("cannot append to {}: {e}", pool.path.display()))
-            })?;
+        // One write for record + newline, exactly like the run-log append:
+        // never a whole line missing its newline for a later append to
+        // merge into.
+        append_jsonl(writer, line.to_string(), &pool.path)?;
         let entry = RecordEntry {
             offset: pool.valid_bytes,
             len: line.len(),
@@ -600,9 +571,22 @@ fn scan_sample_file(path: &Path) -> Result<(usize, SampleScan), SpecError> {
 }
 
 /// Reads and parses a sample-store manifest.
-fn read_manifest(path: &Path) -> Result<SampleManifest, SpecError> {
-    let text = std::fs::read_to_string(path)
+/// Reads the manifest of the store at `root`, refusing one written by a
+/// campaign other than `expected` (when given).
+fn check_manifest(root: &Path, expected: Option<&str>) -> Result<(), SpecError> {
+    let path = root.join(SAMPLES_MANIFEST_FILE);
+    let text = std::fs::read_to_string(&path)
         .map_err(|e| SpecError::new(format!("cannot read {}: {e}", path.display())))?;
-    serde_json::from_str(&text)
-        .map_err(|e| SpecError::new(format!("malformed sample manifest {}: {e}", path.display())))
+    let manifest: SampleManifest = serde_json::from_str(&text).map_err(|e| {
+        SpecError::new(format!("malformed sample manifest {}: {e}", path.display()))
+    })?;
+    match expected {
+        Some(expected) if manifest.fingerprint != expected => Err(SpecError::new(format!(
+            "sample store {} was written by a campaign with fingerprint {}, not \
+             {expected}; refusing to mix samples across campaigns",
+            root.display(),
+            manifest.fingerprint
+        ))),
+        _ => Ok(()),
+    }
 }

@@ -9,12 +9,19 @@
 //! exactly the gap list a [`crate::merge::merge`] of those directories
 //! would refuse on.
 //!
+//! A scheduler coordinator's records live in its `workers/` directories
+//! until final assembly, so for a whole-campaign directory they count as
+//! stored — `status` and `watch` follow a draining fleet live, and a gap is
+//! exactly what `campaign resume` on that directory would execute (and what
+//! `campaign merge` of it would refuse on). A worker directory whose
+//! manifest does not parse yet (the worker is starting up) is skipped.
+//!
 //! Because the run-log scan tolerates a torn final record (the shape of an
 //! in-flight append), `status` is safe to point at a directory whose
 //! campaign is still running.
 
-use crate::grid;
 use crate::lease::{sched_status, SchedStatus};
+use crate::merge::{stored_union, worker_sources};
 use crate::spec::SpecError;
 use crate::spill::{SampleStore, SpillStats};
 use crate::stream::{CampaignDir, ShardSlice};
@@ -43,9 +50,11 @@ pub struct DirStatus {
     /// [`crate::sched::serve_sched`].
     pub sched: Option<SchedStatus>,
     /// Run indices this directory is responsible for (`total_runs` for a
-    /// whole campaign, the slice size for a shard).
+    /// whole campaign, the slice size for a shard, the stored count for a
+    /// worker; see [`crate::stream::Manifest::owed`]).
     pub owned_runs: usize,
-    /// Whole records stored in `runs.jsonl`.
+    /// Run indices with a whole stored record — in `runs.jsonl` or, for a
+    /// coordinator, in any worker directory.
     pub completed: usize,
     /// Owned run indices with no stored record — what a resume would
     /// re-execute, in matrix order.
@@ -244,72 +253,40 @@ pub fn status(paths: &[PathBuf]) -> Result<StatusReport, SpecError> {
     let mut fingerprints_agree = true;
     let mut first_fingerprint: Option<String> = None;
     for path in paths {
-        let dir = CampaignDir::open(path)?;
-        let manifest = dir.manifest()?;
-        let runs = grid::expand(&manifest.spec)?;
-        if runs.len() != manifest.total_runs {
-            return Err(SpecError::new(format!(
-                "manifest of {} records {} runs but its spec expands to {}; the \
-                 campaign directory is corrupt",
-                path.display(),
-                manifest.total_runs,
-                runs.len()
-            )));
-        }
+        let (dir, manifest) = CampaignDir::open_checked(path, None)?;
+        let runs = manifest.expand()?;
         let index = dir.index_log(&runs)?;
+        let stored = stored_union(&index, &worker_sources(&dir, &manifest, &runs, true)?);
         match &first_fingerprint {
             None => first_fingerprint = Some(manifest.fingerprint.clone()),
             Some(first) if *first != manifest.fingerprint => fingerprints_agree = false,
             Some(_) => {}
         }
         if fingerprints_agree {
-            let stored = union_stored.get_or_insert_with(|| vec![false; runs.len()]);
-            for (i, entry) in index.entries.iter().enumerate() {
-                if entry.is_some() {
-                    stored[i] = true;
-                }
+            let union = union_stored.get_or_insert_with(|| vec![false; runs.len()]);
+            for (u, s) in union.iter_mut().zip(&stored) {
+                *u |= s;
             }
         }
-        // A scheduler worker directory owns no fixed slice — it holds
-        // whatever its leases granted — so it is never "missing" anything;
-        // the coordinator's union view is where gaps show up.
-        let missing: Vec<usize> = if manifest.worker.is_some() {
-            Vec::new()
-        } else {
-            match manifest.shard {
-                Some(shard) => index
-                    .missing_indices()
-                    .into_iter()
-                    .filter(|&i| shard.owns(i))
-                    .collect(),
-                None => index.missing_indices(),
-            }
-        };
-        let owned_runs = if manifest.worker.is_some() {
-            index.completed()
-        } else {
-            match manifest.shard {
-                Some(shard) => shard.owned_indices(runs.len()).count(),
-                None => runs.len(),
-            }
-        };
+        let (owned_runs, missing) = manifest.owed(&stored);
         let runs_bytes = std::fs::metadata(dir.runs_path())
             .map(|m| m.len())
             .unwrap_or(0);
+        let sched = if manifest.is_whole() {
+            sched_status(path)?
+        } else {
+            None
+        };
         dirs.push(DirStatus {
             path: path.display().to_string(),
             name: manifest.name,
             fingerprint: manifest.fingerprint,
             total_runs: runs.len(),
             shard: manifest.shard,
-            worker: manifest.worker.clone(),
-            sched: if manifest.shard.is_none() && manifest.worker.is_none() {
-                sched_status(path)?
-            } else {
-                None
-            },
+            worker: manifest.worker,
+            sched,
             owned_runs,
-            completed: index.completed(),
+            completed: stored.iter().filter(|&&s| s).count(),
             missing,
             truncated_tail: index.truncated_tail,
             duplicate_records: index.duplicate_records,
@@ -318,17 +295,9 @@ pub fn status(paths: &[PathBuf]) -> Result<StatusReport, SpecError> {
             spill: SampleStore::inspect(dir.samples_path())?,
         });
     }
-    let union_missing = if fingerprints_agree {
-        union_stored.map(|stored| {
-            stored
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &s)| (!s).then_some(i))
-                .collect()
-        })
-    } else {
-        None
-    };
+    let union_missing = union_stored
+        .filter(|_| fingerprints_agree)
+        .map(|stored| (0..stored.len()).filter(|&i| !stored[i]).collect());
     Ok(StatusReport {
         dirs,
         fingerprints_agree,

@@ -1,11 +1,21 @@
-//! Streaming, resumable, shardable campaign execution.
+//! Streaming, resumable, shardable campaign execution: the campaign
+//! directory and the **execute primitive**.
 //!
 //! A long-running campaign streams every finished run to a **campaign
 //! directory** as it completes, making the campaign crash-durable: kill it
 //! at any point and [`resume`] picks up where the log ends. A campaign can
-//! also be split across machines with [`run_shard`] — each shard executes a
-//! deterministic slice of the run matrix into an ordinary campaign
-//! directory — and reunited by [`crate::merge::merge`].
+//! also be split across machines with [`run`]'s [`ShardSlice`] argument
+//! — each shard executes a deterministic slice of the run matrix into
+//! an ordinary campaign directory — and reunited by [`crate::merge::merge`].
+//!
+//! Every verb is a thin call onto two crate-internal primitives. *Execute*
+//! (`Target`, this module) opens and verifies a directory, heals a torn
+//! tail, and runs an index set on the pool, appending each result as it
+//! completes; the scheduler's lease worker hooks its progress messages into
+//! it. *Fold* ([`crate::merge`](mod@crate::merge)) unites directories into a report,
+//! refusing or re-executing gaps. [`run`] is create + fold, [`resume`] is
+//! open + fold, [`crate::merge::merge`] folds its inputs into a fresh
+//! directory, and [`crate::sched::work`] executes leased indices.
 //!
 //! ```text
 //! <dir>/manifest.json   campaign name, spec fingerprint, run count, spec,
@@ -18,19 +28,20 @@
 //!
 //! Workers append each [`RunResult`] the moment it finishes — and nothing
 //! retains it afterwards: report building replays the persisted log through
-//! a [`ReportAccumulator`] one record at a time ([`CampaignDir::replay`]),
-//! so a campaign bigger than memory streams through aggregation instead of
-//! materializing its full result set. [`resume`] scans the JSONL into a
-//! byte-offset [`LogIndex`], verifies the stored [`spec_fingerprint`],
-//! re-executes only the missing run indices and rebuilds the report —
-//! byte-identical to an uninterrupted run, because every run's seed derives
-//! from the spec alone and records are replayed in matrix order either way.
+//! a [`ReportAccumulator`](crate::report::ReportAccumulator) one record at
+//! a time ([`CampaignDir::replay`]), so a campaign bigger than memory
+//! streams through aggregation instead of materializing its full result
+//! set. [`resume`] scans the JSONL into a byte-offset [`LogIndex`],
+//! verifies the stored [`spec_fingerprint`], executes only the missing run
+//! indices and rebuilds the report — byte-identical to an uninterrupted
+//! run, because every run's seed derives from the spec alone and records
+//! are replayed in matrix order either way.
 
 use crate::executor::{execute_run, Executor, RunResult};
 use crate::grid::{self, RunSpec};
-use crate::report::{CampaignReport, ReportAccumulator};
+use crate::merge::{fold, worker_sources, FoldOptions};
+use crate::report::CampaignReport;
 use crate::spec::{CampaignSpec, SpecError};
-use crate::spill::SampleStore;
 use dl2fence_telemetry::schema::MANIFEST_SCHEMA;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
@@ -105,12 +116,23 @@ pub struct ShardSlice {
 }
 
 impl ShardSlice {
+    /// Refuses an impossible slice (`count` zero or `index` past it).
+    fn validate(self) -> Result<(), SpecError> {
+        if self.count == 0 || self.index >= self.count {
+            return Err(SpecError::new(format!(
+                "shard {}/{} is not a valid slice (need 0 <= index < count)",
+                self.index, self.count
+            )));
+        }
+        Ok(())
+    }
+
     /// Whether this slice owns run index `run_index`.
     ///
     /// # Panics
     ///
-    /// Panics when `count` is zero — an invalid slice ([`run_shard`] and
-    /// [`CampaignDir::manifest`] both reject it before it reaches here).
+    /// Panics when `count` is zero — an invalid slice (directory creation
+    /// and [`CampaignDir::manifest`] both reject it before it reaches here).
     pub fn owns(&self, run_index: usize) -> bool {
         run_index % self.count == self.index
     }
@@ -154,6 +176,52 @@ pub struct Manifest {
     pub spec: CampaignSpec,
 }
 
+impl Manifest {
+    /// Expands the embedded spec into its run matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] if the spec fails validation or expands to a
+    /// different run count than the manifest records.
+    pub fn expand(&self) -> Result<Vec<RunSpec>, SpecError> {
+        let runs = grid::expand(&self.spec)?;
+        if runs.len() != self.total_runs {
+            return Err(SpecError::new(format!(
+                "manifest of campaign `{}` records {} runs but its spec expands to {}; \
+                 the campaign directory is corrupt",
+                self.name,
+                self.total_runs,
+                runs.len()
+            )));
+        }
+        Ok(runs)
+    }
+
+    /// Whether this is a whole-campaign directory (neither a shard nor a
+    /// scheduler worker directory) — the only kind that builds a report.
+    pub fn is_whole(&self) -> bool {
+        self.shard.is_none() && self.worker.is_none()
+    }
+
+    /// The run indices this directory owes, given which of them are stored:
+    /// every index for a whole campaign, its slice for a shard, and exactly
+    /// what it stores for a scheduler worker (leases, not a fixed slice,
+    /// decide a worker's runs, so it never misses any). Returns the owed
+    /// count and the owed indices with no stored record, in matrix order.
+    pub fn owed(&self, stored: &[bool]) -> (usize, Vec<usize>) {
+        let owes = |i: usize| match (self.shard, &self.worker) {
+            (_, Some(_)) => stored[i],
+            (Some(shard), None) => shard.owns(i),
+            (None, None) => true,
+        };
+        let owed = (0..stored.len()).filter(|&i| owes(i)).count();
+        let missing = (0..stored.len())
+            .filter(|&i| owes(i) && !stored[i])
+            .collect();
+        (owed, missing)
+    }
+}
+
 impl Default for Manifest {
     /// Deserialization fallback source for the optional `shard` field only —
     /// a default manifest never validates (empty fingerprint).
@@ -192,8 +260,9 @@ pub struct LogIndex {
     /// index re-executed.
     pub truncated_tail: bool,
     /// Byte length of the longest prefix of the log made of whole, valid
-    /// records — what [`resume`] truncates the file to before appending, so
-    /// a torn tail record can never merge with the next append.
+    /// records — what opening a directory for execution truncates the file
+    /// to before appending, so a torn tail record can never merge with the
+    /// next append.
     pub valid_bytes: u64,
     /// Stored records that repeated an already-indexed run index with
     /// identical bytes (what `campaign compact` drops when rewriting).
@@ -201,6 +270,16 @@ pub struct LogIndex {
 }
 
 impl LogIndex {
+    /// The index of an empty log over `total` runs.
+    pub(crate) fn empty(total: usize) -> Self {
+        LogIndex {
+            entries: vec![None; total],
+            truncated_tail: false,
+            valid_bytes: 0,
+            duplicate_records: 0,
+        }
+    }
+
     /// Stored run count.
     pub fn completed(&self) -> usize {
         self.entries.iter().filter(|e| e.is_some()).count()
@@ -237,54 +316,21 @@ impl CampaignDir {
         spec: &CampaignSpec,
         total_runs: usize,
     ) -> Result<Self, SpecError> {
-        Self::create_with_shard(root, spec, total_runs, None)
+        Self::create_inner(root, spec, total_runs, None, None).map(|(dir, _)| dir)
     }
 
-    /// [`Self::create`] for a shard directory: the manifest additionally
-    /// records the [`ShardSlice`] this directory executes, which is how
-    /// [`resume`] knows to re-execute only the shard's own missing indices
-    /// (and to skip report building — a shard is not a whole campaign).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] if the spec fails validation, the directory
-    /// already holds a campaign, or the manifest cannot be written.
-    pub fn create_with_shard(
-        root: impl Into<PathBuf>,
-        spec: &CampaignSpec,
-        total_runs: usize,
-        shard: Option<ShardSlice>,
-    ) -> Result<Self, SpecError> {
-        Self::create_inner(root, spec, total_runs, shard, None)
-    }
-
-    /// [`Self::create`] for a scheduler worker directory
-    /// ([`crate::sched::work`]): the manifest records the worker id instead
-    /// of a shard slice. A worker directory owns no fixed slice of the
-    /// matrix — leases decide what it executes — so [`resume`] only heals
-    /// it and never re-executes anything.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] if the spec fails validation, the directory
-    /// already holds a campaign, or the manifest cannot be written.
-    pub fn create_worker(
-        root: impl Into<PathBuf>,
-        spec: &CampaignSpec,
-        total_runs: usize,
-        worker: &str,
-    ) -> Result<Self, SpecError> {
-        Self::create_inner(root, spec, total_runs, None, Some(worker.to_string()))
-    }
-
+    /// [`Self::create`] for any directory kind: the manifest additionally
+    /// records the [`ShardSlice`] or scheduler worker id the directory
+    /// executes.
     fn create_inner(
         root: impl Into<PathBuf>,
         spec: &CampaignSpec,
         total_runs: usize,
         shard: Option<ShardSlice>,
         worker: Option<String>,
-    ) -> Result<Self, SpecError> {
+    ) -> Result<(Self, Manifest), SpecError> {
         spec.validate()?;
+        shard.map(ShardSlice::validate).transpose()?;
         let root = root.into();
         let manifest_path = root.join(MANIFEST_FILE);
         if manifest_path.exists() {
@@ -310,7 +356,7 @@ impl CampaignDir {
         std::fs::write(&manifest_path, text).map_err(|e| {
             SpecError::new(format!("cannot write {}: {e}", manifest_path.display()))
         })?;
-        Ok(CampaignDir { root })
+        Ok((CampaignDir { root }, manifest))
     }
 
     /// Opens an existing campaign directory (the manifest must exist).
@@ -327,6 +373,27 @@ impl CampaignDir {
             )));
         }
         Ok(CampaignDir { root })
+    }
+
+    /// Opens the campaign directory at `root` and reads its self-checked
+    /// [`Self::manifest`], which must carry the `expected` fingerprint when
+    /// one is given.
+    pub(crate) fn open_checked(
+        root: impl Into<PathBuf>,
+        expected: Option<&str>,
+    ) -> Result<(Self, Manifest), SpecError> {
+        let dir = Self::open(root)?;
+        let manifest = dir.manifest()?;
+        if let Some(expected) = expected.filter(|e| *e != manifest.fingerprint) {
+            return Err(SpecError::new(format!(
+                "spec fingerprint mismatch: {} holds campaign fingerprint {}, but the \
+                 expected campaign fingerprints as {expected}; refusing to mix results \
+                 from different campaigns",
+                dir.root.display(),
+                manifest.fingerprint
+            )));
+        }
+        Ok((dir, manifest))
     }
 
     /// The directory's root path.
@@ -347,12 +414,6 @@ impl CampaignDir {
     /// The path of the spilled eval sample store ([`crate::spill`]).
     pub fn samples_path(&self) -> PathBuf {
         self.root.join(SAMPLES_DIR)
-    }
-
-    /// The path of the optional telemetry event log (only present when the
-    /// campaign ran with telemetry enabled; see [`crate::events`]).
-    pub fn events_path(&self) -> PathBuf {
-        self.root.join(EVENTS_FILE)
     }
 
     /// Reads and self-checks the manifest (the stored fingerprint must match
@@ -385,14 +446,7 @@ impl CampaignDir {
                 manifest.fingerprint
             )));
         }
-        if let Some(shard) = manifest.shard {
-            if shard.count == 0 || shard.index >= shard.count {
-                return Err(SpecError::new(format!(
-                    "manifest records shard {}/{}, which is not a valid slice",
-                    shard.index, shard.count
-                )));
-            }
-        }
+        manifest.shard.map(ShardSlice::validate).transpose()?;
         Ok(manifest)
     }
 
@@ -403,17 +457,8 @@ impl CampaignDir {
     ///
     /// Returns a [`SpecError`] if the record cannot be written.
     pub fn append_result(&self, writer: &mut File, result: &RunResult) -> Result<(), SpecError> {
-        let mut line = serde_json::to_string(result).expect("run serialization cannot fail");
-        line.push('\n');
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.flush())
-            .map_err(|e| {
-                SpecError::new(format!(
-                    "cannot append to {}: {e}",
-                    self.runs_path().display()
-                ))
-            })
+        let line = serde_json::to_string(result).expect("run serialization cannot fail");
+        append_jsonl(writer, line, &self.runs_path())
     }
 
     /// Opens `runs.jsonl` for appending (creating it if absent).
@@ -447,25 +492,12 @@ impl CampaignDir {
     /// Returns a [`SpecError`] describing the first corrupt record.
     pub fn index_log(&self, runs: &[RunSpec]) -> Result<LogIndex, SpecError> {
         let path = self.runs_path();
-        let file = match File::open(&path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(LogIndex {
-                    entries: (0..runs.len()).map(|_| None).collect(),
-                    truncated_tail: false,
-                    valid_bytes: 0,
-                    duplicate_records: 0,
-                });
-            }
-            Err(e) => {
-                return Err(SpecError::new(format!(
-                    "cannot read {}: {e}",
-                    path.display()
-                )))
-            }
+        let Some(file) = open_if_exists(&path)? else {
+            return Ok(LogIndex::empty(runs.len()));
         };
-        let mut entries: Vec<Option<RecordEntry>> = (0..runs.len()).map(|_| None).collect();
+        let mut entries: Vec<Option<RecordEntry>> = vec![None; runs.len()];
         let mut duplicate_records = 0usize;
+        let mut reader: Option<File> = None;
         let scan = scan_jsonl(file, &path, "record", |line_no, offset, line| {
             let record: RunResult = match serde_json::from_str(line) {
                 Ok(record) => record,
@@ -497,7 +529,11 @@ impl CampaignDir {
                 // byte-identical (runs are deterministic) or the log mixes
                 // results from different executions.
                 Some(existing) => {
-                    if self.read_record_line(&existing)? != line {
+                    if reader.is_none() {
+                        reader = Some(self.open_runs_for_read()?);
+                    }
+                    let reader = reader.as_mut().expect("just opened");
+                    if self.read_record_line_at(reader, &existing)? != line {
                         return Err(SpecError::new(format!(
                             "run index {index} appears twice in {} with conflicting \
                              payloads (line {line_no})",
@@ -528,19 +564,9 @@ impl CampaignDir {
             .map_err(|e| SpecError::new(format!("cannot read {}: {e}", self.runs_path().display())))
     }
 
-    /// Reads one stored record's exact bytes (whitespace-trimmed line) back
-    /// from `runs.jsonl` by its [`RecordEntry`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] if the bytes cannot be read.
-    pub fn read_record_line(&self, entry: &RecordEntry) -> Result<String, SpecError> {
-        let mut file = self.open_runs_for_read()?;
-        self.read_record_line_at(&mut file, entry)
-    }
-
-    /// [`Self::read_record_line`] over an already open handle
-    /// ([`Self::open_runs_for_read`]) — hot loops like merge replay read
+    /// Reads one stored record's exact bytes back from `runs.jsonl` by its
+    /// [`RecordEntry`], through an already open handle
+    /// ([`Self::open_runs_for_read`]) — hot loops like fold replay read
     /// thousands of records without reopening the file each time.
     ///
     /// # Errors
@@ -591,21 +617,30 @@ impl CampaignDir {
             .map_err(|e| SpecError::new(format!("cannot read {}: {e}", path.display())))?;
         for entry in index.entries.iter().flatten() {
             let line = read_line_at(&mut file, entry, &path)?;
-            let record: RunResult = serde_json::from_str(line.trim()).map_err(|e| {
-                SpecError::new(format!(
-                    "record at byte {} of {} changed under the index: {e}",
-                    entry.offset,
-                    path.display()
-                ))
-            })?;
-            fold(record)?;
+            fold(self.parse_record(&line, entry)?)?;
         }
         Ok(())
     }
 
-    /// Truncates `runs.jsonl` to `valid_bytes` — called by [`resume`] when a
-    /// scan found a torn tail record, so the next append starts on a fresh
-    /// line instead of merging into the partial one.
+    /// Parses a record line re-read from `runs.jsonl` at `entry`; failing
+    /// means the log changed underneath its index.
+    pub(crate) fn parse_record(
+        &self,
+        line: &str,
+        entry: &RecordEntry,
+    ) -> Result<RunResult, SpecError> {
+        serde_json::from_str(line.trim()).map_err(|e| {
+            SpecError::new(format!(
+                "record at byte {} of {} changed under the index: {e}",
+                entry.offset,
+                self.runs_path().display()
+            ))
+        })
+    }
+
+    /// Truncates `runs.jsonl` to `valid_bytes` — called when opening a
+    /// directory for execution finds a torn tail record, so the next append
+    /// starts on a fresh line instead of merging into the partial one.
     ///
     /// # Errors
     ///
@@ -626,15 +661,7 @@ impl CampaignDir {
     ///
     /// Returns a [`SpecError`] if the report cannot be written.
     pub fn write_report(&self, report: &CampaignReport) -> Result<(), SpecError> {
-        let tmp = self.root.join(".report.json.tmp");
-        std::fs::write(&tmp, report.to_json())
-            .map_err(|e| SpecError::new(format!("cannot write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, self.report_path()).map_err(|e| {
-            SpecError::new(format!(
-                "cannot finalize {}: {e}",
-                self.report_path().display()
-            ))
-        })
+        write_atomic(&self.report_path(), &report.to_json())
     }
 }
 
@@ -709,6 +736,66 @@ pub(crate) fn scan_jsonl(
     })
 }
 
+/// Writes `text` to `path` atomically: a temp file, then a rename, so a
+/// reader never sees a partial file.
+pub(crate) fn write_atomic(path: &Path, text: &str) -> Result<(), SpecError> {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, text)
+        .map_err(|e| SpecError::new(format!("cannot write {}: {e}", tmp.display())))?;
+    std::fs::rename(&tmp, path)
+        .map_err(|e| SpecError::new(format!("cannot finalize {}: {e}", path.display())))
+}
+
+/// Opens `path` for reading, or `Ok(None)` when it does not exist — every
+/// torn-tail-tolerant reader treats a missing file as an empty one.
+pub(crate) fn open_if_exists(path: &Path) -> Result<Option<File>, SpecError> {
+    match File::open(path) {
+        Ok(file) => Ok(Some(file)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(SpecError::new(format!(
+            "cannot open {}: {e}",
+            path.display()
+        ))),
+    }
+}
+
+/// Reads a whole JSONL file through [`scan_jsonl`], parsing each line with
+/// `parse` (its error marks the line unparseable). A missing file reads as
+/// empty. Returns the records and whether the file ends in a torn record.
+pub(crate) fn read_jsonl<T>(
+    path: &Path,
+    what: &str,
+    mut parse: impl FnMut(&str) -> Result<T, String>,
+) -> Result<(Vec<T>, bool), SpecError> {
+    let Some(file) = open_if_exists(path)? else {
+        return Ok((Vec::new(), false));
+    };
+    let mut records = Vec::new();
+    let scan = scan_jsonl(file, path, what, |_, _, line| match parse(line) {
+        Ok(record) => {
+            records.push(record);
+            Ok(None)
+        }
+        Err(e) => Ok(Some(e)),
+    })?;
+    Ok((records, scan.truncated_tail))
+}
+
+/// Appends one JSONL record, given without its newline, in a single write
+/// (a crash can only ever tear the final line, which the next scan heals)
+/// and flushes it.
+pub(crate) fn append_jsonl(
+    writer: &mut File,
+    mut line: String,
+    path: &Path,
+) -> Result<(), SpecError> {
+    line.push('\n');
+    writer
+        .write_all(line.as_bytes())
+        .and_then(|()| writer.flush())
+        .map_err(|e| SpecError::new(format!("cannot append to {}: {e}", path.display())))
+}
+
 /// Reads the raw line bytes of `entry` from an open JSONL handle — the
 /// seek/read-one-record primitive shared by the run log and the spilled
 /// sample store ([`crate::spill`]).
@@ -731,178 +818,199 @@ pub(crate) fn read_line_at(
     })
 }
 
-/// Executes `spec` streaming into a fresh campaign directory at `root`:
-/// every finished run is appended to `runs.jsonl` as it completes (and
-/// dropped — no result set is retained), then the report is built by
-/// replaying the log through the shared [`ReportAccumulator`] and lands in
-/// `report.json`.
+/// A campaign directory opened for execution — the **execute primitive**
+/// under every campaign verb. Opening verifies the manifest, expands the
+/// run matrix and heals a torn tail; [`Self::execute`] then runs any index
+/// set on the worker pool and appends each result the moment it completes.
+pub(crate) struct Target {
+    pub(crate) dir: CampaignDir,
+    pub(crate) manifest: Manifest,
+    pub(crate) runs: Vec<RunSpec>,
+    /// Which run indices the log stores, kept current across appends.
+    stored: Vec<bool>,
+    writer: Option<File>,
+}
+
+impl Target {
+    /// Initializes a fresh directory for `spec`, whose expanded matrix is
+    /// `runs`; the manifest records the shard slice or worker id the
+    /// directory executes, if any.
+    pub(crate) fn create(
+        root: impl Into<PathBuf>,
+        spec: &CampaignSpec,
+        runs: Vec<RunSpec>,
+        shard: Option<ShardSlice>,
+        worker: Option<String>,
+    ) -> Result<Self, SpecError> {
+        let (dir, manifest) = CampaignDir::create_inner(root, spec, runs.len(), shard, worker)?;
+        Ok(Target {
+            dir,
+            manifest,
+            stored: vec![false; runs.len()],
+            runs,
+            writer: None,
+        })
+    }
+
+    /// Opens the existing directory at `root`: verifies its manifest (and
+    /// the `expected` fingerprint, when given), expands the run matrix,
+    /// indexes the log and heals a torn tail. Returns the log index too —
+    /// a fold replays it without scanning the log again.
+    pub(crate) fn open(
+        root: impl Into<PathBuf>,
+        expected: Option<&str>,
+    ) -> Result<(Self, LogIndex), SpecError> {
+        let (dir, manifest) = CampaignDir::open_checked(root, expected)?;
+        let runs = manifest.expand()?;
+        let index = dir.index_log(&runs)?;
+        if index.truncated_tail {
+            // Heal the log: drop the torn record so the next append starts a
+            // fresh line — otherwise the first re-executed record merges into
+            // the partial one and corrupts the log for every later resume.
+            dir.truncate_runs_to(index.valid_bytes)?;
+        }
+        let target = Target {
+            dir,
+            manifest,
+            stored: index.entries.iter().map(Option::is_some).collect(),
+            runs,
+            writer: None,
+        };
+        Ok((target, index))
+    }
+
+    /// Whether the log stores a record for run `index`.
+    pub(crate) fn is_stored(&self, index: usize) -> bool {
+        self.stored[index]
+    }
+
+    /// Executes every run of `indices` the log does not store yet,
+    /// appending each result the moment it completes and dropping it — the
+    /// pool retains no result set. After each append, `on_result` receives
+    /// the run index; returning `Ok(false)` aborts the pool, and the call
+    /// then returns `Ok(false)` instead of `Ok(true)`.
+    ///
+    /// A failed append or an `on_result` error aborts the pool too
+    /// (in-flight runs finish and are discarded), so a full disk cannot burn
+    /// the rest of a long campaign on unpersistable work. A panicking run
+    /// becomes an error naming its run index.
+    pub(crate) fn execute(
+        &mut self,
+        executor: &Executor,
+        indices: &[usize],
+        mut on_result: impl FnMut(usize) -> Result<bool, SpecError>,
+    ) -> Result<bool, SpecError> {
+        let pending: Vec<&RunSpec> = indices
+            .iter()
+            .filter(|&&i| !self.stored[i])
+            .map(|&i| &self.runs[i])
+            .collect();
+        if pending.is_empty() {
+            return Ok(true);
+        }
+        if self.writer.is_none() {
+            self.writer = Some(self.dir.open_runs_for_append()?);
+        }
+        let writer = self.writer.as_mut().expect("just opened");
+        let (dir, stored, sim) = (&self.dir, &mut self.stored, &self.manifest.spec.sim);
+        let telemetry = executor.telemetry();
+        let rec = telemetry.recorder();
+        let mut failure: Option<SpecError> = None;
+        let done = rec.time("campaign.execute", || {
+            executor.try_run_jobs_foreach(
+                &pending,
+                |run| {
+                    let rec = telemetry.recorder();
+                    let _span = rec.span_indexed("run", run.index as u64);
+                    execute_run(sim, run)
+                },
+                |_, result| {
+                    let index = result.spec.index;
+                    let step = rec
+                        .time("log.append", || dir.append_result(writer, &result))
+                        .and_then(|()| {
+                            stored[index] = true;
+                            on_result(index)
+                        });
+                    step.unwrap_or_else(|e| {
+                        failure = Some(e);
+                        false
+                    })
+                },
+            )
+        });
+        match (done, failure) {
+            (Err(panic), _) => Err(SpecError::new(format!(
+                "run {} panicked: {}; every run completed before the panic is already \
+                 persisted in {} — fix the cause, then resume the campaign (or restart \
+                 the worker) to execute only the missing runs",
+                pending[panic.job_index].index,
+                panic.message,
+                self.dir.root().display()
+            ))),
+            (_, Some(e)) => Err(e),
+            (Ok(done), None) => Ok(done.is_some()),
+        }
+    }
+}
+
+/// Executes `spec` into a fresh campaign directory at `root`: every run is
+/// appended to `runs.jsonl` as it completes, then the report is folded from
+/// the log and lands in `report.json`, its eval sample memory bounded by
+/// `spill`. With a `shard` slice, the manifest records it, only its runs
+/// execute, and no report is built (`Ok(None)`) — [`crate::merge::merge`]
+/// the shards to obtain it.
 ///
-/// The returned report is byte-identical to [`Executor::execute`] +
+/// The report is byte-identical to [`Executor::execute`] +
 /// [`CampaignReport::build`] on the same spec.
 ///
 /// # Errors
 ///
-/// Returns a [`SpecError`] on an invalid spec, an already-initialized
-/// directory, or any I/O failure.
+/// Returns a [`SpecError`] on an invalid spec or slice, an
+/// already-initialized directory, or any I/O failure.
+pub fn run(
+    executor: &Executor,
+    spec: &CampaignSpec,
+    root: impl Into<PathBuf>,
+    shard: Option<ShardSlice>,
+    spill: SpillPolicy,
+) -> Result<Option<CampaignReport>, SpecError> {
+    let runs = grid::expand(spec)?;
+    let total = runs.len();
+    let target = Target::create(root, spec, runs, shard, None)?;
+    let opts = FoldOptions {
+        spill,
+        reexec_gaps: true,
+    };
+    fold(executor, target, LogIndex::empty(total), Vec::new(), &opts)
+}
+
+/// [`run`] of a whole campaign with the default [`SpillPolicy`], returning
+/// its report.
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] under the same conditions as [`run`].
 pub fn run_streaming(
     executor: &Executor,
     spec: &CampaignSpec,
     root: impl Into<PathBuf>,
 ) -> Result<CampaignReport, SpecError> {
-    let runs = grid::expand(spec)?;
-    run_streaming_expanded(executor, spec, &runs, root)
+    run(executor, spec, root, None, SpillPolicy::default())
+        .map(|report| report.expect("a whole campaign folds to a report"))
 }
 
-/// [`run_streaming`] over an already expanded run matrix (callers that
-/// expanded the grid for their own bookkeeping — e.g. the CLI's progress
-/// line — avoid paying for expansion twice).
+/// Resumes the campaign stored at `root`: verifies the manifest fingerprint
+/// (against `expected_spec` too, when given), heals a torn tail, executes
+/// the run indices the directory owes but no record stores, and folds the
+/// report — byte-identical to an uninterrupted run.
 ///
-/// # Errors
-///
-/// Returns a [`SpecError`] on an invalid spec, an already-initialized
-/// directory, or any I/O failure.
-pub fn run_streaming_expanded(
-    executor: &Executor,
-    spec: &CampaignSpec,
-    runs: &[RunSpec],
-    root: impl Into<PathBuf>,
-) -> Result<CampaignReport, SpecError> {
-    run_streaming_expanded_with(executor, spec, runs, root, SpillPolicy::default())
-}
-
-/// [`run_streaming_expanded`] with an explicit [`SpillPolicy`] for the
-/// report-building phase.
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] on an invalid spec, an already-initialized
-/// directory, or any I/O failure.
-pub fn run_streaming_expanded_with(
-    executor: &Executor,
-    spec: &CampaignSpec,
-    runs: &[RunSpec],
-    root: impl Into<PathBuf>,
-    spill: SpillPolicy,
-) -> Result<CampaignReport, SpecError> {
-    let rec = executor.telemetry().recorder();
-    let dir = CampaignDir::create(root, spec, runs.len())?;
-    let mut writer = dir.open_runs_for_append()?;
-    rec.time("campaign.execute", || {
-        stream_pending(executor, spec, runs, &dir, &mut writer)
-    })?;
-    drop(writer);
-    let index = dir.index_log(runs)?;
-    rec.time("campaign.report", || {
-        report_from_log(executor, &dir, spec, runs, &index, spill)
-    })
-}
-
-/// Executes a shard of `spec`: the strided slice `shard` of the run matrix,
-/// streamed into an ordinary campaign directory at `root` whose manifest
-/// records the slice. No report is built — a shard is not a whole campaign;
-/// [`crate::merge::merge`] reunites the shards and builds it.
-///
-/// Returns the number of runs the shard owns (all of them executed).
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] on an invalid spec or slice, an
-/// already-initialized directory, or any I/O failure.
-pub fn run_shard(
-    executor: &Executor,
-    spec: &CampaignSpec,
-    shard: ShardSlice,
-    root: impl Into<PathBuf>,
-) -> Result<usize, SpecError> {
-    let runs = grid::expand(spec)?;
-    run_shard_expanded(executor, spec, &runs, shard, root)
-}
-
-/// [`run_shard`] over an already expanded run matrix (callers that expanded
-/// the grid for their own bookkeeping — e.g. the CLI's progress line —
-/// avoid paying for expansion twice).
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] on an invalid spec or slice, an
-/// already-initialized directory, or any I/O failure.
-pub fn run_shard_expanded(
-    executor: &Executor,
-    spec: &CampaignSpec,
-    runs: &[RunSpec],
-    shard: ShardSlice,
-    root: impl Into<PathBuf>,
-) -> Result<usize, SpecError> {
-    if shard.count == 0 || shard.index >= shard.count {
-        return Err(SpecError::new(format!(
-            "shard {}/{} is not a valid slice (need 0 <= index < count)",
-            shard.index, shard.count
-        )));
-    }
-    let owned: Vec<RunSpec> = shard
-        .owned_indices(runs.len())
-        .map(|i| runs[i].clone())
-        .collect();
-    let dir = CampaignDir::create_with_shard(root, spec, runs.len(), Some(shard))?;
-    let mut writer = dir.open_runs_for_append()?;
-    stream_pending(executor, spec, &owned, &dir, &mut writer)?;
-    Ok(owned.len())
-}
-
-/// Executes `pending` runs, appending each result the moment it completes
-/// and dropping it — the pool retains no result set. A failed append aborts
-/// the pool (in-flight runs finish and are discarded) so a full disk cannot
-/// burn the rest of a long campaign on unpersistable work.
-pub(crate) fn stream_pending(
-    executor: &Executor,
-    spec: &CampaignSpec,
-    pending: &[RunSpec],
-    dir: &CampaignDir,
-    writer: &mut File,
-) -> Result<(), SpecError> {
-    let telemetry = executor.telemetry();
-    let obs_rec = telemetry.recorder();
-    let mut write_error: Option<SpecError> = None;
-    let done = executor.try_run_jobs_foreach(
-        pending,
-        |run| {
-            let rec = telemetry.recorder();
-            let _span = rec.span_indexed("run", run.index as u64);
-            execute_run(&spec.sim, run)
-        },
-        |_, result| match obs_rec.time("log.append", || dir.append_result(writer, &result)) {
-            Ok(()) => true,
-            Err(e) => {
-                write_error = Some(e);
-                false
-            }
-        },
-    );
-    match (done, write_error) {
-        (Err(panic), _) => Err(SpecError::new(format!(
-            "run {} panicked mid-campaign: {}; every run completed before the \
-             panic is already persisted in {} — fix the cause and `campaign \
-             resume` the directory to execute only the missing runs",
-            pending[panic.job_index].index,
-            panic.message,
-            dir.root().display()
-        ))),
-        (Ok(Some(())), None) => Ok(()),
-        (_, Some(e)) => Err(e),
-        (Ok(None), None) => unreachable!("pool aborts only after a write error"),
-    }
-}
-
-/// Resumes the campaign (or shard) stored at `root`: verifies the manifest
-/// fingerprint (against `expected_spec` too, when given), re-executes only
-/// the owned run indices with no stored JSONL record, and appends them.
-///
-/// For a whole-campaign directory the report is then rebuilt by replaying
-/// the completed log through the shared [`ReportAccumulator`] —
-/// byte-identical to an uninterrupted run — and returned. For a shard
-/// directory (the manifest records a [`ShardSlice`]) no report exists to
-/// build, so `Ok(None)` is returned once the shard's runs are all stored;
-/// merge the shards to obtain the report.
+/// A scheduler coordinator's records also live in its `workers/`
+/// directories: they count as stored and are folded into the coordinator's
+/// log, exactly like `serve-sched`'s final assembly. A shard directory
+/// executes only its own slice and a worker directory nothing; neither
+/// builds a report (`Ok(None)`). The report fold bounds its eval sample
+/// memory by `spill`.
 ///
 /// # Errors
 ///
@@ -913,140 +1021,16 @@ pub fn resume(
     executor: &Executor,
     root: impl Into<PathBuf>,
     expected_spec: Option<&CampaignSpec>,
-) -> Result<Option<CampaignReport>, SpecError> {
-    resume_with(executor, root, expected_spec, SpillPolicy::default())
-}
-
-/// [`resume`] with an explicit [`SpillPolicy`] for the report-building
-/// phase.
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] under the same conditions as [`resume`].
-pub fn resume_with(
-    executor: &Executor,
-    root: impl Into<PathBuf>,
-    expected_spec: Option<&CampaignSpec>,
     spill: SpillPolicy,
 ) -> Result<Option<CampaignReport>, SpecError> {
-    let dir = CampaignDir::open(root)?;
-    let manifest = dir.manifest()?;
-    if let Some(expected) = expected_spec {
-        let given = spec_fingerprint(expected);
-        if given != manifest.fingerprint {
-            return Err(SpecError::new(format!(
-                "spec fingerprint mismatch: the campaign directory was created from \
-                 fingerprint {}, but the given spec fingerprints as {given}; refusing \
-                 to mix results from different campaigns",
-                manifest.fingerprint
-            )));
-        }
-    }
-    let spec = manifest.spec;
-    let runs = grid::expand(&spec)?;
-    if runs.len() != manifest.total_runs {
-        return Err(SpecError::new(format!(
-            "manifest records {} runs but the spec expands to {}; the campaign \
-             directory is corrupt",
-            manifest.total_runs,
-            runs.len()
-        )));
-    }
-    let index = dir.index_log(&runs)?;
-    if index.truncated_tail {
-        // Heal the log: drop the torn record so the next append starts a
-        // fresh line — otherwise the first re-executed record merges into
-        // the partial one and corrupts the log for every later resume.
-        dir.truncate_runs_to(index.valid_bytes)?;
-    }
-    if manifest.worker.is_some() {
-        // A scheduler worker directory owns no fixed slice of the matrix —
-        // leases decide what it executes — so a resume heals the torn tail
-        // (done above) and re-executes nothing; restart `campaign work` to
-        // continue. No report exists to build either.
-        return Ok(None);
-    }
-    let missing: Vec<usize> = match manifest.shard {
-        Some(shard) => index
-            .missing_indices()
-            .into_iter()
-            .filter(|&i| shard.owns(i))
-            .collect(),
-        None => index.missing_indices(),
+    let expected = expected_spec.map(spec_fingerprint);
+    let (target, index) = Target::open(root, expected.as_deref())?;
+    let workers = worker_sources(&target.dir, &target.manifest, &target.runs, false)?;
+    let opts = FoldOptions {
+        spill,
+        reexec_gaps: true,
     };
-    let appended = !missing.is_empty();
-    if appended {
-        let pending: Vec<RunSpec> = missing.iter().map(|&i| runs[i].clone()).collect();
-        let mut writer = dir.open_runs_for_append()?;
-        stream_pending(executor, &spec, &pending, &dir, &mut writer)?;
-    }
-    if manifest.shard.is_some() {
-        return Ok(None);
-    }
-    // Re-index only if records were appended; a clean resume of a completed
-    // campaign replays the index it already has instead of parsing the
-    // whole log a second time. (Healing the torn tail never invalidates the
-    // index — every indexed record ends at or before `valid_bytes`.)
-    let index = if appended {
-        dir.index_log(&runs)?
-    } else {
-        index
-    };
-    report_from_log(executor, &dir, &spec, &runs, &index, spill).map(Some)
-}
-
-/// Builds and persists the report of a campaign directory whose `index` is
-/// complete, by replaying the run log through the shared
-/// [`ReportAccumulator`] — one record at a time, in run-index order, never
-/// materializing the result set.
-///
-/// When the eval phase is enabled, `spill` bounds the sample pools: a
-/// [`SpillPolicy::Threshold`] attaches the directory's sample store and
-/// spills at the threshold, while [`SpillPolicy::InMemory`] buffers
-/// everything — unless the directory already holds a sample store (a
-/// stripped run log's), which is then attached read-mostly so the eval
-/// phase can find the stripped records' samples.
-pub(crate) fn report_from_log(
-    executor: &Executor,
-    dir: &CampaignDir,
-    spec: &CampaignSpec,
-    runs: &[RunSpec],
-    index: &LogIndex,
-    spill: SpillPolicy,
-) -> Result<CampaignReport, SpecError> {
-    let missing = index.missing_indices();
-    if !missing.is_empty() {
-        return Err(SpecError::new(format!(
-            "run log {} is missing {} of {} records; resume the campaign first",
-            dir.runs_path().display(),
-            missing.len(),
-            runs.len()
-        )));
-    }
-    let mut acc =
-        ReportAccumulator::for_spec(spec)?.with_telemetry(executor.telemetry().recorder());
-    if spec.eval.enabled {
-        let fingerprint = spec_fingerprint(spec);
-        match spill {
-            SpillPolicy::Threshold(threshold) => {
-                let store = SampleStore::attach(dir.samples_path(), &fingerprint)?;
-                acc = acc.with_spill(store, threshold);
-            }
-            SpillPolicy::InMemory => {
-                // A stripped run log keeps its samples in the store; attach
-                // it for reading but never spill fresh folds into it.
-                if let Some(store) =
-                    SampleStore::open_existing(dir.samples_path(), Some(&fingerprint))?
-                {
-                    acc = acc.with_spill(store, usize::MAX);
-                }
-            }
-        }
-    }
-    dir.try_replay(index, |result| acc.try_fold(&result))?;
-    let report = acc.finish(executor)?;
-    dir.write_report(&report)?;
-    Ok(report)
+    fold(executor, target, index, workers, &opts)
 }
 
 #[cfg(test)]
@@ -1125,9 +1109,14 @@ mod tests {
             report.to_json()
         );
         // A completed campaign resumes with nothing to do, byte-identically.
-        let resumed = resume(&Executor::new(3), &root, Some(&spec))
-            .unwrap()
-            .unwrap();
+        let resumed = resume(
+            &Executor::new(3),
+            &root,
+            Some(&spec),
+            SpillPolicy::default(),
+        )
+        .unwrap()
+        .unwrap();
         assert_eq!(resumed.to_json(), report.to_json());
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -1138,8 +1127,11 @@ mod tests {
         let spec = tiny_spec();
         let total = grid::expand(&spec).unwrap().len();
         let shard = ShardSlice { index: 1, count: 2 };
-        let executed = run_shard(&Executor::new(2), &spec, shard, &root).unwrap();
-        assert_eq!(executed, shard.owned_indices(total).count());
+        let spill = SpillPolicy::default();
+        assert!(run(&Executor::new(2), &spec, &root, Some(shard), spill)
+            .unwrap()
+            .is_none());
+        let executed = shard.owned_indices(total).count();
         assert!(!root.join(REPORT_FILE).exists(), "shards build no report");
 
         let dir = CampaignDir::open(&root).unwrap();
@@ -1153,7 +1145,7 @@ mod tests {
         }
         // A complete shard resumes to Ok(None) with nothing re-executed.
         let log_before = std::fs::read_to_string(dir.runs_path()).unwrap();
-        assert!(resume(&Executor::new(2), &root, Some(&spec))
+        assert!(resume(&Executor::new(2), &root, Some(&spec), spill)
             .unwrap()
             .is_none());
         assert_eq!(
@@ -1167,11 +1159,14 @@ mod tests {
     fn invalid_shard_slices_are_refused() {
         let spec = tiny_spec();
         for (index, count) in [(0, 0), (2, 2), (5, 3)] {
-            let err = run_shard(
+            let shard = Some(ShardSlice { index, count });
+            let root = temp_root("badshard");
+            let err = run(
                 &Executor::new(1),
                 &spec,
-                ShardSlice { index, count },
-                temp_root("badshard"),
+                root,
+                shard,
+                SpillPolicy::default(),
             )
             .unwrap_err();
             assert!(err.to_string().contains("not a valid slice"), "{err}");

@@ -93,9 +93,11 @@ impl WatchSnapshot {
     }
 
     /// `true` once every owned run is stored — the watch loop's exit
-    /// condition.
+    /// condition. A scheduler coordinator (a directory with a lease ledger)
+    /// is complete only once its final assembly has written `report.json`:
+    /// its workers can hold every run well before that.
     pub fn complete(&self) -> bool {
-        self.dir.missing.is_empty()
+        self.dir.missing.is_empty() && (self.dir.sched.is_none() || self.dir.report_written)
     }
 
     /// Serializes the snapshot as pretty JSON (`campaign watch --json`).

@@ -16,9 +16,9 @@
 //! then commit the rewritten `tests/golden/*.report.json` files with an
 //! explanation of why the bytes moved.
 
-use dl2fence_campaign::stream::{run_streaming_expanded_with, SpillPolicy, RUNS_FILE};
+use dl2fence_campaign::stream::{SpillPolicy, RUNS_FILE};
 use dl2fence_campaign::{
-    expand, merge, resume_with, CampaignDir, CampaignOutcome, CampaignReport, CampaignSpec,
+    expand, merge, resume, run, CampaignDir, CampaignOutcome, CampaignReport, CampaignSpec,
     Executor, RunResult,
 };
 use std::path::{Path, PathBuf};
@@ -101,15 +101,11 @@ fn golden_corpus(tag: &str, spec: &CampaignSpec, fixture: &str, spill_threshold:
     // Path 1: streaming run (the only simulation this corpus pays for),
     // spilling eval samples at the tiny threshold.
     let streamed_root = temp_root(&format!("{tag}-stream"));
-    let streamed = run_streaming_expanded_with(
-        &executor,
-        spec,
-        &runs,
-        &streamed_root,
-        SpillPolicy::Threshold(spill_threshold),
-    )
-    .unwrap()
-    .to_json();
+    let spilling = SpillPolicy::Threshold(spill_threshold);
+    let streamed = run(&executor, spec, &streamed_root, None, spilling)
+        .unwrap()
+        .expect("a whole campaign builds a report")
+        .to_json();
     let records = stored_records(&streamed_root);
 
     // Path 2: in-memory aggregation of the same runs.
@@ -135,15 +131,10 @@ fn golden_corpus(tag: &str, spec: &CampaignSpec, fixture: &str, spill_threshold:
         log.push_str(&line[..line.len() / 2]);
         std::fs::write(resume_dir.runs_path(), log).unwrap();
     }
-    let resumed = resume_with(
-        &executor,
-        &resume_root,
-        Some(spec),
-        SpillPolicy::Threshold(spill_threshold),
-    )
-    .unwrap()
-    .expect("whole-campaign resume returns a report")
-    .to_json();
+    let resumed = resume(&executor, &resume_root, Some(spec), spilling)
+        .unwrap()
+        .expect("whole-campaign resume returns a report")
+        .to_json();
 
     // Path 4: shard-merge — records partitioned across two directories,
     // merged back.
@@ -159,24 +150,26 @@ fn golden_corpus(tag: &str, spec: &CampaignSpec, fixture: &str, spill_threshold:
         write_log(&dir, &part);
         inputs.push(root);
     }
-    let merged = merge(&executor, &inputs, merge_base.join("merged"))
-        .unwrap()
-        .to_json();
+    let merged = merge(
+        &executor,
+        &inputs,
+        merge_base.join("merged"),
+        SpillPolicy::default(),
+        false,
+    )
+    .unwrap()
+    .to_json();
 
     // Path 5: spilled rebuild — the streamed directory's report built again
     // from its log with an even smaller threshold (every fold spills).
     let spill_root = temp_root(&format!("{tag}-spill"));
     let spill_dir = CampaignDir::create(&spill_root, spec, runs.len()).unwrap();
     write_log(&spill_dir, &records.iter().collect::<Vec<_>>());
-    let spilled = resume_with(
-        &executor,
-        &spill_root,
-        Some(spec),
-        SpillPolicy::Threshold(1),
-    )
-    .unwrap()
-    .expect("whole-campaign resume returns a report")
-    .to_json();
+    let every_fold_spills = SpillPolicy::Threshold(1);
+    let spilled = resume(&executor, &spill_root, Some(spec), every_fold_spills)
+        .unwrap()
+        .expect("whole-campaign resume returns a report")
+        .to_json();
 
     // Every path must agree with every other before any of them is allowed
     // to (re)define the fixture.

@@ -5,8 +5,8 @@
 
 use dl2fence_campaign::stream::RUNS_FILE;
 use dl2fence_campaign::{
-    expand, merge, merge_with_opts, resume, run_shard, run_streaming, spec_fingerprint,
-    CampaignDir, CampaignSpec, Executor, RunResult, ShardSlice, SpillPolicy,
+    expand, merge, resume, run, run_streaming, spec_fingerprint, CampaignDir, CampaignSpec,
+    Executor, RunResult, ShardSlice, SpillPolicy,
 };
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -69,16 +69,33 @@ fn run_shards(base: &std::path::Path, count: usize) -> Vec<PathBuf> {
     (0..count)
         .map(|index| {
             let dir = base.join(format!("shard-{index}"));
-            run_shard(
+            let shard = Some(ShardSlice { index, count });
+            let report = run(
                 &Executor::new(2),
                 &spec(),
-                ShardSlice { index, count },
                 &dir,
+                shard,
+                SpillPolicy::default(),
             )
             .unwrap();
+            assert!(report.is_none(), "shards build no report");
             dir
         })
         .collect()
+}
+
+/// Merges `inputs` into `out` with the default spill policy, refusing gaps.
+fn merge_default(
+    inputs: &[PathBuf],
+    out: impl Into<PathBuf>,
+) -> Result<dl2fence_campaign::CampaignReport, dl2fence_campaign::SpecError> {
+    merge(
+        &Executor::new(2),
+        inputs,
+        out,
+        SpillPolicy::default(),
+        false,
+    )
 }
 
 /// Alters one record's `packets_created`, keeping the JSON valid and the
@@ -104,7 +121,14 @@ fn three_shards_merge_byte_identical_to_a_single_machine_run() {
     }
 
     let out = base.join("merged");
-    let report = merge(&Executor::new(3), &shards, &out).unwrap();
+    let report = merge(
+        &Executor::new(3),
+        &shards,
+        &out,
+        SpillPolicy::default(),
+        false,
+    )
+    .unwrap();
     assert_eq!(&report.to_json(), reference_json());
     assert_eq!(
         &std::fs::read_to_string(out.join("report.json")).unwrap(),
@@ -120,9 +144,14 @@ fn three_shards_merge_byte_identical_to_a_single_machine_run() {
 
     // The merged directory is an ordinary campaign directory: it resumes
     // with nothing to do, byte-identically.
-    let resumed = resume(&Executor::new(2), &out, Some(&spec()))
-        .unwrap()
-        .expect("merged directories are whole campaigns");
+    let resumed = resume(
+        &Executor::new(2),
+        &out,
+        Some(&spec()),
+        SpillPolicy::default(),
+    )
+    .unwrap()
+    .expect("merged directories are whole campaigns");
     assert_eq!(&resumed.to_json(), reference_json());
     std::fs::remove_dir_all(&base).unwrap();
 }
@@ -137,16 +166,18 @@ fn merge_refuses_mismatched_spec_fingerprints() {
     other.grid.fir = vec![0.4, 0.9];
     assert_ne!(spec_fingerprint(&spec()), spec_fingerprint(&other));
     let foreign = base.join("foreign");
-    run_shard(
+    let shard = Some(ShardSlice { index: 1, count: 2 });
+    run(
         &Executor::new(2),
         &other,
-        ShardSlice { index: 1, count: 2 },
         &foreign,
+        shard,
+        SpillPolicy::default(),
     )
     .unwrap();
 
     let inputs = vec![shards[0].clone(), foreign];
-    let err = merge(&Executor::new(2), &inputs, base.join("merged")).unwrap_err();
+    let err = merge_default(&inputs, base.join("merged")).unwrap_err();
     let message = err.to_string();
     assert!(message.contains("fingerprint mismatch"), "got: {message}");
     assert!(
@@ -164,7 +195,7 @@ fn merge_reports_the_exact_gap_list_when_a_shard_is_missing() {
 
     // Merge without shard 1: every index it owns must be listed, exactly.
     let inputs = vec![shards[0].clone(), shards[2].clone()];
-    let err = merge(&Executor::new(2), &inputs, base.join("merged")).unwrap_err();
+    let err = merge_default(&inputs, base.join("merged")).unwrap_err();
     let message = err.to_string();
     let expected: Vec<String> = ShardSlice { index: 1, count: 3 }
         .owned_indices(total)
@@ -194,7 +225,7 @@ fn reexec_gaps_fills_a_lost_shard_byte_identically() {
 
     let inputs = vec![shards[0].clone(), shards[2].clone()];
     let out = base.join("merged-reexec");
-    let report = merge_with_opts(
+    let report = merge(
         &Executor::new(2),
         &inputs,
         &out,
@@ -233,7 +264,7 @@ fn identical_duplicates_dedupe_and_conflicting_duplicates_are_rejected() {
     let full = base.join("full");
     run_streaming(&Executor::new(2), &spec(), &full).unwrap();
     let inputs = vec![full.clone(), shards[0].clone(), shards[1].clone()];
-    let report = merge(&Executor::new(2), &inputs, base.join("merged-dedupe")).unwrap();
+    let report = merge_default(&inputs, base.join("merged-dedupe")).unwrap();
     assert_eq!(&report.to_json(), reference_json());
 
     // Tamper one record of shard 0: the same index now carries a different
@@ -249,7 +280,7 @@ fn identical_duplicates_dedupe_and_conflicting_duplicates_are_rejected() {
     std::fs::write(&log_path, format!("{}\n", lines.join("\n"))).unwrap();
 
     let inputs = vec![full, shards[0].clone()];
-    let err = merge(&Executor::new(2), &inputs, base.join("merged-conflict")).unwrap_err();
+    let err = merge_default(&inputs, base.join("merged-conflict")).unwrap_err();
     let message = err.to_string();
     assert!(message.contains("conflicting payloads"), "got: {message}");
     assert!(
@@ -280,7 +311,7 @@ fn torn_tail_records_are_healed_exactly_as_resume_heals_them() {
         format!("{pristine}{}", &foreign_line[..foreign_line.len() / 2]),
     )
     .unwrap();
-    let report = merge(&Executor::new(2), &shards, base.join("merged-covered")).unwrap();
+    let report = merge_default(&shards, base.join("merged-covered")).unwrap();
     assert_eq!(&report.to_json(), reference_json());
 
     // Case 2: shard 0's own final record is torn (the classic crash shape).
@@ -291,7 +322,7 @@ fn torn_tail_records_are_healed_exactly_as_resume_heals_them() {
     let mut torn_log: String = lines.iter().map(|l| format!("{l}\n")).collect();
     torn_log.push_str(&tail[..tail.len() / 2]);
     std::fs::write(&log_path, torn_log).unwrap();
-    let err = merge(&Executor::new(2), &shards, base.join("merged-gap")).unwrap_err();
+    let err = merge_default(&shards, base.join("merged-gap")).unwrap_err();
     assert!(
         err.to_string().contains(&format!("[{torn_index}]")),
         "got: {err}"
@@ -300,15 +331,20 @@ fn torn_tail_records_are_healed_exactly_as_resume_heals_them() {
     // ...and resuming the shard re-executes exactly that run (healing the
     // torn line away first, as resume always does), after which the merge
     // succeeds byte-identically.
-    assert!(resume(&Executor::new(2), &shards[0], Some(&spec()))
-        .unwrap()
-        .is_none());
+    assert!(resume(
+        &Executor::new(2),
+        &shards[0],
+        Some(&spec()),
+        SpillPolicy::default()
+    )
+    .unwrap()
+    .is_none());
     let healed = std::fs::read_to_string(&log_path).unwrap();
     assert_eq!(healed.lines().count(), pristine.lines().count());
     let dir = CampaignDir::open(&shards[0]).unwrap();
     let index = dir.index_log(&expand(&spec()).unwrap()).unwrap();
     assert!(!index.truncated_tail, "resume must heal the torn tail");
-    let report = merge(&Executor::new(2), &shards, base.join("merged-healed")).unwrap();
+    let report = merge_default(&shards, base.join("merged-healed")).unwrap();
     assert_eq!(&report.to_json(), reference_json());
     std::fs::remove_dir_all(&base).unwrap();
 }

@@ -8,9 +8,9 @@
 
 use dl2fence_campaign::stream::{CampaignDir, RUNS_FILE};
 use dl2fence_campaign::{
-    compact, expand, merge, resume, run_streaming, spec_fingerprint, status, CampaignOutcome,
-    CampaignReport, CampaignSpec, Executor, ReportAccumulator, RunMetrics, RunResult, RunSpec,
-    SampleStore,
+    compact, execute_run, expand, merge, resume, run_streaming, spec_fingerprint, status,
+    CampaignOutcome, CampaignReport, CampaignSpec, Executor, ReportAccumulator, RunMetrics,
+    RunResult, RunSpec, SampleStore, SpillPolicy,
 };
 use noc_monitor::{DirectionalFrames, FeatureFrame, FeatureKind, GroundTruth, LabeledSample};
 use noc_sim::Direction;
@@ -204,6 +204,18 @@ fn write_partitioned_shards(
     for (i, result) in results.iter().enumerate() {
         buckets[assign(i) % count].push(result);
     }
+    write_shards(base, spec, results.len(), buckets, shuffle_seed)
+}
+
+/// Writes each bucket of records into its own campaign directory under
+/// `base`, in a drawn completion order, and returns the shard paths.
+fn write_shards(
+    base: &std::path::Path,
+    spec: &CampaignSpec,
+    total: usize,
+    buckets: Vec<Vec<&RunResult>>,
+    shuffle_seed: u64,
+) -> Vec<PathBuf> {
     buckets
         .into_iter()
         .enumerate()
@@ -211,7 +223,7 @@ fn write_partitioned_shards(
             // Out-of-order completion within the shard.
             shuffle(&mut bucket, splitmix(shuffle_seed ^ s as u64));
             let root = base.join(format!("shard-{s}"));
-            CampaignDir::create(&root, spec, results.len()).unwrap();
+            CampaignDir::create(&root, spec, total).unwrap();
             let log: String = bucket
                 .iter()
                 .map(|r| format!("{}\n", serde_json::to_string(r).unwrap()))
@@ -328,12 +340,22 @@ proptest! {
 
 proptest! {
     /// Satellite of the sharding tentpole: for **arbitrary spec grids** and
-    /// **arbitrary partitions** of the run matrix into 1–5 shards (strided
-    /// like `campaign shard`, or fully irregular), with out-of-order
-    /// completion inside every shard, `merge` rebuilds the report
-    /// byte-identically to the single uninterrupted aggregation of the same
-    /// runs. Results are synthetic (losslessly codable), so the property
-    /// sweeps grids without paying for simulation.
+    /// **arbitrary splits** of the run matrix into 1–5 shards, with
+    /// out-of-order completion inside every shard, `merge` rebuilds the
+    /// report byte-identically to the single uninterrupted aggregation of
+    /// the same runs. Three input shapes:
+    ///
+    /// - a partition, strided like `campaign shard` or fully irregular;
+    /// - overlapping, non-strided subsets — every run lands in one or two
+    ///   shards (sometimes twice in one log), so identical duplicates must
+    ///   dedupe across and within directories;
+    /// - a partition with one subset dropped, folded with gap
+    ///   re-execution: the fold's execute primitive simulates the dropped
+    ///   runs, and the reference aggregates those real results.
+    ///
+    /// Stored results are synthetic (losslessly codable), so the property
+    /// sweeps grids without paying for simulation beyond the dropped runs,
+    /// whose sim phase is kept short.
     #[test]
     fn merge_of_any_partition_of_any_grid_is_byte_identical(
         mesh_a in 2usize..10,
@@ -347,30 +369,53 @@ proptest! {
         assign_seed in 0u64..u64::MAX,
         shuffle_seed in 0u64..u64::MAX,
         strided in 0usize..2,
+        shape in 0usize..3,
     ) {
-        let spec = build_spec(
+        let mut spec = build_spec(
             mesh_a, mesh_a, fir_pct, workload_i, workload_j, placements,
             benign, seed, 20_000, seed as usize % 6,
         );
+        spec.sim.warmup_cycles = 10;
+        spec.sim.sample_period = 20;
+        spec.sim.samples_per_run = 1;
         let runs = expand(&spec).map_err(|e| e.to_string())?;
-        let results: Vec<RunResult> = runs.iter().map(synthetic_result).collect();
+        let synthetic: Vec<RunResult> = runs.iter().map(synthetic_result).collect();
+        let assign = |i: usize, salt: u64| {
+            let drawn = splitmix(assign_seed ^ salt ^ i as u64) as usize;
+            if strided == 0 && shape != 1 { i % shards } else { drawn % shards }
+        };
+        let dropped = (shape == 2).then(|| (splitmix(assign_seed) as usize) % shards);
+        let mut buckets: Vec<Vec<&RunResult>> = vec![Vec::new(); shards];
+        for (i, result) in synthetic.iter().enumerate() {
+            if Some(assign(i, 0)) != dropped {
+                buckets[assign(i, 0)].push(result);
+            }
+            if shape == 1 && splitmix(shuffle_seed ^ i as u64).is_multiple_of(2) {
+                buckets[assign(i, 0x5EED)].push(result);
+            }
+        }
+        // The reference aggregates what the merge must end up holding:
+        // the stored synthetic records, and real results for the runs the
+        // fold re-executes.
+        let expected: Vec<RunResult> = synthetic
+            .iter()
+            .enumerate()
+            .map(|(i, result)| match dropped {
+                Some(s) if assign(i, 0) == s => execute_run(&spec.sim, &runs[i]),
+                _ => result.clone(),
+            })
+            .collect();
         let reference = CampaignReport::build_with(
-            &CampaignOutcome { spec: spec.clone(), runs: results.clone() },
+            &CampaignOutcome { spec: spec.clone(), runs: expected },
             &Executor::new(1),
         )
         .map_err(|e| e.to_string())?
         .to_json();
 
         let base = temp_root("merge-grid");
-        let inputs = write_partitioned_shards(
-            &base,
-            &spec,
-            &results,
-            shards,
-            |i| if strided == 0 { i } else { (splitmix(assign_seed ^ i as u64)) as usize },
-            shuffle_seed,
-        );
-        let merged = merge(&Executor::new(1), &inputs, base.join("merged"))
+        let inputs = write_shards(&base, &spec, runs.len(), buckets, shuffle_seed);
+        let out = base.join("merged");
+        let merged = merge(&Executor::new(1), &inputs, out, SpillPolicy::default(), dropped.is_some())
             .map_err(|e| e.to_string())?;
         prop_assert_eq!(merged.to_json(), reference);
         std::fs::remove_dir_all(&base).map_err(|e| e.to_string())?;
@@ -397,7 +442,7 @@ proptest! {
             |i| (splitmix(assign_seed ^ i as u64)) as usize,
             shuffle_seed,
         );
-        let merged = merge(&Executor::new(2), &inputs, base.join("merged"))
+        let merged = merge(&Executor::new(2), &inputs, base.join("merged"), SpillPolicy::default(), false)
             .map_err(|e| e.to_string())?;
         prop_assert_eq!(&merged.to_json(), reference);
         std::fs::remove_dir_all(&base).map_err(|e| e.to_string())?;
@@ -577,7 +622,7 @@ proptest! {
         prop_assert_eq!(stats.dropped_duplicates, if keep == 0 { 0 } else { 2 });
         prop_assert_eq!(stats.healed_torn_tail, keep < results.len());
 
-        let report = resume(&Executor::new(2), &root, Some(spec))
+        let report = resume(&Executor::new(2), &root, Some(spec), SpillPolicy::default())
             .map_err(|e| e.to_string())?
             .expect("whole-campaign resume returns a report");
         prop_assert_eq!(&report.to_json(), streamed_reference());
@@ -616,7 +661,7 @@ proptest! {
             }
             compact(input, false).map_err(|e| e.to_string())?;
         }
-        let merged = merge(&Executor::new(2), &inputs, base.join("merged"))
+        let merged = merge(&Executor::new(2), &inputs, base.join("merged"), SpillPolicy::default(), false)
             .map_err(|e| e.to_string())?;
         prop_assert_eq!(&merged.to_json(), streamed_reference());
         std::fs::remove_dir_all(&base).map_err(|e| e.to_string())?;
@@ -680,7 +725,7 @@ fn resume_after_every_prefix_matches_the_uninterrupted_report() {
         std::fs::write(root.join(RUNS_FILE), &jsonl).unwrap();
         drop(dir);
 
-        let report = resume(&Executor::new(3), &root, Some(spec))
+        let report = resume(&Executor::new(3), &root, Some(spec), SpillPolicy::default())
             .unwrap()
             .unwrap();
         assert_eq!(report.to_json(), reference, "prefix {keep} diverged");

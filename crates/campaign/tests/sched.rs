@@ -6,13 +6,14 @@
 //! single-machine reference report.
 
 use dl2fence_campaign::{
-    expand, merge_with_opts, run_streaming, sched_status, serve_sched, spec_fingerprint, status,
+    expand, merge, resume, run_streaming, sched_status, serve_sched, spec_fingerprint, status,
     work, CampaignDir, CampaignSpec, Executor, Grant, RunResult, SchedConfig, Scheduler,
-    ServeOptions, SpillPolicy, WorkOptions,
+    ServeOptions, SpillPolicy, WatchSnapshot, WorkOptions,
 };
+use dl2fence_telemetry::{EventData, MemorySink, Telemetry};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The same small eval-enabled campaign the merge suite uses (12 runs with
@@ -224,6 +225,167 @@ fn killed_worker_lease_expires_and_is_reissued_to_the_survivor() {
 }
 
 // ---------------------------------------------------------------------------
+// A coordinator directory's stored set includes its workers' records.
+// ---------------------------------------------------------------------------
+
+/// A four-run campaign, cheap enough to drain by hand.
+fn fleet_spec() -> CampaignSpec {
+    let mut spec = CampaignSpec::quick("fleet-drain");
+    spec.sim.warmup_cycles = 50;
+    spec.sim.sample_period = 100;
+    spec.sim.samples_per_run = 1;
+    spec.grid.mesh = vec![4];
+    spec.grid.fir = vec![0.8];
+    spec.grid.workloads = vec!["uniform".to_string()];
+    spec.grid.attack_placements = 3;
+    spec.grid.benign_runs = 1;
+    spec.grid.seeds = vec![0xF1EE7];
+    spec
+}
+
+/// A coordinator directory caught mid-drain: its own log is empty (it
+/// stays so until final assembly) and worker `w1` holds the records of
+/// `stored`, copied from a single-machine run. Returns the directory and
+/// the single-machine report.
+fn half_drained_fleet(tag: &str, stored: &[usize]) -> (PathBuf, String) {
+    let spec = fleet_spec();
+    let reference_root = temp_root(&format!("{tag}-reference"));
+    let reference = run_streaming(&Executor::new(2), &spec, &reference_root).unwrap();
+    let log = std::fs::read_to_string(reference_root.join("runs.jsonl")).unwrap();
+    std::fs::remove_dir_all(&reference_root).unwrap();
+    assert_eq!(reference.total_runs, 4);
+
+    let root = temp_root(tag);
+    CampaignDir::create(&root, &spec, 4).unwrap();
+    let wroot = root.join("workers").join("w1");
+    let wdir = CampaignDir::create(&wroot, &spec, 4).unwrap();
+    // Exactly what `campaign work --worker w1` writes: a manifest naming
+    // the worker and the records of its leased runs.
+    let mut manifest = wdir.manifest().unwrap();
+    manifest.worker = Some("w1".to_string());
+    std::fs::write(
+        wroot.join("manifest.json"),
+        serde_json::to_string_pretty(&manifest).unwrap(),
+    )
+    .unwrap();
+    let records: String = log
+        .lines()
+        .filter(|l| stored.contains(&serde_json::from_str::<RunResult>(l).unwrap().spec.index))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    std::fs::write(wdir.runs_path(), records).unwrap();
+    (root, reference.to_json())
+}
+
+#[test]
+fn resume_of_a_coordinator_directory_executes_only_what_its_workers_lack() {
+    let (root, reference) = half_drained_fleet("resume-fleet", &[0, 1, 3]);
+    let sink = Arc::new(MemorySink::new());
+    let executor = Executor::new(2).with_telemetry(Telemetry::with_sink(sink.clone()));
+
+    let report = resume(
+        &executor,
+        &root,
+        Some(&fleet_spec()),
+        SpillPolicy::default(),
+    )
+    .unwrap()
+    .expect("a coordinator directory is a whole campaign");
+    let executed = sink
+        .snapshot()
+        .iter()
+        .filter(|e| matches!(&e.data, EventData::Span { name, .. } if name == "run"))
+        .count();
+    assert_eq!(executed, 1, "only the run no worker stored may execute");
+    assert_eq!(report.to_json(), reference);
+    assert_eq!(
+        std::fs::read_to_string(root.join("report.json")).unwrap(),
+        reference
+    );
+    // The worker records were folded into the coordinator's own log, which
+    // is now a complete, ordinary campaign directory.
+    let dir = CampaignDir::open(&root).unwrap();
+    let index = dir.index_log(&expand(&fleet_spec()).unwrap()).unwrap();
+    assert!(index.missing_indices().is_empty());
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn status_of_a_half_drained_fleet_counts_its_worker_records() {
+    let (root, reference) = half_drained_fleet("status-fleet", &[0, 2]);
+    let report = status(std::slice::from_ref(&root)).unwrap();
+    let coordinator = &report.dirs[0];
+    assert_eq!(coordinator.owned_runs, 4);
+    assert_eq!(coordinator.completed, 2, "worker records count as stored");
+    assert_eq!(coordinator.missing, vec![1, 3]);
+    assert_eq!(
+        report.union_missing.as_deref(),
+        Some(&[1usize, 3] as &[usize])
+    );
+    // `campaign watch fleet/` follows the drain instead of reading 0%.
+    let snapshot = WatchSnapshot::capture(&root).unwrap();
+    assert_eq!(snapshot.progress, 0.5);
+    assert!(!snapshot.complete());
+
+    // A merge of the directory counts the same records: it refuses on
+    // exactly the union gap list, and re-executes only those gaps.
+    let out = root.with_extension("merged");
+    let err = merge(
+        &Executor::new(2),
+        std::slice::from_ref(&root),
+        &out,
+        SpillPolicy::default(),
+        false,
+    )
+    .unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("missing 2 of 4 run indices: [1, 3]"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&out).unwrap();
+    let merged = merge(
+        &Executor::new(2),
+        std::slice::from_ref(&root),
+        &out,
+        SpillPolicy::default(),
+        true,
+    )
+    .unwrap();
+    assert_eq!(merged.to_json(), reference);
+    std::fs::remove_dir_all(&out).unwrap();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn watch_of_a_drained_coordinator_waits_for_its_report() {
+    let (root, reference) = half_drained_fleet("watch-fleet", &[0, 1, 2, 3]);
+    // A served directory (it has a lease ledger) whose workers hold every
+    // run, plus a worker still writing its manifest.
+    let ledger = dl2fence_campaign::lease::ledger_path(&root);
+    std::fs::create_dir_all(ledger.parent().unwrap()).unwrap();
+    std::fs::write(&ledger, "").unwrap();
+    let starting = root.join("workers").join("w2");
+    std::fs::create_dir_all(&starting).unwrap();
+    std::fs::write(starting.join("manifest.json"), "{\n  \"schema\": \"dl2").unwrap();
+
+    let snapshot = WatchSnapshot::capture(&root).unwrap();
+    assert_eq!(snapshot.progress, 1.0);
+    assert!(
+        !snapshot.complete(),
+        "the drain is done, but final assembly has not written the report"
+    );
+
+    std::fs::remove_dir_all(&starting).unwrap();
+    let report = resume(&Executor::new(2), &root, None, SpillPolicy::default())
+        .unwrap()
+        .unwrap();
+    assert_eq!(report.to_json(), reference);
+    assert!(WatchSnapshot::capture(&root).unwrap().complete());
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+// ---------------------------------------------------------------------------
 // Kill-and-release property: arbitrary fleets against the golden report.
 // ---------------------------------------------------------------------------
 
@@ -305,7 +467,7 @@ proptest! {
         for i in 0..workers {
             let name = format!("w{i}");
             let wroot = root.join("workers").join(&name);
-            let writer = CampaignDir::create_worker(&wroot, spec, total, &name)
+            let writer = CampaignDir::create(&wroot, spec, total)
                 .map_err(|e| e.to_string())?
                 .open_runs_for_append()
                 .map_err(|e| e.to_string())?;
@@ -405,14 +567,8 @@ proptest! {
         }
         let inputs: Vec<PathBuf> = fleet.iter().map(|w| w.root.clone()).collect();
         drop(fleet);
-        let report = merge_with_opts(
-            &Executor::new(2),
-            &inputs,
-            root.join("merged"),
-            SpillPolicy::default(),
-            true,
-        )
-        .map_err(|e| e.to_string())?;
+        let report = merge(&Executor::new(2), &inputs, root.join("merged"), SpillPolicy::default(), true)
+            .map_err(|e| e.to_string())?;
         prop_assert_eq!(&report.to_json(), reference);
         std::fs::remove_dir_all(&root).map_err(|e| e.to_string())?;
     }

@@ -7,8 +7,9 @@
 
 use dl2fence_campaign::stream::{RUNS_FILE, SAMPLES_DIR};
 use dl2fence_campaign::{
-    compact, expand, merge, resume_with, run_streaming, spec_fingerprint, status, CampaignDir,
-    CampaignReport, CampaignSpec, Executor, ReportAccumulator, RunResult, SampleStore, SpillPolicy,
+    compact, expand, merge, resume, run, run_streaming, spec_fingerprint, status, CampaignDir,
+    CampaignReport, CampaignSpec, Executor, ReportAccumulator, RunResult, SampleStore, ShardSlice,
+    SpillPolicy,
 };
 use std::path::PathBuf;
 
@@ -110,7 +111,7 @@ fn compact_orders_dedupes_heals_and_preserves_the_report() {
     assert_eq!(indices, (0..lines.len()).collect::<Vec<_>>());
 
     // And the directory still resumes to the identical report.
-    let resumed = resume_with(&executor, &root, Some(&spec), SpillPolicy::InMemory)
+    let resumed = resume(&executor, &root, Some(&spec), SpillPolicy::InMemory)
         .unwrap()
         .unwrap();
     assert_eq!(resumed.to_json(), reference);
@@ -143,7 +144,7 @@ fn strip_samples_shrinks_the_log_and_keeps_every_path_byte_identical() {
     // Resume of the stripped directory rebuilds the identical report from
     // the sample store (both with and without fresh spilling).
     for policy in [SpillPolicy::InMemory, SpillPolicy::Threshold(3)] {
-        let resumed = resume_with(&executor, &root, Some(&spec), policy)
+        let resumed = resume(&executor, &root, Some(&spec), policy)
             .unwrap()
             .unwrap();
         assert_eq!(resumed.to_json(), reference, "policy {policy:?} diverged");
@@ -152,7 +153,14 @@ fn strip_samples_shrinks_the_log_and_keeps_every_path_byte_identical() {
     // A stripped directory still merges: its store rides along into the
     // merged directory and the report comes out byte-identical.
     let merged_root = temp_root("strip-merged");
-    let merged = merge(&executor, std::slice::from_ref(&root), &merged_root).unwrap();
+    let merged = merge(
+        &executor,
+        std::slice::from_ref(&root),
+        &merged_root,
+        SpillPolicy::default(),
+        false,
+    )
+    .unwrap();
     assert_eq!(merged.to_json(), reference);
     assert!(
         merged_root.join(SAMPLES_DIR).join("4.jsonl").exists(),
@@ -276,8 +284,16 @@ fn status_reports_progress_gaps_spill_and_union() {
 fn shard_status_counts_owned_indices_only() {
     let spec = sample_heavy_spec();
     let root = temp_root("shard-status");
-    let shard = dl2fence_campaign::ShardSlice { index: 1, count: 3 };
-    dl2fence_campaign::run_shard(&Executor::new(2), &spec, shard, &root).unwrap();
+    let shard = ShardSlice { index: 1, count: 3 };
+    assert!(run(
+        &Executor::new(2),
+        &spec,
+        &root,
+        Some(shard),
+        SpillPolicy::default()
+    )
+    .unwrap()
+    .is_none());
     let total = expand(&spec).unwrap().len();
 
     let report = status(std::slice::from_ref(&root)).unwrap();

@@ -14,9 +14,9 @@
 //!    crash mid-append), and an appending resume keeps `seq` unique across
 //!    the whole log.
 
-use dl2fence_campaign::stream::{run_streaming_expanded_with, SpillPolicy};
 use dl2fence_campaign::{
-    expand, read_events, summarize, CampaignSpec, Executor, WatchSnapshot, EVENTS_FILE,
+    expand, read_events, run, summarize, CampaignSpec, Executor, SpillPolicy, WatchSnapshot,
+    EVENTS_FILE,
 };
 use dl2fence_telemetry::{Event, EventData, Telemetry};
 use std::path::{Path, PathBuf};
@@ -38,7 +38,6 @@ fn temp_root(tag: &str) -> PathBuf {
 /// sink wired through the executor when `telemetry` is set, and returns
 /// `(campaign dir, report bytes)`.
 fn run_campaign(spec: &CampaignSpec, tag: &str, telemetry: bool) -> (PathBuf, String) {
-    let runs = expand(spec).unwrap();
     let root = temp_root(tag);
     std::fs::create_dir_all(&root).unwrap();
     let mut executor = Executor::new(2);
@@ -46,10 +45,10 @@ fn run_campaign(spec: &CampaignSpec, tag: &str, telemetry: bool) -> (PathBuf, St
         let sink = Telemetry::to_jsonl_file(&root.join(EVENTS_FILE)).unwrap();
         executor = executor.with_telemetry(sink);
     }
-    let report =
-        run_streaming_expanded_with(&executor, spec, &runs, &root, SpillPolicy::Threshold(4))
-            .unwrap()
-            .to_json();
+    let report = run(&executor, spec, &root, None, SpillPolicy::Threshold(4))
+        .unwrap()
+        .expect("a whole campaign builds a report")
+        .to_json();
     (root, report)
 }
 

@@ -7,7 +7,8 @@
 //! ```
 
 use dl2fence_campaign::{
-    expand, merge, run_shard, run_streaming, spec_fingerprint, CampaignSpec, Executor, ShardSlice,
+    expand, merge, run, run_streaming, spec_fingerprint, CampaignSpec, Executor, ShardSlice,
+    SpillPolicy,
 };
 
 const SPEC: &str = r#"
@@ -54,9 +55,12 @@ fn main() {
             count: SHARDS,
         };
         let dir = root.join(format!("shard-{index}"));
-        let executed = run_shard(&executor, &spec, shard, &dir).expect("shard run");
+        let report =
+            run(&executor, &spec, &dir, Some(shard), SpillPolicy::default()).expect("shard run");
+        assert!(report.is_none(), "a shard builds no report");
         println!(
-            "shard {index}/{SHARDS}: {executed} runs streamed to {}",
+            "shard {index}/{SHARDS}: {} runs streamed to {}",
+            shard.owned_indices(total).count(),
             dir.display()
         );
         shard_dirs.push(dir);
@@ -65,7 +69,14 @@ fn main() {
     // Merge verifies the shared fingerprint, unions the run logs (refusing
     // gaps and conflicts) and rebuilds the report incrementally.
     let merged_dir = root.join("merged");
-    let merged = merge(&executor, &shard_dirs, &merged_dir).expect("merge");
+    let merged = merge(
+        &executor,
+        &shard_dirs,
+        &merged_dir,
+        SpillPolicy::default(),
+        false,
+    )
+    .expect("merge");
     println!("merged {SHARDS} shards into {}", merged_dir.display());
 
     // The proof: a single-machine run of the same spec, byte-for-byte.

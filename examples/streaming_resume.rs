@@ -8,7 +8,9 @@
 //! ```
 
 use dl2fence_campaign::stream::RUNS_FILE;
-use dl2fence_campaign::{resume, run_streaming, spec_fingerprint, CampaignSpec, Executor};
+use dl2fence_campaign::{
+    resume, run_streaming, spec_fingerprint, CampaignSpec, Executor, SpillPolicy,
+};
 
 const SPEC: &str = r#"
 name = "streaming-demo"
@@ -69,7 +71,7 @@ fn main() {
     );
 
     // Resume re-executes only the missing indices and rebuilds the report.
-    let resumed = resume(&executor, &crashed, Some(&spec))
+    let resumed = resume(&executor, &crashed, Some(&spec), SpillPolicy::default())
         .expect("resume")
         .expect("a whole-campaign directory resumes to a report");
     assert_eq!(
