@@ -1,21 +1,26 @@
-//! CI throughput guard for the GEMM forward-path rework.
+//! CI throughput guard for the GEMM forward and backward paths.
 //!
-//! Times three detector forward paths over the same 64-frame batch with the
+//! Times three detector forward paths over the same 64-frame batch, and the
+//! forward and backward passes of one localizer training step, with the
 //! min-of-2 idiom (shed scheduler noise, keep the best run) and enforces:
 //!
 //! 1. **No f32 regression** — the batched GEMM path must not be slower than
 //!    the scalar seed kernels (5% wall-clock noise allowance).
 //! 2. **Int8 speedup** — the batched fused int8 path must reach at least
 //!    4× the scalar seed kernels' throughput.
+//! 3. **Backward bound** — the localizer's backward pass must take at most
+//!    [`BWD_OVER_FWD`]× its forward pass.
 //!
-//! Exits non-zero with a diagnostic when either bound is violated.
+//! Exits non-zero with a diagnostic when any bound is violated.
 
 use dl2fence_nn_bench::{
-    detector_frames, detector_model, min_time, stack_frames, ScalarDetector, KERNELS,
+    detector_frames, detector_model, localizer_model, min_time, pseudo_tensor, stack_frames,
+    ScalarDetector, KERNELS, MESH,
 };
 use std::hint::black_box;
 use std::process::ExitCode;
-use tinycnn::QuantizedModel;
+use std::time::{Duration, Instant};
+use tinycnn::{QuantizedModel, Tensor};
 
 /// Batch size of the headline claim (matches `Dl2Fence::DETECT_BATCH`).
 const BATCH: usize = 64;
@@ -25,6 +30,14 @@ const ITERS: usize = 30;
 const F32_SLACK: f64 = 1.05;
 /// Required int8 speedup over the scalar seed kernels.
 const INT8_SPEEDUP: f64 = 4.0;
+/// Minibatch of the timed localizer training step (the localizer trainer's).
+const TRAIN_BATCH: usize = 4;
+/// Training steps per timed run.
+const TRAIN_ITERS: usize = 200;
+/// Ceiling on localizer backward time over forward time: 3× headroom over
+/// the ~0.4–0.7× the slice kernels measure on a 2-vCPU x86-64 VM, where the
+/// seed's scalar backward loop measured ~30×.
+const BWD_OVER_FWD: f64 = 2.0;
 
 fn main() -> ExitCode {
     let frames = detector_frames(BATCH, 9);
@@ -60,7 +73,7 @@ fn main() -> ExitCode {
         }
     });
 
-    let per_frame = |d: std::time::Duration| d.as_secs_f64() / (ITERS * BATCH) as f64 * 1e6;
+    let per_frame = |d: Duration| d.as_secs_f64() / (ITERS * BATCH) as f64 * 1e6;
     println!(
         "detector forward @ batch {BATCH}, min-of-2 ({ITERS} iters/run):\n\
          scalar seed kernels : {:>9.3} µs/frame\n\
@@ -87,6 +100,48 @@ fn main() -> ExitCode {
         eprintln!("FAIL: batched int8 speedup {speedup:.2}x is below the required {INT8_SPEEDUP}x");
         return ExitCode::FAILURE;
     }
-    println!("nn-bench guard passed: f32 no regression, int8 {speedup:.2}x >= {INT8_SPEEDUP}x");
+
+    let (t_fwd, t_bwd) = localizer_step_times();
+    let ratio = t_bwd.as_secs_f64() / t_fwd.as_secs_f64();
+    println!(
+        "localizer training step @ batch {TRAIN_BATCH}, min-of-2 ({TRAIN_ITERS} iters/run):\n\
+         forward  : {:>9.3} µs/step\n\
+         backward : {:>9.3} µs/step  ({ratio:.2}x forward)",
+        t_fwd.as_secs_f64() / TRAIN_ITERS as f64 * 1e6,
+        t_bwd.as_secs_f64() / TRAIN_ITERS as f64 * 1e6,
+    );
+    if ratio > BWD_OVER_FWD {
+        eprintln!(
+            "FAIL: localizer backward takes {ratio:.2}x its forward, above the {BWD_OVER_FWD}x bound"
+        );
+        return ExitCode::FAILURE;
+    }
+    println!(
+        "nn-bench guard passed: f32 no regression, int8 {speedup:.2}x >= {INT8_SPEEDUP}x, \
+         backward {ratio:.2}x <= {BWD_OVER_FWD}x forward"
+    );
     ExitCode::SUCCESS
+}
+
+/// Min-of-2 forward and backward times of [`TRAIN_ITERS`] localizer training
+/// steps, each phase summed over the steps of one run.
+fn localizer_step_times() -> (Duration, Duration) {
+    let x = pseudo_tensor(5, &[TRAIN_BATCH, 1, MESH, MESH]);
+    let mut model = localizer_model(KERNELS, 31);
+    let grad = Tensor::ones(model.forward(&x).shape());
+    let mut run = || {
+        let (mut fwd, mut bwd) = (Duration::ZERO, Duration::ZERO);
+        for _ in 0..TRAIN_ITERS {
+            let start = Instant::now();
+            black_box(model.forward(&x));
+            let mid = Instant::now();
+            black_box(model.backward(&grad));
+            fwd += mid - start;
+            bwd += mid.elapsed();
+        }
+        (fwd, bwd)
+    };
+    run(); // warm-up
+    let (a, b) = (run(), run());
+    (a.0.min(b.0), a.1.min(b.1))
 }

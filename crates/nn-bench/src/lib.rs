@@ -1,4 +1,4 @@
-//! # dl2fence-nn-bench — forward-path micro-benchmarks
+//! # dl2fence-nn-bench — nn micro-benchmarks
 //!
 //! Fixtures and timing helpers for benchmarking the `tinycnn` inference
 //! path at three tiers:
@@ -14,7 +14,8 @@
 //! per-layer and whole-model numbers; the `nn_bench_guard` binary turns the
 //! two headline claims into a CI gate: batched f32 is no slower than the
 //! scalar seed kernels, and batched int8 reaches ≥4× their throughput at
-//! batch 64.
+//! batch 64. It also gates training: one localizer training step's backward
+//! pass must stay within a fixed multiple of its forward pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -101,6 +102,18 @@ pub fn detector_model(kernels: usize, seed: u64) -> Sequential {
         .push(MaxPool2d::new(2))
         .push(Flatten::new())
         .push(Dense::new(pooled_features(kernels), 1, seed + 1))
+        .push(Sigmoid::new())
+}
+
+/// The localizer CNN as `DosLocalizer` builds it: `Conv2d(1→k) → ReLU →
+/// Conv2d(k→k) → ReLU → Conv2d(k→1) → Sigmoid`, every conv 3×3 Same.
+pub fn localizer_model(kernels: usize, seed: u64) -> Sequential {
+    Sequential::new()
+        .push(Conv2d::new(1, kernels, 3, Padding::Same, seed))
+        .push(Relu::new())
+        .push(Conv2d::new(kernels, kernels, 3, Padding::Same, seed + 1))
+        .push(Relu::new())
+        .push(Conv2d::new(kernels, 1, 3, Padding::Same, seed + 100))
         .push(Sigmoid::new())
 }
 

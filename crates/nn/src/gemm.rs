@@ -19,6 +19,27 @@
 //! output elements, never the summation within one. This is what keeps the
 //! golden report corpus byte-identical while the hot path gets fast.
 //!
+//! The training kernel [`conv_backward_f32`] extends the contract to both
+//! gradient orders of the seed's scalar backward loop, which visited upstream
+//! gradients `g = dY[b, oc, y, x]` in `(b, oc, y, x)` order and scattered each
+//! over the `(ic, ky, kx)` window:
+//!
+//! - **dW and db** — every element accumulates its terms in `(b, y, x)`
+//!   ascending order, starting from its current value. The kernel keeps that
+//!   order with rank-1 updates `dW[oc, :] += g · col[b, y·ow + x, :]` over the
+//!   cached column matrix, each vectorized across the reduction dimension.
+//! - **dX** — every padded-input element receives its terms in `oc`-ascending,
+//!   then `(y, x)`-ascending order; for a fixed element that is `ky`
+//!   descending, then `kx` descending. The kernel loops
+//!   `oc → ic → ky↓ → kx↓ → y` and adds `g[y, ..ow] · w` to a contiguous row
+//!   of the padded gradient, then crops the padding.
+//!
+//! The seed loop skipped `g == 0`. The dW/db kernel keeps that skip (one
+//! branch per column row). The dX kernel drops it: its accumulators start at
+//! `+0.0` and a sum that starts at `+0.0` can never become `-0.0` under
+//! round-to-nearest, so adding `g · w = ±0` is a no-op for every finite
+//! weight.
+//!
 //! The int8 kernel ([`conv_forward_i8`], [`dense_forward_i8`]) is the
 //! accelerator-precision variant: symmetric per-tensor quantization (scales
 //! defined by [`crate::quantize`]), `i32` accumulation, and a fused epilogue
@@ -100,13 +121,15 @@ pub fn im2col<T: Copy + Default>(input: &[T], s: &ConvShape) -> Vec<T> {
                             continue;
                         }
                         let in_row = &in_plane[(iy - s.pad) * s.width..][..s.width];
-                        for kx in 0..s.kernel {
-                            let ix = x + kx;
-                            if ix >= s.pad && ix < s.width + s.pad {
-                                row[j] = in_row[ix - s.pad];
-                            }
-                            j += 1;
+                        // Taps `kx` in `lo..hi` land inside the input row;
+                        // copy them as one slice.
+                        let lo = s.pad.saturating_sub(x);
+                        let hi = (s.width + s.pad).saturating_sub(x).min(s.kernel);
+                        if lo < hi {
+                            row[j + lo..j + hi]
+                                .copy_from_slice(&in_row[x + lo - s.pad..x + hi - s.pad]);
                         }
+                        j += s.kernel;
                     }
                 }
             }
@@ -115,14 +138,14 @@ pub fn im2col<T: Copy + Default>(input: &[T], s: &ConvShape) -> Vec<T> {
     col
 }
 
-/// The cache-blocked f32 convolution: `weight` is the flat
-/// `[out_channels, in_channels, kernel, kernel]` tensor (row-major — already
-/// the `[out_channels, K]` GEMM operand), `bias` is `[out_channels]`, and the
-/// result is the flat `[batch, out_channels, oh, ow]` output.
+/// The cache-blocked f32 convolution over the [`im2col`] column matrix
+/// `col`: `weight` is the flat `[out_channels, in_channels, kernel, kernel]`
+/// tensor (row-major — already the `[out_channels, K]` GEMM operand), `bias`
+/// is `[out_channels]`, and the result is the flat
+/// `[batch, out_channels, oh, ow]` output.
 ///
 /// Bit-identical to the scalar seed kernel (see the module docs).
-pub fn conv_forward_f32(input: &[f32], weight: &[f32], bias: &[f32], s: &ConvShape) -> Vec<f32> {
-    let col = im2col(input, s);
+pub fn conv_forward_f32(col: &[f32], weight: &[f32], bias: &[f32], s: &ConvShape) -> Vec<f32> {
     let (spatial, k_dim) = (s.spatial(), s.k_dim());
     let mut out = vec![0.0f32; s.batch * s.out_channels * spatial];
     for b in 0..s.batch {
@@ -148,6 +171,73 @@ pub fn conv_forward_f32(input: &[f32], weight: &[f32], bias: &[f32], s: &ConvSha
         }
     }
     out
+}
+
+/// The f32 convolution backward pass over the forward pass's [`im2col`]
+/// column matrix `col`. Accumulates the weight and bias gradients into
+/// `weight_grad` (`[out_channels, K]`) and `bias_grad` (`[out_channels]`) and
+/// returns the flat `[batch, in_channels, height, width]` input gradient for
+/// the flat `[batch, out_channels, oh, ow]` upstream gradient `grad_output`.
+///
+/// Bit-identical to the scalar seed backward loop (see the module docs).
+pub fn conv_backward_f32(
+    col: &[f32],
+    weight: &[f32],
+    grad_output: &[f32],
+    weight_grad: &mut [f32],
+    bias_grad: &mut [f32],
+    s: &ConvShape,
+) -> Vec<f32> {
+    let (spatial, k_dim, k, ow) = (s.spatial(), s.k_dim(), s.kernel, s.out_width());
+    let (ph, pw) = (s.height + 2 * s.pad, s.width + 2 * s.pad);
+    let mut grad_padded = vec![0.0f32; s.batch * s.in_channels * ph * pw];
+    for b in 0..s.batch {
+        let col_b = &col[b * spatial * k_dim..][..spatial * k_dim];
+        let g_b = &grad_output[b * s.out_channels * spatial..][..s.out_channels * spatial];
+        let gp_b = &mut grad_padded[b * s.in_channels * ph * pw..][..s.in_channels * ph * pw];
+        for oc in 0..s.out_channels {
+            let g_plane = &g_b[oc * spatial..][..spatial];
+            // dW, db: rank-1 updates, column rows in (y, x) order.
+            let dw_row = &mut weight_grad[oc * k_dim..][..k_dim];
+            for (col_row, &g) in col_b.chunks_exact(k_dim).zip(g_plane) {
+                if g == 0.0 {
+                    continue;
+                }
+                bias_grad[oc] += g;
+                for (d, &v) in dw_row.iter_mut().zip(col_row) {
+                    *d += g * v;
+                }
+            }
+            // dX: scatter each tap's weight over whole output rows, taps in
+            // (ky, kx) descending order.
+            for ic in 0..s.in_channels {
+                let w_taps = &weight[(oc * s.in_channels + ic) * k * k..][..k * k];
+                let gp_plane = &mut gp_b[ic * ph * pw..][..ph * pw];
+                for ky in (0..k).rev() {
+                    for kx in (0..k).rev() {
+                        let w = w_taps[ky * k + kx];
+                        for (y, g_row) in g_plane.chunks_exact(ow).enumerate() {
+                            let dst = &mut gp_plane[(y + ky) * pw + kx..][..ow];
+                            for (d, &g) in dst.iter_mut().zip(g_row) {
+                                *d += g * w;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    if s.pad == 0 {
+        return grad_padded;
+    }
+    // Crop the padding back off.
+    let mut grad_input = Vec::with_capacity(s.batch * s.in_channels * s.height * s.width);
+    for plane in grad_padded.chunks_exact(ph * pw) {
+        for row in plane.chunks_exact(pw).skip(s.pad).take(s.height) {
+            grad_input.extend_from_slice(&row[s.pad..][..s.width]);
+        }
+    }
+    grad_input
 }
 
 /// The fused int8 convolution: `col`-side input is quantized by the caller
@@ -306,7 +396,7 @@ mod tests {
         let input = pseudo(1, s.batch * s.in_channels * s.height * s.width);
         let weight = pseudo(2, s.out_channels * s.k_dim());
         let bias = pseudo(3, s.out_channels);
-        let fast = conv_forward_f32(&input, &weight, &bias, &s);
+        let fast = conv_forward_f32(&im2col(&input, &s), &weight, &bias, &s);
         let slow = naive_conv(&input, &weight, &bias, &s);
         assert_eq!(fast.len(), slow.len());
         for (a, b) in fast.iter().zip(&slow) {
@@ -328,7 +418,7 @@ mod tests {
         let input = pseudo(7, s.batch * s.in_channels * s.height * s.width);
         let weight = pseudo(8, s.out_channels * s.k_dim());
         let bias = pseudo(9, s.out_channels);
-        let fast = conv_forward_f32(&input, &weight, &bias, &s);
+        let fast = conv_forward_f32(&im2col(&input, &s), &weight, &bias, &s);
         let slow = naive_conv(&input, &weight, &bias, &s);
         for (a, b) in fast.iter().zip(&slow) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -350,7 +440,7 @@ mod tests {
         let input = pseudo(11, s.height * s.width);
         let weight = pseudo(12, s.out_channels * s.k_dim());
         let bias = pseudo(13, s.out_channels);
-        let fast = conv_forward_f32(&input, &weight, &bias, &s);
+        let fast = conv_forward_f32(&im2col(&input, &s), &weight, &bias, &s);
         let slow = naive_conv(&input, &weight, &bias, &s);
         for (a, b) in fast.iter().zip(&slow) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -371,7 +461,7 @@ mod tests {
         let input = pseudo(21, s.batch * s.in_channels * s.height * s.width);
         let weight = pseudo(22, s.out_channels * s.k_dim());
         let bias = pseudo(23, s.out_channels);
-        let f32_out = conv_forward_f32(&input, &weight, &bias, &s);
+        let f32_out = conv_forward_f32(&im2col(&input, &s), &weight, &bias, &s);
 
         let in_scale = crate::quantize::symmetric_scale_i8(&input);
         let w_scale = crate::quantize::symmetric_scale_i8(&weight);

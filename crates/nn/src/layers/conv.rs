@@ -43,7 +43,10 @@ pub struct Conv2d {
     bias: Tensor,
     weight_grad: Tensor,
     bias_grad: Tensor,
-    cached_input: Option<Tensor>,
+    /// The last `forward` call's geometry and [`gemm::im2col`] column
+    /// matrix: the backward kernels read the input windows from it.
+    /// `backward` consumes it, so a trained layer holds no stale columns.
+    cached_col: Option<(ConvShape, Vec<f32>)>,
 }
 
 impl Conv2d {
@@ -76,7 +79,7 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_channels]),
             weight_grad: Tensor::zeros(&wshape),
             bias_grad: Tensor::zeros(&[out_channels]),
-            cached_input: None,
+            cached_col: None,
         }
     }
 
@@ -109,7 +112,7 @@ impl Conv2d {
             bias_grad: Tensor::zeros(&[out_channels]),
             weight,
             bias,
-            cached_input: None,
+            cached_col: None,
         }
     }
 
@@ -155,6 +158,15 @@ impl Conv2d {
             kernel: k,
             pad: p,
         }
+    }
+
+    /// Runs the GEMM over an [`gemm::im2col`] column matrix of `s`.
+    fn output(&self, col: &[f32], s: &ConvShape) -> Tensor {
+        let out = gemm::conv_forward_f32(col, self.weight.data(), self.bias.data(), s);
+        Tensor::from_vec(
+            out,
+            &[s.batch, self.out_channels, s.out_height(), s.out_width()],
+        )
     }
 
     /// The scalar seed kernel, kept as the oracle the GEMM path is proven
@@ -224,79 +236,37 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = self.infer(input);
-        self.cached_input = Some(input.clone());
+        let s = self.conv_shape(input);
+        let col = gemm::im2col(input.data(), &s);
+        let out = self.output(&col, &s);
+        self.cached_col = Some((s, col));
         out
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
         let s = self.conv_shape(input);
-        let out = gemm::conv_forward_f32(input.data(), self.weight.data(), self.bias.data(), &s);
-        Tensor::from_vec(
-            out,
-            &[s.batch, self.out_channels, s.out_height(), s.out_width()],
-        )
+        self.output(&gemm::im2col(input.data(), &s), &s)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward")
-            .clone();
-        let padded = self.padded(&input);
-        let p = self.pad_amount();
-        let (n, _, ph, pw) = dims4(&padded);
-        let (_, _, ih, iw) = dims4(&input);
-        let (_, _, oh, ow) = dims4(grad_output);
-        let k = self.kernel;
-
-        let mut grad_padded = Tensor::zeros(&[n, self.in_channels, ph, pw]);
-        for b in 0..n {
-            for oc in 0..self.out_channels {
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let g = grad_output.get(&[b, oc, y, x]);
-                        if g == 0.0 {
-                            continue;
-                        }
-                        // Bias gradient.
-                        let bg = self.bias_grad.get(&[oc]) + g;
-                        self.bias_grad.set(&[oc], bg);
-                        for ic in 0..self.in_channels {
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    // Weight gradient.
-                                    let wg = self.weight_grad.get(&[oc, ic, ky, kx])
-                                        + g * padded.get(&[b, ic, y + ky, x + kx]);
-                                    self.weight_grad.set(&[oc, ic, ky, kx], wg);
-                                    // Input gradient.
-                                    let ig = grad_padded.get(&[b, ic, y + ky, x + kx])
-                                        + g * self.weight.get(&[oc, ic, ky, kx]);
-                                    grad_padded.set(&[b, ic, y + ky, x + kx], ig);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        if p == 0 {
-            return grad_padded;
-        }
-        // Crop the padding back off.
-        let mut grad_input = Tensor::zeros(&[n, self.in_channels, ih, iw]);
-        for b in 0..n {
-            for ic in 0..self.in_channels {
-                for y in 0..ih {
-                    for x in 0..iw {
-                        grad_input.set(&[b, ic, y, x], grad_padded.get(&[b, ic, y + p, x + p]));
-                    }
-                }
-            }
-        }
-        grad_input
+        let (s, col) = self
+            .cached_col
+            .take()
+            .expect("backward called before forward");
+        assert_eq!(
+            grad_output.shape(),
+            &[s.batch, s.out_channels, s.out_height(), s.out_width()],
+            "grad_output shape does not match the last forward output"
+        );
+        let grad_input = gemm::conv_backward_f32(
+            &col,
+            self.weight.data(),
+            grad_output.data(),
+            self.weight_grad.data_mut(),
+            self.bias_grad.data_mut(),
+            &s,
+        );
+        Tensor::from_vec(grad_input, &[s.batch, s.in_channels, s.height, s.width])
     }
 
     fn params_mut(&mut self) -> Vec<ParamGrad<'_>> {
@@ -330,6 +300,152 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::proptest;
+
+    /// The scalar seed backward loop, kept as the oracle the slice kernels
+    /// are proven bit-identical against.
+    fn backward_oracle(conv: &mut Conv2d, input: &Tensor, grad_output: &Tensor) -> Tensor {
+        let padded = conv.padded(input);
+        let p = conv.pad_amount();
+        let (n, _, ph, pw) = dims4(&padded);
+        let (_, _, ih, iw) = dims4(input);
+        let (_, _, oh, ow) = dims4(grad_output);
+        let k = conv.kernel;
+
+        let mut grad_padded = Tensor::zeros(&[n, conv.in_channels, ph, pw]);
+        for b in 0..n {
+            for oc in 0..conv.out_channels {
+                for y in 0..oh {
+                    for x in 0..ow {
+                        let g = grad_output.get(&[b, oc, y, x]);
+                        if g == 0.0 {
+                            continue;
+                        }
+                        let bg = conv.bias_grad.get(&[oc]) + g;
+                        conv.bias_grad.set(&[oc], bg);
+                        for ic in 0..conv.in_channels {
+                            for ky in 0..k {
+                                for kx in 0..k {
+                                    let wg = conv.weight_grad.get(&[oc, ic, ky, kx])
+                                        + g * padded.get(&[b, ic, y + ky, x + kx]);
+                                    conv.weight_grad.set(&[oc, ic, ky, kx], wg);
+                                    let ig = grad_padded.get(&[b, ic, y + ky, x + kx])
+                                        + g * conv.weight.get(&[oc, ic, ky, kx]);
+                                    grad_padded.set(&[b, ic, y + ky, x + kx], ig);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        if p == 0 {
+            return grad_padded;
+        }
+        let mut grad_input = Tensor::zeros(&[n, conv.in_channels, ih, iw]);
+        for b in 0..n {
+            for ic in 0..conv.in_channels {
+                for y in 0..ih {
+                    for x in 0..iw {
+                        grad_input.set(&[b, ic, y, x], grad_padded.get(&[b, ic, y + p, x + p]));
+                    }
+                }
+            }
+        }
+        grad_input
+    }
+
+    fn assert_bits_eq(fast: &Tensor, oracle: &Tensor, what: &str) {
+        assert_eq!(fast.shape(), oracle.shape(), "{what} shape");
+        for (i, (a, b)) in fast.data().iter().zip(oracle.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}[{i}]: {a} vs oracle {b}");
+        }
+    }
+
+    /// A pseudo-random upstream gradient where every `zero_every`-th element
+    /// is an exact zero, alternating `+0.0` and `-0.0`.
+    fn sparse_grad(shape: &[usize], zero_every: usize, seed: u64) -> Tensor {
+        let mut g = Init::XavierUniform.make(shape, 9, 9, seed);
+        for (i, v) in g.data_mut().iter_mut().enumerate() {
+            if i.is_multiple_of(zero_every) {
+                *v = if (i / zero_every).is_multiple_of(2) {
+                    0.0
+                } else {
+                    -0.0
+                };
+            }
+        }
+        g
+    }
+
+    /// Two `forward` + `backward` steps on `[batch, in, h, w]` inputs, run
+    /// on `conv` and on a clone through the oracle — no `zero_grad` in
+    /// between, so accumulation is checked too — comparing dX, dW and db
+    /// bitwise.
+    fn check_two_steps(
+        mut conv: Conv2d,
+        batch: usize,
+        h: usize,
+        w: usize,
+        zero_every: usize,
+        seed: u64,
+    ) {
+        let s = conv.conv_shape(&Tensor::zeros(&[batch, conv.in_channels, h, w]));
+        let out_shape = [batch, conv.out_channels, s.out_height(), s.out_width()];
+        let mut oracle = conv.clone();
+        for step in 0..2u64 {
+            let x = Init::XavierUniform.make(&[batch, conv.in_channels, h, w], 9, 9, seed + step);
+            let g = sparse_grad(&out_shape, zero_every, seed + 10 + step);
+            conv.forward(&x);
+            let dx = conv.backward(&g);
+            assert_bits_eq(&dx, &backward_oracle(&mut oracle, &x, &g), "dX");
+        }
+        assert_bits_eq(&conv.weight_grad, &oracle.weight_grad, "dW");
+        assert_bits_eq(&conv.bias_grad, &oracle.bias_grad, "db");
+    }
+
+    #[test]
+    fn production_shapes_backward_is_bit_identical_to_scalar_oracle() {
+        // Detector 4→8 Valid and localizer 1→8, 8→8, 8→1 Same, on the 8×8
+        // mesh and on 16×16 (spatial 196/256 > SPATIAL_TILE).
+        let shapes = [
+            (4, 8, Padding::Valid),
+            (1, 8, Padding::Same),
+            (8, 8, Padding::Same),
+            (8, 1, Padding::Same),
+        ];
+        for (i, &(ic, oc, padding)) in shapes.iter().enumerate() {
+            for mesh in [8, 16] {
+                let seed = 40 + i as u64 * 7 + mesh as u64;
+                let conv = Conv2d::new(ic, oc, 3, padding, seed);
+                check_two_steps(conv, 3, mesh, mesh, 3, seed);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn slice_backward_is_bit_identical_to_scalar_oracle(
+            batch in 1usize..4,
+            in_channels in 1usize..5,
+            out_channels in 1usize..5,
+            kernel in 1usize..4,
+            extra_h in 0usize..12,
+            extra_w in 0usize..12,
+            pad_same in 0u8..2,
+            zero_every in 1usize..6,
+            seed in 0u64..1_000_000,
+        ) {
+            let padding = if pad_same == 1 && kernel % 2 == 1 {
+                Padding::Same
+            } else {
+                Padding::Valid
+            };
+            let conv = Conv2d::new(in_channels, out_channels, kernel, padding, seed);
+            check_two_steps(conv, batch, kernel + extra_h, kernel + extra_w, zero_every, seed);
+        }
+    }
 
     #[test]
     fn valid_padding_shrinks_output() {
@@ -432,10 +548,21 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 3, Padding::Same, 9);
         let x = crate::init::Init::XavierUniform.make(&[1, 2, 6, 6], 18, 18, 4);
         let from_infer = conv.infer(&x);
-        assert!(conv.cached_input.is_none(), "infer must not cache");
+        assert!(conv.cached_col.is_none(), "infer must not cache");
         let from_forward = conv.forward(&x);
-        assert!(conv.cached_input.is_some(), "forward must cache");
+        assert!(conv.cached_col.is_some(), "forward must cache");
         assert_eq!(from_infer.data(), from_forward.data());
+    }
+
+    #[test]
+    fn backward_consumes_the_column_cache() {
+        let mut conv = Conv2d::new(1, 2, 3, Padding::Same, 4);
+        let y = conv.forward(&Tensor::ones(&[1, 1, 4, 4]));
+        conv.backward(&Tensor::ones(y.shape()));
+        assert!(
+            conv.cached_col.is_none(),
+            "a trained layer must not keep its columns"
+        );
     }
 
     #[test]

@@ -49,6 +49,9 @@ pub trait Layer: Send {
     /// output) backwards, accumulating parameter gradients and returning the
     /// gradient w.r.t. this layer's input.
     ///
+    /// A layer may consume its forward cache here ([`Conv2d`] does), so
+    /// every `backward` needs its own preceding `forward`.
+    ///
     /// # Panics
     ///
     /// Implementations panic if called before `forward`.
@@ -102,11 +105,48 @@ mod tests {
         }
     }
 
+    /// The parameter-gradient counterpart of [`check_input_gradient`]:
+    /// verifies every gradient `backward` accumulates into
+    /// [`Layer::params_mut`] (weights and biases) against a central-difference
+    /// estimate of d(sum(output))/d(parameter).
+    pub(crate) fn check_param_gradients<L: Layer>(layer: &mut L, input: &Tensor, tol: f32) {
+        layer.zero_grad();
+        let out = layer.forward(input);
+        layer.backward(&Tensor::ones(out.shape()));
+        let analytic: Vec<Tensor> = layer
+            .params_mut()
+            .into_iter()
+            .map(|(_, g)| g.clone())
+            .collect();
+        assert!(!analytic.is_empty(), "layer has no parameters to check");
+
+        let eps = 1e-3f32;
+        let sum_with = |layer: &mut L, param: usize, i: usize, delta: f32| {
+            layer.params_mut()[param].0.data_mut()[i] += delta;
+            let f = layer.forward(input).sum();
+            layer.params_mut()[param].0.data_mut()[i] -= delta;
+            f
+        };
+        for (param, grads) in analytic.iter().enumerate() {
+            for (i, &a) in grads.data().iter().enumerate() {
+                let numeric = (sum_with(layer, param, i, eps) - sum_with(layer, param, i, -eps))
+                    / (2.0 * eps);
+                assert!(
+                    (a - numeric).abs() < tol,
+                    "param {param} gradient mismatch at {i}: analytic {a}, numeric {numeric}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn conv_layer_gradient_check() {
-        let mut layer = Conv2d::new(1, 2, 3, Padding::Valid, 11);
-        let input = crate::init::Init::XavierUniform.make(&[1, 1, 5, 5], 25, 25, 3);
-        check_input_gradient(&mut layer, &input, 1e-2);
+        for (padding, seed) in [(Padding::Valid, 11), (Padding::Same, 12)] {
+            let mut layer = Conv2d::new(2, 3, 3, padding, seed);
+            let input = crate::init::Init::XavierUniform.make(&[2, 2, 5, 6], 25, 25, seed + 3);
+            check_input_gradient(&mut layer, &input, 1e-2);
+            check_param_gradients(&mut layer, &input, 2e-2);
+        }
     }
 
     #[test]
@@ -114,6 +154,7 @@ mod tests {
         let mut layer = Dense::new(6, 3, 5);
         let input = crate::init::Init::XavierUniform.make(&[2, 6], 6, 3, 8);
         check_input_gradient(&mut layer, &input, 1e-2);
+        check_param_gradients(&mut layer, &input, 1e-2);
     }
 
     #[test]

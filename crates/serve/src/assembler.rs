@@ -31,6 +31,10 @@ pub enum RejectReason {
     /// The frame arrived out of E, N, W, S order for its kind; the
     /// partially assembled bundle of that kind is discarded.
     DirectionOrder,
+    /// The frame holds a NaN or infinite value. The frame is rejected
+    /// before assembly; the partial bundle of its kind is kept, so the
+    /// tenant can resend a finite frame for the same direction.
+    NonFinite,
 }
 
 impl RejectReason {
@@ -42,16 +46,18 @@ impl RejectReason {
             RejectReason::ShapeMismatch => "shape_mismatch",
             RejectReason::KindMismatch => "kind_mismatch",
             RejectReason::DirectionOrder => "direction_order",
+            RejectReason::NonFinite => "non_finite",
         }
     }
 
     /// Every reason, for exhaustive counter reporting.
-    pub const ALL: [RejectReason; 5] = [
+    pub const ALL: [RejectReason; 6] = [
         RejectReason::QueueFull,
         RejectReason::TenantLimit,
         RejectReason::ShapeMismatch,
         RejectReason::KindMismatch,
         RejectReason::DirectionOrder,
+        RejectReason::NonFinite,
     ];
 }
 
@@ -143,6 +149,9 @@ impl FrameAssembler {
         let kind = frame.kind();
         if kind != self.detection_kind && kind != self.localization_kind {
             return Err(RejectReason::KindMismatch);
+        }
+        if !frame.data().iter().all(|v| v.is_finite()) {
+            return Err(RejectReason::NonFinite);
         }
         let partial = if kind == self.detection_kind {
             &mut self.partial_detection
@@ -292,6 +301,26 @@ mod tests {
             let _ = a.ingest(frame(dir, FeatureKind::Vco));
         }
         assert_eq!(a.queued(), 1);
+    }
+
+    #[test]
+    fn non_finite_frames_are_rejected_before_assembly() {
+        let mut a = FrameAssembler::new(0, 4, 4, FeatureKind::Vco, FeatureKind::Vco, 1);
+        assert_eq!(a.ingest(frame(Direction::East, FeatureKind::Vco)), Ok(None));
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut data = vec![0.5; 16];
+            data[5] = bad;
+            let poisoned = FeatureFrame::new(Direction::North, FeatureKind::Vco, 4, 4, data);
+            assert_eq!(a.ingest(poisoned), Err(RejectReason::NonFinite));
+        }
+        // The partial East frame survived: finishing N, W, S completes
+        // the window.
+        let mut last = Ok(None);
+        for dir in &Direction::CARDINAL[1..] {
+            last = a.ingest(frame(*dir, FeatureKind::Vco));
+        }
+        assert_eq!(last, Ok(Some(0)));
+        assert_eq!(RejectReason::NonFinite.name(), "non_finite");
     }
 
     #[test]
