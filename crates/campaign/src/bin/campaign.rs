@@ -20,7 +20,7 @@
 use dl2fence_campaign::{
     compact, expand, merge, resume, run, serve_sched, spec_fingerprint, status, summarize_events,
     work, CampaignOutcome, CampaignReport, CampaignSpec, Executor, ServeOptions, ShardSlice,
-    SpillPolicy, WatchSnapshot, WorkOptions, EVENTS_FILE,
+    WatchSnapshot, WorkOptions, EVENTS_FILE,
 };
 use dl2fence_telemetry::Telemetry;
 use std::io::IsTerminal as _;
@@ -33,18 +33,16 @@ usage:
   campaign expand <spec.toml|spec.json>
       Print the expanded run matrix as JSON (one run per line).
   campaign run <spec.toml|spec.json> [--workers N] [--out DIR] [--quiet]
-               [--spill-threshold N | --no-spill] [--telemetry]
+               [--telemetry]
       Execute the campaign. Without --out the aggregated JSON report goes to
       stdout; with --out DIR every finished run is streamed to DIR/runs.jsonl
       as it completes and the report lands in DIR/report.json (a DIR ending
-      in .json is treated as a plain report file instead). Eval-phase sample
-      pools spill to DIR/samples/ past --spill-threshold (default 65536)
-      unless --no-spill buffers them all in memory.
+      in .json is treated as a plain report file instead).
       --workers defaults to the machine's available parallelism.
       --telemetry (needs --out DIR) streams structured span/counter/histogram
       events to DIR/events.jsonl for `watch` and `report --timings`.
   campaign resume <campaign-dir> [--spec PATH] [--workers N] [--quiet]
-                  [--spill-threshold N | --no-spill] [--telemetry]
+                  [--telemetry]
       Resume an interrupted `run --out` or `shard` campaign: verify the
       stored spec fingerprint (and PATH's, when given), re-execute only the
       missing run indices, and — for whole-campaign directories — rebuild a
@@ -58,7 +56,6 @@ usage:
       to an ordinary campaign directory whose manifest records the slice.
       Run one shard per machine, collect the directories, then `merge`.
   campaign merge <dir>... --out DIR [--workers N] [--reexec-gaps] [--quiet]
-                 [--spill-threshold N | --no-spill]
       Merge shard directories sharing one spec fingerprint into DIR: the
       union of their run logs (identical duplicates dedupe; gaps and
       conflicts are refused) and sample stores, plus a report.json
@@ -69,7 +66,7 @@ usage:
       its workers/ records.
   campaign serve-sched <campaign-dir> [--spec PATH] [--workers N] [--quiet]
                        [--lease-size N] [--lease-ttl SECS] [--poll SECS]
-                       [--spill-threshold N | --no-spill] [--telemetry]
+                       [--telemetry]
       Coordinate a worker fleet over a shared filesystem: lease bounded
       run-index batches (default --lease-size 4) to `work` processes,
       expire and re-issue leases whose worker stops reporting progress for
@@ -98,8 +95,8 @@ usage:
       during the rewrite would be lost) — status is the live-safe command.
   campaign status <dir>... [--json]
       Read-only progress inspection: per directory the stored/missing run
-      counts, exact gap list, shard slice, torn-tail state, log and spill
-      sizes; over several directories, the union gap list a merge would
+      counts, exact gap list, shard slice, torn-tail state, log and sample
+      store sizes; over several directories, the union gap list a merge would
       refuse on. A coordinator directory counts its workers/ records.
       Safe to run while a campaign is executing.
   campaign watch <campaign-dir> [--interval SECS] [--json]
@@ -157,8 +154,6 @@ struct Flags {
     out: Option<PathBuf>,
     shards: Option<usize>,
     index: Option<usize>,
-    spill_threshold: Option<usize>,
-    no_spill: bool,
     reexec_gaps: bool,
     telemetry: bool,
     quiet: bool,
@@ -200,7 +195,6 @@ impl Flags {
                 "--workers" => flags.workers = Some(parse_count(flag, value()?)?),
                 "--shards" => flags.shards = Some(parse_count(flag, value()?)?),
                 "--index" => flags.index = Some(parse_count(flag, value()?)?),
-                "--spill-threshold" => flags.spill_threshold = Some(parse_count(flag, value()?)?),
                 "--fail-after" => flags.fail_after = Some(parse_count(flag, value()?)?),
                 "--lease-size" => {
                     let size = parse_count(flag, value()?)?;
@@ -219,7 +213,6 @@ impl Flags {
                         .map_err(|_| format!("invalid interval `{v}`"))?;
                     flags.interval = Some(secs);
                 }
-                "--no-spill" => flags.no_spill = true,
                 "--reexec-gaps" => flags.reexec_gaps = true,
                 "--telemetry" => flags.telemetry = true,
                 "--quiet" => flags.quiet = true,
@@ -229,19 +222,7 @@ impl Flags {
                 other => unreachable!("allowed flag `{other}` has no parser"),
             }
         }
-        if flags.no_spill && flags.spill_threshold.is_some() {
-            return Err("--no-spill and --spill-threshold are mutually exclusive".to_string());
-        }
         Ok(flags)
-    }
-
-    /// The spill policy `--no-spill` / `--spill-threshold` select.
-    fn spill(&self) -> SpillPolicy {
-        match (self.no_spill, self.spill_threshold) {
-            (true, _) => SpillPolicy::InMemory,
-            (false, Some(threshold)) => SpillPolicy::Threshold(threshold),
-            (false, None) => SpillPolicy::default(),
-        }
     }
 
     /// The shard slice `--shards` and `--index` select together.
@@ -330,10 +311,7 @@ fn cmd_run(args: &[String], sharded: bool) -> Result<(), String> {
             "--shards --index --out --workers --quiet --telemetry",
         )
     } else {
-        (
-            "run",
-            "--out --workers --quiet --spill-threshold --no-spill --telemetry",
-        )
+        ("run", "--out --workers --quiet --telemetry")
     };
     let flags = Flags::parse(args, allowed)?;
     let spec = load_spec(flags.single_path(what)?)?;
@@ -351,11 +329,6 @@ fn cmd_run(args: &[String], sharded: bool) -> Result<(), String> {
         if out.is_none() {
             return Err("shard needs --out DIR".to_string());
         }
-    }
-    if out.is_none() && flags.spill_threshold.is_some() {
-        return Err(
-            "--spill-threshold needs a campaign directory (run with --out DIR)".to_string(),
-        );
     }
     let executor = flags.executor(out.map(PathBuf::as_path))?;
     let announce = |runs: String| {
@@ -375,7 +348,7 @@ fn cmd_run(args: &[String], sharded: bool) -> Result<(), String> {
         // `run` expands the spec itself; the summary line counts the runs.
         announce(String::new());
         let started = Instant::now();
-        let report = run(&executor, &spec, dir, shard, flags.spill()).map_err(|e| e.to_string())?;
+        let report = run(&executor, &spec, dir, shard).map_err(|e| e.to_string())?;
         finish_dir(report, started, dir, flags.quiet);
         return Ok(());
     }
@@ -397,10 +370,7 @@ fn cmd_run(args: &[String], sharded: bool) -> Result<(), String> {
 }
 
 fn cmd_resume(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(
-        args,
-        "--spec --workers --quiet --spill-threshold --no-spill --telemetry",
-    )?;
+    let flags = Flags::parse(args, "--spec --workers --quiet --telemetry")?;
     let dir = Path::new(flags.single_path("resume")?);
     let expected = flags.spec.as_deref().map(load_spec).transpose()?;
     let executor = flags.executor(Some(dir))?;
@@ -412,17 +382,13 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
         );
     }
     let started = Instant::now();
-    let report =
-        resume(&executor, dir, expected.as_ref(), flags.spill()).map_err(|e| e.to_string())?;
+    let report = resume(&executor, dir, expected.as_ref()).map_err(|e| e.to_string())?;
     finish_dir(report, started, dir, flags.quiet);
     Ok(())
 }
 
 fn cmd_merge(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(
-        args,
-        "--out --workers --reexec-gaps --quiet --spill-threshold --no-spill",
-    )?;
+    let flags = Flags::parse(args, "--out --workers --reexec-gaps --quiet")?;
     if flags.paths.is_empty() {
         return Err("merge needs at least one shard directory".to_string());
     }
@@ -438,8 +404,7 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
         );
     }
     let started = Instant::now();
-    let report = merge(&executor, &inputs, &out, flags.spill(), flags.reexec_gaps)
-        .map_err(|e| e.to_string())?;
+    let report = merge(&executor, &inputs, &out, flags.reexec_gaps).map_err(|e| e.to_string())?;
     finish(
         &report,
         started,
@@ -452,8 +417,7 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
 fn cmd_serve_sched(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(
         args,
-        "--spec --workers --quiet --lease-size --lease-ttl --poll --spill-threshold \
-         --no-spill --telemetry",
+        "--spec --workers --quiet --lease-size --lease-ttl --poll --telemetry",
     )?;
     let dir = Path::new(flags.single_path("serve-sched")?);
     let defaults = ServeOptions::default();
@@ -461,7 +425,6 @@ fn cmd_serve_sched(args: &[String]) -> Result<(), String> {
         lease_size: flags.lease_size.unwrap_or(defaults.lease_size),
         lease_ttl: flags.lease_ttl.unwrap_or(defaults.lease_ttl),
         poll: flags.poll.unwrap_or(defaults.poll),
-        spill: flags.spill(),
     };
     let spec = flags.spec.as_deref().map(load_spec).transpose()?;
     let executor = flags.executor(Some(dir))?;

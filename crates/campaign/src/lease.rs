@@ -97,6 +97,55 @@ pub struct LedgerRecord {
     pub reissued_indices: usize,
 }
 
+impl LedgerRecord {
+    /// The [`LEDGER_ISSUED`] record of granting `lease`, of whose indices
+    /// `reissued_indices` had been leased before.
+    pub fn issued(lease: &Lease, reissued_indices: usize) -> Self {
+        LedgerRecord {
+            kind: LEDGER_ISSUED.to_string(),
+            id: lease.id,
+            worker: lease.worker.clone(),
+            indices: lease.indices.clone(),
+            fingerprint: lease.fingerprint.clone(),
+            deadline_us: lease.deadline_us,
+            index: None,
+            reissued_indices,
+        }
+    }
+
+    /// The [`LEDGER_PROGRESS`] record of lease `id` completing run `index`,
+    /// which extended its deadline to `deadline_us`.
+    pub fn progress(id: u64, index: usize, deadline_us: u64) -> Self {
+        LedgerRecord {
+            kind: LEDGER_PROGRESS.to_string(),
+            id,
+            index: Some(index),
+            deadline_us,
+            ..LedgerRecord::default()
+        }
+    }
+
+    /// The [`LEDGER_COMPLETED`] record of lease `id`.
+    pub fn completed(id: u64) -> Self {
+        LedgerRecord {
+            kind: LEDGER_COMPLETED.to_string(),
+            id,
+            ..LedgerRecord::default()
+        }
+    }
+
+    /// The [`LEDGER_EXPIRED`] record of `lease`, returning its unfinished
+    /// indices to the pending queue.
+    pub fn expired(lease: &Lease) -> Self {
+        LedgerRecord {
+            kind: LEDGER_EXPIRED.to_string(),
+            id: lease.id,
+            indices: lease.remaining.clone(),
+            ..LedgerRecord::default()
+        }
+    }
+}
+
 /// Appends one record to an open ledger handle, flushed like a run record —
 /// a crash after this call cannot lose the transition.
 ///
@@ -250,16 +299,14 @@ mod tests {
         root
     }
 
-    fn issued(id: u64, worker: &str, indices: Vec<usize>, reissued: usize) -> LedgerRecord {
-        LedgerRecord {
-            kind: LEDGER_ISSUED.to_string(),
+    fn lease(id: u64, worker: &str, indices: Vec<usize>) -> Lease {
+        Lease {
             id,
             worker: worker.to_string(),
+            remaining: indices.clone(),
             indices,
             fingerprint: "f00d".to_string(),
             deadline_us: 1_000,
-            index: None,
-            reissued_indices: reissued,
         }
     }
 
@@ -267,39 +314,16 @@ mod tests {
     fn ledger_round_trips_and_builds_the_lease_table() {
         let root = temp_root("table");
         let mut writer = open_ledger_for_append(&root).unwrap();
-        append_ledger(&mut writer, &issued(0, "w1", vec![0, 1], 0)).unwrap();
-        append_ledger(&mut writer, &issued(1, "w2", vec![2, 3], 0)).unwrap();
-        append_ledger(
-            &mut writer,
-            &LedgerRecord {
-                kind: LEDGER_PROGRESS.to_string(),
-                id: 0,
-                index: Some(0),
-                deadline_us: 2_000,
-                ..LedgerRecord::default()
-            },
-        )
-        .unwrap();
-        append_ledger(
-            &mut writer,
-            &LedgerRecord {
-                kind: LEDGER_EXPIRED.to_string(),
-                id: 1,
-                indices: vec![2, 3],
-                ..LedgerRecord::default()
-            },
-        )
-        .unwrap();
-        append_ledger(&mut writer, &issued(2, "w1", vec![2, 3], 2)).unwrap();
-        append_ledger(
-            &mut writer,
-            &LedgerRecord {
-                kind: LEDGER_COMPLETED.to_string(),
-                id: 0,
-                ..LedgerRecord::default()
-            },
-        )
-        .unwrap();
+        for record in [
+            LedgerRecord::issued(&lease(0, "w1", vec![0, 1]), 0),
+            LedgerRecord::issued(&lease(1, "w2", vec![2, 3]), 0),
+            LedgerRecord::progress(0, 0, 2_000),
+            LedgerRecord::expired(&lease(1, "w2", vec![2, 3])),
+            LedgerRecord::issued(&lease(2, "w1", vec![2, 3]), 2),
+            LedgerRecord::completed(0),
+        ] {
+            append_ledger(&mut writer, &record).unwrap();
+        }
         drop(writer);
 
         let status = sched_status(&root).unwrap().expect("ledger exists");
@@ -324,7 +348,11 @@ mod tests {
         assert!(sched_status(&root).unwrap().is_none());
 
         let mut writer = open_ledger_for_append(&root).unwrap();
-        append_ledger(&mut writer, &issued(0, "w1", vec![0], 0)).unwrap();
+        append_ledger(
+            &mut writer,
+            &LedgerRecord::issued(&lease(0, "w1", vec![0]), 0),
+        )
+        .unwrap();
         drop(writer);
         // A torn final line (coordinator killed mid-append) is not an error.
         let path = ledger_path(&root);

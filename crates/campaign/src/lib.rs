@@ -21,7 +21,7 @@
 //!    worker pool) reproduces the paper's table-style detection/
 //!    localization metrics. All aggregation is incremental: the
 //!    [`ReportAccumulator`] folds runs one at a time and retains none of
-//!    them, so campaigns bigger than memory still aggregate.
+//!    them (only, with the eval phase on, their labeled samples).
 //! 5. **Streaming & resume** — every campaign verb is a thin call onto two
 //!    primitives. *Execute* ([`stream`]) opens and verifies a campaign
 //!    directory, heals a torn tail, and runs an index set on the pool,
@@ -31,22 +31,21 @@
 //!    folds it; [`resume`] folds an existing one after a crash, executing
 //!    only the missing run indices and rebuilding a byte-identical report
 //!    (the stored [`spec_fingerprint`] guards against mixing results from
-//!    different specs). Each verb takes only the values it reads: the
-//!    spill policy, plus a shard slice for [`run`] and gap re-execution
-//!    for [`merge`](merge::merge).
+//!    different specs). Each verb takes only the values it reads: a shard
+//!    slice for [`run`] and gap re-execution for [`merge`](merge::merge).
 //! 6. **Cross-machine sharding** — [`run`] with a [`ShardSlice`]
 //!    executes a deterministic strided slice of the run matrix into
 //!    an ordinary campaign directory, and [`merge`](merge::merge) folds
 //!    shard directories (verifying fingerprints, deduplicating identical
 //!    records, refusing or re-executing gaps and refusing conflicts) into a
 //!    report byte-identical to a single-machine run.
-//! 7. **Bounded memory end to end** — the eval phase's per-mesh sample
-//!    pools (the one remaining campaign-sized buffer) spill to a
-//!    [`spill::SampleStore`] inside the campaign directory past a
-//!    configurable threshold ([`SpillPolicy`]), [`compact`] rewrites
-//!    `runs.jsonl` atomically into index-ordered, deduplicated form
-//!    (optionally stripping sample payloads into the store), and
-//!    [`status`] inspects any set of campaign directories read-only.
+//! 7. **Compaction and inspection** — [`compact`] rewrites `runs.jsonl`
+//!    atomically into index-ordered, deduplicated form, optionally
+//!    stripping sample payloads into the directory's
+//!    [`spill::SampleStore`], from which the report fold refills them by
+//!    run index; [`status`] inspects any set of campaign directories
+//!    read-only. (The eval phase trains on all of a frame geometry's
+//!    samples at once, so the fold keeps them in memory.)
 //! 8. **Dynamic fleet scheduling** — [`sched::serve_sched`] turns a
 //!    campaign directory into a coordinator that leases bounded run-index
 //!    batches ([`lease::Lease`]) to any number of [`sched::work`] workers
@@ -127,6 +126,6 @@ pub use spill::{SampleBatch, SampleStore, SpillStats};
 pub use status::{human_bytes, status, DirStatus, StatusReport};
 pub use stream::{
     resume, run, run_streaming, spec_fingerprint, CampaignDir, LogIndex, Manifest, RecordEntry,
-    ShardSlice, SpillPolicy, DEFAULT_SPILL_THRESHOLD, EVENTS_FILE,
+    ShardSlice, EVENTS_FILE,
 };
 pub use watch::WatchSnapshot;

@@ -23,7 +23,11 @@
 //! 2. **Replay** — the union is walked in run-index order; each record is
 //!    re-read from its source, appended to the target's `runs.jsonl`
 //!    (unless it is already there), folded into the shared
-//!    [`ReportAccumulator`], and dropped.
+//!    [`ReportAccumulator`], and dropped. The inputs' sample stores are
+//!    united into the target's first; when the eval phase is on, a record
+//!    that `compact --strip-samples` left scalar-only gets its samples back
+//!    from that store by run index before it is folded, and one whose
+//!    samples are nowhere aborts the fold with its run index.
 //!
 //! Before replaying, every run index the target owes must be stored
 //! somewhere: a gap aborts with the exact gap list (resume the shard that
@@ -41,7 +45,7 @@ use crate::sched::worker_dirs;
 use crate::spec::SpecError;
 use crate::spill::{SampleStore, SAMPLES_MANIFEST_FILE};
 use crate::stream::{
-    append_jsonl, CampaignDir, LogIndex, Manifest, RecordEntry, SpillPolicy, Target, MANIFEST_FILE,
+    append_jsonl, CampaignDir, LogIndex, Manifest, RecordEntry, Target, MANIFEST_FILE,
 };
 use std::fs::File;
 use std::io::Write as _;
@@ -51,19 +55,6 @@ use std::path::{Path, PathBuf};
 /// streams its records when other directories are folded in; removed once
 /// the report is written.
 const GAPFILL_DIR: &str = ".gapfill";
-
-/// How [`fold`] builds its report. Each public verb sets only what it
-/// reads: [`crate::stream::run`] and [`crate::stream::resume`] take the
-/// spill policy and always execute gaps, [`merge`] takes both values. The
-/// index set a fold owes comes from the target's manifest.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FoldOptions {
-    /// How the report fold bounds its eval-phase sample memory.
-    pub(crate) spill: SpillPolicy,
-    /// Execute owed run indices that no source stores instead of refusing
-    /// them with the gap list.
-    pub(crate) reexec_gaps: bool,
-}
 
 /// One record source of a fold: its directory, record index, and (once the
 /// first record is read back) an open `runs.jsonl` handle — duplicate
@@ -144,8 +135,7 @@ pub(crate) fn stored_union(own: &LogIndex, sources: &[Source]) -> Vec<bool> {
 }
 
 /// Merges campaign directories sharing one spec fingerprint into a fresh
-/// whole-campaign directory at `out`, returning the rebuilt report. The
-/// report fold bounds its eval sample memory by `spill`.
+/// whole-campaign directory at `out`, returning the rebuilt report.
 ///
 /// The merged directory holds the union of the inputs' run records in
 /// run-index order plus a `report.json` byte-identical to an uninterrupted
@@ -169,7 +159,6 @@ pub fn merge(
     executor: &Executor,
     inputs: &[PathBuf],
     out: impl Into<PathBuf>,
-    spill: SpillPolicy,
     reexec_gaps: bool,
 ) -> Result<CampaignReport, SpecError> {
     let Some(first) = inputs.first() else {
@@ -189,9 +178,14 @@ pub fn merge(
     }
     let total = runs.len();
     let target = Target::create(out, &manifest.spec, runs, None, None)?;
-    let opts = FoldOptions { spill, reexec_gaps };
-    fold(executor, target, LogIndex::empty(total), sources, &opts)
-        .map(|report| report.expect("a whole campaign folds to a report"))
+    fold(
+        executor,
+        target,
+        LogIndex::empty(total),
+        sources,
+        reexec_gaps,
+    )
+    .map(|report| report.expect("a whole campaign folds to a report"))
 }
 
 /// The fold primitive: unites `target`'s own log (indexed as `own`) with
@@ -207,12 +201,15 @@ pub fn merge(
 /// assembly, resume of a coordinator) executes gaps into a scratch
 /// directory instead, so the target's log gains the union in run-index
 /// order.
+///
+/// With `reexec_gaps` off, owed indices no source stores are refused with
+/// the gap list instead of executed (merge without `--reexec-gaps`).
 pub(crate) fn fold(
     executor: &Executor,
     mut target: Target,
     own: LogIndex,
     extra: Vec<Source>,
-    opts: &FoldOptions,
+    reexec_gaps: bool,
 ) -> Result<Option<CampaignReport>, SpecError> {
     let in_place = extra.is_empty();
     let whole = target.manifest.is_whole();
@@ -222,7 +219,7 @@ pub(crate) fn fold(
     let mut slots = unite(target.runs.len(), &mut sources)?;
     let stored: Vec<bool> = slots.iter().map(Option::is_some).collect();
     let (owed, gaps) = target.manifest.owed(&stored);
-    if !gaps.is_empty() && !opts.reexec_gaps {
+    if !gaps.is_empty() && !reexec_gaps {
         return Err(SpecError::new(format!(
             "merge is missing {} of {owed} run indices: [{}]; resume the shard(s) that \
              own them, then merge again",
@@ -283,29 +280,9 @@ pub(crate) fn fold(
         let spec = &target.manifest.spec;
         let fingerprint = &target.manifest.fingerprint;
         let store = unite_sample_stores(&target.dir, &sources[1..], fingerprint)?;
-        let mut acc = None;
-        if whole {
-            let mut fresh =
-                ReportAccumulator::for_spec(spec)?.with_telemetry(executor.telemetry().recorder());
-            if spec.eval.enabled {
-                // The target aggregates under the requested spill policy; a
-                // store carried over (a stripped log's, or the inputs')
-                // must be attached even under `InMemory`, or the stripped
-                // records' samples stay invisible.
-                fresh = match (opts.spill, store) {
-                    (SpillPolicy::Threshold(threshold), store) => {
-                        let store = match store {
-                            Some(store) => store,
-                            None => SampleStore::attach(target.dir.samples_path(), fingerprint)?,
-                        };
-                        fresh.with_spill(store, threshold)
-                    }
-                    (SpillPolicy::InMemory, Some(store)) => fresh.with_spill(store, usize::MAX),
-                    (SpillPolicy::InMemory, None) => fresh,
-                };
-            }
-            acc = Some(fresh);
-        }
+        let mut acc = whole
+            .then(|| ReportAccumulator::for_spec(spec))
+            .transpose()?;
         let mut writer = if in_place {
             None
         } else {
@@ -325,7 +302,15 @@ pub(crate) fn fold(
                 }
                 _ => {}
             }
-            if let (Some(acc), Some(record)) = (&mut acc, record) {
+            if let (Some(acc), Some(mut record)) = (&mut acc, record) {
+                // A stripped record's samples live in the sample store,
+                // found by run index (unique across frame geometries).
+                let stripped = spec.eval.enabled && record.samples.is_empty();
+                if let Some(store) = store.as_ref().filter(|_| stripped) {
+                    if let Some(batch) = store.batch(record.spec.mesh, record.spec.index)? {
+                        record.samples = batch.samples;
+                    }
+                }
                 acc.try_fold(&record)?;
             }
         }
@@ -353,9 +338,9 @@ pub(crate) fn fold(
     Ok(report)
 }
 
-/// Unions the target's own spilled sample store (if any) and the other
-/// sources' stores into the target's store, batch by batch in source order
-/// — identical duplicate batches dedupe (shards re-spilled after a resume
+/// Unions the target's own sample store (if any) and the other sources'
+/// stores into the target's store, batch by batch in source order —
+/// identical duplicate batches dedupe (shards re-stripped after a resume
 /// overlap), conflicting ones abort. Returns `None` when no store exists.
 fn unite_sample_stores(
     target: &CampaignDir,

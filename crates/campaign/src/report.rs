@@ -7,7 +7,8 @@
 //! group statistics and (when the eval phase is enabled) per-mesh sample
 //! pools, never retaining the runs themselves — which is what lets the
 //! streaming, resume and merge paths ([`crate::stream`], [`crate::merge`])
-//! aggregate campaigns bigger than memory. The in-memory
+//! aggregate campaigns bigger than memory (with the eval phase on, the
+//! labeled samples it trains on stay resident). The in-memory
 //! [`CampaignReport::build_with`] is the same fold over an outcome's run
 //! vector.
 //!
@@ -18,10 +19,8 @@
 
 use crate::executor::{CampaignOutcome, Executor, RunResult};
 use crate::spec::{parse_feature, validate_group_by, CampaignSpec, EvalSpec, SpecError};
-use crate::spill::SampleStore;
 use dl2fence::evaluation::evaluate;
 use dl2fence::{Dl2Fence, EvaluationReport, FenceConfig};
-use dl2fence_telemetry::Recorder;
 use noc_monitor::LabeledSample;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -122,11 +121,11 @@ impl CampaignReport {
     /// # Errors
     ///
     /// Returns a [`SpecError`] if the eval phase is enabled but its
-    /// configuration is invalid.
+    /// configuration is invalid or a run carries no samples.
     pub fn build_with(outcome: &CampaignOutcome, executor: &Executor) -> Result<Self, SpecError> {
         let mut acc = ReportAccumulator::for_spec(&outcome.spec)?;
         for run in &outcome.runs {
-            acc.fold(run);
+            acc.try_fold(run)?;
         }
         acc.finish(executor)
     }
@@ -322,87 +321,22 @@ impl GroupAccumulator {
     }
 }
 
-/// One per-mesh sample pool feeding the eval phase: the only thing the
-/// accumulator retains from a run beyond scalar aggregates, and only when
-/// the eval phase is enabled.
+/// One per-frame-geometry sample pool feeding the eval phase: the only
+/// thing the accumulator retains from a run beyond scalar aggregates, and
+/// only when the eval phase is enabled.
 ///
-/// Samples are buffered as index-tagged per-run batches so a spill-mode
-/// accumulator can move them to a [`SampleStore`] and later reunite disk
-/// and memory in run-index order — which equals buffer order, because every
-/// aggregation path folds in run-index order.
+/// Pools are keyed by frame geometry `(mesh, cols)`, so topologies sharing
+/// a geometry (e.g. `mesh4` and `torus4`) train one detector over their
+/// combined samples, exactly as the frame-based detector sees them.
 #[derive(Debug)]
 struct EvalPool {
-    /// Frame rows (the legacy mesh side; also the spill-store key).
+    /// Frame rows (the legacy mesh side).
     mesh: usize,
-    /// Frame columns — pools are keyed by frame geometry `(mesh, cols)`, so
-    /// topologies sharing a geometry (e.g. `mesh4` and `torus4`) train one
-    /// detector over their combined samples, exactly as the frame-based
-    /// detector sees them.
+    /// Frame columns.
     cols: usize,
     seed: u64,
-    /// In-memory `(run index, samples)` batches, in fold order.
-    batches: Vec<(usize, Vec<LabeledSample>)>,
-    /// Samples currently buffered in `batches`.
-    retained: usize,
-    /// Samples moved to the spill store so far.
-    spilled: usize,
-}
-
-/// A spill-mode accumulator's disk side: the store plus the in-memory
-/// sample count that triggers a spill.
-#[derive(Debug)]
-struct SpillState {
-    store: SampleStore,
-    threshold: usize,
-}
-
-/// One mesh pool with its samples reunited into a flat, fold-ordered
-/// vector — what the eval phase trains on.
-struct AssembledPool {
-    mesh: usize,
-    cols: usize,
-    seed: u64,
+    /// Every folded run's samples, in fold (run-index) order.
     samples: Vec<LabeledSample>,
-}
-
-impl EvalPool {
-    /// Flattens the pool for the eval phase. Without a store the in-memory
-    /// batches concatenate in buffer order (the historical layout); with
-    /// one, spilled and buffered batches interleave in run-index order —
-    /// the same thing, since folds happen in run-index order everywhere.
-    fn assemble(self, store: Option<&SampleStore>) -> Result<AssembledPool, SpecError> {
-        let EvalPool {
-            mesh,
-            cols,
-            seed,
-            batches,
-            ..
-        } = self;
-        let mut combined = batches;
-        if let Some(store) = store {
-            // A fresh in-memory batch wins over its spilled twin (they are
-            // byte-identical — runs are deterministic); the set lookup keeps
-            // reassembly linear in the number of spilled batches.
-            let in_memory: std::collections::HashSet<usize> =
-                combined.iter().map(|(i, _)| *i).collect();
-            store.replay_pool(mesh, |batch| {
-                if !in_memory.contains(&batch.index) {
-                    combined.push((batch.index, batch.samples));
-                }
-            })?;
-            combined.sort_by_key(|(i, _)| *i);
-        }
-        let samples = combined
-            .into_iter()
-            .flat_map(|(_, samples)| samples)
-            .collect();
-        Ok(AssembledPool {
-            mesh,
-            cols,
-            seed,
-            samples,
-        })
-    }
 }
 
 /// Streaming report builder: folds [`RunResult`]s one at a time, in run-
@@ -426,8 +360,6 @@ pub struct ReportAccumulator {
     attack_runs: usize,
     groups: Vec<GroupAccumulator>,
     eval_pools: Vec<EvalPool>,
-    spill: Option<SpillState>,
-    telemetry: Recorder,
 }
 
 impl ReportAccumulator {
@@ -465,33 +397,7 @@ impl ReportAccumulator {
             attack_runs: 0,
             groups: Vec::new(),
             eval_pools: Vec::new(),
-            spill: None,
-            telemetry: Recorder::default(),
         })
-    }
-
-    /// Attaches a telemetry recorder: spill-store appends are timed into a
-    /// `spill.append` histogram.
-    pub fn with_telemetry(mut self, recorder: Recorder) -> Self {
-        self.telemetry = recorder;
-        self
-    }
-
-    /// Puts the accumulator in spill mode: whenever the buffered eval
-    /// samples reach `threshold`, every buffered batch is appended to
-    /// `store` and dropped from memory, bounding [`Self::retained_samples`]
-    /// regardless of campaign size. At [`Self::finish`] the spilled batches
-    /// are replayed back (in run-index order, interleaved with whatever is
-    /// still in memory), so the final report is byte-identical to the
-    /// unspilled build.
-    ///
-    /// A spill-mode accumulator must be fed through [`Self::try_fold`]
-    /// (spilling does I/O); pass `usize::MAX` to attach a store whose
-    /// existing batches should feed the eval phase (stripped run logs)
-    /// without ever spilling fresh folds.
-    pub fn with_spill(mut self, store: SampleStore, threshold: usize) -> Self {
-        self.spill = Some(SpillState { store, threshold });
-        self
     }
 
     /// Folds one run into the aggregates. Call in run-index order — the
@@ -500,21 +406,30 @@ impl ReportAccumulator {
     ///
     /// # Panics
     ///
-    /// Panics if a configured spill store fails to accept a batch — use
-    /// [`Self::try_fold`] on spill-mode accumulators to handle the error.
+    /// Panics where [`Self::try_fold`] errors: the eval phase is enabled and
+    /// the run carries no samples.
     pub fn fold(&mut self, run: &RunResult) {
-        self.try_fold(run)
-            .expect("fold cannot fail without a spill store; use try_fold");
+        self.try_fold(run).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// [`Self::fold`], surfacing spill I/O errors — the entry point every
-    /// spill-mode caller uses.
+    /// [`Self::fold`], refusing a run the eval phase cannot train on
+    /// instead of panicking — the entry point for runs replayed from disk.
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] if buffered samples hit the spill threshold
-    /// and the store cannot accept them.
+    /// Returns a [`SpecError`] naming the run index if the eval phase is
+    /// enabled and the run carries no samples (spec validation requires
+    /// sample collection whenever eval is on, so an empty run is a stripped
+    /// record whose samples were not found in the sample store). The
+    /// accumulator is left unchanged.
     pub fn try_fold(&mut self, run: &RunResult) -> Result<(), SpecError> {
+        if self.eval.enabled && run.samples.is_empty() {
+            return Err(SpecError::new(format!(
+                "run index {} carries no samples but the eval phase needs them; a \
+                 stripped record's samples must be in the campaign's samples/ store",
+                run.spec.index
+            )));
+        }
         self.total_runs += 1;
         self.attack_runs += usize::from(run.spec.is_attack());
         let key: Vec<(String, String)> = self
@@ -545,44 +460,12 @@ impl ReportAccumulator {
                         mesh: run.spec.mesh,
                         cols,
                         seed: run.spec.campaign_seed,
-                        batches: Vec::new(),
-                        retained: 0,
-                        spilled: 0,
+                        samples: Vec::new(),
                     });
                     self.eval_pools.last_mut().expect("just pushed")
                 }
             };
-            if !run.samples.is_empty() {
-                pool.retained += run.samples.len();
-                pool.batches.push((run.spec.index, run.samples.clone()));
-            }
-            if let Some(spill) = &mut self.spill {
-                if self.eval_pools.iter().map(|p| p.retained).sum::<usize>() >= spill.threshold {
-                    // The spill store is keyed by frame rows alone; pools
-                    // that share a row count but differ in columns would
-                    // mix batches on replay.
-                    for (i, a) in self.eval_pools.iter().enumerate() {
-                        if self.eval_pools[..i].iter().any(|b| b.mesh == a.mesh) {
-                            return Err(SpecError::new(format!(
-                                "sample spilling cannot distinguish topologies sharing \
-                                 {} frame rows; raise the spill threshold or split the \
-                                 campaign per topology",
-                                a.mesh
-                            )));
-                        }
-                    }
-                    let rec = &self.telemetry;
-                    for pool in &mut self.eval_pools {
-                        for (index, samples) in pool.batches.drain(..) {
-                            pool.spilled += samples.len();
-                            rec.time("spill.append", || {
-                                spill.store.append_batch(pool.mesh, index, samples)
-                            })?;
-                        }
-                        pool.retained = 0;
-                    }
-                }
-            }
+            pool.samples.extend_from_slice(&run.samples);
         }
         Ok(())
     }
@@ -596,36 +479,22 @@ impl ReportAccumulator {
     ///
     /// This is the accumulator's entire per-run retention: zero unless the
     /// eval phase is enabled (the O(1)-retention guard in the test suite),
-    /// and only the labeled samples — never the runs — when it is. In spill
-    /// mode this stays below the configured threshold between folds; the
-    /// overflow lives in the [`SampleStore`] (see [`Self::spilled_samples`]).
+    /// and only the labeled samples — never the runs — when it is.
     pub fn retained_samples(&self) -> usize {
-        self.eval_pools.iter().map(|p| p.retained).sum()
-    }
-
-    /// How many eval-phase samples have been moved to the spill store.
-    pub fn spilled_samples(&self) -> usize {
-        self.eval_pools.iter().map(|p| p.spilled).sum()
+        self.eval_pools.iter().map(|p| p.samples.len()).sum()
     }
 
     /// Finalizes the aggregates into a [`CampaignReport`], running the eval
-    /// phase (fanned out over `executor`) if the spec enabled it. In spill
-    /// mode each mesh pool is reassembled from its spilled and in-memory
-    /// batches in run-index order first — byte-identical to the pool an
-    /// unspilled accumulator would have buffered.
+    /// phase (fanned out over `executor`) if the spec enabled it.
     ///
     /// # Errors
     ///
     /// Returns a [`SpecError`] if the eval phase is enabled but its
-    /// configuration is invalid, a mesh group has no samples, or a spilled
-    /// batch cannot be read back.
+    /// configuration is invalid or a frame-geometry group has no test
+    /// samples.
     pub fn finish(self, executor: &Executor) -> Result<CampaignReport, SpecError> {
         let evaluations = if self.eval.enabled {
-            let mut pools = Vec::with_capacity(self.eval_pools.len());
-            for pool in self.eval_pools {
-                pools.push(pool.assemble(self.spill.as_ref().map(|s| &s.store))?);
-            }
-            run_eval_phase(pools, &self.eval, executor)?
+            run_eval_phase(self.eval_pools, &self.eval, executor)?
         } else {
             Vec::new()
         };
@@ -734,7 +603,7 @@ pub fn split_by_benchmark(
 /// and reassembled in group order, so the entries are identical for any
 /// worker count.
 fn run_eval_phase(
-    pools: Vec<AssembledPool>,
+    pools: Vec<EvalPool>,
     eval: &EvalSpec,
     executor: &Executor,
 ) -> Result<Vec<EvalEntry>, SpecError> {
@@ -743,17 +612,12 @@ fn run_eval_phase(
 
     let mut jobs = Vec::new();
     for pool in pools {
-        let AssembledPool {
+        let EvalPool {
             mesh,
             cols,
             seed,
             samples,
         } = pool;
-        if samples.is_empty() {
-            return Err(SpecError::new(
-                "eval phase found no samples; is sim.collect_samples enabled?",
-            ));
-        }
         let (train, test) = split_samples(samples, eval.train_fraction);
         if test.is_empty() {
             return Err(SpecError::new(format!(

@@ -15,7 +15,7 @@
 //! deadline ([`crate::lease::Lease`]) — to workers as they ask for them.
 //! Each worker executes its leased runs into its own ordinary campaign
 //! directory under `<dir>/workers/<id>` (per-worker logs and per-worker
-//! spilled sample stores, so no two machines ever append to one file) and
+//! sample stores, so no two machines ever append to one file) and
 //! reports per-run progress; **progress is the heartbeat**, extending the
 //! lease deadline. A lease whose deadline passes is expired and its
 //! unfinished indices are re-leased to the next worker that asks — and
@@ -42,15 +42,13 @@
 use crate::executor::Executor;
 use crate::grid;
 use crate::lease::{
-    append_ledger, open_ledger_for_append, read_ledger, Lease, LedgerRecord, LEDGER_COMPLETED,
-    LEDGER_EXPIRED, LEDGER_ISSUED, LEDGER_PROGRESS, SCHED_DIR,
+    append_ledger, open_ledger_for_append, read_ledger, Lease, LedgerRecord, LEDGER_ISSUED,
+    SCHED_DIR,
 };
-use crate::merge::{fold, stored_union, worker_sources, FoldOptions};
+use crate::merge::{fold, stored_union, worker_sources};
 use crate::report::CampaignReport;
 use crate::spec::{CampaignSpec, SpecError};
-use crate::stream::{
-    spec_fingerprint, write_atomic, CampaignDir, LogIndex, SpillPolicy, Target, MANIFEST_FILE,
-};
+use crate::stream::{spec_fingerprint, write_atomic, CampaignDir, LogIndex, Target, MANIFEST_FILE};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -520,8 +518,6 @@ pub struct ServeOptions {
     pub lease_ttl: Duration,
     /// Idle poll interval of the message loop.
     pub poll: Duration,
-    /// Spill policy of the final report assembly.
-    pub spill: SpillPolicy,
 }
 
 impl Default for ServeOptions {
@@ -530,7 +526,6 @@ impl Default for ServeOptions {
             lease_size: 4,
             lease_ttl: Duration::from_secs(30),
             poll: Duration::from_millis(100),
-            spill: SpillPolicy::default(),
         }
     }
 }
@@ -632,15 +627,7 @@ pub fn serve_sched(
         let now_us = started.elapsed().as_micros() as u64;
         for lease in sched.expire_overdue(now_us) {
             rec.add("sched.leases_expired", 1);
-            append_ledger(
-                &mut ledger,
-                &LedgerRecord {
-                    kind: LEDGER_EXPIRED.to_string(),
-                    id: lease.id,
-                    indices: lease.remaining.clone(),
-                    ..LedgerRecord::default()
-                },
-            )?;
+            append_ledger(&mut ledger, &LedgerRecord::expired(&lease))?;
         }
         let msgs = transport.poll()?;
         let idle = msgs.is_empty();
@@ -659,16 +646,7 @@ pub fn serve_sched(
                             }
                             append_ledger(
                                 &mut ledger,
-                                &LedgerRecord {
-                                    kind: LEDGER_ISSUED.to_string(),
-                                    id: lease.id,
-                                    worker: lease.worker.clone(),
-                                    indices: lease.indices.clone(),
-                                    fingerprint: lease.fingerprint.clone(),
-                                    deadline_us: lease.deadline_us,
-                                    index: None,
-                                    reissued_indices,
-                                },
+                                &LedgerRecord::issued(&lease, reissued_indices),
                             )?;
                             (REPLY_LEASE, Some(lease))
                         }
@@ -685,28 +663,13 @@ pub fn serve_sched(
                 MSG_PROGRESS => {
                     if let Some(index) = msg.index {
                         if let Some(deadline_us) = sched.progress(msg.lease_id, index, now_us) {
-                            append_ledger(
-                                &mut ledger,
-                                &LedgerRecord {
-                                    kind: LEDGER_PROGRESS.to_string(),
-                                    id: msg.lease_id,
-                                    index: Some(index),
-                                    deadline_us,
-                                    ..LedgerRecord::default()
-                                },
-                            )?;
+                            let record = LedgerRecord::progress(msg.lease_id, index, deadline_us);
+                            append_ledger(&mut ledger, &record)?;
                         }
                     }
                 }
                 MSG_COMPLETE if sched.complete(msg.lease_id).is_some() => {
-                    append_ledger(
-                        &mut ledger,
-                        &LedgerRecord {
-                            kind: LEDGER_COMPLETED.to_string(),
-                            id: msg.lease_id,
-                            ..LedgerRecord::default()
-                        },
-                    )?;
+                    append_ledger(&mut ledger, &LedgerRecord::completed(msg.lease_id))?;
                 }
                 _ => {}
             }
@@ -724,11 +687,7 @@ pub fn serve_sched(
     // heard from — before the (potentially long) assembly.
     transport.announce_done()?;
     let workers = worker_sources(&target.dir, &target.manifest, &target.runs, false)?;
-    let fold_opts = FoldOptions {
-        spill: opts.spill,
-        reexec_gaps: true,
-    };
-    fold(executor, target, own, workers, &fold_opts)
+    fold(executor, target, own, workers, true)
         .map(|report| report.expect("a whole campaign folds to a report"))
 }
 

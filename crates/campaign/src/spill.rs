@@ -1,31 +1,28 @@
-//! Disk-spilled evaluation sample pools.
+//! The campaign directory's eval sample store.
 //!
-//! When a campaign enables the train/evaluate phase, the
-//! [`crate::ReportAccumulator`] has to keep every labeled monitoring-window
-//! sample around until the eval phase trains on them — the one per-run
-//! buffer that grows with campaign size. A [`SampleStore`] bounds it: once
-//! the accumulator's in-memory pools reach a configured threshold, each
-//! buffered batch is appended to `samples/<mesh>.jsonl` inside the campaign
-//! directory and dropped from memory, and the eval phase replays the files
-//! through the same seek/read-one-record machinery the run log uses
-//! ([`crate::stream::LogIndex`]).
+//! `campaign compact --strip-samples` (and `campaign work --strip-samples`
+//! on exit) moves each run record's labeled-sample payload out of
+//! `runs.jsonl` into a [`SampleStore`], leaving a scalar-only log. The
+//! report fold ([`crate::merge::fold`], behind run, resume, merge and the
+//! scheduler's assembly) fills each stripped record's samples back in from
+//! the store by `(mesh, run index)` before folding it, so a stripped
+//! directory rebuilds a byte-identical report. Nothing else writes the
+//! store: the eval phase itself trains on all of a frame geometry's samples
+//! at once, so the report fold keeps them in memory.
 //!
 //! ```text
 //! <dir>/samples/manifest.json   the owning spec's fingerprint
 //! <dir>/samples/<mesh>.jsonl    one JSONL record per (run, mesh) sample
 //!                               batch: {"index": run_index, "mesh": mesh,
-//!                               "samples": [...]}, appended in spill order
+//!                               "samples": [...]}, appended in strip order
 //! ```
 //!
-//! Batches are **index-tagged**, so file order never matters: reads sort by
-//! run index, which is exactly the order an in-memory accumulator would
-//! have buffered the samples in (folds happen in run-index order on every
-//! code path) — the spilled eval phase is therefore byte-identical to the
-//! in-memory one. Index tagging is also what makes stores mergeable
-//! ([`crate::merge::merge`] unions shard stores batch by batch) and what
-//! lets `campaign compact --strip-samples` move sample payloads out of
-//! `runs.jsonl` entirely: a stripped record's samples live here, found by
-//! run index, regardless of which execution produced them.
+//! Batches are **index-tagged**, so file order never matters: a lookup
+//! goes by run index, which is unique across the run matrix (and so across
+//! frame geometries that share a row count). Index tagging is also what
+//! makes stores mergeable: [`crate::merge::merge`] unions shard stores
+//! batch by batch, and a stripped record's samples are found regardless of
+//! which execution produced them.
 //!
 //! The store tolerates exactly the failure shapes the run log does: a torn
 //! final line (a crash mid-append) is healed away on attach, an identical
@@ -43,9 +40,9 @@ use std::path::{Path, PathBuf};
 /// File name of the store manifest inside a samples directory.
 pub const SAMPLES_MANIFEST_FILE: &str = "manifest.json";
 
-/// One spilled record: all labeled samples one run contributed to one
-/// mesh's eval pool, tagged with the run's matrix index so reads can
-/// restore fold order no matter when (or by whom) the batch was written.
+/// One stored record: all labeled samples one run collected, tagged with
+/// the run's matrix index so a lookup finds them no matter when (or by
+/// whom) the batch was written.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SampleBatch {
     /// Run index of the run the samples came from.
@@ -89,8 +86,9 @@ struct SamplePool {
     /// `(run index, byte location)` per stored batch, in file order (the
     /// order [`SampleStore::for_each_raw`] copies in).
     entries: Vec<(usize, RecordEntry)>,
-    /// Run index → byte location, for O(1) duplicate checks — big spilled
-    /// campaigns append and reattach in linear, not quadratic, time.
+    /// Run index → byte location, for O(1) lookups and duplicate checks —
+    /// big stripped campaigns append, reattach and fold in linear, not
+    /// quadratic, time.
     by_index: HashMap<usize, RecordEntry>,
     /// Length of the longest whole-record prefix of the file.
     valid_bytes: u64,
@@ -200,21 +198,6 @@ impl SampleStore {
         meshes
     }
 
-    /// Total batches stored across all meshes.
-    pub fn batches(&self) -> usize {
-        self.pools.iter().map(|p| p.entries.len()).sum()
-    }
-
-    /// The run indices with a stored batch for `mesh`, ascending.
-    pub fn indices(&self, mesh: usize) -> Vec<usize> {
-        let mut indices: Vec<usize> = match self.pools.iter().find(|p| p.mesh == mesh) {
-            Some(pool) => pool.entries.iter().map(|(i, _)| *i).collect(),
-            None => Vec::new(),
-        };
-        indices.sort_unstable();
-        indices
-    }
-
     /// Appends one run's sample batch for `mesh`, flushing the line so a
     /// crash after this call cannot lose it. An identical batch already
     /// stored for the same run index dedupes (returns `Ok(false)`).
@@ -274,7 +257,7 @@ impl SampleStore {
             }
         };
         if let Some(existing) = pool.entry_for(index) {
-            // Runs are deterministic: a repeat spill of the same run's batch
+            // Runs are deterministic: a repeat strip of the same run's batch
             // is byte-identical. Anything else mixes campaigns.
             let mut file = File::open(&pool.path)
                 .map_err(|e| SpecError::new(format!("cannot read {}: {e}", pool.path.display())))?;
@@ -341,41 +324,32 @@ impl SampleStore {
         Ok(())
     }
 
-    /// Replays every stored batch for `mesh` in **run-index order**, handing
-    /// each parsed [`SampleBatch`] to `fold` one at a time (the batch is
-    /// dropped when the fold returns) — the same seek/read-one-record
-    /// discipline as the run-log replay.
+    /// Reads back the samples stored for run `index` of `mesh`, or
+    /// `Ok(None)` when the store holds no batch for it — the lookup that
+    /// fills a stripped record's samples during the report fold. The run
+    /// index is unique across the whole matrix, so the lookup can never
+    /// hand one frame geometry another geometry's samples.
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] if a batch cannot be re-read or re-parsed.
-    pub fn replay_pool(
-        &self,
-        mesh: usize,
-        mut fold: impl FnMut(SampleBatch),
-    ) -> Result<(), SpecError> {
+    /// Returns a [`SpecError`] if the batch cannot be re-read or re-parsed.
+    pub fn batch(&self, mesh: usize, index: usize) -> Result<Option<SampleBatch>, SpecError> {
         let Some(pool) = self.pools.iter().find(|p| p.mesh == mesh) else {
-            return Ok(());
+            return Ok(None);
         };
-        if pool.entries.is_empty() {
-            return Ok(());
-        }
-        let mut ordered = pool.entries.clone();
-        ordered.sort_unstable_by_key(|(i, _)| *i);
+        let Some(entry) = pool.entry_for(index) else {
+            return Ok(None);
+        };
         let mut file = File::open(&pool.path)
             .map_err(|e| SpecError::new(format!("cannot read {}: {e}", pool.path.display())))?;
-        for (_, entry) in ordered {
-            let line = read_line_at(&mut file, &entry, &pool.path)?;
-            let batch: SampleBatch = serde_json::from_str(line.trim()).map_err(|e| {
-                SpecError::new(format!(
-                    "sample batch at byte {} of {} changed under the index: {e}",
-                    entry.offset,
-                    pool.path.display()
-                ))
-            })?;
-            fold(batch);
-        }
-        Ok(())
+        let line = read_line_at(&mut file, &entry, &pool.path)?;
+        serde_json::from_str(line.trim()).map(Some).map_err(|e| {
+            SpecError::new(format!(
+                "sample batch at byte {} of {} changed under the index: {e}",
+                entry.offset,
+                pool.path.display()
+            ))
+        })
     }
 
     /// Replays every stored batch for `mesh` as raw record lines, in file

@@ -39,7 +39,7 @@
 
 use crate::executor::{execute_run, Executor, RunResult};
 use crate::grid::{self, RunSpec};
-use crate::merge::{fold, worker_sources, FoldOptions};
+use crate::merge::{fold, worker_sources};
 use crate::report::CampaignReport;
 use crate::spec::{CampaignSpec, SpecError};
 use dl2fence_telemetry::schema::MANIFEST_SCHEMA;
@@ -54,36 +54,11 @@ pub const MANIFEST_FILE: &str = "manifest.json";
 pub const RUNS_FILE: &str = "runs.jsonl";
 /// File name of the final aggregated report.
 pub const REPORT_FILE: &str = "report.json";
-/// Directory name of the spilled eval sample store inside a campaign
-/// directory ([`crate::spill`]).
+/// Directory name of the eval sample store inside a campaign directory
+/// ([`crate::spill`]).
 pub const SAMPLES_DIR: &str = "samples";
 /// File name of the optional telemetry event log ([`crate::events`]).
 pub const EVENTS_FILE: &str = "events.jsonl";
-
-/// Default in-memory eval sample bound of the streaming paths: once an
-/// eval-enabled campaign buffers this many labeled samples, they spill to
-/// the campaign directory's sample store.
-pub const DEFAULT_SPILL_THRESHOLD: usize = 65_536;
-
-/// How a report-building path bounds its eval-phase sample memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpillPolicy {
-    /// Buffer every eval sample in memory, exactly as the in-memory build
-    /// does. (A pre-existing sample store — a stripped run log's — is still
-    /// read at eval time; it is just never appended to.)
-    InMemory,
-    /// Spill buffered eval samples to the campaign directory's `samples/`
-    /// store whenever the in-memory count reaches the threshold.
-    Threshold(usize),
-}
-
-impl Default for SpillPolicy {
-    /// The streaming paths spill at [`DEFAULT_SPILL_THRESHOLD`] unless told
-    /// otherwise — campaign memory stays bounded by default.
-    fn default() -> Self {
-        SpillPolicy::Threshold(DEFAULT_SPILL_THRESHOLD)
-    }
-}
 
 /// The fingerprint of a campaign spec: FNV-1a 64 over its canonical JSON
 /// serialization, rendered as 16 hex digits.
@@ -411,7 +386,7 @@ impl CampaignDir {
         self.root.join(REPORT_FILE)
     }
 
-    /// The path of the spilled eval sample store ([`crate::spill`]).
+    /// The path of the eval sample store ([`crate::spill`]).
     pub fn samples_path(&self) -> PathBuf {
         self.root.join(SAMPLES_DIR)
     }
@@ -600,8 +575,9 @@ impl CampaignDir {
         })
     }
 
-    /// [`Self::replay`] with a fallible fold — the spill-mode aggregation
-    /// paths fold through this so a failed spill aborts the replay.
+    /// [`Self::replay`] with a fallible fold — a fold error (such as
+    /// [`crate::ReportAccumulator::try_fold`] refusing a stripped record)
+    /// aborts the replay.
     ///
     /// # Errors
     ///
@@ -797,7 +773,7 @@ pub(crate) fn append_jsonl(
 }
 
 /// Reads the raw line bytes of `entry` from an open JSONL handle — the
-/// seek/read-one-record primitive shared by the run log and the spilled
+/// seek/read-one-record primitive shared by the run log and the eval
 /// sample store ([`crate::spill`]).
 pub(crate) fn read_line_at(
     file: &mut File,
@@ -956,10 +932,9 @@ impl Target {
 
 /// Executes `spec` into a fresh campaign directory at `root`: every run is
 /// appended to `runs.jsonl` as it completes, then the report is folded from
-/// the log and lands in `report.json`, its eval sample memory bounded by
-/// `spill`. With a `shard` slice, the manifest records it, only its runs
-/// execute, and no report is built (`Ok(None)`) — [`crate::merge::merge`]
-/// the shards to obtain it.
+/// the log and lands in `report.json`. With a `shard` slice, the manifest
+/// records it, only its runs execute, and no report is built (`Ok(None)`)
+/// — [`crate::merge::merge`] the shards to obtain it.
 ///
 /// The report is byte-identical to [`Executor::execute`] +
 /// [`CampaignReport::build`] on the same spec.
@@ -973,20 +948,14 @@ pub fn run(
     spec: &CampaignSpec,
     root: impl Into<PathBuf>,
     shard: Option<ShardSlice>,
-    spill: SpillPolicy,
 ) -> Result<Option<CampaignReport>, SpecError> {
     let runs = grid::expand(spec)?;
     let total = runs.len();
     let target = Target::create(root, spec, runs, shard, None)?;
-    let opts = FoldOptions {
-        spill,
-        reexec_gaps: true,
-    };
-    fold(executor, target, LogIndex::empty(total), Vec::new(), &opts)
+    fold(executor, target, LogIndex::empty(total), Vec::new(), true)
 }
 
-/// [`run`] of a whole campaign with the default [`SpillPolicy`], returning
-/// its report.
+/// [`run`] of a whole campaign, returning its report.
 ///
 /// # Errors
 ///
@@ -996,7 +965,7 @@ pub fn run_streaming(
     spec: &CampaignSpec,
     root: impl Into<PathBuf>,
 ) -> Result<CampaignReport, SpecError> {
-    run(executor, spec, root, None, SpillPolicy::default())
+    run(executor, spec, root, None)
         .map(|report| report.expect("a whole campaign folds to a report"))
 }
 
@@ -1009,8 +978,7 @@ pub fn run_streaming(
 /// directories: they count as stored and are folded into the coordinator's
 /// log, exactly like `serve-sched`'s final assembly. A shard directory
 /// executes only its own slice and a worker directory nothing; neither
-/// builds a report (`Ok(None)`). The report fold bounds its eval sample
-/// memory by `spill`.
+/// builds a report (`Ok(None)`).
 ///
 /// # Errors
 ///
@@ -1021,16 +989,11 @@ pub fn resume(
     executor: &Executor,
     root: impl Into<PathBuf>,
     expected_spec: Option<&CampaignSpec>,
-    spill: SpillPolicy,
 ) -> Result<Option<CampaignReport>, SpecError> {
     let expected = expected_spec.map(spec_fingerprint);
     let (target, index) = Target::open(root, expected.as_deref())?;
     let workers = worker_sources(&target.dir, &target.manifest, &target.runs, false)?;
-    let opts = FoldOptions {
-        spill,
-        reexec_gaps: true,
-    };
-    fold(executor, target, index, workers, &opts)
+    fold(executor, target, index, workers, true)
 }
 
 #[cfg(test)]
@@ -1109,14 +1072,9 @@ mod tests {
             report.to_json()
         );
         // A completed campaign resumes with nothing to do, byte-identically.
-        let resumed = resume(
-            &Executor::new(3),
-            &root,
-            Some(&spec),
-            SpillPolicy::default(),
-        )
-        .unwrap()
-        .unwrap();
+        let resumed = resume(&Executor::new(3), &root, Some(&spec))
+            .unwrap()
+            .unwrap();
         assert_eq!(resumed.to_json(), report.to_json());
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -1127,8 +1085,7 @@ mod tests {
         let spec = tiny_spec();
         let total = grid::expand(&spec).unwrap().len();
         let shard = ShardSlice { index: 1, count: 2 };
-        let spill = SpillPolicy::default();
-        assert!(run(&Executor::new(2), &spec, &root, Some(shard), spill)
+        assert!(run(&Executor::new(2), &spec, &root, Some(shard))
             .unwrap()
             .is_none());
         let executed = shard.owned_indices(total).count();
@@ -1145,7 +1102,7 @@ mod tests {
         }
         // A complete shard resumes to Ok(None) with nothing re-executed.
         let log_before = std::fs::read_to_string(dir.runs_path()).unwrap();
-        assert!(resume(&Executor::new(2), &root, Some(&spec), spill)
+        assert!(resume(&Executor::new(2), &root, Some(&spec))
             .unwrap()
             .is_none());
         assert_eq!(
@@ -1161,14 +1118,7 @@ mod tests {
         for (index, count) in [(0, 0), (2, 2), (5, 3)] {
             let shard = Some(ShardSlice { index, count });
             let root = temp_root("badshard");
-            let err = run(
-                &Executor::new(1),
-                &spec,
-                root,
-                shard,
-                SpillPolicy::default(),
-            )
-            .unwrap_err();
+            let err = run(&Executor::new(1), &spec, root, shard).unwrap_err();
             assert!(err.to_string().contains("not a valid slice"), "{err}");
         }
     }

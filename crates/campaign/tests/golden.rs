@@ -1,9 +1,9 @@
 //! Golden-report regression corpus.
 //!
 //! Every aggregation path the engine offers — in-memory, streaming,
-//! crash-resume, shard-merge, and disk-spilled — must render the committed
-//! specs to **byte-identical** reports, and those bytes must never drift
-//! across refactors. The fixtures under `tests/golden/` pin them: each test
+//! crash-resume, shard-merge, and stripped-log rebuild — must render the
+//! committed specs to **byte-identical** reports, and those bytes must
+//! never drift across refactors. The fixtures under `tests/golden/` pin them: each test
 //! rebuilds its spec's report through all five paths and diffs the bytes
 //! against the checked-in fixture.
 //!
@@ -16,10 +16,10 @@
 //! then commit the rewritten `tests/golden/*.report.json` files with an
 //! explanation of why the bytes moved.
 
-use dl2fence_campaign::stream::{SpillPolicy, RUNS_FILE};
+use dl2fence_campaign::stream::RUNS_FILE;
 use dl2fence_campaign::{
-    expand, merge, resume, run, CampaignDir, CampaignOutcome, CampaignReport, CampaignSpec,
-    Executor, RunResult,
+    compact, expand, merge, resume, run, CampaignDir, CampaignOutcome, CampaignReport,
+    CampaignSpec, Executor, RunResult,
 };
 use std::path::{Path, PathBuf};
 
@@ -90,19 +90,13 @@ fn write_log(dir: &CampaignDir, records: &[&RunResult]) {
 
 /// Rebuilds `spec`'s report through all five aggregation paths and checks
 /// every one against the named fixture.
-///
-/// `spill_threshold` is the deliberately tiny bound used by the streamed
-/// and spilled paths, so eval-enabled specs exercise real disk spills while
-/// the in-memory path independently reproduces the same bytes.
-fn golden_corpus(tag: &str, spec: &CampaignSpec, fixture: &str, spill_threshold: usize) {
+fn golden_corpus(tag: &str, spec: &CampaignSpec, fixture: &str) {
     let executor = Executor::new(2);
     let runs = expand(spec).unwrap();
 
-    // Path 1: streaming run (the only simulation this corpus pays for),
-    // spilling eval samples at the tiny threshold.
+    // Path 1: streaming run (the only simulation this corpus pays for).
     let streamed_root = temp_root(&format!("{tag}-stream"));
-    let spilling = SpillPolicy::Threshold(spill_threshold);
-    let streamed = run(&executor, spec, &streamed_root, None, spilling)
+    let streamed = run(&executor, spec, &streamed_root, None)
         .unwrap()
         .expect("a whole campaign builds a report")
         .to_json();
@@ -131,7 +125,7 @@ fn golden_corpus(tag: &str, spec: &CampaignSpec, fixture: &str, spill_threshold:
         log.push_str(&line[..line.len() / 2]);
         std::fs::write(resume_dir.runs_path(), log).unwrap();
     }
-    let resumed = resume(&executor, &resume_root, Some(spec), spilling)
+    let resumed = resume(&executor, &resume_root, Some(spec))
         .unwrap()
         .expect("whole-campaign resume returns a report")
         .to_json();
@@ -150,23 +144,20 @@ fn golden_corpus(tag: &str, spec: &CampaignSpec, fixture: &str, spill_threshold:
         write_log(&dir, &part);
         inputs.push(root);
     }
-    let merged = merge(
-        &executor,
-        &inputs,
-        merge_base.join("merged"),
-        SpillPolicy::default(),
-        false,
-    )
-    .unwrap()
-    .to_json();
+    let merged = merge(&executor, &inputs, merge_base.join("merged"), false)
+        .unwrap()
+        .to_json();
 
-    // Path 5: spilled rebuild — the streamed directory's report built again
-    // from its log with an even smaller threshold (every fold spills).
-    let spill_root = temp_root(&format!("{tag}-spill"));
-    let spill_dir = CampaignDir::create(&spill_root, spec, runs.len()).unwrap();
-    write_log(&spill_dir, &records.iter().collect::<Vec<_>>());
-    let every_fold_spills = SpillPolicy::Threshold(1);
-    let spilled = resume(&executor, &spill_root, Some(spec), every_fold_spills)
+    // Path 5: stripped rebuild — the streamed records compacted with
+    // `--strip-samples` (samples moved to the sample store, the log
+    // scalar-only), then resumed: the fold refills every record's samples
+    // from the store.
+    let strip_root = temp_root(&format!("{tag}-strip"));
+    let strip_dir = CampaignDir::create(&strip_root, spec, runs.len()).unwrap();
+    write_log(&strip_dir, &records.iter().collect::<Vec<_>>());
+    let stats = compact(&strip_root, true).unwrap();
+    assert_eq!(stats.stripped_samples > 0, spec.sim.collect_samples);
+    let stripped = resume(&executor, &strip_root, Some(spec))
         .unwrap()
         .expect("whole-campaign resume returns a report")
         .to_json();
@@ -177,7 +168,7 @@ fn golden_corpus(tag: &str, spec: &CampaignSpec, fixture: &str, spill_threshold:
         ("in-memory", &in_memory),
         ("resume", &resumed),
         ("merge", &merged),
-        ("spilled", &spilled),
+        ("stripped", &stripped),
     ] {
         assert_eq!(
             produced, &streamed,
@@ -186,7 +177,7 @@ fn golden_corpus(tag: &str, spec: &CampaignSpec, fixture: &str, spill_threshold:
     }
     check_fixture(fixture, &streamed);
 
-    for root in [streamed_root, resume_root, merge_base, spill_root] {
+    for root in [streamed_root, resume_root, merge_base, strip_root] {
         let _ = std::fs::remove_dir_all(&root);
     }
 }
@@ -195,21 +186,21 @@ fn golden_corpus(tag: &str, spec: &CampaignSpec, fixture: &str, spill_threshold:
 fn golden_smoke_eval_off() {
     let spec = CampaignSpec::from_path(&spec_path("smoke.toml")).unwrap();
     assert!(!spec.eval.enabled);
-    golden_corpus("smoke-off", &spec, "smoke_eval_off.report.json", 4);
+    golden_corpus("smoke-off", &spec, "smoke_eval_off.report.json");
 }
 
 #[test]
 fn golden_smoke_eval_on() {
     let spec = CampaignSpec::from_path(&spec_path("smoke_eval.toml")).unwrap();
     assert!(spec.eval.enabled);
-    golden_corpus("smoke-on", &spec, "smoke_eval_on.report.json", 4);
+    golden_corpus("smoke-on", &spec, "smoke_eval_on.report.json");
 }
 
 #[test]
 fn golden_table1_quick_eval_on() {
     let spec = CampaignSpec::from_path(&spec_path("table1_quick.toml")).unwrap();
     assert!(spec.eval.enabled);
-    golden_corpus("table1-on", &spec, "table1_quick_eval_on.report.json", 16);
+    golden_corpus("table1-on", &spec, "table1_quick_eval_on.report.json");
 }
 
 #[test]
@@ -218,5 +209,5 @@ fn golden_table1_quick_eval_off() {
     // The eval-off variant of the same grid: identical run matrix and
     // group summaries, no evaluations array.
     spec.eval.enabled = false;
-    golden_corpus("table1-off", &spec, "table1_quick_eval_off.report.json", 16);
+    golden_corpus("table1-off", &spec, "table1_quick_eval_off.report.json");
 }

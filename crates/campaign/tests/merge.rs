@@ -6,7 +6,7 @@
 use dl2fence_campaign::stream::RUNS_FILE;
 use dl2fence_campaign::{
     expand, merge, resume, run, run_streaming, spec_fingerprint, CampaignDir, CampaignSpec,
-    Executor, RunResult, ShardSlice, SpillPolicy,
+    Executor, RunResult, ShardSlice,
 };
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -70,32 +70,19 @@ fn run_shards(base: &std::path::Path, count: usize) -> Vec<PathBuf> {
         .map(|index| {
             let dir = base.join(format!("shard-{index}"));
             let shard = Some(ShardSlice { index, count });
-            let report = run(
-                &Executor::new(2),
-                &spec(),
-                &dir,
-                shard,
-                SpillPolicy::default(),
-            )
-            .unwrap();
+            let report = run(&Executor::new(2), &spec(), &dir, shard).unwrap();
             assert!(report.is_none(), "shards build no report");
             dir
         })
         .collect()
 }
 
-/// Merges `inputs` into `out` with the default spill policy, refusing gaps.
+/// Merges `inputs` into `out`, refusing gaps.
 fn merge_default(
     inputs: &[PathBuf],
     out: impl Into<PathBuf>,
 ) -> Result<dl2fence_campaign::CampaignReport, dl2fence_campaign::SpecError> {
-    merge(
-        &Executor::new(2),
-        inputs,
-        out,
-        SpillPolicy::default(),
-        false,
-    )
+    merge(&Executor::new(2), inputs, out, false)
 }
 
 /// Alters one record's `packets_created`, keeping the JSON valid and the
@@ -121,14 +108,7 @@ fn three_shards_merge_byte_identical_to_a_single_machine_run() {
     }
 
     let out = base.join("merged");
-    let report = merge(
-        &Executor::new(3),
-        &shards,
-        &out,
-        SpillPolicy::default(),
-        false,
-    )
-    .unwrap();
+    let report = merge(&Executor::new(3), &shards, &out, false).unwrap();
     assert_eq!(&report.to_json(), reference_json());
     assert_eq!(
         &std::fs::read_to_string(out.join("report.json")).unwrap(),
@@ -144,14 +124,9 @@ fn three_shards_merge_byte_identical_to_a_single_machine_run() {
 
     // The merged directory is an ordinary campaign directory: it resumes
     // with nothing to do, byte-identically.
-    let resumed = resume(
-        &Executor::new(2),
-        &out,
-        Some(&spec()),
-        SpillPolicy::default(),
-    )
-    .unwrap()
-    .expect("merged directories are whole campaigns");
+    let resumed = resume(&Executor::new(2), &out, Some(&spec()))
+        .unwrap()
+        .expect("merged directories are whole campaigns");
     assert_eq!(&resumed.to_json(), reference_json());
     std::fs::remove_dir_all(&base).unwrap();
 }
@@ -167,14 +142,7 @@ fn merge_refuses_mismatched_spec_fingerprints() {
     assert_ne!(spec_fingerprint(&spec()), spec_fingerprint(&other));
     let foreign = base.join("foreign");
     let shard = Some(ShardSlice { index: 1, count: 2 });
-    run(
-        &Executor::new(2),
-        &other,
-        &foreign,
-        shard,
-        SpillPolicy::default(),
-    )
-    .unwrap();
+    run(&Executor::new(2), &other, &foreign, shard).unwrap();
 
     let inputs = vec![shards[0].clone(), foreign];
     let err = merge_default(&inputs, base.join("merged")).unwrap_err();
@@ -225,14 +193,7 @@ fn reexec_gaps_fills_a_lost_shard_byte_identically() {
 
     let inputs = vec![shards[0].clone(), shards[2].clone()];
     let out = base.join("merged-reexec");
-    let report = merge(
-        &Executor::new(2),
-        &inputs,
-        &out,
-        SpillPolicy::default(),
-        true,
-    )
-    .unwrap();
+    let report = merge(&Executor::new(2), &inputs, &out, true).unwrap();
     assert_eq!(&report.to_json(), reference_json());
     assert_eq!(
         &std::fs::read_to_string(out.join("report.json")).unwrap(),
@@ -331,14 +292,9 @@ fn torn_tail_records_are_healed_exactly_as_resume_heals_them() {
     // ...and resuming the shard re-executes exactly that run (healing the
     // torn line away first, as resume always does), after which the merge
     // succeeds byte-identically.
-    assert!(resume(
-        &Executor::new(2),
-        &shards[0],
-        Some(&spec()),
-        SpillPolicy::default()
-    )
-    .unwrap()
-    .is_none());
+    assert!(resume(&Executor::new(2), &shards[0], Some(&spec()))
+        .unwrap()
+        .is_none());
     let healed = std::fs::read_to_string(&log_path).unwrap();
     assert_eq!(healed.lines().count(), pristine.lines().count());
     let dir = CampaignDir::open(&shards[0]).unwrap();

@@ -1,7 +1,7 @@
 //! Property tests of the spec and streaming codecs: TOML/JSON spec
 //! round-trips over arbitrary grids, lossless RunResult JSONL
 //! encode/decode, resume-after-arbitrary-prefix scan recovery, shard-merge
-//! byte-identity over arbitrary partitions of the run matrix, spilled-vs-
+//! byte-identity over arbitrary partitions of the run matrix, stripped-vs-
 //! in-memory report byte-identity over arbitrary grids, compact-then-
 //! resume/merge equivalence under arbitrary prefixes and duplicate
 //! injection, and `campaign status` gap-list correctness.
@@ -9,8 +9,8 @@
 use dl2fence_campaign::stream::{CampaignDir, RUNS_FILE};
 use dl2fence_campaign::{
     compact, execute_run, expand, merge, resume, run_streaming, spec_fingerprint, status,
-    CampaignOutcome, CampaignReport, CampaignSpec, Executor, ReportAccumulator, RunMetrics,
-    RunResult, RunSpec, SampleStore, SpillPolicy,
+    CampaignOutcome, CampaignReport, CampaignSpec, Executor, RunMetrics, RunResult, RunSpec,
+    SampleStore,
 };
 use noc_monitor::{DirectionalFrames, FeatureFrame, FeatureKind, GroundTruth, LabeledSample};
 use noc_sim::Direction;
@@ -415,7 +415,7 @@ proptest! {
         let base = temp_root("merge-grid");
         let inputs = write_shards(&base, &spec, runs.len(), buckets, shuffle_seed);
         let out = base.join("merged");
-        let merged = merge(&Executor::new(1), &inputs, out, SpillPolicy::default(), dropped.is_some())
+        let merged = merge(&Executor::new(1), &inputs, out, dropped.is_some())
             .map_err(|e| e.to_string())?;
         prop_assert_eq!(merged.to_json(), reference);
         std::fs::remove_dir_all(&base).map_err(|e| e.to_string())?;
@@ -442,7 +442,7 @@ proptest! {
             |i| (splitmix(assign_seed ^ i as u64)) as usize,
             shuffle_seed,
         );
-        let merged = merge(&Executor::new(2), &inputs, base.join("merged"), SpillPolicy::default(), false)
+        let merged = merge(&Executor::new(2), &inputs, base.join("merged"), false)
             .map_err(|e| e.to_string())?;
         prop_assert_eq!(&merged.to_json(), reference);
         std::fs::remove_dir_all(&base).map_err(|e| e.to_string())?;
@@ -515,13 +515,13 @@ fn synthetic_sampled_result(run: &RunSpec, samples_per_run: usize) -> RunResult 
 }
 
 proptest! {
-    /// The spill tentpole's core property: for **arbitrary grids** with the
-    /// eval phase enabled and **arbitrary spill thresholds**, folding the
-    /// same runs through a disk-spilling accumulator produces a report
-    /// byte-identical to the all-in-memory build — while never retaining a
-    /// threshold's worth of samples between folds.
+    /// Stripped-log rebuild: for **arbitrary grids** with the eval phase
+    /// enabled and an **arbitrary subset** of records stripped into the
+    /// sample store (the rest keeping their samples inline), the fold
+    /// refills each stripped record from the store by run index and
+    /// rebuilds a report byte-identical to the all-in-memory build.
     #[test]
-    fn spilled_report_is_byte_identical_to_in_memory_for_any_grid(
+    fn stripped_report_is_byte_identical_to_in_memory_for_any_grid(
         // DL2Fence's detector CNN needs at least a 4x4 mesh.
         mesh in 4usize..6,
         fir_pct in 1u64..101,
@@ -533,7 +533,7 @@ proptest! {
         // every run (in particular every attack run — the localizer needs
         // one to train) then contributes a sample to the training side.
         samples_per_run in 2usize..4,
-        threshold in 1usize..12,
+        strip_mask in 0u64..u64::MAX,
     ) {
         let mut spec = build_spec(
             mesh, mesh, fir_pct, workload_i, workload_i, placements,
@@ -560,22 +560,28 @@ proptest! {
         .map_err(|e| e.to_string())?
         .to_json();
 
-        let root = temp_root("spill-grid");
-        let store = SampleStore::attach(&root, &spec_fingerprint(&spec))
+        let root = temp_root("strip-grid");
+        let dir = CampaignDir::create(&root, &spec, runs.len()).map_err(|e| e.to_string())?;
+        let mut store = SampleStore::attach(dir.samples_path(), &spec_fingerprint(&spec))
             .map_err(|e| e.to_string())?;
-        let mut acc = ReportAccumulator::for_spec(&spec)
-            .map_err(|e| e.to_string())?
-            .with_spill(store, threshold);
-        for result in &results {
-            acc.try_fold(result).map_err(|e| e.to_string())?;
-            prop_assert!(
-                acc.retained_samples() < threshold,
-                "retained {} samples at threshold {threshold}",
-                acc.retained_samples()
-            );
+        let mut log = String::new();
+        for mut record in results {
+            if (strip_mask >> (record.spec.index % 64)) & 1 == 1 {
+                let samples = record.take_samples();
+                store
+                    .append_batch(record.spec.mesh, record.spec.index, samples)
+                    .map_err(|e| e.to_string())?;
+            }
+            log.push_str(&serde_json::to_string(&record).unwrap());
+            log.push('\n');
         }
-        let spilled = acc.finish(&executor).map_err(|e| e.to_string())?.to_json();
-        prop_assert_eq!(spilled, reference);
+        drop(store);
+        std::fs::write(dir.runs_path(), log).map_err(|e| e.to_string())?;
+        let rebuilt = resume(&executor, &root, Some(&spec))
+            .map_err(|e| e.to_string())?
+            .expect("whole-campaign resume returns a report")
+            .to_json();
+        prop_assert_eq!(rebuilt, reference);
         std::fs::remove_dir_all(&root).map_err(|e| e.to_string())?;
     }
 
@@ -622,7 +628,7 @@ proptest! {
         prop_assert_eq!(stats.dropped_duplicates, if keep == 0 { 0 } else { 2 });
         prop_assert_eq!(stats.healed_torn_tail, keep < results.len());
 
-        let report = resume(&Executor::new(2), &root, Some(spec), SpillPolicy::default())
+        let report = resume(&Executor::new(2), &root, Some(spec))
             .map_err(|e| e.to_string())?
             .expect("whole-campaign resume returns a report");
         prop_assert_eq!(&report.to_json(), streamed_reference());
@@ -661,7 +667,7 @@ proptest! {
             }
             compact(input, false).map_err(|e| e.to_string())?;
         }
-        let merged = merge(&Executor::new(2), &inputs, base.join("merged"), SpillPolicy::default(), false)
+        let merged = merge(&Executor::new(2), &inputs, base.join("merged"), false)
             .map_err(|e| e.to_string())?;
         prop_assert_eq!(&merged.to_json(), streamed_reference());
         std::fs::remove_dir_all(&base).map_err(|e| e.to_string())?;
@@ -725,7 +731,7 @@ fn resume_after_every_prefix_matches_the_uninterrupted_report() {
         std::fs::write(root.join(RUNS_FILE), &jsonl).unwrap();
         drop(dir);
 
-        let report = resume(&Executor::new(3), &root, Some(spec), SpillPolicy::default())
+        let report = resume(&Executor::new(3), &root, Some(spec))
             .unwrap()
             .unwrap();
         assert_eq!(report.to_json(), reference, "prefix {keep} diverged");

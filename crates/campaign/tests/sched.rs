@@ -8,7 +8,7 @@
 use dl2fence_campaign::{
     expand, merge, resume, run_streaming, sched_status, serve_sched, spec_fingerprint, status,
     work, CampaignDir, CampaignSpec, Executor, Grant, RunResult, SchedConfig, Scheduler,
-    ServeOptions, SpillPolicy, WatchSnapshot, WorkOptions,
+    ServeOptions, WatchSnapshot, WorkOptions,
 };
 use dl2fence_telemetry::{EventData, MemorySink, Telemetry};
 use proptest::prelude::*;
@@ -99,7 +99,6 @@ fn coordinator_and_two_workers_drain_the_matrix_byte_identically() {
                     lease_size: 2,
                     lease_ttl: Duration::from_secs(60),
                     poll: Duration::from_millis(5),
-                    spill: SpillPolicy::default(),
                 },
             )
         });
@@ -173,7 +172,6 @@ fn killed_worker_lease_expires_and_is_reissued_to_the_survivor() {
                     lease_size: 3,
                     lease_ttl: Duration::from_millis(300),
                     poll: Duration::from_millis(5),
-                    spill: SpillPolicy::default(),
                 },
             )
         });
@@ -283,14 +281,9 @@ fn resume_of_a_coordinator_directory_executes_only_what_its_workers_lack() {
     let sink = Arc::new(MemorySink::new());
     let executor = Executor::new(2).with_telemetry(Telemetry::with_sink(sink.clone()));
 
-    let report = resume(
-        &executor,
-        &root,
-        Some(&fleet_spec()),
-        SpillPolicy::default(),
-    )
-    .unwrap()
-    .expect("a coordinator directory is a whole campaign");
+    let report = resume(&executor, &root, Some(&fleet_spec()))
+        .unwrap()
+        .expect("a coordinator directory is a whole campaign");
     let executed = sink
         .snapshot()
         .iter()
@@ -330,28 +323,14 @@ fn status_of_a_half_drained_fleet_counts_its_worker_records() {
     // A merge of the directory counts the same records: it refuses on
     // exactly the union gap list, and re-executes only those gaps.
     let out = root.with_extension("merged");
-    let err = merge(
-        &Executor::new(2),
-        std::slice::from_ref(&root),
-        &out,
-        SpillPolicy::default(),
-        false,
-    )
-    .unwrap_err();
+    let err = merge(&Executor::new(2), std::slice::from_ref(&root), &out, false).unwrap_err();
     assert!(
         err.to_string()
             .contains("missing 2 of 4 run indices: [1, 3]"),
         "{err}"
     );
     std::fs::remove_dir_all(&out).unwrap();
-    let merged = merge(
-        &Executor::new(2),
-        std::slice::from_ref(&root),
-        &out,
-        SpillPolicy::default(),
-        true,
-    )
-    .unwrap();
+    let merged = merge(&Executor::new(2), std::slice::from_ref(&root), &out, true).unwrap();
     assert_eq!(merged.to_json(), reference);
     std::fs::remove_dir_all(&out).unwrap();
     std::fs::remove_dir_all(&root).unwrap();
@@ -377,9 +356,7 @@ fn watch_of_a_drained_coordinator_waits_for_its_report() {
     );
 
     std::fs::remove_dir_all(&starting).unwrap();
-    let report = resume(&Executor::new(2), &root, None, SpillPolicy::default())
-        .unwrap()
-        .unwrap();
+    let report = resume(&Executor::new(2), &root, None).unwrap().unwrap();
     assert_eq!(report.to_json(), reference);
     assert!(WatchSnapshot::capture(&root).unwrap().complete());
     std::fs::remove_dir_all(&root).unwrap();
@@ -567,7 +544,7 @@ proptest! {
         }
         let inputs: Vec<PathBuf> = fleet.iter().map(|w| w.root.clone()).collect();
         drop(fleet);
-        let report = merge(&Executor::new(2), &inputs, root.join("merged"), SpillPolicy::default(), true)
+        let report = merge(&Executor::new(2), &inputs, root.join("merged"), true)
             .map_err(|e| e.to_string())?;
         prop_assert_eq!(&report.to_json(), reference);
         std::fs::remove_dir_all(&root).map_err(|e| e.to_string())?;

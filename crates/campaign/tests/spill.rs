@@ -1,17 +1,17 @@
-//! Integration coverage of the bounded-memory surface: disk-spilled eval
-//! sample pools ([`dl2fence_campaign::spill`]), log compaction
+//! Integration coverage of the eval sample store
+//! ([`dl2fence_campaign::spill`]), log compaction
 //! ([`dl2fence_campaign::compact`]) and the read-only status inspector
-//! ([`dl2fence_campaign::status`]) — including the acceptance guard that a
-//! spilling accumulator's retention stays below its threshold on a
-//! campaign an order of magnitude larger.
+//! ([`dl2fence_campaign::status`]): a stripped log rebuilds its report from
+//! the store by run index — also across frame geometries that share a row
+//! count — and a stripped record whose samples are nowhere is a typed
+//! error, not a silently smaller training set.
 
-use dl2fence_campaign::stream::{RUNS_FILE, SAMPLES_DIR};
+use dl2fence_campaign::stream::{REPORT_FILE, RUNS_FILE, SAMPLES_DIR};
 use dl2fence_campaign::{
     compact, expand, merge, resume, run, run_streaming, spec_fingerprint, status, CampaignDir,
-    CampaignReport, CampaignSpec, Executor, ReportAccumulator, RunResult, SampleStore, ShardSlice,
-    SpillPolicy,
+    CampaignSpec, Executor, ReportAccumulator, RunResult, SampleBatch, SampleStore, ShardSlice,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A sample-heavy eval campaign, small enough to simulate in-test: 20 runs
 /// x 4 samples = 80 labeled samples through one mesh pool.
@@ -37,43 +37,6 @@ fn temp_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("dl2fence-spill-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     root
-}
-
-#[test]
-fn spilling_accumulator_stays_below_threshold_on_a_10x_campaign() {
-    // The acceptance criterion: with eval enabled and spilling active,
-    // retained_samples() stays below the configured threshold for a
-    // campaign at least 10x that size, and the report is byte-identical to
-    // the in-memory build.
-    let spec = sample_heavy_spec();
-    let executor = Executor::new(2);
-    let outcome = executor.execute(&spec).unwrap();
-    let total_samples: usize = outcome.runs.iter().map(|r| r.samples.len()).sum();
-    let threshold = total_samples / 10;
-    assert!(threshold >= 1, "campaign must be >= 10x the threshold");
-    let reference = CampaignReport::build_with(&outcome, &executor).unwrap();
-
-    let root = temp_root("tenx");
-    let store = SampleStore::attach(&root, &spec_fingerprint(&spec)).unwrap();
-    let mut acc = ReportAccumulator::for_spec(&spec)
-        .unwrap()
-        .with_spill(store, threshold);
-    let mut peak = 0usize;
-    for run in &outcome.runs {
-        acc.try_fold(run).unwrap();
-        peak = peak.max(acc.retained_samples());
-    }
-    assert!(
-        peak < threshold,
-        "retention peaked at {peak}, threshold {threshold}"
-    );
-    assert!(
-        acc.spilled_samples() >= total_samples - threshold,
-        "most samples must be on disk"
-    );
-    let spilled = acc.finish(&executor).unwrap();
-    assert_eq!(spilled.to_json(), reference.to_json());
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -111,9 +74,7 @@ fn compact_orders_dedupes_heals_and_preserves_the_report() {
     assert_eq!(indices, (0..lines.len()).collect::<Vec<_>>());
 
     // And the directory still resumes to the identical report.
-    let resumed = resume(&executor, &root, Some(&spec), SpillPolicy::InMemory)
-        .unwrap()
-        .unwrap();
+    let resumed = resume(&executor, &root, Some(&spec)).unwrap().unwrap();
     assert_eq!(resumed.to_json(), reference);
     std::fs::remove_dir_all(&root).unwrap();
 }
@@ -142,25 +103,14 @@ fn strip_samples_shrinks_the_log_and_keeps_every_path_byte_identical() {
     }
 
     // Resume of the stripped directory rebuilds the identical report from
-    // the sample store (both with and without fresh spilling).
-    for policy in [SpillPolicy::InMemory, SpillPolicy::Threshold(3)] {
-        let resumed = resume(&executor, &root, Some(&spec), policy)
-            .unwrap()
-            .unwrap();
-        assert_eq!(resumed.to_json(), reference, "policy {policy:?} diverged");
-    }
+    // the sample store.
+    let resumed = resume(&executor, &root, Some(&spec)).unwrap().unwrap();
+    assert_eq!(resumed.to_json(), reference);
 
     // A stripped directory still merges: its store rides along into the
     // merged directory and the report comes out byte-identical.
     let merged_root = temp_root("strip-merged");
-    let merged = merge(
-        &executor,
-        std::slice::from_ref(&root),
-        &merged_root,
-        SpillPolicy::default(),
-        false,
-    )
-    .unwrap();
+    let merged = merge(&executor, std::slice::from_ref(&root), &merged_root, false).unwrap();
     assert_eq!(merged.to_json(), reference);
     assert!(
         merged_root.join(SAMPLES_DIR).join("4.jsonl").exists(),
@@ -174,6 +124,97 @@ fn strip_samples_shrinks_the_log_and_keeps_every_path_byte_identical() {
 
     std::fs::remove_dir_all(&root).unwrap();
     std::fs::remove_dir_all(&merged_root).unwrap();
+}
+
+/// Strips `root`'s log into its sample store and deletes the report, so
+/// the next resume must rebuild everything from the stripped records.
+fn strip_and_drop_report(root: &Path) {
+    assert!(compact(root, true).unwrap().stripped_samples > 0);
+    std::fs::remove_file(root.join(REPORT_FILE)).unwrap();
+}
+
+#[test]
+fn stripped_resume_of_a_mixed_geometry_campaign_reproduces_the_report() {
+    // `mesh4` and `mesh4x8` share 4 frame rows, so their batches share
+    // `samples/4.jsonl` — but they train separate detectors. The fold must
+    // find each stripped record's own batch by run index, never hand the
+    // 4x4 pool a 4x8 batch.
+    let mut spec = sample_heavy_spec();
+    spec.grid.mesh = Vec::new();
+    spec.grid.topology = vec!["mesh4".into(), "mesh4x8".into()];
+    let executor = Executor::new(2);
+    let root = temp_root("mixed");
+    let reference = run_streaming(&executor, &spec, &root).unwrap();
+    assert_eq!(
+        reference.evaluations.len(),
+        2,
+        "one eval entry per geometry"
+    );
+
+    strip_and_drop_report(&root);
+    let store = SampleStore::open_existing(root.join(SAMPLES_DIR), None)
+        .unwrap()
+        .unwrap();
+    assert_eq!(store.meshes(), vec![4], "both geometries share one file");
+    let resumed = resume(&executor, &root, Some(&spec)).unwrap().unwrap();
+    assert_eq!(resumed.to_json(), reference.to_json());
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn stripped_record_without_a_stored_batch_is_a_typed_error() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/smoke_eval.toml");
+    let spec = CampaignSpec::from_path(Path::new(path)).unwrap();
+    let executor = Executor::new(2);
+    let root = temp_root("lost-batch");
+    run_streaming(&executor, &spec, &root).unwrap();
+    strip_and_drop_report(&root);
+
+    // Lose the second half of the store: its stripped records' samples
+    // exist nowhere now.
+    let pool = root.join(SAMPLES_DIR).join("4.jsonl");
+    let text = std::fs::read_to_string(&pool).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 10);
+    let kept: String = lines[..5].iter().map(|l| format!("{l}\n")).collect();
+    std::fs::write(&pool, kept).unwrap();
+    let lost = lines[5..]
+        .iter()
+        .map(|l| serde_json::from_str::<SampleBatch>(l).unwrap().index)
+        .min()
+        .unwrap();
+
+    // The fold refuses with the first lost run index instead of training
+    // on the surviving half, and writes no report.
+    let err = resume(&executor, &root, Some(&spec)).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains(&format!("run index {lost} carries no samples")),
+        "{err}"
+    );
+    assert!(!root.join(REPORT_FILE).exists());
+
+    // The accumulator itself refuses such a record and stays unchanged.
+    let mut acc = ReportAccumulator::for_spec(&spec).unwrap();
+    let record: RunResult = serde_json::from_str(
+        std::fs::read_to_string(root.join(RUNS_FILE))
+            .unwrap()
+            .lines()
+            .next()
+            .unwrap(),
+    )
+    .unwrap();
+    assert!(record.samples.is_empty());
+    let err = acc.try_fold(&record).unwrap_err();
+    assert!(
+        err.to_string().contains(&format!(
+            "run index {} carries no samples",
+            record.spec.index
+        )),
+        "{err}"
+    );
+    assert_eq!(acc.folded_runs(), 0);
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -209,11 +250,12 @@ fn status_reports_progress_gaps_spill_and_union() {
     run_streaming(&executor, &spec, &root).unwrap();
     let runs = expand(&spec).unwrap();
 
-    // Complete directory: no gaps, report written, spill store present
-    // (the default streaming policy attaches one for eval campaigns).
+    // Complete directory: no gaps, report written, and no sample store (a
+    // plain run keeps its samples in the log).
     let report = status(std::slice::from_ref(&root)).unwrap();
     assert_eq!(report.dirs.len(), 1);
     let dir_status = &report.dirs[0];
+    assert!(dir_status.spill.is_none());
     assert_eq!(dir_status.total_runs, runs.len());
     assert_eq!(dir_status.completed, runs.len());
     assert!(dir_status.missing.is_empty());
@@ -285,15 +327,9 @@ fn shard_status_counts_owned_indices_only() {
     let spec = sample_heavy_spec();
     let root = temp_root("shard-status");
     let shard = ShardSlice { index: 1, count: 3 };
-    assert!(run(
-        &Executor::new(2),
-        &spec,
-        &root,
-        Some(shard),
-        SpillPolicy::default()
-    )
-    .unwrap()
-    .is_none());
+    assert!(run(&Executor::new(2), &spec, &root, Some(shard))
+        .unwrap()
+        .is_none());
     let total = expand(&spec).unwrap().len();
 
     let report = status(std::slice::from_ref(&root)).unwrap();

@@ -4,7 +4,6 @@
 
 use dl2fence_campaign::{
     expand, resume, run_streaming, spec_fingerprint, CampaignReport, CampaignSpec, Executor,
-    SpillPolicy,
 };
 use std::path::PathBuf;
 
@@ -84,14 +83,9 @@ fn kill_and_resume_reports_are_byte_identical_to_uninterrupted_and_in_memory() {
         truncated.push_str(&lines[keep][..lines[keep].len() / 2]);
         std::fs::write(crash_root.join("runs.jsonl"), truncated).unwrap();
 
-        let resumed = resume(
-            &Executor::new(3),
-            &crash_root,
-            Some(&spec),
-            SpillPolicy::default(),
-        )
-        .unwrap()
-        .expect("a whole-campaign directory resumes to a report");
+        let resumed = resume(&Executor::new(3), &crash_root, Some(&spec))
+            .unwrap()
+            .expect("a whole-campaign directory resumes to a report");
         assert_eq!(
             resumed.to_json(),
             uninterrupted_json,
@@ -112,14 +106,9 @@ fn kill_and_resume_reports_are_byte_identical_to_uninterrupted_and_in_memory() {
             total,
             "resume after {keep}/{total} must heal the log to one record per run"
         );
-        let resumed_again = resume(
-            &Executor::new(2),
-            &crash_root,
-            Some(&spec),
-            SpillPolicy::default(),
-        )
-        .unwrap()
-        .unwrap();
+        let resumed_again = resume(&Executor::new(2), &crash_root, Some(&spec))
+            .unwrap()
+            .unwrap();
         assert_eq!(resumed_again.to_json(), uninterrupted_json);
         std::fs::remove_dir_all(&crash_root).unwrap();
     }
@@ -137,13 +126,7 @@ fn resume_refuses_a_mismatched_spec_fingerprint() {
     let mut other = spec.clone();
     other.grid.fir = vec![0.4, 0.9];
     assert_ne!(spec_fingerprint(&spec), spec_fingerprint(&other));
-    let err = resume(
-        &Executor::new(2),
-        &root,
-        Some(&other),
-        SpillPolicy::default(),
-    )
-    .unwrap_err();
+    let err = resume(&Executor::new(2), &root, Some(&other)).unwrap_err();
     let message = err.to_string();
     assert!(message.contains("fingerprint mismatch"), "got: {message}");
     assert!(
@@ -152,13 +135,7 @@ fn resume_refuses_a_mismatched_spec_fingerprint() {
     );
 
     // The matching spec still resumes fine afterwards.
-    assert!(resume(
-        &Executor::new(2),
-        &root,
-        Some(&spec),
-        SpillPolicy::default()
-    )
-    .is_ok());
+    assert!(resume(&Executor::new(2), &root, Some(&spec)).is_ok());
     std::fs::remove_dir_all(&root).unwrap();
 }
 

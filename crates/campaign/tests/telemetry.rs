@@ -15,8 +15,7 @@
 //!    the whole log.
 
 use dl2fence_campaign::{
-    expand, read_events, run, summarize, CampaignSpec, Executor, SpillPolicy, WatchSnapshot,
-    EVENTS_FILE,
+    expand, read_events, run, summarize, CampaignSpec, Executor, WatchSnapshot, EVENTS_FILE,
 };
 use dl2fence_telemetry::{Event, EventData, Telemetry};
 use std::path::{Path, PathBuf};
@@ -45,7 +44,7 @@ fn run_campaign(spec: &CampaignSpec, tag: &str, telemetry: bool) -> (PathBuf, St
         let sink = Telemetry::to_jsonl_file(&root.join(EVENTS_FILE)).unwrap();
         executor = executor.with_telemetry(sink);
     }
-    let report = run(&executor, spec, &root, None, SpillPolicy::Threshold(4))
+    let report = run(&executor, spec, &root, None)
         .unwrap()
         .expect("a whole campaign builds a report")
         .to_json();

@@ -8,7 +8,6 @@
 
 use dl2fence_campaign::{
     expand, merge, run, run_streaming, spec_fingerprint, CampaignSpec, Executor, ShardSlice,
-    SpillPolicy,
 };
 
 const SPEC: &str = r#"
@@ -55,8 +54,7 @@ fn main() {
             count: SHARDS,
         };
         let dir = root.join(format!("shard-{index}"));
-        let report =
-            run(&executor, &spec, &dir, Some(shard), SpillPolicy::default()).expect("shard run");
+        let report = run(&executor, &spec, &dir, Some(shard)).expect("shard run");
         assert!(report.is_none(), "a shard builds no report");
         println!(
             "shard {index}/{SHARDS}: {} runs streamed to {}",
@@ -69,14 +67,7 @@ fn main() {
     // Merge verifies the shared fingerprint, unions the run logs (refusing
     // gaps and conflicts) and rebuilds the report incrementally.
     let merged_dir = root.join("merged");
-    let merged = merge(
-        &executor,
-        &shard_dirs,
-        &merged_dir,
-        SpillPolicy::default(),
-        false,
-    )
-    .expect("merge");
+    let merged = merge(&executor, &shard_dirs, &merged_dir, false).expect("merge");
     println!("merged {SHARDS} shards into {}", merged_dir.display());
 
     // The proof: a single-machine run of the same spec, byte-for-byte.

@@ -8,9 +8,7 @@
 //! ```
 
 use dl2fence_campaign::stream::RUNS_FILE;
-use dl2fence_campaign::{
-    resume, run_streaming, spec_fingerprint, CampaignSpec, Executor, SpillPolicy,
-};
+use dl2fence_campaign::{resume, run_streaming, spec_fingerprint, CampaignSpec, Executor};
 
 const SPEC: &str = r#"
 name = "streaming-demo"
@@ -71,7 +69,7 @@ fn main() {
     );
 
     // Resume re-executes only the missing indices and rebuilds the report.
-    let resumed = resume(&executor, &crashed, Some(&spec), SpillPolicy::default())
+    let resumed = resume(&executor, &crashed, Some(&spec))
         .expect("resume")
         .expect("a whole-campaign directory resumes to a report");
     assert_eq!(
