@@ -3,31 +3,26 @@
 //! the trained detector loses when its weights are quantized to various bit
 //! widths.
 //!
-//! The sample-collection campaign is declarative —
-//! `specs/ablation_quantization.toml`, embedded at compile time — and runs
-//! on the campaign engine's worker pool; the binary then trains the float
-//! detector on the spec's train split and re-scores it per precision.
+//! The samples come from the `stp` spec's campaign, run on the campaign
+//! engine's worker pool; the binary then trains the float detector on the
+//! per-benchmark train split and re-scores it per precision. Run with
+//! `-- specs/paper` for the paper-scale 16×16 mesh.
 
 use dl2fence::{DosDetector, FenceConfig};
-use dl2fence_bench::load_spec_scaled;
+use dl2fence_bench::load_spec;
 use dl2fence_campaign::{split_by_benchmark, Executor};
 use noc_monitor::FeatureKind;
 use tinycnn::quantize::quantize_model;
 use tinycnn::BinaryConfusion;
 
-const SPEC_TOML: &str = include_str!(concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../specs/ablation_quantization.toml"
-));
-
 fn main() {
-    let spec = load_spec_scaled(SPEC_TOML);
-    let mesh = spec.grid.mesh[0];
+    let spec = load_spec("stp");
+    let mesh = spec.resolved_topologies().expect("loaded spec is valid")[0].rows();
     let seed = spec.grid.seeds[0];
     println!("Ablation — detector weight quantization ({mesh}x{mesh} mesh)");
     let outcome = Executor::with_available_parallelism()
         .execute(&spec)
-        .expect("ablation campaign must be valid");
+        .expect("loaded spec is valid");
     let (train, test) = split_by_benchmark(outcome.runs, spec.eval.train_fraction);
 
     let config = FenceConfig::new(mesh, mesh);

@@ -1,18 +1,25 @@
-//! Ablation: Multi-Frame-Fusion binarization threshold sweep (DESIGN.md §5).
+//! Ablation: Multi-Frame-Fusion binarization threshold sweep.
 //!
-//! Trains one DL2Fence instance and re-evaluates localization with different
-//! binarization thresholds applied to the segmentation outputs.
+//! Trains one DL2Fence instance per binarization threshold applied to the
+//! segmentation outputs, on the `stp` spec's campaign split per benchmark,
+//! and compares localization on the held-out test set. Run with
+//! `-- specs/paper` for the paper-scale 16×16 mesh.
 
 use dl2fence::evaluation::evaluate;
 use dl2fence::{Dl2Fence, FenceConfig};
-use dl2fence_bench::{collect_split, stp_workloads, ExperimentScale};
+use dl2fence_bench::load_spec;
+use dl2fence_campaign::{split_by_benchmark, Executor};
 use noc_monitor::FeatureKind;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    let mesh = scale.stp_mesh;
+    let spec = load_spec("stp");
+    let mesh = spec.resolved_topologies().expect("loaded spec is valid")[0].rows();
+    let seed = spec.grid.seeds[0];
     println!("Ablation — MFF binarization threshold sweep ({mesh}x{mesh} mesh)");
-    let (train, test) = collect_split(&stp_workloads(&scale), mesh, &scale);
+    let outcome = Executor::with_available_parallelism()
+        .execute(&spec)
+        .expect("loaded spec is valid");
+    let (train, test) = split_by_benchmark(outcome.runs, spec.eval.train_fraction);
 
     println!(
         "{:>9} {:>10} {:>11} {:>8} {:>8}",
@@ -20,8 +27,8 @@ fn main() {
     );
     for threshold in [0.3f32, 0.4, 0.5, 0.6, 0.7] {
         let mut config = FenceConfig::new(mesh, mesh)
-            .with_seed(scale.seed)
-            .with_epochs(scale.detector_epochs, scale.localizer_epochs);
+            .with_seed(seed)
+            .with_epochs(spec.eval.detector_epochs, spec.eval.localizer_epochs);
         config.detection_feature = FeatureKind::Vco;
         config.localization_feature = FeatureKind::Boc;
         config.fusion_threshold = threshold;

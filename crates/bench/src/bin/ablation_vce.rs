@@ -1,24 +1,31 @@
 //! Ablation: effect of the Victim Completing Enhancement (VCE) stage on
-//! localization quality (DESIGN.md §5).
+//! localization quality.
 //!
-//! Trains one DL2Fence instance per setting (VCE on / VCE off) on the same
-//! dataset and compares the localization confusion on the held-out test set.
+//! Trains one DL2Fence instance per setting (VCE on / VCE off) on the `stp`
+//! spec's campaign split per benchmark and compares the localization
+//! confusion on the held-out test set. Run with `-- specs/paper` for the
+//! paper-scale 16×16 mesh.
 
 use dl2fence::evaluation::evaluate;
 use dl2fence::{Dl2Fence, FenceConfig};
-use dl2fence_bench::{collect_split, stp_workloads, ExperimentScale};
+use dl2fence_bench::load_spec;
+use dl2fence_campaign::{split_by_benchmark, Executor};
 use noc_monitor::FeatureKind;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    let mesh = scale.stp_mesh;
+    let spec = load_spec("stp");
+    let mesh = spec.resolved_topologies().expect("loaded spec is valid")[0].rows();
+    let seed = spec.grid.seeds[0];
     println!("Ablation — Victim Completing Enhancement ({mesh}x{mesh} mesh)");
-    let (train, test) = collect_split(&stp_workloads(&scale), mesh, &scale);
+    let outcome = Executor::with_available_parallelism()
+        .execute(&spec)
+        .expect("loaded spec is valid");
+    let (train, test) = split_by_benchmark(outcome.runs, spec.eval.train_fraction);
 
     for vce in [false, true] {
         let mut config = FenceConfig::new(mesh, mesh)
-            .with_seed(scale.seed)
-            .with_epochs(scale.detector_epochs, scale.localizer_epochs)
+            .with_seed(seed)
+            .with_epochs(spec.eval.detector_epochs, spec.eval.localizer_epochs)
             .with_vce(vce);
         config.detection_feature = FeatureKind::Vco;
         config.localization_feature = FeatureKind::Boc;

@@ -6,52 +6,43 @@
 //! campaign on the `dl2fence-campaign` worker-pool executor — one run per
 //! point, all cores busy, deterministic output for any worker count.
 //!
-//! Run with `--full` for longer runs per FIR point.
+//! The mesh, workload, seed, sim parameters and FIR list come from the
+//! `fir_sweep` spec; run with `-- specs/paper` for 20 000 cycles per point.
 
-use dl2fence_bench::ExperimentScale;
-use dl2fence_campaign::{runs_from_scenarios, CampaignReport, Executor, SimParams};
+use dl2fence_bench::load_spec;
+use dl2fence_campaign::{runs_from_scenarios, CampaignReport, Executor};
 use noc_monitor::ScenarioSpec;
 use noc_sim::NodeId;
-use noc_traffic::{BenignWorkload, ParsecWorkload};
 use std::time::Instant;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    let mesh = scale.parsec_mesh;
-    let cycles = if scale.stp_mesh >= 16 { 20_000 } else { 5_000 };
-    let workload = BenignWorkload::Parsec(ParsecWorkload::Blackscholes);
+    let spec = load_spec("fir_sweep");
+    let mesh = spec.resolved_topologies().expect("loaded spec is valid")[0].rows();
+    let workload = spec.workloads().expect("loaded spec is valid")[0];
     let attacker = NodeId(mesh * mesh - 1);
     let victim = NodeId(0);
 
     // One scenario per FIR point: the paper's corner-to-corner flooding
-    // attack overlaid on the PARSEC-like benign workload (FIR 0 = no attack).
-    let scenarios = (0..=10).map(|i| {
-        let fir = i as f64 / 10.0;
+    // attack overlaid on the benign workload (FIR 0 = no attack).
+    let scenarios = spec.grid.fir.iter().map(|&fir| {
         if fir == 0.0 {
             ScenarioSpec::benign(workload)
         } else {
             ScenarioSpec::attacked(workload, vec![attacker], victim, fir)
         }
     });
-    let runs = runs_from_scenarios(0xF1, mesh, scenarios);
-    let sim = SimParams {
-        warmup_cycles: 0,
-        sample_period: cycles,
-        samples_per_run: 1,
-        collect_samples: false,
-        injection_queue_capacity: 512,
-    };
+    let runs = runs_from_scenarios(spec.grid.seeds[0], mesh, scenarios);
 
     let executor = Executor::with_available_parallelism();
     println!(
         "Figure 1 — latency vs FIR ({}x{} mesh, PARSEC-like benign workload, {} cycles/point, {} workers)",
         mesh,
         mesh,
-        cycles,
+        spec.sim.sample_period,
         executor.workers()
     );
     let started = Instant::now();
-    let results = executor.execute_runs(&sim, &runs);
+    let results = executor.execute_runs(&spec.sim, &runs);
     let elapsed = started.elapsed();
 
     println!(

@@ -4,25 +4,19 @@
 //! showing the reconstructed attack route and the per-example localization
 //! accuracy / precision / recall.
 //!
-//! The training campaign is declarative — `specs/fig4_localization.toml`,
-//! embedded at compile time, with enough attack placements that straight
-//! and L-shaped routes in every direction are represented — and runs on the
-//! campaign engine's worker pool. The quick configuration uses an 8×8 mesh
-//! with analogous attacker placements; `--full` rescales the spec to the
-//! paper's 16×16 placements.
+//! The training campaign is the `fig4_localization` spec, with enough
+//! attack placements that straight and L-shaped routes in every direction
+//! are represented; it runs on the campaign engine's worker pool. The quick
+//! spec uses an 8×8 mesh with analogous attacker placements; run with
+//! `-- specs/paper` for the paper's 16×16 mesh and placements.
 
 use dl2fence::evaluation::evaluate;
 use dl2fence::{Dl2Fence, FenceConfig};
-use dl2fence_bench::load_spec_scaled;
+use dl2fence_bench::load_spec;
 use dl2fence_campaign::{parse_feature, split_by_benchmark, Executor};
 use noc_monitor::dataset::{CollectionConfig, DatasetGenerator, ScenarioSpec};
 use noc_sim::{NocConfig, NodeId};
 use noc_traffic::{BenignWorkload, SyntheticPattern};
-
-const SPEC_TOML: &str = include_str!(concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../specs/fig4_localization.toml"
-));
 
 fn render_map(victims: &[NodeId], attackers: &[NodeId], rows: usize, cols: usize) -> String {
     let mut out = String::new();
@@ -45,8 +39,8 @@ fn render_map(victims: &[NodeId], attackers: &[NodeId], rows: usize, cols: usize
 }
 
 fn main() {
-    let spec = load_spec_scaled(SPEC_TOML);
-    let mesh = spec.grid.mesh[0];
+    let spec = load_spec("fig4_localization");
+    let mesh = spec.resolved_topologies().expect("loaded spec is valid")[0].rows();
     let seed = spec.grid.seeds[0];
     let fir = spec.grid.fir[0];
     let workload =
@@ -73,15 +67,15 @@ fn main() {
     );
     let outcome = Executor::with_available_parallelism()
         .execute(&spec)
-        .expect("fig4 campaign must be valid");
+        .expect("loaded spec is valid");
     let (train, _) = split_by_benchmark(outcome.runs, spec.eval.train_fraction);
     let mut config = FenceConfig::new(mesh, mesh)
         .with_seed(seed)
         .with_epochs(spec.eval.detector_epochs, spec.eval.localizer_epochs);
     config.detection_feature =
-        parse_feature(&spec.eval.detection_feature).expect("embedded spec feature is valid");
+        parse_feature(&spec.eval.detection_feature).expect("eval feature is vco or boc");
     config.localization_feature =
-        parse_feature(&spec.eval.localization_feature).expect("embedded spec feature is valid");
+        parse_feature(&spec.eval.localization_feature).expect("eval feature is vco or boc");
     let mut fence = Dl2Fence::new(config);
     fence.train(&train);
 

@@ -2,13 +2,11 @@
 //! Rate, quantifying the paper's motivation that flooding DoS causes "a
 //! surge in power consumption" alongside the latency impact of Figure 1.
 
-use dl2fence_bench::ExperimentScale;
 use noc_sim::{EnergyModel, NocConfig, NodeId};
 use noc_traffic::{AttackScenario, FloodingAttack, SyntheticPattern};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    let mesh = scale.parsec_mesh;
+    let mesh = 8;
     let cycles = 5_000u64;
     let model = EnergyModel::new();
     println!(

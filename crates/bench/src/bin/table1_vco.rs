@@ -2,24 +2,30 @@
 //! tasks use the Virtual Channel Occupancy (VCO) feature, across the six
 //! synthetic traffic patterns and the three PARSEC-like workloads.
 //!
-//! Each benchmark group runs as one declarative `dl2fence-campaign`: the
-//! simulate→sample grid executes on the worker-pool engine across every
-//! available core, and the campaign's eval phase trains and scores the
-//! models.
+//! The `stp` and `parsec` specs each run as one campaign with the VCO/VCO
+//! feature pair: the simulate→sample grid executes on the worker-pool
+//! engine across every available core, and the campaign's eval phase
+//! trains and scores the models.
 //!
-//! Run with `--full` (or `DL2FENCE_FULL=1`) for the paper-scale 16×16 mesh.
+//! Run with `-- specs/paper` for the paper-scale 16×16 mesh.
 
-use dl2fence_bench::{print_table, run_table_experiment, ExperimentScale};
-use noc_monitor::FeatureKind;
+use dl2fence_bench::{evaluate, load_spec, print_table};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let [stp, parsec] = ["stp", "parsec"].map(|name| {
+        let mut spec = load_spec(name);
+        spec.eval.detection_feature = "vco".into();
+        spec.eval.localization_feature = "vco".into();
+        spec
+    });
+    let topology = &stp.resolved_topologies().expect("loaded spec is valid")[0];
     println!(
         "Table 1 — VCO for detection and localization ({}x{} STP mesh, FIR {})",
-        scale.stp_mesh, scale.stp_mesh, scale.fir
+        topology.rows(),
+        topology.cols(),
+        stp.grid.fir[0]
     );
-    let result = run_table_experiment(FeatureKind::Vco, FeatureKind::Vco, &scale);
-    print_table("Table 1: VCO | VCO", &result);
+    print_table("Table 1: VCO | VCO", &evaluate(&stp), &evaluate(&parsec));
     println!(
         "Paper reference (16x16): STP detection avg acc 0.98, localization avg acc 0.53;\n\
          PARSEC detection avg acc 0.93, localization avg acc 0.98.\n\

@@ -1,19 +1,25 @@
 //! Regenerates **Table 2**: detection and localization metrics when both
 //! tasks use the (normalized) Buffer Operation Counts (BOC) feature.
 //!
-//! Run with `--full` (or `DL2FENCE_FULL=1`) for the paper-scale 16×16 mesh.
+//! Run with `-- specs/paper` for the paper-scale 16×16 mesh.
 
-use dl2fence_bench::{print_table, run_table_experiment, ExperimentScale};
-use noc_monitor::FeatureKind;
+use dl2fence_bench::{evaluate, load_spec, print_table};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let [stp, parsec] = ["stp", "parsec"].map(|name| {
+        let mut spec = load_spec(name);
+        spec.eval.detection_feature = "boc".into();
+        spec.eval.localization_feature = "boc".into();
+        spec
+    });
+    let topology = &stp.resolved_topologies().expect("loaded spec is valid")[0];
     println!(
         "Table 2 — BOC for detection and localization ({}x{} STP mesh, FIR {})",
-        scale.stp_mesh, scale.stp_mesh, scale.fir
+        topology.rows(),
+        topology.cols(),
+        stp.grid.fir[0]
     );
-    let result = run_table_experiment(FeatureKind::Boc, FeatureKind::Boc, &scale);
-    print_table("Table 2: BOC | BOC", &result);
+    print_table("Table 2: BOC | BOC", &evaluate(&stp), &evaluate(&parsec));
     println!(
         "Paper reference (16x16): STP detection avg acc 0.997, localization avg acc 0.973;\n\
          PARSEC detection avg acc 0.94, localization avg acc 0.97.\n\

@@ -1,19 +1,29 @@
 //! Regenerates **Table 3**: the chosen DL2Fence configuration — VCO frames
 //! for detection, normalized BOC frames for localization.
 //!
-//! Run with `--full` (or `DL2FENCE_FULL=1`) for the paper-scale 16×16 mesh.
+//! Run with `-- specs/paper` for the paper-scale 16×16 mesh.
 
-use dl2fence_bench::{print_table, run_table_experiment, ExperimentScale};
-use noc_monitor::FeatureKind;
+use dl2fence_bench::{evaluate, load_spec, print_table};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let [stp, parsec] = ["stp", "parsec"].map(|name| {
+        let mut spec = load_spec(name);
+        spec.eval.detection_feature = "vco".into();
+        spec.eval.localization_feature = "boc".into();
+        spec
+    });
+    let topology = &stp.resolved_topologies().expect("loaded spec is valid")[0];
     println!(
         "Table 3 — VCO detection + BOC localization ({}x{} STP mesh, FIR {})",
-        scale.stp_mesh, scale.stp_mesh, scale.fir
+        topology.rows(),
+        topology.cols(),
+        stp.grid.fir[0]
     );
-    let result = run_table_experiment(FeatureKind::Vco, FeatureKind::Boc, &scale);
-    print_table("Table 3: VCO detection | BOC localization", &result);
+    print_table(
+        "Table 3: VCO detection | BOC localization",
+        &evaluate(&stp),
+        &evaluate(&parsec),
+    );
     println!(
         "Paper reference (16x16): detection acc 0.958 / precision 0.985,\n\
          localization acc 0.917 / precision 0.993 (STP averages).\n\

@@ -3,12 +3,12 @@
 //!
 //! Literature rows use the numbers reported by the cited works; the
 //! "Our Work" row combines the analytical area model with the metrics
-//! measured by the Table 3 experiment at the current scale.
+//! measured by Table 3's STP campaign (the `stp` spec, VCO detection + BOC
+//! localization). Run with `-- specs/paper` for the paper-scale 16×16 mesh.
 
-use dl2fence_bench::{run_table_experiment, ExperimentScale};
+use dl2fence_bench::{evaluate, load_spec};
 use hw_overhead::comparison::{our_work_entry, related_works};
 use hw_overhead::{AreaModel, RouterParams};
-use noc_monitor::FeatureKind;
 
 fn fmt_pct(v: Option<f64>) -> String {
     v.map(|x| format!("{:.1}%", x * 100.0))
@@ -16,20 +16,18 @@ fn fmt_pct(v: Option<f64>) -> String {
 }
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    println!(
-        "Table 4 — comparison to related works (measuring our metrics at {}x{})",
-        scale.stp_mesh, scale.stp_mesh
-    );
-    let result = run_table_experiment(FeatureKind::Vco, FeatureKind::Boc, &scale);
-    let detection = result.stp.overall_detection();
-    let localization = result.stp.overall_localization();
+    let stp = load_spec("stp");
+    let mesh = stp.resolved_topologies().expect("loaded spec is valid")[0].rows();
+    println!("Table 4 — comparison to related works (measuring our metrics at {mesh}x{mesh})");
+    let report = evaluate(&stp);
+    let detection = report.overall_detection();
+    let localization = report.overall_localization();
 
     let model = AreaModel::new(RouterParams::default());
     let mut rows = related_works();
     rows.push(our_work_entry(
         &model,
-        scale.stp_mesh,
+        mesh,
         detection.accuracy(),
         detection.precision(),
         localization.accuracy(),

@@ -1,364 +1,69 @@
 //! # dl2fence-bench — harness regenerating every table and figure of the
 //! DL2Fence paper
 //!
-//! Each binary in `src/bin/` regenerates one table or figure (see
-//! DESIGN.md's per-experiment index and EXPERIMENTS.md for recorded
-//! results); the Criterion benches in `benches/` measure the runtime cost of
-//! the simulator and of model inference.
+//! Each binary in `src/bin/` regenerates one table or figure from the
+//! campaign specs of one spec directory. The directory is the binary's only
+//! (optional) argument: without it, the workspace's `specs/` (the quick
+//! scale, seconds per binary); `specs/paper` holds the same campaigns at the
+//! paper's scale (16×16 STP mesh, 18 attack placements per benchmark,
+//! longer sampling windows):
 //!
-//! All experiment binaries accept `--full` (or the environment variable
-//! `DL2FENCE_FULL=1`) to run at the paper's scale (16×16 mesh for the
-//! synthetic patterns, more attack placements, longer sampling windows).
-//! Without it they run a reduced "quick" configuration that finishes in
-//! seconds and preserves the papers' qualitative shape.
+//! ```text
+//! cargo run --release -p dl2fence-bench --bin table3_vco_boc -- specs/paper
+//! ```
+//!
+//! The Criterion benches in `benches/` measure the runtime cost of the
+//! simulator and of model inference.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use dl2fence::EvaluationReport;
-use dl2fence_campaign::{runs_from_scenarios, CampaignReport, CampaignSpec, Executor, SimParams};
-use noc_monitor::dataset::specs_for_benchmark;
-use noc_monitor::{FeatureKind, LabeledSample};
-use noc_traffic::{BenignWorkload, ParsecWorkload, SyntheticPattern};
+use dl2fence_campaign::{CampaignReport, CampaignSpec, Executor};
+use std::path::PathBuf;
 
-pub use dl2fence::evaluation::BenchmarkMetrics;
-
-/// Scale of one table/figure experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentScale {
-    /// Mesh side used for the synthetic-traffic-pattern benchmarks.
-    pub stp_mesh: usize,
-    /// Mesh side used for the PARSEC-like benchmarks (the paper is limited
-    /// to 8×8 for PARSEC by gem5).
-    pub parsec_mesh: usize,
-    /// Attack placements per benchmark.
-    pub attacks_per_benchmark: usize,
-    /// Attack-free runs per benchmark.
-    pub benign_runs: usize,
-    /// Sampling window length in cycles.
-    pub sample_period: u64,
-    /// Warm-up cycles before the first window.
-    pub warmup_cycles: u64,
-    /// Windows sampled per run.
-    pub samples_per_run: usize,
-    /// Flooding injection rate of the attack runs.
-    pub fir: f64,
-    /// Fraction of samples used for training (the rest is the test set).
-    pub train_fraction: f64,
-    /// Detector training epochs.
-    pub detector_epochs: usize,
-    /// Localizer training epochs.
-    pub localizer_epochs: usize,
-    /// Benign injection rate for the synthetic patterns.
-    pub stp_injection_rate: f64,
-    /// Master seed.
-    pub seed: u64,
+/// Loads `<dir>/<name>.toml` from the spec directory named by the first
+/// command-line argument, or from the workspace's `specs/` without one.
+/// Exits with status 1 and the spec error if the file is missing or
+/// invalid.
+pub fn load_spec(name: &str) -> CampaignSpec {
+    let dir = std::env::args()
+        .nth(1)
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs")));
+    let path = dir.join(format!("{name}.toml"));
+    CampaignSpec::from_path(&path).unwrap_or_else(|e| {
+        eprintln!("error: {}: {e}", path.display());
+        std::process::exit(1)
+    })
 }
 
-impl ExperimentScale {
-    /// The reduced configuration used by default: 8×8 meshes and a handful
-    /// of attack placements. Finishes in seconds.
-    pub fn quick() -> Self {
-        ExperimentScale {
-            stp_mesh: 8,
-            parsec_mesh: 8,
-            attacks_per_benchmark: 4,
-            benign_runs: 3,
-            sample_period: 400,
-            warmup_cycles: 200,
-            samples_per_run: 3,
-            fir: 0.8,
-            train_fraction: 0.6,
-            detector_epochs: 40,
-            localizer_epochs: 40,
-            stp_injection_rate: 0.02,
-            seed: 0xDAC,
-        }
-    }
-
-    /// The paper-scale configuration: 16×16 mesh for STP, 18 attack
-    /// placements per benchmark, 1 000-cycle windows, FIR 0.8.
-    pub fn full() -> Self {
-        ExperimentScale {
-            stp_mesh: 16,
-            parsec_mesh: 8,
-            attacks_per_benchmark: 18,
-            benign_runs: 6,
-            sample_period: 1_000,
-            warmup_cycles: 500,
-            samples_per_run: 4,
-            fir: 0.8,
-            train_fraction: 0.6,
-            detector_epochs: 60,
-            localizer_epochs: 60,
-            stp_injection_rate: 0.02,
-            seed: 0xDAC,
-        }
-    }
-
-    /// Chooses quick or full from the process arguments / environment
-    /// (`--full` or `DL2FENCE_FULL=1`).
-    pub fn from_env() -> Self {
-        if full_requested() {
-            Self::full()
-        } else {
-            Self::quick()
-        }
-    }
-}
-
-/// Whether the process arguments / environment ask for the paper-scale
-/// configuration (`--full` or `DL2FENCE_FULL=1`).
-pub fn full_requested() -> bool {
-    std::env::args().any(|a| a == "--full")
-        || std::env::var("DL2FENCE_FULL")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-}
-
-/// Overrides a declarative campaign spec with an [`ExperimentScale`]'s
-/// knobs — how the spec-driven binaries implement `--full`: the quick
-/// configuration lives in the `specs/*.toml` file, and the paper-scale one
-/// is the same spec rescaled.
-pub fn apply_scale(spec: &mut CampaignSpec, scale: &ExperimentScale) {
-    let collect = spec.sim.collect_samples;
-    spec.sim = sim_params(scale);
-    spec.sim.collect_samples = collect;
-    spec.grid.mesh = vec![scale.stp_mesh];
-    spec.grid.fir = vec![scale.fir];
-    spec.grid.attack_placements = scale.attacks_per_benchmark;
-    spec.grid.benign_runs = scale.benign_runs;
-    spec.grid.seeds = vec![scale.seed];
-    spec.grid.injection_rate = scale.stp_injection_rate;
-    spec.eval.train_fraction = scale.train_fraction;
-    spec.eval.detector_epochs = scale.detector_epochs;
-    spec.eval.localizer_epochs = scale.localizer_epochs;
-}
-
-/// Loads one of the workspace's embedded `specs/*.toml` campaign specs,
-/// applying the paper-scale overrides when `--full` / `DL2FENCE_FULL=1` is
-/// set.
+/// Runs an eval-enabled single-topology campaign on every available core
+/// and returns its per-benchmark evaluation.
 ///
 /// # Panics
 ///
-/// Panics if the embedded spec does not parse — a build-time asset bug.
-pub fn load_spec_scaled(embedded_toml: &str) -> CampaignSpec {
-    let mut spec = CampaignSpec::from_toml(embedded_toml).expect("embedded spec must be valid");
-    if full_requested() {
-        apply_scale(&mut spec, &ExperimentScale::full());
-    }
-    spec
-}
-
-/// The six synthetic-traffic-pattern benchmarks at the scale's injection
-/// rate.
-pub fn stp_workloads(scale: &ExperimentScale) -> Vec<BenignWorkload> {
-    SyntheticPattern::ALL
-        .into_iter()
-        .map(|p| BenignWorkload::Synthetic(p, scale.stp_injection_rate))
-        .collect()
-}
-
-/// The three PARSEC-like benchmarks.
-pub fn parsec_workloads() -> Vec<BenignWorkload> {
-    ParsecWorkload::ALL
-        .into_iter()
-        .map(BenignWorkload::Parsec)
-        .collect()
-}
-
-/// The campaign-engine simulation parameters of one experiment scale.
-pub fn sim_params(scale: &ExperimentScale) -> SimParams {
-    SimParams {
-        warmup_cycles: scale.warmup_cycles,
-        sample_period: scale.sample_period,
-        samples_per_run: scale.samples_per_run,
-        collect_samples: true,
-        injection_queue_capacity: 0,
-    }
-}
-
-/// Collects the labeled samples of one benchmark group (`workloads`) on a
-/// `mesh × mesh` NoC and splits them into train and test sets.
-///
-/// Collection runs on the `dl2fence-campaign` worker-pool executor, using
-/// every available core; the engine's deterministic per-run seed derivation
-/// makes the dataset independent of the worker count.
-pub fn collect_split(
-    workloads: &[BenignWorkload],
-    mesh: usize,
-    scale: &ExperimentScale,
-) -> (Vec<LabeledSample>, Vec<LabeledSample>) {
-    let scenarios = workloads.iter().flat_map(|workload| {
-        specs_for_benchmark(
-            *workload,
-            mesh,
-            mesh,
-            scale.attacks_per_benchmark,
-            scale.benign_runs,
-            scale.fir,
-        )
-    });
-    let runs = runs_from_scenarios(scale.seed, mesh, scenarios);
-    let results = Executor::with_available_parallelism().execute_runs(&sim_params(scale), &runs);
-    // The engine's shared per-benchmark deterministic train/test interleave:
-    // samples move (not clone — the frame bundles dominate memory at paper
-    // scale) and both classes and all attack placements appear on both
-    // sides.
-    dl2fence_campaign::split_by_benchmark(results, scale.train_fraction)
-}
-
-/// The result of one table experiment: the evaluation reports of the STP and
-/// PARSEC benchmark groups.
-#[derive(Debug)]
-pub struct TableResult {
-    /// Per-benchmark metrics on the synthetic traffic patterns.
-    pub stp: EvaluationReport,
-    /// Per-benchmark metrics on the PARSEC-like workloads.
-    pub parsec: EvaluationReport,
-}
-
-/// Runs one of the paper's table experiments: trains DL2Fence with the given
-/// feature assignment and evaluates it per benchmark.
-///
-/// * Table 1 → `detection = VCO, localization = VCO`
-/// * Table 2 → `detection = BOC, localization = BOC`
-/// * Table 3 → `detection = VCO, localization = BOC`
-pub fn run_table_experiment(
-    detection: FeatureKind,
-    localization: FeatureKind,
-    scale: &ExperimentScale,
-) -> TableResult {
-    let stp = run_group(
-        &stp_workloads(scale),
-        scale.stp_mesh,
-        detection,
-        localization,
-        scale,
-    );
-    let parsec = run_group(
-        &parsec_workloads(),
-        scale.parsec_mesh,
-        detection,
-        localization,
-        scale,
-    );
-    TableResult { stp, parsec }
-}
-
-/// The spec-level name of a feature kind.
-pub fn feature_name(kind: FeatureKind) -> &'static str {
-    match kind {
-        FeatureKind::Vco => "vco",
-        FeatureKind::Boc => "boc",
-    }
-}
-
-/// Builds the declarative campaign spec of one table-experiment benchmark
-/// group: the full simulate→sample grid plus the train/evaluate phase.
-pub fn campaign_for_group(
-    workloads: &[BenignWorkload],
-    mesh: usize,
-    detection: FeatureKind,
-    localization: FeatureKind,
-    scale: &ExperimentScale,
-) -> CampaignSpec {
-    let mut spec = CampaignSpec::quick(format!(
-        "table-{}-{}",
-        feature_name(detection),
-        feature_name(localization)
-    ));
-    spec.sim = sim_params(scale);
-    spec.grid.mesh = vec![mesh];
-    spec.grid.fir = vec![scale.fir];
-    spec.grid.workloads = workloads.iter().map(|w| w.name()).collect();
-    spec.grid.attack_placements = scale.attacks_per_benchmark;
-    spec.grid.benign_runs = scale.benign_runs;
-    spec.grid.seeds = vec![scale.seed];
-    spec.grid.injection_rate = scale.stp_injection_rate;
-    spec.report.group_by = vec!["workload".to_string(), "class".to_string()];
-    spec.eval.enabled = true;
-    spec.eval.train_fraction = scale.train_fraction;
-    spec.eval.detector_epochs = scale.detector_epochs;
-    spec.eval.localizer_epochs = scale.localizer_epochs;
-    spec.eval.detection_feature = feature_name(detection).to_string();
-    spec.eval.localization_feature = feature_name(localization).to_string();
-    spec
-}
-
-/// Trains one DL2Fence instance on a benchmark group and evaluates it on the
-/// held-out test samples.
-///
-/// The whole experiment is one declarative campaign: the grid expands into
-/// the simulate→sample run matrix, the worker-pool executor runs it across
-/// every available core, and the campaign's eval phase trains and scores
-/// the models — identical results for any worker count.
-pub fn run_group(
-    workloads: &[BenignWorkload],
-    mesh: usize,
-    detection: FeatureKind,
-    localization: FeatureKind,
-    scale: &ExperimentScale,
-) -> EvaluationReport {
-    let spec = campaign_for_group(workloads, mesh, detection, localization, scale);
+/// Panics if the spec has no eval phase or the phase fails.
+pub fn evaluate(spec: &CampaignSpec) -> EvaluationReport {
     let outcome = Executor::with_available_parallelism()
-        .execute(&spec)
-        .expect("generated table campaign must be valid");
+        .execute(spec)
+        .expect("loaded spec is valid");
     let report = CampaignReport::build(&outcome).expect("eval phase must succeed");
     report
         .evaluations
         .into_iter()
         .next()
-        .expect("eval phase produced one entry per mesh")
+        .expect("spec enables the eval phase")
         .report
 }
 
-/// Prints a table experiment in the paper's layout.
-pub fn print_table(title: &str, result: &TableResult) {
+/// Prints a table experiment's STP and PARSEC evaluations in the paper's
+/// layout.
+pub fn print_table(title: &str, stp: &EvaluationReport, parsec: &EvaluationReport) {
     println!("=== {title} ===");
     println!("--- Synthetic Traffic Patterns ---");
-    print!("{}", result.stp.render_table());
+    print!("{}", stp.render_table());
     println!("--- PARSEC-like workloads ---");
-    print!("{}", result.parsec.render_table());
+    print!("{}", parsec.render_table());
     println!();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_scale_is_smaller_than_full() {
-        let q = ExperimentScale::quick();
-        let f = ExperimentScale::full();
-        assert!(q.stp_mesh <= f.stp_mesh);
-        assert!(q.attacks_per_benchmark < f.attacks_per_benchmark);
-        assert_eq!(f.stp_mesh, 16);
-        assert_eq!(f.attacks_per_benchmark, 18);
-    }
-
-    #[test]
-    fn workload_lists_cover_the_paper_benchmarks() {
-        let scale = ExperimentScale::quick();
-        assert_eq!(stp_workloads(&scale).len(), 6);
-        assert_eq!(parsec_workloads().len(), 3);
-    }
-
-    #[test]
-    fn collect_split_produces_both_partitions() {
-        let mut scale = ExperimentScale::quick();
-        scale.attacks_per_benchmark = 2;
-        scale.benign_runs = 1;
-        scale.samples_per_run = 2;
-        scale.sample_period = 200;
-        scale.warmup_cycles = 100;
-        let workloads = vec![BenignWorkload::Synthetic(
-            SyntheticPattern::UniformRandom,
-            0.02,
-        )];
-        let (train, test) = collect_split(&workloads, 8, &scale);
-        assert!(!train.is_empty());
-        assert!(!test.is_empty());
-        assert!(train.len() > test.len());
-    }
 }

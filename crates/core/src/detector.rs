@@ -231,9 +231,10 @@ impl DosDetector {
 
 /// The int8 deployment form of [`DosDetector`]: symmetric int8 weights, i32
 /// accumulation and fused dequant+bias+ReLU epilogues — the execution model
-/// whose accuracy budget `specs/ablation_quantization.toml` fixes. Outputs
-/// are *not* bit-identical to the f32 detector; decisions must agree within
-/// the ablation's envelope (enforced by the parity tests).
+/// whose accuracy budget the `ablation_quantization` binary fixes on
+/// `specs/stp.toml`'s campaign. Outputs are *not* bit-identical to the f32
+/// detector; decisions must agree within the ablation's envelope (enforced
+/// by the parity tests).
 #[derive(Clone)]
 pub struct QuantizedDetector {
     model: QuantizedModel,

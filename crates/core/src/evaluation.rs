@@ -80,7 +80,8 @@ impl EvaluationReport {
         c
     }
 
-    /// Renders the report as the table layout used in EXPERIMENTS.md.
+    /// Renders the report as the per-benchmark table layout of the paper's
+    /// Tables 1–3 (one row per benchmark plus an average row).
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         for b in &self.benchmarks {

@@ -56,7 +56,6 @@ pub mod fusion;
 pub mod input;
 pub mod localizer;
 pub mod pipeline;
-pub mod runtime;
 pub mod tlm;
 pub mod vce;
 
@@ -65,7 +64,6 @@ pub use evaluation::{BenchmarkMetrics, EvaluationReport};
 pub use fusion::MultiFrameFusion;
 pub use localizer::DosLocalizer;
 pub use pipeline::{Dl2Fence, FenceConfig, FenceModelExport, FenceReport};
-pub use runtime::{MonitoringLog, MonitoringRound, RuntimeMonitor};
 pub use tlm::TableLikeMethod;
 pub use vce::VictimComplementingEnhancement;
 
@@ -76,7 +74,6 @@ pub mod prelude {
     pub use crate::fusion::MultiFrameFusion;
     pub use crate::localizer::DosLocalizer;
     pub use crate::pipeline::{Dl2Fence, FenceConfig, FenceModelExport, FenceReport};
-    pub use crate::runtime::{MonitoringLog, MonitoringRound, RuntimeMonitor};
     pub use crate::tlm::TableLikeMethod;
     pub use crate::vce::VictimComplementingEnhancement;
 }

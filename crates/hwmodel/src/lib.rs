@@ -22,8 +22,7 @@
 //! paper's published overhead points; the NoC per-router area uses
 //! gate-count estimates typical of an open-source VC router. The headline
 //! claim — overhead falls roughly as `1/N²` and drops by ≈76 % from 8×8 to
-//! 16×16 — is a structural property the model preserves. See DESIGN.md for
-//! the substitution note.
+//! 16×16 — is a structural property the model preserves.
 //!
 //! ## Quick example
 //!

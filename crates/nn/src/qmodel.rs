@@ -9,10 +9,11 @@
 //! single fused dequantize + bias + ReLU pass over the output.
 //!
 //! This is the "accelerator precision" execution model whose accuracy budget
-//! the `specs/ablation_quantization.toml` ablation fixes: int8 outputs are
-//! *not* bit-identical to f32 (use [`Sequential::predict`] where the golden
-//! corpus matters) but must stay within the ablation's error envelope, which
-//! the parity suite in `crates/nn/tests/parity.rs` enforces.
+//! the `ablation_quantization` binary fixes on `specs/stp.toml`'s campaign:
+//! int8 outputs are *not* bit-identical to f32 (use [`Sequential::predict`]
+//! where the golden corpus matters) but must stay within the ablation's
+//! error envelope, which the parity suite in `crates/nn/tests/parity.rs`
+//! enforces.
 
 use crate::layers::{sigmoid_scalar, Layer, MaxPool2d};
 use crate::model::Sequential;

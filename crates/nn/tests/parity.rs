@@ -7,10 +7,10 @@
 //!    *bit-for-bit* over arbitrary shapes and batch sizes — this is what
 //!    keeps the golden report corpus byte-identical after the kernel swap.
 //! 2. **Int8 accuracy budget.** The fused int8 path is allowed to drift, but
-//!    only inside the envelope the `ablation_quantization` spec established:
-//!    8-bit weights match the float model's decisions, so int8 inference
-//!    must preserve classification behaviour on anything but knife-edge
-//!    probabilities.
+//!    only inside the envelope the `ablation_quantization` binary established
+//!    on `specs/stp.toml`'s campaign: 8-bit weights match the float model's
+//!    decisions, so int8 inference must preserve classification behaviour on
+//!    anything but knife-edge probabilities.
 
 use proptest::{prop_assert_eq, proptest};
 use tinycnn::prelude::*;

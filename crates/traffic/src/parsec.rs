@@ -3,7 +3,7 @@
 //! The paper runs blackscholes, bodytrack and x264 in gem5 full-system mode
 //! on an 8×8 NoC. Full-system traces are not available in this environment,
 //! so these generators reproduce the *traffic-relevant* properties the paper
-//! relies on (see DESIGN.md for the substitution rationale):
+//! relies on:
 //!
 //! * **Low communication density** during the Region of Interest (ROI) —
 //!   PARSEC applications compute far more than they communicate, which is
