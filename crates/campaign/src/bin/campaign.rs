@@ -11,7 +11,7 @@
 //! campaign merge   <dir>... --out DIR [--workers N] [--reexec-gaps] [--quiet]
 //! campaign serve-sched <campaign-dir> [--spec PATH] [--lease-size N] [--lease-ttl SECS]
 //! campaign work    <campaign-dir> --worker ID [--patience SECS] [--fail-after N]
-//! campaign compact <campaign-dir> [--strip-samples] [--quiet]
+//! campaign compact <campaign-dir> [--quiet]
 //! campaign status  <dir>... [--json]
 //! campaign watch   <campaign-dir> [--interval SECS] [--json]
 //! campaign report  <report.json|campaign-dir> [--timings]
@@ -58,7 +58,7 @@ usage:
   campaign merge <dir>... --out DIR [--workers N] [--reexec-gaps] [--quiet]
       Merge shard directories sharing one spec fingerprint into DIR: the
       union of their run logs (identical duplicates dedupe; gaps and
-      conflicts are refused) and sample stores, plus a report.json
+      conflicts are refused) plus a report.json
       byte-identical to an uninterrupted single-machine run. With
       --reexec-gaps, run indices no input holds are speculatively
       re-executed locally instead of refused — runs are deterministic, so
@@ -77,26 +77,23 @@ usage:
       workers/ and leases only what is missing. Start the coordinator
       before the workers.
   campaign work <campaign-dir> --worker ID [--workers N] [--quiet]
-                [--poll SECS] [--patience SECS] [--fail-after N]
-                [--strip-samples] [--telemetry]
+                [--poll SECS] [--patience SECS] [--fail-after N] [--telemetry]
       Join the fleet serving DIR as worker ID: request leases, execute and
       stream their runs to DIR/workers/ID, report per-run progress (the
       lease heartbeat), and exit when the coordinator announces the matrix
       drained. Restartable under the same ID without re-executing stored
       runs. --patience (default 120) bounds coordinator silence;
-      --fail-after N aborts after N runs (crash injection for tests);
-      --strip-samples compacts the worker directory scalar-only on exit.
-  campaign compact <campaign-dir> [--strip-samples] [--quiet]
+      --fail-after N aborts after N runs (crash injection for tests).
+  campaign compact <campaign-dir> [--quiet]
       Atomically rewrite DIR/runs.jsonl in run-index order with duplicate
-      records and any torn tail dropped. With --strip-samples, move each
-      record's labeled-sample payload into DIR/samples/ first and keep the
-      log scalar-only; the directory stays resumable and mergeable. Do not
+      records and any torn tail dropped; the directory stays resumable and
+      mergeable. Do not
       compact while the campaign is still executing (records appended
       during the rewrite would be lost) — status is the live-safe command.
   campaign status <dir>... [--json]
       Read-only progress inspection: per directory the stored/missing run
-      counts, exact gap list, shard slice, torn-tail state, log and sample
-      store sizes; over several directories, the union gap list a merge would
+      counts, exact gap list, shard slice, torn-tail state and log size;
+      over several directories, the union gap list a merge would
       refuse on. A coordinator directory counts its workers/ records.
       Safe to run while a campaign is executing.
   campaign watch <campaign-dir> [--interval SECS] [--json]
@@ -163,7 +160,6 @@ struct Flags {
     worker: Option<String>,
     patience: Option<Duration>,
     fail_after: Option<usize>,
-    strip_samples: bool,
     json: bool,
     interval: Option<f64>,
     timings: bool,
@@ -216,7 +212,6 @@ impl Flags {
                 "--reexec-gaps" => flags.reexec_gaps = true,
                 "--telemetry" => flags.telemetry = true,
                 "--quiet" => flags.quiet = true,
-                "--strip-samples" => flags.strip_samples = true,
                 "--json" => flags.json = true,
                 "--timings" => flags.timings = true,
                 other => unreachable!("allowed flag `{other}` has no parser"),
@@ -445,14 +440,13 @@ fn cmd_serve_sched(args: &[String]) -> Result<(), String> {
 fn cmd_work(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(
         args,
-        "--worker --workers --quiet --poll --patience --fail-after --strip-samples --telemetry",
+        "--worker --workers --quiet --poll --patience --fail-after --telemetry",
     )?;
     let dir = Path::new(flags.single_path("work")?);
     let mut opts = WorkOptions::named(flags.worker.clone().ok_or("work needs --worker ID")?);
     opts.poll = flags.poll.unwrap_or(opts.poll);
     opts.patience = flags.patience.unwrap_or(opts.patience);
     opts.fail_after = flags.fail_after;
-    opts.strip_samples = flags.strip_samples;
     let executor = flags.executor(Some(&dir.join("workers").join(&opts.worker)))?;
     if !flags.quiet {
         eprintln!(
@@ -476,23 +470,18 @@ fn cmd_work(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compact(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, "--strip-samples --quiet")?;
+    let flags = Flags::parse(args, "--quiet")?;
     let dir = flags.single_path("compact")?;
-    let stats = compact(dir, flags.strip_samples).map_err(|e| e.to_string())?;
+    let stats = compact(dir).map_err(|e| e.to_string())?;
     if !flags.quiet {
         eprintln!(
-            "compacted {dir}: {} records, {} duplicate(s) dropped{}{}; {} -> {} bytes",
+            "compacted {dir}: {} records, {} duplicate(s) dropped{}; {} -> {} bytes",
             stats.records,
             stats.dropped_duplicates,
             if stats.healed_torn_tail {
                 ", torn tail healed"
             } else {
                 ""
-            },
-            if stats.stripped_samples > 0 {
-                format!(", {} samples stripped to samples/", stats.stripped_samples)
-            } else {
-                String::new()
             },
             stats.bytes_before,
             stats.bytes_after,

@@ -2,26 +2,17 @@
 //!
 //! A long-lived campaign directory accretes weight the streaming layer
 //! never cleans up: records land in completion order (not index order),
-//! resume cycles can leave identical duplicate records, a crash can leave a
-//! torn tail, and — for sample-heavy eval campaigns — every record drags
-//! its full labeled-sample payload along. [`compact`] rewrites `runs.jsonl`
-//! **atomically** (temp file + rename, so a crash mid-compaction leaves the
-//! original log untouched) into index-ordered, deduplicated, torn-tail-free
-//! form, and can optionally move the sample payloads into the directory's
-//! [`crate::spill::SampleStore`] first (`--strip-samples`), shrinking the
-//! log to its scalar skeleton.
+//! resume cycles can leave identical duplicate records, and a crash can
+//! leave a torn tail. [`compact`] rewrites `runs.jsonl` **atomically**
+//! (temp file + rename, so a crash mid-compaction leaves the original log
+//! untouched) into index-ordered, deduplicated, torn-tail-free form.
 //!
-//! The compacted directory stays an ordinary campaign (or shard) directory:
-//! resumable — missing indices are re-executed and appended exactly as
-//! before, and a stripped directory's report rebuild finds the stripped
-//! records' samples in the store by run index — and mergeable, because
-//! [`crate::merge::merge`] unions sample stores alongside run logs. (Only
-//! mixing a stripped and an unstripped copy of the *same* record trips the
-//! merge's byte-level conflict check: strip duplicates consistently.)
+//! The compacted directory stays an ordinary campaign (or shard)
+//! directory: resumable — missing indices are re-executed and appended
+//! exactly as before — and mergeable.
 
 use crate::spec::SpecError;
-use crate::spill::SampleStore;
-use crate::stream::{spec_fingerprint, CampaignDir};
+use crate::stream::CampaignDir;
 use std::io::Write as _;
 
 /// What one [`compact`] pass did, for logging and assertions.
@@ -33,8 +24,6 @@ pub struct CompactStats {
     pub dropped_duplicates: usize,
     /// Whether a torn tail record was dropped.
     pub healed_torn_tail: bool,
-    /// Labeled samples moved into the sample store (`strip_samples` only).
-    pub stripped_samples: usize,
     /// Log size before compaction, bytes.
     pub bytes_before: u64,
     /// Log size after compaction, bytes.
@@ -43,10 +32,8 @@ pub struct CompactStats {
 
 /// Compacts the campaign (or shard) directory at `root`: rewrites
 /// `runs.jsonl` in run-index order with duplicates and any torn tail
-/// dropped, atomically. With `strip_samples`, each record's labeled-sample
-/// payload is first appended to the directory's sample store (synced to
-/// stable storage before the log is swapped, so a crash can never lose
-/// samples) and the rewritten record keeps an empty `samples` array.
+/// dropped, atomically (the replacement is synced to stable storage before
+/// it is renamed over the original).
 ///
 /// Do **not** compact a directory whose campaign is still executing: the
 /// rewrite snapshots the log and renames over it, so records a live writer
@@ -58,10 +45,7 @@ pub struct CompactStats {
 ///
 /// Returns a [`SpecError`] if `root` is not a campaign directory, the log
 /// holds conflicting duplicates or mid-file corruption, or any I/O fails.
-pub fn compact(
-    root: impl AsRef<std::path::Path>,
-    strip_samples: bool,
-) -> Result<CompactStats, SpecError> {
+pub fn compact(root: impl AsRef<std::path::Path>) -> Result<CompactStats, SpecError> {
     let (dir, manifest) = CampaignDir::open_checked(root.as_ref(), None)?;
     let runs = manifest.expand()?;
     let index = dir.index_log(&runs)?;
@@ -69,36 +53,19 @@ pub fn compact(
         .map(|m| m.len())
         .unwrap_or(0);
 
-    let mut store = if strip_samples {
-        Some(SampleStore::attach(
-            dir.samples_path(),
-            &spec_fingerprint(&manifest.spec),
-        )?)
-    } else {
-        None
-    };
-
     // Stream the kept records into the replacement log in index order; the
     // original file stays valid until the final rename.
     let tmp_path = dir.root().join(".runs.jsonl.tmp");
     let tmp = std::fs::File::create(&tmp_path)
         .map_err(|e| SpecError::new(format!("cannot write {}: {e}", tmp_path.display())))?;
     let mut writer = std::io::BufWriter::new(tmp);
-    let mut stripped_samples = 0usize;
     let mut records = 0usize;
     let write_error =
         |e: std::io::Error| SpecError::new(format!("cannot write {}: {e}", tmp_path.display()));
-    dir.try_replay(&index, |mut record| {
+    dir.try_replay(&index, |record| {
         records += 1;
-        if let Some(store) = &mut store {
-            if !record.samples.is_empty() {
-                let samples = record.take_samples();
-                stripped_samples += samples.len();
-                store.append_batch(record.spec.mesh, record.spec.index, samples)?;
-            }
-        }
         // Re-encoding a parsed record is byte-idempotent (a proptest pins
-        // it), so unstripped records come out exactly as they went in.
+        // it), so records come out exactly as they went in.
         let line = serde_json::to_string(&record).expect("run serialization cannot fail");
         writer
             .write_all(line.as_bytes())
@@ -106,12 +73,6 @@ pub fn compact(
             .map_err(write_error)?;
         Ok(())
     })?;
-    // Samples become durable strictly before the stripped log replaces the
-    // full one — a power loss can never leave scalar-only records whose
-    // samples exist nowhere.
-    if let Some(store) = &mut store {
-        store.sync_all()?;
-    }
     writer
         .into_inner()
         .map_err(|e| SpecError::new(format!("cannot flush {}: {e}", tmp_path.display())))?
@@ -131,7 +92,6 @@ pub fn compact(
         records,
         dropped_duplicates: index.duplicate_records,
         healed_torn_tail: index.truncated_tail,
-        stripped_samples,
         bytes_before,
         bytes_after,
     })

@@ -59,15 +59,6 @@ pub struct RunResult {
     pub samples: Vec<LabeledSample>,
 }
 
-impl RunResult {
-    /// Moves the sample payload out of the record, leaving it empty — how
-    /// `campaign compact --strip-samples` shrinks a stored record after its
-    /// samples are safely in the directory's sample store.
-    pub fn take_samples(&mut self) -> Vec<LabeledSample> {
-        std::mem::take(&mut self.samples)
-    }
-}
-
 /// A fully executed campaign: the spec plus every run's result, in matrix
 /// order.
 #[derive(Debug, Clone)]

@@ -40,12 +40,10 @@
 //!    records, refusing or re-executing gaps and refusing conflicts) into a
 //!    report byte-identical to a single-machine run.
 //! 7. **Compaction and inspection** — [`compact`] rewrites `runs.jsonl`
-//!    atomically into index-ordered, deduplicated form, optionally
-//!    stripping sample payloads into the directory's
-//!    [`spill::SampleStore`], from which the report fold refills them by
-//!    run index; [`status`] inspects any set of campaign directories
-//!    read-only. (The eval phase trains on all of a frame geometry's
-//!    samples at once, so the fold keeps them in memory.)
+//!    atomically into index-ordered, deduplicated form; [`status`]
+//!    inspects any set of campaign directories read-only. (Each record
+//!    keeps its labeled samples: the eval phase trains on all of a frame
+//!    geometry's samples at once, so the fold keeps them in memory.)
 //! 8. **Dynamic fleet scheduling** — [`sched::serve_sched`] turns a
 //!    campaign directory into a coordinator that leases bounded run-index
 //!    batches ([`lease::Lease`]) to any number of [`sched::work`] workers
@@ -99,7 +97,6 @@ pub mod minitoml;
 pub mod report;
 pub mod sched;
 pub mod spec;
-pub mod spill;
 pub mod status;
 pub mod stream;
 pub mod watch;
@@ -115,14 +112,12 @@ pub use lease::{sched_status, Lease, LeaseInfo, SchedStatus};
 pub use merge::merge;
 pub use report::{split_by_benchmark, CampaignReport, EvalEntry, GroupSummary, ReportAccumulator};
 pub use sched::{
-    serve_sched, work, Grant, SchedConfig, SchedCounters, Scheduler, ServeOptions, WorkOptions,
-    WorkOutcome,
+    serve_sched, work, Grant, SchedCounters, Scheduler, ServeOptions, WorkOptions, WorkOutcome,
 };
 pub use spec::{
     parse_feature, parse_workload, validate_group_by, CampaignSpec, EvalSpec, GridSpec, ReportSpec,
     SimParams, SpecError,
 };
-pub use spill::{SampleBatch, SampleStore, SpillStats};
 pub use status::{human_bytes, status, DirStatus, StatusReport};
 pub use stream::{
     resume, run, run_streaming, spec_fingerprint, CampaignDir, LogIndex, Manifest, RecordEntry,

@@ -23,11 +23,8 @@
 //! 2. **Replay** — the union is walked in run-index order; each record is
 //!    re-read from its source, appended to the target's `runs.jsonl`
 //!    (unless it is already there), folded into the shared
-//!    [`ReportAccumulator`], and dropped. The inputs' sample stores are
-//!    united into the target's first; when the eval phase is on, a record
-//!    that `compact --strip-samples` left scalar-only gets its samples back
-//!    from that store by run index before it is folded, and one whose
-//!    samples are nowhere aborts the fold with its run index.
+//!    [`ReportAccumulator`], and dropped. When the eval phase is on, a
+//!    record that carries no samples aborts the fold with its run index.
 //!
 //! Before replaying, every run index the target owes must be stored
 //! somewhere: a gap aborts with the exact gap list (resume the shard that
@@ -43,7 +40,6 @@ use crate::grid::RunSpec;
 use crate::report::{CampaignReport, ReportAccumulator};
 use crate::sched::worker_dirs;
 use crate::spec::SpecError;
-use crate::spill::{SampleStore, SAMPLES_MANIFEST_FILE};
 use crate::stream::{
     append_jsonl, CampaignDir, LogIndex, Manifest, RecordEntry, Target, MANIFEST_FILE,
 };
@@ -154,6 +150,8 @@ pub(crate) fn stored_union(own: &LogIndex, sources: &[Source]) -> Vec<bool> {
 ///   across two);
 /// - the union has gaps and `reexec_gaps` is off — the error lists every
 ///   missing run index;
+/// - the eval phase is on and a record carries no samples — the error
+///   names its run index;
 /// - the output directory already holds a campaign, or any I/O fails.
 pub fn merge(
     executor: &Executor,
@@ -277,11 +275,8 @@ pub(crate) fn fold(
 
     let rec = executor.telemetry().recorder();
     let report = rec.time("campaign.report", || {
-        let spec = &target.manifest.spec;
-        let fingerprint = &target.manifest.fingerprint;
-        let store = unite_sample_stores(&target.dir, &sources[1..], fingerprint)?;
         let mut acc = whole
-            .then(|| ReportAccumulator::for_spec(spec))
+            .then(|| ReportAccumulator::for_spec(&target.manifest.spec))
             .transpose()?;
         let mut writer = if in_place {
             None
@@ -302,15 +297,7 @@ pub(crate) fn fold(
                 }
                 _ => {}
             }
-            if let (Some(acc), Some(mut record)) = (&mut acc, record) {
-                // A stripped record's samples live in the sample store,
-                // found by run index (unique across frame geometries).
-                let stripped = spec.eval.enabled && record.samples.is_empty();
-                if let Some(store) = store.as_ref().filter(|_| stripped) {
-                    if let Some(batch) = store.batch(record.spec.mesh, record.spec.index)? {
-                        record.samples = batch.samples;
-                    }
-                }
+            if let (Some(acc), Some(record)) = (&mut acc, record) {
                 acc.try_fold(&record)?;
             }
         }
@@ -336,40 +323,6 @@ pub(crate) fn fold(
         })?;
     }
     Ok(report)
-}
-
-/// Unions the target's own sample store (if any) and the other sources'
-/// stores into the target's store, batch by batch in source order —
-/// identical duplicate batches dedupe (shards re-stripped after a resume
-/// overlap), conflicting ones abort. Returns `None` when no store exists.
-fn unite_sample_stores(
-    target: &CampaignDir,
-    others: &[Source],
-    fingerprint: &str,
-) -> Result<Option<SampleStore>, SpecError> {
-    let samples = target.samples_path();
-    let mut out_store = if samples.join(SAMPLES_MANIFEST_FILE).exists() {
-        Some(SampleStore::attach(&samples, fingerprint)?)
-    } else {
-        None
-    };
-    for source in others {
-        let Some(in_store) =
-            SampleStore::open_existing(source.dir.samples_path(), Some(fingerprint))?
-        else {
-            continue;
-        };
-        if out_store.is_none() {
-            out_store = Some(SampleStore::attach(&samples, fingerprint)?);
-        }
-        let out = out_store.as_mut().expect("just attached");
-        for mesh in in_store.meshes() {
-            in_store.for_each_raw(mesh, |index, line| {
-                out.append_line(mesh, index, line).map(|_| ())
-            })?;
-        }
-    }
-    Ok(out_store)
 }
 
 /// Unions the sources' record locations by run index: identical duplicates

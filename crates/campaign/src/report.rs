@@ -419,14 +419,15 @@ impl ReportAccumulator {
     ///
     /// Returns a [`SpecError`] naming the run index if the eval phase is
     /// enabled and the run carries no samples (spec validation requires
-    /// sample collection whenever eval is on, so an empty run is a stripped
-    /// record whose samples were not found in the sample store). The
-    /// accumulator is left unchanged.
+    /// sample collection whenever eval is on, so an empty run is a record
+    /// stripped by an earlier build or edited by hand — training on the
+    /// rest would silently shrink the training set). The accumulator is
+    /// left unchanged.
     pub fn try_fold(&mut self, run: &RunResult) -> Result<(), SpecError> {
         if self.eval.enabled && run.samples.is_empty() {
             return Err(SpecError::new(format!(
-                "run index {} carries no samples but the eval phase needs them; a \
-                 stripped record's samples must be in the campaign's samples/ store",
+                "run index {} carries no samples but the eval phase needs them; \
+                 re-execute it (delete its record from runs.jsonl and resume)",
                 run.spec.index
             )));
         }

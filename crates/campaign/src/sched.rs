@@ -14,10 +14,9 @@
 //! bounded run-index batches stamped with the spec fingerprint and a
 //! deadline ([`crate::lease::Lease`]) — to workers as they ask for them.
 //! Each worker executes its leased runs into its own ordinary campaign
-//! directory under `<dir>/workers/<id>` (per-worker logs and per-worker
-//! sample stores, so no two machines ever append to one file) and
-//! reports per-run progress; **progress is the heartbeat**, extending the
-//! lease deadline. A lease whose deadline passes is expired and its
+//! directory under `<dir>/workers/<id>` (per-worker logs, so no two
+//! machines ever append to one file) and reports per-run progress;
+//! **progress is the heartbeat**, extending the lease deadline. A lease whose deadline passes is expired and its
 //! unfinished indices are re-leased to the next worker that asks — and
 //! because every run is deterministic from spec + index, a worker that
 //! crashed *after* persisting a record merely produces an identical
@@ -49,6 +48,7 @@ use crate::merge::{fold, stored_union, worker_sources};
 use crate::report::CampaignReport;
 use crate::spec::{CampaignSpec, SpecError};
 use crate::stream::{spec_fingerprint, write_atomic, CampaignDir, LogIndex, Target, MANIFEST_FILE};
+use dl2fence_telemetry::Recorder;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -112,26 +112,6 @@ pub struct CoordMsg {
     pub lease: Option<Lease>,
 }
 
-/// How the coordinator slices and times leases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedConfig {
-    /// Maximum run indices per lease.
-    pub lease_size: usize,
-    /// Lease time-to-live, µs of coordinator clock: a granted (or
-    /// progressed) lease that stays silent this long is expired and its
-    /// unfinished indices re-queued.
-    pub lease_ttl_us: u64,
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        SchedConfig {
-            lease_size: 4,
-            lease_ttl_us: 30_000_000,
-        }
-    }
-}
-
 /// What [`Scheduler::grant`] decided for one asking worker.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Grant {
@@ -173,7 +153,10 @@ pub struct SchedCounters {
 /// the outcome exactly.
 #[derive(Debug)]
 pub struct Scheduler {
-    config: SchedConfig,
+    /// Maximum run indices per lease (at least 1).
+    lease_size: usize,
+    /// Lease time-to-live, µs of coordinator clock.
+    lease_ttl_us: u64,
     fingerprint: String,
     /// Run indices awaiting a lease, front = granted next.
     pending: VecDeque<usize>,
@@ -187,15 +170,15 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Builds a scheduler over a run matrix: `stored[i]` marks indices that
-    /// already have a persisted record (the coordinator's own log plus every
-    /// worker directory) and are never leased.
-    pub fn new(config: SchedConfig, fingerprint: &str, stored: &[bool]) -> Self {
+    /// Builds a scheduler over a run matrix, slicing and timing leases by
+    /// `opts` (its `poll` is the message loop's, unused here): `stored[i]`
+    /// marks indices that already have a persisted record (the
+    /// coordinator's own log plus every worker directory) and are never
+    /// leased.
+    pub fn new(opts: &ServeOptions, fingerprint: &str, stored: &[bool]) -> Self {
         Scheduler {
-            config: SchedConfig {
-                lease_size: config.lease_size.max(1),
-                ..config
-            },
+            lease_size: opts.lease_size.max(1),
+            lease_ttl_us: opts.lease_ttl.as_micros() as u64,
             fingerprint: fingerprint.to_string(),
             pending: stored
                 .iter()
@@ -225,7 +208,7 @@ impl Scheduler {
                 Grant::Wait
             };
         }
-        let take = self.config.lease_size.min(self.pending.len());
+        let take = self.lease_size.min(self.pending.len());
         let indices: Vec<usize> = self.pending.drain(..take).collect();
         let reissued_indices = indices.iter().filter(|&&i| self.ever_leased[i]).count();
         for &i in &indices {
@@ -237,7 +220,7 @@ impl Scheduler {
             remaining: indices.clone(),
             indices,
             fingerprint: self.fingerprint.clone(),
-            deadline_us: now_us.saturating_add(self.config.lease_ttl_us),
+            deadline_us: now_us.saturating_add(self.lease_ttl_us),
         };
         self.next_id += 1;
         self.counters.issued += 1;
@@ -258,7 +241,7 @@ impl Scheduler {
     pub fn progress(&mut self, id: u64, index: usize, now_us: u64) -> Option<u64> {
         let lease = self.active.iter_mut().find(|l| l.id == id)?;
         lease.remaining.retain(|&i| i != index);
-        lease.deadline_us = now_us.saturating_add(self.config.lease_ttl_us);
+        lease.deadline_us = now_us.saturating_add(self.lease_ttl_us);
         // The record is persisted: even if this lease later expires, the
         // index must not be re-executed.
         self.pending.retain(|&i| i != index);
@@ -363,10 +346,15 @@ impl FsCoordTransport {
 
     /// Drains every queued worker message, ordered by (worker, seq).
     ///
+    /// A message that does not parse is consumed all the same: it is
+    /// renamed to `*.rejected` (kept as evidence, skipped by later polls)
+    /// and counted as `sched.rejected_messages` on `rec`, so one bad file
+    /// cannot wedge the coordinator.
+    ///
     /// # Errors
     ///
     /// Returns a [`SpecError`] on transport failure.
-    pub fn poll(&mut self) -> Result<Vec<WorkerMsg>, SpecError> {
+    pub fn poll(&mut self, rec: &Recorder) -> Result<Vec<WorkerMsg>, SpecError> {
         let entries = std::fs::read_dir(&self.inbox)
             .map_err(|e| SpecError::new(format!("cannot read {}: {e}", self.inbox.display())))?;
         let mut msgs = Vec::new();
@@ -389,12 +377,20 @@ impl FsCoordTransport {
                     )))
                 }
             };
-            let msg: WorkerMsg = serde_json::from_str(&text).map_err(|e| {
-                SpecError::new(format!("malformed worker message {}: {e}", path.display()))
-            })?;
-            std::fs::remove_file(&path)
-                .map_err(|e| SpecError::new(format!("cannot consume {}: {e}", path.display())))?;
-            msgs.push(msg);
+            let consume_error = |e: std::io::Error| {
+                SpecError::new(format!("cannot consume {}: {e}", path.display()))
+            };
+            match serde_json::from_str::<WorkerMsg>(&text) {
+                Ok(msg) => {
+                    std::fs::remove_file(&path).map_err(consume_error)?;
+                    msgs.push(msg);
+                }
+                Err(_) => {
+                    std::fs::rename(&path, path.with_extension("rejected"))
+                        .map_err(consume_error)?;
+                    rec.add("sched.rejected_messages", 1);
+                }
+            }
         }
         msgs.sort_by(|a, b| a.worker.cmp(&b.worker).then(a.seq.cmp(&b.seq)));
         Ok(msgs)
@@ -508,13 +504,13 @@ impl FsWorkerTransport {
     }
 }
 
-/// Coordinator knobs for [`serve_sched`].
+/// Coordinator knobs for [`serve_sched`] and the [`Scheduler`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeOptions {
     /// Maximum run indices per lease.
     pub lease_size: usize,
-    /// Lease time-to-live: a lease silent this long is expired and
-    /// re-leased.
+    /// Lease time-to-live: a granted (or progressed) lease that stays
+    /// silent this long is expired and its unfinished indices re-leased.
     pub lease_ttl: Duration,
     /// Idle poll interval of the message loop.
     pub poll: Duration,
@@ -606,10 +602,6 @@ pub fn serve_sched(
     let stored = stored_union(&own, &workers);
     drop(workers);
 
-    let config = SchedConfig {
-        lease_size: opts.lease_size,
-        lease_ttl_us: opts.lease_ttl.as_micros() as u64,
-    };
     let next_id = read_ledger(&root)?
         .iter()
         .filter(|r| r.kind == LEDGER_ISSUED)
@@ -617,7 +609,7 @@ pub fn serve_sched(
         .max()
         .unwrap_or(0);
     let mut sched =
-        Scheduler::new(config, &target.manifest.fingerprint, &stored).with_next_id(next_id);
+        Scheduler::new(opts, &target.manifest.fingerprint, &stored).with_next_id(next_id);
     let mut ledger = open_ledger_for_append(&root)?;
     let mut transport = FsCoordTransport::new(&root)?;
     let rec = executor.telemetry().recorder();
@@ -629,7 +621,7 @@ pub fn serve_sched(
             rec.add("sched.leases_expired", 1);
             append_ledger(&mut ledger, &LedgerRecord::expired(&lease))?;
         }
-        let msgs = transport.poll()?;
+        let msgs = transport.poll(&rec)?;
         let idle = msgs.is_empty();
         for msg in msgs {
             let now_us = started.elapsed().as_micros() as u64;
@@ -704,9 +696,6 @@ pub struct WorkOptions {
     /// this many executed runs — the deterministic mid-lease crash the
     /// kill-and-release tests and the CI smoke job inject.
     pub fail_after: Option<usize>,
-    /// Compact the worker directory with sample stripping on shutdown, so
-    /// each worker carries its own sharded sample store.
-    pub strip_samples: bool,
 }
 
 impl WorkOptions {
@@ -717,7 +706,6 @@ impl WorkOptions {
             poll: Duration::from_millis(100),
             patience: Duration::from_secs(120),
             fail_after: None,
-            strip_samples: false,
         }
     }
 }
@@ -880,10 +868,6 @@ pub fn work(
             }
         }
     }
-    drop(target);
-    if opts.strip_samples {
-        crate::compact::compact(&wroot, true)?;
-    }
     Ok(WorkOutcome {
         worker: opts.worker.clone(),
         executed,
@@ -896,14 +880,12 @@ mod tests {
     use super::*;
 
     fn sched(total: usize, lease_size: usize) -> Scheduler {
-        Scheduler::new(
-            SchedConfig {
-                lease_size,
-                lease_ttl_us: 1_000,
-            },
-            "cafe",
-            &vec![false; total],
-        )
+        let opts = ServeOptions {
+            lease_size,
+            lease_ttl: Duration::from_millis(1),
+            ..ServeOptions::default()
+        };
+        Scheduler::new(&opts, "cafe", &vec![false; total])
     }
 
     fn lease_of(grant: Grant) -> Lease {
@@ -943,7 +925,7 @@ mod tests {
         let mut stored = vec![false; 6];
         stored[1] = true;
         stored[4] = true;
-        let mut s = Scheduler::new(SchedConfig::default(), "cafe", &stored);
+        let mut s = Scheduler::new(&ServeOptions::default(), "cafe", &stored);
         let lease = lease_of(s.grant("w1", 0));
         assert_eq!(lease.indices, vec![0, 2, 3, 5]);
     }
@@ -1022,7 +1004,8 @@ mod tests {
         w2.send(&msg("w2", 1, MSG_REQUEST)).unwrap();
         w1.send(&msg("w1", 2, MSG_PROGRESS)).unwrap();
         w1.send(&msg("w1", 1, MSG_REQUEST)).unwrap();
-        let polled = coord.poll().unwrap();
+        let rec = dl2fence_telemetry::Telemetry::disabled().recorder();
+        let polled = coord.poll(&rec).unwrap();
         let order: Vec<(String, u64)> = polled.iter().map(|m| (m.worker.clone(), m.seq)).collect();
         assert_eq!(
             order,
@@ -1033,7 +1016,10 @@ mod tests {
             ]
         );
         assert_eq!(polled[1].index, Some(3));
-        assert!(coord.poll().unwrap().is_empty(), "messages are consumed");
+        assert!(
+            coord.poll(&rec).unwrap().is_empty(),
+            "messages are consumed"
+        );
 
         coord
             .reply(

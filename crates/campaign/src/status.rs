@@ -3,7 +3,7 @@
 //! [`status`] sizes up one or many campaign (or shard) directories without
 //! modifying a single byte: per directory it reports the manifest identity,
 //! stored/missing run counts with the exact gap list, torn-tail state, log
-//! and spilled-sample sizes, and whether a report has landed. Over several
+//! size, and whether a report has landed. Over several
 //! directories sharing one fingerprint it additionally computes the
 //! **union** view — which run indices no directory has stored — which is
 //! exactly the gap list a [`crate::merge::merge`] of those directories
@@ -23,7 +23,6 @@
 use crate::lease::{sched_status, SchedStatus};
 use crate::merge::{stored_union, worker_sources};
 use crate::spec::SpecError;
-use crate::spill::{SampleStore, SpillStats};
 use crate::stream::{CampaignDir, ShardSlice};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -68,8 +67,6 @@ pub struct DirStatus {
     pub runs_bytes: u64,
     /// Whether `report.json` has been written.
     pub report_written: bool,
-    /// The spilled sample store, when one exists.
-    pub spill: Option<SpillStats>,
 }
 
 /// The aggregate [`status`] view over every inspected directory.
@@ -127,22 +124,6 @@ impl StatusReport {
             );
             if !dir.missing.is_empty() {
                 let _ = writeln!(out, "  gaps: [{}]", render_truncated(&dir.missing, 20));
-            }
-            if let Some(spill) = &dir.spill {
-                let _ = writeln!(
-                    out,
-                    "  spill: {} samples in {} batches across {} files, {} ({} bytes){}",
-                    spill.samples,
-                    spill.batches,
-                    spill.files,
-                    human_bytes(spill.bytes),
-                    spill.bytes,
-                    if spill.truncated_tail {
-                        " (torn tail)"
-                    } else {
-                        ""
-                    },
-                );
             }
             if let Some(sched) = &dir.sched {
                 render_sched(&mut out, sched);
@@ -292,7 +273,6 @@ pub fn status(paths: &[PathBuf]) -> Result<StatusReport, SpecError> {
             duplicate_records: index.duplicate_records,
             runs_bytes,
             report_written: dir.report_path().exists(),
-            spill: SampleStore::inspect(dir.samples_path())?,
         });
     }
     let union_missing = union_stored

@@ -20,8 +20,9 @@
 //! ```text
 //! <dir>/manifest.json   campaign name, spec fingerprint, run count, spec,
 //!                       and (for shard directories) the shard slice
-//! <dir>/runs.jsonl      one JSONL record per finished run, appended as
-//!                       results complete (index-tagged, any order)
+//! <dir>/runs.jsonl      one JSONL record per finished run, labeled
+//!                       samples inline, appended as results complete
+//!                       (index-tagged, any order)
 //! <dir>/report.json     the final aggregated report (written last; absent
 //!                       in shard directories — a shard is not a campaign)
 //! ```
@@ -54,9 +55,6 @@ pub const MANIFEST_FILE: &str = "manifest.json";
 pub const RUNS_FILE: &str = "runs.jsonl";
 /// File name of the final aggregated report.
 pub const REPORT_FILE: &str = "report.json";
-/// Directory name of the eval sample store inside a campaign directory
-/// ([`crate::spill`]).
-pub const SAMPLES_DIR: &str = "samples";
 /// File name of the optional telemetry event log ([`crate::events`]).
 pub const EVENTS_FILE: &str = "events.jsonl";
 
@@ -386,11 +384,6 @@ impl CampaignDir {
         self.root.join(REPORT_FILE)
     }
 
-    /// The path of the eval sample store ([`crate::spill`]).
-    pub fn samples_path(&self) -> PathBuf {
-        self.root.join(SAMPLES_DIR)
-    }
-
     /// Reads and self-checks the manifest (the stored fingerprint must match
     /// the embedded spec — a mismatch means the manifest was edited).
     ///
@@ -552,7 +545,20 @@ impl CampaignDir {
         file: &mut File,
         entry: &RecordEntry,
     ) -> Result<String, SpecError> {
-        read_line_at(file, entry, &self.runs_path())
+        // The path is built only on failure: replay reads every record here.
+        let path = || self.runs_path();
+        file.seek(SeekFrom::Start(entry.offset))
+            .map_err(|e| SpecError::new(format!("cannot seek in {}: {e}", path().display())))?;
+        let mut bytes = vec![0u8; entry.len];
+        file.read_exact(&mut bytes)
+            .map_err(|e| SpecError::new(format!("cannot read {}: {e}", path().display())))?;
+        String::from_utf8(bytes).map_err(|e| {
+            SpecError::new(format!(
+                "record at byte {} of {} is not UTF-8: {e}",
+                entry.offset,
+                path().display()
+            ))
+        })
     }
 
     /// Replays the indexed log in run-index order, handing each parsed
@@ -576,8 +582,8 @@ impl CampaignDir {
     }
 
     /// [`Self::replay`] with a fallible fold — a fold error (such as
-    /// [`crate::ReportAccumulator::try_fold`] refusing a stripped record)
-    /// aborts the replay.
+    /// [`crate::ReportAccumulator::try_fold`] refusing a record without
+    /// samples) aborts the replay.
     ///
     /// # Errors
     ///
@@ -588,11 +594,9 @@ impl CampaignDir {
         index: &LogIndex,
         mut fold: impl FnMut(RunResult) -> Result<(), SpecError>,
     ) -> Result<(), SpecError> {
-        let path = self.runs_path();
-        let mut file = File::open(&path)
-            .map_err(|e| SpecError::new(format!("cannot read {}: {e}", path.display())))?;
+        let mut file = self.open_runs_for_read()?;
         for entry in index.entries.iter().flatten() {
-            let line = read_line_at(&mut file, entry, &path)?;
+            let line = self.read_record_line_at(&mut file, entry)?;
             fold(self.parse_record(&line, entry)?)?;
         }
         Ok(())
@@ -651,8 +655,8 @@ pub(crate) struct JsonlScan {
 }
 
 /// The torn-tail-tolerant JSONL scan loop shared by the run-log index
-/// ([`CampaignDir::index_log`]) and the sample store
-/// ([`crate::spill`]): reads whole lines, skips blanks, treats a final
+/// ([`CampaignDir::index_log`]) and the lease ledger
+/// ([`crate::lease`]): reads whole lines, skips blanks, treats a final
 /// line that fails `on_line` validation *or* lacks its trailing newline (a
 /// partially applied append — writers frame record + newline in one write)
 /// as torn, and promotes the same failure mid-file to a hard corruption
@@ -770,28 +774,6 @@ pub(crate) fn append_jsonl(
         .write_all(line.as_bytes())
         .and_then(|()| writer.flush())
         .map_err(|e| SpecError::new(format!("cannot append to {}: {e}", path.display())))
-}
-
-/// Reads the raw line bytes of `entry` from an open JSONL handle — the
-/// seek/read-one-record primitive shared by the run log and the eval
-/// sample store ([`crate::spill`]).
-pub(crate) fn read_line_at(
-    file: &mut File,
-    entry: &RecordEntry,
-    path: &Path,
-) -> Result<String, SpecError> {
-    file.seek(SeekFrom::Start(entry.offset))
-        .map_err(|e| SpecError::new(format!("cannot seek in {}: {e}", path.display())))?;
-    let mut bytes = vec![0u8; entry.len];
-    file.read_exact(&mut bytes)
-        .map_err(|e| SpecError::new(format!("cannot read {}: {e}", path.display())))?;
-    String::from_utf8(bytes).map_err(|e| {
-        SpecError::new(format!(
-            "record at byte {} of {} is not UTF-8: {e}",
-            entry.offset,
-            path.display()
-        ))
-    })
 }
 
 /// A campaign directory opened for execution — the **execute primitive**

@@ -1,22 +1,19 @@
-//! Integration coverage of the eval sample store
-//! ([`dl2fence_campaign::spill`]), log compaction
-//! ([`dl2fence_campaign::compact`]) and the read-only status inspector
-//! ([`dl2fence_campaign::status`]): a stripped log rebuilds its report from
-//! the store by run index — also across frame geometries that share a row
-//! count — and a stripped record whose samples are nowhere is a typed
-//! error, not a silently smaller training set.
+//! Integration coverage of log compaction ([`dl2fence_campaign::compact`])
+//! and the read-only status inspector ([`dl2fence_campaign::status`]), plus
+//! the fold's refusal of an eval record that carries no samples: a typed
+//! error naming the run index, never a silently smaller training set.
 
-use dl2fence_campaign::stream::{REPORT_FILE, RUNS_FILE, SAMPLES_DIR};
+use dl2fence_campaign::stream::{REPORT_FILE, RUNS_FILE};
 use dl2fence_campaign::{
-    compact, expand, merge, resume, run, run_streaming, spec_fingerprint, status, CampaignDir,
-    CampaignSpec, Executor, ReportAccumulator, RunResult, SampleBatch, SampleStore, ShardSlice,
+    compact, expand, merge, resume, run, run_streaming, status, CampaignDir, CampaignSpec,
+    Executor, ReportAccumulator, RunResult, ShardSlice,
 };
 use std::path::{Path, PathBuf};
 
 /// A sample-heavy eval campaign, small enough to simulate in-test: 20 runs
 /// x 4 samples = 80 labeled samples through one mesh pool.
 fn sample_heavy_spec() -> CampaignSpec {
-    let mut spec = CampaignSpec::quick("spill-heavy");
+    let mut spec = CampaignSpec::quick("sample-heavy");
     spec.grid.mesh = vec![4];
     spec.grid.fir = vec![0.4, 0.8];
     spec.grid.workloads = vec!["uniform".into(), "tornado".into()];
@@ -34,7 +31,7 @@ fn sample_heavy_spec() -> CampaignSpec {
 }
 
 fn temp_root(tag: &str) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("dl2fence-spill-{tag}-{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("dl2fence-compact-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     root
 }
@@ -59,7 +56,7 @@ fn compact_orders_dedupes_heals_and_preserves_the_report() {
     wounded.push_str(&dup_a[..dup_a.len() / 2]);
     std::fs::write(dir.runs_path(), &wounded).unwrap();
 
-    let stats = compact(&root, false).unwrap();
+    let stats = compact(&root).unwrap();
     assert_eq!(stats.records, lines.len());
     assert_eq!(stats.dropped_duplicates, 2);
     assert!(stats.healed_torn_tail);
@@ -80,182 +77,63 @@ fn compact_orders_dedupes_heals_and_preserves_the_report() {
 }
 
 #[test]
-fn strip_samples_shrinks_the_log_and_keeps_every_path_byte_identical() {
-    let spec = sample_heavy_spec();
+fn record_without_samples_is_a_typed_error() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/smoke_eval.toml");
+    let spec = CampaignSpec::from_path(Path::new(path)).unwrap();
     let executor = Executor::new(2);
-    let root = temp_root("strip");
-    let reference = run_streaming(&executor, &spec, &root).unwrap().to_json();
-    let bytes_full = std::fs::metadata(root.join(RUNS_FILE)).unwrap().len();
+    let root = temp_root("no-samples");
+    run_streaming(&executor, &spec, &root).unwrap();
+    std::fs::remove_file(root.join(REPORT_FILE)).unwrap();
 
-    let stats = compact(&root, true).unwrap();
-    assert!(stats.stripped_samples > 0);
-    assert!(
-        stats.bytes_after * 2 < bytes_full,
-        "stripping a sample-heavy log must shrink it substantially \
-         ({bytes_full} -> {} bytes)",
-        stats.bytes_after
-    );
-    // Stripped records really are scalar-only.
+    // Blank one record's samples, as an earlier build's sample stripping
+    // or a hand edit would leave it.
     let log = std::fs::read_to_string(root.join(RUNS_FILE)).unwrap();
-    for line in log.lines() {
-        let record: RunResult = serde_json::from_str(line).unwrap();
-        assert!(record.samples.is_empty());
-    }
+    let mut records: Vec<RunResult> = log
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    let middle = records.len() / 2;
+    records[middle].samples.clear();
+    let blanked = records[middle].clone();
+    let lost = blanked.spec.index;
+    let log: String = records
+        .iter()
+        .map(|r| format!("{}\n", serde_json::to_string(r).unwrap()))
+        .collect();
+    std::fs::write(root.join(RUNS_FILE), log).unwrap();
+    let expected = format!("run index {lost} carries no samples");
 
-    // Resume of the stripped directory rebuilds the identical report from
-    // the sample store.
-    let resumed = resume(&executor, &root, Some(&spec)).unwrap().unwrap();
-    assert_eq!(resumed.to_json(), reference);
+    // Resume and merge both refuse with that run index instead of training
+    // on the rest, and write no report.
+    let err = resume(&executor, &root, Some(&spec)).unwrap_err();
+    assert!(err.to_string().contains(&expected), "{err}");
+    assert!(!root.join(REPORT_FILE).exists());
+    let merged_root = temp_root("no-samples-merged");
+    let err = merge(&executor, std::slice::from_ref(&root), &merged_root, false).unwrap_err();
+    assert!(err.to_string().contains(&expected), "{err}");
+    assert!(!merged_root.join(REPORT_FILE).exists());
 
-    // A stripped directory still merges: its store rides along into the
-    // merged directory and the report comes out byte-identical.
-    let merged_root = temp_root("strip-merged");
-    let merged = merge(&executor, std::slice::from_ref(&root), &merged_root, false).unwrap();
-    assert_eq!(merged.to_json(), reference);
-    assert!(
-        merged_root.join(SAMPLES_DIR).join("4.jsonl").exists(),
-        "the merged directory must carry the union of the input stores"
-    );
-
-    // Compaction is idempotent: a second strip moves nothing.
-    let again = compact(&root, true).unwrap();
-    assert_eq!(again.stripped_samples, 0);
-    assert_eq!(again.bytes_after, stats.bytes_after);
-
+    // The accumulator itself refuses such a record and stays unchanged.
+    let mut acc = ReportAccumulator::for_spec(&spec).unwrap();
+    let err = acc.try_fold(&blanked).unwrap_err();
+    assert!(err.to_string().contains(&expected), "{err}");
+    assert_eq!(acc.folded_runs(), 0);
     std::fs::remove_dir_all(&root).unwrap();
     std::fs::remove_dir_all(&merged_root).unwrap();
 }
 
-/// Strips `root`'s log into its sample store and deletes the report, so
-/// the next resume must rebuild everything from the stripped records.
-fn strip_and_drop_report(root: &Path) {
-    assert!(compact(root, true).unwrap().stripped_samples > 0);
-    std::fs::remove_file(root.join(REPORT_FILE)).unwrap();
-}
-
 #[test]
-fn stripped_resume_of_a_mixed_geometry_campaign_reproduces_the_report() {
-    // `mesh4` and `mesh4x8` share 4 frame rows, so their batches share
-    // `samples/4.jsonl` — but they train separate detectors. The fold must
-    // find each stripped record's own batch by run index, never hand the
-    // 4x4 pool a 4x8 batch.
-    let mut spec = sample_heavy_spec();
-    spec.grid.mesh = Vec::new();
-    spec.grid.topology = vec!["mesh4".into(), "mesh4x8".into()];
-    let executor = Executor::new(2);
-    let root = temp_root("mixed");
-    let reference = run_streaming(&executor, &spec, &root).unwrap();
-    assert_eq!(
-        reference.evaluations.len(),
-        2,
-        "one eval entry per geometry"
-    );
-
-    strip_and_drop_report(&root);
-    let store = SampleStore::open_existing(root.join(SAMPLES_DIR), None)
-        .unwrap()
-        .unwrap();
-    assert_eq!(store.meshes(), vec![4], "both geometries share one file");
-    let resumed = resume(&executor, &root, Some(&spec)).unwrap().unwrap();
-    assert_eq!(resumed.to_json(), reference.to_json());
-    std::fs::remove_dir_all(&root).unwrap();
-}
-
-#[test]
-fn stripped_record_without_a_stored_batch_is_a_typed_error() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/smoke_eval.toml");
-    let spec = CampaignSpec::from_path(Path::new(path)).unwrap();
-    let executor = Executor::new(2);
-    let root = temp_root("lost-batch");
-    run_streaming(&executor, &spec, &root).unwrap();
-    strip_and_drop_report(&root);
-
-    // Lose the second half of the store: its stripped records' samples
-    // exist nowhere now.
-    let pool = root.join(SAMPLES_DIR).join("4.jsonl");
-    let text = std::fs::read_to_string(&pool).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 10);
-    let kept: String = lines[..5].iter().map(|l| format!("{l}\n")).collect();
-    std::fs::write(&pool, kept).unwrap();
-    let lost = lines[5..]
-        .iter()
-        .map(|l| serde_json::from_str::<SampleBatch>(l).unwrap().index)
-        .min()
-        .unwrap();
-
-    // The fold refuses with the first lost run index instead of training
-    // on the surviving half, and writes no report.
-    let err = resume(&executor, &root, Some(&spec)).unwrap_err();
-    assert!(
-        err.to_string()
-            .contains(&format!("run index {lost} carries no samples")),
-        "{err}"
-    );
-    assert!(!root.join(REPORT_FILE).exists());
-
-    // The accumulator itself refuses such a record and stays unchanged.
-    let mut acc = ReportAccumulator::for_spec(&spec).unwrap();
-    let record: RunResult = serde_json::from_str(
-        std::fs::read_to_string(root.join(RUNS_FILE))
-            .unwrap()
-            .lines()
-            .next()
-            .unwrap(),
-    )
-    .unwrap();
-    assert!(record.samples.is_empty());
-    let err = acc.try_fold(&record).unwrap_err();
-    assert!(
-        err.to_string().contains(&format!(
-            "run index {} carries no samples",
-            record.spec.index
-        )),
-        "{err}"
-    );
-    assert_eq!(acc.folded_runs(), 0);
-    std::fs::remove_dir_all(&root).unwrap();
-}
-
-#[test]
-fn sample_store_refuses_conflicts_and_foreign_fingerprints() {
-    let root = temp_root("store-conflict");
-    let spec = sample_heavy_spec();
-    let outcome = Executor::new(1).execute(&spec).unwrap();
-    let samples = outcome.runs[0].samples.clone();
-    let fingerprint = spec_fingerprint(&spec);
-
-    let mut store = SampleStore::attach(&root, &fingerprint).unwrap();
-    assert!(store.append_batch(4, 0, samples.clone()).unwrap());
-    // An identical re-append dedupes...
-    assert!(!store.append_batch(4, 0, samples.clone()).unwrap());
-    // ...but a different payload for the same run index is a conflict.
-    let err = store.append_batch(4, 0, samples[..1].to_vec()).unwrap_err();
-    assert!(err.to_string().contains("conflicting"), "{err}");
-    drop(store);
-
-    // Reattaching with another campaign's fingerprint is refused.
-    let err = SampleStore::attach(&root, "0000000000000000").unwrap_err();
-    assert!(err.to_string().contains("refusing to mix"), "{err}");
-    let err = SampleStore::open_existing(&root, Some("0000000000000000")).unwrap_err();
-    assert!(err.to_string().contains("refusing to mix"), "{err}");
-    std::fs::remove_dir_all(&root).unwrap();
-}
-
-#[test]
-fn status_reports_progress_gaps_spill_and_union() {
+fn status_reports_progress_gaps_and_union() {
     let spec = sample_heavy_spec();
     let executor = Executor::new(2);
     let root = temp_root("status");
     run_streaming(&executor, &spec, &root).unwrap();
     let runs = expand(&spec).unwrap();
 
-    // Complete directory: no gaps, report written, and no sample store (a
-    // plain run keeps its samples in the log).
+    // Complete directory: no gaps, report written.
     let report = status(std::slice::from_ref(&root)).unwrap();
     assert_eq!(report.dirs.len(), 1);
     let dir_status = &report.dirs[0];
-    assert!(dir_status.spill.is_none());
     assert_eq!(dir_status.total_runs, runs.len());
     assert_eq!(dir_status.completed, runs.len());
     assert!(dir_status.missing.is_empty());

@@ -1,10 +1,10 @@
 //! Golden-report regression corpus.
 //!
 //! Every aggregation path the engine offers — in-memory, streaming,
-//! crash-resume, shard-merge, and stripped-log rebuild — must render the
-//! committed specs to **byte-identical** reports, and those bytes must
-//! never drift across refactors. The fixtures under `tests/golden/` pin them: each test
-//! rebuilds its spec's report through all five paths and diffs the bytes
+//! crash-resume and shard-merge — must render the committed specs to
+//! **byte-identical** reports, and those bytes must never drift across
+//! refactors. The fixtures under `tests/golden/` pin them: each test
+//! rebuilds its spec's report through all four paths and diffs the bytes
 //! against the checked-in fixture.
 //!
 //! To regenerate after an intentional aggregation change:
@@ -18,8 +18,8 @@
 
 use dl2fence_campaign::stream::RUNS_FILE;
 use dl2fence_campaign::{
-    compact, expand, merge, resume, run, CampaignDir, CampaignOutcome, CampaignReport,
-    CampaignSpec, Executor, RunResult,
+    expand, merge, resume, run, CampaignDir, CampaignOutcome, CampaignReport, CampaignSpec,
+    Executor, RunResult,
 };
 use std::path::{Path, PathBuf};
 
@@ -88,7 +88,7 @@ fn write_log(dir: &CampaignDir, records: &[&RunResult]) {
     std::fs::write(dir.runs_path(), log).unwrap();
 }
 
-/// Rebuilds `spec`'s report through all five aggregation paths and checks
+/// Rebuilds `spec`'s report through all four aggregation paths and checks
 /// every one against the named fixture.
 fn golden_corpus(tag: &str, spec: &CampaignSpec, fixture: &str) {
     let executor = Executor::new(2);
@@ -148,27 +148,12 @@ fn golden_corpus(tag: &str, spec: &CampaignSpec, fixture: &str) {
         .unwrap()
         .to_json();
 
-    // Path 5: stripped rebuild — the streamed records compacted with
-    // `--strip-samples` (samples moved to the sample store, the log
-    // scalar-only), then resumed: the fold refills every record's samples
-    // from the store.
-    let strip_root = temp_root(&format!("{tag}-strip"));
-    let strip_dir = CampaignDir::create(&strip_root, spec, runs.len()).unwrap();
-    write_log(&strip_dir, &records.iter().collect::<Vec<_>>());
-    let stats = compact(&strip_root, true).unwrap();
-    assert_eq!(stats.stripped_samples > 0, spec.sim.collect_samples);
-    let stripped = resume(&executor, &strip_root, Some(spec))
-        .unwrap()
-        .expect("whole-campaign resume returns a report")
-        .to_json();
-
     // Every path must agree with every other before any of them is allowed
     // to (re)define the fixture.
     for (path, produced) in [
         ("in-memory", &in_memory),
         ("resume", &resumed),
         ("merge", &merged),
-        ("stripped", &stripped),
     ] {
         assert_eq!(
             produced, &streamed,
@@ -177,7 +162,7 @@ fn golden_corpus(tag: &str, spec: &CampaignSpec, fixture: &str) {
     }
     check_fixture(fixture, &streamed);
 
-    for root in [streamed_root, resume_root, merge_base, strip_root] {
+    for root in [streamed_root, resume_root, merge_base] {
         let _ = std::fs::remove_dir_all(&root);
     }
 }

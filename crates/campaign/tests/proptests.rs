@@ -1,8 +1,8 @@
 //! Property tests of the spec and streaming codecs: TOML/JSON spec
 //! round-trips over arbitrary grids, lossless RunResult JSONL
 //! encode/decode, resume-after-arbitrary-prefix scan recovery, shard-merge
-//! byte-identity over arbitrary partitions of the run matrix, stripped-vs-
-//! in-memory report byte-identity over arbitrary grids, compact-then-
+//! byte-identity over arbitrary partitions of the run matrix, logged-vs-
+//! in-memory eval report byte-identity over arbitrary grids, compact-then-
 //! resume/merge equivalence under arbitrary prefixes and duplicate
 //! injection, and `campaign status` gap-list correctness.
 
@@ -10,7 +10,6 @@ use dl2fence_campaign::stream::{CampaignDir, RUNS_FILE};
 use dl2fence_campaign::{
     compact, execute_run, expand, merge, resume, run_streaming, spec_fingerprint, status,
     CampaignOutcome, CampaignReport, CampaignSpec, Executor, RunMetrics, RunResult, RunSpec,
-    SampleStore,
 };
 use noc_monitor::{DirectionalFrames, FeatureFrame, FeatureKind, GroundTruth, LabeledSample};
 use noc_sim::Direction;
@@ -515,13 +514,11 @@ fn synthetic_sampled_result(run: &RunSpec, samples_per_run: usize) -> RunResult 
 }
 
 proptest! {
-    /// Stripped-log rebuild: for **arbitrary grids** with the eval phase
-    /// enabled and an **arbitrary subset** of records stripped into the
-    /// sample store (the rest keeping their samples inline), the fold
-    /// refills each stripped record from the store by run index and
-    /// rebuilds a report byte-identical to the all-in-memory build.
+    /// Logged eval rebuild: for **arbitrary grids** with the eval phase
+    /// enabled, a log holding every record with its samples inline resumes
+    /// to a report byte-identical to the all-in-memory build.
     #[test]
-    fn stripped_report_is_byte_identical_to_in_memory_for_any_grid(
+    fn logged_eval_report_is_byte_identical_to_in_memory_for_any_grid(
         // DL2Fence's detector CNN needs at least a 4x4 mesh.
         mesh in 4usize..6,
         fir_pct in 1u64..101,
@@ -533,7 +530,6 @@ proptest! {
         // every run (in particular every attack run — the localizer needs
         // one to train) then contributes a sample to the training side.
         samples_per_run in 2usize..4,
-        strip_mask in 0u64..u64::MAX,
     ) {
         let mut spec = build_spec(
             mesh, mesh, fir_pct, workload_i, workload_i, placements,
@@ -560,22 +556,12 @@ proptest! {
         .map_err(|e| e.to_string())?
         .to_json();
 
-        let root = temp_root("strip-grid");
+        let root = temp_root("eval-grid");
         let dir = CampaignDir::create(&root, &spec, runs.len()).map_err(|e| e.to_string())?;
-        let mut store = SampleStore::attach(dir.samples_path(), &spec_fingerprint(&spec))
-            .map_err(|e| e.to_string())?;
-        let mut log = String::new();
-        for mut record in results {
-            if (strip_mask >> (record.spec.index % 64)) & 1 == 1 {
-                let samples = record.take_samples();
-                store
-                    .append_batch(record.spec.mesh, record.spec.index, samples)
-                    .map_err(|e| e.to_string())?;
-            }
-            log.push_str(&serde_json::to_string(&record).unwrap());
-            log.push('\n');
-        }
-        drop(store);
+        let log: String = results
+            .iter()
+            .map(|r| format!("{}\n", serde_json::to_string(r).unwrap()))
+            .collect();
         std::fs::write(dir.runs_path(), log).map_err(|e| e.to_string())?;
         let rebuilt = resume(&executor, &root, Some(&spec))
             .map_err(|e| e.to_string())?
@@ -623,7 +609,7 @@ proptest! {
         }
         std::fs::write(dir.runs_path(), &jsonl).map_err(|e| e.to_string())?;
 
-        let stats = compact(&root, false).map_err(|e| e.to_string())?;
+        let stats = compact(&root).map_err(|e| e.to_string())?;
         prop_assert_eq!(stats.records, keep);
         prop_assert_eq!(stats.dropped_duplicates, if keep == 0 { 0 } else { 2 });
         prop_assert_eq!(stats.healed_torn_tail, keep < results.len());
@@ -665,7 +651,7 @@ proptest! {
                 std::fs::write(&log_path, format!("{log}{dup_line}\n"))
                     .map_err(|e| e.to_string())?;
             }
-            compact(input, false).map_err(|e| e.to_string())?;
+            compact(input).map_err(|e| e.to_string())?;
         }
         let merged = merge(&Executor::new(2), &inputs, base.join("merged"), false)
             .map_err(|e| e.to_string())?;

@@ -7,8 +7,8 @@
 
 use dl2fence_campaign::{
     expand, merge, resume, run_streaming, sched_status, serve_sched, spec_fingerprint, status,
-    work, CampaignDir, CampaignSpec, Executor, Grant, RunResult, SchedConfig, Scheduler,
-    ServeOptions, WatchSnapshot, WorkOptions,
+    work, CampaignDir, CampaignSpec, Executor, Grant, RunResult, Scheduler, ServeOptions,
+    WatchSnapshot, WorkOptions,
 };
 use dl2fence_telemetry::{EventData, MemorySink, Telemetry};
 use proptest::prelude::*;
@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 /// The same small eval-enabled campaign the merge suite uses (12 runs with
 /// sample payloads and trained-model metrics), so scheduler byte-identity
-/// covers the sample-store union and the eval phase, not just scalars.
+/// covers the samples and the eval phase, not just scalars.
 const SCHED_SPEC: &str = r#"
 name = "sched-integration"
 
@@ -189,7 +189,6 @@ fn killed_worker_lease_expires_and_is_reissued_to_the_survivor() {
         // the casualty's expired lease.
         let mut survivor = WorkOptions::named("survivor");
         survivor.poll = Duration::from_millis(5);
-        survivor.strip_samples = true;
         let outcome = work(&Executor::new(2), &root, &survivor).unwrap();
         assert_eq!(
             outcome.executed,
@@ -219,6 +218,62 @@ fn killed_worker_lease_expires_and_is_reissued_to_the_survivor() {
         .leases
         .iter()
         .any(|l| l.worker == "casualty" && l.state == "expired"));
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn malformed_inbox_message_is_rejected_and_the_fleet_still_drains() {
+    let root = temp_root("junk");
+    let total = expand(&spec()).unwrap().len();
+    CampaignDir::create(&root, &spec(), total).unwrap();
+    // A message file that does not parse must not stop the coordinator:
+    // left in place, it would fail every restart the same way.
+    let inbox = root.join("sched").join("inbox");
+    std::fs::create_dir_all(&inbox).unwrap();
+    let junk = inbox.join("junk-000000000001.json");
+    std::fs::write(&junk, "{\"worker\": 3\n").unwrap();
+
+    let sink = Arc::new(MemorySink::new());
+    let report = std::thread::scope(|s| {
+        let coord_root = root.clone();
+        let sink = sink.clone();
+        let coordinator = s.spawn(move || {
+            serve_sched(
+                &Executor::new(2).with_telemetry(Telemetry::with_sink(sink)),
+                &coord_root,
+                Some(&spec()),
+                &ServeOptions {
+                    poll: Duration::from_millis(5),
+                    ..ServeOptions::default()
+                },
+            )
+        });
+        let mut opts = WorkOptions::named("w1");
+        opts.poll = Duration::from_millis(5);
+        opts.patience = Duration::from_secs(20);
+        let worker = work(&Executor::new(2), &root, &opts);
+        let report = coordinator.join().unwrap().unwrap();
+        assert_eq!(worker.unwrap().executed, total);
+        report
+    });
+
+    assert_eq!(&report.to_json(), reference_json());
+    assert!(!junk.exists(), "the malformed message must be consumed");
+    assert!(
+        inbox.join("junk-000000000001.rejected").exists(),
+        "the malformed message must be kept as evidence"
+    );
+    let rejected: u64 = sink
+        .snapshot()
+        .iter()
+        .filter_map(|e| match &e.data {
+            EventData::Counter { name, delta, .. } if name == "sched.rejected_messages" => {
+                Some(*delta)
+            }
+            _ => None,
+        })
+        .sum();
+    assert_eq!(rejected, 1);
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -464,8 +519,12 @@ proptest! {
             });
         }
 
-        let config = SchedConfig { lease_size, lease_ttl_us: 1_000 };
-        let mut sched = Scheduler::new(config, &fingerprint, &vec![false; total]);
+        let opts = ServeOptions {
+            lease_size,
+            lease_ttl: Duration::from_millis(1),
+            ..ServeOptions::default()
+        };
+        let mut sched = Scheduler::new(&opts, &fingerprint, &vec![false; total]);
         let mut now = 0u64;
         let mut rounds = 0usize;
         while !sched.drained() {

@@ -327,35 +327,29 @@ impl Dl2Fence {
     }
 
     /// Detection frames per batched-inference chunk in
-    /// [`Self::analyze_batch`]. Keeps the stacked input tensor bounded
+    /// [`Self::analyze_frames_batch`]. Keeps the stacked input tensor bounded
     /// (a chunk of an 8×8 mesh is ~64 KiB) while amortizing the per-layer
     /// dispatch over many windows.
     pub const DETECT_BATCH: usize = 64;
 
-    /// Analyses a set of labeled samples with **batched** detector inference:
-    /// detection frames are stacked in chunks of [`Self::DETECT_BATCH`] and
-    /// classified in one model invocation per chunk, then only the windows
-    /// that were flagged run the (much rarer) segment → fuse → localize tail.
+    /// Analyses a set of labeled samples with **batched** detector
+    /// inference: [`Self::analyze_frames_batch`] over each sample's
+    /// detection- and localization-feature bundles.
     ///
     /// Reports are bit-identical to calling [`Self::analyze`] per sample —
     /// every layer of the CNN treats batch elements independently — so
     /// evaluation harnesses can batch freely without perturbing golden
     /// outputs.
     pub fn analyze_batch(&mut self, samples: &[LabeledSample]) -> Vec<FenceReport> {
-        let rec = self.telemetry.clone();
-        let mut reports = Vec::with_capacity(samples.len());
-        for chunk in samples.chunks(Self::DETECT_BATCH) {
-            let bundles: Vec<&DirectionalFrames> = chunk
-                .iter()
-                .map(|s| sample_frames(s, self.config.detection_feature))
-                .collect();
-            let detections = rec.time("stage.detect", || self.detector.detect_batch(&bundles));
-            for (sample, detection) in chunk.iter().zip(detections) {
-                let loc = sample_frames(sample, self.config.localization_feature);
-                reports.push(self.report_for_detection(detection, loc));
-            }
-        }
-        reports
+        let (det, loc) = (
+            self.config.detection_feature,
+            self.config.localization_feature,
+        );
+        let windows: Vec<_> = samples
+            .iter()
+            .map(|s| (sample_frames(s, det), sample_frames(s, loc)))
+            .collect();
+        self.analyze_frames_batch(&windows)
     }
 
     /// Analyses a set of already-assembled monitoring windows with batched
