@@ -196,3 +196,12 @@ fn golden_table1_quick_eval_off() {
     spec.eval.enabled = false;
     golden_corpus("table1-off", &spec, "table1_quick_eval_off.report.json");
 }
+
+#[test]
+fn golden_smoke_torus() {
+    // The only committed spec that sweeps every attack family (fdos, ddos2,
+    // stealth): it pins the injection draws of all three, not just fdos.
+    let spec = CampaignSpec::from_path(&spec_path("smoke_torus.toml")).unwrap();
+    assert_eq!(expand(&spec).unwrap().len(), 14);
+    golden_corpus("smoke-torus", &spec, "smoke_torus.report.json");
+}
