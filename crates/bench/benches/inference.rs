@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dl2fence::{DosDetector, DosLocalizer};
 use noc_monitor::{FeatureKind, FrameSampler};
 use noc_sim::{NocConfig, NodeId};
-use noc_traffic::{AttackScenario, FloodingAttack, SyntheticPattern};
+use noc_traffic::{AttackKind, AttackScenario, DosAttack, SyntheticPattern};
 
 fn sampled_frames(
     mesh: usize,
@@ -15,7 +15,8 @@ fn sampled_frames(
 ) {
     let mut scenario = AttackScenario::builder(NocConfig::mesh(mesh, mesh))
         .benign(SyntheticPattern::UniformRandom, 0.02)
-        .attack(FloodingAttack::new(
+        .attack(DosAttack::new(
+            AttackKind::Fdos,
             vec![NodeId(mesh * mesh - 1)],
             NodeId(0),
             0.8,

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dl2fence::{Dl2Fence, FenceConfig};
 use noc_sim::{NocConfig, NodeId};
-use noc_traffic::{AttackScenario, FloodingAttack, SyntheticPattern};
+use noc_traffic::{AttackKind, AttackScenario, DosAttack, SyntheticPattern};
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
@@ -13,7 +13,8 @@ fn bench_pipeline(c: &mut Criterion) {
     for &mesh in &[8usize, 16] {
         let mut scenario = AttackScenario::builder(NocConfig::mesh(mesh, mesh))
             .benign(SyntheticPattern::UniformRandom, 0.02)
-            .attack(FloodingAttack::new(
+            .attack(DosAttack::new(
+                AttackKind::Fdos,
                 vec![NodeId(mesh * mesh - 1)],
                 NodeId(0),
                 0.8,

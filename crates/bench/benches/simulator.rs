@@ -3,14 +3,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use noc_sim::{NocConfig, NodeId};
-use noc_traffic::{AttackScenario, FloodingAttack, SyntheticPattern};
+use noc_traffic::{AttackKind, AttackScenario, DosAttack, SyntheticPattern};
 
 fn simulate(mesh: usize, attack: bool, cycles: u64) -> u64 {
     let mut builder = AttackScenario::builder(NocConfig::mesh(mesh, mesh))
         .benign(SyntheticPattern::UniformRandom, 0.02)
         .seed(1);
     if attack {
-        builder = builder.attack(FloodingAttack::new(
+        builder = builder.attack(DosAttack::new(
+            AttackKind::Fdos,
             vec![NodeId(mesh * mesh - 1)],
             NodeId(0),
             0.8,

@@ -3,7 +3,7 @@
 //! surge in power consumption" alongside the latency impact of Figure 1.
 
 use noc_sim::{EnergyModel, NocConfig, NodeId};
-use noc_traffic::{AttackScenario, FloodingAttack, SyntheticPattern};
+use noc_traffic::{AttackKind, AttackScenario, DosAttack, SyntheticPattern};
 
 fn main() {
     let mesh = 8;
@@ -23,7 +23,8 @@ fn main() {
             .benign(SyntheticPattern::UniformRandom, 0.02)
             .seed(0xCAFE);
         if fir > 0.0 {
-            builder = builder.attack(FloodingAttack::new(
+            builder = builder.attack(DosAttack::new(
+                AttackKind::Fdos,
                 vec![NodeId(mesh * mesh - 1)],
                 NodeId(0),
                 fir,

@@ -352,8 +352,22 @@ impl CampaignSpec {
         if self.name.is_empty() {
             return Err(SpecError::new("campaign name must not be empty"));
         }
-        self.resolved_topologies()?;
-        self.resolved_attacks()?;
+        let topologies = self.resolved_topologies()?;
+        for attack in self.resolved_attacks()? {
+            let AttackAxis::Ddos { sources } = attack else {
+                continue;
+            };
+            if let Some(t) = topologies.iter().find(|t| sources + 1 > t.node_count()) {
+                return Err(SpecError::new(format!(
+                    "attack family `{}` needs {} nodes (its sources plus a victim) but \
+                     topology `{}` has only {}",
+                    attack.name(),
+                    sources + 1,
+                    t.name(),
+                    t.node_count()
+                )));
+            }
+        }
         if self.grid.seeds.is_empty() {
             return Err(SpecError::new("grid.seeds must list at least one seed"));
         }
@@ -682,6 +696,24 @@ mod tests {
         }
         assert!(parse_attack("ddos1").is_err());
         assert!(parse_attack("teardrop").is_err());
+    }
+
+    #[test]
+    fn ddos_with_more_sources_than_a_topology_holds_is_refused() {
+        let mut spec = CampaignSpec::quick("crowded");
+        spec.grid.topology = vec!["mesh4".into(), "mesh2".into()];
+        spec.grid.attack = vec!["fdos".into(), "ddos9".into()];
+        let err = spec.validate().unwrap_err().to_string();
+        assert!(err.starts_with("campaign spec error"), "{err}");
+        assert!(err.contains("`ddos9`") && err.contains("`mesh2`"), "{err}");
+        assert!(crate::expand(&spec).is_err());
+        // Three sources plus a victim fill a 2x2 mesh exactly.
+        spec.grid.attack = vec!["ddos3".into()];
+        let runs = crate::expand(&spec).unwrap();
+        assert!(runs
+            .iter()
+            .filter(|r| r.attack == "ddos3")
+            .all(|r| r.scenario.attackers.len() == 3));
     }
 
     #[test]

@@ -602,10 +602,15 @@ mod tests {
 
     #[test]
     fn monitor_analyses_a_live_network() {
-        use noc_traffic::{AttackScenario, FloodingAttack};
+        use noc_traffic::{AttackKind, AttackScenario, DosAttack};
         let mut scenario = AttackScenario::builder(NocConfig::mesh(8, 8))
             .benign(SyntheticPattern::UniformRandom, 0.01)
-            .attack(FloodingAttack::new(vec![NodeId(7)], NodeId(0), 0.9))
+            .attack(DosAttack::new(
+                AttackKind::Fdos,
+                vec![NodeId(7)],
+                NodeId(0),
+                0.9,
+            ))
             .seed(3)
             .build();
         scenario.run(1_000);

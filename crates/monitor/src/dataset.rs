@@ -9,9 +9,7 @@ use crate::frame::DirectionalFrames;
 use crate::label::GroundTruth;
 use crate::sampler::FrameSampler;
 use noc_sim::{NocConfig, NodeId};
-use noc_traffic::{
-    AttackKind, AttackScenario, BenignWorkload, DistributedAttack, FloodingAttack, StealthAttack,
-};
+use noc_traffic::{AttackKind, AttackScenario, BenignWorkload, DosAttack};
 use serde::{Deserialize, Serialize};
 
 /// One simulation run to collect samples from: a benign workload plus an
@@ -75,23 +73,12 @@ impl ScenarioSpec {
             .workload(self.workload)
             .seed(seed);
         if self.is_attack() {
-            builder = match self.attack {
-                AttackKind::Fdos => builder.attack(FloodingAttack::new(
-                    self.attackers.clone(),
-                    self.victim,
-                    self.fir,
-                )),
-                AttackKind::Ddos => builder.attack(DistributedAttack::new(
-                    self.attackers.clone(),
-                    self.victim,
-                    self.fir,
-                )),
-                AttackKind::Stealth => builder.attack(StealthAttack::new(
-                    self.attackers.clone(),
-                    self.victim,
-                    self.fir,
-                )),
-            };
+            builder = builder.attack(DosAttack::new(
+                self.attack,
+                self.attackers.clone(),
+                self.victim,
+                self.fir,
+            ));
         }
         builder.build()
     }

@@ -84,7 +84,7 @@ impl GroundTruth {
 mod tests {
     use super::*;
     use noc_sim::NocConfig;
-    use noc_traffic::{FloodingAttack, SyntheticPattern};
+    use noc_traffic::{AttackKind, DosAttack, SyntheticPattern};
 
     #[test]
     fn benign_ground_truth_is_all_zero() {
@@ -98,7 +98,12 @@ mod tests {
     fn scenario_ground_truth_marks_route() {
         let scenario = AttackScenario::builder(NocConfig::mesh(4, 4))
             .benign(SyntheticPattern::UniformRandom, 0.01)
-            .attack(FloodingAttack::new(vec![NodeId(3)], NodeId(0), 0.8))
+            .attack(DosAttack::new(
+                AttackKind::Fdos,
+                vec![NodeId(3)],
+                NodeId(0),
+                0.8,
+            ))
             .build();
         let gt = GroundTruth::of_scenario(&scenario);
         assert!(gt.under_attack);
@@ -124,7 +129,8 @@ mod tests {
     #[test]
     fn attack_pairs_recorded() {
         let scenario = AttackScenario::builder(NocConfig::mesh(4, 4))
-            .attack(FloodingAttack::new(
+            .attack(DosAttack::new(
+                AttackKind::Fdos,
                 vec![NodeId(3), NodeId(12)],
                 NodeId(5),
                 0.8,

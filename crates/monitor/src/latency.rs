@@ -3,7 +3,7 @@
 //! rises from 0 to 1, including the saturation ("system crashed") point.
 
 use noc_sim::{NocConfig, NodeId};
-use noc_traffic::{AttackScenario, BenignWorkload, FloodingAttack};
+use noc_traffic::{AttackKind, AttackScenario, BenignWorkload, DosAttack};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a FIR sweep experiment.
@@ -78,7 +78,8 @@ pub fn sweep_fir(config: &FirSweepConfig) -> Vec<FirSweepPoint> {
                 .workload(config.workload)
                 .seed(config.seed);
             if fir > 0.0 {
-                builder = builder.attack(FloodingAttack::new(
+                builder = builder.attack(DosAttack::new(
+                    AttackKind::Fdos,
                     config.attackers.clone(),
                     config.victim,
                     fir,

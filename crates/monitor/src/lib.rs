@@ -26,12 +26,12 @@
 //!
 //! ```
 //! use noc_sim::{NocConfig, NodeId};
-//! use noc_traffic::{AttackScenario, FloodingAttack, SyntheticPattern};
+//! use noc_traffic::{AttackKind, AttackScenario, DosAttack, SyntheticPattern};
 //! use noc_monitor::{FeatureKind, FrameSampler};
 //!
 //! let mut scenario = AttackScenario::builder(NocConfig::mesh(8, 8))
 //!     .benign(SyntheticPattern::UniformRandom, 0.02)
-//!     .attack(FloodingAttack::new(vec![NodeId(63)], NodeId(0), 0.8))
+//!     .attack(DosAttack::new(AttackKind::Fdos, vec![NodeId(63)], NodeId(0), 0.8))
 //!     .build();
 //! scenario.run(1_000);
 //! let frames = FrameSampler::sample(scenario.network(), FeatureKind::Vco);

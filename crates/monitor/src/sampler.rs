@@ -48,12 +48,17 @@ impl FrameSampler {
 mod tests {
     use super::*;
     use noc_sim::{NocConfig, NodeId};
-    use noc_traffic::{AttackScenario, FloodingAttack, SyntheticPattern};
+    use noc_traffic::{AttackKind, AttackScenario, DosAttack, SyntheticPattern};
 
     fn attacked_scenario() -> AttackScenario {
         AttackScenario::builder(NocConfig::mesh(8, 8))
             .benign(SyntheticPattern::UniformRandom, 0.01)
-            .attack(FloodingAttack::new(vec![NodeId(7)], NodeId(0), 0.9))
+            .attack(DosAttack::new(
+                AttackKind::Fdos,
+                vec![NodeId(7)],
+                NodeId(0),
+                0.9,
+            ))
             .seed(21)
             .build()
     }

@@ -68,11 +68,9 @@ impl AttackScenarioBuilder {
         self
     }
 
-    /// Adds a DoS attack overlay of any family ([`crate::FloodingAttack`],
-    /// [`crate::DistributedAttack`], [`crate::StealthAttack`] or a
-    /// pre-built [`DosAttack`]).
-    pub fn attack(mut self, attack: impl Into<DosAttack>) -> Self {
-        self.attacks.push(attack.into());
+    /// Adds a DoS attack overlay of any family.
+    pub fn attack(mut self, attack: DosAttack) -> Self {
+        self.attacks.push(attack);
         self
     }
 
@@ -112,11 +110,11 @@ impl AttackScenarioBuilder {
 ///
 /// ```
 /// use noc_sim::{NocConfig, NodeId};
-/// use noc_traffic::{AttackScenario, FloodingAttack, SyntheticPattern};
+/// use noc_traffic::{AttackKind, AttackScenario, DosAttack, SyntheticPattern};
 ///
 /// let mut scenario = AttackScenario::builder(NocConfig::mesh(4, 4))
 ///     .benign(SyntheticPattern::Neighbor, 0.02)
-///     .attack(FloodingAttack::new(vec![NodeId(15)], NodeId(0), 0.6))
+///     .attack(DosAttack::new(AttackKind::Fdos, vec![NodeId(15)], NodeId(0), 0.6))
 ///     .build();
 /// scenario.run(500);
 /// assert!(scenario.network().stats().packets_received > 0);
@@ -241,20 +239,19 @@ impl std::fmt::Debug for AttackScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ddos::DistributedAttack;
-    use crate::fdos::FloodingAttack;
-    use crate::stealth::StealthAttack;
+    use crate::AttackKind::{Ddos, Fdos, Stealth};
 
     #[test]
     fn mixed_attack_families_coexist() {
         let s = AttackScenario::builder(NocConfig::mesh(4, 4))
-            .attack(FloodingAttack::new(vec![NodeId(3)], NodeId(0), 0.8))
-            .attack(DistributedAttack::new(
+            .attack(DosAttack::new(Fdos, vec![NodeId(3)], NodeId(0), 0.8))
+            .attack(DosAttack::new(
+                Ddos,
                 vec![NodeId(12), NodeId(15)],
                 NodeId(0),
                 0.6,
             ))
-            .attack(StealthAttack::new(vec![NodeId(7)], NodeId(0), 0.4))
+            .attack(DosAttack::new(Stealth, vec![NodeId(7)], NodeId(0), 0.4))
             .build();
         assert!(s.is_under_attack());
         assert_eq!(s.attacks().len(), 3);
@@ -268,7 +265,7 @@ mod tests {
     #[test]
     fn torus_scenario_uses_wrap_aware_ground_truth() {
         let mut s = AttackScenario::builder(NocConfig::torus(4, 4))
-            .attack(FloodingAttack::new(vec![NodeId(3)], NodeId(0), 0.8))
+            .attack(DosAttack::new(Fdos, vec![NodeId(3)], NodeId(0), 0.8))
             .seed(7)
             .build();
         // 3 -> 0 is one wrap hop on the torus: the only victim is the target.
@@ -295,7 +292,7 @@ mod tests {
     fn attack_scenario_reports_ground_truth() {
         let s = AttackScenario::builder(NocConfig::mesh(4, 4))
             .benign(SyntheticPattern::Tornado, 0.01)
-            .attack(FloodingAttack::new(vec![NodeId(3)], NodeId(0), 0.8))
+            .attack(DosAttack::new(Fdos, vec![NodeId(3)], NodeId(0), 0.8))
             .build();
         assert!(s.is_under_attack());
         assert_eq!(s.attacker_nodes(), vec![NodeId(3)]);
@@ -305,8 +302,8 @@ mod tests {
     #[test]
     fn two_attacker_scenario_merges_ground_truth() {
         let s = AttackScenario::builder(NocConfig::mesh(4, 4))
-            .attack(FloodingAttack::new(vec![NodeId(3)], NodeId(0), 0.8))
-            .attack(FloodingAttack::new(vec![NodeId(12)], NodeId(0), 0.8))
+            .attack(DosAttack::new(Fdos, vec![NodeId(3)], NodeId(0), 0.8))
+            .attack(DosAttack::new(Fdos, vec![NodeId(12)], NodeId(0), 0.8))
             .build();
         let attackers = s.attacker_nodes();
         assert_eq!(attackers, vec![NodeId(3), NodeId(12)]);
@@ -323,7 +320,7 @@ mod tests {
                 .benign(SyntheticPattern::UniformRandom, 0.02)
                 .seed(11);
             if with_attack {
-                b = b.attack(FloodingAttack::new(vec![NodeId(56)], NodeId(7), 0.9));
+                b = b.attack(DosAttack::new(Fdos, vec![NodeId(56)], NodeId(7), 0.9));
             }
             let mut s = b.build();
             s.run(3_000);
@@ -341,7 +338,7 @@ mod tests {
     fn parsec_scenario_runs() {
         let mut s = AttackScenario::builder(NocConfig::mesh(8, 8))
             .parsec(ParsecWorkload::X264)
-            .attack(FloodingAttack::new(vec![NodeId(63)], NodeId(9), 0.8))
+            .attack(DosAttack::new(Fdos, vec![NodeId(63)], NodeId(9), 0.8))
             .seed(4)
             .build();
         s.run(2_000);

@@ -8,7 +8,7 @@
 
 use hw_overhead::{AreaModel, RouterParams};
 use noc_sim::{NocConfig, NodeId};
-use noc_traffic::{AttackScenario, FloodingAttack, SyntheticPattern};
+use noc_traffic::{AttackKind, AttackScenario, DosAttack, SyntheticPattern};
 use std::time::Instant;
 
 fn main() {
@@ -23,7 +23,12 @@ fn main() {
         let cycles = 1_000u64;
         let mut scenario = AttackScenario::builder(NocConfig::mesh(n, n))
             .benign(SyntheticPattern::UniformRandom, 0.02)
-            .attack(FloodingAttack::new(vec![NodeId(n * n - 1)], NodeId(0), 0.8))
+            .attack(DosAttack::new(
+                AttackKind::Fdos,
+                vec![NodeId(n * n - 1)],
+                NodeId(0),
+                0.8,
+            ))
             .seed(5)
             .build();
         let start = Instant::now();

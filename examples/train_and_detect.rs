@@ -13,7 +13,7 @@ use dl2fence::{
 use dl2fence_repro::quick_dataset;
 use noc_monitor::{FeatureKind, FrameSampler};
 use noc_sim::{NocConfig, NodeId};
-use noc_traffic::{AttackScenario, FloodingAttack, SyntheticPattern};
+use noc_traffic::{AttackKind, AttackScenario, DosAttack, SyntheticPattern};
 use tinycnn::serialize::ModelExport;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,7 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // benchmark groups do.
     let mut scenario = AttackScenario::builder(NocConfig::mesh(mesh, mesh))
         .benign(SyntheticPattern::UniformRandom, 0.02)
-        .attack(FloodingAttack::new(vec![NodeId(56)], NodeId(7), 0.8))
+        .attack(DosAttack::new(
+            AttackKind::Fdos,
+            vec![NodeId(56)],
+            NodeId(7),
+            0.8,
+        ))
         .seed(33)
         .build();
     scenario.run(1_500);

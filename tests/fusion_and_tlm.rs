@@ -7,7 +7,7 @@
 use dl2fence::{MultiFrameFusion, TableLikeMethod, VictimComplementingEnhancement};
 use noc_monitor::{FeatureKind, FrameSampler};
 use noc_sim::{Direction, NocConfig, NodeId};
-use noc_traffic::{AttackScenario, FloodingAttack, SyntheticPattern};
+use noc_traffic::{AttackKind, AttackScenario, DosAttack, SyntheticPattern};
 
 /// Threshold-based oracle segmentation of the four BOC frames, relative to
 /// the bundle maximum.
@@ -41,7 +41,12 @@ fn run_case(
 ) -> (Vec<NodeId>, Vec<NodeId>, Vec<NodeId>, Vec<NodeId>) {
     let mut scenario = AttackScenario::builder(NocConfig::mesh(mesh, mesh))
         .benign(SyntheticPattern::UniformRandom, 0.005)
-        .attack(FloodingAttack::new(attackers.clone(), victim, 0.9))
+        .attack(DosAttack::new(
+            AttackKind::Fdos,
+            attackers.clone(),
+            victim,
+            0.9,
+        ))
         .seed(42)
         .build();
     scenario.run(3_000);

@@ -5,7 +5,7 @@
 use noc_monitor::{sweep_fir, FeatureKind, FirSweepConfig, FrameSampler};
 use noc_sim::{NocConfig, NodeId};
 use noc_traffic::{
-    AttackScenario, BenignWorkload, FloodingAttack, ParsecWorkload, SyntheticPattern,
+    AttackKind, AttackScenario, BenignWorkload, DosAttack, ParsecWorkload, SyntheticPattern,
 };
 
 /// "Normal communication on all nodes must not be paused or halted, but just
@@ -14,7 +14,12 @@ use noc_traffic::{
 fn benign_traffic_keeps_flowing_under_attack() {
     let mut scenario = AttackScenario::builder(NocConfig::mesh(8, 8))
         .benign(SyntheticPattern::UniformRandom, 0.02)
-        .attack(FloodingAttack::new(vec![NodeId(63)], NodeId(0), 0.8))
+        .attack(DosAttack::new(
+            AttackKind::Fdos,
+            vec![NodeId(63)],
+            NodeId(0),
+            0.8,
+        ))
         .seed(100)
         .build();
     scenario.run(4_000);
@@ -56,7 +61,12 @@ fn latency_increases_monotonically_across_fir_regimes() {
 fn attack_route_dominates_boc_frames() {
     let mut scenario = AttackScenario::builder(NocConfig::mesh(8, 8))
         .benign(SyntheticPattern::UniformRandom, 0.01)
-        .attack(FloodingAttack::new(vec![NodeId(7)], NodeId(0), 0.9))
+        .attack(DosAttack::new(
+            AttackKind::Fdos,
+            vec![NodeId(7)],
+            NodeId(0),
+            0.9,
+        ))
         .seed(8)
         .build();
     scenario.run(2_000);
