@@ -64,25 +64,6 @@ impl AttackKind {
 
 /// One configured DoS attack: attacker nodes, a victim, the FIR and the
 /// family-specific firing schedule.
-///
-/// # Examples
-///
-/// ```
-/// use noc_sim::{NodeId, Topology};
-/// use noc_traffic::{AttackKind, DosAttack};
-///
-/// let attack = DosAttack::new(AttackKind::Fdos, vec![NodeId(104)], NodeId(0), 0.8);
-/// let rpv = attack.routing_path_victims(&Topology::mesh(16, 16));
-/// assert!(rpv.contains(&NodeId(96)));   // the corner hop of the XY route
-/// assert!(rpv.contains(&NodeId(0)));    // the target victim
-/// assert!(!rpv.contains(&NodeId(104))); // the attacker itself is not a victim
-///
-/// let stealth = DosAttack::new(AttackKind::Stealth, vec![NodeId(15)], NodeId(0), 0.8)
-///     .with_ramp(500)
-///     .with_duty(100, 40);
-/// // Peak FIR 0.8, but 40/100 duty ⇒ long-run average 0.32.
-/// assert!((stealth.average_fir() - 0.32).abs() < 1e-9);
-/// ```
 #[derive(Debug, Clone)]
 pub struct DosAttack {
     kind: AttackKind,
@@ -179,6 +160,19 @@ impl DosAttack {
 
     /// The long-run average injection rate once the ramp has completed:
     /// peak FIR scaled by the duty cycle.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use noc_sim::NodeId;
+    /// use noc_traffic::{AttackKind, DosAttack};
+    ///
+    /// let stealth = DosAttack::new(AttackKind::Stealth, vec![NodeId(15)], NodeId(0), 0.8)
+    ///     .with_ramp(500)
+    ///     .with_duty(100, 40);
+    /// // Peak FIR 0.8, but 40/100 duty ⇒ long-run average 0.32.
+    /// assert!((stealth.average_fir() - 0.32).abs() < 1e-9);
+    /// ```
     pub fn average_fir(&self) -> f64 {
         self.fir * self.duty_on as f64 / self.duty_period as f64
     }
@@ -204,6 +198,19 @@ impl DosAttack {
     /// # Panics
     ///
     /// Panics if the victim or an attacker lies outside the topology.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use noc_sim::{NodeId, Topology};
+    /// use noc_traffic::{AttackKind, DosAttack};
+    ///
+    /// let attack = DosAttack::new(AttackKind::Fdos, vec![NodeId(104)], NodeId(0), 0.8);
+    /// let rpv = attack.routing_path_victims(&Topology::mesh(16, 16));
+    /// assert!(rpv.contains(&NodeId(96)));   // the corner hop of the XY route
+    /// assert!(rpv.contains(&NodeId(0)));    // the target victim
+    /// assert!(!rpv.contains(&NodeId(104))); // the attacker itself is not a victim
+    /// ```
     pub fn routing_path_victims(&self, topology: &Topology) -> Vec<NodeId> {
         let mut victims: Vec<NodeId> = Vec::new();
         for &a in &self.attackers {
