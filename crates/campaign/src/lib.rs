@@ -115,8 +115,8 @@ pub use sched::{
     serve_sched, work, Grant, SchedCounters, Scheduler, ServeOptions, WorkOptions, WorkOutcome,
 };
 pub use spec::{
-    parse_feature, parse_workload, validate_group_by, CampaignSpec, EvalSpec, GridSpec, ReportSpec,
-    SimParams, SpecError,
+    parse_feature, parse_workload, require_mesh, validate_group_by, CampaignSpec, EvalSpec,
+    GridSpec, ReportSpec, SimParams, SpecError,
 };
 pub use status::{human_bytes, status, DirStatus, StatusReport};
 pub use stream::{

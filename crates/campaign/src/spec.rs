@@ -8,7 +8,7 @@
 //! a concrete run matrix via [`crate::grid::expand`].
 
 use crate::minitoml;
-use noc_sim::Topology;
+use noc_sim::{Topology, TopologyKind};
 use noc_traffic::{AttackKind, BenignWorkload, ParsecWorkload, SyntheticPattern};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -391,6 +391,9 @@ impl CampaignSpec {
             ));
         }
         if self.eval.enabled {
+            for topology in &topologies {
+                require_mesh(topology)?;
+            }
             if !self.sim.collect_samples {
                 return Err(SpecError::new(
                     "eval.enabled requires sim.collect_samples = true",
@@ -409,6 +412,26 @@ impl CampaignSpec {
         validate_group_by(&self.report.group_by)?;
         Ok(())
     }
+}
+
+/// Refuses a topology DL2Fence cannot localize on.
+///
+/// The localization tail (direction masks, VCE, Table-Like Method) rests on
+/// XY routing, which only meshes use, so the eval phase and the serve soak
+/// train only on meshes.
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] naming `topology` unless it is a mesh.
+pub fn require_mesh(topology: &Topology) -> Result<(), SpecError> {
+    if topology.kind() == TopologyKind::Mesh {
+        return Ok(());
+    }
+    Err(SpecError::new(format!(
+        "topology `{}` cannot train a localizer: DL2Fence localization assumes \
+         XY-routed meshes",
+        topology.name()
+    )))
 }
 
 /// Checks that every report grouping key is one the engine can render —
@@ -714,6 +737,22 @@ mod tests {
             .iter()
             .filter(|r| r.attack == "ddos3")
             .all(|r| r.scenario.attackers.len() == 3));
+    }
+
+    #[test]
+    fn eval_on_a_non_mesh_topology_is_refused() {
+        for name in ["torus4", "ring2x8"] {
+            let mut spec = CampaignSpec::quick("wrapped");
+            spec.grid.topology = vec!["mesh4".into(), name.into()];
+            spec.eval.enabled = true;
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.starts_with("campaign spec error"), "{err}");
+            assert!(err.contains(&format!("`{name}`")), "{err}");
+            assert!(err.contains("XY-routed meshes"), "{err}");
+            // Without the eval phase the same grid only simulates.
+            spec.eval.enabled = false;
+            spec.validate().unwrap();
+        }
     }
 
     #[test]

@@ -535,6 +535,8 @@ proptest! {
             mesh, mesh, fir_pct, workload_i, workload_i, placements,
             benign, seed, 20_000, seed as usize % 6,
         );
+        // The eval phase trains on meshes only (see `require_mesh`).
+        spec.grid.topology = vec![format!("mesh{mesh}")];
         spec.sim.collect_samples = true;
         spec.sim.samples_per_run = samples_per_run;
         spec.eval.enabled = true;

@@ -2,8 +2,7 @@
 //! construction of per-direction segmentation ground truth.
 
 use noc_monitor::{DirectionalFrames, FeatureFrame, FeatureKind, GroundTruth, LabeledSample};
-use noc_sim::routing::route_input_ports;
-use noc_sim::Direction;
+use noc_sim::{Direction, Topology};
 use tinycnn::Tensor;
 
 /// Converts one directional frame into a single-channel `[1, rows, cols]`
@@ -69,9 +68,16 @@ pub fn sample_frames(sample: &LabeledSample, kind: FeatureKind) -> &DirectionalF
 /// The union of the four masks over all directions equals the victim mask
 /// (the attacking route), which is exactly what Multi-Frame Fusion
 /// reconstructs at inference time.
+///
+/// Routes are XY routes on a `rows × cols` mesh: DL2Fence's localization is
+/// defined only for XY-routed meshes.
+///
+/// # Panics
+///
+/// Panics if an attack pair lies outside the mesh.
 pub fn direction_masks(truth: &GroundTruth) -> [Vec<f32>; 4] {
-    let mesh = truth.mesh();
-    let n = truth.rows * truth.cols;
+    let mesh = Topology::mesh(truth.rows, truth.cols);
+    let n = mesh.node_count();
     let mut masks = [
         vec![0.0f32; n],
         vec![0.0f32; n],
@@ -79,8 +85,15 @@ pub fn direction_masks(truth: &GroundTruth) -> [Vec<f32>; 4] {
         vec![0.0f32; n],
     ];
     for &(attacker, victim) in &truth.attack_pairs {
-        for (node, dir) in route_input_ports(attacker, victim, &mesh) {
-            masks[dir.index()][node.0] = 1.0;
+        let path = mesh
+            .route_path(attacker, victim)
+            .unwrap_or_else(|e| panic!("attack pair off the mesh: {e}"));
+        // Traffic leaving `from` towards `to` arrives on the input port of
+        // `to` that faces back the way it came.
+        for hop in path.windows(2) {
+            let (from, to) = (hop[0], hop[1]);
+            let port = mesh.next_hop(from, victim).opposite();
+            masks[port.index()][to.0] = 1.0;
         }
     }
     masks
@@ -95,7 +108,8 @@ pub fn direction_mask_tensor(truth: &GroundTruth, dir: Direction) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_sim::NodeId;
+    use noc_sim::{NocConfig, NodeId};
+    use noc_traffic::{AttackKind, AttackScenario, DosAttack};
 
     fn truth_single_attack() -> GroundTruth {
         GroundTruth {
@@ -166,32 +180,65 @@ mod tests {
     }
 
     #[test]
-    fn union_of_direction_masks_equals_victim_mask() {
-        let truth = GroundTruth {
-            under_attack: true,
-            attackers: vec![NodeId(15)],
-            attack_pairs: vec![(NodeId(15), NodeId(0))],
-            victims: vec![
-                NodeId(0),
-                NodeId(4),
-                NodeId(8),
-                NodeId(12),
-                NodeId(13),
-                NodeId(14),
-            ],
-            rows: 4,
-            cols: 4,
+    fn arrival_ports_face_the_upstream_router() {
+        let marked = |attacker: usize, victim: usize, dir: Direction| {
+            let truth = GroundTruth {
+                attack_pairs: vec![(NodeId(attacker), NodeId(victim))],
+                ..GroundTruth::benign(4, 4)
+            };
+            let masks = direction_masks(&truth);
+            let on: Vec<usize> = (0..16).filter(|&i| masks[dir.index()][i] > 0.0).collect();
+            let total: f32 = masks.iter().flatten().sum();
+            assert_eq!(
+                total as usize,
+                on.len(),
+                "{attacker} -> {victim}: only {dir} ports"
+            );
+            on
         };
-        let masks = direction_masks(&truth);
-        let mut union = vec![0.0f32; 16];
-        for m in &masks {
-            for (u, &v) in union.iter_mut().zip(m) {
-                if v > 0.0 {
-                    *u = 1.0;
+        // An eastward flood arrives on West ports, a westward one on East
+        // ports and a northward leg on South ports.
+        assert_eq!(marked(0, 3, Direction::West), vec![1, 2, 3]);
+        assert_eq!(marked(3, 0, Direction::East), vec![0, 1, 2]);
+        assert_eq!(marked(0, 12, Direction::South), vec![4, 8, 12]);
+    }
+
+    #[test]
+    fn union_of_direction_masks_equals_victim_mask() {
+        // Every single-attacker pair of a square and a rectangular mesh; the
+        // rectangular one catches a rows/cols swap.
+        for (rows, cols) in [(4, 4), (3, 5)] {
+            let n = rows * cols;
+            for (attacker, victim) in (0..n).flat_map(|a| (0..n).map(move |v| (a, v))) {
+                if attacker == victim {
+                    continue;
                 }
+                let attack = DosAttack::new(
+                    AttackKind::Fdos,
+                    vec![NodeId(attacker)],
+                    NodeId(victim),
+                    0.8,
+                );
+                let scenario = AttackScenario::builder(NocConfig::mesh(rows, cols))
+                    .attack(attack)
+                    .build();
+                let truth = GroundTruth::of_scenario(&scenario);
+                let masks = direction_masks(&truth);
+                let mut union = vec![0.0f32; n];
+                for m in &masks {
+                    for (u, &v) in union.iter_mut().zip(m) {
+                        if v > 0.0 {
+                            *u = 1.0;
+                        }
+                    }
+                }
+                assert_eq!(
+                    union,
+                    truth.victim_mask(),
+                    "{rows}x{cols}: {attacker} -> {victim}"
+                );
             }
         }
-        assert_eq!(union, truth.victim_mask());
     }
 
     #[test]

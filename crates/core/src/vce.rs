@@ -10,8 +10,7 @@
 //! missing nodes to the victim set.
 
 use crate::fusion::FusionResult;
-use noc_sim::routing::route_path;
-use noc_sim::{Coord, Direction, Mesh, NodeId};
+use noc_sim::{Coord, Direction, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 
 /// The configurable VCE stage.
@@ -89,8 +88,10 @@ impl VictimComplementingEnhancement {
         let Some(dst) = self.deduced_destination(fusion, pseudo_src) else {
             return victims;
         };
-        let mesh = Mesh::new(self.rows, self.cols);
-        for node in route_path(pseudo_src, dst, &mesh) {
+        let route = Topology::mesh(self.rows, self.cols)
+            .route_path(pseudo_src, dst)
+            .expect("fused victims lie on the mesh");
+        for node in route {
             if !victims.contains(&node) {
                 victims.push(node);
             }

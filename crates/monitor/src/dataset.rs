@@ -99,7 +99,7 @@ pub struct LabeledSample {
 }
 
 /// How to run and sample the collection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollectionConfig {
     /// NoC configuration for every run.
     pub noc: NocConfig,

@@ -1,7 +1,7 @@
 //! Ground-truth labels for training and evaluating the detector and
 //! localizer.
 
-use noc_sim::{Mesh, NodeId};
+use noc_sim::NodeId;
 use noc_traffic::AttackScenario;
 use serde::{Deserialize, Serialize};
 
@@ -73,11 +73,6 @@ impl GroundTruth {
     pub fn node_at(&self, x: usize, y: usize) -> NodeId {
         NodeId(y * self.cols + x)
     }
-
-    /// The mesh this ground truth refers to.
-    pub fn mesh(&self) -> Mesh {
-        Mesh::new(self.rows, self.cols)
-    }
 }
 
 #[cfg(test)]
@@ -146,6 +141,7 @@ mod tests {
     #[test]
     fn mesh_round_trip() {
         let gt = GroundTruth::benign(8, 8);
-        assert_eq!(gt.mesh().node_count(), 64);
+        assert_eq!(gt.victim_mask().len(), 64);
+        assert_eq!(gt.node_at(7, 7), NodeId(63));
     }
 }

@@ -7,7 +7,7 @@ use noc_traffic::{AttackKind, AttackScenario, BenignWorkload, DosAttack};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a FIR sweep experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FirSweepConfig {
     /// The NoC to simulate.
     pub noc: NocConfig,

@@ -14,8 +14,8 @@ pub struct FrameSampler;
 impl FrameSampler {
     /// Samples the four cardinal-direction frames of the requested feature.
     pub fn sample(network: &Network, kind: FeatureKind) -> DirectionalFrames {
-        let rows = network.config().rows;
-        let cols = network.config().cols;
+        let rows = network.topology().rows();
+        let cols = network.topology().cols();
         let frames = Direction::CARDINAL
             .into_iter()
             .map(|dir| {

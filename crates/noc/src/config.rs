@@ -1,7 +1,6 @@
 //! Simulator configuration.
 
-use crate::topology::{Topology, TopologyKind};
-use serde::{Deserialize, Serialize};
+use crate::topology::Topology;
 
 /// Configuration of a NoC simulation.
 ///
@@ -17,15 +16,10 @@ use serde::{Deserialize, Serialize};
 /// let cfg = NocConfig::mesh(16, 16).with_vcs(4).with_buffer_depth(4);
 /// assert_eq!(cfg.node_count(), 256);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NocConfig {
-    /// Frame rows.
-    pub rows: usize,
-    /// Frame columns.
-    pub cols: usize,
-    /// Topology family the `rows × cols` nodes are wired into.
-    #[serde(default)]
-    pub topology: TopologyKind,
+    /// The topology (family and `rows × cols` geometry) of the NoC.
+    pub topology: Topology,
     /// Virtual channels per input port.
     pub vcs_per_port: usize,
     /// Buffer depth (flits) of each virtual channel.
@@ -38,18 +32,11 @@ pub struct NocConfig {
 }
 
 impl NocConfig {
-    /// Creates a configuration for a `rows × cols` mesh with default router
-    /// parameters (4 VCs, depth-4 buffers, 5-flit packets).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn mesh(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "mesh dimensions must be non-zero");
+    /// Creates a configuration for an explicit topology instance with default
+    /// router parameters (4 VCs, depth-4 buffers, 5-flit packets).
+    pub fn for_topology(topology: &Topology) -> Self {
         NocConfig {
-            rows,
-            cols,
-            topology: TopologyKind::Mesh,
+            topology: *topology,
             vcs_per_port: 4,
             buffer_depth: 4,
             flits_per_packet: 5,
@@ -57,42 +44,32 @@ impl NocConfig {
         }
     }
 
-    /// Creates a configuration for a `rows × cols` torus with default router
-    /// parameters.
+    /// Creates a configuration for a `rows × cols` mesh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero (see [`Topology::mesh`]).
+    pub fn mesh(rows: usize, cols: usize) -> Self {
+        NocConfig::for_topology(&Topology::mesh(rows, cols))
+    }
+
+    /// Creates a configuration for a `rows × cols` torus.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is below 2 (see [`Topology::torus`]).
     pub fn torus(rows: usize, cols: usize) -> Self {
-        let _ = Topology::torus(rows, cols);
-        NocConfig {
-            topology: TopologyKind::Torus,
-            ..NocConfig::mesh(rows, cols)
-        }
+        NocConfig::for_topology(&Topology::torus(rows, cols))
     }
 
-    /// Creates a configuration for a ring over `rows × cols` nodes with
-    /// default router parameters.
+    /// Creates a configuration for a ring over `rows × cols` nodes.
     ///
     /// # Panics
     ///
     /// Panics if the ring would have fewer than 2 nodes (see
     /// [`Topology::ring`]).
     pub fn ring(rows: usize, cols: usize) -> Self {
-        let _ = Topology::ring(rows, cols);
-        NocConfig {
-            topology: TopologyKind::Ring,
-            ..NocConfig::mesh(rows, cols)
-        }
-    }
-
-    /// Creates a configuration for an explicit topology instance.
-    pub fn for_topology(topology: &Topology) -> Self {
-        match topology.kind() {
-            TopologyKind::Mesh => NocConfig::mesh(topology.rows(), topology.cols()),
-            TopologyKind::Torus => NocConfig::torus(topology.rows(), topology.cols()),
-            TopologyKind::Ring => NocConfig::ring(topology.rows(), topology.cols()),
-        }
+        NocConfig::for_topology(&Topology::ring(rows, cols))
     }
 
     /// Sets the number of virtual channels per input port.
@@ -136,16 +113,7 @@ impl NocConfig {
 
     /// Number of nodes in the topology.
     pub fn node_count(&self) -> usize {
-        self.rows * self.cols
-    }
-
-    /// The topology descriptor this configuration describes.
-    pub fn topology(&self) -> Topology {
-        match self.topology {
-            TopologyKind::Mesh => Topology::mesh(self.rows, self.cols),
-            TopologyKind::Torus => Topology::torus(self.rows, self.cols),
-            TopologyKind::Ring => Topology::ring(self.rows, self.cols),
-        }
+        self.topology.node_count()
     }
 }
 
@@ -162,8 +130,7 @@ mod tests {
     #[test]
     fn default_is_8x8() {
         let cfg = NocConfig::default();
-        assert_eq!(cfg.rows, 8);
-        assert_eq!(cfg.cols, 8);
+        assert_eq!(cfg.topology, Topology::mesh(8, 8));
         assert_eq!(cfg.node_count(), 64);
     }
 
@@ -182,21 +149,21 @@ mod tests {
 
     #[test]
     fn topology_ctors_set_kind() {
-        assert_eq!(NocConfig::mesh(4, 4).topology(), Topology::mesh(4, 4));
-        assert_eq!(NocConfig::torus(4, 4).topology(), Topology::torus(4, 4));
-        assert_eq!(NocConfig::ring(4, 4).topology(), Topology::ring(4, 4));
+        assert_eq!(NocConfig::mesh(4, 4).topology, Topology::mesh(4, 4));
+        assert_eq!(NocConfig::torus(4, 4).topology, Topology::torus(4, 4));
+        assert_eq!(NocConfig::ring(4, 4).topology, Topology::ring(4, 4));
         let t = Topology::torus(2, 8);
-        assert_eq!(NocConfig::for_topology(&t).topology(), t);
+        assert_eq!(NocConfig::for_topology(&t).topology, t);
     }
 
     #[test]
-    #[should_panic(expected = "non-zero")]
+    #[should_panic(expected = "invalid dimensions 0x4 for a mesh topology")]
     fn zero_rows_panics() {
         NocConfig::mesh(0, 4);
     }
 
     #[test]
-    #[should_panic(expected = "at least 2x2")]
+    #[should_panic(expected = "invalid dimensions 1x4 for a torus topology")]
     fn degenerate_torus_panics() {
         NocConfig::torus(1, 4);
     }

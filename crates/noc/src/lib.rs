@@ -8,9 +8,10 @@
 //! * wormhole switching with **virtual channels** (VCs),
 //! * **credit-based flow control** (a flit only advances when the downstream
 //!   buffer has a free slot),
-//! * deterministic **minimal routing** (XY dimension-order on the mesh;
-//!   shortest-way-around dimension-order on torus/ring, with wrap hops
-//!   confined to the upper VC class to stay deadlock-free),
+//! * deterministic **minimal routing** in [`Topology::next_hop`] (XY
+//!   dimension-order on the mesh; shortest-way-around dimension-order on
+//!   torus/ring, with wrap hops confined to the upper VC class to stay
+//!   deadlock-free),
 //! * per-input-port **buffer operation counters** (BOC) and instantaneous
 //!   **virtual-channel occupancy** (VCO) — the two features DL2Fence samples,
 //! * packet/flit latency accounting split into queueing and network
@@ -42,7 +43,6 @@ pub mod flit;
 pub mod network;
 pub mod power;
 pub mod router;
-pub mod routing;
 pub mod stats;
 pub mod topology;
 pub mod vc;
@@ -52,6 +52,118 @@ pub use flit::{Flit, FlitKind, Packet, PacketId};
 pub use network::Network;
 pub use power::{EnergyModel, EnergyReport};
 pub use router::Router;
-pub use routing::{route_path, xy_next_hop};
 pub use stats::{LatencyStats, NetworkStats};
-pub use topology::{Coord, Direction, Mesh, NodeId, Topology, TopologyError, TopologyKind};
+pub use topology::{Coord, Direction, NodeId, Topology, TopologyError, TopologyKind};
+
+// XY routing lives in `Topology::next_hop`; its tests keep their historical
+// `routing::tests` paths.
+#[cfg(test)]
+mod routing {
+    mod tests {
+        use crate::{Direction, NodeId, Topology};
+        use proptest::prelude::*;
+
+        /// The input port at which traffic from `src` arrives at each hop of
+        /// its route to `dst`: the opposite of the upstream output direction.
+        fn arrival_ports(mesh: &Topology, src: NodeId, dst: NodeId) -> Vec<(NodeId, Direction)> {
+            let path = mesh.route_path(src, dst).unwrap();
+            path.windows(2)
+                .map(|w| (w[1], mesh.next_hop(w[0], dst).opposite()))
+                .collect()
+        }
+
+        #[test]
+        fn next_hop_at_destination_is_local() {
+            let mesh = Topology::mesh(4, 4);
+            assert_eq!(mesh.next_hop(NodeId(7), NodeId(7)), Direction::Local);
+        }
+
+        #[test]
+        fn x_is_corrected_before_y() {
+            // 4x4 mesh: 0=(0,0), 10=(2,2).
+            let mesh = Topology::mesh(4, 4);
+            assert_eq!(mesh.next_hop(NodeId(0), NodeId(10)), Direction::East);
+            assert_eq!(mesh.next_hop(NodeId(2), NodeId(10)), Direction::North);
+        }
+
+        #[test]
+        fn route_path_is_l_shaped() {
+            let path = Topology::mesh(4, 4).route_path(NodeId(0), NodeId(10));
+            assert_eq!(
+                path.unwrap(),
+                vec![NodeId(0), NodeId(1), NodeId(2), NodeId(6), NodeId(10)]
+            );
+        }
+
+        #[test]
+        fn route_path_same_node_is_singleton() {
+            let path = Topology::mesh(4, 4).route_path(NodeId(5), NodeId(5));
+            assert_eq!(path.unwrap(), vec![NodeId(5)]);
+        }
+
+        #[test]
+        fn route_length_is_manhattan_plus_one() {
+            let mesh = Topology::mesh(8, 8);
+            let (src, dst) = (NodeId(3), NodeId(60));
+            let d = mesh.coord(src).unwrap().manhattan(mesh.coord(dst).unwrap());
+            assert_eq!(mesh.route_path(src, dst).unwrap().len(), d + 1);
+        }
+
+        #[test]
+        fn eastward_flood_arrives_on_west_ports() {
+            // Attacker at node 0 flooding node 3 on a 4x4 mesh sends eastwards,
+            // so victims see the traffic on their West input ports.
+            let ports = arrival_ports(&Topology::mesh(4, 4), NodeId(0), NodeId(3));
+            assert_eq!(ports.len(), 3);
+            assert!(ports.iter().all(|&(_, d)| d == Direction::West));
+        }
+
+        #[test]
+        fn westward_flood_arrives_on_east_ports() {
+            let ports = arrival_ports(&Topology::mesh(4, 4), NodeId(3), NodeId(0));
+            assert!(ports.iter().all(|&(_, d)| d == Direction::East));
+        }
+
+        #[test]
+        fn northward_leg_arrives_on_south_ports() {
+            // 0 -> 12 is straight north.
+            let ports = arrival_ports(&Topology::mesh(4, 4), NodeId(0), NodeId(12));
+            assert!(ports.iter().all(|&(_, d)| d == Direction::South));
+        }
+
+        proptest! {
+            #[test]
+            fn route_always_reaches_destination(
+                src in 0usize..256, dst in 0usize..256
+            ) {
+                let mesh = Topology::mesh(16, 16);
+                let path = mesh.route_path(NodeId(src), NodeId(dst)).unwrap();
+                prop_assert_eq!(*path.first().unwrap(), NodeId(src));
+                prop_assert_eq!(*path.last().unwrap(), NodeId(dst));
+                // Every consecutive pair is adjacent.
+                for w in path.windows(2) {
+                    let a = mesh.coord(w[0]).unwrap();
+                    let b = mesh.coord(w[1]).unwrap();
+                    prop_assert_eq!(a.manhattan(b), 1);
+                }
+            }
+
+            #[test]
+            fn route_is_minimal(src in 0usize..64, dst in 0usize..64) {
+                let mesh = Topology::mesh(8, 8);
+                let path = mesh.route_path(NodeId(src), NodeId(dst)).unwrap();
+                let d = mesh.coord(NodeId(src)).unwrap().manhattan(mesh.coord(NodeId(dst)).unwrap());
+                prop_assert_eq!(path.len(), d + 1);
+            }
+
+            #[test]
+            fn next_hop_never_points_off_mesh(src in 0usize..64, dst in 0usize..64) {
+                let mesh = Topology::mesh(8, 8);
+                let dir = mesh.next_hop(NodeId(src), NodeId(dst));
+                if dir != Direction::Local {
+                    prop_assert!(mesh.neighbor(NodeId(src), dir).is_some());
+                }
+            }
+        }
+    }
+}

@@ -47,7 +47,6 @@ struct PendingInjection {
 #[derive(Debug, Clone)]
 pub struct Network {
     config: NocConfig,
-    topology: Topology,
     routers: Vec<Router>,
     injection_queues: Vec<VecDeque<Packet>>,
     pending: Vec<Option<PendingInjection>>,
@@ -60,14 +59,13 @@ pub struct Network {
 impl Network {
     /// Builds a network from a configuration.
     pub fn new(config: NocConfig) -> Self {
-        let topology = config.topology();
-        let routers = topology
+        let routers = config
+            .topology
             .nodes()
-            .map(|id| Router::new(id, &config, &topology))
+            .map(|id| Router::new(id, &config))
             .collect();
         let n = config.node_count();
         Network {
-            topology,
             routers,
             injection_queues: vec![VecDeque::new(); n],
             pending: vec![None; n],
@@ -86,7 +84,7 @@ impl Network {
 
     /// The network's topology.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.config.topology
     }
 
     /// The current simulation cycle.
@@ -152,9 +150,12 @@ impl Network {
         created_at: u64,
         class: TrafficClass,
     ) -> PacketId {
-        assert!(self.topology.contains(src), "source {src} outside topology");
         assert!(
-            self.topology.contains(dst),
+            self.config.topology.contains(src),
+            "source {src} outside topology"
+        );
+        assert!(
+            self.config.topology.contains(dst),
             "destination {dst} outside topology"
         );
         let length_flits = self.config.flits_per_packet;
@@ -332,7 +333,7 @@ impl Network {
 
         // Route computation for head flits.
         let out_dir = if needs_route {
-            let d = self.topology.next_hop(NodeId(node), flit.dst);
+            let d = self.config.topology.next_hop(NodeId(node), flit.dst);
             let port = self.routers[node].input_port_mut(dir).unwrap();
             port.vc_mut(vc_idx).route_out = Some(d);
             d
@@ -365,7 +366,7 @@ impl Network {
         }
 
         // Downstream router and input direction.
-        let downstream = match self.topology.neighbor(NodeId(node), out_dir) {
+        let downstream = match self.config.topology.neighbor(NodeId(node), out_dir) {
             Some(d) => d.0,
             None => unreachable!("minimal routing never points off the topology"),
         };
@@ -374,7 +375,7 @@ impl Network {
         // allocate the upper half of the downstream VCs. Mesh links never
         // wrap, so `min_vc` is 0 there and allocation is unchanged.
         let vcs = self.config.vcs_per_port;
-        let min_vc = if vcs >= 2 && self.topology.is_wrap_link(NodeId(node), out_dir) {
+        let min_vc = if vcs >= 2 && self.config.topology.is_wrap_link(NodeId(node), out_dir) {
             vcs / 2
         } else {
             0

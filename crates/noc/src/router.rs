@@ -1,7 +1,7 @@
 //! The router model.
 
 use crate::config::NocConfig;
-use crate::topology::{Direction, NodeId, Topology};
+use crate::topology::{Direction, NodeId};
 use crate::vc::InputPort;
 
 /// A single router with up to five input ports (E, N, W, S, Local).
@@ -19,12 +19,13 @@ pub struct Router {
 }
 
 impl Router {
-    /// Builds the router for node `id` of `topology`, instantiating only
-    /// the input ports that have a neighbour (plus the local port).
-    pub fn new(id: NodeId, config: &NocConfig, topology: &Topology) -> Self {
+    /// Builds the router for node `id` of the configured topology,
+    /// instantiating only the input ports that have a neighbour (plus the
+    /// local port).
+    pub fn new(id: NodeId, config: &NocConfig) -> Self {
         let mut ports: [Option<InputPort>; 5] = [None, None, None, None, None];
         for dir in Direction::ALL {
-            if topology.has_input_port(id, dir) {
+            if config.topology.has_input_port(id, dir) {
                 ports[dir.index()] = Some(InputPort::new(
                     dir,
                     config.vcs_per_port,
@@ -96,17 +97,11 @@ impl Router {
 mod tests {
     use super::*;
 
-    fn mesh4() -> (NocConfig, Topology) {
-        let cfg = NocConfig::mesh(4, 4);
-        let mesh = cfg.topology();
-        (cfg, mesh)
-    }
-
     #[test]
     fn corner_router_has_three_ports() {
-        let (cfg, mesh) = mesh4();
+        let cfg = NocConfig::mesh(4, 4);
         // Node 0: East + North + Local.
-        let r = Router::new(NodeId(0), &cfg, &mesh);
+        let r = Router::new(NodeId(0), &cfg);
         assert_eq!(r.port_count(), 3);
         assert!(r.input_port(Direction::East).is_some());
         assert!(r.input_port(Direction::North).is_some());
@@ -117,24 +112,22 @@ mod tests {
 
     #[test]
     fn interior_router_has_five_ports() {
-        let (cfg, mesh) = mesh4();
-        let r = Router::new(NodeId(5), &cfg, &mesh);
+        let cfg = NocConfig::mesh(4, 4);
+        let r = Router::new(NodeId(5), &cfg);
         assert_eq!(r.port_count(), 5);
     }
 
     #[test]
     fn torus_corner_router_has_five_ports() {
         let cfg = NocConfig::torus(4, 4);
-        let topo = cfg.topology();
-        let r = Router::new(NodeId(0), &cfg, &topo);
+        let r = Router::new(NodeId(0), &cfg);
         assert_eq!(r.port_count(), 5);
     }
 
     #[test]
     fn ring_router_has_three_ports() {
         let cfg = NocConfig::ring(4, 4);
-        let topo = cfg.topology();
-        let r = Router::new(NodeId(7), &cfg, &topo);
+        let r = Router::new(NodeId(7), &cfg);
         assert_eq!(r.port_count(), 3);
         assert!(r.input_port(Direction::East).is_some());
         assert!(r.input_port(Direction::West).is_some());
@@ -144,16 +137,16 @@ mod tests {
 
     #[test]
     fn vco_of_missing_port_is_none() {
-        let (cfg, mesh) = mesh4();
-        let r = Router::new(NodeId(0), &cfg, &mesh);
+        let cfg = NocConfig::mesh(4, 4);
+        let r = Router::new(NodeId(0), &cfg);
         assert_eq!(r.vco(Direction::West), None);
         assert_eq!(r.vco(Direction::East), Some(0.0));
     }
 
     #[test]
     fn boc_reset_clears_all_ports() {
-        let (cfg, mesh) = mesh4();
-        let mut r = Router::new(NodeId(5), &cfg, &mesh);
+        let cfg = NocConfig::mesh(4, 4);
+        let mut r = Router::new(NodeId(5), &cfg);
         r.input_port_mut(Direction::East)
             .unwrap()
             .record_buffer_ops(10);
@@ -168,8 +161,8 @@ mod tests {
 
     #[test]
     fn port_directions_lists_existing_ports_only() {
-        let (cfg, mesh) = mesh4();
-        let r = Router::new(NodeId(3), &cfg, &mesh); // SE corner: West, North, Local
+        let cfg = NocConfig::mesh(4, 4);
+        let r = Router::new(NodeId(3), &cfg); // SE corner: West, North, Local
         let dirs: Vec<Direction> = r.port_directions().collect();
         assert!(dirs.contains(&Direction::West));
         assert!(dirs.contains(&Direction::North));

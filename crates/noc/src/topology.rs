@@ -1,4 +1,5 @@
-//! Mesh topology primitives: node identifiers, coordinates and directions.
+//! NoC geometry: node identifiers, coordinates, port directions and the
+//! [`Topology`] value that owns neighbour maps and minimal routing.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -156,101 +157,6 @@ impl fmt::Display for Direction {
     }
 }
 
-/// A rectangular 2-D mesh topology helper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Mesh {
-    /// Number of rows.
-    pub rows: usize,
-    /// Number of columns.
-    pub cols: usize,
-}
-
-impl Mesh {
-    /// Creates a mesh topology descriptor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "mesh dimensions must be non-zero");
-        Mesh { rows, cols }
-    }
-
-    /// Total number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.rows * self.cols
-    }
-
-    /// Returns `true` if `id` is a valid node of this mesh.
-    pub fn contains(&self, id: NodeId) -> bool {
-        id.0 < self.node_count()
-    }
-
-    /// The coordinate of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is out of range.
-    pub fn coord(&self, id: NodeId) -> Coord {
-        assert!(
-            self.contains(id),
-            "node {id} outside {}x{} mesh",
-            self.rows,
-            self.cols
-        );
-        Coord::from_id(id, self.cols)
-    }
-
-    /// The neighbour of `id` in direction `dir`, or `None` at a mesh edge
-    /// (or for `Local`).
-    pub fn neighbor(&self, id: NodeId, dir: Direction) -> Option<NodeId> {
-        let c = self.coord(id);
-        let n = match dir {
-            Direction::East => {
-                if c.x + 1 < self.cols {
-                    Coord::new(c.x + 1, c.y)
-                } else {
-                    return None;
-                }
-            }
-            Direction::West => {
-                if c.x > 0 {
-                    Coord::new(c.x - 1, c.y)
-                } else {
-                    return None;
-                }
-            }
-            Direction::North => {
-                if c.y + 1 < self.rows {
-                    Coord::new(c.x, c.y + 1)
-                } else {
-                    return None;
-                }
-            }
-            Direction::South => {
-                if c.y > 0 {
-                    Coord::new(c.x, c.y - 1)
-                } else {
-                    return None;
-                }
-            }
-            Direction::Local => return None,
-        };
-        Some(n.to_id(self.cols))
-    }
-
-    /// Whether the router at `id` has an input port from direction `dir`
-    /// (i.e. a neighbour exists on that side).
-    pub fn has_input_port(&self, id: NodeId, dir: Direction) -> bool {
-        dir == Direction::Local || self.neighbor(id, dir).is_some()
-    }
-
-    /// Iterates over all node ids in ascending order.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.node_count()).map(NodeId)
-    }
-}
-
 /// Error returned by the fallible [`Topology`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
@@ -301,10 +207,9 @@ impl fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// The topology family of a NoC instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// 2-D mesh — edge routers lack the outward-facing ports.
-    #[default]
     Mesh,
     /// 2-D torus — every row and column closes into a ring through
     /// wraparound links, so all routers have all five ports.
@@ -326,16 +231,15 @@ impl TopologyKind {
     }
 }
 
-/// A NoC topology: node enumeration, coordinates, neighbour/port maps and
-/// deadlock-free minimal routing, dispatched over the supported families.
+/// A NoC topology: a family plus its `rows × cols` geometry, with node
+/// enumeration, coordinates, neighbour/port maps and deadlock-free minimal
+/// routing.
 ///
-/// This is the type threaded through the simulator, the traffic layer and
-/// the monitor in place of the concrete [`Mesh`] struct. The mesh variant
-/// delegates to [`Mesh`] and [`crate::routing::xy_next_hop`] unchanged, so
-/// mesh behaviour is bit-identical to the original implementation.
-///
-/// Out-of-range nodes surface as `Option`/[`Result`] values; the panicking
-/// forms are kept as documented `*_unchecked` internals.
+/// This is the one description of NoC geometry shared by the simulator, the
+/// traffic layer and the monitor. The fields are private and every
+/// constructor goes through [`Topology::new`], so every value has passed the
+/// dimension check. Out-of-range nodes surface as `Option`/[`Result`]
+/// values.
 ///
 /// # Examples
 ///
@@ -349,143 +253,120 @@ impl TopologyKind {
 /// assert_eq!(torus.route_path(NodeId(0), NodeId(3)).unwrap(),
 ///            vec![NodeId(0), NodeId(3)]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Topology {
-    /// A rectangular 2-D mesh.
-    Mesh(Mesh),
-    /// A 2-D torus with wraparound links in both dimensions.
-    Torus {
-        /// Number of rows (must be ≥ 2 so wrap links are distinct).
-        rows: usize,
-        /// Number of columns (must be ≥ 2).
-        cols: usize,
-    },
-    /// A bidirectional ring over the row-major node order. `rows`/`cols`
-    /// are retained as the frame geometry the monitor samples into.
-    Ring {
-        /// Frame rows.
-        rows: usize,
-        /// Frame columns.
-        cols: usize,
-    },
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Topology {
+    kind: TopologyKind,
+    rows: usize,
+    cols: usize,
 }
 
 impl Topology {
+    /// Creates a `rows × cols` topology of the given family.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TopologyError::InvalidDims`] unless a mesh is at least 1x1,
+    /// a torus at least 2x2 (smaller wraparound links would degenerate into
+    /// self-loops) and a ring at least 2 nodes.
+    pub fn new(kind: TopologyKind, rows: usize, cols: usize) -> Result<Self, TopologyError> {
+        let valid = match kind {
+            TopologyKind::Mesh => rows > 0 && cols > 0,
+            TopologyKind::Torus => rows >= 2 && cols >= 2,
+            TopologyKind::Ring => rows > 0 && cols > 0 && rows * cols >= 2,
+        };
+        if valid {
+            Ok(Topology { kind, rows, cols })
+        } else {
+            Err(TopologyError::InvalidDims { kind, rows, cols })
+        }
+    }
+
+    fn new_or_panic(kind: TopologyKind, rows: usize, cols: usize) -> Self {
+        Topology::new(kind, rows, cols).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Creates a mesh topology.
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero (see [`Mesh::new`]).
+    /// Panics if either dimension is zero (see [`Topology::new`]).
     pub fn mesh(rows: usize, cols: usize) -> Self {
-        Topology::Mesh(Mesh::new(rows, cols))
+        Topology::new_or_panic(TopologyKind::Mesh, rows, cols)
     }
 
     /// Creates a torus topology.
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is below 2 (wraparound links would
-    /// degenerate into self-loops).
+    /// Panics if either dimension is below 2 (see [`Topology::new`]).
     pub fn torus(rows: usize, cols: usize) -> Self {
-        assert!(
-            rows >= 2 && cols >= 2,
-            "torus dimensions must be at least 2x2, got {rows}x{cols}"
-        );
-        Topology::Torus { rows, cols }
+        Topology::new_or_panic(TopologyKind::Torus, rows, cols)
     }
 
     /// Creates a ring topology over `rows * cols` nodes.
     ///
     /// # Panics
     ///
-    /// Panics if the ring would have fewer than two nodes.
+    /// Panics if the ring would have fewer than two nodes (see
+    /// [`Topology::new`]).
     pub fn ring(rows: usize, cols: usize) -> Self {
-        assert!(
-            rows > 0 && cols > 0 && rows * cols >= 2,
-            "ring needs at least 2 nodes, got {rows}x{cols}"
-        );
-        Topology::Ring { rows, cols }
+        Topology::new_or_panic(TopologyKind::Ring, rows, cols)
     }
 
     /// Parses a spec-axis topology name: a family prefix followed by a
     /// square side (`"mesh4"`, `"torus8"`, `"ring4"`) or explicit
     /// `rows x cols` dims (`"mesh4x8"`).
     pub fn parse(name: &str) -> Result<Self, TopologyError> {
+        let unknown = || TopologyError::UnknownName(name.to_string());
         let trimmed = name.trim();
         let kinds = [
             ("torus", TopologyKind::Torus),
             ("mesh", TopologyKind::Mesh),
             ("ring", TopologyKind::Ring),
         ];
-        for (prefix, kind) in kinds {
-            if let Some(rest) = trimmed.strip_prefix(prefix) {
-                let (rows, cols) = match rest.split_once('x') {
-                    Some((r, c)) => match (r.parse::<usize>(), c.parse::<usize>()) {
-                        (Ok(r), Ok(c)) => (r, c),
-                        _ => return Err(TopologyError::UnknownName(name.to_string())),
-                    },
-                    None => match rest.parse::<usize>() {
-                        Ok(n) => (n, n),
-                        Err(_) => return Err(TopologyError::UnknownName(name.to_string())),
-                    },
-                };
-                let valid = match kind {
-                    TopologyKind::Mesh => rows > 0 && cols > 0,
-                    TopologyKind::Torus => rows >= 2 && cols >= 2,
-                    TopologyKind::Ring => rows > 0 && cols > 0 && rows * cols >= 2,
-                };
-                if !valid {
-                    return Err(TopologyError::InvalidDims { kind, rows, cols });
-                }
-                return Ok(match kind {
-                    TopologyKind::Mesh => Topology::mesh(rows, cols),
-                    TopologyKind::Torus => Topology::torus(rows, cols),
-                    TopologyKind::Ring => Topology::ring(rows, cols),
-                });
-            }
+        let (kind, rest) = kinds
+            .into_iter()
+            .find_map(|(prefix, kind)| Some((kind, trimmed.strip_prefix(prefix)?)))
+            .ok_or_else(unknown)?;
+        let (rows, cols) = match rest.split_once('x') {
+            Some((r, c)) => (r.parse(), c.parse()),
+            None => (rest.parse(), rest.parse()),
+        };
+        match (rows, cols) {
+            (Ok(rows), Ok(cols)) => Topology::new(kind, rows, cols),
+            _ => Err(unknown()),
         }
-        Err(TopologyError::UnknownName(name.to_string()))
     }
 
     /// The spec-axis name of this topology (`"mesh4"`, `"torus4x8"`, ...).
     /// Round-trips through [`Topology::parse`].
     pub fn name(&self) -> String {
-        let (rows, cols) = (self.rows(), self.cols());
+        let (rows, cols) = (self.rows, self.cols);
         if rows == cols {
-            format!("{}{rows}", self.kind().name())
+            format!("{}{rows}", self.kind.name())
         } else {
-            format!("{}{rows}x{cols}", self.kind().name())
+            format!("{}{rows}x{cols}", self.kind.name())
         }
     }
 
     /// The topology family.
     pub fn kind(&self) -> TopologyKind {
-        match self {
-            Topology::Mesh(_) => TopologyKind::Mesh,
-            Topology::Torus { .. } => TopologyKind::Torus,
-            Topology::Ring { .. } => TopologyKind::Ring,
-        }
+        self.kind
     }
 
     /// Frame rows (the monitor's sampling geometry).
     pub fn rows(&self) -> usize {
-        match self {
-            Topology::Mesh(m) => m.rows,
-            Topology::Torus { rows, .. } | Topology::Ring { rows, .. } => *rows,
-        }
+        self.rows
     }
 
     /// Frame columns.
     pub fn cols(&self) -> usize {
-        match self {
-            Topology::Mesh(m) => m.cols,
-            Topology::Torus { cols, .. } | Topology::Ring { cols, .. } => *cols,
-        }
+        self.cols
     }
 
     /// Total number of nodes.
     pub fn node_count(&self) -> usize {
-        self.rows() * self.cols()
+        self.rows * self.cols
     }
 
     /// Returns `true` if `id` is a valid node of this topology.
@@ -496,60 +377,43 @@ impl Topology {
     /// The coordinate of a node, or `None` if the node is out of range.
     pub fn coord(&self, id: NodeId) -> Option<Coord> {
         if self.contains(id) {
-            Some(Coord::from_id(id, self.cols()))
+            Some(Coord::from_id(id, self.cols))
         } else {
             None
         }
-    }
-
-    /// The coordinate of a node.
-    ///
-    /// Internal panicking form of [`Topology::coord`] for hot paths that
-    /// have already validated the node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is out of range.
-    pub fn coord_unchecked(&self, id: NodeId) -> Coord {
-        self.coord(id).unwrap_or_else(|| {
-            panic!(
-                "node {id} outside {}x{} {}",
-                self.rows(),
-                self.cols(),
-                self.kind().name()
-            )
-        })
     }
 
     /// The neighbour of `id` in direction `dir`, or `None` when there is no
     /// link that way (mesh edge, non-ring direction, `Local`, or an
     /// out-of-range node).
     pub fn neighbor(&self, id: NodeId, dir: Direction) -> Option<NodeId> {
-        if !self.contains(id) {
-            return None;
-        }
-        match self {
-            Topology::Mesh(m) => m.neighbor(id, dir),
-            Topology::Torus { rows, cols } => {
-                let c = Coord::from_id(id, *cols);
-                let n = match dir {
-                    Direction::East => Coord::new((c.x + 1) % cols, c.y),
-                    Direction::West => Coord::new((c.x + cols - 1) % cols, c.y),
-                    Direction::North => Coord::new(c.x, (c.y + 1) % rows),
-                    Direction::South => Coord::new(c.x, (c.y + rows - 1) % rows),
-                    Direction::Local => return None,
-                };
-                Some(n.to_id(*cols))
-            }
-            Topology::Ring { .. } => {
+        let c = self.coord(id)?;
+        let (rows, cols) = (self.rows, self.cols);
+        let n = match self.kind {
+            TopologyKind::Mesh => match dir {
+                Direction::East if c.x + 1 < cols => Coord::new(c.x + 1, c.y),
+                Direction::West if c.x > 0 => Coord::new(c.x - 1, c.y),
+                Direction::North if c.y + 1 < rows => Coord::new(c.x, c.y + 1),
+                Direction::South if c.y > 0 => Coord::new(c.x, c.y - 1),
+                _ => return None,
+            },
+            TopologyKind::Torus => match dir {
+                Direction::East => Coord::new((c.x + 1) % cols, c.y),
+                Direction::West => Coord::new((c.x + cols - 1) % cols, c.y),
+                Direction::North => Coord::new(c.x, (c.y + 1) % rows),
+                Direction::South => Coord::new(c.x, (c.y + rows - 1) % rows),
+                Direction::Local => return None,
+            },
+            TopologyKind::Ring => {
                 let n = self.node_count();
-                match dir {
+                return match dir {
                     Direction::East => Some(NodeId((id.0 + 1) % n)),
                     Direction::West => Some(NodeId((id.0 + n - 1) % n)),
                     _ => None,
-                }
+                };
             }
-        }
+        };
+        Some(n.to_id(cols))
     }
 
     /// Whether the router at `id` has an input port from direction `dir`.
@@ -565,26 +429,23 @@ impl Topology {
         if !self.contains(id) {
             return false;
         }
-        match self {
-            Topology::Mesh(_) => false,
-            Topology::Torus { rows, cols } => {
-                let c = Coord::from_id(id, *cols);
+        match self.kind {
+            TopologyKind::Mesh => false,
+            TopologyKind::Torus => {
+                let c = Coord::from_id(id, self.cols);
                 match dir {
-                    Direction::East => c.x + 1 == *cols,
+                    Direction::East => c.x + 1 == self.cols,
                     Direction::West => c.x == 0,
-                    Direction::North => c.y + 1 == *rows,
+                    Direction::North => c.y + 1 == self.rows,
                     Direction::South => c.y == 0,
                     Direction::Local => false,
                 }
             }
-            Topology::Ring { .. } => {
-                let n = self.node_count();
-                match dir {
-                    Direction::East => id.0 + 1 == n,
-                    Direction::West => id.0 == 0,
-                    _ => false,
-                }
-            }
+            TopologyKind::Ring => match dir {
+                Direction::East => id.0 + 1 == self.node_count(),
+                Direction::West => id.0 == 0,
+                _ => false,
+            },
         }
     }
 
@@ -592,17 +453,45 @@ impl Topology {
     /// destined to `dst` under this topology's deterministic minimal
     /// routing. Returns [`Direction::Local`] when `current == dst`.
     ///
-    /// * Mesh: XY dimension-order routing — exactly
-    ///   [`crate::routing::xy_next_hop`].
+    /// * Mesh: XY dimension-order routing — correct the X (east/west)
+    ///   offset, then the Y (north/south) offset. Benign traffic and
+    ///   flooding attackers both follow it, so an attack path is the
+    ///   deterministic L-shaped route the paper's Victim Completing
+    ///   Enhancement and Table-Like Method rely on.
     /// * Torus: dimension-order routing that picks the shorter way around
     ///   each ring (ties break East/North).
     /// * Ring: the shorter way around the ring (ties break East).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use noc_sim::{Direction, NodeId, Topology};
+    ///
+    /// let mesh = Topology::mesh(4, 4);
+    /// // Node 0 -> node 5 goes East first.
+    /// assert_eq!(mesh.next_hop(NodeId(0), NodeId(5)), Direction::East);
+    /// // Once X is aligned (node 1 -> node 5), it goes North.
+    /// assert_eq!(mesh.next_hop(NodeId(1), NodeId(5)), Direction::North);
+    /// ```
     pub fn next_hop(&self, current: NodeId, dst: NodeId) -> Direction {
-        match self {
-            Topology::Mesh(m) => crate::routing::xy_next_hop(current, dst, m.cols),
-            Topology::Torus { rows, cols } => {
-                let c = Coord::from_id(current, *cols);
-                let d = Coord::from_id(dst, *cols);
+        let (rows, cols) = (self.rows, self.cols);
+        let c = Coord::from_id(current, cols);
+        let d = Coord::from_id(dst, cols);
+        match self.kind {
+            TopologyKind::Mesh => {
+                if c.x < d.x {
+                    Direction::East
+                } else if c.x > d.x {
+                    Direction::West
+                } else if c.y < d.y {
+                    Direction::North
+                } else if c.y > d.y {
+                    Direction::South
+                } else {
+                    Direction::Local
+                }
+            }
+            TopologyKind::Torus => {
                 if c.x != d.x {
                     let east = (d.x + cols - c.x) % cols;
                     let west = (c.x + cols - d.x) % cols;
@@ -623,7 +512,7 @@ impl Topology {
                     Direction::Local
                 }
             }
-            Topology::Ring { .. } => {
+            TopologyKind::Ring => {
                 let n = self.node_count();
                 let fwd = (dst.0 + n - current.0) % n;
                 let back = (current.0 + n - dst.0) % n;
@@ -643,17 +532,16 @@ impl Topology {
     pub fn min_distance(&self, a: NodeId, b: NodeId) -> Option<usize> {
         let ca = self.coord(a)?;
         let cb = self.coord(b)?;
-        Some(match self {
-            Topology::Mesh(_) => ca.manhattan(cb),
-            Topology::Torus { rows, cols } => {
+        Some(match self.kind {
+            TopologyKind::Mesh => ca.manhattan(cb),
+            TopologyKind::Torus => {
                 let dx = ca.x.abs_diff(cb.x);
                 let dy = ca.y.abs_diff(cb.y);
-                dx.min(cols - dx) + dy.min(rows - dy)
+                dx.min(self.cols - dx) + dy.min(self.rows - dy)
             }
-            Topology::Ring { .. } => {
-                let n = self.node_count();
+            TopologyKind::Ring => {
                 let d = a.0.abs_diff(b.0);
-                d.min(n - d)
+                d.min(self.node_count() - d)
             }
         })
     }
@@ -662,9 +550,9 @@ impl Topology {
     /// endpoints) under [`Topology::next_hop`], or an error when either
     /// endpoint is out of range.
     ///
-    /// On the mesh variant this is exactly [`crate::routing::route_path`] —
-    /// the set of nodes the paper calls *routing-path victims* when `src`
-    /// is an attacker and `dst` the target victim.
+    /// On a mesh this is the XY route: the set of nodes the paper calls
+    /// *routing-path victims* when `src` is an attacker and `dst` the target
+    /// victim.
     pub fn route_path(&self, src: NodeId, dst: NodeId) -> Result<Vec<NodeId>, TopologyError> {
         for node in [src, dst] {
             if !self.contains(node) {
@@ -686,17 +574,6 @@ impl Topology {
         Ok(path)
     }
 
-    /// Internal panicking form of [`Topology::route_path`] for callers that
-    /// have already validated both endpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range.
-    pub fn route_path_unchecked(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
-        self.route_path(src, dst)
-            .unwrap_or_else(|e| panic!("route_path_unchecked: {e}"))
-    }
-
     /// Iterates over all node ids in ascending order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.node_count()).map(NodeId)
@@ -715,15 +592,15 @@ mod tests {
 
     #[test]
     fn id_coord_round_trip() {
-        let mesh = Mesh::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         for id in mesh.nodes() {
-            assert_eq!(mesh.coord(id).to_id(4), id);
+            assert_eq!(mesh.coord(id).unwrap().to_id(4), id);
         }
     }
 
     #[test]
     fn neighbor_arithmetic_matches_paper_convention() {
-        let mesh = Mesh::new(16, 16);
+        let mesh = Topology::mesh(16, 16);
         // Interior node: East = +1, West = -1, North = +16, South = -16.
         let id = NodeId(100);
         assert_eq!(mesh.neighbor(id, Direction::East), Some(NodeId(101)));
@@ -734,7 +611,7 @@ mod tests {
 
     #[test]
     fn corner_nodes_have_two_neighbors() {
-        let mesh = Mesh::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         let corners = [NodeId(0), NodeId(3), NodeId(12), NodeId(15)];
         for c in corners {
             let n = Direction::CARDINAL
@@ -747,7 +624,7 @@ mod tests {
 
     #[test]
     fn edge_nodes_have_three_neighbors() {
-        let mesh = Mesh::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         let edges = [NodeId(1), NodeId(2), NodeId(4), NodeId(7), NodeId(13)];
         for e in edges {
             let n = Direction::CARDINAL
@@ -760,7 +637,7 @@ mod tests {
 
     #[test]
     fn interior_nodes_have_four_neighbors() {
-        let mesh = Mesh::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         for id in [NodeId(5), NodeId(6), NodeId(9), NodeId(10)] {
             let n = Direction::CARDINAL
                 .iter()
@@ -798,19 +675,13 @@ mod tests {
 
     #[test]
     fn has_input_port_respects_edges() {
-        let mesh = Mesh::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         // Node 0 is the SW corner: no West, no South inputs.
         assert!(!mesh.has_input_port(NodeId(0), Direction::West));
         assert!(!mesh.has_input_port(NodeId(0), Direction::South));
         assert!(mesh.has_input_port(NodeId(0), Direction::East));
         assert!(mesh.has_input_port(NodeId(0), Direction::North));
         assert!(mesh.has_input_port(NodeId(0), Direction::Local));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn coord_of_invalid_node_panics() {
-        Mesh::new(2, 2).coord(NodeId(4));
     }
 
     #[test]
@@ -839,17 +710,26 @@ mod tests {
     }
 
     #[test]
-    fn mesh_variant_matches_mesh_struct() {
-        let mesh = Mesh::new(4, 4);
-        let topo = Topology::mesh(4, 4);
-        for id in mesh.nodes() {
-            assert_eq!(topo.coord(id), Some(mesh.coord(id)));
-            for dir in Direction::ALL {
-                assert_eq!(topo.neighbor(id, dir), mesh.neighbor(id, dir));
-                assert_eq!(topo.has_input_port(id, dir), mesh.has_input_port(id, dir));
-                assert!(!topo.is_wrap_link(id, dir));
-            }
+    fn new_holds_the_dimension_rule() {
+        for (kind, rows, cols) in [
+            (TopologyKind::Mesh, 0, 4),
+            (TopologyKind::Torus, 1, 4),
+            (TopologyKind::Ring, 1, 1),
+        ] {
+            assert_eq!(
+                Topology::new(kind, rows, cols),
+                Err(TopologyError::InvalidDims { kind, rows, cols })
+            );
         }
+        assert!(Topology::new(TopologyKind::Mesh, 1, 1).is_ok());
+        assert!(Topology::new(TopologyKind::Torus, 2, 2).is_ok());
+        assert!(Topology::new(TopologyKind::Ring, 1, 2).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid dimensions 2x0 for a mesh topology")]
+    fn shorthand_constructors_panic_with_the_error_text() {
+        Topology::mesh(2, 0);
     }
 
     #[test]
@@ -928,18 +808,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn coord_unchecked_panics_out_of_range() {
-        Topology::mesh(2, 2).coord_unchecked(NodeId(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "route_path_unchecked")]
-    fn route_path_unchecked_panics_out_of_range() {
-        Topology::ring(2, 2).route_path_unchecked(NodeId(0), NodeId(9));
-    }
-
     mod routing_invariants {
         use super::*;
         use proptest::prelude::*;
@@ -988,15 +856,38 @@ mod tests {
             fn mesh_paths_bit_identical_to_seed(
                 src in 0usize..64, dst in 0usize..64
             ) {
-                let mesh = Mesh::new(8, 8);
+                // The seed's XY routing, kept verbatim as the oracle: X first,
+                // then Y, stepping by the paper's `±1` / `±cols` arithmetic.
+                let cols = 8;
+                let seed_next_hop = |current: usize, dst: usize| {
+                    let (cx, cy, dx, dy) = (current % cols, current / cols, dst % cols, dst / cols);
+                    if cx < dx {
+                        Direction::East
+                    } else if cx > dx {
+                        Direction::West
+                    } else if cy < dy {
+                        Direction::North
+                    } else if cy > dy {
+                        Direction::South
+                    } else {
+                        Direction::Local
+                    }
+                };
+                let mut seed_path = vec![NodeId(src)];
+                let mut current = src;
+                while current != dst {
+                    current = match seed_next_hop(current, dst) {
+                        Direction::East => current + 1,
+                        Direction::West => current - 1,
+                        Direction::North => current + cols,
+                        Direction::South => current - cols,
+                        Direction::Local => unreachable!(),
+                    };
+                    seed_path.push(NodeId(current));
+                }
                 let topo = Topology::mesh(8, 8);
-                let seed_path = crate::routing::route_path(NodeId(src), NodeId(dst), &mesh);
-                let topo_path = topo.route_path(NodeId(src), NodeId(dst)).unwrap();
-                prop_assert_eq!(seed_path, topo_path);
-                prop_assert_eq!(
-                    crate::routing::xy_next_hop(NodeId(src), NodeId(dst), 8),
-                    topo.next_hop(NodeId(src), NodeId(dst))
-                );
+                prop_assert_eq!(seed_path, topo.route_path(NodeId(src), NodeId(dst)).unwrap());
+                prop_assert_eq!(seed_next_hop(src, dst), topo.next_hop(NodeId(src), NodeId(dst)));
             }
         }
     }

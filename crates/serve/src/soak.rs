@@ -29,7 +29,7 @@ use crate::status::ServeStatus;
 use dl2fence::input::sample_frames;
 use dl2fence::{Dl2Fence, FenceConfig};
 use dl2fence_campaign::spec::parse_feature;
-use dl2fence_campaign::{CampaignSpec, Executor};
+use dl2fence_campaign::{require_mesh, CampaignSpec, Executor};
 use noc_monitor::{FeatureFrame, FeatureKind, LabeledSample};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -38,8 +38,9 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct SoakOptions {
     /// The campaign that generates the traffic and training corpus. Its
-    /// first mesh size defines the served shape; `sim.collect_samples` is
-    /// forced on.
+    /// first topology (from `grid.topology` or the `grid.mesh` alias)
+    /// defines the served shape and must be a mesh; `sim.collect_samples`
+    /// is forced on.
     pub spec: CampaignSpec,
     /// Service tuning (worker pool, batch size, ring capacity, tenants).
     pub config: ServeConfig,
@@ -167,11 +168,8 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
     // One served shape per soak, whichever axis the spec used.
     spec.grid.topology.truncate(1);
     spec.grid.mesh.truncate(1);
-    let mesh = *spec
-        .grid
-        .mesh
-        .first()
-        .ok_or_else(|| "spec has no mesh sizes".to_string())?;
+    let topology = spec.resolved_topologies().map_err(|e| e.to_string())?[0];
+    require_mesh(&topology).map_err(|e| e.to_string())?;
     let outcome = Executor::new(options.sim_workers.max(1))
         .execute(&spec)
         .map_err(|e| e.to_string())?;
@@ -186,7 +184,7 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
     let fence_cfg = FenceConfig {
         detection_feature: det_kind,
         localization_feature: loc_kind,
-        ..FenceConfig::new(mesh, mesh)
+        ..FenceConfig::new(topology.rows(), topology.cols())
             .with_epochs(spec.eval.detector_epochs, spec.eval.localizer_epochs)
     };
     let mut fence = Dl2Fence::new(fence_cfg);

@@ -5,9 +5,14 @@
 use dl2fence_campaign::CampaignSpec;
 use dl2fence_serve::{run_soak, ServeConfig, SoakOptions};
 
-fn soak_spec() -> CampaignSpec {
+/// The soak spec; `topology` sets `grid.topology`, otherwise the legacy
+/// `grid.mesh = [4]` alias names the served shape.
+fn soak_spec(topology: Option<&str>) -> CampaignSpec {
     let mut spec = CampaignSpec::quick("serve-soak-test");
-    spec.grid.mesh = vec![4];
+    match topology {
+        Some(name) => spec.grid.topology = vec![name.into()],
+        None => spec.grid.mesh = vec![4],
+    }
     spec.sim.warmup_cycles = 100;
     spec.sim.sample_period = 200;
     spec.sim.samples_per_run = 2;
@@ -18,7 +23,7 @@ fn soak_spec() -> CampaignSpec {
 
 fn options(quantized: bool) -> SoakOptions {
     SoakOptions {
-        spec: soak_spec(),
+        spec: soak_spec(None),
         config: ServeConfig {
             queue_capacity: 2,
             max_tenants: 4,
@@ -36,7 +41,11 @@ fn options(quantized: bool) -> SoakOptions {
 
 #[test]
 fn f32_soak_passes_every_invariant() {
-    let report = run_soak(&options(false)).expect("soak must run");
+    let opts = SoakOptions {
+        spec: soak_spec(Some("mesh4")),
+        ..options(false)
+    };
+    let report = run_soak(&opts).expect("soak must run");
     assert!(report.passed(), "{}", report.render());
     assert_eq!(report.forced_rejections, 1);
     assert!(report.verdicts_audited > 0);
@@ -54,6 +63,17 @@ fn quantized_soak_passes_every_invariant() {
     // Started int8, swapped to f32 — the final bundle is the f32 pipeline.
     assert!(!report.status.quantized);
     assert_eq!(report.status.model_version, 1);
+}
+
+#[test]
+fn a_non_mesh_topology_is_refused() {
+    let opts = SoakOptions {
+        spec: soak_spec(Some("torus4")),
+        ..options(false)
+    };
+    let err = run_soak(&opts).expect_err("a torus cannot be served");
+    assert!(err.contains("`torus4`"), "{err}");
+    assert!(err.contains("XY-routed meshes"), "{err}");
 }
 
 #[test]

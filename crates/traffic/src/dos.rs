@@ -214,7 +214,10 @@ impl DosAttack {
     pub fn routing_path_victims(&self, topology: &Topology) -> Vec<NodeId> {
         let mut victims: Vec<NodeId> = Vec::new();
         for &a in &self.attackers {
-            for node in topology.route_path_unchecked(a, self.victim) {
+            let path = topology
+                .route_path(a, self.victim)
+                .unwrap_or_else(|e| panic!("routing_path_victims: {e}"));
+            for node in path {
                 if !self.attackers.contains(&node) && !victims.contains(&node) {
                     victims.push(node);
                 }

@@ -79,8 +79,8 @@ impl BernoulliInjector {
 
 impl TrafficGenerator for BernoulliInjector {
     fn inject(&mut self, network: &mut Network, cycle: u64) {
-        let rows = network.config().rows;
-        let cols = network.config().cols;
+        let rows = network.topology().rows();
+        let cols = network.topology().cols();
         let n = rows * cols;
         for node in 0..n {
             if self.rng.gen_bool(self.injection_rate) {

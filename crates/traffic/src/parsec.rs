@@ -164,8 +164,8 @@ impl ParsecGenerator {
 
 impl TrafficGenerator for ParsecGenerator {
     fn inject(&mut self, network: &mut Network, cycle: u64) {
-        let rows = network.config().rows;
-        let cols = network.config().cols;
+        let rows = network.topology().rows();
+        let cols = network.topology().cols();
         let n = rows * cols;
         let rate = match self.phase(cycle) {
             ParsecPhase::Compute => self.profile.compute_injection_rate,
