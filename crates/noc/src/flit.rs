@@ -88,8 +88,9 @@ pub struct Flit {
     pub dst: NodeId,
     /// Cycle at which the packet was created.
     pub created_at: u64,
-    /// Cycle at which this flit left the injection queue and entered the
-    /// router fabric (set at injection).
+    /// Cycle at which the packet's head flit entered the router fabric,
+    /// stamped on every flit when the packet starts injecting. The
+    /// network times the packet's network latency from the tail's copy.
     pub injected_at: u64,
     /// Traffic class inherited from the packet.
     pub class: TrafficClass,

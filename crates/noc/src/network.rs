@@ -5,13 +5,56 @@ use crate::flit::{Flit, Packet, PacketId, TrafficClass};
 use crate::router::Router;
 use crate::stats::NetworkStats;
 use crate::topology::{Direction, NodeId, Topology};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A packet currently being serialized into its source router's local port.
 #[derive(Debug, Clone)]
 struct PendingInjection {
     flits: VecDeque<Flit>,
     vc: usize,
+}
+
+/// Where one output of a router leads, resolved once from the topology.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// The downstream router.
+    to: usize,
+    /// The lowest downstream VC a hop over this link may allocate: the
+    /// upper half of the VCs on a wraparound (dateline) link with at least
+    /// two VCs, otherwise 0.
+    min_vc: usize,
+}
+
+/// Buffered-flit counts per router and per input port, updated at every
+/// push and pop so switch traversal can skip what holds no flit.
+#[derive(Debug, Clone)]
+struct Occupancy {
+    /// Flits buffered in each router, by node id.
+    router: Vec<u32>,
+    /// Flits buffered in each input port, indexed `[node][direction]`;
+    /// always 0 for a port the router does not have.
+    port: Vec<[u32; 5]>,
+}
+
+impl Occupancy {
+    fn new(node_count: usize) -> Self {
+        Occupancy {
+            router: vec![0; node_count],
+            port: vec![[0; 5]; node_count],
+        }
+    }
+
+    /// Books one flit written into the input port `dir` of `node`.
+    fn push(&mut self, node: usize, dir: Direction) {
+        self.router[node] += 1;
+        self.port[node][dir.index()] += 1;
+    }
+
+    /// Books one flit read out of the input port `dir` of `node`.
+    fn pop(&mut self, node: usize, dir: Direction) {
+        self.router[node] -= 1;
+        self.port[node][dir.index()] -= 1;
+    }
 }
 
 /// A fully simulated NoC (mesh, torus or ring — see [`Topology`]).
@@ -30,6 +73,16 @@ struct PendingInjection {
 ///    the downstream VCs, breaking the cyclic channel dependency the ring
 ///    would otherwise create; mesh links are unrestricted, so mesh
 ///    behaviour is unchanged.
+///
+///    Routers are visited in node order, and inside a router the input
+///    ports and their VCs in a rotation that advances with the cycle
+///    (`cycle % 5`, `cycle % vcs`) for fairness. Only routers and input
+///    ports that hold flits are visited: the network counts the flits
+///    buffered per router and per port. The skip is exact, because a VC
+///    with no flit has nothing to route, allocate or move, so visiting it
+///    changes no state; and a flit written during this cycle (injected, or
+///    forwarded by a router visited earlier) cannot move before the next
+///    one, so a port that only holds such flits has nothing to do either.
 /// 3. **Ejection** — flits whose route terminates here are consumed and
 ///    accounted in [`NetworkStats`].
 ///
@@ -48,9 +101,12 @@ struct PendingInjection {
 pub struct Network {
     config: NocConfig,
     routers: Vec<Router>,
+    /// Output links of every router, indexed `[node][direction]`; `None`
+    /// where the topology has no neighbour that way (and for `Local`).
+    links: Vec<[Option<Link>; 5]>,
+    occupancy: Occupancy,
     injection_queues: Vec<VecDeque<Packet>>,
     pending: Vec<Option<PendingInjection>>,
-    head_injection_cycle: HashMap<PacketId, u64>,
     stats: NetworkStats,
     cycle: u64,
     next_packet_id: u64,
@@ -59,17 +115,34 @@ pub struct Network {
 impl Network {
     /// Builds a network from a configuration.
     pub fn new(config: NocConfig) -> Self {
-        let routers = config
-            .topology
+        let topology = &config.topology;
+        let routers = topology
             .nodes()
             .map(|id| Router::new(id, &config))
+            .collect();
+        let vcs = config.vcs_per_port;
+        let links = topology
+            .nodes()
+            .map(|id| {
+                Direction::ALL.map(|dir| {
+                    topology.neighbor(id, dir).map(|to| Link {
+                        to: to.0,
+                        min_vc: if vcs >= 2 && topology.is_wrap_link(id, dir) {
+                            vcs / 2
+                        } else {
+                            0
+                        },
+                    })
+                })
+            })
             .collect();
         let n = config.node_count();
         Network {
             routers,
+            links,
+            occupancy: Occupancy::new(n),
             injection_queues: vec![VecDeque::new(); n],
             pending: vec![None; n],
-            head_injection_cycle: HashMap::new(),
             stats: NetworkStats::new(n),
             cycle: 0,
             next_packet_id: 0,
@@ -228,6 +301,9 @@ impl Network {
                         .expect("every router has a local port");
                     if let Some(vc) = port.free_vc() {
                         port.vc_mut(vc).allocated = true;
+                        // The VC is free, hence empty, so the head flit is
+                        // pushed below in this same cycle: every flit carries
+                        // the packet's head-injection cycle.
                         let mut flits: VecDeque<Flit> = packet.to_flits().into();
                         for f in &mut flits {
                             f.injected_at = self.cycle;
@@ -236,7 +312,6 @@ impl Network {
                         self.stats
                             .packet_queue_latency
                             .record(self.cycle.saturating_sub(packet.created_at));
-                        self.head_injection_cycle.insert(packet.id, self.cycle);
                         self.pending[node] = Some(PendingInjection { flits, vc });
                     } else {
                         // No free VC at the local port: put the packet back.
@@ -253,8 +328,7 @@ impl Network {
                     .expect("every router has a local port");
                 let vc = port.vc_mut(pending.vc);
                 if !vc.is_full() {
-                    if let Some(mut flit) = pending.flits.pop_front() {
-                        flit.injected_at = self.cycle;
+                    if let Some(flit) = pending.flits.pop_front() {
                         self.stats.flits_injected += 1;
                         self.stats
                             .flit_queue_latency
@@ -262,11 +336,9 @@ impl Network {
                         vc.push(flit, self.cycle);
                         port.record_buffer_ops(1);
                         self.stats.buffer_operations += 1;
+                        self.occupancy.push(node, Direction::Local);
                     }
-                    finished = self.pending[node]
-                        .as_ref()
-                        .map(|p| p.flits.is_empty())
-                        .unwrap_or(false);
+                    finished = pending.flits.is_empty();
                 }
             }
             if finished {
@@ -280,113 +352,99 @@ impl Network {
     // ------------------------------------------------------------------
 
     fn traversal_phase(&mut self) {
-        let node_count = self.config.node_count();
         let vcs = self.config.vcs_per_port;
-        // Per-router, per-direction "output already used this cycle" flags.
-        let mut output_used = vec![[false; 5]; node_count];
-
-        for node in 0..node_count {
-            // Rotate port and VC priority with the cycle for fairness.
-            let port_offset = (self.cycle as usize) % 5;
+        // Rotate port and VC priority with the cycle for fairness.
+        let port_offset = (self.cycle as usize) % 5;
+        let vc_offset = (self.cycle as usize) % vcs;
+        for node in 0..self.routers.len() {
+            if self.occupancy.router[node] == 0 {
+                continue;
+            }
+            // One flit per output port per cycle.
+            let mut output_used = [false; 5];
             for p in 0..5 {
                 let dir = Direction::from_index((p + port_offset) % 5);
-                if self.routers[node].input_port(dir).is_none() {
+                if self.occupancy.port[node][dir.index()] == 0 {
                     continue;
                 }
-                let vc_offset = (self.cycle as usize) % vcs;
                 // One flit per input port per cycle.
-                let mut port_sent = false;
                 for v in 0..vcs {
-                    if port_sent {
+                    if self.try_advance(node, dir, (v + vc_offset) % vcs, &mut output_used) {
                         break;
                     }
-                    let vc_idx = (v + vc_offset) % vcs;
-                    port_sent = self.try_advance(node, dir, vc_idx, &mut output_used);
                 }
             }
         }
     }
 
-    /// Attempts to advance the head-of-line flit of one VC by one hop.
-    /// Returns `true` if a flit moved (or was ejected).
+    /// Attempts to advance the head-of-line flit of one VC of router `node`
+    /// by one hop, or to eject it. `output_used` flags the router's outputs
+    /// that already carried a flit this cycle. Returns `true` if a flit
+    /// moved (or was ejected).
     fn try_advance(
         &mut self,
         node: usize,
         dir: Direction,
         vc_idx: usize,
-        output_used: &mut [[bool; 5]],
+        output_used: &mut [bool; 5],
     ) -> bool {
         let cycle = self.cycle;
+        // Split the routers around `node` so the downstream router can be
+        // borrowed while this VC is.
+        let (before, rest) = self.routers.split_at_mut(node);
+        let (router, after) = rest.split_first_mut().expect("node inside the topology");
+        let port = router
+            .input_port_mut(dir)
+            .expect("only ports holding flits are visited");
+        let vc = port.vc_mut(vc_idx);
 
         // Inspect the head-of-line flit.
-        let (flit, needs_route) = {
-            let port = match self.routers[node].input_port(dir) {
-                Some(p) => p,
-                None => return false,
-            };
-            let vc = port.vc(vc_idx);
-            match vc.front() {
-                Some(b) if b.arrived_at < cycle => (b.flit, vc.route_out.is_none()),
-                _ => return false,
-            }
+        let flit = match vc.front() {
+            Some(b) if b.arrived_at < cycle => b.flit,
+            _ => return false,
         };
 
         // Route computation for head flits.
-        let out_dir = if needs_route {
-            let d = self.config.topology.next_hop(NodeId(node), flit.dst);
-            let port = self.routers[node].input_port_mut(dir).unwrap();
-            port.vc_mut(vc_idx).route_out = Some(d);
-            d
-        } else {
-            self.routers[node]
-                .input_port(dir)
-                .unwrap()
-                .vc(vc_idx)
-                .route_out
-                .unwrap()
-        };
+        let topology = &self.config.topology;
+        let out_dir = *vc
+            .route_out
+            .get_or_insert_with(|| topology.next_hop(NodeId(node), flit.dst));
 
         // Output port contention: one flit per output per cycle.
-        if output_used[node][out_dir.index()] {
+        if output_used[out_dir.index()] {
             return false;
         }
 
         if out_dir == Direction::Local {
             // Ejection.
-            let port = self.routers[node].input_port_mut(dir).unwrap();
-            let buffered = port.vc_mut(vc_idx).pop().expect("front checked above");
+            let buffered = vc.pop().expect("front checked above");
+            if buffered.flit.kind.is_tail() {
+                vc.release();
+            }
             port.record_buffer_ops(1);
             self.stats.buffer_operations += 1;
-            if buffered.flit.kind.is_tail() {
-                port.vc_mut(vc_idx).release();
-            }
-            output_used[node][out_dir.index()] = true;
+            self.occupancy.pop(node, dir);
+            output_used[out_dir.index()] = true;
             self.account_ejection(buffered.flit);
             return true;
         }
 
-        // Downstream router and input direction.
-        let downstream = match self.config.topology.neighbor(NodeId(node), out_dir) {
-            Some(d) => d.0,
-            None => unreachable!("minimal routing never points off the topology"),
+        // Downstream router and input port.
+        let link = self.links[node][out_dir.index()]
+            .expect("minimal routing never points off the topology");
+        let downstream = if link.to < node {
+            &mut before[link.to]
+        } else {
+            &mut after[link.to - node - 1]
         };
         let down_dir = out_dir.opposite();
-        // Dateline VC restriction: hops over a wraparound link may only
-        // allocate the upper half of the downstream VCs. Mesh links never
-        // wrap, so `min_vc` is 0 there and allocation is unchanged.
-        let vcs = self.config.vcs_per_port;
-        let min_vc = if vcs >= 2 && self.config.topology.is_wrap_link(NodeId(node), out_dir) {
-            vcs / 2
-        } else {
-            0
-        };
+        let down_port = downstream
+            .input_port_mut(down_dir)
+            .expect("downstream router must have an input port facing the upstream router");
 
-        // Virtual-channel allocation at the downstream input port.
-        let assigned_vc = {
-            let vc_state = self.routers[node].input_port(dir).unwrap().vc(vc_idx);
-            vc_state.downstream_vc
-        };
-        let down_vc = match assigned_vc {
+        // Virtual-channel allocation at the downstream input port, from
+        // `link.min_vc` up (the dateline restriction on wrap links).
+        let down_vc = match vc.downstream_vc {
             Some(v) => v,
             None => {
                 if !flit.kind.is_head() {
@@ -394,23 +452,12 @@ impl Network {
                     // is missing the packet's VC was released prematurely.
                     return false;
                 }
-                let down_port = self.routers[downstream]
-                    .input_port(down_dir)
-                    .expect("downstream router must have an input port facing the upstream router");
-                match down_port.free_vc_from(min_vc) {
+                match down_port.free_vc_from(link.min_vc) {
                     Some(v) => {
                         // Reserve it immediately so no other router grabs it
                         // during this cycle.
-                        self.routers[downstream]
-                            .input_port_mut(down_dir)
-                            .unwrap()
-                            .vc_mut(v)
-                            .allocated = true;
-                        self.routers[node]
-                            .input_port_mut(dir)
-                            .unwrap()
-                            .vc_mut(vc_idx)
-                            .downstream_vc = Some(v);
+                        down_port.vc_mut(v).allocated = true;
+                        vc.downstream_vc = Some(v);
                         v
                     }
                     None => return false,
@@ -419,33 +466,24 @@ impl Network {
         };
 
         // Credit check: downstream buffer must have a free slot.
-        if self.routers[downstream]
-            .input_port(down_dir)
-            .unwrap()
-            .vc(down_vc)
-            .is_full()
-        {
+        let down = down_port.vc_mut(down_vc);
+        if down.is_full() {
             return false;
         }
 
         // Move the flit.
-        let buffered = {
-            let port = self.routers[node].input_port_mut(dir).unwrap();
-            let b = port.vc_mut(vc_idx).pop().expect("front checked above");
-            port.record_buffer_ops(1);
-            if b.flit.kind.is_tail() {
-                port.vc_mut(vc_idx).release();
-            }
-            b
-        };
-        {
-            let port = self.routers[downstream].input_port_mut(down_dir).unwrap();
-            port.vc_mut(down_vc).push(buffered.flit, cycle);
-            port.record_buffer_ops(1);
+        let buffered = vc.pop().expect("front checked above");
+        if buffered.flit.kind.is_tail() {
+            vc.release();
         }
+        port.record_buffer_ops(1);
+        down.push(buffered.flit, cycle);
+        down_port.record_buffer_ops(1);
+        self.occupancy.pop(node, dir);
+        self.occupancy.push(link.to, down_dir);
         self.stats.buffer_operations += 2;
         self.stats.link_traversals += 1;
-        output_used[node][out_dir.index()] = true;
+        output_used[out_dir.index()] = true;
         true
     }
 
@@ -460,11 +498,9 @@ impl Network {
             self.stats
                 .packet_latency
                 .record(self.cycle.saturating_sub(flit.created_at));
-            if let Some(head_cycle) = self.head_injection_cycle.remove(&flit.packet) {
-                self.stats
-                    .packet_network_latency
-                    .record(self.cycle.saturating_sub(head_cycle));
-            }
+            self.stats
+                .packet_network_latency
+                .record(self.cycle.saturating_sub(flit.injected_at));
             if flit.class == TrafficClass::Malicious {
                 self.stats.malicious_packets_received += 1;
             }
@@ -475,6 +511,312 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The full-sweep traversal the occupancy-driven one replaced, kept as
+    /// the oracle: it visits every router, every port and every VC each
+    /// cycle and resolves links and VCs through the topology and the
+    /// router's `Option` ports. Its only change is that it keeps the
+    /// occupancy counts, so a network stepped through it stays consistent.
+    impl Network {
+        fn step_full_sweep(&mut self) {
+            self.cycle += 1;
+            self.stats.cycles = self.cycle;
+            self.inject_phase();
+            self.full_sweep_traversal_phase();
+        }
+
+        fn full_sweep_traversal_phase(&mut self) {
+            let node_count = self.config.node_count();
+            let vcs = self.config.vcs_per_port;
+            // Per-router, per-direction "output already used this cycle" flags.
+            let mut output_used = vec![[false; 5]; node_count];
+
+            for node in 0..node_count {
+                // Rotate port and VC priority with the cycle for fairness.
+                let port_offset = (self.cycle as usize) % 5;
+                for p in 0..5 {
+                    let dir = Direction::from_index((p + port_offset) % 5);
+                    if self.routers[node].input_port(dir).is_none() {
+                        continue;
+                    }
+                    let vc_offset = (self.cycle as usize) % vcs;
+                    // One flit per input port per cycle.
+                    let mut port_sent = false;
+                    for v in 0..vcs {
+                        if port_sent {
+                            break;
+                        }
+                        let vc_idx = (v + vc_offset) % vcs;
+                        port_sent =
+                            self.full_sweep_try_advance(node, dir, vc_idx, &mut output_used);
+                    }
+                }
+            }
+        }
+
+        fn full_sweep_try_advance(
+            &mut self,
+            node: usize,
+            dir: Direction,
+            vc_idx: usize,
+            output_used: &mut [[bool; 5]],
+        ) -> bool {
+            let cycle = self.cycle;
+
+            // Inspect the head-of-line flit.
+            let (flit, needs_route) = {
+                let port = match self.routers[node].input_port(dir) {
+                    Some(p) => p,
+                    None => return false,
+                };
+                let vc = port.vc(vc_idx);
+                match vc.front() {
+                    Some(b) if b.arrived_at < cycle => (b.flit, vc.route_out.is_none()),
+                    _ => return false,
+                }
+            };
+
+            // Route computation for head flits.
+            let out_dir = if needs_route {
+                let d = self.config.topology.next_hop(NodeId(node), flit.dst);
+                let port = self.routers[node].input_port_mut(dir).unwrap();
+                port.vc_mut(vc_idx).route_out = Some(d);
+                d
+            } else {
+                self.routers[node]
+                    .input_port(dir)
+                    .unwrap()
+                    .vc(vc_idx)
+                    .route_out
+                    .unwrap()
+            };
+
+            // Output port contention: one flit per output per cycle.
+            if output_used[node][out_dir.index()] {
+                return false;
+            }
+
+            if out_dir == Direction::Local {
+                // Ejection.
+                let port = self.routers[node].input_port_mut(dir).unwrap();
+                let buffered = port.vc_mut(vc_idx).pop().expect("front checked above");
+                port.record_buffer_ops(1);
+                self.stats.buffer_operations += 1;
+                if buffered.flit.kind.is_tail() {
+                    port.vc_mut(vc_idx).release();
+                }
+                self.occupancy.pop(node, dir);
+                output_used[node][out_dir.index()] = true;
+                self.account_ejection(buffered.flit);
+                return true;
+            }
+
+            // Downstream router and input direction.
+            let downstream = match self.config.topology.neighbor(NodeId(node), out_dir) {
+                Some(d) => d.0,
+                None => unreachable!("minimal routing never points off the topology"),
+            };
+            let down_dir = out_dir.opposite();
+            let vcs = self.config.vcs_per_port;
+            let min_vc = if vcs >= 2 && self.config.topology.is_wrap_link(NodeId(node), out_dir) {
+                vcs / 2
+            } else {
+                0
+            };
+
+            // Virtual-channel allocation at the downstream input port.
+            let assigned_vc = {
+                let vc_state = self.routers[node].input_port(dir).unwrap().vc(vc_idx);
+                vc_state.downstream_vc
+            };
+            let down_vc = match assigned_vc {
+                Some(v) => v,
+                None => {
+                    if !flit.kind.is_head() {
+                        return false;
+                    }
+                    let down_port = self.routers[downstream]
+                        .input_port(down_dir)
+                        .expect("downstream router must have an input port facing upstream");
+                    match down_port.free_vc_from(min_vc) {
+                        Some(v) => {
+                            self.routers[downstream]
+                                .input_port_mut(down_dir)
+                                .unwrap()
+                                .vc_mut(v)
+                                .allocated = true;
+                            self.routers[node]
+                                .input_port_mut(dir)
+                                .unwrap()
+                                .vc_mut(vc_idx)
+                                .downstream_vc = Some(v);
+                            v
+                        }
+                        None => return false,
+                    }
+                }
+            };
+
+            // Credit check: downstream buffer must have a free slot.
+            if self.routers[downstream]
+                .input_port(down_dir)
+                .unwrap()
+                .vc(down_vc)
+                .is_full()
+            {
+                return false;
+            }
+
+            // Move the flit.
+            let buffered = {
+                let port = self.routers[node].input_port_mut(dir).unwrap();
+                let b = port.vc_mut(vc_idx).pop().expect("front checked above");
+                port.record_buffer_ops(1);
+                if b.flit.kind.is_tail() {
+                    port.vc_mut(vc_idx).release();
+                }
+                b
+            };
+            {
+                let port = self.routers[downstream].input_port_mut(down_dir).unwrap();
+                port.vc_mut(down_vc).push(buffered.flit, cycle);
+                port.record_buffer_ops(1);
+            }
+            self.occupancy.pop(node, dir);
+            self.occupancy.push(downstream, down_dir);
+            self.stats.buffer_operations += 2;
+            self.stats.link_traversals += 1;
+            output_used[node][out_dir.index()] = true;
+            true
+        }
+    }
+
+    /// Seeded traffic fed identically to both networks of the oracle
+    /// property: Bernoulli benign packets at `rate` per node per cycle to
+    /// uniformly random destinations, plus one flooding attacker that, like
+    /// an FDoS `DosAttack`, enqueues a malicious packet to its victim with
+    /// probability `fir` every cycle.
+    struct OracleTraffic {
+        state: u64,
+        nodes: usize,
+        rate: f64,
+        fir: f64,
+        attacker: usize,
+        victim: usize,
+    }
+
+    impl OracleTraffic {
+        fn next_u64(&mut self) -> u64 {
+            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn chance(&mut self, p: f64) -> bool {
+            ((self.next_u64() >> 11) as f64) < p * (1u64 << 53) as f64
+        }
+
+        /// The packets created this cycle, as `(src, dst, class)`.
+        fn packets(&mut self) -> Vec<(usize, usize, TrafficClass)> {
+            let mut out = Vec::new();
+            for src in 0..self.nodes {
+                if self.chance(self.rate) {
+                    let dst = (self.next_u64() % self.nodes as u64) as usize;
+                    if dst != src {
+                        out.push((src, dst, TrafficClass::Benign));
+                    }
+                }
+            }
+            if self.chance(self.fir) {
+                out.push((self.attacker, self.victim, TrafficClass::Malicious));
+            }
+            out
+        }
+    }
+
+    /// Cycles each oracle case simulates: long enough for a flood at FIR
+    /// 0.8 to saturate a 6×6 mesh.
+    const ORACLE_CYCLES: u64 = 300;
+
+    proptest! {
+        #[test]
+        fn occupancy_traversal_matches_full_sweep(
+            kind in 0usize..3,
+            rows in 1usize..7,
+            cols in 2usize..7,
+            vcs in 1usize..6,
+            depth in 1usize..5,
+            flits in 1usize..6,
+            rate in 0.0f64..0.1,
+            fir in 0.0f64..1.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            // Rows 1..=6 and cols 2..=6 (a torus needs two of each).
+            let topology = match kind {
+                0 => Topology::mesh(rows, cols),
+                1 => Topology::torus(rows.max(2), cols),
+                _ => Topology::ring(rows, cols),
+            };
+            let config = NocConfig::for_topology(&topology)
+                .with_vcs(vcs)
+                .with_buffer_depth(depth)
+                .with_flits_per_packet(flits);
+            let mut fast = Network::new(config);
+            let mut oracle = fast.clone();
+            let nodes = topology.node_count();
+            let attacker = (seed % nodes as u64) as usize;
+            let mut traffic = OracleTraffic {
+                state: seed,
+                nodes,
+                rate,
+                fir,
+                attacker,
+                victim: (attacker + 1 + (seed >> 32) as usize % (nodes - 1)) % nodes,
+            };
+            for cycle in 0..ORACLE_CYCLES {
+                for (src, dst, class) in traffic.packets() {
+                    fast.enqueue_with_class(NodeId(src), NodeId(dst), cycle, class);
+                    oracle.enqueue_with_class(NodeId(src), NodeId(dst), cycle, class);
+                }
+                fast.step();
+                oracle.step_full_sweep();
+                prop_assert_eq!(fast.stats(), oracle.stats());
+                for (node, (a, b)) in fast.routers().zip(oracle.routers()).enumerate() {
+                    for dir in Direction::ALL {
+                        prop_assert_eq!(a.vco(dir), b.vco(dir));
+                        prop_assert_eq!(a.boc(dir), b.boc(dir));
+                        let buffered = a.input_port(dir).map_or(0, |p| p.buffered_flits());
+                        prop_assert_eq!(fast.occupancy.port[node][dir.index()] as usize, buffered);
+                    }
+                    prop_assert_eq!(fast.occupancy.router[node] as usize, a.buffered_flits());
+                }
+                if cycle % 100 == 99 {
+                    // End of a sampling window.
+                    fast.reset_boc();
+                    oracle.reset_boc();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packet_network_latency_runs_from_head_injection() {
+        // A lone 5-flit packet over 3 hops: its head enters the fabric in
+        // cycle 1, and the tail is ejected `network latency` cycles later.
+        let mut net = Network::new(NocConfig::mesh(4, 4));
+        net.enqueue_packet(NodeId(0), NodeId(3), 0);
+        net.run(100);
+        let s = net.stats();
+        assert_eq!(s.packet_network_latency.count, 1);
+        assert_eq!(s.packet_queue_latency.sum, 1);
+        assert_eq!(
+            s.packet_latency.sum,
+            s.packet_queue_latency.sum + s.packet_network_latency.sum
+        );
+    }
 
     #[test]
     fn single_packet_is_delivered() {
