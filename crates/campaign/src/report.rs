@@ -145,7 +145,7 @@ impl CampaignReport {
     ) -> Result<Self, SpecError> {
         let mut acc = ReportAccumulator::new(campaign, group_by, EvalSpec::default())?;
         for run in runs {
-            acc.fold(run);
+            acc.try_fold(run)?;
         }
         acc.finish(&Executor::new(1))
     }
@@ -403,17 +403,6 @@ impl ReportAccumulator {
     /// Folds one run into the aggregates. Call in run-index order — the
     /// fold order fixes both group ordering (first-seen) and the f64
     /// summation order, which is what the byte-identity guarantee rests on.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`Self::try_fold`] errors: the eval phase is enabled and
-    /// the run carries no samples.
-    pub fn fold(&mut self, run: &RunResult) {
-        self.try_fold(run).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`Self::fold`], refusing a run the eval phase cannot train on
-    /// instead of panicking — the entry point for runs replayed from disk.
     ///
     /// # Errors
     ///

@@ -43,7 +43,7 @@ fn fold_one_at_a_time_equals_batch_aggregation_on_table1_quick() {
     let mut acc = ReportAccumulator::for_spec(&spec).unwrap();
     let mut expected_samples = 0;
     for run in &outcome.runs {
-        acc.fold(run);
+        acc.try_fold(run).unwrap();
         expected_samples += run.samples.len();
         // With the eval phase enabled the accumulator buffers exactly the
         // labeled samples it will train on — and nothing else per run.
@@ -68,7 +68,7 @@ fn accumulator_retains_no_samples_when_the_eval_phase_is_off() {
 
     let mut acc = ReportAccumulator::for_spec(&spec).unwrap();
     for run in &outcome.runs {
-        acc.fold(run);
+        acc.try_fold(run).unwrap();
         assert_eq!(
             acc.retained_samples(),
             0,
@@ -103,7 +103,7 @@ fn streamed_replay_through_the_accumulator_peaks_at_one_retained_run() {
     dir.replay(&index, |record| {
         live += 1;
         peak = peak.max(live);
-        acc.fold(&record);
+        acc.try_fold(&record).unwrap();
         assert_eq!(acc.retained_samples(), 0);
         // `record` is dropped at the end of this closure; replay holds no
         // other copy, so `live` returns to zero between records.

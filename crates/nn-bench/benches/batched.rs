@@ -1,5 +1,5 @@
 //! Whole-detector forward benchmarks: scalar seed kernels (one frame per
-//! invocation) vs batched GEMM f32 vs batched fused int8, at batch 1/16/64.
+//! invocation) vs batched direct f32 vs batched fused int8, at batch 1/16/64.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dl2fence_nn_bench::{detector_frames, detector_model, stack_frames, ScalarDetector, KERNELS};

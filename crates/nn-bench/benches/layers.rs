@@ -1,5 +1,5 @@
-//! Per-layer micro-benchmarks: the scalar seed kernel vs the blocked
-//! im2col/GEMM f32 path vs the fused int8 path, at the detector's shapes.
+//! Per-layer micro-benchmarks: the scalar seed kernel vs the direct f32
+//! kernel vs the fused int8 path, at the detector's shapes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dl2fence_nn_bench::{detector_frames, pooled_features, pseudo_tensor, stack_frames, MESH};
@@ -20,7 +20,7 @@ fn bench_conv(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scalar", batch), &batch, |b, _| {
             b.iter(|| conv.forward_reference(&x))
         });
-        group.bench_with_input(BenchmarkId::new("gemm_f32", batch), &batch, |b, _| {
+        group.bench_with_input(BenchmarkId::new("direct_f32", batch), &batch, |b, _| {
             b.iter(|| conv.infer(&x))
         });
         let shape = ConvShape {

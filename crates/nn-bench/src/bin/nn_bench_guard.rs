@@ -1,21 +1,25 @@
-//! CI throughput guard for the GEMM forward and backward paths.
+//! CI throughput guard for the conv forward and backward kernels.
 //!
-//! Times three detector forward paths over the same 64-frame batch, and the
-//! forward and backward passes of one localizer training step, with the
-//! min-of-2 idiom (shed scheduler noise, keep the best run) and enforces:
+//! Times three detector forward paths over the same 64-frame batch, a 16×16
+//! localizer forward at the serve batch, and the forward and backward passes
+//! of one localizer training step, with the min-of-2 idiom (shed scheduler
+//! noise, keep the best run) and enforces:
 //!
-//! 1. **No f32 regression** — the batched GEMM path must not be slower than
-//!    the scalar seed kernels (5% wall-clock noise allowance).
+//! 1. **No f32 regression** — the batched direct f32 path must not be slower
+//!    than the scalar seed kernels (5% wall-clock noise allowance).
 //! 2. **Int8 speedup** — the batched fused int8 path must reach at least
 //!    4× the scalar seed kernels' throughput.
-//! 3. **Backward bound** — the localizer's backward pass must take at most
+//! 3. **Serve-regime speedup** — a 16×16 localizer `predict` at batch 4
+//!    must reach at least [`LOCALIZER_SPEEDUP`]× the same three convolutions
+//!    through the scalar seed kernel.
+//! 4. **Backward bound** — the localizer's backward pass must take at most
 //!    [`BWD_OVER_FWD`]× its forward pass.
 //!
 //! Exits non-zero with a diagnostic when any bound is violated.
 
 use dl2fence_nn_bench::{
     detector_frames, detector_model, localizer_model, min_time, pseudo_tensor, stack_frames,
-    ScalarDetector, KERNELS, MESH,
+    ScalarDetector, ScalarLocalizer, KERNELS, MESH,
 };
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -30,6 +34,18 @@ const ITERS: usize = 30;
 const F32_SLACK: f64 = 1.05;
 /// Required int8 speedup over the scalar seed kernels.
 const INT8_SPEEDUP: f64 = 4.0;
+/// Mesh side of the serve-regime localizer case (the paper's 16×16 NoC).
+const SERVE_MESH: usize = 16;
+/// Localizer batch at serve time: the four directional frames of a window.
+const SERVE_BATCH: usize = 4;
+/// Scalar-reference localizer passes per timed run.
+const SERVE_REF_ITERS: usize = 5;
+/// Direct localizer passes per timed run.
+const SERVE_ITERS: usize = 200;
+/// Required localizer speedup over the scalar seed kernels: ~3× headroom
+/// under the ~90× the direct kernel measures on a 2-vCPU x86-64 VM, where
+/// the im2col + GEMM kernel it replaced measured ~13×.
+const LOCALIZER_SPEEDUP: f64 = 30.0;
 /// Minibatch of the timed localizer training step (the localizer trainer's).
 const TRAIN_BATCH: usize = 4;
 /// Training steps per timed run.
@@ -77,7 +93,7 @@ fn main() -> ExitCode {
     println!(
         "detector forward @ batch {BATCH}, min-of-2 ({ITERS} iters/run):\n\
          scalar seed kernels : {:>9.3} µs/frame\n\
-         batched GEMM f32    : {:>9.3} µs/frame  ({:.2}x)\n\
+         batched direct f32  : {:>9.3} µs/frame  ({:.2}x)\n\
          batched fused int8  : {:>9.3} µs/frame  ({:.2}x)",
         per_frame(t_scalar),
         per_frame(t_f32),
@@ -101,6 +117,15 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    let serve_speedup = localizer_serve_speedup();
+    if serve_speedup < LOCALIZER_SPEEDUP {
+        eprintln!(
+            "FAIL: 16x16 localizer speedup {serve_speedup:.2}x is below the required \
+             {LOCALIZER_SPEEDUP}x"
+        );
+        return ExitCode::FAILURE;
+    }
+
     let (t_fwd, t_bwd) = localizer_step_times();
     let ratio = t_bwd.as_secs_f64() / t_fwd.as_secs_f64();
     println!(
@@ -118,9 +143,42 @@ fn main() -> ExitCode {
     }
     println!(
         "nn-bench guard passed: f32 no regression, int8 {speedup:.2}x >= {INT8_SPEEDUP}x, \
+         16x16 localizer {serve_speedup:.2}x >= {LOCALIZER_SPEEDUP}x, \
          backward {ratio:.2}x <= {BWD_OVER_FWD}x forward"
     );
     ExitCode::SUCCESS
+}
+
+/// Speedup of a 16×16 localizer `predict` at batch [`SERVE_BATCH`] over
+/// [`ScalarLocalizer`] (bit-identical by the fixture tests), per pass,
+/// min-of-2.
+fn localizer_serve_speedup() -> f64 {
+    let x = pseudo_tensor(6, &[SERVE_BATCH, 1, SERVE_MESH, SERVE_MESH]);
+    let scalar = ScalarLocalizer::new(KERNELS, 41);
+    let mut model = localizer_model(KERNELS, 41);
+    let t_scalar = min_time(2, || {
+        for _ in 0..SERVE_REF_ITERS {
+            black_box(scalar.predict(&x));
+        }
+    })
+    .as_secs_f64()
+        / SERVE_REF_ITERS as f64;
+    let t_direct = min_time(2, || {
+        for _ in 0..SERVE_ITERS {
+            black_box(model.predict(&x));
+        }
+    })
+    .as_secs_f64()
+        / SERVE_ITERS as f64;
+    let speedup = t_scalar / t_direct;
+    println!(
+        "localizer forward @ {SERVE_MESH}x{SERVE_MESH}, batch {SERVE_BATCH}, min-of-2:\n\
+         scalar seed kernels : {:>9.3} µs/pass\n\
+         direct f32 predict  : {:>9.3} µs/pass  ({speedup:.2}x)",
+        t_scalar * 1e6,
+        t_direct * 1e6,
+    );
+    speedup
 }
 
 /// Min-of-2 forward and backward times of [`TRAIN_ITERS`] localizer training

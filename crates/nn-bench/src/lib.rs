@@ -6,16 +6,18 @@
 //! 1. the **scalar seed kernels** ([`ScalarDetector`] — the original
 //!    per-sample, caching forward path preserved as
 //!    `Conv2d::forward_reference`),
-//! 2. the **blocked im2col/GEMM f32 path** (`Sequential::predict`, bit-
-//!    identical to tier 1 by the `crates/nn` parity suite), and
+//! 2. the **direct f32 path** (`Sequential::predict`, bit-identical to
+//!    tier 1 by the `crates/nn` parity suite), and
 //! 3. the **fused int8 path** (`QuantizedModel::predict`).
 //!
 //! The Criterion benches (`benches/layers.rs`, `benches/batched.rs`) report
 //! per-layer and whole-model numbers; the `nn_bench_guard` binary turns the
-//! two headline claims into a CI gate: batched f32 is no slower than the
-//! scalar seed kernels, and batched int8 reaches ≥4× their throughput at
-//! batch 64. It also gates training: one localizer training step's backward
-//! pass must stay within a fixed multiple of its forward pass.
+//! headline claims into a CI gate: batched f32 is no slower than the scalar
+//! seed kernels, batched int8 reaches ≥4× their throughput at batch 64, and
+//! a 16×16 localizer `predict` at the serve batch reaches ≥30× the scalar
+//! seed kernels ([`ScalarLocalizer`]). It also gates training: one localizer
+//! training step's backward pass must stay within a fixed multiple of its
+//! forward pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,7 +95,7 @@ impl ScalarDetector {
     }
 }
 
-/// The same detector as a [`Sequential`] (blocked GEMM forward path).
+/// The same detector as a [`Sequential`] (direct f32 forward path).
 /// Same seeds as [`ScalarDetector::new`] → bit-identical weights.
 pub fn detector_model(kernels: usize, seed: u64) -> Sequential {
     Sequential::new()
@@ -115,6 +117,34 @@ pub fn localizer_model(kernels: usize, seed: u64) -> Sequential {
         .push(Relu::new())
         .push(Conv2d::new(kernels, 1, 3, Padding::Same, seed + 100))
         .push(Sigmoid::new())
+}
+
+/// The localizer's three convolutions through the scalar seed kernel
+/// (`forward_reference`), with the ReLUs and the sigmoid in between. Seeds
+/// match [`localizer_model`] so both paths hold bit-identical weights.
+pub struct ScalarLocalizer {
+    convs: [Conv2d; 3],
+}
+
+impl ScalarLocalizer {
+    /// Builds the scalar stack with [`localizer_model`]'s seeds.
+    pub fn new(kernels: usize, seed: u64) -> Self {
+        ScalarLocalizer {
+            convs: [
+                Conv2d::new(1, kernels, 3, Padding::Same, seed),
+                Conv2d::new(kernels, kernels, 3, Padding::Same, seed + 1),
+                Conv2d::new(kernels, 1, 3, Padding::Same, seed + 100),
+            ],
+        }
+    }
+
+    /// Segments a `[batch, 1, h, w]` input through the scalar path.
+    pub fn predict(&self, x: &Tensor) -> Tensor {
+        let [c0, c1, c2] = &self.convs;
+        let x = Relu::new().infer(&c0.forward_reference(x));
+        let x = Relu::new().infer(&c1.forward_reference(&x));
+        Sigmoid::new().infer(&c2.forward_reference(&x))
+    }
 }
 
 /// `batch` detector-shaped frames, each `[1, 4, MESH, MESH]`.
@@ -163,6 +193,17 @@ mod tests {
                 b.to_bits(),
                 "guard fixtures diverged: scalar {a} vs batched {b}"
             );
+        }
+    }
+
+    #[test]
+    fn scalar_and_direct_localizers_agree_bitwise() {
+        let x = pseudo_tensor(4, &[4, 1, 16, 16]);
+        let reference = ScalarLocalizer::new(KERNELS, 31).predict(&x);
+        let direct = localizer_model(KERNELS, 31).predict(&x);
+        assert_eq!(direct.shape(), reference.shape());
+        for (a, b) in direct.data().iter().zip(reference.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "scalar {b} vs direct {a}");
         }
     }
 

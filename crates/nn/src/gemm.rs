@@ -1,23 +1,34 @@
-//! im2col + cache-blocked GEMM convolution kernels.
+//! Convolution kernels: a direct f32 forward, a column-matrix f32 backward
+//! and a fused int8 forward.
 //!
 //! The scalar seed kernels walked the convolution with per-element
 //! [`crate::Tensor::get`] calls — every access paying index arithmetic and a
-//! bounds assert. This module lowers the convolution to the classic
-//! im2col/GEMM form instead: the input window around every output pixel is
-//! copied once into a row of a *column matrix* whose rows are contiguous in
-//! the reduction dimension, and the convolution becomes a dense matrix
-//! product between the `[out_channels, K]` weight matrix and the
-//! `[spatial, K]` column matrix, blocked so a tile of column rows stays
-//! resident in L1 while every output channel streams over it.
+//! bounds assert. The kernels here work on contiguous slices instead.
 //!
-//! **Bit-exactness contract:** the f32 kernel accumulates each output element
-//! in exactly the seed kernel's order — starting from the bias and adding
-//! `weight × input` products with the reduction index ascending in
-//! `(in_channel, ky, kx)` order, one accumulator, no FMA, no reassociation —
-//! so [`conv_forward_f32`] is bit-identical to the naive nested loops for
-//! every input. The blocked loop structure only reorders *independent*
-//! output elements, never the summation within one. This is what keeps the
-//! golden report corpus byte-identical while the hot path gets fast.
+//! The f32 forward [`conv_forward_f32`] reads the input directly. Per batch
+//! element it copies the input into a zero-padded buffer of `ph × pw`
+//! planes and computes each output channel over the *wide* `oh × pw` plane:
+//! output `(y, x)` sits at index `y·pw + x`, so tap `(ic, ky, kx)` reads the
+//! buffer at that index plus the fixed offset `ic·ph·pw + ky·pw + kx`, and a
+//! run of consecutive outputs reads one contiguous slice per tap. The kernel
+//! keeps a block of outputs in registers across all taps, then drops the
+//! wide plane's columns `ow..pw`. It vectorizes across the flattened plane,
+//! not one row, so a narrow output (the 8×8 detector's 6-wide plane) is as
+//! fast per output as a wide one.
+//!
+//! [`im2col`] lowers the input to a `[spatial, K]` *column matrix* whose row
+//! `(b, y, x)` is the window feeding that output pixel. Only the backward
+//! kernel (over the matrix `Conv2d::forward` caches) and the int8 kernel use
+//! it.
+//!
+//! **Bit-exactness contract:** [`conv_forward_f32`] accumulates each output
+//! element in exactly the seed kernel's order — starting from the bias and
+//! adding `weight × input` products with the reduction index ascending in
+//! `(in_channel, ky, kx)` order, one accumulator per output, no FMA, no
+//! reassociation — so it is bit-identical to the naive nested loops for
+//! every input. Blocking only reorders *independent* output elements, never
+//! the summation within one. This is what keeps the golden report corpus
+//! byte-identical while the hot path gets fast.
 //!
 //! The training kernel [`conv_backward_f32`] extends the contract to both
 //! gradient orders of the seed's scalar backward loop, which visited upstream
@@ -78,7 +89,7 @@ impl ConvShape {
         self.width + 2 * self.pad - self.kernel + 1
     }
 
-    /// The GEMM reduction length: `in_channels * kernel * kernel`.
+    /// The reduction length: `in_channels * kernel * kernel`.
     pub fn k_dim(&self) -> usize {
         self.in_channels * self.kernel * self.kernel
     }
@@ -89,10 +100,14 @@ impl ConvShape {
     }
 }
 
-/// Column-rows per cache tile. 64 rows × a 3×3×8-channel reduction is ~18 KiB
-/// of f32 — comfortably inside L1/L2 while every output channel streams over
-/// the tile.
+/// Column-rows per cache tile of the int8 kernel. 64 rows × a
+/// 3×3×8-channel reduction is ~4.5 KiB of i8 — comfortably inside L1 while
+/// every output channel streams over the tile.
 const SPATIAL_TILE: usize = 64;
+
+/// Outputs the direct f32 kernel accumulates in registers at once: four SSE
+/// or two AVX vectors.
+const CHUNK: usize = 16;
 
 /// Lowers one NCHW input into its column matrix: row `(b, y, x)` holds the
 /// padded `in_channels × kernel × kernel` window feeding output pixel
@@ -138,35 +153,52 @@ pub fn im2col<T: Copy + Default>(input: &[T], s: &ConvShape) -> Vec<T> {
     col
 }
 
-/// The cache-blocked f32 convolution over the [`im2col`] column matrix
-/// `col`: `weight` is the flat `[out_channels, in_channels, kernel, kernel]`
-/// tensor (row-major — already the `[out_channels, K]` GEMM operand), `bias`
-/// is `[out_channels]`, and the result is the flat
+/// The direct f32 convolution: `input` is the flat
+/// `[batch, in_channels, height, width]` tensor, `weight` the flat
+/// `[out_channels, in_channels, kernel, kernel]` tensor, `bias` is
+/// `[out_channels]`, and the result is the flat
 /// `[batch, out_channels, oh, ow]` output.
 ///
 /// Bit-identical to the scalar seed kernel (see the module docs).
-pub fn conv_forward_f32(col: &[f32], weight: &[f32], bias: &[f32], s: &ConvShape) -> Vec<f32> {
-    let (spatial, k_dim) = (s.spatial(), s.k_dim());
-    let mut out = vec![0.0f32; s.batch * s.out_channels * spatial];
-    for b in 0..s.batch {
-        let col_b = &col[b * spatial * k_dim..][..spatial * k_dim];
-        let out_b = &mut out[b * s.out_channels * spatial..][..s.out_channels * spatial];
-        for tile_start in (0..spatial).step_by(SPATIAL_TILE) {
-            let tile_end = (tile_start + SPATIAL_TILE).min(spatial);
-            for oc in 0..s.out_channels {
-                let w_row = &weight[oc * k_dim..][..k_dim];
-                let bias_oc = bias[oc];
-                let out_row = &mut out_b[oc * spatial..][..spatial];
-                for si in tile_start..tile_end {
-                    let col_row = &col_b[si * k_dim..][..k_dim];
-                    // Single accumulator, reduction index ascending: the
-                    // seed kernel's exact f32 operation sequence.
-                    let mut acc = bias_oc;
-                    for (&w, &v) in w_row.iter().zip(col_row) {
-                        acc += w * v;
+pub fn conv_forward_f32(input: &[f32], weight: &[f32], bias: &[f32], s: &ConvShape) -> Vec<f32> {
+    let (k, oh, ow) = (s.kernel, s.out_height(), s.out_width());
+    let (ph, pw) = (s.height + 2 * s.pad, s.width + 2 * s.pad);
+    let (plane, padded_plane, wide) = (s.height * s.width, ph * pw, oh * pw);
+    // Buffer offset of each tap from its output's wide index, in reduction
+    // order.
+    let taps: Vec<usize> = (0..s.in_channels)
+        .flat_map(|ic| {
+            (0..k).flat_map(move |ky| (0..k).map(move |kx| ic * padded_plane + ky * pw + kx))
+        })
+        .collect();
+    // The last block runs up to `CHUNK - 1` outputs past the wide plane, so
+    // its last taps read up to `k + CHUNK` elements past the last plane.
+    let mut padded = vec![0.0f32; s.in_channels * padded_plane + k + CHUNK];
+    let mut wide_out = vec![0.0f32; wide.next_multiple_of(CHUNK)];
+    let mut out = Vec::with_capacity(s.batch * s.out_channels * oh * ow);
+    for in_b in input.chunks_exact(s.in_channels * plane) {
+        // Only the interior is rewritten; the pad border stays zero.
+        for (ic, in_plane) in in_b.chunks_exact(plane).enumerate() {
+            for (y, row) in in_plane.chunks_exact(s.width).enumerate() {
+                padded[ic * padded_plane + (y + s.pad) * pw + s.pad..][..s.width]
+                    .copy_from_slice(row);
+            }
+        }
+        for (w_oc, &bias_oc) in weight.chunks_exact(s.k_dim()).zip(bias) {
+            for (block, start) in wide_out.chunks_exact_mut(CHUNK).zip((0..).step_by(CHUNK)) {
+                // One accumulator per output, starting from the bias, taps
+                // ascending: the seed kernel's exact f32 operation sequence.
+                let mut acc = [bias_oc; CHUNK];
+                for (&w, &tap) in w_oc.iter().zip(&taps) {
+                    let src = &padded[start + tap..][..CHUNK];
+                    for (a, &v) in acc.iter_mut().zip(src) {
+                        *a += w * v;
                     }
-                    out_row[si] = acc;
                 }
+                block.copy_from_slice(&acc);
+            }
+            for row in wide_out[..wide].chunks_exact(pw) {
+                out.extend_from_slice(&row[..ow]);
             }
         }
     }
@@ -328,6 +360,7 @@ pub fn dense_forward_i8(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{prop_assert, prop_assert_eq, proptest};
 
     /// The scalar seed kernel, re-implemented here as the test oracle.
     fn naive_conv(input: &[f32], weight: &[f32], bias: &[f32], s: &ConvShape) -> Vec<f32> {
@@ -383,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_gemm_is_bit_identical_to_naive_valid_padding() {
+    fn direct_conv_is_bit_identical_to_naive_valid_padding() {
         let s = ConvShape {
             batch: 3,
             in_channels: 2,
@@ -396,7 +429,7 @@ mod tests {
         let input = pseudo(1, s.batch * s.in_channels * s.height * s.width);
         let weight = pseudo(2, s.out_channels * s.k_dim());
         let bias = pseudo(3, s.out_channels);
-        let fast = conv_forward_f32(&im2col(&input, &s), &weight, &bias, &s);
+        let fast = conv_forward_f32(&input, &weight, &bias, &s);
         let slow = naive_conv(&input, &weight, &bias, &s);
         assert_eq!(fast.len(), slow.len());
         for (a, b) in fast.iter().zip(&slow) {
@@ -405,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_gemm_is_bit_identical_to_naive_same_padding() {
+    fn direct_conv_is_bit_identical_to_naive_same_padding() {
         let s = ConvShape {
             batch: 2,
             in_channels: 3,
@@ -418,7 +451,7 @@ mod tests {
         let input = pseudo(7, s.batch * s.in_channels * s.height * s.width);
         let weight = pseudo(8, s.out_channels * s.k_dim());
         let bias = pseudo(9, s.out_channels);
-        let fast = conv_forward_f32(&im2col(&input, &s), &weight, &bias, &s);
+        let fast = conv_forward_f32(&input, &weight, &bias, &s);
         let slow = naive_conv(&input, &weight, &bias, &s);
         for (a, b) in fast.iter().zip(&slow) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -427,7 +460,8 @@ mod tests {
 
     #[test]
     fn spatial_sizes_beyond_one_tile_still_match() {
-        // spatial = 14*13 = 182 > SPATIAL_TILE: exercises the tile seams.
+        // A 14×15 wide plane is 210 outputs: 13 full blocks and a partial
+        // one that reads into the buffer's slack.
         let s = ConvShape {
             batch: 1,
             in_channels: 1,
@@ -440,10 +474,76 @@ mod tests {
         let input = pseudo(11, s.height * s.width);
         let weight = pseudo(12, s.out_channels * s.k_dim());
         let bias = pseudo(13, s.out_channels);
-        let fast = conv_forward_f32(&im2col(&input, &s), &weight, &bias, &s);
+        let fast = conv_forward_f32(&input, &weight, &bias, &s);
         let slow = naive_conv(&input, &weight, &bias, &s);
         for (a, b) in fast.iter().zip(&slow) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// Values the direct kernel must round exactly like the oracle: signed
+    /// zero, subnormals and infinities.
+    const SPECIALS: [f32; 6] = [
+        -0.0,
+        f32::MIN_POSITIVE / 2.0,
+        -f32::MIN_POSITIVE / 4.0,
+        f32::from_bits(1),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+
+    /// Overwrites every `every`-th element of `v` with the next special value.
+    fn sprinkle_specials(v: &mut [f32], every: usize, offset: usize) {
+        for (i, x) in v.iter_mut().enumerate().skip(offset % every).step_by(every) {
+            *x = SPECIALS[(i / every) % SPECIALS.len()];
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn direct_conv_is_bit_identical_to_naive_on_random_shapes(
+            batch in 1usize..6,
+            in_channels in 1usize..10,
+            out_channels in 1usize..10,
+            height in 1usize..21,
+            width in 1usize..21,
+            kernel_pick in 0usize..3,
+            pad_pick in 0usize..3,
+            special_every in 2usize..40,
+            zero_input in 0u8..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let kernel = [1, 3, 5][kernel_pick];
+            let pad = pad_pick % (kernel / 2 + 1);
+            // The padded input must hold at least one kernel window.
+            let min_side = kernel - 2 * pad;
+            let s = ConvShape {
+                batch,
+                in_channels,
+                height: height.max(min_side),
+                width: width.max(min_side),
+                out_channels,
+                kernel,
+                pad,
+            };
+            let mut input = pseudo(seed, s.batch * s.in_channels * s.height * s.width);
+            let mut weight = pseudo(seed + 1, s.out_channels * s.k_dim());
+            let mut bias = pseudo(seed + 2, s.out_channels);
+            if zero_input == 0 {
+                // With a -0.0 input and positive weights every product is
+                // -0.0, so a sum stays -0.0 from a -0.0 bias until a +0.0
+                // padding tap flips it: this exposes any sign-of-zero slip.
+                input.fill(-0.0);
+                weight.iter_mut().for_each(|w| *w = w.abs());
+            }
+            sprinkle_specials(&mut input, special_every, seed as usize);
+            sprinkle_specials(&mut bias, 2, seed as usize);
+            let fast = conv_forward_f32(&input, &weight, &bias, &s);
+            let slow = naive_conv(&input, &weight, &bias, &s);
+            prop_assert_eq!(fast.len(), slow.len());
+            for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
+                prop_assert!(a.to_bits() == b.to_bits(), "output {i} of {s:?}: {a} vs {b}");
+            }
         }
     }
 
@@ -461,7 +561,7 @@ mod tests {
         let input = pseudo(21, s.batch * s.in_channels * s.height * s.width);
         let weight = pseudo(22, s.out_channels * s.k_dim());
         let bias = pseudo(23, s.out_channels);
-        let f32_out = conv_forward_f32(&im2col(&input, &s), &weight, &bias, &s);
+        let f32_out = conv_forward_f32(&input, &weight, &bias, &s);
 
         let in_scale = crate::quantize::symmetric_scale_i8(&input);
         let w_scale = crate::quantize::symmetric_scale_i8(&weight);

@@ -112,7 +112,18 @@ impl Layer for Sigmoid {
             .cached_output
             .as_ref()
             .expect("backward called before forward");
-        out.zip(grad_output, |y, g| g * y * (1.0 - y))
+        // A saturated sigmoid drives `g · y · (1 − y)` below
+        // `f32::MIN_POSITIVE`. Flush those subnormals to zero: every later
+        // product formed with one takes the slow microcode path, and the
+        // conv backward kernels skip exact-zero gradients.
+        out.zip(grad_output, |y, g| {
+            let v = g * y * (1.0 - y);
+            if v.abs() < f32::MIN_POSITIVE {
+                0.0
+            } else {
+                v
+            }
+        })
     }
 
     fn export(&self) -> LayerExport {
@@ -165,6 +176,19 @@ mod tests {
         s.forward(&Tensor::from_vec(vec![0.0], &[1]));
         let g = s.backward(&Tensor::ones(&[1]));
         assert!((g.data()[0] - 0.25).abs() < 1e-6);
+    }
+
+    #[test]
+    fn saturated_sigmoid_backward_flushes_subnormals_to_zero() {
+        let mut s = Sigmoid::new();
+        s.forward(&Tensor::from_vec(vec![-90.0, -100.0, 90.0], &[3]));
+        let g = s.backward(&Tensor::from_vec(vec![1.0, -1.0, 1.0], &[3]));
+        // Unflushed, the first two would be subnormal: y ≈ e^-90 and e^-100.
+        let y = sigmoid_scalar(-90.0);
+        assert!(y > 0.0 && y * (1.0 - y) < f32::MIN_POSITIVE);
+        for &v in g.data() {
+            assert_eq!(v.to_bits(), 0.0f32.to_bits(), "got {v:e}, want +0.0");
+        }
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl Conv2d {
     }
 
     /// Validates the input against the layer configuration and derives the
-    /// kernel geometry shared by the f32 and int8 GEMM paths.
+    /// kernel geometry shared by the f32 and int8 paths.
     fn conv_shape(&self, input: &Tensor) -> ConvShape {
         let (n, c, h, w) = dims4(input);
         assert_eq!(
@@ -160,16 +160,16 @@ impl Conv2d {
         }
     }
 
-    /// Runs the GEMM over an [`gemm::im2col`] column matrix of `s`.
-    fn output(&self, col: &[f32], s: &ConvShape) -> Tensor {
-        let out = gemm::conv_forward_f32(col, self.weight.data(), self.bias.data(), s);
+    /// Runs the direct f32 kernel over `input` of geometry `s`.
+    fn output(&self, input: &Tensor, s: &ConvShape) -> Tensor {
+        let out = gemm::conv_forward_f32(input.data(), self.weight.data(), self.bias.data(), s);
         Tensor::from_vec(
             out,
             &[s.batch, self.out_channels, s.out_height(), s.out_width()],
         )
     }
 
-    /// The scalar seed kernel, kept as the oracle the GEMM path is proven
+    /// The scalar seed kernel, kept as the oracle the direct kernel is proven
     /// bit-identical against (property tests) and as the baseline the
     /// `nn-bench` suite measures speedups from. Not used on any hot path.
     pub fn forward_reference(&self, input: &Tensor) -> Tensor {
@@ -237,15 +237,13 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let s = self.conv_shape(input);
-        let col = gemm::im2col(input.data(), &s);
-        let out = self.output(&col, &s);
-        self.cached_col = Some((s, col));
-        out
+        self.cached_col = Some((s, gemm::im2col(input.data(), &s)));
+        self.output(input, &s)
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
         let s = self.conv_shape(input);
-        self.output(&gemm::im2col(input.data(), &s), &s)
+        self.output(input, &s)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -537,7 +535,7 @@ mod tests {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "GEMM path drifted from seed kernel"
+                    "direct kernel drifted from seed kernel"
                 );
             }
         }
@@ -545,13 +543,31 @@ mod tests {
 
     #[test]
     fn infer_matches_forward_without_caching() {
-        let mut conv = Conv2d::new(2, 3, 3, Padding::Same, 9);
-        let x = crate::init::Init::XavierUniform.make(&[1, 2, 6, 6], 18, 18, 4);
-        let from_infer = conv.infer(&x);
-        assert!(conv.cached_col.is_none(), "infer must not cache");
-        let from_forward = conv.forward(&x);
-        assert!(conv.cached_col.is_some(), "forward must cache");
-        assert_eq!(from_infer.data(), from_forward.data());
+        // A small Same conv, then the 16×16 production shapes: localizer
+        // 1→8, 8→8, 8→1 Same at batch 4 (the four directional frames) and
+        // the detector's 4→8 Valid on 16×15 frames.
+        let shapes = [
+            (2, 3, Padding::Same, [1, 2, 6, 6]),
+            (1, 8, Padding::Same, [4, 1, 16, 16]),
+            (8, 8, Padding::Same, [4, 8, 16, 16]),
+            (8, 1, Padding::Same, [4, 8, 16, 16]),
+            (4, 8, Padding::Valid, [8, 4, 16, 15]),
+        ];
+        for (i, &(ic, oc, padding, in_shape)) in shapes.iter().enumerate() {
+            let seed = 60 + i as u64;
+            let mut conv = Conv2d::new(ic, oc, 3, padding, seed);
+            let x = Init::XavierUniform.make(&in_shape, 9, 9, seed + 100);
+            let from_infer = conv.infer(&x);
+            assert!(conv.cached_col.is_none(), "infer must not cache");
+            let from_forward = conv.forward(&x);
+            assert!(conv.cached_col.is_some(), "forward must cache");
+            assert_bits_eq(&from_infer, &from_forward, "infer vs forward");
+            assert_bits_eq(
+                &from_infer,
+                &conv.forward_reference(&x),
+                "infer vs reference",
+            );
+        }
     }
 
     #[test]

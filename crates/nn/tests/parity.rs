@@ -1,8 +1,8 @@
-//! Parity suite for the im2col/GEMM forward path.
+//! Parity suite for the direct f32 and fused int8 forward paths.
 //!
 //! Two contracts are enforced here:
 //!
-//! 1. **Bit-exactness of f32.** The blocked GEMM convolution and the batched
+//! 1. **Bit-exactness of f32.** The direct convolution kernel and the batched
 //!    `Sequential::predict` path must reproduce the scalar seed kernels
 //!    *bit-for-bit* over arbitrary shapes and batch sizes — this is what
 //!    keeps the golden report corpus byte-identical after the kernel swap.
