@@ -381,9 +381,15 @@ impl Dl2Fence {
     /// Samples the live network and analyses the current monitoring window.
     /// The caller is responsible for resetting BOC counters between windows.
     pub fn monitor(&mut self, network: &Network) -> FenceReport {
-        let det = FrameSampler::sample(network, self.config.detection_feature);
-        let loc = FrameSampler::sample(network, self.config.localization_feature);
-        self.analyze_frames(&det, &loc)
+        let (vco, boc) = FrameSampler::sample_both(network);
+        let frames = |kind| match kind {
+            FeatureKind::Vco => &vco,
+            FeatureKind::Boc => &boc,
+        };
+        self.analyze_frames(
+            frames(self.config.detection_feature),
+            frames(self.config.localization_feature),
+        )
     }
 }
 

@@ -14,33 +14,41 @@ pub struct FrameSampler;
 impl FrameSampler {
     /// Samples the four cardinal-direction frames of the requested feature.
     pub fn sample(network: &Network, kind: FeatureKind) -> DirectionalFrames {
-        let rows = network.topology().rows();
-        let cols = network.topology().cols();
-        let frames = Direction::CARDINAL
-            .into_iter()
-            .map(|dir| {
-                let mut frame = FeatureFrame::zeros(dir, kind, rows, cols);
-                for router in network.routers() {
-                    let id = router.id();
-                    let (x, y) = (id.0 % cols, id.0 / cols);
-                    let value = match kind {
-                        FeatureKind::Vco => router.vco(dir).unwrap_or(0.0),
-                        FeatureKind::Boc => router.boc(dir).unwrap_or(0) as f32,
-                    };
-                    frame.set(x, y, value);
-                }
-                frame
-            })
-            .collect();
-        DirectionalFrames::new(frames)
+        let (vco, boc) = Self::sample_both(network);
+        match kind {
+            FeatureKind::Vco => vco,
+            FeatureKind::Boc => boc,
+        }
     }
 
-    /// Samples both features at once (VCO first, BOC second).
+    /// Samples both features at once (VCO first, BOC second) in one pass
+    /// over the nodes. Frame data is row-major over `y · cols + x`, which is
+    /// the node id, so pixel `id` is the port of node `id`; a missing port
+    /// leaves its pixel 0.
     pub fn sample_both(network: &Network) -> (DirectionalFrames, DirectionalFrames) {
-        (
-            Self::sample(network, FeatureKind::Vco),
-            Self::sample(network, FeatureKind::Boc),
-        )
+        let topology = network.topology();
+        let (rows, cols) = (topology.rows(), topology.cols());
+        let mut vco = [(); 4].map(|_| vec![0.0f32; rows * cols]);
+        let mut boc = vco.clone();
+        for id in topology.nodes() {
+            for (d, dir) in Direction::CARDINAL.into_iter().enumerate() {
+                if let Some(v) = network.vco(id, dir) {
+                    vco[d][id.0] = v;
+                }
+                if let Some(b) = network.boc(id, dir) {
+                    boc[d][id.0] = b as f32;
+                }
+            }
+        }
+        let frames = |kind, planes: [Vec<f32>; 4]| {
+            let frames = Direction::CARDINAL.into_iter().zip(planes);
+            DirectionalFrames::new(
+                frames
+                    .map(|(dir, data)| FeatureFrame::new(dir, kind, rows, cols, data))
+                    .collect(),
+            )
+        };
+        (frames(FeatureKind::Vco, vco), frames(FeatureKind::Boc, boc))
     }
 }
 
@@ -133,6 +141,26 @@ mod tests {
         scenario.network_mut().reset_boc();
         let after = FrameSampler::sample(scenario.network(), FeatureKind::Boc);
         assert_eq!(after.max_value(), 0.0);
+    }
+
+    #[test]
+    fn sample_both_matches_per_port_reads() {
+        let mut scenario = attacked_scenario();
+        scenario.run(1_500);
+        let net = scenario.network();
+        let (vco, boc) = FrameSampler::sample_both(net);
+        assert_eq!(vco, FrameSampler::sample(net, FeatureKind::Vco));
+        assert_eq!(boc, FrameSampler::sample(net, FeatureKind::Boc));
+        let cols = net.topology().cols();
+        for id in net.topology().nodes() {
+            let (x, y) = (id.0 % cols, id.0 / cols);
+            for dir in Direction::CARDINAL {
+                assert_eq!(vco.frame(dir).get(x, y), net.vco(id, dir).unwrap_or(0.0));
+                let b = net.boc(id, dir).map_or(0.0, |b| b as f32);
+                assert_eq!(boc.frame(dir).get(x, y), b);
+            }
+        }
+        assert!(boc.max_value() > 0.0);
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //!    through the scalar seed kernel.
 //! 4. **Backward bound** — the localizer's backward pass must take at most
 //!    [`BWD_OVER_FWD`]× its forward pass.
+//! 5. **Saturated tail** — with the output sigmoid saturated, so that every
+//!    upstream gradient `g · y · (1 − y)` would be subnormal, the
+//!    localizer's backward pass must take at most [`SATURATED_OVER_PLAIN`]×
+//!    the unsaturated one. `Sigmoid::backward` flushes those gradients to
+//!    zero; unflushed, every product formed with them takes the slow
+//!    subnormal path.
 //!
 //! Exits non-zero with a diagnostic when any bound is violated.
 
@@ -54,6 +60,15 @@ const TRAIN_ITERS: usize = 200;
 /// the ~0.4–0.7× the slice kernels measure on a 2-vCPU x86-64 VM, where the
 /// seed's scalar backward loop measured ~30×.
 const BWD_OVER_FWD: f64 = 2.0;
+/// Output-convolution bias that saturates the localizer's sigmoid: every
+/// pre-activation lands near −95, where `σ` is subnormal (between
+/// `e^−103` and `e^−87`), and so is each upstream gradient.
+const SATURATING_BIAS: f32 = -95.0;
+/// Ceiling on a saturated localizer step's backward time over an
+/// unsaturated one's. On a 2-vCPU x86-64 VM the saturated backward
+/// measured ~0.9× with the flush (it runs on exact zeros) and 23–34×
+/// without it.
+const SATURATED_OVER_PLAIN: f64 = 2.0;
 
 fn main() -> ExitCode {
     let frames = detector_frames(BATCH, 9);
@@ -126,7 +141,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let (t_fwd, t_bwd) = localizer_step_times();
+    let (t_fwd, t_bwd) = localizer_step_times(false);
     let ratio = t_bwd.as_secs_f64() / t_fwd.as_secs_f64();
     println!(
         "localizer training step @ batch {TRAIN_BATCH}, min-of-2 ({TRAIN_ITERS} iters/run):\n\
@@ -141,10 +156,25 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+    let (_, t_sat) = localizer_step_times(true);
+    let saturated = t_sat.as_secs_f64() / t_bwd.as_secs_f64();
+    println!(
+        "saturated output sigmoid (bias {SATURATING_BIAS}):\n\
+         backward : {:>9.3} µs/step  ({saturated:.2}x unsaturated)",
+        t_sat.as_secs_f64() / TRAIN_ITERS as f64 * 1e6,
+    );
+    if saturated > SATURATED_OVER_PLAIN {
+        eprintln!(
+            "FAIL: a saturated localizer backward takes {saturated:.2}x an unsaturated one, \
+             above the {SATURATED_OVER_PLAIN}x bound: subnormal gradients are not flushed"
+        );
+        return ExitCode::FAILURE;
+    }
     println!(
         "nn-bench guard passed: f32 no regression, int8 {speedup:.2}x >= {INT8_SPEEDUP}x, \
          16x16 localizer {serve_speedup:.2}x >= {LOCALIZER_SPEEDUP}x, \
-         backward {ratio:.2}x <= {BWD_OVER_FWD}x forward"
+         backward {ratio:.2}x <= {BWD_OVER_FWD}x forward, \
+         saturated backward {saturated:.2}x <= {SATURATED_OVER_PLAIN}x unsaturated"
     );
     ExitCode::SUCCESS
 }
@@ -182,11 +212,23 @@ fn localizer_serve_speedup() -> f64 {
 }
 
 /// Min-of-2 forward and backward times of [`TRAIN_ITERS`] localizer training
-/// steps, each phase summed over the steps of one run.
-fn localizer_step_times() -> (Duration, Duration) {
+/// steps, each phase summed over the steps of one run; with `saturate`, the
+/// output convolution's bias is [`SATURATING_BIAS`].
+fn localizer_step_times(saturate: bool) -> (Duration, Duration) {
     let x = pseudo_tensor(5, &[TRAIN_BATCH, 1, MESH, MESH]);
     let mut model = localizer_model(KERNELS, 31);
-    let grad = Tensor::ones(model.forward(&x).shape());
+    if saturate {
+        // The last parameter is the output convolution's bias.
+        let mut params = model.params_mut();
+        let (bias, _) = params.last_mut().expect("the localizer has parameters");
+        bias.data_mut().fill(SATURATING_BIAS);
+    }
+    let out = model.forward(&x);
+    assert!(
+        !saturate || out.data().iter().all(|&y| y > 0.0 && y < f32::MIN_POSITIVE),
+        "the saturated fixture must put every sigmoid output in the subnormal range"
+    );
+    let grad = Tensor::ones(out.shape());
     let mut run = || {
         let (mut fwd, mut bwd) = (Duration::ZERO, Duration::ZERO);
         for _ in 0..TRAIN_ITERS {

@@ -97,35 +97,42 @@ pub struct Flit {
 }
 
 impl Packet {
-    /// Serializes the packet into its flits.
+    /// Number of flits the packet serializes into: `length_flits`, and at
+    /// least one.
+    pub fn flit_count(&self) -> usize {
+        self.length_flits.max(1)
+    }
+
+    /// Flit `i` of the packet, stamped with the head-injection cycle
+    /// `injected_at`. This is the one definition of a packet's flits: a
+    /// single-flit packet is one [`FlitKind::HeadTail`] flit; longer packets
+    /// are `Head`, `Body`*, `Tail`.
     ///
-    /// A single-flit packet yields one [`FlitKind::HeadTail`] flit; longer
-    /// packets yield `Head`, `Body`*, `Tail`.
-    pub fn to_flits(&self) -> Vec<Flit> {
-        let n = self.length_flits.max(1);
-        (0..n)
-            .map(|i| {
-                let kind = if n == 1 {
-                    FlitKind::HeadTail
-                } else if i == 0 {
-                    FlitKind::Head
-                } else if i == n - 1 {
-                    FlitKind::Tail
-                } else {
-                    FlitKind::Body
-                };
-                Flit {
-                    packet: self.id,
-                    kind,
-                    sequence: i,
-                    src: self.src,
-                    dst: self.dst,
-                    created_at: self.created_at,
-                    injected_at: 0,
-                    class: self.class,
-                }
-            })
-            .collect()
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`Packet::flit_count`].
+    pub fn flit(&self, i: usize, injected_at: u64) -> Flit {
+        let n = self.flit_count();
+        assert!(i < n, "flit {i} of a {n}-flit packet");
+        let kind = if n == 1 {
+            FlitKind::HeadTail
+        } else if i == 0 {
+            FlitKind::Head
+        } else if i == n - 1 {
+            FlitKind::Tail
+        } else {
+            FlitKind::Body
+        };
+        Flit {
+            packet: self.id,
+            kind,
+            sequence: i,
+            src: self.src,
+            dst: self.dst,
+            created_at: self.created_at,
+            injected_at,
+            class: self.class,
+        }
     }
 }
 
@@ -144,9 +151,13 @@ mod tests {
         }
     }
 
+    fn flits(p: &Packet) -> Vec<Flit> {
+        (0..p.flit_count()).map(|i| p.flit(i, 7)).collect()
+    }
+
     #[test]
     fn multi_flit_packet_structure() {
-        let flits = packet(5).to_flits();
+        let flits = flits(&packet(5));
         assert_eq!(flits.len(), 5);
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert_eq!(flits[4].kind, FlitKind::Tail);
@@ -156,7 +167,7 @@ mod tests {
 
     #[test]
     fn single_flit_packet_is_head_tail() {
-        let flits = packet(1).to_flits();
+        let flits = flits(&packet(1));
         assert_eq!(flits.len(), 1);
         assert_eq!(flits[0].kind, FlitKind::HeadTail);
         assert!(flits[0].kind.is_head());
@@ -165,8 +176,15 @@ mod tests {
 
     #[test]
     fn zero_length_packet_still_yields_one_flit() {
-        let flits = packet(0).to_flits();
-        assert_eq!(flits.len(), 1);
+        let p = packet(0);
+        assert_eq!(p.flit_count(), 1);
+        assert_eq!(p.flit(0, 0).kind, FlitKind::HeadTail);
+    }
+
+    #[test]
+    #[should_panic(expected = "flit 2 of a 2-flit packet")]
+    fn flit_index_past_the_tail_panics() {
+        packet(2).flit(2, 0);
     }
 
     #[test]
@@ -184,10 +202,12 @@ mod tests {
             class: TrafficClass::Malicious,
             ..packet(3)
         };
-        for f in p.to_flits() {
+        for f in flits(&p) {
+            assert_eq!(f.packet, p.id);
             assert_eq!(f.src, p.src);
             assert_eq!(f.dst, p.dst);
             assert_eq!(f.created_at, p.created_at);
+            assert_eq!(f.injected_at, 7);
             assert_eq!(f.class, TrafficClass::Malicious);
         }
     }

@@ -14,8 +14,15 @@
 //!   deadlock-free),
 //! * per-input-port **buffer operation counters** (BOC) and instantaneous
 //!   **virtual-channel occupancy** (VCO) — the two features DL2Fence samples,
+//!   read with [`Network::boc`] and [`Network::vco`],
 //! * packet/flit latency accounting split into queueing and network
 //!   components (used to reproduce Figure 1).
+//!
+//! There are no router objects: [`Network`] keeps every input port, VC
+//! and flit buffer in one flat arena (port `node * 5 + dir`, VC
+//! `port * vcs + v`, a ring of 32-byte flit slots per VC), with bit masks
+//! of the ports and VCs that hold flits, and builds each [`Flit`] from its
+//! [`Packet`] ([`Packet::flit`]) as the network interface sends it.
 //!
 //! The node numbering convention follows the paper's Table-Like Method:
 //! node `id = y * cols + x`, the **East** neighbour is `id + 1`, **West** is
@@ -42,18 +49,103 @@ pub mod config;
 pub mod flit;
 pub mod network;
 pub mod power;
-pub mod router;
 pub mod stats;
 pub mod topology;
-pub mod vc;
+mod vc;
 
 pub use config::NocConfig;
 pub use flit::{Flit, FlitKind, Packet, PacketId};
 pub use network::Network;
 pub use power::{EnergyModel, EnergyReport};
-pub use router::Router;
 pub use stats::{LatencyStats, NetworkStats};
 pub use topology::{Coord, Direction, NodeId, Topology, TopologyError, TopologyKind};
+
+// Which input ports a router has is `Topology::has_input_port`, read
+// through `Network`; these tests keep their historical `router::tests`
+// paths.
+#[cfg(test)]
+mod router {
+    mod tests {
+        use crate::{Direction, Network, NocConfig, NodeId};
+
+        /// The input ports node `id` of `net` has, in `Direction::ALL` order.
+        fn ports(net: &Network, id: usize) -> Vec<Direction> {
+            Direction::ALL
+                .into_iter()
+                .filter(|&d| net.vco(NodeId(id), d).is_some())
+                .collect()
+        }
+
+        #[test]
+        fn corner_router_has_three_ports() {
+            // Node 0: East + North + Local.
+            let net = Network::new(NocConfig::mesh(4, 4));
+            assert_eq!(
+                ports(&net, 0),
+                [Direction::East, Direction::North, Direction::Local]
+            );
+        }
+
+        #[test]
+        fn interior_router_has_five_ports() {
+            let net = Network::new(NocConfig::mesh(4, 4));
+            assert_eq!(ports(&net, 5).len(), 5);
+        }
+
+        #[test]
+        fn torus_corner_router_has_five_ports() {
+            let net = Network::new(NocConfig::torus(4, 4));
+            assert_eq!(ports(&net, 0).len(), 5);
+        }
+
+        #[test]
+        fn ring_router_has_three_ports() {
+            let net = Network::new(NocConfig::ring(4, 4));
+            assert_eq!(
+                ports(&net, 7),
+                [Direction::East, Direction::West, Direction::Local]
+            );
+        }
+
+        #[test]
+        fn vco_of_missing_port_is_none() {
+            let net = Network::new(NocConfig::mesh(4, 4));
+            assert_eq!(net.vco(NodeId(0), Direction::West), None);
+            assert_eq!(net.boc(NodeId(0), Direction::West), None);
+            assert_eq!(net.vco(NodeId(0), Direction::East), Some(0.0));
+            assert_eq!(net.boc(NodeId(0), Direction::East), Some(0));
+        }
+
+        #[test]
+        fn boc_reset_clears_all_ports() {
+            // A packet 5 -> 6 -> 7 writes and reads node 5's Local port and
+            // node 6's West port.
+            let mut net = Network::new(NocConfig::mesh(4, 4));
+            net.enqueue_packet(NodeId(5), NodeId(7), 0);
+            net.run(50);
+            assert_eq!(net.stats().packets_received, 1);
+            let flits = net.config().flits_per_packet as u64;
+            assert_eq!(net.boc(NodeId(5), Direction::Local), Some(2 * flits));
+            assert_eq!(net.boc(NodeId(6), Direction::West), Some(2 * flits));
+            net.reset_boc();
+            for id in net.topology().nodes() {
+                for dir in Direction::ALL {
+                    assert!(matches!(net.boc(id, dir), Some(0) | None));
+                }
+            }
+        }
+
+        #[test]
+        fn port_directions_lists_existing_ports_only() {
+            // SE corner: West, North, Local.
+            let net = Network::new(NocConfig::mesh(4, 4));
+            assert_eq!(
+                ports(&net, 3),
+                [Direction::North, Direction::West, Direction::Local]
+            );
+        }
+    }
+}
 
 // XY routing lives in `Topology::next_hop`; its tests keep their historical
 // `routing::tests` paths.

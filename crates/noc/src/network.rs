@@ -1,16 +1,22 @@
 //! The cycle-level network simulation engine.
 
 use crate::config::NocConfig;
-use crate::flit::{Flit, Packet, PacketId, TrafficClass};
-use crate::router::Router;
+use crate::flit::{Packet, PacketId, TrafficClass};
 use crate::stats::NetworkStats;
 use crate::topology::{Direction, NodeId, Topology};
+use crate::vc::{port_id, rotated_bits, Slot, VcArena};
 use std::collections::VecDeque;
 
-/// A packet currently being serialized into its source router's local port.
+/// A packet being serialized into its source router's local port: the NI
+/// builds each flit when it sends it.
 #[derive(Debug, Clone)]
 struct PendingInjection {
-    flits: VecDeque<Flit>,
+    packet: Packet,
+    /// Index of the next flit to send.
+    next: usize,
+    /// Cycle at which the head flit entered the router fabric.
+    injected_at: u64,
+    /// The local-port VC the packet holds.
     vc: usize,
 }
 
@@ -23,38 +29,6 @@ struct Link {
     /// upper half of the VCs on a wraparound (dateline) link with at least
     /// two VCs, otherwise 0.
     min_vc: usize,
-}
-
-/// Buffered-flit counts per router and per input port, updated at every
-/// push and pop so switch traversal can skip what holds no flit.
-#[derive(Debug, Clone)]
-struct Occupancy {
-    /// Flits buffered in each router, by node id.
-    router: Vec<u32>,
-    /// Flits buffered in each input port, indexed `[node][direction]`;
-    /// always 0 for a port the router does not have.
-    port: Vec<[u32; 5]>,
-}
-
-impl Occupancy {
-    fn new(node_count: usize) -> Self {
-        Occupancy {
-            router: vec![0; node_count],
-            port: vec![[0; 5]; node_count],
-        }
-    }
-
-    /// Books one flit written into the input port `dir` of `node`.
-    fn push(&mut self, node: usize, dir: Direction) {
-        self.router[node] += 1;
-        self.port[node][dir.index()] += 1;
-    }
-
-    /// Books one flit read out of the input port `dir` of `node`.
-    fn pop(&mut self, node: usize, dir: Direction) {
-        self.router[node] -= 1;
-        self.port[node][dir.index()] -= 1;
-    }
 }
 
 /// A fully simulated NoC (mesh, torus or ring — see [`Topology`]).
@@ -76,35 +50,52 @@ impl Occupancy {
 ///
 ///    Routers are visited in node order, and inside a router the input
 ///    ports and their VCs in a rotation that advances with the cycle
-///    (`cycle % 5`, `cycle % vcs`) for fairness. Only routers and input
-///    ports that hold flits are visited: the network counts the flits
-///    buffered per router and per port. The skip is exact, because a VC
-///    with no flit has nothing to route, allocate or move, so visiting it
-///    changes no state; and a flit written during this cycle (injected, or
-///    forwarded by a router visited earlier) cannot move before the next
-///    one, so a port that only holds such flits has nothing to do either.
+///    (`cycle % 5`, `cycle % vcs`) for fairness. Only the routers, input
+///    ports and VCs that hold flits are visited: the network keeps bit
+///    masks of them. The skip is exact, because a VC with no flit has
+///    nothing to route, allocate or move, so visiting it changes no state;
+///    and a flit written during this cycle (injected, or forwarded by a
+///    router visited earlier) cannot move before the next one, so a port
+///    that only holds such flits has nothing to do either.
 /// 3. **Ejection** — flits whose route terminates here are consumed and
 ///    accounted in [`NetworkStats`].
+///
+/// # Memory layout
+///
+/// Router state lives in one flat arena rather than in per-router objects:
+/// input port `node * 5 + dir`, VC `port * vcs + v`, and a ring of
+/// `buffer_depth` flit slots per VC at `vc * buffer_depth`. VC state (ring
+/// head and length, route, downstream VC, ownership), per-port BOC, the
+/// per-port masks of VCs holding flits and the per-router masks of ports
+/// holding flits are flat arrays too.
+/// A buffered flit keeps only what the engine reads (kind, destination,
+/// class and three cycle stamps) in 32 bytes, and the network interface
+/// builds each flit from its [`Packet`] when it sends it. The per-port
+/// features are read through [`Network::vco`], [`Network::boc`] and
+/// [`Network::buffered_flits`].
 ///
 /// # Examples
 ///
 /// ```
-/// use noc_sim::{Network, NocConfig, NodeId};
+/// use noc_sim::{Direction, Network, NocConfig, NodeId};
 ///
 /// let mut net = Network::new(NocConfig::mesh(4, 4));
 /// net.enqueue_packet(NodeId(0), NodeId(15), 0);
 /// net.run(300);
 /// assert_eq!(net.stats().packets_received, 1);
 /// assert!(net.stats().packet_latency.mean() > 0.0);
+/// // Node 0 is the south-west corner: it has no West input port.
+/// assert_eq!(net.vco(NodeId(0), Direction::West), None);
+/// assert_eq!(net.vco(NodeId(0), Direction::East), Some(0.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Network {
     config: NocConfig,
-    routers: Vec<Router>,
-    /// Output links of every router, indexed `[node][direction]`; `None`
-    /// where the topology has no neighbour that way (and for `Local`).
-    links: Vec<[Option<Link>; 5]>,
-    occupancy: Occupancy,
+    arena: VcArena,
+    /// Output links by port index (`node * 5 + dir`); `None` where the
+    /// topology has no neighbour that way (and for `Local`). A router has
+    /// the input port `dir` exactly when it has the output link `dir`.
+    links: Vec<Option<Link>>,
     injection_queues: Vec<VecDeque<Packet>>,
     pending: Vec<Option<PendingInjection>>,
     stats: NetworkStats,
@@ -114,16 +105,20 @@ pub struct Network {
 
 impl Network {
     /// Builds a network from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vcs_per_port` is zero or above 64 (one bit per VC in a
+    /// port's mask), if `buffer_depth` is zero or above `u16::MAX` (the
+    /// 16-bit ring indices), or if the topology has more than `u32::MAX`
+    /// nodes.
     pub fn new(config: NocConfig) -> Self {
         let topology = &config.topology;
-        let routers = topology
-            .nodes()
-            .map(|id| Router::new(id, &config))
-            .collect();
         let vcs = config.vcs_per_port;
+        let arena = VcArena::new(config.node_count(), vcs, config.buffer_depth);
         let links = topology
             .nodes()
-            .map(|id| {
+            .flat_map(|id| {
                 Direction::ALL.map(|dir| {
                     topology.neighbor(id, dir).map(|to| Link {
                         to: to.0,
@@ -138,9 +133,8 @@ impl Network {
             .collect();
         let n = config.node_count();
         Network {
-            routers,
+            arena,
             links,
-            occupancy: Occupancy::new(n),
             injection_queues: vec![VecDeque::new(); n],
             pending: vec![None; n],
             stats: NetworkStats::new(n),
@@ -170,18 +164,48 @@ impl Network {
         &self.stats
     }
 
-    /// The router of node `id`.
+    /// Instantaneous Virtual Channel Occupancy of input port `dir` of
+    /// `node`: the fraction of its VCs that a packet owns or that hold
+    /// flits, in `[0, 1]`. This is the feature DL2Fence samples for
+    /// detection. `None` if the router has no such port: mesh edge and
+    /// corner routers lack the outward-facing ports, ring routers have only
+    /// East, West and Local.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is outside the topology.
-    pub fn router(&self, id: NodeId) -> &Router {
-        &self.routers[id.0]
+    /// Panics if `node` is outside the topology.
+    pub fn vco(&self, node: NodeId, dir: Direction) -> Option<f32> {
+        self.port(node, dir).map(|port| self.arena.vco(port))
     }
 
-    /// Iterates over all routers in node-id order.
-    pub fn routers(&self) -> impl Iterator<Item = &Router> {
-        self.routers.iter()
+    /// Cumulative Buffer Operation Count (reads + writes) of input port
+    /// `dir` of `node` since the last [`Network::reset_boc`], or `None` if
+    /// the router has no such port. This is the feature DL2Fence samples
+    /// for localization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the topology.
+    pub fn boc(&self, node: NodeId, dir: Direction) -> Option<u64> {
+        self.port(node, dir).map(|port| self.arena.boc(port))
+    }
+
+    /// Total flits currently buffered in the router of `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the topology.
+    pub fn buffered_flits(&self, node: NodeId) -> usize {
+        Direction::ALL
+            .into_iter()
+            .map(|dir| self.arena.port_flits(port_id(node.0, dir)))
+            .sum()
+    }
+
+    /// The arena index of input port `dir` of `node`, if the router has it.
+    fn port(&self, node: NodeId, dir: Direction) -> Option<usize> {
+        let port = port_id(node.0, dir);
+        (dir == Direction::Local || self.links[port].is_some()).then_some(port)
     }
 
     /// Number of packets waiting in the injection queue of node `id`
@@ -280,11 +304,10 @@ impl Network {
         }
     }
 
-    /// Resets the BOC counters of every router (end of a sampling window).
+    /// Resets the BOC counters of every input port (end of a sampling
+    /// window).
     pub fn reset_boc(&mut self) {
-        for r in &mut self.routers {
-            r.reset_boc();
-        }
+        self.arena.reset_boc();
     }
 
     // ------------------------------------------------------------------
@@ -293,26 +316,25 @@ impl Network {
 
     fn inject_phase(&mut self) {
         for node in 0..self.config.node_count() {
+            let port = port_id(node, Direction::Local);
             // Start serializing a new packet if the NI is idle.
             if self.pending[node].is_none() {
                 if let Some(packet) = self.injection_queues[node].pop_front() {
-                    let port = self.routers[node]
-                        .input_port_mut(Direction::Local)
-                        .expect("every router has a local port");
-                    if let Some(vc) = port.free_vc() {
-                        port.vc_mut(vc).allocated = true;
+                    if let Some(vc) = self.arena.free_vc_from(port, 0) {
+                        self.arena.vc_mut(port, vc).allocated = true;
                         // The VC is free, hence empty, so the head flit is
                         // pushed below in this same cycle: every flit carries
                         // the packet's head-injection cycle.
-                        let mut flits: VecDeque<Flit> = packet.to_flits().into();
-                        for f in &mut flits {
-                            f.injected_at = self.cycle;
-                        }
                         self.stats.packets_injected += 1;
                         self.stats
                             .packet_queue_latency
                             .record(self.cycle.saturating_sub(packet.created_at));
-                        self.pending[node] = Some(PendingInjection { flits, vc });
+                        self.pending[node] = Some(PendingInjection {
+                            packet,
+                            next: 0,
+                            injected_at: self.cycle,
+                            vc,
+                        });
                     } else {
                         // No free VC at the local port: put the packet back.
                         self.injection_queues[node].push_front(packet);
@@ -321,27 +343,22 @@ impl Network {
             }
             // Push one flit of the in-progress packet (link bandwidth: one
             // flit per cycle from the NI into the router).
-            let mut finished = false;
-            if let Some(pending) = self.pending[node].as_mut() {
-                let port = self.routers[node]
-                    .input_port_mut(Direction::Local)
-                    .expect("every router has a local port");
-                let vc = port.vc_mut(pending.vc);
-                if !vc.is_full() {
-                    if let Some(flit) = pending.flits.pop_front() {
-                        self.stats.flits_injected += 1;
-                        self.stats
-                            .flit_queue_latency
-                            .record(self.cycle.saturating_sub(flit.created_at));
-                        vc.push(flit, self.cycle);
-                        port.record_buffer_ops(1);
-                        self.stats.buffer_operations += 1;
-                        self.occupancy.push(node, Direction::Local);
-                    }
-                    finished = pending.flits.is_empty();
-                }
+            let Some(pending) = self.pending[node].as_mut() else {
+                continue;
+            };
+            if self.arena.is_full(port, pending.vc) {
+                continue;
             }
-            if finished {
+            let flit = pending.packet.flit(pending.next, pending.injected_at);
+            pending.next += 1;
+            self.stats.flits_injected += 1;
+            self.stats
+                .flit_queue_latency
+                .record(self.cycle.saturating_sub(flit.created_at));
+            self.arena
+                .push(port, pending.vc, Slot::new(&flit, self.cycle));
+            self.stats.buffer_operations += 1;
+            if pending.next == pending.packet.flit_count() {
                 self.pending[node] = None;
             }
         }
@@ -356,20 +373,22 @@ impl Network {
         // Rotate port and VC priority with the cycle for fairness.
         let port_offset = (self.cycle as usize) % 5;
         let vc_offset = (self.cycle as usize) % vcs;
-        for node in 0..self.routers.len() {
-            if self.occupancy.router[node] == 0 {
+        for node in 0..self.config.node_count() {
+            // Only the ports and VCs that hold flits, in rotation order. A
+            // router's own ports gain no flit while it is visited (no link
+            // leads back to its own router), so masks read on arrival at a
+            // router or port stay exact while it is visited.
+            let busy_ports = self.arena.busy_ports(node);
+            if busy_ports == 0 {
                 continue;
             }
             // One flit per output port per cycle.
             let mut output_used = [false; 5];
-            for p in 0..5 {
-                let dir = Direction::from_index((p + port_offset) % 5);
-                if self.occupancy.port[node][dir.index()] == 0 {
-                    continue;
-                }
+            for dir in rotated_bits(busy_ports, port_offset, 5) {
+                let port = node * 5 + dir;
                 // One flit per input port per cycle.
-                for v in 0..vcs {
-                    if self.try_advance(node, dir, (v + vc_offset) % vcs, &mut output_used) {
+                for v in rotated_bits(self.arena.busy_vcs(port), vc_offset, vcs) {
+                    if self.try_advance(node, port, v, &mut output_used) {
                         break;
                     }
                 }
@@ -377,38 +396,32 @@ impl Network {
         }
     }
 
-    /// Attempts to advance the head-of-line flit of one VC of router `node`
-    /// by one hop, or to eject it. `output_used` flags the router's outputs
-    /// that already carried a flit this cycle. Returns `true` if a flit
-    /// moved (or was ejected).
+    /// Attempts to advance the head-of-line flit of VC `v` of input port
+    /// `port` of router `node` by one hop, or to eject it. `output_used`
+    /// flags the router's outputs that already carried a flit this cycle.
+    /// Returns `true` if a flit moved (or was ejected).
     fn try_advance(
         &mut self,
         node: usize,
-        dir: Direction,
-        vc_idx: usize,
+        port: usize,
+        v: usize,
         output_used: &mut [bool; 5],
     ) -> bool {
         let cycle = self.cycle;
-        // Split the routers around `node` so the downstream router can be
-        // borrowed while this VC is.
-        let (before, rest) = self.routers.split_at_mut(node);
-        let (router, after) = rest.split_first_mut().expect("node inside the topology");
-        let port = router
-            .input_port_mut(dir)
-            .expect("only ports holding flits are visited");
-        let vc = port.vc_mut(vc_idx);
-
         // Inspect the head-of-line flit.
-        let flit = match vc.front() {
-            Some(b) if b.arrived_at < cycle => b.flit,
+        let flit = match self.arena.front(port, v) {
+            Some(&slot) if slot.arrived_at < cycle => slot,
             _ => return false,
         };
 
         // Route computation for head flits.
         let topology = &self.config.topology;
-        let out_dir = *vc
+        let dst = NodeId(flit.dst as usize);
+        let out_dir = *self
+            .arena
+            .vc_mut(port, v)
             .route_out
-            .get_or_insert_with(|| topology.next_hop(NodeId(node), flit.dst));
+            .get_or_insert_with(|| topology.next_hop(NodeId(node), dst));
 
         // Output port contention: one flit per output per cycle.
         if output_used[out_dir.index()] {
@@ -417,48 +430,36 @@ impl Network {
 
         if out_dir == Direction::Local {
             // Ejection.
-            let buffered = vc.pop().expect("front checked above");
-            if buffered.flit.kind.is_tail() {
-                vc.release();
-            }
-            port.record_buffer_ops(1);
+            self.arena.pop(port, v);
             self.stats.buffer_operations += 1;
-            self.occupancy.pop(node, dir);
             output_used[out_dir.index()] = true;
-            self.account_ejection(buffered.flit);
+            self.account_ejection(&flit);
             return true;
         }
 
-        // Downstream router and input port.
-        let link = self.links[node][out_dir.index()]
+        // Downstream input port.
+        let link = self.links[port_id(node, out_dir)]
             .expect("minimal routing never points off the topology");
-        let downstream = if link.to < node {
-            &mut before[link.to]
-        } else {
-            &mut after[link.to - node - 1]
-        };
-        let down_dir = out_dir.opposite();
-        let down_port = downstream
-            .input_port_mut(down_dir)
-            .expect("downstream router must have an input port facing the upstream router");
+        let down_port = port_id(link.to, out_dir.opposite());
 
         // Virtual-channel allocation at the downstream input port, from
         // `link.min_vc` up (the dateline restriction on wrap links).
-        let down_vc = match vc.downstream_vc {
-            Some(v) => v,
+        let down_vc = match self.arena.vc_mut(port, v).downstream_vc {
+            Some(d) => d as usize,
             None => {
                 if !flit.kind.is_head() {
                     // Body/tail flits must follow the head's allocation; if it
                     // is missing the packet's VC was released prematurely.
                     return false;
                 }
-                match down_port.free_vc_from(link.min_vc) {
-                    Some(v) => {
+                match self.arena.free_vc_from(down_port, link.min_vc) {
+                    Some(d) => {
                         // Reserve it immediately so no other router grabs it
                         // during this cycle.
-                        down_port.vc_mut(v).allocated = true;
-                        vc.downstream_vc = Some(v);
-                        v
+                        self.arena.vc_mut(down_port, d).allocated = true;
+                        // `VcArena::new` bounds every VC index to `u8`.
+                        self.arena.vc_mut(port, v).downstream_vc = Some(d as u8);
+                        d
                     }
                     None => return false,
                 }
@@ -466,35 +467,34 @@ impl Network {
         };
 
         // Credit check: downstream buffer must have a free slot.
-        let down = down_port.vc_mut(down_vc);
-        if down.is_full() {
+        if self.arena.is_full(down_port, down_vc) {
             return false;
         }
 
         // Move the flit.
-        let buffered = vc.pop().expect("front checked above");
-        if buffered.flit.kind.is_tail() {
-            vc.release();
-        }
-        port.record_buffer_ops(1);
-        down.push(buffered.flit, cycle);
-        down_port.record_buffer_ops(1);
-        self.occupancy.pop(node, dir);
-        self.occupancy.push(link.to, down_dir);
+        let moved = self.arena.pop(port, v);
+        self.arena.push(
+            down_port,
+            down_vc,
+            Slot {
+                arrived_at: cycle,
+                ..moved
+            },
+        );
         self.stats.buffer_operations += 2;
         self.stats.link_traversals += 1;
         output_used[out_dir.index()] = true;
         true
     }
 
-    fn account_ejection(&mut self, flit: Flit) {
+    fn account_ejection(&mut self, flit: &Slot) {
         self.stats.flits_received += 1;
         self.stats
             .flit_latency
             .record(self.cycle.saturating_sub(flit.created_at));
         if flit.kind.is_tail() {
             self.stats.packets_received += 1;
-            self.stats.received_per_node[flit.dst.0] += 1;
+            self.stats.received_per_node[flit.dst as usize] += 1;
             self.stats
                 .packet_latency
                 .record(self.cycle.saturating_sub(flit.created_at));
@@ -513,182 +513,289 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The full-sweep traversal the occupancy-driven one replaced, kept as
-    /// the oracle: it visits every router, every port and every VC each
-    /// cycle and resolves links and VCs through the topology and the
-    /// router's `Option` ports. Its only change is that it keeps the
-    /// occupancy counts, so a network stepped through it stays consistent.
-    impl Network {
-        fn step_full_sweep(&mut self) {
-            self.cycle += 1;
-            self.stats.cycles = self.cycle;
-            self.inject_phase();
-            self.full_sweep_traversal_phase();
+    /// The simulator as it was before the flat arena, kept as the oracle:
+    /// routers of `Option` input ports, each a `Vec` of VCs with a
+    /// `VecDeque` of whole flits, a `VecDeque` of prebuilt flits per
+    /// injecting packet, and a full sweep over every router, port and VC
+    /// each cycle that resolves links and dateline VCs through the
+    /// topology.
+    mod reference {
+        use crate::flit::TrafficClass;
+        use crate::{Direction, Flit, NetworkStats, NocConfig, NodeId, Packet, PacketId};
+        use std::collections::VecDeque;
+
+        #[derive(Debug, Clone)]
+        struct Vc {
+            /// Buffered flits with their arrival cycles.
+            buffer: VecDeque<(Flit, u64)>,
+            route_out: Option<Direction>,
+            downstream_vc: Option<usize>,
+            allocated: bool,
         }
 
-        fn full_sweep_traversal_phase(&mut self) {
-            let node_count = self.config.node_count();
-            let vcs = self.config.vcs_per_port;
-            // Per-router, per-direction "output already used this cycle" flags.
-            let mut output_used = vec![[false; 5]; node_count];
-
-            for node in 0..node_count {
-                // Rotate port and VC priority with the cycle for fairness.
-                let port_offset = (self.cycle as usize) % 5;
-                for p in 0..5 {
-                    let dir = Direction::from_index((p + port_offset) % 5);
-                    if self.routers[node].input_port(dir).is_none() {
-                        continue;
-                    }
-                    let vc_offset = (self.cycle as usize) % vcs;
-                    // One flit per input port per cycle.
-                    let mut port_sent = false;
-                    for v in 0..vcs {
-                        if port_sent {
-                            break;
-                        }
-                        let vc_idx = (v + vc_offset) % vcs;
-                        port_sent =
-                            self.full_sweep_try_advance(node, dir, vc_idx, &mut output_used);
-                    }
-                }
+        impl Vc {
+            fn is_free(&self) -> bool {
+                !self.allocated && self.buffer.is_empty()
             }
         }
 
-        fn full_sweep_try_advance(
-            &mut self,
-            node: usize,
-            dir: Direction,
-            vc_idx: usize,
-            output_used: &mut [[bool; 5]],
-        ) -> bool {
-            let cycle = self.cycle;
+        #[derive(Debug, Clone)]
+        struct Port {
+            vcs: Vec<Vc>,
+            boc: u64,
+        }
 
-            // Inspect the head-of-line flit.
-            let (flit, needs_route) = {
-                let port = match self.routers[node].input_port(dir) {
-                    Some(p) => p,
-                    None => return false,
+        #[derive(Debug, Clone)]
+        pub struct Reference {
+            config: NocConfig,
+            routers: Vec<[Option<Port>; 5]>,
+            queues: Vec<VecDeque<Packet>>,
+            /// The unsent flits and local VC of each node's injecting packet.
+            pending: Vec<Option<(VecDeque<Flit>, usize)>>,
+            pub stats: NetworkStats,
+            cycle: u64,
+            next_packet_id: u64,
+        }
+
+        impl Reference {
+            pub fn new(config: NocConfig) -> Self {
+                let vc = Vc {
+                    buffer: VecDeque::new(),
+                    route_out: None,
+                    downstream_vc: None,
+                    allocated: false,
                 };
-                let vc = port.vc(vc_idx);
-                match vc.front() {
-                    Some(b) if b.arrived_at < cycle => (b.flit, vc.route_out.is_none()),
+                let port = Port {
+                    vcs: vec![vc; config.vcs_per_port],
+                    boc: 0,
+                };
+                let n = config.node_count();
+                Reference {
+                    routers: config
+                        .topology
+                        .nodes()
+                        .map(|id| {
+                            Direction::ALL.map(|dir| {
+                                config
+                                    .topology
+                                    .has_input_port(id, dir)
+                                    .then(|| port.clone())
+                            })
+                        })
+                        .collect(),
+                    queues: vec![VecDeque::new(); n],
+                    pending: vec![None; n],
+                    stats: NetworkStats::new(n),
+                    cycle: 0,
+                    next_packet_id: 0,
+                    config,
+                }
+            }
+
+            pub fn enqueue(
+                &mut self,
+                src: usize,
+                dst: usize,
+                created_at: u64,
+                class: TrafficClass,
+            ) {
+                self.queues[src].push_back(Packet {
+                    id: PacketId(self.next_packet_id),
+                    src: NodeId(src),
+                    dst: NodeId(dst),
+                    created_at,
+                    class,
+                    length_flits: self.config.flits_per_packet,
+                });
+                self.next_packet_id += 1;
+                self.stats.packets_created += 1;
+            }
+
+            fn port(&mut self, node: usize, dir: Direction) -> &mut Port {
+                self.routers[node][dir.index()]
+                    .as_mut()
+                    .expect("port exists")
+            }
+
+            pub fn vco(&self, node: usize, dir: Direction) -> Option<f32> {
+                self.routers[node][dir.index()].as_ref().map(|p| {
+                    let occupied = p.vcs.iter().filter(|v| !v.is_free()).count();
+                    occupied as f32 / p.vcs.len() as f32
+                })
+            }
+
+            pub fn boc(&self, node: usize, dir: Direction) -> Option<u64> {
+                self.routers[node][dir.index()].as_ref().map(|p| p.boc)
+            }
+
+            pub fn buffered_flits(&self, node: usize, dir: Direction) -> usize {
+                self.routers[node][dir.index()]
+                    .as_ref()
+                    .map_or(0, |p| p.vcs.iter().map(|v| v.buffer.len()).sum())
+            }
+
+            pub fn reset_boc(&mut self) {
+                for port in self.routers.iter_mut().flatten().flatten() {
+                    port.boc = 0;
+                }
+            }
+
+            pub fn step(&mut self) {
+                self.cycle += 1;
+                self.stats.cycles = self.cycle;
+                self.inject();
+                let vcs = self.config.vcs_per_port;
+                for node in 0..self.routers.len() {
+                    let mut output_used = [false; 5];
+                    for p in 0..5 {
+                        let dir = Direction::from_index((p + self.cycle as usize) % 5);
+                        if self.routers[node][dir.index()].is_none() {
+                            continue;
+                        }
+                        for v in 0..vcs {
+                            let vc = (v + self.cycle as usize) % vcs;
+                            if self.try_advance(node, dir, vc, &mut output_used) {
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+
+            fn inject(&mut self) {
+                let depth = self.config.buffer_depth;
+                for node in 0..self.routers.len() {
+                    if self.pending[node].is_none() {
+                        if let Some(packet) = self.queues[node].pop_front() {
+                            let local = self.port(node, Direction::Local);
+                            match local.vcs.iter().position(Vc::is_free) {
+                                Some(vc) => {
+                                    local.vcs[vc].allocated = true;
+                                    let flits = (0..packet.flit_count())
+                                        .map(|i| packet.flit(i, self.cycle))
+                                        .collect();
+                                    self.stats.packets_injected += 1;
+                                    self.stats
+                                        .packet_queue_latency
+                                        .record(self.cycle - packet.created_at);
+                                    self.pending[node] = Some((flits, vc));
+                                }
+                                None => self.queues[node].push_front(packet),
+                            }
+                        }
+                    }
+                    let Some((mut flits, vc)) = self.pending[node].take() else {
+                        continue;
+                    };
+                    let cycle = self.cycle;
+                    let local = self.port(node, Direction::Local);
+                    if local.vcs[vc].buffer.len() < depth {
+                        let flit = flits.pop_front().unwrap();
+                        local.vcs[vc].buffer.push_back((flit, cycle));
+                        local.boc += 1;
+                        self.stats.flits_injected += 1;
+                        self.stats
+                            .flit_queue_latency
+                            .record(cycle - flit.created_at);
+                        self.stats.buffer_operations += 1;
+                    }
+                    if !flits.is_empty() {
+                        self.pending[node] = Some((flits, vc));
+                    }
+                }
+            }
+
+            fn try_advance(
+                &mut self,
+                node: usize,
+                dir: Direction,
+                vc: usize,
+                output_used: &mut [bool; 5],
+            ) -> bool {
+                let cycle = self.cycle;
+                let topology = self.config.topology;
+                let vcs = self.config.vcs_per_port;
+                let depth = self.config.buffer_depth;
+                let state = &mut self.port(node, dir).vcs[vc];
+                let flit = match state.buffer.front() {
+                    Some(&(f, arrived_at)) if arrived_at < cycle => f,
                     _ => return false,
-                }
-            };
-
-            // Route computation for head flits.
-            let out_dir = if needs_route {
-                let d = self.config.topology.next_hop(NodeId(node), flit.dst);
-                let port = self.routers[node].input_port_mut(dir).unwrap();
-                port.vc_mut(vc_idx).route_out = Some(d);
-                d
-            } else {
-                self.routers[node]
-                    .input_port(dir)
-                    .unwrap()
-                    .vc(vc_idx)
+                };
+                let out_dir = *state
                     .route_out
-                    .unwrap()
-            };
-
-            // Output port contention: one flit per output per cycle.
-            if output_used[node][out_dir.index()] {
-                return false;
-            }
-
-            if out_dir == Direction::Local {
-                // Ejection.
-                let port = self.routers[node].input_port_mut(dir).unwrap();
-                let buffered = port.vc_mut(vc_idx).pop().expect("front checked above");
-                port.record_buffer_ops(1);
-                self.stats.buffer_operations += 1;
-                if buffered.flit.kind.is_tail() {
-                    port.vc_mut(vc_idx).release();
+                    .get_or_insert_with(|| topology.next_hop(NodeId(node), flit.dst));
+                if output_used[out_dir.index()] {
+                    return false;
                 }
-                self.occupancy.pop(node, dir);
-                output_used[node][out_dir.index()] = true;
-                self.account_ejection(buffered.flit);
-                return true;
-            }
-
-            // Downstream router and input direction.
-            let downstream = match self.config.topology.neighbor(NodeId(node), out_dir) {
-                Some(d) => d.0,
-                None => unreachable!("minimal routing never points off the topology"),
-            };
-            let down_dir = out_dir.opposite();
-            let vcs = self.config.vcs_per_port;
-            let min_vc = if vcs >= 2 && self.config.topology.is_wrap_link(NodeId(node), out_dir) {
-                vcs / 2
-            } else {
-                0
-            };
-
-            // Virtual-channel allocation at the downstream input port.
-            let assigned_vc = {
-                let vc_state = self.routers[node].input_port(dir).unwrap().vc(vc_idx);
-                vc_state.downstream_vc
-            };
-            let down_vc = match assigned_vc {
-                Some(v) => v,
-                None => {
-                    if !flit.kind.is_head() {
+                let downstream = if out_dir == Direction::Local {
+                    None
+                } else {
+                    let to = topology.neighbor(NodeId(node), out_dir).unwrap().0;
+                    let down_dir = out_dir.opposite();
+                    let min_vc = if vcs >= 2 && topology.is_wrap_link(NodeId(node), out_dir) {
+                        vcs / 2
+                    } else {
+                        0
+                    };
+                    let down_vc = match self.port(node, dir).vcs[vc].downstream_vc {
+                        Some(d) => d,
+                        None if !flit.kind.is_head() => return false,
+                        None => {
+                            let down = self.port(to, down_dir);
+                            let Some(d) = (min_vc..vcs).find(|&d| down.vcs[d].is_free()) else {
+                                return false;
+                            };
+                            down.vcs[d].allocated = true;
+                            self.port(node, dir).vcs[vc].downstream_vc = Some(d);
+                            d
+                        }
+                    };
+                    if self.port(to, down_dir).vcs[down_vc].buffer.len() >= depth {
                         return false;
                     }
-                    let down_port = self.routers[downstream]
-                        .input_port(down_dir)
-                        .expect("downstream router must have an input port facing upstream");
-                    match down_port.free_vc_from(min_vc) {
-                        Some(v) => {
-                            self.routers[downstream]
-                                .input_port_mut(down_dir)
-                                .unwrap()
-                                .vc_mut(v)
-                                .allocated = true;
-                            self.routers[node]
-                                .input_port_mut(dir)
-                                .unwrap()
-                                .vc_mut(vc_idx)
-                                .downstream_vc = Some(v);
-                            v
-                        }
-                        None => return false,
+                    Some((to, down_dir, down_vc))
+                };
+                let port = self.port(node, dir);
+                port.boc += 1;
+                let state = &mut port.vcs[vc];
+                state.buffer.pop_front();
+                if flit.kind.is_tail() {
+                    state.route_out = None;
+                    state.downstream_vc = None;
+                    state.allocated = false;
+                }
+                output_used[out_dir.index()] = true;
+                match downstream {
+                    Some((to, down_dir, down_vc)) => {
+                        let down = self.port(to, down_dir);
+                        down.vcs[down_vc].buffer.push_back((flit, cycle));
+                        down.boc += 1;
+                        self.stats.buffer_operations += 2;
+                        self.stats.link_traversals += 1;
+                    }
+                    None => {
+                        self.stats.buffer_operations += 1;
+                        self.eject(flit);
                     }
                 }
-            };
-
-            // Credit check: downstream buffer must have a free slot.
-            if self.routers[downstream]
-                .input_port(down_dir)
-                .unwrap()
-                .vc(down_vc)
-                .is_full()
-            {
-                return false;
+                true
             }
 
-            // Move the flit.
-            let buffered = {
-                let port = self.routers[node].input_port_mut(dir).unwrap();
-                let b = port.vc_mut(vc_idx).pop().expect("front checked above");
-                port.record_buffer_ops(1);
-                if b.flit.kind.is_tail() {
-                    port.vc_mut(vc_idx).release();
+            fn eject(&mut self, flit: Flit) {
+                let s = &mut self.stats;
+                s.flits_received += 1;
+                s.flit_latency.record(self.cycle - flit.created_at);
+                if flit.kind.is_tail() {
+                    s.packets_received += 1;
+                    s.received_per_node[flit.dst.0] += 1;
+                    s.packet_latency.record(self.cycle - flit.created_at);
+                    s.packet_network_latency
+                        .record(self.cycle - flit.injected_at);
+                    if flit.class == TrafficClass::Malicious {
+                        s.malicious_packets_received += 1;
+                    }
                 }
-                b
-            };
-            {
-                let port = self.routers[downstream].input_port_mut(down_dir).unwrap();
-                port.vc_mut(down_vc).push(buffered.flit, cycle);
-                port.record_buffer_ops(1);
             }
-            self.occupancy.pop(node, dir);
-            self.occupancy.push(downstream, down_dir);
-            self.stats.buffer_operations += 2;
-            self.stats.link_traversals += 1;
-            output_used[node][out_dir.index()] = true;
-            true
         }
     }
 
@@ -742,18 +849,24 @@ mod tests {
     const ORACLE_CYCLES: u64 = 300;
 
     proptest! {
+        /// The arena engine, which visits only the routers and ports that
+        /// hold flits, matches the reference full sweep over the
+        /// pre-arena layout: every stat, and every port's VCO, BOC and
+        /// buffered flits, on every cycle.
         #[test]
         fn occupancy_traversal_matches_full_sweep(
             kind in 0usize..3,
             rows in 1usize..7,
             cols in 2usize..7,
-            vcs in 1usize..6,
+            vcs_pick in 0usize..7,
             depth in 1usize..5,
             flits in 1usize..6,
             rate in 0.0f64..0.1,
             fir in 0.0f64..1.0,
             seed in 0u64..u64::MAX,
         ) {
+            // Up to 64 VCs: the full width of a port's VC mask.
+            let vcs = [1, 2, 3, 4, 5, 8, 64][vcs_pick];
             // Rows 1..=6 and cols 2..=6 (a torus needs two of each).
             let topology = match kind {
                 0 => Topology::mesh(rows, cols),
@@ -764,8 +877,8 @@ mod tests {
                 .with_vcs(vcs)
                 .with_buffer_depth(depth)
                 .with_flits_per_packet(flits);
-            let mut fast = Network::new(config);
-            let mut oracle = fast.clone();
+            let mut fast = Network::new(config.clone());
+            let mut oracle = reference::Reference::new(config);
             let nodes = topology.node_count();
             let attacker = (seed % nodes as u64) as usize;
             let mut traffic = OracleTraffic {
@@ -779,19 +892,21 @@ mod tests {
             for cycle in 0..ORACLE_CYCLES {
                 for (src, dst, class) in traffic.packets() {
                     fast.enqueue_with_class(NodeId(src), NodeId(dst), cycle, class);
-                    oracle.enqueue_with_class(NodeId(src), NodeId(dst), cycle, class);
+                    oracle.enqueue(src, dst, cycle, class);
                 }
                 fast.step();
-                oracle.step_full_sweep();
-                prop_assert_eq!(fast.stats(), oracle.stats());
-                for (node, (a, b)) in fast.routers().zip(oracle.routers()).enumerate() {
+                oracle.step();
+                prop_assert_eq!(fast.stats(), &oracle.stats);
+                for node in 0..nodes {
+                    let mut router_flits = 0;
                     for dir in Direction::ALL {
-                        prop_assert_eq!(a.vco(dir), b.vco(dir));
-                        prop_assert_eq!(a.boc(dir), b.boc(dir));
-                        let buffered = a.input_port(dir).map_or(0, |p| p.buffered_flits());
-                        prop_assert_eq!(fast.occupancy.port[node][dir.index()] as usize, buffered);
+                        prop_assert_eq!(fast.vco(NodeId(node), dir), oracle.vco(node, dir));
+                        prop_assert_eq!(fast.boc(NodeId(node), dir), oracle.boc(node, dir));
+                        let buffered = oracle.buffered_flits(node, dir);
+                        prop_assert_eq!(fast.arena.port_flits(port_id(node, dir)), buffered);
+                        router_flits += buffered;
                     }
-                    prop_assert_eq!(fast.occupancy.router[node] as usize, a.buffered_flits());
+                    prop_assert_eq!(fast.buffered_flits(NodeId(node)), router_flits);
                 }
                 if cycle % 100 == 99 {
                     // End of a sampling window.
@@ -800,6 +915,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "vcs_per_port 65 exceeds")]
+    fn vc_count_beyond_the_arena_index_is_rejected() {
+        let mut config = NocConfig::mesh(2, 2);
+        config.vcs_per_port = 65;
+        Network::new(config);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer_depth 65536 exceeds")]
+    fn buffer_depth_beyond_the_arena_index_is_rejected() {
+        let mut config = NocConfig::mesh(2, 2);
+        config.buffer_depth = 1 << 16;
+        Network::new(config);
     }
 
     #[test]
@@ -879,7 +1010,7 @@ mod tests {
         assert_eq!(s.flits_injected, s.flits_received);
         assert_eq!(s.packets_injected, s.packets_received);
         // Nothing left in any router buffer.
-        let leftover: usize = net.routers().map(|r| r.buffered_flits()).sum();
+        let leftover: usize = net.topology().nodes().map(|n| net.buffered_flits(n)).sum();
         assert_eq!(leftover, 0);
     }
 
@@ -892,14 +1023,14 @@ mod tests {
             net.enqueue_packet(NodeId(3), NodeId(0), c);
             net.step();
         }
-        let vco_on_path = net.router(NodeId(1)).vco(Direction::East).unwrap();
-        let vco_off_path = net.router(NodeId(13)).vco(Direction::East).unwrap();
+        let vco_on_path = net.vco(NodeId(1), Direction::East).unwrap();
+        let vco_off_path = net.vco(NodeId(13), Direction::East).unwrap();
         assert!(
             vco_on_path > vco_off_path,
             "on-path VCO {vco_on_path} should exceed off-path {vco_off_path}"
         );
-        let boc_on_path = net.router(NodeId(1)).boc(Direction::East).unwrap();
-        let boc_off_path = net.router(NodeId(13)).boc(Direction::East).unwrap();
+        let boc_on_path = net.boc(NodeId(1), Direction::East).unwrap();
+        let boc_off_path = net.boc(NodeId(13), Direction::East).unwrap();
         assert!(boc_on_path > boc_off_path);
     }
 
@@ -910,9 +1041,9 @@ mod tests {
             net.enqueue_packet(NodeId(3), NodeId(0), c);
             net.step();
         }
-        assert!(net.router(NodeId(1)).boc(Direction::East).unwrap() > 0);
+        assert!(net.boc(NodeId(1), Direction::East).unwrap() > 0);
         net.reset_boc();
-        assert_eq!(net.router(NodeId(1)).boc(Direction::East).unwrap(), 0);
+        assert_eq!(net.boc(NodeId(1), Direction::East).unwrap(), 0);
     }
 
     #[test]
@@ -984,7 +1115,7 @@ mod tests {
         }
         net.run(1000);
         assert_eq!(net.stats().packets_received, 16);
-        let leftover: usize = net.routers().map(|r| r.buffered_flits()).sum();
+        let leftover: usize = net.topology().nodes().map(|n| net.buffered_flits(n)).sum();
         assert_eq!(leftover, 0);
     }
 
@@ -1011,7 +1142,7 @@ mod tests {
         net.run(4000);
         let s = net.stats();
         assert_eq!(s.packets_injected, s.packets_received);
-        let leftover: usize = net.routers().map(|r| r.buffered_flits()).sum();
+        let leftover: usize = net.topology().nodes().map(|n| net.buffered_flits(n)).sum();
         assert_eq!(leftover, 0);
     }
 

@@ -6,7 +6,9 @@
 //! min-of-N idiom (shed scheduler noise, keep the best run), and enforces
 //! that an idle cycle costs at most [`MAX_IDLE_OVER_LOADED`]× a loaded
 //! one. The bound is a ratio of two timings on one host, so it holds on any
-//! machine. On a 2-vCPU x86-64 VM, a traversal that sweeps every router,
+//! machine. Beside the gate it prints the loaded mesh's cost per flit hop
+//! (the fastest run's time over its `NetworkStats::link_traversals`), so
+//! logs trend the simulator's own speed; that figure is not gated. On a 2-vCPU x86-64 VM, a traversal that sweeps every router,
 //! port and VC each cycle measured 0.31–0.42×, and the occupancy-driven one
 //! ~0.02× (a loaded cycle includes the traffic generators' work).
 //!
@@ -54,27 +56,31 @@ fn scenario(loaded: bool) -> AttackScenario {
         .build()
 }
 
-/// Fastest of [`RUNS`] timed runs of [`CYCLES`] cycles, per cycle.
-fn min_step_time(loaded: bool) -> Duration {
+/// The fastest of [`RUNS`] timed runs of [`CYCLES`] cycles: its time per
+/// cycle and the flit hops (link traversals) it simulated.
+fn min_step_time(loaded: bool) -> (Duration, u64) {
     let mut s = scenario(loaded);
     s.run(WARMUP);
     (0..RUNS)
         .map(|_| {
+            let hops = s.network().stats().link_traversals;
             let start = Instant::now();
             s.run(CYCLES);
-            start.elapsed() / CYCLES as u32
+            let elapsed = start.elapsed() / CYCLES as u32;
+            (elapsed, s.network().stats().link_traversals - hops)
         })
-        .min()
+        .min_by_key(|&(elapsed, _)| elapsed)
         .expect("at least one timed run")
 }
 
 fn main() -> ExitCode {
-    let loaded = min_step_time(true);
-    let idle = min_step_time(false);
+    let (loaded, hops) = min_step_time(true);
+    let (idle, _) = min_step_time(false);
     let ratio = idle.as_secs_f64() / loaded.as_secs_f64();
+    let ns_per_hop = loaded.as_secs_f64() * 1e9 * CYCLES as f64 / hops.max(1) as f64;
     println!(
         "{MESH}x{MESH} mesh step, min-of-{RUNS} ({CYCLES} cycles/run):\n\
-         uniform {RATE} + FDoS {FIR} : {:>9.3} µs/cycle\n\
+         uniform {RATE} + FDoS {FIR} : {:>9.3} µs/cycle  ({ns_per_hop:.1} ns/flit hop, {hops} hops)\n\
          idle                   : {:>9.3} µs/cycle  ({ratio:.3}x loaded)",
         loaded.as_secs_f64() * 1e6,
         idle.as_secs_f64() * 1e6,
