@@ -17,9 +17,10 @@ use tinycnn::{dice_coefficient, Tensor};
 
 fn main() {
     let spec = load_spec("stp");
-    let mesh = spec.resolved_topologies().expect("loaded spec is valid")[0].rows();
+    let topology = spec.resolved_topologies().expect("loaded spec is valid")[0];
+    let (rows, cols) = (topology.rows(), topology.cols());
     let seed = spec.grid.seeds[0];
-    println!("Ablation — localizer depth vs dice accuracy vs area ({mesh}x{mesh} mesh)");
+    println!("Ablation — localizer depth vs dice accuracy vs area ({rows}x{cols} mesh)");
     let outcome = Executor::with_available_parallelism()
         .execute(&spec)
         .expect("loaded spec is valid");
@@ -31,7 +32,7 @@ fn main() {
         "conv layers", "params", "mean dice", "accel gates"
     );
     for conv_layers in [2usize, 3, 4] {
-        let mut localizer = DosLocalizer::with_architecture(mesh, mesh, 8, conv_layers, seed);
+        let mut localizer = DosLocalizer::with_architecture(rows, cols, 8, conv_layers, seed);
         localizer.train(&train, FeatureKind::Boc, spec.eval.localizer_epochs, seed);
         // Mean dice over every direction of every attack test sample.
         let mut dice_sum = 0.0;
@@ -40,8 +41,8 @@ fn main() {
             let segs = localizer.segment_bundle(&s.boc);
             let masks = direction_masks(&s.truth);
             for dir in Direction::CARDINAL {
-                let pred = Tensor::from_vec(segs[dir.index()].clone(), &[mesh * mesh]);
-                let truth = Tensor::from_vec(masks[dir.index()].clone(), &[mesh * mesh]);
+                let pred = Tensor::from_vec(segs[dir.index()].clone(), &[rows * cols]);
+                let truth = Tensor::from_vec(masks[dir.index()].clone(), &[rows * cols]);
                 dice_sum += dice_coefficient(&pred, &truth, 0.5);
                 count += 1;
             }

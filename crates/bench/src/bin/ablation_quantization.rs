@@ -17,16 +17,17 @@ use tinycnn::BinaryConfusion;
 
 fn main() {
     let spec = load_spec("stp");
-    let mesh = spec.resolved_topologies().expect("loaded spec is valid")[0].rows();
+    let topology = spec.resolved_topologies().expect("loaded spec is valid")[0];
+    let (rows, cols) = (topology.rows(), topology.cols());
     let seed = spec.grid.seeds[0];
-    println!("Ablation — detector weight quantization ({mesh}x{mesh} mesh)");
+    println!("Ablation — detector weight quantization ({rows}x{cols} mesh)");
     let outcome = Executor::with_available_parallelism()
         .execute(&spec)
         .expect("loaded spec is valid");
     let (train, test) = split_by_benchmark(outcome.runs, spec.eval.train_fraction);
 
-    let config = FenceConfig::new(mesh, mesh);
-    let mut detector = DosDetector::new(mesh, mesh, config.seed);
+    let config = FenceConfig::new(rows, cols);
+    let mut detector = DosDetector::new(rows, cols, config.seed);
     detector.train(&train, FeatureKind::Vco, spec.eval.detector_epochs, seed);
     let export = detector.export();
 
@@ -36,9 +37,9 @@ fn main() {
     );
     for bits in [4u32, 8, 12, 16, 32] {
         let mut quantized = if bits >= 32 {
-            DosDetector::from_export(mesh, mesh, export.clone())
+            DosDetector::from_export(rows, cols, export.clone())
         } else {
-            DosDetector::from_export(mesh, mesh, quantize_model(&export, bits))
+            DosDetector::from_export(rows, cols, quantize_model(&export, bits))
         };
         let mut confusion = BinaryConfusion::new();
         for sample in &test {

@@ -13,9 +13,10 @@ use noc_monitor::FeatureKind;
 
 fn main() {
     let spec = load_spec("stp");
-    let mesh = spec.resolved_topologies().expect("loaded spec is valid")[0].rows();
+    let topology = spec.resolved_topologies().expect("loaded spec is valid")[0];
+    let (rows, cols) = (topology.rows(), topology.cols());
     let seed = spec.grid.seeds[0];
-    println!("Ablation — MFF binarization threshold sweep ({mesh}x{mesh} mesh)");
+    println!("Ablation — MFF binarization threshold sweep ({rows}x{cols} mesh)");
     let outcome = Executor::with_available_parallelism()
         .execute(&spec)
         .expect("loaded spec is valid");
@@ -26,7 +27,7 @@ fn main() {
         "threshold", "accuracy", "precision", "recall", "f1"
     );
     for threshold in [0.3f32, 0.4, 0.5, 0.6, 0.7] {
-        let mut config = FenceConfig::new(mesh, mesh)
+        let mut config = FenceConfig::new(rows, cols)
             .with_seed(seed)
             .with_epochs(spec.eval.detector_epochs, spec.eval.localizer_epochs);
         config.detection_feature = FeatureKind::Vco;

@@ -14,16 +14,17 @@ use noc_monitor::FeatureKind;
 
 fn main() {
     let spec = load_spec("stp");
-    let mesh = spec.resolved_topologies().expect("loaded spec is valid")[0].rows();
+    let topology = spec.resolved_topologies().expect("loaded spec is valid")[0];
+    let (rows, cols) = (topology.rows(), topology.cols());
     let seed = spec.grid.seeds[0];
-    println!("Ablation — Victim Completing Enhancement ({mesh}x{mesh} mesh)");
+    println!("Ablation — Victim Completing Enhancement ({rows}x{cols} mesh)");
     let outcome = Executor::with_available_parallelism()
         .execute(&spec)
         .expect("loaded spec is valid");
     let (train, test) = split_by_benchmark(outcome.runs, spec.eval.train_fraction);
 
     for vce in [false, true] {
-        let mut config = FenceConfig::new(mesh, mesh)
+        let mut config = FenceConfig::new(rows, cols)
             .with_seed(seed)
             .with_epochs(spec.eval.detector_epochs, spec.eval.localizer_epochs)
             .with_vce(vce);

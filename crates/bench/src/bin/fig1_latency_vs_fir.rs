@@ -17,9 +17,9 @@ use std::time::Instant;
 
 fn main() {
     let spec = load_spec("fir_sweep");
-    let mesh = spec.resolved_topologies().expect("loaded spec is valid")[0].rows();
+    let topology = spec.resolved_topologies().expect("loaded spec is valid")[0];
     let workload = spec.workloads().expect("loaded spec is valid")[0];
-    let attacker = NodeId(mesh * mesh - 1);
+    let attacker = NodeId(topology.node_count() - 1);
     let victim = NodeId(0);
 
     // One scenario per FIR point: the paper's corner-to-corner flooding
@@ -31,13 +31,13 @@ fn main() {
             ScenarioSpec::attacked(workload, vec![attacker], victim, fir)
         }
     });
-    let runs = runs_from_scenarios(spec.grid.seeds[0], mesh, scenarios);
+    let runs = runs_from_scenarios(spec.grid.seeds[0], &topology, scenarios);
 
     let executor = Executor::with_available_parallelism();
     println!(
         "Figure 1 — latency vs FIR ({}x{} mesh, PARSEC-like benign workload, {} cycles/point, {} workers)",
-        mesh,
-        mesh,
+        topology.rows(),
+        topology.cols(),
         spec.sim.sample_period,
         executor.workers()
     );

@@ -11,7 +11,7 @@ use crate::grid::{self, RunSpec};
 use crate::spec::{CampaignSpec, SimParams, SpecError};
 use dl2fence_telemetry::{Recorder, Telemetry};
 use noc_monitor::{FrameSampler, GroundTruth, LabeledSample};
-use noc_sim::{EnergyModel, NocConfig, Topology};
+use noc_sim::{EnergyModel, NocConfig};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -71,14 +71,9 @@ pub struct CampaignOutcome {
 
 /// Executes one run of a campaign.
 pub fn execute_run(sim: &SimParams, run: &RunSpec) -> RunResult {
-    // Empty topology strings come from hand-built runs of the pre-topology
-    // era; they keep their legacy square-mesh meaning.
-    let topology = if run.topology.is_empty() {
-        Topology::mesh(run.mesh, run.mesh)
-    } else {
-        Topology::parse(&run.topology)
-            .unwrap_or_else(|e| panic!("run {} has an invalid topology: {e}", run.index))
-    };
+    let topology = run
+        .topology()
+        .unwrap_or_else(|e| panic!("run {} has an invalid topology: {e}", run.index));
     let mut noc = NocConfig::for_topology(&topology);
     if sim.injection_queue_capacity > 0 {
         noc = noc.with_injection_queue_capacity(sim.injection_queue_capacity);

@@ -9,6 +9,7 @@
 use crate::spec::{AttackAxis, CampaignSpec, SpecError};
 use noc_monitor::dataset::{attack_catalog, distributed_catalog};
 use noc_monitor::ScenarioSpec;
+use noc_sim::{Topology, TopologyError, TopologyKind};
 use serde::{Deserialize, Serialize};
 
 /// One fully resolved run of a campaign.
@@ -38,6 +39,22 @@ impl RunSpec {
     /// Whether this run contains an attack.
     pub fn is_attack(&self) -> bool {
         self.scenario.is_attack()
+    }
+
+    /// The topology this run simulates. An empty name comes from a
+    /// hand-built run of the pre-topology era and keeps its legacy meaning:
+    /// a `mesh × mesh` mesh.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TopologyError`] if the name does not parse, or the
+    /// legacy side is zero.
+    pub fn topology(&self) -> Result<Topology, TopologyError> {
+        if self.topology.is_empty() {
+            Topology::new(TopologyKind::Mesh, self.mesh, self.mesh)
+        } else {
+            Topology::parse(&self.topology)
+        }
     }
 }
 
@@ -132,14 +149,14 @@ pub fn expand(spec: &CampaignSpec) -> Result<Vec<RunSpec>, SpecError> {
 }
 
 /// Builds a run matrix directly from explicit scenarios (all on the same
-/// `mesh × mesh` NoC), with the engine's index order and seed derivation.
+/// `topology`), with the engine's index order and seed derivation.
 ///
 /// This is the low-level entry point for harnesses that already know their
 /// exact scenario list (e.g. the paper's fixed attacker placements) and only
 /// want the engine's parallel execution and determinism guarantees.
 pub fn runs_from_scenarios(
     campaign_seed: u64,
-    mesh: usize,
+    topology: &Topology,
     scenarios: impl IntoIterator<Item = ScenarioSpec>,
 ) -> Vec<RunSpec> {
     let mut runs = Vec::new();
@@ -152,8 +169,8 @@ pub fn runs_from_scenarios(
         push_run(
             &mut runs,
             campaign_seed,
-            mesh,
-            format!("mesh{mesh}"),
+            topology.rows(),
+            topology.name(),
             attack,
             scenario,
         );

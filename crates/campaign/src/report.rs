@@ -22,6 +22,7 @@ use crate::spec::{parse_feature, validate_group_by, CampaignSpec, EvalSpec, Spec
 use dl2fence::evaluation::evaluate;
 use dl2fence::{Dl2Fence, EvaluationReport, FenceConfig};
 use noc_monitor::LabeledSample;
+use noc_sim::Topology;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -207,19 +208,12 @@ impl CampaignReport {
 }
 
 /// The rendered value of one grouping axis for one run.
-fn axis_value(run: &RunResult, axis: &str) -> String {
+fn axis_value(run: &RunResult, topology: &Topology, axis: &str) -> String {
     match axis {
         "workload" => run.spec.workload.clone(),
         "fir" => format!("{}", run.spec.scenario.fir),
         "mesh" => format!("{}", run.spec.mesh),
-        "topology" => {
-            if run.spec.topology.is_empty() {
-                // Hand-built pre-topology runs: legacy square-mesh meaning.
-                format!("mesh{}", run.spec.mesh)
-            } else {
-                run.spec.topology.clone()
-            }
-        }
+        "topology" => topology.name(),
         "attack" => {
             if run.spec.attack.is_empty() && !run.spec.is_attack() {
                 "none".to_string()
@@ -406,13 +400,21 @@ impl ReportAccumulator {
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] naming the run index if the eval phase is
-    /// enabled and the run carries no samples (spec validation requires
-    /// sample collection whenever eval is on, so an empty run is a record
-    /// stripped by an earlier build or edited by hand — training on the
-    /// rest would silently shrink the training set). The accumulator is
-    /// left unchanged.
+    /// Returns a [`SpecError`] naming the run index if the run's topology
+    /// name does not parse (expanded and executed runs always carry a valid
+    /// one, so this is a hand-built run), or if the eval phase is enabled
+    /// and the run carries no samples (spec validation requires sample
+    /// collection whenever eval is on, so an empty run is a record stripped
+    /// by an earlier build or edited by hand — training on the rest would
+    /// silently shrink the training set). The accumulator is left
+    /// unchanged.
     pub fn try_fold(&mut self, run: &RunResult) -> Result<(), SpecError> {
+        let topology = run.spec.topology().map_err(|e| {
+            SpecError::new(format!(
+                "run index {} has an invalid topology: {e}",
+                run.spec.index
+            ))
+        })?;
         if self.eval.enabled && run.samples.is_empty() {
             return Err(SpecError::new(format!(
                 "run index {} carries no samples but the eval phase needs them; \
@@ -425,7 +427,7 @@ impl ReportAccumulator {
         let key: Vec<(String, String)> = self
             .group_by
             .iter()
-            .map(|axis| (axis.clone(), axis_value(run, axis)))
+            .map(|axis| (axis.clone(), axis_value(run, &topology, axis)))
             .collect();
         match self.groups.iter_mut().find(|g| g.key == key) {
             Some(group) => group.fold(run),
@@ -436,18 +438,16 @@ impl ReportAccumulator {
             }
         }
         if self.eval.enabled {
-            let cols = noc_sim::Topology::parse(&run.spec.topology)
-                .map(|t| t.cols())
-                .unwrap_or(run.spec.mesh);
+            let (rows, cols) = (topology.rows(), topology.cols());
             let pool = match self
                 .eval_pools
                 .iter_mut()
-                .find(|p| p.mesh == run.spec.mesh && p.cols == cols)
+                .find(|p| p.mesh == rows && p.cols == cols)
             {
                 Some(pool) => pool,
                 None => {
                     self.eval_pools.push(EvalPool {
-                        mesh: run.spec.mesh,
+                        mesh: rows,
                         cols,
                         seed: run.spec.campaign_seed,
                         samples: Vec::new(),

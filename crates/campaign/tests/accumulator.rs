@@ -4,7 +4,8 @@
 //! bigger-than-memory claim of the streaming resume and merge paths.
 
 use dl2fence_campaign::{
-    expand, run_streaming, CampaignDir, CampaignReport, CampaignSpec, Executor, ReportAccumulator,
+    execute_run, expand, run_streaming, CampaignDir, CampaignReport, CampaignSpec, Executor,
+    ReportAccumulator,
 };
 use std::path::PathBuf;
 
@@ -117,4 +118,29 @@ fn streamed_replay_through_the_accumulator_peaks_at_one_retained_run() {
         "the replayed accumulator must rebuild the streamed report byte-identically"
     );
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn a_run_whose_topology_does_not_parse_is_refused_before_the_fold_changes() {
+    // Hand-built runs reach the fold through `CampaignReport::from_runs`. A
+    // topology name that does not parse must be a typed error, not a run
+    // pooled for training under a guessed geometry.
+    let mut spec = table1_quick_shrunk();
+    spec.sim.samples_per_run = 1;
+    let runs = expand(&spec).unwrap();
+    let run = execute_run(&spec.sim, &runs[0]);
+    assert!(!run.samples.is_empty(), "the eval fold must see samples");
+
+    let mut acc = ReportAccumulator::for_spec(&spec).unwrap();
+    acc.try_fold(&run).unwrap();
+    let mut bad = run.clone();
+    bad.spec.index = 7;
+    bad.spec.topology = "mesh8x".into();
+    let err = acc.try_fold(&bad).unwrap_err().to_string();
+    assert!(
+        err.contains("run index 7") && err.contains("mesh8x"),
+        "got: {err}"
+    );
+    assert_eq!(acc.folded_runs(), 1);
+    assert_eq!(acc.retained_samples(), run.samples.len());
 }

@@ -19,11 +19,14 @@
 //!    optionally completes the routing-path victims by reverse XY-routing
 //!    deduction, and [`tlm::TableLikeMethod`] converts the abnormal
 //!    directions plus the routing-path-victim extents into attacker node
-//!    identifiers (Figure 3).
+//!    identifiers (Figure 3). VCE and TLM hold the protected NoC's
+//!    [`noc_sim::Topology`], the only owner of node neighbours, distances
+//!    and routes, and are built with `new(topology)`; fusion needs only the
+//!    frame shape.
 //!
 //! [`Dl2Fence`] wires the stages into the end-to-end pipeline the paper
-//! evaluates in Tables 1–3, and [`evaluation`] reproduces those tables'
-//! metrics.
+//! evaluates in Tables 1–3, building the mesh `Topology` once from its
+//! [`FenceConfig`], and [`evaluation`] reproduces those tables' metrics.
 //!
 //! ## Quick example
 //!

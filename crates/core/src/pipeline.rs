@@ -8,7 +8,7 @@ use crate::tlm::TableLikeMethod;
 use crate::vce::VictimComplementingEnhancement;
 use dl2fence_telemetry::Recorder;
 use noc_monitor::{DirectionalFrames, FeatureKind, FrameSampler, LabeledSample};
-use noc_sim::{Network, NodeId};
+use noc_sim::{Network, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use tinycnn::serialize::ModelExport;
 use tinycnn::TrainingReport;
@@ -159,14 +159,23 @@ pub struct Dl2Fence {
 impl Dl2Fence {
     /// Creates an untrained framework instance from a configuration.
     pub fn new(config: FenceConfig) -> Self {
-        let fusion = MultiFrameFusion::for_mesh(config.rows, config.cols)
-            .with_threshold(config.fusion_threshold);
+        Self::assemble(
+            config,
+            DosDetector::new(config.rows, config.cols, config.seed),
+            DosLocalizer::new(config.rows, config.cols, config.seed.wrapping_add(7)),
+        )
+    }
+
+    /// Wires the two models to the fusion, VCE and TLM stages of `config`'s
+    /// mesh.
+    fn assemble(config: FenceConfig, detector: DosDetector, localizer: DosLocalizer) -> Self {
+        let topology = Topology::mesh(config.rows, config.cols);
         Dl2Fence {
-            detector: DosDetector::new(config.rows, config.cols, config.seed),
-            localizer: DosLocalizer::new(config.rows, config.cols, config.seed.wrapping_add(7)),
-            fusion,
-            vce: VictimComplementingEnhancement::new(config.rows, config.cols),
-            tlm: TableLikeMethod::new(config.rows, config.cols),
+            detector,
+            localizer,
+            fusion: MultiFrameFusion::new().with_threshold(config.fusion_threshold),
+            vce: VictimComplementingEnhancement::new(topology),
+            tlm: TableLikeMethod::new(topology),
             config,
             telemetry: Recorder::default(),
         }
@@ -215,17 +224,11 @@ impl Dl2Fence {
     /// round-trip weights losslessly.
     pub fn from_export(export: FenceModelExport) -> Self {
         let config = export.config;
-        let fusion = MultiFrameFusion::for_mesh(config.rows, config.cols)
-            .with_threshold(config.fusion_threshold);
-        Dl2Fence {
-            detector: DosDetector::from_export(config.rows, config.cols, export.detector),
-            localizer: DosLocalizer::from_export(config.rows, config.cols, export.localizer),
-            fusion,
-            vce: VictimComplementingEnhancement::new(config.rows, config.cols),
-            tlm: TableLikeMethod::new(config.rows, config.cols),
+        Self::assemble(
             config,
-            telemetry: Recorder::default(),
-        }
+            DosDetector::from_export(config.rows, config.cols, export.detector),
+            DosLocalizer::from_export(config.rows, config.cols, export.localizer),
+        )
     }
 
     /// Trains both CNN models on a collected dataset.

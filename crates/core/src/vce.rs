@@ -1,38 +1,32 @@
 //! Victim Complementing Enhancement (VCE): completing routing-path victims
-//! by reverse XY-routing deduction.
+//! by reverse routing deduction.
 //!
 //! Segmentation occasionally misses pixels in the middle of an attack route
 //! (e.g. a router whose buffers happened to drain at the sampling instant).
-//! Because every flooding packet follows deterministic XY routing, the full
-//! routing-path-victim (RPV) set can be *deduced* from two endpoints: a
-//! pseudo-source adjacent to the attacker and the target victim. VCE fills
-//! the gaps by re-running XY routing between those endpoints and adding any
-//! missing nodes to the victim set.
+//! Because every flooding packet follows the topology's deterministic
+//! routing (XY on a mesh), the full routing-path-victim (RPV) set can be
+//! *deduced* from two endpoints: a pseudo-source adjacent to the attacker
+//! and the target victim. VCE fills the gaps by re-running the routing
+//! between those endpoints and adding any missing nodes to the victim set.
 
 use crate::fusion::FusionResult;
-use noc_sim::{Coord, Direction, NodeId, Topology};
-use serde::{Deserialize, Serialize};
+use crate::tlm::nearest_to_attacker;
+use noc_sim::{Direction, NodeId, Topology};
 
 /// The configurable VCE stage.
 ///
 /// The paper notes VCE "yields the best results when the initial detection
 /// phase is accurate enough"; it is therefore optional and enabled through
 /// [`crate::FenceConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VictimComplementingEnhancement {
-    rows: usize,
-    cols: usize,
+    topology: Topology,
 }
 
 impl VictimComplementingEnhancement {
-    /// Creates a VCE stage for a `rows × cols` mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "mesh dimensions must be non-zero");
-        VictimComplementingEnhancement { rows, cols }
+    /// Creates a VCE stage for the protected NoC's topology.
+    pub fn new(topology: Topology) -> Self {
+        VictimComplementingEnhancement { topology }
     }
 
     /// The pseudo-source: the flagged node closest to the attacker in the
@@ -41,43 +35,31 @@ impl VictimComplementingEnhancement {
     pub fn pseudo_source(&self, fusion: &FusionResult) -> Option<NodeId> {
         // Horizontal directions take priority because XY routing always
         // traverses the X leg (the leg adjacent to the attacker) first.
-        for dir in [
+        [
             Direction::East,
             Direction::West,
             Direction::North,
             Direction::South,
-        ] {
-            let flagged = &fusion.flagged_by_direction[dir.index()];
-            if flagged.is_empty() {
-                continue;
-            }
-            let node = match dir {
-                Direction::East | Direction::North => flagged.iter().max().copied(),
-                Direction::West | Direction::South => flagged.iter().min().copied(),
-                Direction::Local => None,
-            };
-            if node.is_some() {
-                return node;
-            }
-        }
-        None
+        ]
+        .into_iter()
+        .find_map(|dir| nearest_to_attacker(dir, &fusion.flagged_by_direction[dir.index()]))
     }
 
-    /// The deduced destination: the detected victim farthest (in Manhattan
-    /// distance) from the pseudo-source — for an XY route this is the target
-    /// victim at the far end of the attack path.
+    /// The deduced destination: the detected victim farthest (in minimal
+    /// hop distance, Manhattan on a mesh) from the pseudo-source — for a
+    /// dimension-ordered route this is the target victim at the far end of
+    /// the attack path.
     pub fn deduced_destination(&self, fusion: &FusionResult, pseudo_src: NodeId) -> Option<NodeId> {
-        let src = Coord::from_id(pseudo_src, self.cols);
         fusion
             .victims
             .iter()
             .copied()
-            .max_by_key(|v| Coord::from_id(*v, self.cols).manhattan(src))
+            .max_by_key(|v| self.topology.min_distance(*v, pseudo_src))
             .filter(|v| *v != pseudo_src || fusion.victims.len() == 1)
     }
 
     /// Completes the victim set: the detected victims plus every node on the
-    /// XY route from the pseudo-source to the deduced destination.
+    /// route from the pseudo-source to the deduced destination.
     ///
     /// Returns the input victims unchanged when the fusion result is empty.
     pub fn complete(&self, fusion: &FusionResult) -> Vec<NodeId> {
@@ -88,9 +70,10 @@ impl VictimComplementingEnhancement {
         let Some(dst) = self.deduced_destination(fusion, pseudo_src) else {
             return victims;
         };
-        let route = Topology::mesh(self.rows, self.cols)
+        let route = self
+            .topology
             .route_path(pseudo_src, dst)
-            .expect("fused victims lie on the mesh");
+            .expect("fused victims lie on the topology");
         for node in route {
             if !victims.contains(&node) {
                 victims.push(node);
@@ -104,7 +87,10 @@ impl VictimComplementingEnhancement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fusion::tests::random_segmentations;
     use crate::fusion::MultiFrameFusion;
+    use noc_sim::Coord;
+    use proptest::prelude::*;
 
     fn fusion_from(rows: usize, cols: usize, east: &[usize], north: &[usize]) -> FusionResult {
         let mut segs = [
@@ -119,13 +105,13 @@ mod tests {
         for &n in north {
             segs[1][n] = 0.9;
         }
-        MultiFrameFusion::for_mesh(rows, cols).fuse(&segs, rows, cols)
+        MultiFrameFusion::new().fuse(&segs, rows, cols)
     }
 
     #[test]
     fn empty_fusion_is_returned_unchanged() {
         let fusion = fusion_from(4, 4, &[], &[]);
-        let vce = VictimComplementingEnhancement::new(4, 4);
+        let vce = VictimComplementingEnhancement::new(Topology::mesh(4, 4));
         assert!(vce.complete(&fusion).is_empty());
     }
 
@@ -134,7 +120,7 @@ mod tests {
         // Attacker 3 -> victim 0: true RPVs are {0, 1, 2}, but segmentation
         // missed node 1.
         let fusion = fusion_from(4, 4, &[0, 2], &[]);
-        let vce = VictimComplementingEnhancement::new(4, 4);
+        let vce = VictimComplementingEnhancement::new(Topology::mesh(4, 4));
         assert_eq!(vce.pseudo_source(&fusion), Some(NodeId(2)));
         let completed = vce.complete(&fusion);
         assert_eq!(completed, vec![NodeId(0), NodeId(1), NodeId(2)]);
@@ -145,7 +131,7 @@ mod tests {
         // Attacker 15 -> victim 0 on a 4x4 mesh: route 15,14,13,12,8,4,0.
         // East frame flags 14..12, North frame misses node 4.
         let fusion = fusion_from(4, 4, &[12, 13, 14], &[0, 8]);
-        let vce = VictimComplementingEnhancement::new(4, 4);
+        let vce = VictimComplementingEnhancement::new(Topology::mesh(4, 4));
         assert_eq!(vce.pseudo_source(&fusion), Some(NodeId(14)));
         let completed = vce.complete(&fusion);
         assert!(
@@ -159,7 +145,7 @@ mod tests {
     #[test]
     fn complete_never_removes_detected_victims() {
         let fusion = fusion_from(4, 4, &[5, 6], &[9]);
-        let vce = VictimComplementingEnhancement::new(4, 4);
+        let vce = VictimComplementingEnhancement::new(Topology::mesh(4, 4));
         let completed = vce.complete(&fusion);
         for v in &fusion.victims {
             assert!(completed.contains(v));
@@ -178,14 +164,101 @@ mod tests {
         ];
         segs[Direction::West.index()][1] = 0.9;
         segs[Direction::West.index()][2] = 0.9;
-        let fusion = MultiFrameFusion::for_mesh(4, 4).fuse(&segs, 4, 4);
-        let vce = VictimComplementingEnhancement::new(4, 4);
+        let fusion = MultiFrameFusion::new().fuse(&segs, 4, 4);
+        let vce = VictimComplementingEnhancement::new(Topology::mesh(4, 4));
         assert_eq!(vce.pseudo_source(&fusion), Some(NodeId(1)));
     }
 
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_mesh_panics() {
-        VictimComplementingEnhancement::new(0, 4);
+    /// The earlier `pseudo_source`, `deduced_destination` and `complete`,
+    /// kept as the oracle: Manhattan distance from `Coord::from_id` and a
+    /// mesh rebuilt from `rows`/`cols` on every call.
+    mod oracle {
+        use super::*;
+
+        pub fn pseudo_source(fusion: &FusionResult) -> Option<NodeId> {
+            for dir in [
+                Direction::East,
+                Direction::West,
+                Direction::North,
+                Direction::South,
+            ] {
+                let flagged = &fusion.flagged_by_direction[dir.index()];
+                if flagged.is_empty() {
+                    continue;
+                }
+                let node = match dir {
+                    Direction::East | Direction::North => flagged.iter().max().copied(),
+                    Direction::West | Direction::South => flagged.iter().min().copied(),
+                    Direction::Local => None,
+                };
+                if node.is_some() {
+                    return node;
+                }
+            }
+            None
+        }
+
+        pub fn deduced_destination(
+            cols: usize,
+            fusion: &FusionResult,
+            pseudo_src: NodeId,
+        ) -> Option<NodeId> {
+            let src = Coord::from_id(pseudo_src, cols);
+            fusion
+                .victims
+                .iter()
+                .copied()
+                .max_by_key(|v| Coord::from_id(*v, cols).manhattan(src))
+                .filter(|v| *v != pseudo_src || fusion.victims.len() == 1)
+        }
+
+        pub fn complete(rows: usize, cols: usize, fusion: &FusionResult) -> Vec<NodeId> {
+            let mut victims = fusion.victims.clone();
+            let Some(pseudo_src) = pseudo_source(fusion) else {
+                return victims;
+            };
+            let Some(dst) = deduced_destination(cols, fusion, pseudo_src) else {
+                return victims;
+            };
+            let route = Topology::mesh(rows, cols)
+                .route_path(pseudo_src, dst)
+                .expect("fused victims lie on the mesh");
+            for node in route {
+                if !victims.contains(&node) {
+                    victims.push(node);
+                }
+            }
+            victims.sort();
+            victims
+        }
+    }
+
+    proptest! {
+        /// VCE over the stage's own `Topology` equals the earlier
+        /// coordinate arithmetic on random rectangular meshes and random
+        /// fused victim maps: the pseudo-source, the deduced destination
+        /// (from the pseudo-source and from a random node) and the
+        /// completed victim set.
+        #[test]
+        fn vce_matches_the_coordinate_arithmetic(
+            rows in 1usize..17,
+            cols in 1usize..17,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = TestRng::new(seed);
+            let segs = random_segmentations(&mut rng, rows, cols, 0.5);
+            let fusion = MultiFrameFusion::new().fuse(&segs, rows, cols);
+            let vce = VictimComplementingEnhancement::new(Topology::mesh(rows, cols));
+            let pseudo_src = vce.pseudo_source(&fusion);
+            prop_assert_eq!(pseudo_src, oracle::pseudo_source(&fusion));
+            let random = NodeId((rng.next_u64() % (rows * cols) as u64) as usize);
+            for src in pseudo_src.into_iter().chain([random]) {
+                prop_assert_eq!(
+                    vce.deduced_destination(&fusion, src),
+                    oracle::deduced_destination(cols, &fusion, src)
+                );
+            }
+            prop_assert_eq!(vce.complete(&fusion), oracle::complete(rows, cols, &fusion));
+        }
     }
 }

@@ -12,7 +12,7 @@ use dl2fence::{
 };
 use dl2fence_repro::quick_dataset;
 use noc_monitor::{FeatureKind, FrameSampler};
-use noc_sim::{NocConfig, NodeId};
+use noc_sim::{NocConfig, NodeId, Topology};
 use noc_traffic::{AttackKind, AttackScenario, DosAttack, SyntheticPattern};
 use tinycnn::serialize::ModelExport;
 
@@ -73,10 +73,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     if detection.detected {
         let segmentations = localizer.segment_bundle(&boc);
-        let fusion = MultiFrameFusion::for_mesh(mesh, mesh).fuse(&segmentations, mesh, mesh);
-        let vce = VictimComplementingEnhancement::new(mesh, mesh);
-        let victims = vce.complete(&fusion);
-        let attackers = TableLikeMethod::new(mesh, mesh).localize(&fusion, &victims);
+        let topology = Topology::mesh(mesh, mesh);
+        let fusion = MultiFrameFusion::new().fuse(&segmentations, mesh, mesh);
+        let victims = VictimComplementingEnhancement::new(topology).complete(&fusion);
+        let attackers = TableLikeMethod::new(topology).localize(&fusion, &victims);
         println!(
             "   victims (attack route): {:?}",
             victims.iter().map(|v| v.0).collect::<Vec<_>>()

@@ -6,7 +6,7 @@
 
 use dl2fence::{MultiFrameFusion, TableLikeMethod, VictimComplementingEnhancement};
 use noc_monitor::{FeatureKind, FrameSampler};
-use noc_sim::{Direction, NocConfig, NodeId};
+use noc_sim::{Direction, NocConfig, NodeId, Topology};
 use noc_traffic::{AttackKind, AttackScenario, DosAttack, SyntheticPattern};
 
 /// Threshold-based oracle segmentation of the four BOC frames, relative to
@@ -52,10 +52,10 @@ fn run_case(
     scenario.run(3_000);
     let boc = FrameSampler::sample(scenario.network(), FeatureKind::Boc);
     let segs = oracle_segmentation(&boc, 0.35);
-    let fusion = MultiFrameFusion::for_mesh(mesh, mesh).fuse(&segs, mesh, mesh);
-    let vce = VictimComplementingEnhancement::new(mesh, mesh);
-    let victims = vce.complete(&fusion);
-    let found_attackers = TableLikeMethod::new(mesh, mesh).localize(&fusion, &victims);
+    let topology = Topology::mesh(mesh, mesh);
+    let fusion = MultiFrameFusion::new().fuse(&segs, mesh, mesh);
+    let victims = VictimComplementingEnhancement::new(topology).complete(&fusion);
+    let found_attackers = TableLikeMethod::new(topology).localize(&fusion, &victims);
     (
         victims,
         found_attackers,
@@ -127,8 +127,8 @@ fn benign_traffic_produces_no_attackers_via_oracle() {
     // Uniform benign traffic has no single dominant route, so a high relative
     // threshold flags few or no pixels.
     let segs = oracle_segmentation(&boc, 0.9);
-    let fusion = MultiFrameFusion::for_mesh(mesh, mesh).fuse(&segs, mesh, mesh);
-    let tlm = TableLikeMethod::new(mesh, mesh);
+    let fusion = MultiFrameFusion::new().fuse(&segs, mesh, mesh);
+    let tlm = TableLikeMethod::new(Topology::mesh(mesh, mesh));
     let attackers = tlm.localize(&fusion, &fusion.victims);
     assert!(
         attackers.len() <= 2,
