@@ -8,11 +8,13 @@
 //! attack placements that straight and L-shaped routes in every direction
 //! are represented; it runs on the campaign engine's worker pool. The quick
 //! spec uses an 8×8 mesh with analogous attacker placements; run with
-//! `-- specs/paper` for the paper's 16×16 mesh and placements.
+//! `-- specs/paper` for the paper's 16×16 mesh and placements. The
+//! placements exist for square meshes only, so a rectangular mesh is refused
+//! with exit status 1.
 
 use dl2fence::evaluation::evaluate;
 use dl2fence::{Dl2Fence, FenceConfig};
-use dl2fence_bench::load_spec;
+use dl2fence_bench::{load_spec, square_side};
 use dl2fence_campaign::{parse_feature, split_by_benchmark, Executor};
 use noc_monitor::dataset::{CollectionConfig, DatasetGenerator, ScenarioSpec};
 use noc_sim::{NocConfig, NodeId};
@@ -40,7 +42,7 @@ fn render_map(victims: &[NodeId], attackers: &[NodeId], rows: usize, cols: usize
 
 fn main() {
     let spec = load_spec("fig4_localization");
-    let mesh = spec.resolved_topologies().expect("loaded spec is valid")[0].rows();
+    let mesh = square_side(&spec, "fig4_localization_examples");
     let seed = spec.grid.seeds[0];
     let fir = spec.grid.fir[0];
     let workload =

@@ -5,8 +5,10 @@
 //! "Our Work" row combines the analytical area model with the metrics
 //! measured by Table 3's STP campaign (the `stp` spec, VCO detection + BOC
 //! localization). Run with `-- specs/paper` for the paper-scale 16×16 mesh.
+//! The area model covers square meshes only, so a rectangular `stp` mesh is
+//! refused with exit status 1.
 
-use dl2fence_bench::{evaluate, load_spec};
+use dl2fence_bench::{evaluate, load_spec, square_side};
 use hw_overhead::comparison::{our_work_entry, related_works};
 use hw_overhead::{AreaModel, RouterParams};
 
@@ -17,7 +19,7 @@ fn fmt_pct(v: Option<f64>) -> String {
 
 fn main() {
     let stp = load_spec("stp");
-    let mesh = stp.resolved_topologies().expect("loaded spec is valid")[0].rows();
+    let mesh = square_side(&stp, "table4_comparison");
     println!("Table 4 — comparison to related works (measuring our metrics at {mesh}x{mesh})");
     let report = evaluate(&stp);
     let detection = report.overall_detection();

@@ -38,6 +38,23 @@ pub fn load_spec(name: &str) -> CampaignSpec {
     })
 }
 
+/// The side of the square mesh `spec`'s first topology describes. Exits
+/// with status 1 and an error naming `binary` and the spec's `rows×cols`
+/// when it is not square: Table 4's area model and Figure 4's example
+/// placements exist only for square meshes.
+pub fn square_side(spec: &CampaignSpec, binary: &str) -> usize {
+    let topology = spec.resolved_topologies().expect("loaded spec is valid")[0];
+    let (rows, cols) = (topology.rows(), topology.cols());
+    if rows != cols {
+        eprintln!(
+            "error: {binary} needs a square mesh, but spec `{}` runs on {rows}x{cols}",
+            spec.name
+        );
+        std::process::exit(1)
+    }
+    rows
+}
+
 /// Runs an eval-enabled single-topology campaign on every available core
 /// and returns its per-benchmark evaluation.
 ///

@@ -1,9 +1,9 @@
 //! CI throughput guard for the conv forward and backward kernels.
 //!
 //! Times three detector forward paths over the same 64-frame batch, a 16×16
-//! localizer forward at the serve batch, and the forward and backward passes
-//! of one localizer training step, with the min-of-2 idiom (shed scheduler
-//! noise, keep the best run) and enforces:
+//! localizer forward at the serve batch, and the backward pass of one
+//! localizer training step against the scalar seed backward loop, with the
+//! min-of-2 idiom (shed scheduler noise, keep the best run) and enforces:
 //!
 //! 1. **No f32 regression** — the batched direct f32 path must not be slower
 //!    than the scalar seed kernels (5% wall-clock noise allowance).
@@ -12,8 +12,9 @@
 //! 3. **Serve-regime speedup** — a 16×16 localizer `predict` at batch 4
 //!    must reach at least [`LOCALIZER_SPEEDUP`]× the same three convolutions
 //!    through the scalar seed kernel.
-//! 4. **Backward bound** — the localizer's backward pass must take at most
-//!    [`BWD_OVER_FWD`]× its forward pass.
+//! 4. **Backward speedup** — the localizer's backward pass must reach at
+//!    least [`BWD_SPEEDUP`]× the speed of the same step through the scalar
+//!    seed backward loop ([`ScalarLocalizer::backward`]).
 //! 5. **Saturated tail** — with the output sigmoid saturated, so that every
 //!    upstream gradient `g · y · (1 − y)` would be subnormal, the
 //!    localizer's backward pass must take at most [`SATURATED_OVER_PLAIN`]×
@@ -21,7 +22,9 @@
 //!    zero; unflushed, every product formed with them takes the slow
 //!    subnormal path.
 //!
-//! Exits non-zero with a diagnostic when any bound is violated.
+//! Exits non-zero with a diagnostic when any bound is violated. Last, it
+//! prints an ungated table of one training forward and backward call per
+//! production convolution shape.
 
 use dl2fence_nn_bench::{
     detector_frames, detector_model, localizer_model, min_time, pseudo_tensor, stack_frames,
@@ -30,7 +33,7 @@ use dl2fence_nn_bench::{
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use tinycnn::{QuantizedModel, Tensor};
+use tinycnn::{Conv2d, Layer, Padding, QuantizedModel, Tensor};
 
 /// Batch size of the headline claim (matches `Dl2Fence::DETECT_BATCH`).
 const BATCH: usize = 64;
@@ -56,10 +59,13 @@ const LOCALIZER_SPEEDUP: f64 = 30.0;
 const TRAIN_BATCH: usize = 4;
 /// Training steps per timed run.
 const TRAIN_ITERS: usize = 200;
-/// Ceiling on localizer backward time over forward time: 3× headroom over
-/// the ~0.4–0.7× the slice kernels measure on a 2-vCPU x86-64 VM, where the
-/// seed's scalar backward loop measured ~30×.
-const BWD_OVER_FWD: f64 = 2.0;
+/// Scalar-reference backward passes per timed run.
+const TRAIN_REF_ITERS: usize = 10;
+/// Required localizer backward speedup over the scalar seed backward loop:
+/// ~3× headroom under the 31–42× the slice kernels measure on a 2-vCPU
+/// x86-64 VM. It is anchored to the scalar loop, not to the forward pass,
+/// which later kernels keep speeding up.
+const BWD_SPEEDUP: f64 = 10.0;
 /// Output-convolution bias that saturates the localizer's sigmoid: every
 /// pre-activation lands near −95, where `σ` is subnormal (between
 /// `e^−103` and `e^−87`), and so is each upstream gradient.
@@ -142,17 +148,22 @@ fn main() -> ExitCode {
     }
 
     let (t_fwd, t_bwd) = localizer_step_times(false);
-    let ratio = t_bwd.as_secs_f64() / t_fwd.as_secs_f64();
+    let t_ref = scalar_backward_time();
+    let bwd_speedup =
+        t_ref.as_secs_f64() / TRAIN_REF_ITERS as f64 / (t_bwd.as_secs_f64() / TRAIN_ITERS as f64);
     println!(
         "localizer training step @ batch {TRAIN_BATCH}, min-of-2 ({TRAIN_ITERS} iters/run):\n\
-         forward  : {:>9.3} µs/step\n\
-         backward : {:>9.3} µs/step  ({ratio:.2}x forward)",
+         forward              : {:>9.3} µs/step\n\
+         backward             : {:>9.3} µs/step  ({bwd_speedup:.2}x scalar)\n\
+         scalar seed backward : {:>9.3} µs/step",
         t_fwd.as_secs_f64() / TRAIN_ITERS as f64 * 1e6,
         t_bwd.as_secs_f64() / TRAIN_ITERS as f64 * 1e6,
+        t_ref.as_secs_f64() / TRAIN_REF_ITERS as f64 * 1e6,
     );
-    if ratio > BWD_OVER_FWD {
+    if bwd_speedup < BWD_SPEEDUP {
         eprintln!(
-            "FAIL: localizer backward takes {ratio:.2}x its forward, above the {BWD_OVER_FWD}x bound"
+            "FAIL: localizer backward speedup {bwd_speedup:.2}x over the scalar seed backward \
+             loop is below the required {BWD_SPEEDUP}x"
         );
         return ExitCode::FAILURE;
     }
@@ -173,10 +184,24 @@ fn main() -> ExitCode {
     println!(
         "nn-bench guard passed: f32 no regression, int8 {speedup:.2}x >= {INT8_SPEEDUP}x, \
          16x16 localizer {serve_speedup:.2}x >= {LOCALIZER_SPEEDUP}x, \
-         backward {ratio:.2}x <= {BWD_OVER_FWD}x forward, \
+         backward {bwd_speedup:.2}x >= {BWD_SPEEDUP}x scalar, \
          saturated backward {saturated:.2}x <= {SATURATED_OVER_PLAIN}x unsaturated"
     );
+    conv_step_table();
     ExitCode::SUCCESS
+}
+
+/// Min-of-2 time of [`TRAIN_REF_ITERS`] backward passes of the
+/// [`localizer_step_times`] fixture through [`ScalarLocalizer`].
+fn scalar_backward_time() -> Duration {
+    let x = pseudo_tensor(5, &[TRAIN_BATCH, 1, MESH, MESH]);
+    let mut scalar = ScalarLocalizer::new(KERNELS, 31);
+    let grad = Tensor::ones(scalar.forward(&x).shape());
+    min_time(2, || {
+        for _ in 0..TRAIN_REF_ITERS {
+            black_box(scalar.backward(&grad));
+        }
+    })
 }
 
 /// Speedup of a 16×16 localizer `predict` at batch [`SERVE_BATCH`] over
@@ -244,4 +269,92 @@ fn localizer_step_times(saturate: bool) -> (Duration, Duration) {
     run(); // warm-up
     let (a, b) = (run(), run());
     (a.0.min(b.0), a.1.min(b.1))
+}
+
+/// Training calls per shape and timed run of [`conv_step_table`].
+const TABLE_ITERS: usize = 50;
+
+/// Prints one `Conv2d` training forward and backward call, min-of-3, at
+/// each production shape: the detector's 4→8 Valid conv at batch 8 on
+/// 8×8 and 16×16 meshes (8×7 and 16×15 frames), and the localizer's 1→8,
+/// 8→8 and 8→1 Same convs at batch 4 on 8×8 and 16×16. The upstream
+/// gradient is zero wherever a ReLU after the conv would zero it.
+fn conv_step_table() {
+    let shapes = [
+        ("detector 4->8 Valid", 4, 8, Padding::Valid, 8, [8, 7], true),
+        (
+            "detector 4->8 Valid",
+            4,
+            8,
+            Padding::Valid,
+            8,
+            [16, 15],
+            true,
+        ),
+        ("localizer 1->8 Same", 1, 8, Padding::Same, 4, [8, 8], true),
+        ("localizer 8->8 Same", 8, 8, Padding::Same, 4, [8, 8], true),
+        ("localizer 8->1 Same", 8, 1, Padding::Same, 4, [8, 8], false),
+        (
+            "localizer 1->8 Same",
+            1,
+            8,
+            Padding::Same,
+            4,
+            [16, 16],
+            true,
+        ),
+        (
+            "localizer 8->8 Same",
+            8,
+            8,
+            Padding::Same,
+            4,
+            [16, 16],
+            true,
+        ),
+        (
+            "localizer 8->1 Same",
+            8,
+            1,
+            Padding::Same,
+            4,
+            [16, 16],
+            false,
+        ),
+    ];
+    println!("conv training calls, min-of-3 ({TABLE_ITERS} iters/run), µs/call:");
+    println!(
+        "{:<20} {:>6} {:>8} {:>9} {:>9} {:>9}",
+        "shape", "batch", "input", "forward", "backward", "total"
+    );
+    for (i, (name, ic, oc, padding, batch, [h, w], relu_after)) in shapes.into_iter().enumerate() {
+        let mut conv = Conv2d::new(ic, oc, 3, padding, 90 + i as u64);
+        let x = pseudo_tensor(100 + i as u64, &[batch, ic, h, w]);
+        let mut grad = pseudo_tensor(200 + i as u64, conv.forward(&x).shape());
+        if relu_after {
+            grad = grad.map(|g| g.max(0.0));
+        }
+        conv.backward(&grad);
+        let (mut fwd, mut bwd) = (Duration::MAX, Duration::MAX);
+        for _ in 0..3 {
+            let (mut f, mut b) = (Duration::ZERO, Duration::ZERO);
+            for _ in 0..TABLE_ITERS {
+                let start = Instant::now();
+                black_box(conv.forward(&x));
+                let mid = Instant::now();
+                black_box(conv.backward(&grad));
+                f += mid - start;
+                b += mid.elapsed();
+            }
+            (fwd, bwd) = (fwd.min(f), bwd.min(b));
+        }
+        let us = |d: Duration| d.as_secs_f64() / TABLE_ITERS as f64 * 1e6;
+        println!(
+            "{name:<20} {batch:>6} {:>8} {:>9.1} {:>9.1} {:>9.1}",
+            format!("{h}x{w}"),
+            us(fwd),
+            us(bwd),
+            us(fwd) + us(bwd),
+        );
+    }
 }

@@ -16,8 +16,8 @@
 //! seed kernels, batched int8 reaches ≥4× their throughput at batch 64, and
 //! a 16×16 localizer `predict` at the serve batch reaches ≥30× the scalar
 //! seed kernels ([`ScalarLocalizer`]). It also gates training: one localizer
-//! training step's backward pass must stay within a fixed multiple of its
-//! forward pass.
+//! training step's backward pass must reach a fixed multiple of the scalar
+//! seed backward loop's speed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -120,10 +120,15 @@ pub fn localizer_model(kernels: usize, seed: u64) -> Sequential {
 }
 
 /// The localizer's three convolutions through the scalar seed kernel
-/// (`forward_reference`), with the ReLUs and the sigmoid in between. Seeds
+/// (`forward_reference`) and the seed's scalar backward loop
+/// (`backward_reference`), with the ReLUs and the sigmoid in between. Seeds
 /// match [`localizer_model`] so both paths hold bit-identical weights.
 pub struct ScalarLocalizer {
     convs: [Conv2d; 3],
+    relus: [Relu; 2],
+    sigmoid: Sigmoid,
+    /// The three convolutions' inputs from the last [`Self::forward`].
+    inputs: Vec<Tensor>,
 }
 
 impl ScalarLocalizer {
@@ -135,6 +140,9 @@ impl ScalarLocalizer {
                 Conv2d::new(kernels, kernels, 3, Padding::Same, seed + 1),
                 Conv2d::new(kernels, 1, 3, Padding::Same, seed + 100),
             ],
+            relus: [Relu::new(), Relu::new()],
+            sigmoid: Sigmoid::new(),
+            inputs: Vec::new(),
         }
     }
 
@@ -144,6 +152,32 @@ impl ScalarLocalizer {
         let x = Relu::new().infer(&c0.forward_reference(x));
         let x = Relu::new().infer(&c1.forward_reference(&x));
         Sigmoid::new().infer(&c2.forward_reference(&x))
+    }
+
+    /// A training forward pass: [`Self::predict`], caching what
+    /// [`Self::backward`] reads.
+    pub fn forward(&mut self, x: &Tensor) -> Tensor {
+        let [c0, c1, c2] = &self.convs;
+        let [r0, r1] = &mut self.relus;
+        let a1 = r0.forward(&c0.forward_reference(x));
+        let a2 = r1.forward(&c1.forward_reference(&a1));
+        let y = self.sigmoid.forward(&c2.forward_reference(&a2));
+        self.inputs = vec![x.clone(), a1, a2];
+        y
+    }
+
+    /// The backward pass of the last [`Self::forward`]: accumulates every
+    /// convolution's parameter gradients through the scalar seed loop and
+    /// returns the input gradient.
+    pub fn backward(&mut self, grad: &Tensor) -> Tensor {
+        let [c0, c1, c2] = &mut self.convs;
+        let [r0, r1] = &mut self.relus;
+        let [x, a1, a2] = &self.inputs[..] else {
+            panic!("backward called before forward");
+        };
+        let g = c2.backward_reference(a2, &self.sigmoid.backward(grad));
+        let g = c1.backward_reference(a1, &r1.backward(&g));
+        c0.backward_reference(x, &r0.backward(&g))
     }
 }
 
@@ -204,6 +238,29 @@ mod tests {
         assert_eq!(direct.shape(), reference.shape());
         for (a, b) in direct.data().iter().zip(reference.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "scalar {b} vs direct {a}");
+        }
+    }
+
+    #[test]
+    fn scalar_and_direct_localizer_backward_agree_bitwise() {
+        let x = pseudo_tensor(7, &[4, 1, 8, 8]);
+        let grad = pseudo_tensor(8, &[4, 1, 8, 8]);
+        let mut scalar = ScalarLocalizer::new(KERNELS, 31);
+        let mut model = localizer_model(KERNELS, 31);
+        scalar.forward(&x);
+        model.forward(&x);
+        let dx = (scalar.backward(&grad), model.backward(&grad));
+        // Both list each conv's weight and bias gradients in layer order.
+        let scalar_grads = scalar.convs.iter_mut().flat_map(|c| c.params_mut());
+        let direct_grads = model.params_mut();
+        let grads = scalar_grads
+            .zip(direct_grads)
+            .map(|((_, a), (_, b))| (a.clone(), b.clone()));
+        for (a, b) in std::iter::once(dx).chain(grads) {
+            assert_eq!(a.shape(), b.shape());
+            for (u, v) in a.data().iter().zip(b.data()) {
+                assert_eq!(u.to_bits(), v.to_bits(), "scalar {u} vs direct {v}");
+            }
         }
     }
 

@@ -1,34 +1,39 @@
-//! Convolution kernels: a direct f32 forward, a column-matrix f32 backward
-//! and a fused int8 forward.
+//! Convolution kernels: a direct f32 forward and an f32 backward, both over
+//! zero-padded input planes, and a fused int8 forward.
 //!
 //! The scalar seed kernels walked the convolution with per-element
 //! [`crate::Tensor::get`] calls — every access paying index arithmetic and a
 //! bounds assert. The kernels here work on contiguous slices instead.
 //!
-//! The f32 forward [`conv_forward_f32`] reads the input directly. Per batch
-//! element it copies the input into a zero-padded buffer of `ph × pw`
-//! planes and computes each output channel over the *wide* `oh × pw` plane:
-//! output `(y, x)` sits at index `y·pw + x`, so tap `(ic, ky, kx)` reads the
-//! buffer at that index plus the fixed offset `ic·ph·pw + ky·pw + kx`, and a
-//! run of consecutive outputs reads one contiguous slice per tap. The kernel
-//! keeps a block of outputs in registers across all taps, then drops the
-//! wide plane's columns `ow..pw`. It vectorizes across the flattened plane,
-//! not one row, so a narrow output (the 8×8 detector's 6-wide plane) is as
-//! fast per output as a wide one.
+//! Both f32 kernels read the input from [`pad_planes`]: a copy of the batch
+//! in zero-padded `ph × pw` planes. `Conv2d::forward` keeps that copy for
+//! the backward pass; it is the input plus its border, not a column matrix
+//! nine times its size.
+//!
+//! The f32 forward [`conv_forward_f32`] computes output channels over the
+//! *wide* `oh × pw` plane: output `(y, x)` sits at index `y·pw + x`, so tap
+//! `(ic, ky, kx)` reads the planes at that index plus the fixed offset
+//! `ic·ph·pw + ky·pw + kx`, and a run of consecutive outputs reads one
+//! contiguous slice per tap. The kernel keeps a block of 16 consecutive
+//! outputs of two output channels in registers across all taps, so each
+//! input slice it loads feeds both channels, then drops the wide plane's
+//! columns `ow..pw`. It vectorizes across the flattened plane, not one row,
+//! so a narrow output (the 8×8 detector's 6-wide plane) is as fast per
+//! output as a wide one.
 //!
 //! [`im2col`] lowers the input to a `[spatial, K]` *column matrix* whose row
-//! `(b, y, x)` is the window feeding that output pixel. Only the backward
-//! kernel (over the matrix `Conv2d::forward` caches) and the int8 kernel use
-//! it.
+//! `(b, y, x)` is the window feeding that output pixel. Only the int8 kernel
+//! uses it.
 //!
 //! **Bit-exactness contract:** [`conv_forward_f32`] accumulates each output
 //! element in exactly the seed kernel's order — starting from the bias and
 //! adding `weight × input` products with the reduction index ascending in
 //! `(in_channel, ky, kx)` order, one accumulator per output, no FMA, no
 //! reassociation — so it is bit-identical to the naive nested loops for
-//! every input. Blocking only reorders *independent* output elements, never
-//! the summation within one. This is what keeps the golden report corpus
-//! byte-identical while the hot path gets fast.
+//! every input. Blocking over outputs and output channels only reorders
+//! *independent* output elements, never the summation within one. This is
+//! what keeps the golden report corpus byte-identical while the hot path
+//! gets fast.
 //!
 //! The training kernel [`conv_backward_f32`] extends the contract to both
 //! gradient orders of the seed's scalar backward loop, which visited upstream
@@ -36,20 +41,24 @@
 //! over the `(ic, ky, kx)` window:
 //!
 //! - **dW and db** — every element accumulates its terms in `(b, y, x)`
-//!   ascending order, starting from its current value. The kernel keeps that
-//!   order with rank-1 updates `dW[oc, :] += g · col[b, y·ow + x, :]` over the
-//!   cached column matrix, each vectorized across the reduction dimension.
+//!   ascending order, starting from its current value. The kernel reads the
+//!   windows from a channel-last copy of the padded planes, where the
+//!   `(kx, ic)` part of each window row is contiguous. Per output channel it
+//!   lists the nonzero gradients in `(b, y, x)` order and walks that list
+//!   once per group of dW accumulators held in registers, adding
+//!   `g · window` to each: the same terms in the same order as the seed.
 //! - **dX** — every padded-input element receives its terms in `oc`-ascending,
 //!   then `(y, x)`-ascending order; for a fixed element that is `ky`
 //!   descending, then `kx` descending. The kernel loops
 //!   `oc → ic → ky↓ → kx↓ → y` and adds `g[y, ..ow] · w` to a contiguous row
 //!   of the padded gradient, then crops the padding.
 //!
-//! The seed loop skipped `g == 0`. The dW/db kernel keeps that skip (one
-//! branch per column row). The dX kernel drops it: its accumulators start at
-//! `+0.0` and a sum that starts at `+0.0` can never become `-0.0` under
-//! round-to-nearest, so adding `g · w = ±0` is a no-op for every finite
-//! weight.
+//! The seed loop skipped `g == 0` (both `+0.0` and `-0.0`). The dW/db kernel
+//! keeps that skip: a zero gradient never enters the list, so a `-0.0`
+//! accumulator stays `-0.0` and an infinite input never meets `0 · ∞`. The
+//! dX kernel drops it: its accumulators start at `+0.0` and a sum that
+//! starts at `+0.0` can never become `-0.0` under round-to-nearest, so
+//! adding `g · w = ±0` is a no-op for every finite weight.
 //!
 //! The int8 kernel ([`conv_forward_i8`], [`dense_forward_i8`]) is the
 //! accelerator-precision variant: symmetric per-tensor quantization (scales
@@ -98,6 +107,11 @@ impl ConvShape {
     pub fn spatial(&self) -> usize {
         self.out_height() * self.out_width()
     }
+
+    /// Padded input height and width.
+    pub fn padded(&self) -> (usize, usize) {
+        (self.height + 2 * self.pad, self.width + 2 * self.pad)
+    }
 }
 
 /// Column-rows per cache tile of the int8 kernel. 64 rows × a
@@ -105,15 +119,33 @@ impl ConvShape {
 /// every output channel streams over the tile.
 const SPATIAL_TILE: usize = 64;
 
-/// Outputs the direct f32 kernel accumulates in registers at once: four SSE
-/// or two AVX vectors.
+/// Outputs per output channel the direct f32 kernel accumulates in
+/// registers at once: four SSE or two AVX vectors.
 const CHUNK: usize = 16;
+
+/// Output channels the direct f32 kernel computes per pass over the padded
+/// planes: each input slice it loads feeds `OC_BLOCK × CHUNK` accumulators
+/// (eight SSE registers).
+const OC_BLOCK: usize = 2;
+
+/// One weight repeated across an SSE vector: the direct kernel loads it
+/// whole instead of shuffling a scalar into every lane at each tap.
+type Splat = [f32; 4];
+
+/// Lanes of one dW accumulator: two SSE vectors.
+const LANES: usize = 8;
+
+/// dW accumulators of [`LANES`] floats the backward kernel keeps in
+/// registers during one pass over an output channel's nonzero gradients:
+/// 24 floats, six SSE registers. A 3×3 kernel over 1, 4 or 8 input
+/// channels needs 3, 6 or 9 accumulators: whole groups.
+const LANE_GROUP: usize = 3;
 
 /// Lowers one NCHW input into its column matrix: row `(b, y, x)` holds the
 /// padded `in_channels × kernel × kernel` window feeding output pixel
 /// `(y, x)` of batch element `b`, flattened in `(ic, ky, kx)` order — the
 /// seed kernel's accumulation order. Out-of-bounds (padding) taps are
-/// `T::default()` (zero).
+/// `T::default()` (zero). Only the int8 kernel uses it.
 pub fn im2col<T: Copy + Default>(input: &[T], s: &ConvShape) -> Vec<T> {
     let (oh, ow, k_dim) = (s.out_height(), s.out_width(), s.k_dim());
     let mut col = vec![T::default(); s.batch * oh * ow * k_dim];
@@ -153,17 +185,53 @@ pub fn im2col<T: Copy + Default>(input: &[T], s: &ConvShape) -> Vec<T> {
     col
 }
 
-/// The direct f32 convolution: `input` is the flat
-/// `[batch, in_channels, height, width]` tensor, `weight` the flat
-/// `[out_channels, in_channels, kernel, kernel]` tensor, `bias` is
-/// `[out_channels]`, and the result is the flat
-/// `[batch, out_channels, oh, ow]` output.
+/// Length of the [`pad_planes`] buffer of geometry `s`: the padded planes
+/// plus the slack the direct kernel's last block reads past them. That
+/// block runs up to `CHUNK - 1` outputs past the wide plane, so its last
+/// taps read up to `kernel + CHUNK` elements past the last plane.
+fn planes_len(s: &ConvShape) -> usize {
+    let (ph, pw) = s.padded();
+    s.batch * s.in_channels * ph * pw + s.kernel + CHUNK
+}
+
+/// Copies the flat `[batch, in_channels, height, width]` input into
+/// zero-padded `[batch, in_channels, ph, pw]` planes, followed by the slack
+/// the direct kernel's last block reads past the end. Both f32 kernels read
+/// their input from these planes, and `Conv2d::forward` caches them for the
+/// backward pass.
+pub fn pad_planes(input: &[f32], s: &ConvShape) -> Vec<f32> {
+    let (ph, pw) = s.padded();
+    let mut planes = vec![0.0f32; planes_len(s)];
+    let padded = planes.chunks_exact_mut(ph * pw);
+    for (dst, src) in padded.zip(input.chunks_exact(s.height * s.width)) {
+        for (y, row) in src.chunks_exact(s.width).enumerate() {
+            dst[(y + s.pad) * pw + s.pad..][..s.width].copy_from_slice(row);
+        }
+    }
+    planes
+}
+
+/// The direct f32 convolution: `planes` is the [`pad_planes`] copy of the
+/// input, `weight` the flat `[out_channels, in_channels, kernel, kernel]`
+/// tensor, `bias` is `[out_channels]`, and the flat
+/// `[batch, out_channels, oh, ow]` output is appended to `out`.
 ///
 /// Bit-identical to the scalar seed kernel (see the module docs).
-pub fn conv_forward_f32(input: &[f32], weight: &[f32], bias: &[f32], s: &ConvShape) -> Vec<f32> {
-    let (k, oh, ow) = (s.kernel, s.out_height(), s.out_width());
-    let (ph, pw) = (s.height + 2 * s.pad, s.width + 2 * s.pad);
-    let (plane, padded_plane, wide) = (s.height * s.width, ph * pw, oh * pw);
+pub fn conv_forward_f32(
+    planes: &[f32],
+    weight: &[f32],
+    bias: &[f32],
+    s: &ConvShape,
+    out: &mut Vec<f32>,
+) {
+    let (k, oh, ow, k_dim) = (s.kernel, s.out_height(), s.out_width(), s.k_dim());
+    let (ph, pw) = s.padded();
+    let (padded_plane, wide) = (ph * pw, oh * pw);
+    assert_eq!(
+        planes.len(),
+        planes_len(s),
+        "planes must come from pad_planes"
+    );
     // Buffer offset of each tap from its output's wide index, in reduction
     // order.
     let taps: Vec<usize> = (0..s.in_channels)
@@ -171,75 +239,107 @@ pub fn conv_forward_f32(input: &[f32], weight: &[f32], bias: &[f32], s: &ConvSha
             (0..k).flat_map(move |ky| (0..k).map(move |kx| ic * padded_plane + ky * pw + kx))
         })
         .collect();
-    // The last block runs up to `CHUNK - 1` outputs past the wide plane, so
-    // its last taps read up to `k + CHUNK` elements past the last plane.
-    let mut padded = vec![0.0f32; s.in_channels * padded_plane + k + CHUNK];
-    let mut wide_out = vec![0.0f32; wide.next_multiple_of(CHUNK)];
-    let mut out = Vec::with_capacity(s.batch * s.out_channels * oh * ow);
-    for in_b in input.chunks_exact(s.in_channels * plane) {
-        // Only the interior is rewritten; the pad border stays zero.
-        for (ic, in_plane) in in_b.chunks_exact(plane).enumerate() {
-            for (y, row) in in_plane.chunks_exact(s.width).enumerate() {
-                padded[ic * padded_plane + (y + s.pad) * pw + s.pad..][..s.width]
-                    .copy_from_slice(row);
-            }
-        }
-        for (w_oc, &bias_oc) in weight.chunks_exact(s.k_dim()).zip(bias) {
-            for (block, start) in wide_out.chunks_exact_mut(CHUNK).zip((0..).step_by(CHUNK)) {
-                // One accumulator per output, starting from the bias, taps
-                // ascending: the seed kernel's exact f32 operation sequence.
-                let mut acc = [bias_oc; CHUNK];
-                for (&w, &tap) in w_oc.iter().zip(&taps) {
-                    let src = &padded[start + tap..][..CHUNK];
-                    for (a, &v) in acc.iter_mut().zip(src) {
-                        *a += w * v;
-                    }
+    let wide_len = wide.next_multiple_of(CHUNK);
+    let mut wide_out = vec![0.0f32; OC_BLOCK * wide_len];
+    out.reserve(s.batch * s.out_channels * oh * ow);
+    let blocked = s.out_channels / OC_BLOCK * OC_BLOCK;
+    // Weights of each block of output channels, tap-major, then those of
+    // the channels left over, one at a time.
+    let block_weights: Vec<[Splat; OC_BLOCK]> = (0..blocked)
+        .step_by(OC_BLOCK)
+        .flat_map(|oc| {
+            (0..k_dim).map(move |t| std::array::from_fn(|o| [weight[(oc + o) * k_dim + t]; 4]))
+        })
+        .collect();
+    let tail_weights: Vec<[Splat; 1]> = weight[blocked * k_dim..]
+        .iter()
+        .map(|&w| [[w; 4]])
+        .collect();
+    for b in 0..s.batch {
+        // The element's planes run on to the end of the buffer: a block's
+        // overhang reads into the next element's planes or the slack, and
+        // those outputs are dropped with the wide plane's extra columns.
+        let planes_b = &planes[b * s.in_channels * padded_plane..];
+        let mut emit = |channels: usize, wide_out: &[f32]| {
+            for plane in wide_out.chunks_exact(wide_len).take(channels) {
+                for row in plane[..wide].chunks_exact(pw) {
+                    out.extend_from_slice(&row[..ow]);
                 }
-                block.copy_from_slice(&acc);
             }
-            for row in wide_out[..wide].chunks_exact(pw) {
-                out.extend_from_slice(&row[..ow]);
-            }
+        };
+        for (oc, w_block) in (0..blocked)
+            .step_by(OC_BLOCK)
+            .zip(block_weights.chunks_exact(k_dim))
+        {
+            let bias_block: &[f32; OC_BLOCK] = bias[oc..][..OC_BLOCK].try_into().unwrap();
+            forward_block(planes_b, w_block, bias_block, &taps, &mut wide_out);
+            emit(OC_BLOCK, &wide_out);
+        }
+        for (oc, w_oc) in (blocked..s.out_channels).zip(tail_weights.chunks_exact(k_dim)) {
+            forward_block(planes_b, w_oc, &[bias[oc]], &taps, &mut wide_out);
+            emit(1, &wide_out);
         }
     }
-    out
 }
 
-/// The f32 convolution backward pass over the forward pass's [`im2col`]
-/// column matrix `col`. Accumulates the weight and bias gradients into
+/// Computes `N` output channels over one element's wide planes, written to
+/// the first `N` of `wide_out`'s [`OC_BLOCK`] planes.
+/// `weights[t]` holds tap `t`'s weight for each channel. One accumulator
+/// per output, starting from the bias, taps ascending: the seed kernel's
+/// exact f32 operation sequence.
+fn forward_block<const N: usize>(
+    planes_b: &[f32],
+    weights: &[[Splat; N]],
+    bias: &[f32; N],
+    taps: &[usize],
+    wide_out: &mut [f32],
+) {
+    let wide_len = wide_out.len() / OC_BLOCK;
+    for start in (0..wide_len).step_by(CHUNK) {
+        let mut acc: [[f32; CHUNK]; N] = std::array::from_fn(|o| [bias[o]; CHUNK]);
+        for (w, &tap) in weights.iter().zip(taps) {
+            let src: &[f32; CHUNK] = planes_b[start + tap..][..CHUNK].try_into().unwrap();
+            for (acc_o, w_o) in acc.iter_mut().zip(w) {
+                for (i, (a, &v)) in acc_o.iter_mut().zip(src).enumerate() {
+                    *a += w_o[i % 4] * v;
+                }
+            }
+        }
+        for (o, acc_o) in acc.iter().enumerate() {
+            wide_out[o * wide_len + start..][..CHUNK].copy_from_slice(acc_o);
+        }
+    }
+}
+
+/// The f32 convolution backward pass over the [`pad_planes`] copy of the
+/// forward pass's input. Accumulates the weight and bias gradients into
 /// `weight_grad` (`[out_channels, K]`) and `bias_grad` (`[out_channels]`) and
 /// returns the flat `[batch, in_channels, height, width]` input gradient for
 /// the flat `[batch, out_channels, oh, ow]` upstream gradient `grad_output`.
 ///
 /// Bit-identical to the scalar seed backward loop (see the module docs).
 pub fn conv_backward_f32(
-    col: &[f32],
+    planes: &[f32],
     weight: &[f32],
     grad_output: &[f32],
     weight_grad: &mut [f32],
     bias_grad: &mut [f32],
     s: &ConvShape,
 ) -> Vec<f32> {
-    let (spatial, k_dim, k, ow) = (s.spatial(), s.k_dim(), s.kernel, s.out_width());
-    let (ph, pw) = (s.height + 2 * s.pad, s.width + 2 * s.pad);
+    let (spatial, k, ow) = (s.spatial(), s.kernel, s.out_width());
+    let (ph, pw) = s.padded();
+    assert_eq!(
+        planes.len(),
+        planes_len(s),
+        "planes must come from pad_planes"
+    );
+    weight_bias_grads(planes, grad_output, weight_grad, bias_grad, s);
     let mut grad_padded = vec![0.0f32; s.batch * s.in_channels * ph * pw];
     for b in 0..s.batch {
-        let col_b = &col[b * spatial * k_dim..][..spatial * k_dim];
         let g_b = &grad_output[b * s.out_channels * spatial..][..s.out_channels * spatial];
         let gp_b = &mut grad_padded[b * s.in_channels * ph * pw..][..s.in_channels * ph * pw];
         for oc in 0..s.out_channels {
             let g_plane = &g_b[oc * spatial..][..spatial];
-            // dW, db: rank-1 updates, column rows in (y, x) order.
-            let dw_row = &mut weight_grad[oc * k_dim..][..k_dim];
-            for (col_row, &g) in col_b.chunks_exact(k_dim).zip(g_plane) {
-                if g == 0.0 {
-                    continue;
-                }
-                bias_grad[oc] += g;
-                for (d, &v) in dw_row.iter_mut().zip(col_row) {
-                    *d += g * v;
-                }
-            }
             // dX: scatter each tap's weight over whole output rows, taps in
             // (ky, kx) descending order.
             for ic in 0..s.in_channels {
@@ -270,6 +370,111 @@ pub fn conv_backward_f32(
         }
     }
     grad_input
+}
+
+/// dW and db of [`conv_backward_f32`], read straight from the padded
+/// planes. The planes are copied channel-last, so that the window row
+/// `(ky, kx = 0..k, ic = 0..in_channels)` of each output is one contiguous
+/// segment. Per output channel, the nonzero upstream gradients are listed
+/// in `(b, y, x)` order with their window's offset; db sums them in that
+/// order, and dW runs over the list once per group of [`LANE_GROUP`]
+/// [`LANES`]-wide accumulators, in a transposed `[ky][kx][ic]` layout whose
+/// rows are padded to whole accumulators. The padding lanes read past the
+/// segment and are never stored back.
+fn weight_bias_grads(
+    planes: &[f32],
+    grad_output: &[f32],
+    weight_grad: &mut [f32],
+    bias_grad: &mut [f32],
+    s: &ConvShape,
+) {
+    let (spatial, k, ow) = (s.spatial(), s.kernel, s.out_width());
+    let (ph, pw) = s.padded();
+    let (ic_n, padded_plane) = (s.in_channels, ph * pw);
+    let row_len = (k * ic_n).next_multiple_of(LANES);
+    let mut channel_last = vec![0.0f32; s.batch * padded_plane * ic_n + row_len];
+    for (src, dst) in planes
+        .chunks_exact(ic_n * padded_plane)
+        .zip(channel_last.chunks_exact_mut(padded_plane * ic_n))
+    {
+        for (ic, plane) in src.chunks_exact(padded_plane).enumerate() {
+            for (d, &v) in dst[ic..].iter_mut().step_by(ic_n).zip(plane) {
+                *d = v;
+            }
+        }
+    }
+    // Transposed accumulators: `acc[ky * row_len + kx * ic_n + ic]` is
+    // `dW[oc, ic, ky, kx]`, and `slots[i]` is the `acc` index of `dW[oc, i]`.
+    // Accumulator `a` covers `acc[a * LANES..]`; its first lane reads the
+    // channel-last buffer at the window offset plus `sources[a]`. Spare
+    // accumulators fill the last group; they read offset 0 and are dropped.
+    let accumulators = (k * row_len / LANES).next_multiple_of(LANE_GROUP);
+    let mut acc = vec![0.0f32; accumulators * LANES];
+    let slots: Vec<usize> = (0..s.k_dim())
+        .map(|i| i / k % k * row_len + i % k * ic_n + i / (k * k))
+        .collect();
+    let sources: Vec<usize> = (0..accumulators * LANES)
+        .step_by(LANES)
+        .map(|j| {
+            if j < k * row_len {
+                j / row_len * pw * ic_n + j % row_len
+            } else {
+                0
+            }
+        })
+        .collect();
+    let mut entries = vec![(0usize, 0.0f32); s.batch * spatial];
+    for (oc, dw) in weight_grad.chunks_exact_mut(s.k_dim()).enumerate() {
+        // Every gradient is written, but only a nonzero one advances the
+        // list: the seed loop skipped `g == 0` (both signs), so dW and db
+        // never see it. No branch, so no mispredicted zero pattern.
+        let mut len = 0;
+        for b in 0..s.batch {
+            let g_plane = &grad_output[(b * s.out_channels + oc) * spatial..][..spatial];
+            for (y, g_row) in g_plane.chunks_exact(ow).enumerate() {
+                let window = (b * padded_plane + y * pw) * ic_n;
+                for (x, &g) in g_row.iter().enumerate() {
+                    entries[len] = (window + x * ic_n, g);
+                    len += usize::from(g != 0.0);
+                }
+            }
+        }
+        let nonzero = &entries[..len];
+        for &(_, g) in nonzero {
+            bias_grad[oc] += g;
+        }
+        for (&slot, &d) in slots.iter().zip(dw.iter()) {
+            acc[slot] = d;
+        }
+        let groups = acc.chunks_exact_mut(LANE_GROUP * LANES);
+        for (acc_group, sources_group) in groups.zip(sources.chunks_exact(LANE_GROUP)) {
+            dw_pass(nonzero, &channel_last, sources_group, acc_group);
+        }
+        for (&slot, d) in slots.iter().zip(dw.iter_mut()) {
+            *d = acc[slot];
+        }
+    }
+}
+
+/// One pass of [`weight_bias_grads`] over an output channel's nonzero
+/// gradients `(window, g)`, with [`LANE_GROUP`] accumulators of [`LANES`]
+/// floats held in registers: accumulator `i` adds `g ·` the `LANES` floats
+/// at `channel_last[window + sources[i]..]` for every entry, in list order.
+fn dw_pass(nonzero: &[(usize, f32)], channel_last: &[f32], sources: &[usize], acc: &mut [f32]) {
+    let sources: [usize; LANE_GROUP] = sources.try_into().unwrap();
+    let mut regs: [[f32; LANES]; LANE_GROUP] =
+        std::array::from_fn(|i| acc[i * LANES..][..LANES].try_into().unwrap());
+    for &(window, g) in nonzero {
+        for (reg, &source) in regs.iter_mut().zip(&sources) {
+            let src: &[f32; LANES] = channel_last[window + source..][..LANES].try_into().unwrap();
+            for (a, &v) in reg.iter_mut().zip(src) {
+                *a += g * v;
+            }
+        }
+    }
+    for (i, reg) in regs.iter().enumerate() {
+        acc[i * LANES..][..LANES].copy_from_slice(reg);
+    }
 }
 
 /// The fused int8 convolution: `col`-side input is quantized by the caller
@@ -403,6 +608,13 @@ mod tests {
         out
     }
 
+    /// [`conv_forward_f32`] over the whole input at once.
+    fn forward(input: &[f32], weight: &[f32], bias: &[f32], s: &ConvShape) -> Vec<f32> {
+        let mut out = Vec::new();
+        conv_forward_f32(&pad_planes(input, s), weight, bias, s, &mut out);
+        out
+    }
+
     fn pseudo(seed: u64, len: usize) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
         (0..len)
@@ -429,7 +641,7 @@ mod tests {
         let input = pseudo(1, s.batch * s.in_channels * s.height * s.width);
         let weight = pseudo(2, s.out_channels * s.k_dim());
         let bias = pseudo(3, s.out_channels);
-        let fast = conv_forward_f32(&input, &weight, &bias, &s);
+        let fast = forward(&input, &weight, &bias, &s);
         let slow = naive_conv(&input, &weight, &bias, &s);
         assert_eq!(fast.len(), slow.len());
         for (a, b) in fast.iter().zip(&slow) {
@@ -451,7 +663,7 @@ mod tests {
         let input = pseudo(7, s.batch * s.in_channels * s.height * s.width);
         let weight = pseudo(8, s.out_channels * s.k_dim());
         let bias = pseudo(9, s.out_channels);
-        let fast = conv_forward_f32(&input, &weight, &bias, &s);
+        let fast = forward(&input, &weight, &bias, &s);
         let slow = naive_conv(&input, &weight, &bias, &s);
         for (a, b) in fast.iter().zip(&slow) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -474,7 +686,7 @@ mod tests {
         let input = pseudo(11, s.height * s.width);
         let weight = pseudo(12, s.out_channels * s.k_dim());
         let bias = pseudo(13, s.out_channels);
-        let fast = conv_forward_f32(&input, &weight, &bias, &s);
+        let fast = forward(&input, &weight, &bias, &s);
         let slow = naive_conv(&input, &weight, &bias, &s);
         for (a, b) in fast.iter().zip(&slow) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -538,7 +750,7 @@ mod tests {
             }
             sprinkle_specials(&mut input, special_every, seed as usize);
             sprinkle_specials(&mut bias, 2, seed as usize);
-            let fast = conv_forward_f32(&input, &weight, &bias, &s);
+            let fast = forward(&input, &weight, &bias, &s);
             let slow = naive_conv(&input, &weight, &bias, &s);
             prop_assert_eq!(fast.len(), slow.len());
             for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
@@ -561,7 +773,7 @@ mod tests {
         let input = pseudo(21, s.batch * s.in_channels * s.height * s.width);
         let weight = pseudo(22, s.out_channels * s.k_dim());
         let bias = pseudo(23, s.out_channels);
-        let f32_out = conv_forward_f32(&input, &weight, &bias, &s);
+        let f32_out = forward(&input, &weight, &bias, &s);
 
         let in_scale = crate::quantize::symmetric_scale_i8(&input);
         let w_scale = crate::quantize::symmetric_scale_i8(&weight);

@@ -7,6 +7,11 @@ use crate::serialize::LayerExport;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
+/// Batch elements [`Layer::infer`] pads and convolves at a time. Padding a
+/// whole 64-frame 16×15 detector batch at once would hold ~245 KB of planes
+/// that inference, unlike training, never reads again.
+const INFER_CHUNK: usize = 8;
+
 /// Padding mode for [`Conv2d`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Padding {
@@ -43,10 +48,10 @@ pub struct Conv2d {
     bias: Tensor,
     weight_grad: Tensor,
     bias_grad: Tensor,
-    /// The last `forward` call's geometry and [`gemm::im2col`] column
-    /// matrix: the backward kernels read the input windows from it.
-    /// `backward` consumes it, so a trained layer holds no stale columns.
-    cached_col: Option<(ConvShape, Vec<f32>)>,
+    /// The last `forward` call's geometry and [`gemm::pad_planes`] copy of
+    /// its input: the backward kernels read the input windows from it.
+    /// `backward` consumes it, so a trained layer holds no stale planes.
+    cached_planes: Option<(ConvShape, Vec<f32>)>,
 }
 
 impl Conv2d {
@@ -79,7 +84,7 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_channels]),
             weight_grad: Tensor::zeros(&wshape),
             bias_grad: Tensor::zeros(&[out_channels]),
-            cached_col: None,
+            cached_planes: None,
         }
     }
 
@@ -112,7 +117,7 @@ impl Conv2d {
             bias_grad: Tensor::zeros(&[out_channels]),
             weight,
             bias,
-            cached_col: None,
+            cached_planes: None,
         }
     }
 
@@ -160,9 +165,8 @@ impl Conv2d {
         }
     }
 
-    /// Runs the direct f32 kernel over `input` of geometry `s`.
-    fn output(&self, input: &Tensor, s: &ConvShape) -> Tensor {
-        let out = gemm::conv_forward_f32(input.data(), self.weight.data(), self.bias.data(), s);
+    /// Shapes `out`, the flat output of an input of geometry `s`.
+    fn output_tensor(&self, out: Vec<f32>, s: &ConvShape) -> Tensor {
         Tensor::from_vec(
             out,
             &[s.batch, self.out_channels, s.out_height(), s.out_width()],
@@ -198,6 +202,63 @@ impl Conv2d {
             }
         }
         out
+    }
+
+    /// The scalar seed backward loop: for the upstream gradient of a forward
+    /// pass over `input`, accumulates into the weight and bias gradients and
+    /// returns the input gradient. Kept, like [`Conv2d::forward_reference`],
+    /// as the oracle the slice kernels are proven bit-identical against and
+    /// as the baseline `nn-bench` measures from. Not used on any hot path.
+    pub fn backward_reference(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
+        let padded = self.padded(input);
+        let p = self.pad_amount();
+        let (n, _, ph, pw) = dims4(&padded);
+        let (_, _, ih, iw) = dims4(input);
+        let (_, _, oh, ow) = dims4(grad_output);
+        let k = self.kernel;
+
+        let mut grad_padded = Tensor::zeros(&[n, self.in_channels, ph, pw]);
+        for b in 0..n {
+            for oc in 0..self.out_channels {
+                for y in 0..oh {
+                    for x in 0..ow {
+                        let g = grad_output.get(&[b, oc, y, x]);
+                        if g == 0.0 {
+                            continue;
+                        }
+                        let bg = self.bias_grad.get(&[oc]) + g;
+                        self.bias_grad.set(&[oc], bg);
+                        for ic in 0..self.in_channels {
+                            for ky in 0..k {
+                                for kx in 0..k {
+                                    let wg = self.weight_grad.get(&[oc, ic, ky, kx])
+                                        + g * padded.get(&[b, ic, y + ky, x + kx]);
+                                    self.weight_grad.set(&[oc, ic, ky, kx], wg);
+                                    let ig = grad_padded.get(&[b, ic, y + ky, x + kx])
+                                        + g * self.weight.get(&[oc, ic, ky, kx]);
+                                    grad_padded.set(&[b, ic, y + ky, x + kx], ig);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        if p == 0 {
+            return grad_padded;
+        }
+        let mut grad_input = Tensor::zeros(&[n, self.in_channels, ih, iw]);
+        for b in 0..n {
+            for ic in 0..self.in_channels {
+                for y in 0..ih {
+                    for x in 0..iw {
+                        grad_input.set(&[b, ic, y, x], grad_padded.get(&[b, ic, y + p, x + p]));
+                    }
+                }
+            }
+        }
+        grad_input
     }
 
     fn padded(&self, input: &Tensor) -> Tensor {
@@ -237,18 +298,32 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let s = self.conv_shape(input);
-        self.cached_col = Some((s, gemm::im2col(input.data(), &s)));
-        self.output(input, &s)
+        let planes = gemm::pad_planes(input.data(), &s);
+        let mut out = Vec::new();
+        let (weight, bias) = (self.weight.data(), self.bias.data());
+        gemm::conv_forward_f32(&planes, weight, bias, &s, &mut out);
+        self.cached_planes = Some((s, planes));
+        self.output_tensor(out, &s)
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
         let s = self.conv_shape(input);
-        self.output(input, &s)
+        let element = s.in_channels * s.height * s.width;
+        let mut out = Vec::new();
+        for chunk in input.data().chunks(INFER_CHUNK * element) {
+            let c = ConvShape {
+                batch: chunk.len() / element,
+                ..s
+            };
+            let planes = gemm::pad_planes(chunk, &c);
+            gemm::conv_forward_f32(&planes, self.weight.data(), self.bias.data(), &c, &mut out);
+        }
+        self.output_tensor(out, &s)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let (s, col) = self
-            .cached_col
+        let (s, planes) = self
+            .cached_planes
             .take()
             .expect("backward called before forward");
         assert_eq!(
@@ -257,7 +332,7 @@ impl Layer for Conv2d {
             "grad_output shape does not match the last forward output"
         );
         let grad_input = gemm::conv_backward_f32(
-            &col,
+            &planes,
             self.weight.data(),
             grad_output.data(),
             self.weight_grad.data_mut(),
@@ -299,60 +374,6 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use proptest::proptest;
-
-    /// The scalar seed backward loop, kept as the oracle the slice kernels
-    /// are proven bit-identical against.
-    fn backward_oracle(conv: &mut Conv2d, input: &Tensor, grad_output: &Tensor) -> Tensor {
-        let padded = conv.padded(input);
-        let p = conv.pad_amount();
-        let (n, _, ph, pw) = dims4(&padded);
-        let (_, _, ih, iw) = dims4(input);
-        let (_, _, oh, ow) = dims4(grad_output);
-        let k = conv.kernel;
-
-        let mut grad_padded = Tensor::zeros(&[n, conv.in_channels, ph, pw]);
-        for b in 0..n {
-            for oc in 0..conv.out_channels {
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let g = grad_output.get(&[b, oc, y, x]);
-                        if g == 0.0 {
-                            continue;
-                        }
-                        let bg = conv.bias_grad.get(&[oc]) + g;
-                        conv.bias_grad.set(&[oc], bg);
-                        for ic in 0..conv.in_channels {
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    let wg = conv.weight_grad.get(&[oc, ic, ky, kx])
-                                        + g * padded.get(&[b, ic, y + ky, x + kx]);
-                                    conv.weight_grad.set(&[oc, ic, ky, kx], wg);
-                                    let ig = grad_padded.get(&[b, ic, y + ky, x + kx])
-                                        + g * conv.weight.get(&[oc, ic, ky, kx]);
-                                    grad_padded.set(&[b, ic, y + ky, x + kx], ig);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        if p == 0 {
-            return grad_padded;
-        }
-        let mut grad_input = Tensor::zeros(&[n, conv.in_channels, ih, iw]);
-        for b in 0..n {
-            for ic in 0..conv.in_channels {
-                for y in 0..ih {
-                    for x in 0..iw {
-                        grad_input.set(&[b, ic, y, x], grad_padded.get(&[b, ic, y + p, x + p]));
-                    }
-                }
-            }
-        }
-        grad_input
-    }
 
     fn assert_bits_eq(fast: &Tensor, oracle: &Tensor, what: &str) {
         assert_eq!(fast.shape(), oracle.shape(), "{what} shape");
@@ -397,7 +418,7 @@ mod tests {
             let g = sparse_grad(&out_shape, zero_every, seed + 10 + step);
             conv.forward(&x);
             let dx = conv.backward(&g);
-            assert_bits_eq(&dx, &backward_oracle(&mut oracle, &x, &g), "dX");
+            assert_bits_eq(&dx, &oracle.backward_reference(&x, &g), "dX");
         }
         assert_bits_eq(&conv.weight_grad, &oracle.weight_grad, "dW");
         assert_bits_eq(&conv.bias_grad, &oracle.bias_grad, "db");
@@ -426,8 +447,8 @@ mod tests {
         #[test]
         fn slice_backward_is_bit_identical_to_scalar_oracle(
             batch in 1usize..4,
-            in_channels in 1usize..5,
-            out_channels in 1usize..5,
+            in_channels in 1usize..10,
+            out_channels in 1usize..10,
             kernel in 1usize..4,
             extra_h in 0usize..12,
             extra_w in 0usize..12,
@@ -442,6 +463,30 @@ mod tests {
             };
             let conv = Conv2d::new(in_channels, out_channels, kernel, padding, seed);
             check_two_steps(conv, batch, kernel + extra_h, kernel + extra_w, zero_every, seed);
+        }
+    }
+
+    #[test]
+    fn skipped_zero_gradients_leave_negative_zero_and_non_finite_windows_alone() {
+        // dW and db start at -0.0, and the input holds ±inf and NaN. Adding
+        // a skipped `±0 · x` would turn -0.0 into +0.0 or an infinite
+        // window into NaN, so every skip must stay a skip.
+        for (ic, oc, zero_every) in [(3, 4, 2), (8, 8, 3), (1, 8, 1), (8, 1, 4)] {
+            let mut conv = Conv2d::new(ic, oc, 3, Padding::Same, 70 + ic as u64);
+            conv.weight_grad.data_mut().fill(-0.0);
+            conv.bias_grad.data_mut().fill(-0.0);
+            let mut oracle = conv.clone();
+            let mut x = Init::XavierUniform.make(&[2, ic, 6, 7], 9, 9, 71);
+            let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
+            for (i, v) in x.data_mut().iter_mut().enumerate().step_by(5) {
+                *v = specials[i % specials.len()];
+            }
+            let g = sparse_grad(&[2, oc, 6, 7], zero_every, 72);
+            conv.forward(&x);
+            let dx = conv.backward(&g);
+            assert_bits_eq(&dx, &oracle.backward_reference(&x, &g), "dX");
+            assert_bits_eq(&conv.weight_grad, &oracle.weight_grad, "dW");
+            assert_bits_eq(&conv.bias_grad, &oracle.bias_grad, "db");
         }
     }
 
@@ -545,22 +590,23 @@ mod tests {
     fn infer_matches_forward_without_caching() {
         // A small Same conv, then the 16×16 production shapes: localizer
         // 1→8, 8→8, 8→1 Same at batch 4 (the four directional frames) and
-        // the detector's 4→8 Valid on 16×15 frames.
+        // the detector's 4→8 Valid on 16×15 frames, at a batch `infer`
+        // splits into chunks of 8, 8 and 4.
         let shapes = [
             (2, 3, Padding::Same, [1, 2, 6, 6]),
             (1, 8, Padding::Same, [4, 1, 16, 16]),
             (8, 8, Padding::Same, [4, 8, 16, 16]),
             (8, 1, Padding::Same, [4, 8, 16, 16]),
-            (4, 8, Padding::Valid, [8, 4, 16, 15]),
+            (4, 8, Padding::Valid, [20, 4, 16, 15]),
         ];
         for (i, &(ic, oc, padding, in_shape)) in shapes.iter().enumerate() {
             let seed = 60 + i as u64;
             let mut conv = Conv2d::new(ic, oc, 3, padding, seed);
             let x = Init::XavierUniform.make(&in_shape, 9, 9, seed + 100);
             let from_infer = conv.infer(&x);
-            assert!(conv.cached_col.is_none(), "infer must not cache");
+            assert!(conv.cached_planes.is_none(), "infer must not cache");
             let from_forward = conv.forward(&x);
-            assert!(conv.cached_col.is_some(), "forward must cache");
+            assert!(conv.cached_planes.is_some(), "forward must cache");
             assert_bits_eq(&from_infer, &from_forward, "infer vs forward");
             assert_bits_eq(
                 &from_infer,
@@ -571,13 +617,13 @@ mod tests {
     }
 
     #[test]
-    fn backward_consumes_the_column_cache() {
+    fn backward_consumes_the_plane_cache() {
         let mut conv = Conv2d::new(1, 2, 3, Padding::Same, 4);
         let y = conv.forward(&Tensor::ones(&[1, 1, 4, 4]));
         conv.backward(&Tensor::ones(y.shape()));
         assert!(
-            conv.cached_col.is_none(),
-            "a trained layer must not keep its columns"
+            conv.cached_planes.is_none(),
+            "a trained layer must not keep its padded planes"
         );
     }
 
