@@ -218,98 +218,6 @@ impl DosDetector {
     pub fn export(&self) -> ModelExport {
         self.model.export()
     }
-
-    /// Builds the fused int8 deployment form of this detector (accelerator
-    /// precision; see [`QuantizedDetector`]).
-    pub fn quantize(&self) -> QuantizedDetector {
-        QuantizedDetector {
-            model: QuantizedModel::from_model(&self.model),
-            threshold: self.threshold,
-        }
-    }
-}
-
-/// The int8 deployment form of [`DosDetector`]: symmetric int8 weights, i32
-/// accumulation and fused dequant+bias+ReLU epilogues — the execution model
-/// whose accuracy budget the `ablation_quantization` binary fixes on
-/// `specs/stp.toml`'s campaign. Outputs are *not* bit-identical to the f32
-/// detector; decisions must agree within the ablation's envelope (enforced
-/// by the parity tests).
-#[derive(Clone)]
-pub struct QuantizedDetector {
-    model: QuantizedModel,
-    threshold: f32,
-}
-
-impl QuantizedDetector {
-    /// Rebuilds an int8 detector around a stored [`QuantizedModelExport`]
-    /// artifact with the default 0.5 decision threshold — the serving-side
-    /// model hot-swap path.
-    pub fn from_export(export: tinycnn::serialize::QuantizedModelExport) -> Self {
-        QuantizedDetector {
-            model: export.into_model(),
-            threshold: 0.5,
-        }
-    }
-
-    /// The decision threshold (default 0.5).
-    pub fn threshold(&self) -> f32 {
-        self.threshold
-    }
-
-    /// Attaches a telemetry recorder emitting `nn.qdetector.*` per-layer
-    /// forward timings.
-    pub fn set_telemetry(&mut self, recorder: dl2fence_telemetry::Recorder) {
-        self.model.set_telemetry(recorder, "nn.qdetector");
-    }
-
-    /// Runs the int8 detector on one frame bundle.
-    pub fn detect(&mut self, frames: &DirectionalFrames) -> DetectionResult {
-        self.detect_batch(&[frames])[0]
-    }
-
-    /// Runs the int8 detector on a whole batch of frame bundles with one
-    /// fused int8 model invocation. An empty batch is a no-op returning no
-    /// results.
-    ///
-    /// Unlike the f32 path, per-bundle int8 results depend on the batch
-    /// composition: the activation quantization scale is computed over the
-    /// whole stacked input, so splitting a batch differently may shift
-    /// probabilities within the quantization budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame shapes disagree.
-    pub fn detect_batch(&mut self, bundles: &[&DirectionalFrames]) -> Vec<DetectionResult> {
-        if bundles.is_empty() {
-            return Vec::new();
-        }
-        let inputs: Vec<Tensor> = bundles
-            .iter()
-            .map(|b| frames_to_detector_input(b))
-            .collect();
-        let input_refs: Vec<&Tensor> = inputs.iter().collect();
-        let output = self.model.predict(&Tensor::stack(&input_refs));
-        output
-            .data()
-            .iter()
-            .map(|&probability| DetectionResult {
-                probability,
-                detected: probability > self.threshold,
-            })
-            .collect()
-    }
-
-    /// Exports the fused int8 weights (the compact deployment artifact).
-    pub fn export(&self) -> tinycnn::serialize::QuantizedModelExport {
-        self.model.export()
-    }
-}
-
-impl std::fmt::Debug for QuantizedDetector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "QuantizedDetector({} fused layers)", self.model.len())
-    }
 }
 
 impl std::fmt::Debug for DosDetector {
@@ -423,45 +331,6 @@ mod tests {
             );
             assert_eq!(single.detected, batch_result.detected);
         }
-    }
-
-    #[test]
-    fn quantized_detector_decisions_track_f32() {
-        let samples = small_samples();
-        let mut detector = DosDetector::new(8, 8, 7);
-        detector.train(&samples, FeatureKind::Vco, 40, 3);
-        let mut quantized = detector.quantize();
-        let bundles: Vec<&DirectionalFrames> = samples.iter().map(|s| &s.vco).collect();
-        let f32_results = detector.detect_batch(&bundles);
-        let i8_results = quantized.detect_batch(&bundles);
-        let mut agreements = 0;
-        for (f, q) in f32_results.iter().zip(&i8_results) {
-            assert!(
-                (f.probability - q.probability).abs() < 0.25,
-                "int8 probability drifted: {} vs {}",
-                f.probability,
-                q.probability
-            );
-            if f.detected == q.detected {
-                agreements += 1;
-            }
-        }
-        // The ablation budget: int8 decisions match f32 on all but
-        // knife-edge samples.
-        assert!(
-            agreements as f64 / f32_results.len() as f64 >= 0.9,
-            "int8 decisions diverged: {agreements}/{}",
-            f32_results.len()
-        );
-    }
-
-    #[test]
-    fn quantized_export_round_trips() {
-        let detector = DosDetector::new(8, 8, 2);
-        let q = detector.quantize();
-        let json = q.export().to_json().unwrap();
-        let restored = tinycnn::serialize::QuantizedModelExport::from_json(&json).unwrap();
-        assert_eq!(restored.layers.len(), q.export().layers.len());
     }
 
     #[test]

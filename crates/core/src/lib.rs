@@ -62,7 +62,7 @@ pub mod pipeline;
 pub mod tlm;
 pub mod vce;
 
-pub use detector::{DetectionResult, DosDetector, QuantizedDetector};
+pub use detector::{DetectionResult, DosDetector};
 pub use evaluation::{BenchmarkMetrics, EvaluationReport};
 pub use fusion::MultiFrameFusion;
 pub use localizer::DosLocalizer;
@@ -72,7 +72,7 @@ pub use vce::VictimComplementingEnhancement;
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
-    pub use crate::detector::{DetectionResult, DosDetector, QuantizedDetector};
+    pub use crate::detector::{DetectionResult, DosDetector};
     pub use crate::evaluation::{BenchmarkMetrics, EvaluationReport};
     pub use crate::fusion::MultiFrameFusion;
     pub use crate::localizer::DosLocalizer;

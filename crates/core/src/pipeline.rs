@@ -10,7 +10,7 @@ use dl2fence_telemetry::Recorder;
 use noc_monitor::{DirectionalFrames, FeatureKind, FrameSampler, LabeledSample};
 use noc_sim::{Network, NodeId, Topology};
 use serde::{Deserialize, Serialize};
-use tinycnn::serialize::ModelExport;
+use tinycnn::serialize::{fingerprint_json, ModelExport};
 use tinycnn::TrainingReport;
 
 /// Configuration of a [`Dl2Fence`] instance.
@@ -140,6 +140,14 @@ impl FenceModelExport {
     /// Returns a `serde_json::Error` if the JSON is malformed.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
+    }
+
+    /// A stable 64-bit fingerprint of the whole artifact (FNV-1a over the
+    /// canonical JSON form, like [`ModelExport::fingerprint`]). It covers
+    /// the configuration as well as both models' weights, since all of them
+    /// decide the reports; a JSON round trip keeps it.
+    pub fn fingerprint(&self) -> u64 {
+        fingerprint_json(&self.to_json().expect("fence export serializes"))
     }
 }
 
@@ -275,12 +283,8 @@ impl Dl2Fence {
 
     /// Runs the post-detection stages (segment → fuse → localize) for one
     /// window, or short-circuits when nothing was detected.
-    ///
-    /// This is the tail a serving layer runs after producing the
-    /// [`DetectionResult`] itself — e.g. from a hot-swapped
-    /// [`crate::QuantizedDetector`] — while keeping the f32 localization
-    /// stack. [`Self::analyze_frames`] is `detect` + this.
-    pub fn report_for_detection(
+    /// [`Self::analyze_frames`] is `detect` + this.
+    fn report_for_detection(
         &mut self,
         detection: DetectionResult,
         localization_frames: &DirectionalFrames,

@@ -1,21 +1,21 @@
 //! CI throughput guard for the conv forward and backward kernels.
 //!
-//! Times three detector forward paths over the same 64-frame batch, a 16×16
-//! localizer forward at the serve batch, and the backward pass of one
-//! localizer training step against the scalar seed backward loop, with the
-//! min-of-2 idiom (shed scheduler noise, keep the best run) and enforces:
+//! Times the detector forward over one 64-frame batch against the scalar
+//! seed kernels, a 16×16 localizer forward at the serve batch, and the
+//! backward pass of one localizer training step against the scalar seed
+//! backward loop, with the min-of-2 idiom (shed scheduler noise, keep the
+//! best run) and enforces:
 //!
-//! 1. **No f32 regression** — the batched direct f32 path must not be slower
-//!    than the scalar seed kernels (5% wall-clock noise allowance).
-//! 2. **Int8 speedup** — the batched fused int8 path must reach at least
-//!    4× the scalar seed kernels' throughput.
-//! 3. **Serve-regime speedup** — a 16×16 localizer `predict` at batch 4
+//! 1. **Detector speedup** — the batched direct f32 detector `predict`, the
+//!    forward that detection, serving and evaluation run, must reach at
+//!    least [`DETECTOR_SPEEDUP`]× the scalar seed kernels' throughput.
+//! 2. **Serve-regime speedup** — a 16×16 localizer `predict` at batch 4
 //!    must reach at least [`LOCALIZER_SPEEDUP`]× the same three convolutions
 //!    through the scalar seed kernel.
-//! 4. **Backward speedup** — the localizer's backward pass must reach at
+//! 3. **Backward speedup** — the localizer's backward pass must reach at
 //!    least [`BWD_SPEEDUP`]× the speed of the same step through the scalar
 //!    seed backward loop ([`ScalarLocalizer::backward`]).
-//! 5. **Saturated tail** — with the output sigmoid saturated, so that every
+//! 4. **Saturated tail** — with the output sigmoid saturated, so that every
 //!    upstream gradient `g · y · (1 − y)` would be subnormal, the
 //!    localizer's backward pass must take at most [`SATURATED_OVER_PLAIN`]×
 //!    the unsaturated one. `Sigmoid::backward` flushes those gradients to
@@ -33,16 +33,16 @@ use dl2fence_nn_bench::{
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use tinycnn::{Conv2d, Layer, Padding, QuantizedModel, Tensor};
+use tinycnn::{Conv2d, Layer, Padding, Tensor};
 
 /// Batch size of the headline claim (matches `Dl2Fence::DETECT_BATCH`).
 const BATCH: usize = 64;
 /// Forward passes per timed run — enough work for stable milliseconds.
 const ITERS: usize = 30;
-/// Wall-clock noise allowance on the "no slower" f32 bound.
-const F32_SLACK: f64 = 1.05;
-/// Required int8 speedup over the scalar seed kernels.
-const INT8_SPEEDUP: f64 = 4.0;
+/// Required batched detector speedup over the scalar seed kernels: ~3×
+/// headroom under the 33–41× the direct kernel measures on a 2-vCPU x86-64
+/// VM.
+const DETECTOR_SPEEDUP: f64 = 12.0;
 /// Mesh side of the serve-regime localizer case (the paper's 16×16 NoC).
 const SERVE_MESH: usize = 16;
 /// Localizer batch at serve time: the four directional frames of a window.
@@ -53,7 +53,7 @@ const SERVE_REF_ITERS: usize = 5;
 const SERVE_ITERS: usize = 200;
 /// Required localizer speedup over the scalar seed kernels: ~3× headroom
 /// under the ~90× the direct kernel measures on a 2-vCPU x86-64 VM, where
-/// the im2col + GEMM kernel it replaced measured ~13×.
+/// the column-matrix GEMM kernel it replaced measured ~13×.
 const LOCALIZER_SPEEDUP: f64 = 30.0;
 /// Minibatch of the timed localizer training step (the localizer trainer's).
 const TRAIN_BATCH: usize = 4;
@@ -81,7 +81,6 @@ fn main() -> ExitCode {
     let stacked = stack_frames(&frames);
     let mut scalar = ScalarDetector::new(KERNELS, 21);
     let mut model = detector_model(KERNELS, 21);
-    let mut quant = QuantizedModel::from_model(&model);
 
     // The comparison is only meaningful if both f32 paths compute the same
     // function: assert bitwise agreement before timing anything.
@@ -104,37 +103,21 @@ fn main() -> ExitCode {
             black_box(model.predict(&stacked));
         }
     });
-    let t_int8 = min_time(2, || {
-        for _ in 0..ITERS {
-            black_box(quant.predict(&stacked));
-        }
-    });
 
     let per_frame = |d: Duration| d.as_secs_f64() / (ITERS * BATCH) as f64 * 1e6;
+    let speedup = t_scalar.as_secs_f64() / t_f32.as_secs_f64();
     println!(
         "detector forward @ batch {BATCH}, min-of-2 ({ITERS} iters/run):\n\
          scalar seed kernels : {:>9.3} µs/frame\n\
-         batched direct f32  : {:>9.3} µs/frame  ({:.2}x)\n\
-         batched fused int8  : {:>9.3} µs/frame  ({:.2}x)",
+         batched direct f32  : {:>9.3} µs/frame  ({speedup:.2}x)",
         per_frame(t_scalar),
         per_frame(t_f32),
-        t_scalar.as_secs_f64() / t_f32.as_secs_f64(),
-        per_frame(t_int8),
-        t_scalar.as_secs_f64() / t_int8.as_secs_f64(),
     );
-
-    if t_f32.as_secs_f64() > t_scalar.as_secs_f64() * F32_SLACK {
+    if speedup < DETECTOR_SPEEDUP {
         eprintln!(
-            "FAIL: batched f32 is slower than the scalar seed kernels \
-             ({:.3} ms vs {:.3} ms, allowance {F32_SLACK}x)",
-            t_f32.as_secs_f64() * 1e3,
-            t_scalar.as_secs_f64() * 1e3,
+            "FAIL: batched f32 detector speedup {speedup:.2}x is below the required \
+             {DETECTOR_SPEEDUP}x"
         );
-        return ExitCode::FAILURE;
-    }
-    let speedup = t_scalar.as_secs_f64() / t_int8.as_secs_f64();
-    if speedup < INT8_SPEEDUP {
-        eprintln!("FAIL: batched int8 speedup {speedup:.2}x is below the required {INT8_SPEEDUP}x");
         return ExitCode::FAILURE;
     }
 
@@ -182,7 +165,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "nn-bench guard passed: f32 no regression, int8 {speedup:.2}x >= {INT8_SPEEDUP}x, \
+        "nn-bench guard passed: detector {speedup:.2}x >= {DETECTOR_SPEEDUP}x, \
          16x16 localizer {serve_speedup:.2}x >= {LOCALIZER_SPEEDUP}x, \
          backward {bwd_speedup:.2}x >= {BWD_SPEEDUP}x scalar, \
          saturated backward {saturated:.2}x <= {SATURATED_OVER_PLAIN}x unsaturated"

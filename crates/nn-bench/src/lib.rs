@@ -1,21 +1,20 @@
 //! # dl2fence-nn-bench — nn micro-benchmarks
 //!
 //! Fixtures and timing helpers for benchmarking the `tinycnn` inference
-//! path at three tiers:
+//! path at two tiers:
 //!
 //! 1. the **scalar seed kernels** ([`ScalarDetector`] — the original
 //!    per-sample, caching forward path preserved as
-//!    `Conv2d::forward_reference`),
+//!    `Conv2d::forward_reference`), and
 //! 2. the **direct f32 path** (`Sequential::predict`, bit-identical to
-//!    tier 1 by the `crates/nn` parity suite), and
-//! 3. the **fused int8 path** (`QuantizedModel::predict`).
+//!    tier 1 by the `crates/nn` parity suite).
 //!
 //! The Criterion benches (`benches/layers.rs`, `benches/batched.rs`) report
 //! per-layer and whole-model numbers; the `nn_bench_guard` binary turns the
-//! headline claims into a CI gate: batched f32 is no slower than the scalar
-//! seed kernels, batched int8 reaches ≥4× their throughput at batch 64, and
-//! a 16×16 localizer `predict` at the serve batch reaches ≥30× the scalar
-//! seed kernels ([`ScalarLocalizer`]). It also gates training: one localizer
+//! headline claims into a CI gate: the batched f32 detector reaches ≥12×
+//! the scalar seed kernels' throughput at batch 64, and a 16×16 localizer
+//! `predict` at the serve batch reaches ≥30× the scalar seed kernels
+//! ([`ScalarLocalizer`]). It also gates training: one localizer
 //! training step's backward pass must reach a fixed multiple of the scalar
 //! seed backward loop's speed.
 

@@ -1,5 +1,5 @@
 //! Convolution kernels: a direct f32 forward and an f32 backward, both over
-//! zero-padded input planes, and a fused int8 forward.
+//! zero-padded input planes.
 //!
 //! The scalar seed kernels walked the convolution with per-element
 //! [`crate::Tensor::get`] calls — every access paying index arithmetic and a
@@ -20,10 +20,6 @@
 //! columns `ow..pw`. It vectorizes across the flattened plane, not one row,
 //! so a narrow output (the 8×8 detector's 6-wide plane) is as fast per
 //! output as a wide one.
-//!
-//! [`im2col`] lowers the input to a `[spatial, K]` *column matrix* whose row
-//! `(b, y, x)` is the window feeding that output pixel. Only the int8 kernel
-//! uses it.
 //!
 //! **Bit-exactness contract:** [`conv_forward_f32`] accumulates each output
 //! element in exactly the seed kernel's order — starting from the bias and
@@ -59,16 +55,9 @@
 //! dX kernel drops it: its accumulators start at `+0.0` and a sum that
 //! starts at `+0.0` can never become `-0.0` under round-to-nearest, so
 //! adding `g · w = ±0` is a no-op for every finite weight.
-//!
-//! The int8 kernel ([`conv_forward_i8`], [`dense_forward_i8`]) is the
-//! accelerator-precision variant: symmetric per-tensor quantization (scales
-//! defined by [`crate::quantize`]), `i32` accumulation, and a fused epilogue
-//! applying the dequantization scale, bias and an optional folded ReLU in one
-//! pass. It trades bit-exactness for integer arithmetic the compiler can
-//! vectorize, and is held to the quantization ablation's accuracy budget by
-//! the parity tests.
 
-/// Geometry of one convolution call, shared by the f32 and int8 kernels.
+/// Geometry of one convolution call, shared by the forward and backward
+/// kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvShape {
     /// Batch size.
@@ -114,11 +103,6 @@ impl ConvShape {
     }
 }
 
-/// Column-rows per cache tile of the int8 kernel. 64 rows × a
-/// 3×3×8-channel reduction is ~4.5 KiB of i8 — comfortably inside L1 while
-/// every output channel streams over the tile.
-const SPATIAL_TILE: usize = 64;
-
 /// Outputs per output channel the direct f32 kernel accumulates in
 /// registers at once: four SSE or two AVX vectors.
 const CHUNK: usize = 16;
@@ -140,50 +124,6 @@ const LANES: usize = 8;
 /// 24 floats, six SSE registers. A 3×3 kernel over 1, 4 or 8 input
 /// channels needs 3, 6 or 9 accumulators: whole groups.
 const LANE_GROUP: usize = 3;
-
-/// Lowers one NCHW input into its column matrix: row `(b, y, x)` holds the
-/// padded `in_channels × kernel × kernel` window feeding output pixel
-/// `(y, x)` of batch element `b`, flattened in `(ic, ky, kx)` order — the
-/// seed kernel's accumulation order. Out-of-bounds (padding) taps are
-/// `T::default()` (zero). Only the int8 kernel uses it.
-pub fn im2col<T: Copy + Default>(input: &[T], s: &ConvShape) -> Vec<T> {
-    let (oh, ow, k_dim) = (s.out_height(), s.out_width(), s.k_dim());
-    let mut col = vec![T::default(); s.batch * oh * ow * k_dim];
-    let plane = s.height * s.width;
-    for b in 0..s.batch {
-        let in_b = &input[b * s.in_channels * plane..][..s.in_channels * plane];
-        let col_b = &mut col[b * oh * ow * k_dim..][..oh * ow * k_dim];
-        for y in 0..oh {
-            for x in 0..ow {
-                let row = &mut col_b[(y * ow + x) * k_dim..][..k_dim];
-                let mut j = 0;
-                for ic in 0..s.in_channels {
-                    let in_plane = &in_b[ic * plane..][..plane];
-                    for ky in 0..s.kernel {
-                        let iy = y + ky;
-                        // With padding, input row `iy - pad`; taps landing in
-                        // the pad border stay zero.
-                        if iy < s.pad || iy >= s.height + s.pad {
-                            j += s.kernel;
-                            continue;
-                        }
-                        let in_row = &in_plane[(iy - s.pad) * s.width..][..s.width];
-                        // Taps `kx` in `lo..hi` land inside the input row;
-                        // copy them as one slice.
-                        let lo = s.pad.saturating_sub(x);
-                        let hi = (s.width + s.pad).saturating_sub(x).min(s.kernel);
-                        if lo < hi {
-                            row[j + lo..j + hi]
-                                .copy_from_slice(&in_row[x + lo - s.pad..x + hi - s.pad]);
-                        }
-                        j += s.kernel;
-                    }
-                }
-            }
-        }
-    }
-    col
-}
 
 /// Length of the [`pad_planes`] buffer of geometry `s`: the padded planes
 /// plus the slack the direct kernel's last block reads past them. That
@@ -477,91 +417,6 @@ fn dw_pass(nonzero: &[(usize, f32)], channel_last: &[f32], sources: &[usize], ac
     }
 }
 
-/// The fused int8 convolution: `col`-side input is quantized by the caller
-/// (symmetric, scale `input_scale`), weights are pre-quantized i8 with scale
-/// `weight_scale`. Accumulates in `i32` and applies the dequantization
-/// (`input_scale * weight_scale`), the f32 bias and — when `fuse_relu` — the
-/// folded ReLU in a single epilogue pass.
-pub fn conv_forward_i8(
-    input_q: &[i8],
-    input_scale: f32,
-    weight_q: &[i8],
-    weight_scale: f32,
-    bias: &[f32],
-    fuse_relu: bool,
-    s: &ConvShape,
-) -> Vec<f32> {
-    let col = im2col(input_q, s);
-    let (spatial, k_dim) = (s.spatial(), s.k_dim());
-    let dequant = input_scale * weight_scale;
-    let mut out = vec![0.0f32; s.batch * s.out_channels * spatial];
-    for b in 0..s.batch {
-        let col_b = &col[b * spatial * k_dim..][..spatial * k_dim];
-        let out_b = &mut out[b * s.out_channels * spatial..][..s.out_channels * spatial];
-        for tile_start in (0..spatial).step_by(SPATIAL_TILE) {
-            let tile_end = (tile_start + SPATIAL_TILE).min(spatial);
-            for oc in 0..s.out_channels {
-                let w_row = &weight_q[oc * k_dim..][..k_dim];
-                let bias_oc = bias[oc];
-                let out_row = &mut out_b[oc * spatial..][..spatial];
-                for si in tile_start..tile_end {
-                    let col_row = &col_b[si * k_dim..][..k_dim];
-                    let mut acc = 0i32;
-                    for (&w, &v) in w_row.iter().zip(col_row) {
-                        acc += w as i32 * v as i32;
-                    }
-                    let mut y = acc as f32 * dequant + bias_oc;
-                    if fuse_relu {
-                        y = y.max(0.0);
-                    }
-                    out_row[si] = y;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The fused int8 dense layer: `input_q` is the quantized `[batch, in]`
-/// activation matrix, `weight_q` the pre-transposed `[out, in]` quantized
-/// weights (transposed once at build time so every dot product runs over two
-/// contiguous rows). Same fused dequant + bias + optional-ReLU epilogue as
-/// the convolution.
-// A flat argument list keeps the kernel signature free of any struct the
-// conv path doesn't also need; the three trailing dims mirror ConvShape.
-#[allow(clippy::too_many_arguments)]
-pub fn dense_forward_i8(
-    input_q: &[i8],
-    input_scale: f32,
-    weight_q: &[i8],
-    weight_scale: f32,
-    bias: &[f32],
-    fuse_relu: bool,
-    batch: usize,
-    in_features: usize,
-    out_features: usize,
-) -> Vec<f32> {
-    let dequant = input_scale * weight_scale;
-    let mut out = vec![0.0f32; batch * out_features];
-    for b in 0..batch {
-        let x_row = &input_q[b * in_features..][..in_features];
-        let out_row = &mut out[b * out_features..][..out_features];
-        for (o, slot) in out_row.iter_mut().enumerate() {
-            let w_row = &weight_q[o * in_features..][..in_features];
-            let mut acc = 0i32;
-            for (&w, &v) in w_row.iter().zip(x_row) {
-                acc += w as i32 * v as i32;
-            }
-            let mut y = acc as f32 * dequant + bias[o];
-            if fuse_relu {
-                y = y.max(0.0);
-            }
-            *slot = y;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,88 +612,5 @@ mod tests {
                 prop_assert!(a.to_bits() == b.to_bits(), "output {i} of {s:?}: {a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn int8_conv_tracks_f32_within_quantization_error() {
-        let s = ConvShape {
-            batch: 2,
-            in_channels: 2,
-            height: 8,
-            width: 8,
-            out_channels: 3,
-            kernel: 3,
-            pad: 1,
-        };
-        let input = pseudo(21, s.batch * s.in_channels * s.height * s.width);
-        let weight = pseudo(22, s.out_channels * s.k_dim());
-        let bias = pseudo(23, s.out_channels);
-        let f32_out = forward(&input, &weight, &bias, &s);
-
-        let in_scale = crate::quantize::symmetric_scale_i8(&input);
-        let w_scale = crate::quantize::symmetric_scale_i8(&weight);
-        let input_q: Vec<i8> = input
-            .iter()
-            .map(|&v| crate::quantize::quantize_value_i8(v, in_scale))
-            .collect();
-        let weight_q: Vec<i8> = weight
-            .iter()
-            .map(|&v| crate::quantize::quantize_value_i8(v, w_scale))
-            .collect();
-        let i8_out = conv_forward_i8(&input_q, in_scale, &weight_q, w_scale, &bias, false, &s);
-        // Error bound: K products, each off by at most one half-step per side.
-        let bound = s.k_dim() as f32 * (in_scale + w_scale);
-        for (a, b) in f32_out.iter().zip(&i8_out) {
-            assert!((a - b).abs() < bound, "int8 drifted: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn fused_relu_clamps_negative_outputs() {
-        let s = ConvShape {
-            batch: 1,
-            in_channels: 1,
-            height: 3,
-            width: 3,
-            out_channels: 1,
-            kernel: 3,
-            pad: 0,
-        };
-        // All-negative product with a negative bias: fused ReLU must clamp.
-        let input = vec![1.0f32; 9];
-        let weight = vec![-1.0f32; 9];
-        let bias = vec![-0.5f32];
-        let in_scale = crate::quantize::symmetric_scale_i8(&input);
-        let w_scale = crate::quantize::symmetric_scale_i8(&weight);
-        let iq: Vec<i8> = input
-            .iter()
-            .map(|&v| crate::quantize::quantize_value_i8(v, in_scale))
-            .collect();
-        let wq: Vec<i8> = weight
-            .iter()
-            .map(|&v| crate::quantize::quantize_value_i8(v, w_scale))
-            .collect();
-        let out = conv_forward_i8(&iq, in_scale, &wq, w_scale, &bias, true, &s);
-        assert_eq!(out, vec![0.0]);
-    }
-
-    #[test]
-    fn int8_dense_matches_exact_small_integers() {
-        // Weights/inputs exactly representable: int8 path is exact.
-        let input = [1.0f32, 2.0, -3.0, 4.0];
-        let weight_t = [1.0f32, 0.0, 2.0, -1.0, 0.5, 0.5, 0.5, 0.5]; // [out=2, in=4]
-        let in_scale = crate::quantize::symmetric_scale_i8(&input);
-        let w_scale = crate::quantize::symmetric_scale_i8(&weight_t);
-        let iq: Vec<i8> = input
-            .iter()
-            .map(|&v| crate::quantize::quantize_value_i8(v, in_scale))
-            .collect();
-        let wq: Vec<i8> = weight_t
-            .iter()
-            .map(|&v| crate::quantize::quantize_value_i8(v, w_scale))
-            .collect();
-        let out = dense_forward_i8(&iq, in_scale, &wq, w_scale, &[0.0, 1.0], false, 1, 4, 2);
-        assert!((out[0] - (1.0 - 6.0 - 4.0)).abs() < 0.1, "got {}", out[0]);
-        assert!((out[1] - (0.5 * (1.0 + 2.0 - 3.0 + 4.0) + 1.0)).abs() < 0.1);
     }
 }

@@ -83,7 +83,7 @@ impl Sigmoid {
 }
 
 /// Numerically stable scalar sigmoid.
-pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
+fn sigmoid_scalar(x: f32) -> f32 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
     } else {

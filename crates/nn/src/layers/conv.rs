@@ -139,7 +139,7 @@ impl Conv2d {
     }
 
     /// Validates the input against the layer configuration and derives the
-    /// kernel geometry shared by the f32 and int8 paths.
+    /// kernel geometry of the forward and backward kernels.
     fn conv_shape(&self, input: &Tensor) -> ConvShape {
         let (n, c, h, w) = dims4(input);
         assert_eq!(
@@ -427,7 +427,7 @@ mod tests {
     #[test]
     fn production_shapes_backward_is_bit_identical_to_scalar_oracle() {
         // Detector 4→8 Valid and localizer 1→8, 8→8, 8→1 Same, on the 8×8
-        // mesh and on 16×16 (spatial 196/256 > SPATIAL_TILE).
+        // mesh and on 16×16 (196 and 256 outputs per plane).
         let shapes = [
             (4, 8, Padding::Valid),
             (1, 8, Padding::Same),

@@ -11,7 +11,6 @@ mod dense;
 mod flatten;
 mod pool;
 
-pub(crate) use activation::sigmoid_scalar;
 pub use activation::{Relu, Sigmoid};
 pub use conv::{Conv2d, Padding};
 pub use dense::Dense;

@@ -46,7 +46,6 @@ pub mod loss;
 pub mod metrics;
 pub mod model;
 pub mod optim;
-pub mod qmodel;
 pub mod quantize;
 pub mod serialize;
 pub mod tensor;
@@ -58,7 +57,6 @@ pub use loss::{BinaryCrossEntropy, DiceLoss, Loss, Mse};
 pub use metrics::{binary_accuracy, confusion, dice_coefficient, BinaryConfusion};
 pub use model::Sequential;
 pub use optim::{Adam, Optimizer, Sgd};
-pub use qmodel::{QuantLayer, QuantizedModel};
 pub use tensor::Tensor;
 pub use trainer::{Trainer, TrainingConfig, TrainingReport};
 
@@ -70,7 +68,6 @@ pub mod prelude {
     pub use crate::metrics::{binary_accuracy, confusion, dice_coefficient, BinaryConfusion};
     pub use crate::model::Sequential;
     pub use crate::optim::{Adam, Optimizer, Sgd};
-    pub use crate::qmodel::{QuantLayer, QuantizedModel};
     pub use crate::tensor::Tensor;
     pub use crate::trainer::{Trainer, TrainingConfig, TrainingReport};
 }

@@ -45,41 +45,6 @@ pub fn quantize_tensor(tensor: &Tensor, bits: u32) -> Tensor {
     })
 }
 
-/// The symmetric int8 scale for a value slice: `max|x| / 127`, computed over
-/// the finite values only (an empty or all-non-finite slice yields `0.0`,
-/// which [`quantize_value_i8`] treats as "everything quantizes to zero").
-///
-/// This is the scale contract shared by the fused int8 kernels in
-/// [`crate::gemm`] and the quantized model in [`crate::qmodel`]: weights are
-/// quantized once at build time, activations dynamically per invocation.
-pub fn symmetric_scale_i8(values: &[f32]) -> f32 {
-    let max_abs = values
-        .iter()
-        .map(|v| v.abs())
-        .filter(|v| v.is_finite())
-        .fold(0.0f32, f32::max);
-    max_abs / 127.0
-}
-
-/// Quantizes one value to i8 under a [`symmetric_scale_i8`] scale, saturating
-/// at `±127` and mapping `NaN` (and a zero scale) to `0`.
-pub fn quantize_value_i8(value: f32, scale: f32) -> i8 {
-    if scale == 0.0 || value.is_nan() {
-        return 0;
-    }
-    (value / scale).round().clamp(-127.0, 127.0) as i8
-}
-
-/// Quantizes a slice to i8 with its own symmetric scale, returning both.
-pub fn quantize_slice_i8(values: &[f32]) -> (Vec<i8>, f32) {
-    let scale = symmetric_scale_i8(values);
-    let q = values
-        .iter()
-        .map(|&v| quantize_value_i8(v, scale))
-        .collect();
-    (q, scale)
-}
-
 /// The largest absolute element-wise error introduced by quantizing `tensor`
 /// to `bits` bits.
 pub fn quantization_error(tensor: &Tensor, bits: u32) -> f32 {
@@ -224,19 +189,5 @@ mod tests {
         let t = Tensor::from_vec(vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY], &[3]);
         let q = quantize_tensor(&t, 8);
         assert_eq!(q.data(), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn i8_helpers_round_trip_representable_values() {
-        let values = [1.0f32, -0.5, 0.25, 127.0 / 127.0];
-        let (q, scale) = quantize_slice_i8(&values);
-        for (&orig, &qi) in values.iter().zip(&q) {
-            let back = qi as f32 * scale;
-            assert!((back - orig).abs() <= scale / 2.0 + 1e-6);
-        }
-        assert_eq!(quantize_value_i8(f32::NAN, scale), 0);
-        assert_eq!(quantize_value_i8(f32::INFINITY, scale), 127);
-        assert_eq!(quantize_value_i8(f32::NEG_INFINITY, scale), -127);
-        assert_eq!(quantize_value_i8(1.0, 0.0), 0);
     }
 }

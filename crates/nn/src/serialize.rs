@@ -6,7 +6,6 @@
 
 use crate::layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, Padding, Relu, Sigmoid};
 use crate::model::Sequential;
-use crate::qmodel::{QuantLayer, QuantizedModel};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -131,55 +130,15 @@ impl ModelExport {
     }
 }
 
-/// FNV-1a over a canonical JSON serialization.
-fn fingerprint_json(json: &str) -> u64 {
+/// FNV-1a over a canonical JSON serialization: the fingerprint of any
+/// artifact that serializes to JSON.
+pub fn fingerprint_json(json: &str) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for b in json.as_bytes() {
         hash ^= u64::from(*b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// Serializable description of a fused int8 [`QuantizedModel`] — the
-/// deployment artifact for accelerator-precision inference. Unlike
-/// [`ModelExport`] it stores int8 weight grids plus their symmetric scales,
-/// so the artifact is about a quarter the size of the f32 export.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QuantizedModelExport {
-    /// The fused layers, in forward order.
-    pub layers: Vec<QuantLayer>,
-}
-
-impl QuantizedModelExport {
-    /// Serializes the export to a JSON string.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `serde_json::Error` if serialization fails.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Parses an export from a JSON string.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `serde_json::Error` if the JSON is malformed.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
-    /// Rebuilds a runnable [`QuantizedModel`] from this export.
-    pub fn into_model(self) -> QuantizedModel {
-        QuantizedModel::from_layers(self.layers)
-    }
-
-    /// A stable 64-bit fingerprint of the int8 artifact (FNV-1a over the
-    /// canonical JSON form); see [`ModelExport::fingerprint`].
-    pub fn fingerprint(&self) -> u64 {
-        fingerprint_json(&self.to_json().expect("quantized export serializes"))
-    }
 }
 
 #[cfg(test)]
@@ -223,22 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_export_round_trips_predictions() {
-        let model = tiny_model();
-        let mut q = QuantizedModel::from_model(&model);
-        let x = crate::init::Init::XavierUniform.make(&[2, 1, 8, 8], 64, 64, 1);
-        let y_before = q.predict(&x);
-
-        let json = q.export().to_json().unwrap();
-        let mut restored = QuantizedModelExport::from_json(&json).unwrap().into_model();
-        let y_after = restored.predict(&x);
-
-        for (a, b) in y_before.data().iter().zip(y_after.data()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "round trip must be lossless");
-        }
-    }
-
-    #[test]
     fn fingerprints_distinguish_models_and_survive_round_trips() {
         let a = tiny_model().export();
         let b = Sequential::new()
@@ -252,26 +195,5 @@ mod tests {
         assert_ne!(a.fingerprint(), b.fingerprint(), "distinct weights");
         let round = ModelExport::from_json(&a.to_json().unwrap()).unwrap();
         assert_eq!(a.fingerprint(), round.fingerprint(), "round trip stable");
-
-        let qa = QuantizedModel::from_model(&tiny_model()).export();
-        let qround = QuantizedModelExport::from_json(&qa.to_json().unwrap()).unwrap();
-        assert_eq!(qa.fingerprint(), qround.fingerprint());
-        assert_ne!(qa.fingerprint(), a.fingerprint());
-    }
-
-    #[test]
-    fn quantized_export_is_smaller_than_f32_export() {
-        let model = tiny_model();
-        let f32_json = model.export().to_json().unwrap();
-        let q_json = QuantizedModel::from_model(&model)
-            .export()
-            .to_json()
-            .unwrap();
-        assert!(
-            q_json.len() < f32_json.len(),
-            "int8 artifact ({}) should undercut f32 artifact ({})",
-            q_json.len(),
-            f32_json.len()
-        );
     }
 }

@@ -1,4 +1,5 @@
-//! Parity suite for the direct f32 and fused int8 forward paths.
+//! Parity suite for the direct f32 forward path and for the quantized
+//! weights the quantization ablation runs.
 //!
 //! Two contracts are enforced here:
 //!
@@ -6,15 +7,16 @@
 //!    `Sequential::predict` path must reproduce the scalar seed kernels
 //!    *bit-for-bit* over arbitrary shapes and batch sizes — this is what
 //!    keeps the golden report corpus byte-identical after the kernel swap.
-//! 2. **Int8 accuracy budget.** The fused int8 path is allowed to drift, but
-//!    only inside the envelope the `ablation_quantization` binary established
-//!    on `specs/stp.toml`'s campaign: 8-bit weights match the float model's
-//!    decisions, so int8 inference must preserve classification behaviour on
-//!    anything but knife-edge probabilities.
+//! 2. **Quantization accuracy budget.** The `ablation_quantization` binary
+//!    rebuilds the detector from fixed-point weights
+//!    (`quantize_model(&export, bits).into_model()`) and prints that 16-bit
+//!    and 12-bit weights match the float model. The same path must make the
+//!    float model's decisions at 16 and 12 bits and flip at most one at
+//!    8 bits.
 
 use proptest::{prop_assert_eq, proptest};
 use tinycnn::prelude::*;
-use tinycnn::qmodel::QuantizedModel;
+use tinycnn::quantize::quantize_model;
 
 /// Deterministic pseudo-random tensor in roughly `[-0.5, 0.5]`.
 fn pseudo_tensor(seed: u64, shape: &[usize]) -> Tensor {
@@ -117,9 +119,10 @@ proptest! {
     }
 }
 
-/// Trains a tiny detector on a linearly separable synthetic task and checks
-/// the int8 model stays inside the quantization ablation's accuracy budget:
-/// 8-bit weights should match the float model's decisions.
+/// Trains a tiny detector on a linearly separable synthetic task and
+/// checks the quantization ablation's claim on it: rebuilt from 16-bit or
+/// 12-bit weights the detector makes every decision the float model makes,
+/// and from 8-bit weights it flips at most one.
 #[test]
 fn int8_detector_stays_inside_ablation_accuracy_budget() {
     let (h, w) = (7usize, 8usize);
@@ -175,34 +178,46 @@ fn int8_detector_stays_inside_ablation_accuracy_budget() {
         &[samples.len(), 1],
     );
 
-    let yf = model.predict(&x);
-    let mut q = QuantizedModel::from_model(&model);
-    let yq = q.predict(&x);
+    // `DosDetector`'s decision rule at its default threshold.
+    let decide = |probs: &Tensor| -> Vec<bool> { probs.data().iter().map(|&p| p > 0.5).collect() };
+    let correct = decide(&model.predict(&x))
+        .iter()
+        .zip(y.data())
+        .filter(|(d, l)| **d == (**l >= 0.5))
+        .count();
+    assert!(
+        correct * 10 > samples.len() * 9,
+        "float model failed to learn the synthetic task: {correct}/{} correct",
+        samples.len()
+    );
 
-    let acc = |probs: &Tensor| {
-        probs
-            .data()
-            .iter()
-            .zip(y.data())
-            .filter(|(p, l)| (**p >= 0.5) == (**l >= 0.5))
-            .count() as f32
-            / samples.len() as f32
-    };
-    let (acc_f, acc_q) = (acc(&yf), acc(&yq));
+    // Every training sample sits far from the boundary, where even 2-bit
+    // weights keep the decision. Judge precision on fresh frames whose hot
+    // region sweeps from cold to hot instead, so some land near the
+    // boundary: 4-bit weights flip one of them, 2-bit weights ten.
+    let sweep: Vec<Tensor> = (0..64)
+        .map(|i| {
+            let mut t = pseudo_tensor(1000 + i as u64, &[4, h, w]);
+            for v in t.data_mut().iter_mut().take(4 * w) {
+                *v += 1.5 * i as f32 / 63.0;
+            }
+            t
+        })
+        .collect();
+    let sweep = Tensor::stack(&sweep.iter().collect::<Vec<_>>());
+    let float = decide(&model.predict(&sweep));
     assert!(
-        acc_f > 0.9,
-        "float model failed to learn the synthetic task: acc {acc_f}"
+        float.contains(&true) && float.contains(&false),
+        "the sweep must cross the decision boundary"
     );
-    // The ablation's finding: 8-bit matches float. Allow one flipped sample
-    // of headroom for knife-edge probabilities.
-    assert!(
-        acc_q >= acc_f - 1.0 / samples.len() as f32,
-        "int8 accuracy {acc_q} fell outside the ablation budget (float {acc_f})"
-    );
-    for (a, b) in yf.data().iter().zip(yq.data()) {
+    let export = model.export();
+    for (bits, max_flips) in [(16, 0), (12, 0), (8, 1)] {
+        let quantized = decide(&quantize_model(&export, bits).into_model().predict(&sweep));
+        let flips = float.iter().zip(&quantized).filter(|(f, q)| f != q).count();
         assert!(
-            (a - b).abs() < 0.25,
-            "int8 probability drifted too far: {a} vs {b}"
+            flips <= max_flips,
+            "{bits}-bit weights flipped {flips} of {} decisions (budget {max_flips})",
+            float.len()
         );
     }
 }

@@ -15,17 +15,16 @@ const USAGE: &str = "\
 usage:
   dl2fence-serve soak <spec.toml|spec.json> [--out DIR] [--tenants N]
                       [--workers N] [--capacity N] [--batch N]
-                      [--sim-workers N] [--quantized] [--no-swap]
+                      [--sim-workers N] [--no-swap]
                       [--max-p99-us N] [--json]
       Run the campaign as a traffic generator through a live detection
       service: train on the generated samples, force one counted
       backpressure rejection, stream every window across --tenants sessions
-      (hot-swapping the model mid-stream unless --no-swap), then audit
-      verdicts bit-identically against offline replicas and check the
-      --max-p99-us end-to-end SLO. Exits non-zero if any invariant fails.
+      (hot-swapping mid-stream to a model trained with the next seed unless
+      --no-swap), then audit verdicts bit-identically against the offline
+      pipeline of their model version and check the --max-p99-us
+      end-to-end SLO. Exits non-zero if any invariant fails.
       With --out DIR the final status snapshot lands in DIR/status.json.
-      --quantized serves the fused int8 detector first (the swap then
-      installs the f32 pipeline; without it, the reverse).
   dl2fence-serve status <status.json|dir> [--json]
       Render a saved status snapshot (a file, or a soak --out directory
       containing status.json). --json echoes the raw JSON.
@@ -73,7 +72,6 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
             "--capacity" => config.queue_capacity = parse_count(&mut it, "--capacity")?,
             "--batch" => config.batch_windows = parse_count(&mut it, "--batch")?,
             "--sim-workers" => options.sim_workers = parse_count(&mut it, "--sim-workers")?,
-            "--quantized" => options.quantized = true,
             "--no-swap" => options.swap_mid_stream = false,
             "--max-p99-us" => {
                 options.max_p99_e2e_us = parse_count(&mut it, "--max-p99-us")? as u64;

@@ -11,10 +11,10 @@
 //!   while the ring is full is rejected with a [`RejectReason`] and
 //!   counted, never silently dropped;
 //! - a cross-tenant dispatcher drains assembled windows into batches and
-//!   feeds a small worker pool; workers run batched detector inference
-//!   ([`dl2fence::Dl2Fence::analyze_frames_batch`] in f32 mode,
-//!   [`dl2fence::QuantizedDetector::detect_batch`] in int8 mode) and the
-//!   segment → fuse → localize tail only on flagged windows;
+//!   feeds a small worker pool; workers run
+//!   [`dl2fence::Dl2Fence::analyze_frames_batch`]: batched detector
+//!   inference, and the segment → fuse → localize tail only on flagged
+//!   windows;
 //! - p50/p99 end-to-end and per-stage latencies fold into
 //!   [`dl2fence_telemetry::AggregateSink`] histograms, snapshotted as a
 //!   [`ServeStatus`] (`dl2fence-serve status --json`);
@@ -24,8 +24,9 @@
 //!
 //! The campaign engine doubles as the load generator: [`soak::run_soak`]
 //! replays a campaign spec's traffic against the service, forces a
-//! backpressure rejection deterministically, hot-swaps mid-stream, and
-//! asserts SLOs plus bit-identical verdicts against the offline pipeline.
+//! backpressure rejection deterministically, hot-swaps to a second model
+//! mid-stream, and asserts SLOs plus verdicts bit-identical to the offline
+//! pipeline of each verdict's model version.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,12 +1,10 @@
 //! The versioned model artifact a service instance runs.
 
 use dl2fence::FenceModelExport;
-use tinycnn::serialize::QuantizedModelExport;
 
-/// Everything a worker needs to rebuild its pipeline replica: the f32
-/// pipeline export (always present — the localization tail is f32 even in
-/// int8 mode), an optional fused int8 detector artifact, and a version
-/// number assigned by the service at install/swap time.
+/// Everything a worker needs to rebuild its pipeline replica: the pipeline
+/// export and a version number assigned by the service at install/swap
+/// time.
 ///
 /// Bundles travel with every dispatched batch behind an `Arc`, which is
 /// what makes hot-swap atomic: a batch captures one bundle at dispatch and
@@ -15,55 +13,63 @@ use tinycnn::serialize::QuantizedModelExport;
 pub struct ModelBundle {
     /// The f32 pipeline (config + detector + localizer weights).
     pub fence: FenceModelExport,
-    /// The fused int8 detector; `Some` switches detection to the
-    /// quantized batched path while localization stays f32.
-    pub quant: Option<QuantizedModelExport>,
     /// Monotonic version assigned by the service; version `0` is the
     /// install-time model.
     pub version: u64,
 }
 
 impl ModelBundle {
-    /// An f32-only bundle at version 0.
+    /// A bundle at version 0.
     pub fn f32_only(fence: FenceModelExport) -> Self {
-        ModelBundle {
-            fence,
-            quant: None,
-            version: 0,
-        }
+        ModelBundle { fence, version: 0 }
     }
 
-    /// A bundle serving int8 detection at version 0.
-    pub fn quantized(fence: FenceModelExport, quant: QuantizedModelExport) -> Self {
-        ModelBundle {
-            fence,
-            quant: Some(quant),
-            version: 0,
-        }
-    }
-
-    /// `true` when detection runs the fused int8 path.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    /// A stable fingerprint of the weights actually served: the detector
-    /// artifact in use (int8 when present, f32 otherwise) combined with
-    /// the f32 localizer. Two bundles fingerprint equal iff a swap between
-    /// them would change nothing.
+    /// A stable fingerprint of what the bundle serves: the whole pipeline
+    /// export, configuration included ([`FenceModelExport::fingerprint`]).
+    /// Two bundles fingerprint equal iff a swap between them would change
+    /// nothing.
     pub fn fingerprint(&self) -> u64 {
-        let detector = match &self.quant {
-            Some(q) => q.fingerprint(),
-            None => self.fence.detector.fingerprint(),
-        };
-        // Order-dependent mix (FNV-style) of the two component hashes.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for part in [detector, self.fence.localizer.fingerprint()] {
-            for byte in part.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+        self.fence.fingerprint()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dl2fence::{Dl2Fence, FenceConfig};
+    use noc_monitor::FeatureKind;
+
+    fn bundle(config: FenceConfig) -> ModelBundle {
+        ModelBundle::f32_only(Dl2Fence::new(config).export_model())
+    }
+
+    #[test]
+    fn fingerprint_covers_the_config_and_survives_json() {
+        let base = FenceConfig::new(4, 4);
+        let a = bundle(base);
+        let round = FenceModelExport::from_json(&a.fence.to_json().unwrap()).unwrap();
+        assert_eq!(ModelBundle::f32_only(round).fingerprint(), a.fingerprint());
+        // Same weights (same seed), different verdict rules.
+        for changed in [
+            FenceConfig {
+                vce_enabled: !base.vce_enabled,
+                ..base
+            },
+            FenceConfig {
+                fusion_threshold: 0.75,
+                ..base
+            },
+            FenceConfig {
+                detection_feature: FeatureKind::Boc,
+                ..base
+            },
+        ] {
+            let b = bundle(changed);
+            assert_eq!(
+                b.fence.detector.fingerprint(),
+                a.fence.detector.fingerprint()
+            );
+            assert_ne!(b.fingerprint(), a.fingerprint(), "{changed:?}");
         }
-        h
     }
 }

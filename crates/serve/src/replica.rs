@@ -3,16 +3,15 @@
 use crate::assembler::AssembledWindow;
 use crate::model::ModelBundle;
 use dl2fence::pipeline::FenceReport;
-use dl2fence::{Dl2Fence, QuantizedDetector};
+use dl2fence::Dl2Fence;
 use dl2fence_telemetry::Recorder;
 use noc_monitor::DirectionalFrames;
 
 /// One analysed window: the pipeline report plus enough provenance to
 /// audit it offline — which tenant/window it answers, which dispatch batch
-/// carried it (and where inside that batch), and which model version
-/// produced it. The soak harness replays `(batch, position)` groups
-/// through an offline replica to prove verdicts bit-identical and batches
-/// version-pure.
+/// carried it, and which model version produced it. The soak harness
+/// checks that every batch is version-pure and that every report equals
+/// [`Dl2Fence::analyze_frames`] on that version's model.
 #[derive(Debug, Clone)]
 pub struct Verdict {
     /// The owning tenant.
@@ -21,9 +20,6 @@ pub struct Verdict {
     pub seq: u64,
     /// The dispatch batch that carried this window.
     pub batch: u64,
-    /// Position of the window inside its batch (int8 verdicts depend on
-    /// batch composition, so audits must preserve it).
-    pub position: usize,
     /// The model version that produced the verdict.
     pub model_version: u64,
     /// The pipeline's report for the window.
@@ -34,21 +30,15 @@ pub struct Verdict {
 /// whenever the bundle version changes.
 pub struct PipelineReplica {
     fence: Dl2Fence,
-    quant: Option<QuantizedDetector>,
-    recorder: Recorder,
     version: u64,
 }
 
 impl PipelineReplica {
-    /// Builds a replica from a bundle. The f32 pipeline restores
-    /// bit-identically ([`Dl2Fence::from_export`]); when the bundle
-    /// carries an int8 artifact, detection runs the fused quantized path
-    /// while segmentation/localization stay f32.
+    /// Builds a replica from a bundle; the pipeline restores
+    /// bit-identically ([`Dl2Fence::from_export`]).
     pub fn build(bundle: &ModelBundle) -> Self {
         PipelineReplica {
             fence: Dl2Fence::from_export(bundle.fence.clone()),
-            quant: bundle.quant.clone().map(QuantizedDetector::from_export),
-            recorder: Recorder::default(),
             version: bundle.version,
         }
     }
@@ -60,48 +50,26 @@ impl PipelineReplica {
 
     /// Attaches a telemetry recorder (stage + per-layer histograms).
     pub fn set_telemetry(&mut self, recorder: Recorder) {
-        self.fence.set_telemetry(recorder.clone());
-        if let Some(q) = &mut self.quant {
-            q.set_telemetry(recorder.clone());
-        }
-        self.recorder = recorder;
+        self.fence.set_telemetry(recorder);
     }
 
-    /// Analyses one dispatched batch in order. Detection runs batched —
-    /// one model invocation over the whole slice — and only flagged
-    /// windows pay the segment → fuse → localize tail. An empty batch (an
-    /// idle flush tick) is a no-op.
+    /// Analyses one dispatched batch in order with
+    /// [`Dl2Fence::analyze_frames_batch`]: detection runs batched, and only
+    /// flagged windows pay the segment → fuse → localize tail. An empty
+    /// batch (an idle flush tick) is a no-op.
     pub fn process(&mut self, batch: u64, windows: &[AssembledWindow]) -> Vec<Verdict> {
-        let reports = match self.quant.as_mut() {
-            Some(q) => {
-                let bundles: Vec<&DirectionalFrames> =
-                    windows.iter().map(|w| &w.detection).collect();
-                let detections = self
-                    .recorder
-                    .time("stage.detect", || q.detect_batch(&bundles));
-                windows
-                    .iter()
-                    .zip(detections)
-                    .map(|(w, det)| self.fence.report_for_detection(det, &w.localization))
-                    .collect()
-            }
-            None => {
-                let pairs: Vec<(&DirectionalFrames, &DirectionalFrames)> = windows
-                    .iter()
-                    .map(|w| (&w.detection, &w.localization))
-                    .collect();
-                self.fence.analyze_frames_batch(&pairs)
-            }
-        };
+        let pairs: Vec<(&DirectionalFrames, &DirectionalFrames)> = windows
+            .iter()
+            .map(|w| (&w.detection, &w.localization))
+            .collect();
+        let reports = self.fence.analyze_frames_batch(&pairs);
         windows
             .iter()
             .zip(reports)
-            .enumerate()
-            .map(|(position, (w, report))| Verdict {
+            .map(|(w, report)| Verdict {
                 tenant: w.tenant,
                 seq: w.seq,
                 batch,
-                position,
                 model_version: self.version,
                 report,
             })
@@ -111,11 +79,6 @@ impl PipelineReplica {
 
 impl std::fmt::Debug for PipelineReplica {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "PipelineReplica(v{}, {})",
-            self.version,
-            if self.quant.is_some() { "int8" } else { "f32" }
-        )
+        write!(f, "PipelineReplica(v{})", self.version)
     }
 }

@@ -190,18 +190,10 @@ impl DetectionService {
     /// (monotonically increasing). Batches already dispatched finish on the
     /// old version; every batch formed after this call sees the new one.
     /// No frame — queued or in flight — is dropped.
-    pub fn swap_model(
-        &self,
-        fence: dl2fence::FenceModelExport,
-        quant: Option<tinycnn::serialize::QuantizedModelExport>,
-    ) -> u64 {
+    pub fn swap_model(&self, fence: dl2fence::FenceModelExport) -> u64 {
         let mut state = self.inner.state.lock().expect("serve state poisoned");
         let version = state.bundle.version + 1;
-        state.bundle = Arc::new(ModelBundle {
-            fence,
-            quant,
-            version,
-        });
+        state.bundle = Arc::new(ModelBundle { fence, version });
         state.swaps += 1;
         version
     }
@@ -249,7 +241,6 @@ impl DetectionService {
             flagged: state.flagged_count,
             model_version: state.bundle.version,
             model_fingerprint: state.bundle.fingerprint(),
-            quantized: state.bundle.is_quantized(),
             swaps: state.swaps,
             e2e: None,
             stages: Vec::new(),

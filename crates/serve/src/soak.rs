@@ -8,12 +8,12 @@
 //! 1. trains a pipeline on the generated samples and installs it,
 //! 2. forces deterministic backpressure (pause → overfill one tenant's
 //!    ring → exactly one counted rejection → replay after drain),
-//! 3. streams the remaining windows across tenants, hot-swapping the
-//!    model mid-stream,
-//! 4. audits every verdict against an offline replica fed the *same batch
-//!    compositions* (int8 results depend on composition, so the audit
-//!    replays batches, not windows), plus a per-window
-//!    [`Dl2Fence::analyze_frames`] check on f32 batches,
+//! 3. streams the remaining windows across tenants, hot-swapping mid-stream
+//!    to a second pipeline trained with the next seed,
+//! 4. audits every verdict: each batch must have run one model version,
+//!    and each report must equal [`Dl2Fence::analyze_frames`] on that
+//!    version's model (a report does not depend on what else shared its
+//!    batch),
 //! 5. checks the accounting identity (nothing lost, nothing silently
 //!    dropped) and the latency SLO.
 //!
@@ -21,9 +21,8 @@
 //! panicking, so the CI smoke job can print the full report before
 //! failing.
 
-use crate::assembler::{AssembledWindow, RejectReason};
+use crate::assembler::RejectReason;
 use crate::model::ModelBundle;
-use crate::replica::{PipelineReplica, Verdict};
 use crate::service::{DetectionService, ServeConfig};
 use crate::status::ServeStatus;
 use dl2fence::input::sample_frames;
@@ -31,7 +30,7 @@ use dl2fence::{Dl2Fence, FenceConfig};
 use dl2fence_campaign::spec::parse_feature;
 use dl2fence_campaign::{require_mesh, CampaignSpec, Executor};
 use noc_monitor::{FeatureFrame, FeatureKind, LabeledSample};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 /// Soak run configuration.
@@ -46,11 +45,8 @@ pub struct SoakOptions {
     pub config: ServeConfig,
     /// Tenant sessions to spread the stream across (≤ `config.max_tenants`).
     pub tenants: usize,
-    /// Serve the fused int8 detector (the swap then installs the f32
-    /// pipeline, and vice versa — the swap always crosses precisions so it
-    /// is observable).
-    pub quantized: bool,
-    /// Hot-swap the model halfway through the stream.
+    /// Hot-swap halfway through the stream to a pipeline trained with the
+    /// next seed.
     pub swap_mid_stream: bool,
     /// End-to-end p99 SLO in microseconds.
     pub max_p99_e2e_us: u64,
@@ -64,7 +60,6 @@ impl Default for SoakOptions {
             spec: CampaignSpec::quick("serve-soak"),
             config: ServeConfig::default(),
             tenants: 3,
-            quantized: false,
             swap_mid_stream: true,
             max_p99_e2e_us: 2_000_000,
             sim_workers: 2,
@@ -187,32 +182,26 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
         ..FenceConfig::new(topology.rows(), topology.cols())
             .with_epochs(spec.eval.detector_epochs, spec.eval.localizer_epochs)
     };
-    let mut fence = Dl2Fence::new(fence_cfg);
-    fence.train(&samples);
-    let export = fence.export_model();
-    let quant_export = fence.detector().quantize().export();
-
-    // The swap always crosses precisions so pre/post-swap batches are
-    // distinguishable by more than the version number.
-    let (initial, swapped) = if options.quantized {
-        (
-            ModelBundle::quantized(export.clone(), quant_export.clone()),
-            ModelBundle::f32_only(export.clone()),
-        )
-    } else {
-        (
-            ModelBundle::f32_only(export.clone()),
-            ModelBundle::quantized(export.clone(), quant_export.clone()),
-        )
+    let train = |config: FenceConfig| {
+        let mut fence = Dl2Fence::new(config);
+        fence.train(&samples);
+        fence.export_model()
     };
+    let initial = train(fence_cfg);
+    // The swap installs a pipeline trained with the next seed: pre- and
+    // post-swap verdicts come from different weights, so a verdict that ran
+    // the wrong version fails the audit.
+    let swapped = options
+        .swap_mid_stream
+        .then(|| train(fence_cfg.with_seed(fence_cfg.seed + 1)));
 
-    // Version → bundle, for the offline audit. v1 exists only if we swap.
-    let mut bundles: BTreeMap<u64, ModelBundle> = BTreeMap::new();
-    bundles.insert(0, initial.clone());
+    // Version → offline pipeline, for the audit. v1 exists only if we swap.
+    let mut offline: BTreeMap<u64, Dl2Fence> = BTreeMap::new();
+    offline.insert(0, Dl2Fence::from_export(initial.clone()));
 
     // ---- Serve. ----
     let serve_start = Instant::now();
-    let service = DetectionService::new(options.config, initial);
+    let service = DetectionService::new(options.config, ModelBundle::f32_only(initial));
     let tenants = options.tenants.clamp(1, options.config.max_tenants) as u64;
 
     // (tenant, seq) → index of the sample whose frames built that window,
@@ -263,16 +252,10 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
     let mut swap_version = None;
     let swap_at = samples.len() / 2;
     for (i, sample) in samples.iter().enumerate() {
-        if options.swap_mid_stream && i == swap_at {
+        if let Some(export) = swapped.as_ref().filter(|_| i == swap_at) {
             service.drain_until_idle(); // pre-swap verdicts are all v0
-            let v = service.swap_model(swapped.fence.clone(), swapped.quant.clone());
-            bundles.insert(
-                v,
-                ModelBundle {
-                    version: v,
-                    ..swapped.clone()
-                },
-            );
+            let v = service.swap_model(export.clone());
+            offline.insert(v, Dl2Fence::from_export(export.clone()));
             swap_version = Some(v);
         }
         let tenant = i as u64 % tenants;
@@ -348,73 +331,45 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
     }
 
     // ---- Audit: version purity + bit-identical parity vs offline. ----
-    // Group verdicts back into the exact batches the workers saw.
-    let mut batches: BTreeMap<u64, Vec<&Verdict>> = BTreeMap::new();
+    // Every batch ran one model version...
+    let mut batch_versions: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
     for v in &verdicts {
-        batches.entry(v.batch).or_default().push(v);
+        batch_versions
+            .entry(v.batch)
+            .or_default()
+            .insert(v.model_version);
     }
-    let mut replicas: BTreeMap<u64, PipelineReplica> = BTreeMap::new();
-    let mut offline_f32 = Dl2Fence::from_export(export.clone());
-    let mut verdicts_audited = 0usize;
-    for (batch_id, mut group) in batches {
-        group.sort_by_key(|v| v.position);
-        let version = group[0].model_version;
-        if group.iter().any(|v| v.model_version != version) {
-            failures.push(format!("purity: batch {batch_id} mixes model versions"));
-            continue;
-        }
-        let Some(bundle) = bundles.get(&version) else {
+    for (batch, versions) in &batch_versions {
+        if versions.len() > 1 {
             failures.push(format!(
-                "purity: batch {batch_id} ran unknown version {version}"
+                "purity: batch {batch} mixes model versions {versions:?}"
+            ));
+        }
+    }
+    // ...and every report equals the plain offline single-window API on
+    // that version's model: the service layer adds nothing to the paper
+    // pipeline.
+    let mut verdicts_audited = 0usize;
+    for v in &verdicts {
+        let Some(fence) = offline.get_mut(&v.model_version) else {
+            failures.push(format!(
+                "purity: batch {} ran unknown version {}",
+                v.batch, v.model_version
             ));
             continue;
         };
-        // Rebuild the batch's windows in dispatch order from the traced
-        // samples — same composition, same order, so even the
-        // composition-dependent int8 path must reproduce bit-identically.
-        let windows: Vec<AssembledWindow> = group
-            .iter()
-            .map(|v| {
-                let idx = window_source[&(v.tenant, v.seq)];
-                AssembledWindow {
-                    tenant: v.tenant,
-                    seq: v.seq,
-                    detection: sample_frames(&samples[idx], det_kind).clone(),
-                    localization: sample_frames(&samples[idx], loc_kind).clone(),
-                    assembled_at: Instant::now(),
-                }
-            })
-            .collect();
-        let replica = replicas
-            .entry(version)
-            .or_insert_with(|| PipelineReplica::build(bundle));
-        let offline = replica.process(batch_id, &windows);
-        for (live, off) in group.iter().zip(&offline) {
-            if live.report != off.report {
-                failures.push(format!(
-                    "parity: tenant {} window {} (batch {batch_id}, v{version}) differs from offline replica",
-                    live.tenant, live.seq
-                ));
-            }
-            verdicts_audited += 1;
+        let idx = window_source[&(v.tenant, v.seq)];
+        let expected = fence.analyze_frames(
+            sample_frames(&samples[idx], det_kind),
+            sample_frames(&samples[idx], loc_kind),
+        );
+        if v.report != expected {
+            failures.push(format!(
+                "parity: tenant {} window {} (batch {}, v{}) differs from offline analyze_frames",
+                v.tenant, v.seq, v.batch, v.model_version
+            ));
         }
-        // f32 batches additionally match the plain offline single-window
-        // API — the service layer adds nothing to the paper pipeline.
-        if !bundle.is_quantized() {
-            for v in &group {
-                let idx = window_source[&(v.tenant, v.seq)];
-                let expected = offline_f32.analyze_frames(
-                    sample_frames(&samples[idx], det_kind),
-                    sample_frames(&samples[idx], loc_kind),
-                );
-                if v.report != expected {
-                    failures.push(format!(
-                        "parity: tenant {} window {} differs from offline analyze_frames",
-                        v.tenant, v.seq
-                    ));
-                }
-            }
-        }
+        verdicts_audited += 1;
     }
 
     Ok(SoakReport {

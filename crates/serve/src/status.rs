@@ -79,11 +79,9 @@ pub struct ServeStatus {
     pub flagged: u64,
     /// The current model bundle version.
     pub model_version: u64,
-    /// Fingerprint of the served weights (see
+    /// Fingerprint of the served pipeline, weights and configuration (see
     /// [`crate::ModelBundle::fingerprint`]).
     pub model_fingerprint: u64,
-    /// Whether detection currently runs the fused int8 path.
-    pub quantized: bool,
     /// Completed hot-swaps since start.
     pub swaps: u64,
     /// End-to-end latency (window assembled → verdict recorded); `None`
@@ -129,12 +127,8 @@ impl ServeStatus {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "dl2fence-serve: {} tenant(s), model v{} ({}, fingerprint {:016x}), {} swap(s)",
-            self.tenants,
-            self.model_version,
-            if self.quantized { "int8" } else { "f32" },
-            self.model_fingerprint,
-            self.swaps,
+            "dl2fence-serve: {} tenant(s), model v{} (fingerprint {:016x}), {} swap(s)",
+            self.tenants, self.model_version, self.model_fingerprint, self.swaps,
         );
         let _ = writeln!(
             out,
@@ -196,7 +190,6 @@ mod tests {
             flagged: 4,
             model_version: 1,
             model_fingerprint: 0xDEADBEEF,
-            quantized: true,
             swaps: 1,
             e2e: Some(LatencySummary {
                 name: "serve.e2e".to_string(),
@@ -214,8 +207,37 @@ mod tests {
         assert_eq!(parsed.rejected_for("queue_full"), 1);
         assert_eq!(parsed.rejected_for("shape_mismatch"), 0);
         let screen = status.render();
-        assert!(screen.contains("model v1 (int8"));
+        assert!(screen.contains("model v1 (fingerprint 00000000deadbeef)"));
         assert!(screen.contains("reject.queue_full: 1"));
         assert!(screen.contains("serve.e2e"));
+    }
+
+    #[test]
+    fn a_v1_snapshot_with_its_quantized_flag_still_renders() {
+        let v1 = r#"{
+  "schema": "dl2fence-serve/status/v1",
+  "tenants": 3,
+  "ingested_frames": 96,
+  "assembled_windows": 12,
+  "rejected": [{"reason": "queue_full", "count": 1}],
+  "rejected_total": 1,
+  "queued": 0,
+  "in_flight": 0,
+  "verdicts": 11,
+  "flagged": 4,
+  "model_version": 1,
+  "model_fingerprint": 3735928559,
+  "quantized": true,
+  "swaps": 1,
+  "e2e": {"name": "serve.e2e", "count": 11, "mean_us": 800, "p50_us": 700,
+          "p90_us": 1500, "p99_us": 2100, "max_us": 2500},
+  "stages": []
+}"#;
+        let status = ServeStatus::from_json(v1).expect("v1 snapshots stay readable");
+        assert_eq!(status.schema, "dl2fence-serve/status/v1");
+        assert_eq!(status.e2e.as_ref().map(|e| e.p99_us), Some(2100));
+        let screen = status.render();
+        assert!(screen.contains("model v1 (fingerprint 00000000deadbeef), 1 swap(s)"));
+        assert!(screen.contains("reject.queue_full: 1"));
     }
 }

@@ -1,20 +1,16 @@
 //! Shared fixtures for the serve integration tests: one small campaign's
-//! samples and two independently trained pipelines (different seeds), each
-//! in f32 and fused-int8 export form, built once per test binary.
+//! samples and two independently trained pipelines (different seeds),
+//! built once per test binary.
 
 #![allow(dead_code)] // each test binary uses a different subset
 
 use dl2fence::input::sample_frames;
 use dl2fence::{Dl2Fence, FenceConfig, FenceModelExport};
 use dl2fence_campaign::{CampaignSpec, Executor};
-use dl2fence_serve::{
-    AssembledWindow, DetectionService, ModelBundle, PipelineReplica, RejectReason, Verdict,
-};
+use dl2fence_serve::{DetectionService, RejectReason, Verdict};
 use noc_monitor::{FeatureKind, LabeledSample};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
-use std::time::Instant;
-use tinycnn::serialize::QuantizedModelExport;
 
 /// Mesh side of every fixture sample and model.
 pub const MESH: usize = 4;
@@ -26,14 +22,10 @@ pub const LOC: FeatureKind = FeatureKind::Boc;
 pub struct Fixture {
     /// Labeled samples from a tiny campaign — the traffic source.
     pub samples: Vec<LabeledSample>,
-    /// Model A (seed 1), f32 export.
+    /// Model A (seed 1).
     pub export_a: FenceModelExport,
-    /// Model A, fused int8 detector.
-    pub quant_a: QuantizedModelExport,
     /// Model B (seed 2) — a genuinely different model for swap tests.
     pub export_b: FenceModelExport,
-    /// Model B, fused int8 detector.
-    pub quant_b: QuantizedModelExport,
 }
 
 pub fn fixture() -> &'static Fixture {
@@ -56,10 +48,9 @@ pub fn fixture() -> &'static Fixture {
                     .with_seed(seed),
             );
             fence.train(&samples);
-            (fence.export_model(), fence.detector().quantize().export())
+            fence.export_model()
         };
-        let (export_a, quant_a) = train(1);
-        let (export_b, quant_b) = train(2);
+        let (export_a, export_b) = (train(1), train(2));
         assert_ne!(
             export_a.detector.fingerprint(),
             export_b.detector.fingerprint(),
@@ -68,9 +59,7 @@ pub fn fixture() -> &'static Fixture {
         Fixture {
             samples,
             export_a,
-            quant_a,
             export_b,
-            quant_b,
         }
     })
 }
@@ -96,54 +85,48 @@ pub fn ingest_window(
     }
 }
 
-/// Audits a verdict set against offline replicas: every batch must be
-/// version-pure, every version must map to a known bundle, and replaying
-/// each batch — same windows, same order — through a fresh
-/// [`PipelineReplica`] must reproduce every report bit-identically.
+/// Audits a verdict set: every batch must be version-pure, every version
+/// must map to a known model export, and every report must equal
+/// [`Dl2Fence::analyze_frames`] on its version's model bit for bit.
 /// Returns human-readable violations (empty = all invariants held).
-pub fn replay_parity(
+pub fn audit_verdicts(
     verdicts: &[Verdict],
     source: &BTreeMap<(u64, u64), usize>,
     samples: &[LabeledSample],
-    bundles: &BTreeMap<u64, ModelBundle>,
+    exports: &BTreeMap<u64, FenceModelExport>,
 ) -> Vec<String> {
     let mut failures = Vec::new();
-    let mut batches: BTreeMap<u64, Vec<&Verdict>> = BTreeMap::new();
+    let mut batches: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
     for v in verdicts {
-        batches.entry(v.batch).or_default().push(v);
+        batches.entry(v.batch).or_default().insert(v.model_version);
     }
-    for (batch_id, mut group) in batches {
-        group.sort_by_key(|v| v.position);
-        let version = group[0].model_version;
-        if group.iter().any(|v| v.model_version != version) {
-            failures.push(format!("batch {batch_id} mixes model versions"));
-            continue;
+    for (batch, versions) in batches {
+        if versions.len() > 1 {
+            failures.push(format!("batch {batch} mixes model versions {versions:?}"));
         }
-        let Some(bundle) = bundles.get(&version) else {
-            failures.push(format!("batch {batch_id} ran unknown version {version}"));
+    }
+    let mut offline: BTreeMap<u64, Dl2Fence> = BTreeMap::new();
+    for v in verdicts {
+        let Some(export) = exports.get(&v.model_version) else {
+            failures.push(format!(
+                "batch {} ran unknown version {}",
+                v.batch, v.model_version
+            ));
             continue;
         };
-        let windows: Vec<AssembledWindow> = group
-            .iter()
-            .map(|v| {
-                let idx = source[&(v.tenant, v.seq)];
-                AssembledWindow {
-                    tenant: v.tenant,
-                    seq: v.seq,
-                    detection: sample_frames(&samples[idx], DET).clone(),
-                    localization: sample_frames(&samples[idx], LOC).clone(),
-                    assembled_at: Instant::now(),
-                }
-            })
-            .collect();
-        let offline = PipelineReplica::build(bundle).process(batch_id, &windows);
-        for (live, off) in group.iter().zip(&offline) {
-            if live.report != off.report {
-                failures.push(format!(
-                    "tenant {} window {} (batch {batch_id}, v{version}) differs from offline",
-                    live.tenant, live.seq
-                ));
-            }
+        let fence = offline
+            .entry(v.model_version)
+            .or_insert_with(|| Dl2Fence::from_export(export.clone()));
+        let idx = source[&(v.tenant, v.seq)];
+        let expected = fence.analyze_frames(
+            sample_frames(&samples[idx], DET),
+            sample_frames(&samples[idx], LOC),
+        );
+        if v.report != expected {
+            failures.push(format!(
+                "tenant {} window {} (batch {}, v{}) differs from offline",
+                v.tenant, v.seq, v.batch, v.model_version
+            ));
         }
     }
     failures

@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::{fixture, ingest_window, replay_parity};
+use common::{audit_verdicts, fixture, ingest_window};
 use dl2fence::input::sample_frames;
 use dl2fence::Dl2Fence;
 use dl2fence_serve::{DetectionService, ModelBundle, RejectReason, ServeConfig};
@@ -99,25 +99,19 @@ fn hot_swap_under_load_is_version_pure_and_lossless() {
     let fix = fixture();
     let service =
         DetectionService::new(small_config(), ModelBundle::f32_only(fix.export_a.clone()));
-    let mut bundles = BTreeMap::new();
-    bundles.insert(0, ModelBundle::f32_only(fix.export_a.clone()));
+    let mut exports = BTreeMap::new();
+    exports.insert(0, fix.export_a.clone());
 
     let mut source = BTreeMap::new();
     let mut streamed = 0usize;
     let half = fix.samples.len() / 2;
     for (i, sample) in fix.samples.iter().enumerate() {
         if i == half {
-            // Swap while windows are queued and possibly in flight — model B
-            // in int8 form, so the change crosses both weights and precision.
-            let v = service.swap_model(fix.export_b.clone(), Some(fix.quant_b.clone()));
+            // Swap to model B while windows are queued and possibly in
+            // flight.
+            let v = service.swap_model(fix.export_b.clone());
             assert_eq!(v, 1);
-            bundles.insert(
-                1,
-                ModelBundle {
-                    version: 1,
-                    ..ModelBundle::quantized(fix.export_b.clone(), fix.quant_b.clone())
-                },
-            );
+            exports.insert(1, fix.export_b.clone());
         }
         let tenant = i as u64 % 3;
         match ingest_window(&service, tenant, sample) {
@@ -142,16 +136,15 @@ fn hot_swap_under_load_is_version_pure_and_lossless() {
         "post-swap verdicts must exist"
     );
 
-    let failures = replay_parity(&verdicts, &source, &fix.samples, &bundles);
+    let failures = audit_verdicts(&verdicts, &source, &fix.samples, &exports);
     assert!(failures.is_empty(), "{failures:?}");
 
     let status = service.shutdown();
     assert_eq!(status.swaps, 1);
     assert_eq!(status.model_version, 1);
-    assert!(status.quantized);
     assert_eq!(
         status.model_fingerprint,
-        bundles[&1].fingerprint(),
+        fix.export_b.fingerprint(),
         "status reports the live bundle's fingerprint"
     );
 }
@@ -164,7 +157,7 @@ fn shutdown_mid_stream_drains_everything_before_joining() {
             queue_capacity: 16,
             ..small_config()
         },
-        ModelBundle::quantized(fix.export_a.clone(), fix.quant_a.clone()),
+        ModelBundle::f32_only(fix.export_a.clone()),
     );
     let mut streamed = 0;
     for (i, sample) in fix.samples.iter().enumerate() {

@@ -21,7 +21,7 @@ fn soak_spec(topology: Option<&str>) -> CampaignSpec {
     spec
 }
 
-fn options(quantized: bool) -> SoakOptions {
+fn options() -> SoakOptions {
     SoakOptions {
         spec: soak_spec(None),
         config: ServeConfig {
@@ -31,7 +31,6 @@ fn options(quantized: bool) -> SoakOptions {
             batch_windows: 3,
         },
         tenants: 3,
-        quantized,
         swap_mid_stream: true,
         // Generous: the SLO mechanism is under test, not this machine.
         max_p99_e2e_us: 60_000_000,
@@ -43,33 +42,24 @@ fn options(quantized: bool) -> SoakOptions {
 fn f32_soak_passes_every_invariant() {
     let opts = SoakOptions {
         spec: soak_spec(Some("mesh4")),
-        ..options(false)
+        ..options()
     };
     let report = run_soak(&opts).expect("soak must run");
     assert!(report.passed(), "{}", report.render());
     assert_eq!(report.forced_rejections, 1);
-    assert!(report.verdicts_audited > 0);
+    assert_eq!(report.verdicts_audited, report.windows_streamed);
     assert_eq!(report.swap_version, Some(1));
+    assert_eq!(report.status.model_version, 1);
     let e2e = report.status.e2e.as_ref().expect("e2e populated");
     assert_eq!(e2e.count, report.windows_streamed as u64);
     assert_eq!(report.status.rejected_for("queue_full"), 1);
 }
 
 #[test]
-fn quantized_soak_passes_every_invariant() {
-    let report = run_soak(&options(true)).expect("soak must run");
-    assert!(report.passed(), "{}", report.render());
-    assert!(report.status.e2e.is_some());
-    // Started int8, swapped to f32 — the final bundle is the f32 pipeline.
-    assert!(!report.status.quantized);
-    assert_eq!(report.status.model_version, 1);
-}
-
-#[test]
 fn a_non_mesh_topology_is_refused() {
     let opts = SoakOptions {
         spec: soak_spec(Some("torus4")),
-        ..options(false)
+        ..options()
     };
     let err = run_soak(&opts).expect_err("a torus cannot be served");
     assert!(err.contains("`torus4`"), "{err}");
@@ -78,7 +68,7 @@ fn a_non_mesh_topology_is_refused() {
 
 #[test]
 fn an_impossible_slo_is_reported_not_swallowed() {
-    let mut opts = options(false);
+    let mut opts = options();
     opts.swap_mid_stream = false;
     opts.max_p99_e2e_us = 0; // nothing real completes in 0µs
     let report = run_soak(&opts).expect("soak must run");

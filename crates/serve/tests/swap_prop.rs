@@ -1,20 +1,18 @@
-//! Satellite property: swapping a `QuantizedModelExport` between batches —
-//! at an **arbitrary** point in the stream, with arbitrary ring/batch
-//! geometry — never mixes models within one batch, and pre-/post-swap
-//! verdicts match their respective offline detectors bit-identically
-//! (replayed with the exact batch compositions, since int8 activation
-//! scales depend on what else shared the batch).
+//! Property: swapping from model A to model B — at an **arbitrary** point
+//! in the stream, with arbitrary ring/batch geometry and worker count —
+//! never mixes models within one batch, and pre-/post-swap verdicts match
+//! their respective offline pipelines bit-identically.
 
 mod common;
 
-use common::{fixture, ingest_window, replay_parity};
+use common::{audit_verdicts, fixture, ingest_window};
 use dl2fence_serve::{ModelBundle, RejectReason, ServeConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 proptest! {
     #[test]
-    fn quantized_swap_never_mixes_models_within_a_batch(
+    fn swap_never_mixes_models_within_a_batch(
         swap_at in 0usize..7,
         batch_windows in 1usize..4,
         queue_capacity in 1usize..4,
@@ -27,10 +25,10 @@ proptest! {
             workers,
             batch_windows,
         };
-        let initial = ModelBundle::quantized(fix.export_a.clone(), fix.quant_a.clone());
-        let service = dl2fence_serve::DetectionService::new(config, initial.clone());
-        let mut bundles = BTreeMap::new();
-        bundles.insert(0, initial);
+        let service =
+            dl2fence_serve::DetectionService::new(config, ModelBundle::f32_only(fix.export_a.clone()));
+        let mut exports = BTreeMap::new();
+        exports.insert(0, fix.export_a.clone());
 
         let mut source = BTreeMap::new();
         let mut streamed = 0usize;
@@ -39,11 +37,8 @@ proptest! {
                 // Drain first so the version split is deterministic: every
                 // earlier window verdicts on model A, every later one on B.
                 service.drain_until_idle();
-                let v = service.swap_model(fix.export_b.clone(), Some(fix.quant_b.clone()));
-                bundles.insert(v, ModelBundle {
-                    version: v,
-                    ..ModelBundle::quantized(fix.export_b.clone(), fix.quant_b.clone())
-                });
+                let v = service.swap_model(fix.export_b.clone());
+                exports.insert(v, fix.export_b.clone());
             }
             let tenant = i as u64 % 3;
             let seq = match ingest_window(&service, tenant, sample) {
@@ -64,8 +59,8 @@ proptest! {
         prop_assert_eq!(verdicts.len(), streamed); // no window lost across the swap
         prop_assert_eq!(status.swaps, 1u64);
         // Version purity + bit-identical parity against the respective
-        // offline detectors, batch compositions preserved.
-        let failures = replay_parity(&verdicts, &source, &fix.samples, &bundles);
+        // offline pipelines.
+        let failures = audit_verdicts(&verdicts, &source, &fix.samples, &exports);
         prop_assert!(failures.is_empty(), "{:?}", failures);
         // The drain before the swap pins the split: window i verdicts on
         // model A iff it was streamed before the swap point.

@@ -13,8 +13,9 @@
 /// (committed baselines live in `BENCH_campaign.json`).
 pub const TIMINGS_SCHEMA: &str = "dl2fence-campaign/timings/v1";
 
-/// `dl2fence-serve status --json` snapshots.
-pub const STATUS_SCHEMA: &str = "dl2fence-serve/status/v1";
+/// `dl2fence-serve status --json` snapshots. v2 dropped v1's `quantized`
+/// field.
+pub const STATUS_SCHEMA: &str = "dl2fence-serve/status/v2";
 
 /// `manifest.json` at the root of a streaming campaign directory.
 /// Manifests written before the tag existed carry an empty `schema`
