@@ -35,7 +35,11 @@ fn main() {
         "{:>10} {:>10} {:>11} {:>8}",
         "precision", "accuracy", "precision", "recall"
     );
-    for bits in [4u32, 8, 12, 16, 32] {
+    // Widths from narrowest to the float model (32); `quantize_tensor`
+    // accepts 2..=16 bits.
+    let widths = [2u32, 3, 4, 8, 12, 16, 32];
+    let mut accuracies = Vec::with_capacity(widths.len());
+    for bits in widths {
         let mut quantized = if bits >= 32 {
             DosDetector::from_export(rows, cols, export.clone())
         } else {
@@ -48,15 +52,41 @@ fn main() {
         }
         println!(
             "{:>7}bit {:>10.3} {:>11.3} {:>8.3}",
-            if bits >= 32 { 32 } else { bits },
+            bits,
             confusion.accuracy(),
             confusion.precision(),
             confusion.recall()
         );
+        accuracies.push((bits, confusion.accuracy()));
     }
     println!();
-    println!(
-        "Expected shape: 16-bit and 12-bit weights match the float model; accuracy only\n\
-         starts to drop at very low precisions — supporting the 16-bit accelerator assumption."
-    );
+    println!("{}", precision_verdict(&accuracies));
+}
+
+/// Summarizes the table from the float model down: the narrowest width
+/// whose accuracy still equals the float model's, and the widest width
+/// where it first differs. `rows` runs from narrowest to widest, ending with
+/// the float model.
+fn precision_verdict(rows: &[(u32, f64)]) -> String {
+    let (&(_, float), quantized) = rows.split_last().expect("the float model is always scored");
+    let Some(k) = quantized.iter().rev().position(|&(_, a)| a != float) else {
+        return format!(
+            "Measured: accuracy equals the float model's ({float:.3}) at every width down to \
+             {} bits; no tested width makes it fall.",
+            quantized[0].0
+        );
+    };
+    let (bits, accuracy) = quantized[quantized.len() - 1 - k];
+    let moved = if accuracy < float { "falls" } else { "rises" };
+    if k == 0 {
+        return format!(
+            "Measured: accuracy already {moved} at {bits} bits, the widest quantized width \
+             ({accuracy:.3} against the float model's {float:.3})."
+        );
+    }
+    format!(
+        "Measured: accuracy equals the float model's ({float:.3}) down to {}-bit weights and \
+         first {moved} at {bits} bits ({accuracy:.3}).",
+        quantized[quantized.len() - k].0
+    )
 }

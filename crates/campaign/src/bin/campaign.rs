@@ -1,7 +1,7 @@
 //! The `campaign` CLI: expand, run, resume, shard, merge, compact and
 //! inspect declarative scenario campaigns. Every executing subcommand is a
-//! thin call onto the library's run/resume/merge/serve-sched/work entry
-//! points, and one flag parser serves every subcommand.
+//! thin call onto the library's run/resume/merge entry points, and one flag
+//! parser serves every subcommand.
 //!
 //! ```text
 //! campaign expand  <spec.toml|spec.json>
@@ -9,8 +9,6 @@
 //! campaign resume  <campaign-dir> [--spec PATH] [--workers N] [--telemetry] [--quiet]
 //! campaign shard   <spec.toml|spec.json> --shards N --index I --out DIR [--telemetry]
 //! campaign merge   <dir>... --out DIR [--workers N] [--reexec-gaps] [--quiet]
-//! campaign serve-sched <campaign-dir> [--spec PATH] [--lease-size N] [--lease-ttl SECS]
-//! campaign work    <campaign-dir> --worker ID [--patience SECS] [--fail-after N]
 //! campaign compact <campaign-dir> [--quiet]
 //! campaign status  <dir>... [--json]
 //! campaign watch   <campaign-dir> [--interval SECS] [--json]
@@ -18,9 +16,9 @@
 //! ```
 
 use dl2fence_campaign::{
-    compact, expand, merge, resume, run, serve_sched, spec_fingerprint, status, summarize_events,
-    work, CampaignOutcome, CampaignReport, CampaignSpec, Executor, ServeOptions, ShardSlice,
-    WatchSnapshot, WorkOptions, EVENTS_FILE,
+    compact, expand, merge, resume, run, spec_fingerprint, status, summarize_events,
+    CampaignOutcome, CampaignReport, CampaignSpec, Executor, ShardSlice, WatchSnapshot,
+    EVENTS_FILE,
 };
 use dl2fence_telemetry::Telemetry;
 use std::io::IsTerminal as _;
@@ -46,15 +44,15 @@ usage:
       Resume an interrupted `run --out` or `shard` campaign: verify the
       stored spec fingerprint (and PATH's, when given), re-execute only the
       missing run indices, and — for whole-campaign directories — rebuild a
-      report byte-identical to an uninterrupted run. On a serve-sched
-      coordinator directory, runs its workers/ already hold count as stored
-      and are folded in. --telemetry appends to DIR/events.jsonl,
-      continuing the original run's sequence numbers.
+      report byte-identical to an uninterrupted run. --telemetry appends to
+      DIR/events.jsonl, continuing the original run's sequence numbers.
   campaign shard <spec.toml|spec.json> --shards N --index I --out DIR
                  [--workers W] [--quiet] [--telemetry]
       Execute shard I of N: the run indices congruent to I modulo N, streamed
       to an ordinary campaign directory whose manifest records the slice.
-      Run one shard per machine, collect the directories, then `merge`.
+      Run one shard per machine, collect the directories, then `merge`. A
+      crashed shard resumes like any campaign directory; a lost one is
+      re-executed by `merge --reexec-gaps`.
   campaign merge <dir>... --out DIR [--workers N] [--reexec-gaps] [--quiet]
       Merge shard directories sharing one spec fingerprint into DIR: the
       union of their run logs (identical duplicates dedupe; gaps and
@@ -62,28 +60,7 @@ usage:
       byte-identical to an uninterrupted single-machine run. With
       --reexec-gaps, run indices no input holds are speculatively
       re-executed locally instead of refused — runs are deterministic, so
-      the report stays byte-identical. A coordinator directory contributes
-      its workers/ records.
-  campaign serve-sched <campaign-dir> [--spec PATH] [--workers N] [--quiet]
-                       [--lease-size N] [--lease-ttl SECS] [--poll SECS]
-                       [--telemetry]
-      Coordinate a worker fleet over a shared filesystem: lease bounded
-      run-index batches (default --lease-size 4) to `work` processes,
-      expire and re-issue leases whose worker stops reporting progress for
-      --lease-ttl seconds (default 30), and — once every run is stored —
-      assemble DIR/report.json byte-identical to a single-machine run
-      (re-executing any residual gap indices locally). A fresh DIR needs
-      --spec; re-serving an interrupted campaign re-indexes DIR and its
-      workers/ and leases only what is missing. Start the coordinator
-      before the workers.
-  campaign work <campaign-dir> --worker ID [--workers N] [--quiet]
-                [--poll SECS] [--patience SECS] [--fail-after N] [--telemetry]
-      Join the fleet serving DIR as worker ID: request leases, execute and
-      stream their runs to DIR/workers/ID, report per-run progress (the
-      lease heartbeat), and exit when the coordinator announces the matrix
-      drained. Restartable under the same ID without re-executing stored
-      runs. --patience (default 120) bounds coordinator silence;
-      --fail-after N aborts after N runs (crash injection for tests).
+      the report stays byte-identical.
   campaign compact <campaign-dir> [--quiet]
       Atomically rewrite DIR/runs.jsonl in run-index order with duplicate
       records and any torn tail dropped; the directory stays resumable and
@@ -94,15 +71,13 @@ usage:
       Read-only progress inspection: per directory the stored/missing run
       counts, exact gap list, shard slice, torn-tail state and log size;
       over several directories, the union gap list a merge would
-      refuse on. A coordinator directory counts its workers/ records.
-      Safe to run while a campaign is executing.
+      refuse on. Safe to run while a campaign is executing.
   campaign watch <campaign-dir> [--interval SECS] [--json]
       Live progress for one campaign directory: completed/missing runs with
       a progress bar, throughput and ETA, per-worker utilization and
       per-stage latency quantiles (from DIR/events.jsonl when the campaign
       runs with --telemetry). Loops every --interval seconds (default 2)
-      until every run is stored (for a coordinator directory, until its
-      report is written); --json prints one snapshot and exits.
+      until every run is stored; --json prints one snapshot and exits.
       Read-only and torn-tail-tolerant — safe against a live campaign.
   campaign report <report.json|campaign-dir> [--timings]
       Render a saved report as a human-readable table. With --timings,
@@ -130,8 +105,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         Some("resume") => cmd_resume(&args[1..]),
         Some("shard") => cmd_run(&args[1..], true),
         Some("merge") => cmd_merge(&args[1..]),
-        Some("serve-sched") => cmd_serve_sched(&args[1..]),
-        Some("work") => cmd_work(&args[1..]),
         Some("compact") => cmd_compact(&args[1..]),
         Some("status") => cmd_status(&args[1..]),
         Some("watch") => cmd_watch(&args[1..]),
@@ -154,12 +127,6 @@ struct Flags {
     reexec_gaps: bool,
     telemetry: bool,
     quiet: bool,
-    lease_size: Option<usize>,
-    lease_ttl: Option<Duration>,
-    poll: Option<Duration>,
-    worker: Option<String>,
-    patience: Option<Duration>,
-    fail_after: Option<usize>,
     json: bool,
     interval: Option<f64>,
     timings: bool,
@@ -187,21 +154,9 @@ impl Flags {
             match flag {
                 "--spec" => flags.spec = Some(value()?.to_string()),
                 "--out" => flags.out = Some(PathBuf::from(value()?)),
-                "--worker" => flags.worker = Some(value()?.to_string()),
                 "--workers" => flags.workers = Some(parse_count(flag, value()?)?),
                 "--shards" => flags.shards = Some(parse_count(flag, value()?)?),
                 "--index" => flags.index = Some(parse_count(flag, value()?)?),
-                "--fail-after" => flags.fail_after = Some(parse_count(flag, value()?)?),
-                "--lease-size" => {
-                    let size = parse_count(flag, value()?)?;
-                    if size == 0 {
-                        return Err("invalid --lease-size `0`".to_string());
-                    }
-                    flags.lease_size = Some(size);
-                }
-                "--lease-ttl" => flags.lease_ttl = Some(parse_secs(flag, value()?)?),
-                "--poll" => flags.poll = Some(parse_secs(flag, value()?)?),
-                "--patience" => flags.patience = Some(parse_secs(flag, value()?)?),
                 "--interval" => {
                     let v = value()?;
                     let secs = v
@@ -266,17 +221,6 @@ fn parse_count(flag: &str, value: &str) -> Result<usize, String> {
     value
         .parse::<usize>()
         .map_err(|_| format!("invalid {flag} `{value}`"))
-}
-
-/// Parses a positive seconds value (fractions allowed) for the scheduler's
-/// duration flags.
-fn parse_secs(flag: &str, value: &str) -> Result<Duration, String> {
-    let secs = value
-        .parse::<f64>()
-        .ok()
-        .filter(|s| s.is_finite() && *s > 0.0)
-        .ok_or_else(|| format!("invalid {flag} `{value}` (need positive seconds)"))?;
-    Ok(Duration::from_secs_f64(secs))
 }
 
 fn load_spec(path: &str) -> Result<CampaignSpec, String> {
@@ -409,66 +353,6 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve_sched(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(
-        args,
-        "--spec --workers --quiet --lease-size --lease-ttl --poll --telemetry",
-    )?;
-    let dir = Path::new(flags.single_path("serve-sched")?);
-    let defaults = ServeOptions::default();
-    let opts = ServeOptions {
-        lease_size: flags.lease_size.unwrap_or(defaults.lease_size),
-        lease_ttl: flags.lease_ttl.unwrap_or(defaults.lease_ttl),
-        poll: flags.poll.unwrap_or(defaults.poll),
-    };
-    let spec = flags.spec.as_deref().map(load_spec).transpose()?;
-    let executor = flags.executor(Some(dir))?;
-    if !flags.quiet {
-        eprintln!(
-            "serving campaign in {}: leases of {} run(s), ttl {:.1}s...",
-            dir.display(),
-            opts.lease_size,
-            opts.lease_ttl.as_secs_f64()
-        );
-    }
-    let started = Instant::now();
-    let report = serve_sched(&executor, dir, spec.as_ref(), &opts).map_err(|e| e.to_string())?;
-    finish_dir(Some(report), started, dir, flags.quiet);
-    Ok(())
-}
-
-fn cmd_work(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(
-        args,
-        "--worker --workers --quiet --poll --patience --fail-after --telemetry",
-    )?;
-    let dir = Path::new(flags.single_path("work")?);
-    let mut opts = WorkOptions::named(flags.worker.clone().ok_or("work needs --worker ID")?);
-    opts.poll = flags.poll.unwrap_or(opts.poll);
-    opts.patience = flags.patience.unwrap_or(opts.patience);
-    opts.fail_after = flags.fail_after;
-    let executor = flags.executor(Some(&dir.join("workers").join(&opts.worker)))?;
-    if !flags.quiet {
-        eprintln!(
-            "worker `{}` joining the fleet serving {}...",
-            opts.worker,
-            dir.display()
-        );
-    }
-    let started = Instant::now();
-    let outcome = work(&executor, dir, &opts).map_err(|e| e.to_string())?;
-    if !flags.quiet {
-        eprintln!(
-            "worker `{}`: {} run(s) executed over {} lease(s) in {:.2}s",
-            outcome.worker,
-            outcome.executed,
-            outcome.leases,
-            started.elapsed().as_secs_f64()
-        );
-    }
-    Ok(())
-}
-
 fn cmd_compact(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, "--quiet")?;
     let dir = flags.single_path("compact")?;
@@ -503,7 +387,7 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
 }
 
 /// Reports a finished directory verb: the report summary, or — for a shard
-/// or worker directory, which builds none — a completion line.
+/// directory, which builds none — a completion line.
 fn finish_dir(report: Option<CampaignReport>, started: Instant, dir: &Path, quiet: bool) {
     match report {
         Some(report) => finish(&report, started, Some(&dir.join("report.json")), quiet),

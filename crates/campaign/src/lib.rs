@@ -38,27 +38,19 @@
 //!    an ordinary campaign directory, and [`merge`](merge::merge) folds
 //!    shard directories (verifying fingerprints, deduplicating identical
 //!    records, refusing or re-executing gaps and refusing conflicts) into a
-//!    report byte-identical to a single-machine run.
+//!    report byte-identical to a single-machine run. Shards are the one
+//!    way to split a campaign: a lost or slow machine's slice is healed by
+//!    resuming its directory or by re-executing its gaps at merge.
 //! 7. **Compaction and inspection** — [`compact`] rewrites `runs.jsonl`
 //!    atomically into index-ordered, deduplicated form; [`status`]
 //!    inspects any set of campaign directories read-only. (Each record
 //!    keeps its labeled samples: the eval phase trains on all of a frame
 //!    geometry's samples at once, so the fold keeps them in memory.)
-//! 8. **Dynamic fleet scheduling** — [`sched::serve_sched`] turns a
-//!    campaign directory into a coordinator that leases bounded run-index
-//!    batches ([`lease::Lease`]) to any number of [`sched::work`] workers
-//!    over a shared filesystem, expiring and re-issuing abandoned leases. A
-//!    worker executes each lease through the execute primitive, its per-run
-//!    hook reporting progress; the final assembly is the fold primitive, so
-//!    idempotent replay plus speculative gap re-execution keep the report
-//!    byte-identical to a single-machine run even after worker crashes —
-//!    and `resume`/`status`/`merge` on a coordinator directory count the
-//!    records its workers hold.
 //!
 //! The `campaign` binary exposes the engine on the command line
 //! (`expand` / `run` / `resume` / `shard` / `merge` / `compact` /
-//! `status` / `report` / `serve-sched` / `work`), and the benchmark
-//! harness's table and figure binaries are built on top of it.
+//! `status` / `watch` / `report`), and the benchmark harness's table and
+//! figure binaries are built on top of it.
 //!
 //! ## Quick example
 //!
@@ -91,11 +83,9 @@ pub mod compact;
 pub mod events;
 pub mod executor;
 pub mod grid;
-pub mod lease;
 pub mod merge;
 pub mod minitoml;
 pub mod report;
-pub mod sched;
 pub mod spec;
 pub mod status;
 pub mod stream;
@@ -108,12 +98,8 @@ pub use events::{
 };
 pub use executor::{execute_run, CampaignOutcome, Executor, JobPanic, RunMetrics, RunResult};
 pub use grid::{derive_run_seed, expand, runs_from_scenarios, RunSpec};
-pub use lease::{sched_status, Lease, LeaseInfo, SchedStatus};
 pub use merge::merge;
 pub use report::{split_by_benchmark, CampaignReport, EvalEntry, GroupSummary, ReportAccumulator};
-pub use sched::{
-    serve_sched, work, Grant, SchedCounters, Scheduler, ServeOptions, WorkOptions, WorkOutcome,
-};
 pub use spec::{
     parse_feature, parse_workload, require_mesh, validate_group_by, CampaignSpec, EvalSpec,
     GridSpec, ReportSpec, SimParams, SpecError,

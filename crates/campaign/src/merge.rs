@@ -5,10 +5,8 @@
 //! directory into itself, [`merge`] folds any set of directories sharing a
 //! spec fingerprint — the shard directories [`crate::stream::run`] wrote
 //! on different machines, a whole-campaign directory, or any mix — into a
-//! fresh one, and the scheduler's final assembly folds the worker
-//! directories into the coordinator's. The target's `report.json` is
-//! **byte-identical** to an uninterrupted single-machine `campaign run` of
-//! the same spec.
+//! fresh one. The target's `report.json` is **byte-identical** to an
+//! uninterrupted single-machine `campaign run` of the same spec.
 //!
 //! A fold is a two-pass stream over its sources, so it never materializes
 //! the combined result set:
@@ -29,20 +27,18 @@
 //! Before replaying, every run index the target owes must be stored
 //! somewhere: a gap aborts with the exact gap list (resume the shard that
 //! owns it, then merge again). With gap re-execution
-//! (`campaign merge --reexec-gaps`; always on for run, resume and the
-//! scheduler's assembly) gaps are instead executed locally — every run is
-//! deterministic from spec + index, so the re-executed records are
-//! byte-identical to what a lost shard or crashed worker would have
-//! produced, and the report still matches a single-machine run exactly.
+//! (`campaign merge --reexec-gaps`; always on for run and resume) gaps are
+//! instead executed locally — every run is deterministic from spec + index,
+//! so the re-executed records are byte-identical to what a lost or slow
+//! shard would have produced, and the report still matches a
+//! single-machine run exactly. That is how a split campaign survives losing
+//! a machine.
 
 use crate::executor::Executor;
 use crate::grid::RunSpec;
 use crate::report::{CampaignReport, ReportAccumulator};
-use crate::sched::worker_dirs;
 use crate::spec::SpecError;
-use crate::stream::{
-    append_jsonl, CampaignDir, LogIndex, Manifest, RecordEntry, Target, MANIFEST_FILE,
-};
+use crate::stream::{append_jsonl, CampaignDir, LogIndex, RecordEntry, Target};
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -58,7 +54,7 @@ const GAPFILL_DIR: &str = ".gapfill";
 /// per record. Lazy because a source may hold no records at all.
 pub(crate) struct Source {
     dir: CampaignDir,
-    pub(crate) index: LogIndex,
+    index: LogIndex,
     reader: Option<File>,
 }
 
@@ -89,56 +85,13 @@ impl Source {
     }
 }
 
-/// The worker directories under a whole-campaign directory, loaded as
-/// record sources: a scheduler coordinator's records live in them until
-/// final assembly. Shard and worker directories have none.
-///
-/// With `skip_unparsed`, a worker directory whose manifest does not parse
-/// yet — a worker starting up while a read-only `status` poll looks — is
-/// skipped instead of failing the call.
-pub(crate) fn worker_sources(
-    dir: &CampaignDir,
-    manifest: &Manifest,
-    runs: &[RunSpec],
-    skip_unparsed: bool,
-) -> Result<Vec<Source>, SpecError> {
-    if !manifest.is_whole() {
-        return Ok(Vec::new());
-    }
-    worker_dirs(dir.root())?
-        .iter()
-        .filter(|root| !skip_unparsed || manifest_parses(root))
-        .map(|root| Source::load(root, &manifest.fingerprint, runs))
-        .collect()
-}
-
-/// Whether the campaign directory at `root` holds a manifest that parses
-/// as JSON (it may still fail its self-check).
-fn manifest_parses(root: &Path) -> bool {
-    std::fs::read_to_string(root.join(MANIFEST_FILE))
-        .is_ok_and(|text| serde_json::from_str::<Manifest>(&text).is_ok())
-}
-
-/// Which run indices a log or any of `sources` stores.
-pub(crate) fn stored_union(own: &LogIndex, sources: &[Source]) -> Vec<bool> {
-    let mut stored: Vec<bool> = own.entries.iter().map(Option::is_some).collect();
-    for source in sources {
-        for (i, entry) in source.index.entries.iter().enumerate() {
-            stored[i] |= entry.is_some();
-        }
-    }
-    stored
-}
-
 /// Merges campaign directories sharing one spec fingerprint into a fresh
 /// whole-campaign directory at `out`, returning the rebuilt report.
 ///
 /// The merged directory holds the union of the inputs' run records in
 /// run-index order plus a `report.json` byte-identical to an uninterrupted
 /// single-machine run (it is itself an ordinary, resumable campaign
-/// directory). A whole-campaign input contributes its `workers/` records
-/// too, exactly as `campaign status` and `campaign resume` count them.
-/// Inputs are only read, never modified.
+/// directory). Inputs are only read, never modified.
 ///
 /// # Errors
 ///
@@ -166,16 +119,12 @@ pub fn merge(
     };
     let (_, manifest) = CampaignDir::open_checked(first, None)?;
     let runs = manifest.expand()?;
-    let mut sources = Vec::with_capacity(inputs.len());
-    for input in inputs {
-        let (dir, input_manifest) = CampaignDir::open_checked(input, Some(&manifest.fingerprint))?;
-        let workers = worker_sources(&dir, &input_manifest, &runs, false)?;
-        let index = dir.index_log(&runs)?;
-        sources.push(Source::new(dir, index));
-        sources.extend(workers);
-    }
+    let sources = inputs
+        .iter()
+        .map(|input| Source::load(input, &manifest.fingerprint, &runs))
+        .collect::<Result<Vec<_>, _>>()?;
     let total = runs.len();
-    let target = Target::create(out, &manifest.spec, runs, None, None)?;
+    let target = Target::create(out, &manifest.spec, runs, None)?;
     fold(
         executor,
         target,
@@ -193,12 +142,10 @@ pub fn merge(
 /// time, one open handle per source. Records from `extra` are copied into
 /// the target's log on the way.
 ///
-/// With no `extra` sources the fold is in place (run, resume of a
-/// directory without workers): gaps execute straight into the target's
-/// log, crash-durable. Folding other directories in (merge, fleet
-/// assembly, resume of a coordinator) executes gaps into a scratch
-/// directory instead, so the target's log gains the union in run-index
-/// order.
+/// With no `extra` sources the fold is in place (run, resume): gaps
+/// execute straight into the target's log, crash-durable. Folding other
+/// directories in (merge) executes gaps into a scratch directory instead,
+/// so the target's log gains the union in run-index order.
 ///
 /// With `reexec_gaps` off, owed indices no source stores are refused with
 /// the gap list instead of executed (merge without `--reexec-gaps`).
@@ -229,18 +176,17 @@ pub(crate) fn fold(
         )));
     }
     if in_place && !whole {
-        // A shard or worker directory folded into itself only executes what
-        // it owes: there is nothing to copy and no report to build.
-        target.execute(executor, &gaps, |_| Ok(true))?;
+        // A shard directory folded into itself only executes what it owes:
+        // there is nothing to copy and no report to build.
+        target.execute(executor, &gaps)?;
         return Ok(None);
     }
     let mut scratch: Option<PathBuf> = None;
     if !gaps.is_empty() {
         // Runs are deterministic from spec + index, so executing the gaps
-        // here yields the exact bytes the lost shard or crashed worker
-        // would have written.
+        // here yields the exact bytes the lost shard would have written.
         let gap_source = if in_place {
-            target.execute(executor, &gaps, |_| Ok(true))?;
+            target.execute(executor, &gaps)?;
             sources[0].index = target.dir.index_log(&target.runs)?;
             0
         } else {
@@ -250,14 +196,8 @@ pub(crate) fn fold(
                 .add("merge.gap_reexec_runs", gaps.len() as u64);
             let root = target.dir.root().join(GAPFILL_DIR);
             let _ = std::fs::remove_dir_all(&root);
-            let mut gap = Target::create(
-                &root,
-                &target.manifest.spec,
-                target.runs.clone(),
-                None,
-                None,
-            )?;
-            gap.execute(executor, &gaps, |_| Ok(true))?;
+            let mut gap = Target::create(&root, &target.manifest.spec, target.runs.clone(), None)?;
+            gap.execute(executor, &gaps)?;
             let index = gap.dir.index_log(&gap.runs)?;
             sources.push(Source::new(gap.dir, index));
             scratch = Some(root);

@@ -9,19 +9,10 @@
 //! exactly the gap list a [`crate::merge::merge`] of those directories
 //! would refuse on.
 //!
-//! A scheduler coordinator's records live in its `workers/` directories
-//! until final assembly, so for a whole-campaign directory they count as
-//! stored — `status` and `watch` follow a draining fleet live, and a gap is
-//! exactly what `campaign resume` on that directory would execute (and what
-//! `campaign merge` of it would refuse on). A worker directory whose
-//! manifest does not parse yet (the worker is starting up) is skipped.
-//!
 //! Because the run-log scan tolerates a torn final record (the shape of an
 //! in-flight append), `status` is safe to point at a directory whose
 //! campaign is still running.
 
-use crate::lease::{sched_status, SchedStatus};
-use crate::merge::{stored_union, worker_sources};
 use crate::spec::SpecError;
 use crate::stream::{CampaignDir, ShardSlice};
 use serde::{Deserialize, Serialize};
@@ -41,19 +32,11 @@ pub struct DirStatus {
     pub total_runs: usize,
     /// The shard slice this directory executes, if it is a shard.
     pub shard: Option<ShardSlice>,
-    /// The scheduler worker id, if this is a worker directory
-    /// ([`crate::sched::work`]).
-    pub worker: Option<String>,
-    /// The scheduler lease table replayed from `sched/leases.jsonl`, when
-    /// this directory has been (or is being) served by
-    /// [`crate::sched::serve_sched`].
-    pub sched: Option<SchedStatus>,
     /// Run indices this directory is responsible for (`total_runs` for a
-    /// whole campaign, the slice size for a shard, the stored count for a
-    /// worker; see [`crate::stream::Manifest::owed`]).
+    /// whole campaign, the slice size for a shard; see
+    /// [`crate::stream::Manifest::owed`]).
     pub owned_runs: usize,
-    /// Run indices with a whole stored record — in `runs.jsonl` or, for a
-    /// coordinator, in any worker directory.
+    /// Run indices with a whole stored record in `runs.jsonl`.
     pub completed: usize,
     /// Owned run indices with no stored record — what a resume would
     /// re-execute, in matrix order.
@@ -98,10 +81,9 @@ impl StatusReport {
                 "{}: campaign `{}` (fingerprint {})",
                 dir.path, dir.name, dir.fingerprint
             );
-            let shard = match (&dir.shard, &dir.worker) {
-                (Some(s), _) => format!(" [shard {}/{}]", s.index, s.count),
-                (None, Some(w)) => format!(" [worker {w}]"),
-                (None, None) => String::new(),
+            let shard = match &dir.shard {
+                Some(s) => format!(" [shard {}/{}]", s.index, s.count),
+                None => String::new(),
             };
             let _ = writeln!(
                 out,
@@ -124,9 +106,6 @@ impl StatusReport {
             );
             if !dir.missing.is_empty() {
                 let _ = writeln!(out, "  gaps: [{}]", render_truncated(&dir.missing, 20));
-            }
-            if let Some(sched) = &dir.sched {
-                render_sched(&mut out, sched);
             }
             let _ = writeln!(
                 out,
@@ -187,25 +166,6 @@ pub fn human_bytes(bytes: u64) -> String {
     format!("{value:.1} {}", UNITS[unit])
 }
 
-/// Renders a scheduler lease table (shared by `campaign status` and
-/// `campaign watch`): the counters line plus one line per lease with its
-/// worker, state and per-index progress.
-pub(crate) fn render_sched(out: &mut String, sched: &SchedStatus) {
-    let _ = writeln!(
-        out,
-        "  scheduler: {} lease(s) issued, {} active, {} completed, {} expired, \
-         {} reissued",
-        sched.issued, sched.active, sched.completed, sched.expired, sched.reissued
-    );
-    for lease in &sched.leases {
-        let _ = writeln!(
-            out,
-            "    lease {:>3} -> {:<12} {:>9} {}/{} runs",
-            lease.id, lease.worker, lease.state, lease.done, lease.runs
-        );
-    }
-}
-
 /// Renders up to `limit` indices, eliding the rest with a count.
 fn render_truncated(indices: &[usize], limit: usize) -> String {
     let shown: Vec<String> = indices.iter().take(limit).map(|i| i.to_string()).collect();
@@ -237,7 +197,7 @@ pub fn status(paths: &[PathBuf]) -> Result<StatusReport, SpecError> {
         let (dir, manifest) = CampaignDir::open_checked(path, None)?;
         let runs = manifest.expand()?;
         let index = dir.index_log(&runs)?;
-        let stored = stored_union(&index, &worker_sources(&dir, &manifest, &runs, true)?);
+        let stored: Vec<bool> = index.entries.iter().map(Option::is_some).collect();
         match &first_fingerprint {
             None => first_fingerprint = Some(manifest.fingerprint.clone()),
             Some(first) if *first != manifest.fingerprint => fingerprints_agree = false,
@@ -253,21 +213,14 @@ pub fn status(paths: &[PathBuf]) -> Result<StatusReport, SpecError> {
         let runs_bytes = std::fs::metadata(dir.runs_path())
             .map(|m| m.len())
             .unwrap_or(0);
-        let sched = if manifest.is_whole() {
-            sched_status(path)?
-        } else {
-            None
-        };
         dirs.push(DirStatus {
             path: path.display().to_string(),
             name: manifest.name,
             fingerprint: manifest.fingerprint,
             total_runs: runs.len(),
             shard: manifest.shard,
-            worker: manifest.worker,
-            sched,
             owned_runs,
-            completed: stored.iter().filter(|&&s| s).count(),
+            completed: index.completed(),
             missing,
             truncated_tail: index.truncated_tail,
             duplicate_records: index.duplicate_records,

@@ -11,11 +11,10 @@
 //! Every verb is a thin call onto two crate-internal primitives. *Execute*
 //! (`Target`, this module) opens and verifies a directory, heals a torn
 //! tail, and runs an index set on the pool, appending each result as it
-//! completes; the scheduler's lease worker hooks its progress messages into
-//! it. *Fold* ([`crate::merge`](mod@crate::merge)) unites directories into a report,
-//! refusing or re-executing gaps. [`run`] is create + fold, [`resume`] is
-//! open + fold, [`crate::merge::merge`] folds its inputs into a fresh
-//! directory, and [`crate::sched::work`] executes leased indices.
+//! completes. *Fold* ([`crate::merge`](mod@crate::merge)) unites
+//! directories into a report, refusing or re-executing gaps. [`run`] is
+//! create + fold, [`resume`] is open + fold, and [`crate::merge::merge`]
+//! folds its inputs into a fresh directory.
 //!
 //! ```text
 //! <dir>/manifest.json   campaign name, spec fingerprint, run count, spec,
@@ -40,7 +39,7 @@
 
 use crate::executor::{execute_run, Executor, RunResult};
 use crate::grid::{self, RunSpec};
-use crate::merge::{fold, worker_sources};
+use crate::merge::fold;
 use crate::report::CampaignReport;
 use crate::spec::{CampaignSpec, SpecError};
 use dl2fence_telemetry::schema::MANIFEST_SCHEMA;
@@ -139,12 +138,6 @@ pub struct Manifest {
     /// directory.
     #[serde(default)]
     pub shard: Option<ShardSlice>,
-    /// The scheduler worker id this directory belongs to
-    /// ([`crate::sched::work`]); `None` for a whole-campaign or shard
-    /// directory. A worker directory owns no fixed slice — it holds
-    /// whatever run indices its leases granted.
-    #[serde(default)]
-    pub worker: Option<String>,
     /// The full campaign spec.
     pub spec: CampaignSpec,
 }
@@ -170,23 +163,18 @@ impl Manifest {
         Ok(runs)
     }
 
-    /// Whether this is a whole-campaign directory (neither a shard nor a
-    /// scheduler worker directory) — the only kind that builds a report.
+    /// Whether this is a whole-campaign directory (not a shard) — the only
+    /// kind that builds a report.
     pub fn is_whole(&self) -> bool {
-        self.shard.is_none() && self.worker.is_none()
+        self.shard.is_none()
     }
 
     /// The run indices this directory owes, given which of them are stored:
-    /// every index for a whole campaign, its slice for a shard, and exactly
-    /// what it stores for a scheduler worker (leases, not a fixed slice,
-    /// decide a worker's runs, so it never misses any). Returns the owed
-    /// count and the owed indices with no stored record, in matrix order.
+    /// every index for a whole campaign, its slice for a shard. Returns the
+    /// owed count and the owed indices with no stored record, in matrix
+    /// order.
     pub fn owed(&self, stored: &[bool]) -> (usize, Vec<usize>) {
-        let owes = |i: usize| match (self.shard, &self.worker) {
-            (_, Some(_)) => stored[i],
-            (Some(shard), None) => shard.owns(i),
-            (None, None) => true,
-        };
+        let owes = |i: usize| self.shard.is_none_or(|shard| shard.owns(i));
         let owed = (0..stored.len()).filter(|&i| owes(i)).count();
         let missing = (0..stored.len())
             .filter(|&i| owes(i) && !stored[i])
@@ -205,7 +193,6 @@ impl Default for Manifest {
             fingerprint: String::new(),
             total_runs: 0,
             shard: None,
-            worker: None,
             spec: CampaignSpec::default(),
         }
     }
@@ -289,18 +276,16 @@ impl CampaignDir {
         spec: &CampaignSpec,
         total_runs: usize,
     ) -> Result<Self, SpecError> {
-        Self::create_inner(root, spec, total_runs, None, None).map(|(dir, _)| dir)
+        Self::create_inner(root, spec, total_runs, None).map(|(dir, _)| dir)
     }
 
-    /// [`Self::create`] for any directory kind: the manifest additionally
-    /// records the [`ShardSlice`] or scheduler worker id the directory
-    /// executes.
+    /// [`Self::create`] for a whole campaign or a shard: the manifest
+    /// additionally records the [`ShardSlice`] the directory executes.
     fn create_inner(
         root: impl Into<PathBuf>,
         spec: &CampaignSpec,
         total_runs: usize,
         shard: Option<ShardSlice>,
-        worker: Option<String>,
     ) -> Result<(Self, Manifest), SpecError> {
         spec.validate()?;
         shard.map(ShardSlice::validate).transpose()?;
@@ -321,7 +306,6 @@ impl CampaignDir {
             fingerprint: spec_fingerprint(spec),
             total_runs,
             shard,
-            worker,
             spec: spec.clone(),
         };
         let text =
@@ -655,8 +639,8 @@ pub(crate) struct JsonlScan {
 }
 
 /// The torn-tail-tolerant JSONL scan loop shared by the run-log index
-/// ([`CampaignDir::index_log`]) and the lease ledger
-/// ([`crate::lease`]): reads whole lines, skips blanks, treats a final
+/// ([`CampaignDir::index_log`]) and the telemetry event log
+/// ([`crate::events`]): reads whole lines, skips blanks, treats a final
 /// line that fails `on_line` validation *or* lacks its trailing newline (a
 /// partially applied append — writers frame record + newline in one write)
 /// as torn, and promotes the same failure mid-file to a hard corruption
@@ -791,16 +775,15 @@ pub(crate) struct Target {
 
 impl Target {
     /// Initializes a fresh directory for `spec`, whose expanded matrix is
-    /// `runs`; the manifest records the shard slice or worker id the
-    /// directory executes, if any.
+    /// `runs`; the manifest records the shard slice the directory executes,
+    /// if any.
     pub(crate) fn create(
         root: impl Into<PathBuf>,
         spec: &CampaignSpec,
         runs: Vec<RunSpec>,
         shard: Option<ShardSlice>,
-        worker: Option<String>,
     ) -> Result<Self, SpecError> {
-        let (dir, manifest) = CampaignDir::create_inner(root, spec, runs.len(), shard, worker)?;
+        let (dir, manifest) = CampaignDir::create_inner(root, spec, runs.len(), shard)?;
         Ok(Target {
             dir,
             manifest,
@@ -837,34 +820,26 @@ impl Target {
         Ok((target, index))
     }
 
-    /// Whether the log stores a record for run `index`.
-    pub(crate) fn is_stored(&self, index: usize) -> bool {
-        self.stored[index]
-    }
-
     /// Executes every run of `indices` the log does not store yet,
     /// appending each result the moment it completes and dropping it — the
-    /// pool retains no result set. After each append, `on_result` receives
-    /// the run index; returning `Ok(false)` aborts the pool, and the call
-    /// then returns `Ok(false)` instead of `Ok(true)`.
+    /// pool retains no result set.
     ///
-    /// A failed append or an `on_result` error aborts the pool too
-    /// (in-flight runs finish and are discarded), so a full disk cannot burn
-    /// the rest of a long campaign on unpersistable work. A panicking run
-    /// becomes an error naming its run index.
+    /// A failed append aborts the pool (in-flight runs finish and are
+    /// discarded), so a full disk cannot burn the rest of a long campaign on
+    /// unpersistable work. A panicking run becomes an error naming its run
+    /// index.
     pub(crate) fn execute(
         &mut self,
         executor: &Executor,
         indices: &[usize],
-        mut on_result: impl FnMut(usize) -> Result<bool, SpecError>,
-    ) -> Result<bool, SpecError> {
+    ) -> Result<(), SpecError> {
         let pending: Vec<&RunSpec> = indices
             .iter()
             .filter(|&&i| !self.stored[i])
             .map(|&i| &self.runs[i])
             .collect();
         if pending.is_empty() {
-            return Ok(true);
+            return Ok(());
         }
         if self.writer.is_none() {
             self.writer = Some(self.dir.open_runs_for_append()?);
@@ -882,32 +857,29 @@ impl Target {
                     let _span = rec.span_indexed("run", run.index as u64);
                     execute_run(sim, run)
                 },
-                |_, result| {
-                    let index = result.spec.index;
-                    let step = rec
-                        .time("log.append", || dir.append_result(writer, &result))
-                        .and_then(|()| {
-                            stored[index] = true;
-                            on_result(index)
-                        });
-                    step.unwrap_or_else(|e| {
+                |_, result| match rec.time("log.append", || dir.append_result(writer, &result)) {
+                    Ok(()) => {
+                        stored[result.spec.index] = true;
+                        true
+                    }
+                    Err(e) => {
                         failure = Some(e);
                         false
-                    })
+                    }
                 },
             )
         });
         match (done, failure) {
             (Err(panic), _) => Err(SpecError::new(format!(
                 "run {} panicked: {}; every run completed before the panic is already \
-                 persisted in {} — fix the cause, then resume the campaign (or restart \
-                 the worker) to execute only the missing runs",
+                 persisted in {} — fix the cause, then resume the campaign to execute \
+                 only the missing runs",
                 pending[panic.job_index].index,
                 panic.message,
                 self.dir.root().display()
             ))),
             (_, Some(e)) => Err(e),
-            (Ok(done), None) => Ok(done.is_some()),
+            (Ok(_), None) => Ok(()),
         }
     }
 }
@@ -933,7 +905,7 @@ pub fn run(
 ) -> Result<Option<CampaignReport>, SpecError> {
     let runs = grid::expand(spec)?;
     let total = runs.len();
-    let target = Target::create(root, spec, runs, shard, None)?;
+    let target = Target::create(root, spec, runs, shard)?;
     fold(executor, target, LogIndex::empty(total), Vec::new(), true)
 }
 
@@ -954,13 +926,8 @@ pub fn run_streaming(
 /// Resumes the campaign stored at `root`: verifies the manifest fingerprint
 /// (against `expected_spec` too, when given), heals a torn tail, executes
 /// the run indices the directory owes but no record stores, and folds the
-/// report — byte-identical to an uninterrupted run.
-///
-/// A scheduler coordinator's records also live in its `workers/`
-/// directories: they count as stored and are folded into the coordinator's
-/// log, exactly like `serve-sched`'s final assembly. A shard directory
-/// executes only its own slice and a worker directory nothing; neither
-/// builds a report (`Ok(None)`).
+/// report — byte-identical to an uninterrupted run. A shard directory
+/// executes only its own slice and builds no report (`Ok(None)`).
 ///
 /// # Errors
 ///
@@ -974,8 +941,7 @@ pub fn resume(
 ) -> Result<Option<CampaignReport>, SpecError> {
     let expected = expected_spec.map(spec_fingerprint);
     let (target, index) = Target::open(root, expected.as_deref())?;
-    let workers = worker_sources(&target.dir, &target.manifest, &target.runs, false)?;
-    fold(executor, target, index, workers, true)
+    fold(executor, target, index, Vec::new(), true)
 }
 
 #[cfg(test)]

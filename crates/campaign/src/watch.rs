@@ -30,9 +30,8 @@ pub struct WatchSnapshot {
     /// don't.
     pub timings: Option<TimingSummary>,
     /// Completed runs per second, measured over the **current recording
-    /// session's** window — dead time between sessions (a resume, a
-    /// scheduler worker joining late) would otherwise deflate the rate and
-    /// inflate the ETA. Falls back to completed-runs over whole-log wall
+    /// session's** window — dead time between sessions (a resume) would
+    /// otherwise deflate the rate and inflate the ETA. Falls back to completed-runs over whole-log wall
     /// time when the current session carries no timed runs. `None` without
     /// telemetry, and `None` while the log is still warming up — events
     /// exist but no run has both completed and advanced the telemetry
@@ -93,11 +92,9 @@ impl WatchSnapshot {
     }
 
     /// `true` once every owned run is stored — the watch loop's exit
-    /// condition. A scheduler coordinator (a directory with a lease ledger)
-    /// is complete only once its final assembly has written `report.json`:
-    /// its workers can hold every run well before that.
+    /// condition.
     pub fn complete(&self) -> bool {
-        self.dir.missing.is_empty() && (self.dir.sched.is_none() || self.dir.report_written)
+        self.dir.missing.is_empty()
     }
 
     /// Serializes the snapshot as pretty JSON (`campaign watch --json`).
@@ -160,9 +157,6 @@ impl WatchSnapshot {
                     t.sessions.len()
                 );
             }
-        }
-        if let Some(sched) = &self.dir.sched {
-            crate::status::render_sched(&mut out, sched);
         }
         if let Some(t) = &self.timings {
             if !t.workers.is_empty() {

@@ -3,7 +3,7 @@
 //! and parity between the streaming, resumed and in-memory execution paths.
 
 use dl2fence_campaign::{
-    expand, resume, run_streaming, spec_fingerprint, CampaignReport, CampaignSpec, Executor,
+    expand, resume, run_streaming, spec_fingerprint, status, CampaignReport, CampaignSpec, Executor,
 };
 use std::path::PathBuf;
 
@@ -137,6 +137,61 @@ fn resume_refuses_a_mismatched_spec_fingerprint() {
     // The matching spec still resumes fine afterwards.
     assert!(resume(&Executor::new(2), &root, Some(&spec)).is_ok());
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn a_directory_with_a_worker_tag_and_workers_subdirectory_heals_as_a_whole_campaign() {
+    // Directories written by an earlier fleet scheduler carry a `worker`
+    // manifest field and may hold a `workers/` subdirectory. Both are
+    // ignored: the directory is an ordinary whole campaign whose own log
+    // decides what is stored.
+    let spec = CampaignSpec::from_toml(STREAM_SPEC).unwrap();
+    let total = expand(&spec).unwrap().len();
+    let full_root = temp_root("tagged-full");
+    // One worker appends in matrix order, so log line i holds run index i.
+    run_streaming(&Executor::new(1), &spec, &full_root).unwrap();
+    let reference = std::fs::read_to_string(full_root.join("report.json")).unwrap();
+    let manifest = std::fs::read_to_string(full_root.join("manifest.json")).unwrap();
+    let tagged = manifest.replacen('{', "{\n  \"worker\": \"w1\",", 1);
+    assert_ne!(tagged, manifest);
+    let jsonl = std::fs::read_to_string(full_root.join("runs.jsonl")).unwrap();
+    let lines: Vec<&str> = jsonl.lines().collect();
+    let records = |range: std::ops::Range<usize>| -> String {
+        lines[range].iter().map(|l| format!("{l}\n")).collect()
+    };
+
+    let root = temp_root("tagged");
+    let worker_root = root.join("workers").join("w1");
+    std::fs::create_dir_all(&worker_root).unwrap();
+    std::fs::write(root.join("manifest.json"), &tagged).unwrap();
+    std::fs::write(root.join("runs.jsonl"), records(0..3)).unwrap();
+    std::fs::write(worker_root.join("manifest.json"), &tagged).unwrap();
+    std::fs::write(worker_root.join("runs.jsonl"), records(3..6)).unwrap();
+
+    let report = status(std::slice::from_ref(&root)).unwrap();
+    let dir = &report.dirs[0];
+    assert_eq!(dir.shard, None);
+    assert_eq!(dir.owned_runs, total);
+    assert_eq!(dir.completed, 3, "records under workers/ are not counted");
+    assert_eq!(dir.missing, (3..total).collect::<Vec<_>>());
+
+    let resumed = resume(&Executor::new(2), &root, Some(&spec))
+        .unwrap()
+        .expect("the tagged directory resumes as a whole campaign");
+    assert_eq!(resumed.to_json(), reference);
+    assert_eq!(
+        std::fs::read_to_string(root.join("report.json")).unwrap(),
+        reference
+    );
+    let healed = std::fs::read_to_string(root.join("runs.jsonl")).unwrap();
+    assert_eq!(healed.lines().count(), total);
+    assert_eq!(
+        std::fs::read_to_string(worker_root.join("runs.jsonl")).unwrap(),
+        records(3..6),
+        "resume leaves workers/ untouched"
+    );
+    std::fs::remove_dir_all(&root).unwrap();
+    std::fs::remove_dir_all(&full_root).unwrap();
 }
 
 #[test]
