@@ -1,10 +1,11 @@
 //! CI throughput guard for the conv forward and backward kernels.
 //!
 //! Times the detector forward over one 64-frame batch against the scalar
-//! seed kernels, a 16×16 localizer forward at the serve batch, and the
+//! seed kernels, a 16×16 localizer forward at the serve batch, the
 //! backward pass of one localizer training step against the scalar seed
-//! backward loop, with the min-of-2 idiom (shed scheduler noise, keep the
-//! best run) and enforces:
+//! backward loop, and one training call per production convolution shape,
+//! with the min-of-N idiom (shed scheduler noise, keep the best run) and
+//! enforces:
 //!
 //! 1. **Detector speedup** — the batched direct f32 detector `predict`, the
 //!    forward that detection, serving and evaluation run, must reach at
@@ -14,17 +15,25 @@
 //!    through the scalar seed kernel.
 //! 3. **Backward speedup** — the localizer's backward pass must reach at
 //!    least [`BWD_SPEEDUP`]× the speed of the same step through the scalar
-//!    seed backward loop ([`ScalarLocalizer::backward`]).
+//!    seed backward loop ([`ScalarLocalizer::backward`]). The model's
+//!    backward skips the first convolution's input gradient
+//!    (`Sequential::backward` runs `Layer::backward_params` on layer 0); the
+//!    scalar loop computes it.
 //! 4. **Saturated tail** — with the output sigmoid saturated, so that every
 //!    upstream gradient `g · y · (1 − y)` would be subnormal, the
 //!    localizer's backward pass must take at most [`SATURATED_OVER_PLAIN`]×
 //!    the unsaturated one. `Sigmoid::backward` flushes those gradients to
 //!    zero; unflushed, every product formed with them takes the slow
 //!    subnormal path.
+//! 5. **dX as a forward convolution** — in the per-shape table of one
+//!    `Conv2d` training forward and backward call, the localizer's 8→8
+//!    16×16 backward (dW, db and dX) must take at most [`BWD_OVER_FWD`]×
+//!    its forward. dX runs the forward kernel over the padded gradient;
+//!    a scatter of the gradient over the kernel taps costs more than the
+//!    forward on its own.
 //!
-//! Exits non-zero with a diagnostic when any bound is violated. Last, it
-//! prints an ungated table of one training forward and backward call per
-//! production convolution shape.
+//! Exits non-zero with a diagnostic when any bound is violated. The other
+//! rows of the per-shape table are printed ungated.
 
 use dl2fence_nn_bench::{
     detector_frames, detector_model, localizer_model, min_time, pseudo_tensor, stack_frames,
@@ -75,6 +84,11 @@ const SATURATING_BIAS: f32 = -95.0;
 /// measured ~0.9× with the flush (it runs on exact zeros) and 23–34×
 /// without it.
 const SATURATED_OVER_PLAIN: f64 = 2.0;
+/// Ceiling on the 8→8 16×16 Same conv's training backward over its
+/// forward. On a 2-vCPU x86-64 VM, dX as a forward convolution measured
+/// 1.97–2.22× over fifteen runs and the per-tap scatter it replaced
+/// 3.20–3.80× over fourteen.
+const BWD_OVER_FWD: f64 = 3.0;
 
 fn main() -> ExitCode {
     let frames = detector_frames(BATCH, 9);
@@ -164,13 +178,21 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+    let bwd_over_fwd = conv_step_table();
+    if bwd_over_fwd > BWD_OVER_FWD {
+        eprintln!(
+            "FAIL: the 8->8 16x16 conv backward takes {bwd_over_fwd:.2}x its forward, above \
+             the {BWD_OVER_FWD}x bound"
+        );
+        return ExitCode::FAILURE;
+    }
     println!(
         "nn-bench guard passed: detector {speedup:.2}x >= {DETECTOR_SPEEDUP}x, \
          16x16 localizer {serve_speedup:.2}x >= {LOCALIZER_SPEEDUP}x, \
          backward {bwd_speedup:.2}x >= {BWD_SPEEDUP}x scalar, \
-         saturated backward {saturated:.2}x <= {SATURATED_OVER_PLAIN}x unsaturated"
+         saturated backward {saturated:.2}x <= {SATURATED_OVER_PLAIN}x unsaturated, \
+         8->8 16x16 conv backward {bwd_over_fwd:.2}x <= {BWD_OVER_FWD}x forward"
     );
-    conv_step_table();
     ExitCode::SUCCESS
 }
 
@@ -243,7 +265,7 @@ fn localizer_step_times(saturate: bool) -> (Duration, Duration) {
             let start = Instant::now();
             black_box(model.forward(&x));
             let mid = Instant::now();
-            black_box(model.backward(&grad));
+            model.backward(&grad);
             fwd += mid - start;
             bwd += mid.elapsed();
         }
@@ -261,8 +283,9 @@ const TABLE_ITERS: usize = 50;
 /// each production shape: the detector's 4→8 Valid conv at batch 8 on
 /// 8×8 and 16×16 meshes (8×7 and 16×15 frames), and the localizer's 1→8,
 /// 8→8 and 8→1 Same convs at batch 4 on 8×8 and 16×16. The upstream
-/// gradient is zero wherever a ReLU after the conv would zero it.
-fn conv_step_table() {
+/// gradient is zero wherever a ReLU after the conv would zero it. Returns
+/// the 16×16 8→8 row's backward time over its forward time.
+fn conv_step_table() -> f64 {
     let shapes = [
         ("detector 4->8 Valid", 4, 8, Padding::Valid, 8, [8, 7], true),
         (
@@ -310,6 +333,7 @@ fn conv_step_table() {
         "{:<20} {:>6} {:>8} {:>9} {:>9} {:>9}",
         "shape", "batch", "input", "forward", "backward", "total"
     );
+    let mut bwd_over_fwd = f64::NAN;
     for (i, (name, ic, oc, padding, batch, [h, w], relu_after)) in shapes.into_iter().enumerate() {
         let mut conv = Conv2d::new(ic, oc, 3, padding, 90 + i as u64);
         let x = pseudo_tensor(100 + i as u64, &[batch, ic, h, w]);
@@ -339,5 +363,9 @@ fn conv_step_table() {
             us(bwd),
             us(fwd) + us(bwd),
         );
+        if (ic, oc, h) == (8, 8, 16) {
+            bwd_over_fwd = bwd.as_secs_f64() / fwd.as_secs_f64();
+        }
     }
+    bwd_over_fwd
 }

@@ -242,20 +242,26 @@ mod tests {
 
     #[test]
     fn scalar_and_direct_localizer_backward_agree_bitwise() {
+        // `Sequential::backward` returns no input gradient, so the check is
+        // every conv's dW and db: a wrong dX of layer 2 or 1 reaches the
+        // dW of every layer before it.
         let x = pseudo_tensor(7, &[4, 1, 8, 8]);
         let grad = pseudo_tensor(8, &[4, 1, 8, 8]);
         let mut scalar = ScalarLocalizer::new(KERNELS, 31);
         let mut model = localizer_model(KERNELS, 31);
         scalar.forward(&x);
         model.forward(&x);
-        let dx = (scalar.backward(&grad), model.backward(&grad));
+        scalar.backward(&grad);
+        model.backward(&grad);
         // Both list each conv's weight and bias gradients in layer order.
-        let scalar_grads = scalar.convs.iter_mut().flat_map(|c| c.params_mut());
+        let scalar_grads: Vec<_> = scalar
+            .convs
+            .iter_mut()
+            .flat_map(|c| c.params_mut())
+            .collect();
         let direct_grads = model.params_mut();
-        let grads = scalar_grads
-            .zip(direct_grads)
-            .map(|((_, a), (_, b))| (a.clone(), b.clone()));
-        for (a, b) in std::iter::once(dx).chain(grads) {
+        assert_eq!((scalar_grads.len(), direct_grads.len()), (6, 6));
+        for ((_, a), (_, b)) in scalar_grads.iter().zip(&direct_grads) {
             assert_eq!(a.shape(), b.shape());
             for (u, v) in a.data().iter().zip(b.data()) {
                 assert_eq!(u.to_bits(), v.to_bits(), "scalar {u} vs direct {v}");

@@ -1,14 +1,14 @@
-//! Convolution kernels: a direct f32 forward and an f32 backward, both over
-//! zero-padded input planes.
+//! Convolution kernels: a direct f32 forward over zero-padded input planes,
+//! and the two halves of the f32 backward built on it.
 //!
 //! The scalar seed kernels walked the convolution with per-element
 //! [`crate::Tensor::get`] calls — every access paying index arithmetic and a
 //! bounds assert. The kernels here work on contiguous slices instead.
 //!
-//! Both f32 kernels read the input from [`pad_planes`]: a copy of the batch
-//! in zero-padded `ph × pw` planes. `Conv2d::forward` keeps that copy for
-//! the backward pass; it is the input plus its border, not a column matrix
-//! nine times its size.
+//! The forward and dW/db kernels read the input from [`pad_planes`]: a copy
+//! of the batch in zero-padded `ph × pw` planes. `Conv2d::forward` keeps
+//! that copy for the backward pass; it is the input plus its border, not a
+//! column matrix nine times its size.
 //!
 //! The f32 forward [`conv_forward_f32`] computes output channels over the
 //! *wide* `oh × pw` plane: output `(y, x)` sits at index `y·pw + x`, so tap
@@ -31,29 +31,31 @@
 //! what keeps the golden report corpus byte-identical while the hot path
 //! gets fast.
 //!
-//! The training kernel [`conv_backward_f32`] extends the contract to both
-//! gradient orders of the seed's scalar backward loop, which visited upstream
-//! gradients `g = dY[b, oc, y, x]` in `(b, oc, y, x)` order and scattered each
-//! over the `(ic, ky, kx)` window:
+//! The training kernels extend the contract to both gradient orders of the
+//! seed's scalar backward loop, which visited upstream gradients
+//! `g = dY[b, oc, y, x]` in `(b, oc, y, x)` order and scattered each over the
+//! `(ic, ky, kx)` window:
 //!
-//! - **dW and db** — every element accumulates its terms in `(b, y, x)`
-//!   ascending order, starting from its current value. The kernel reads the
-//!   windows from a channel-last copy of the padded planes, where the
-//!   `(kx, ic)` part of each window row is contiguous. Per output channel it
-//!   lists the nonzero gradients in `(b, y, x)` order and walks that list
-//!   once per group of dW accumulators held in registers, adding
-//!   `g · window` to each: the same terms in the same order as the seed.
-//! - **dX** — every padded-input element receives its terms in `oc`-ascending,
-//!   then `(y, x)`-ascending order; for a fixed element that is `ky`
-//!   descending, then `kx` descending. The kernel loops
-//!   `oc → ic → ky↓ → kx↓ → y` and adds `g[y, ..ow] · w` to a contiguous row
-//!   of the padded gradient, then crops the padding.
+//! - **dW and db** ([`weight_bias_grads`]) — every element accumulates its
+//!   terms in `(b, y, x)` ascending order, starting from its current value.
+//!   The kernel reads the windows from a channel-last copy of the padded
+//!   planes, where the `(kx, ic)` part of each window row is contiguous. Per
+//!   output channel it lists the nonzero gradients in `(b, y, x)` order and
+//!   walks that list once per group of dW accumulators held in registers,
+//!   adding `g · window` to each: the same terms in the same order as the
+//!   seed.
+//! - **dX** ([`conv_input_grad_f32`]) — every input element receives its
+//!   terms `oc` ascending, then `ky` descending, then `kx` descending. That
+//!   is the reduction order of [`conv_forward_f32`] over the gradient padded
+//!   by `kernel − 1 − pad`, with the kernel flipped in `(ky, kx)` and
+//!   transposed to `[ic][oc]`: its input channel (`oc`) ascending, then its
+//!   taps ascending. The taps the seed never formed read the padding: `0 · w`.
 //!
 //! The seed loop skipped `g == 0` (both `+0.0` and `-0.0`). The dW/db kernel
 //! keeps that skip: a zero gradient never enters the list, so a `-0.0`
 //! accumulator stays `-0.0` and an infinite input never meets `0 · ∞`. The
-//! dX kernel drops it: its accumulators start at `+0.0` and a sum that
-//! starts at `+0.0` can never become `-0.0` under round-to-nearest, so
+//! dX kernel drops it: its accumulators start at the `+0.0` bias and a sum
+//! that starts at `+0.0` can never become `-0.0` under round-to-nearest, so
 //! adding `g · w = ±0` is a no-op for every finite weight.
 
 /// Geometry of one convolution call, shared by the forward and backward
@@ -136,9 +138,9 @@ fn planes_len(s: &ConvShape) -> usize {
 
 /// Copies the flat `[batch, in_channels, height, width]` input into
 /// zero-padded `[batch, in_channels, ph, pw]` planes, followed by the slack
-/// the direct kernel's last block reads past the end. Both f32 kernels read
-/// their input from these planes, and `Conv2d::forward` caches them for the
-/// backward pass.
+/// the direct kernel's last block reads past the end. The forward and dW/db
+/// kernels read their input from these planes, and `Conv2d::forward` caches
+/// them for the backward pass; dX pads the upstream gradient with it.
 pub fn pad_planes(input: &[f32], s: &ConvShape) -> Vec<f32> {
     let (ph, pw) = s.padded();
     let mut planes = vec![0.0f32; planes_len(s)];
@@ -251,69 +253,53 @@ fn forward_block<const N: usize>(
     }
 }
 
-/// The f32 convolution backward pass over the [`pad_planes`] copy of the
-/// forward pass's input. Accumulates the weight and bias gradients into
-/// `weight_grad` (`[out_channels, K]`) and `bias_grad` (`[out_channels]`) and
-/// returns the flat `[batch, in_channels, height, width]` input gradient for
-/// the flat `[batch, out_channels, oh, ow]` upstream gradient `grad_output`.
+/// The input gradient of a convolution of geometry `s` with the flat
+/// `[out_channels, in_channels, kernel, kernel]` `weight`, for the flat
+/// `[batch, out_channels, oh, ow]` upstream gradient `grad_output`: the flat
+/// `[batch, in_channels, height, width]` dX.
 ///
-/// Bit-identical to the scalar seed backward loop (see the module docs).
-pub fn conv_backward_f32(
-    planes: &[f32],
-    weight: &[f32],
-    grad_output: &[f32],
-    weight_grad: &mut [f32],
-    bias_grad: &mut [f32],
-    s: &ConvShape,
-) -> Vec<f32> {
-    let (spatial, k, ow) = (s.spatial(), s.kernel, s.out_width());
-    let (ph, pw) = s.padded();
-    assert_eq!(
-        planes.len(),
-        planes_len(s),
-        "planes must come from pad_planes"
-    );
-    weight_bias_grads(planes, grad_output, weight_grad, bias_grad, s);
-    let mut grad_padded = vec![0.0f32; s.batch * s.in_channels * ph * pw];
-    for b in 0..s.batch {
-        let g_b = &grad_output[b * s.out_channels * spatial..][..s.out_channels * spatial];
-        let gp_b = &mut grad_padded[b * s.in_channels * ph * pw..][..s.in_channels * ph * pw];
-        for oc in 0..s.out_channels {
-            let g_plane = &g_b[oc * spatial..][..spatial];
-            // dX: scatter each tap's weight over whole output rows, taps in
-            // (ky, kx) descending order.
-            for ic in 0..s.in_channels {
-                let w_taps = &weight[(oc * s.in_channels + ic) * k * k..][..k * k];
-                let gp_plane = &mut gp_b[ic * ph * pw..][..ph * pw];
-                for ky in (0..k).rev() {
-                    for kx in (0..k).rev() {
-                        let w = w_taps[ky * k + kx];
-                        for (y, g_row) in g_plane.chunks_exact(ow).enumerate() {
-                            let dst = &mut gp_plane[(y + ky) * pw + kx..][..ow];
-                            for (d, &g) in dst.iter_mut().zip(g_row) {
-                                *d += g * w;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if s.pad == 0 {
-        return grad_padded;
-    }
-    // Crop the padding back off.
-    let mut grad_input = Vec::with_capacity(s.batch * s.in_channels * s.height * s.width);
-    for plane in grad_padded.chunks_exact(ph * pw) {
-        for row in plane.chunks_exact(pw).skip(s.pad).take(s.height) {
-            grad_input.extend_from_slice(&row[s.pad..][..s.width]);
-        }
-    }
+/// It is itself a forward convolution: `grad_output` padded by
+/// `kernel − 1 − pad` on every side, convolved by [`conv_forward_f32`] with
+/// the kernel flipped in `(ky, kx)` and transposed to
+/// `[in_channels, out_channels]`, and a `+0.0` bias. The output is exactly
+/// `height × width`. Bit-identical to the scalar seed backward loop (see the
+/// module docs).
+pub fn conv_input_grad_f32(weight: &[f32], grad_output: &[f32], s: &ConvShape) -> Vec<f32> {
+    let k = s.kernel;
+    let g = ConvShape {
+        batch: s.batch,
+        in_channels: s.out_channels,
+        height: s.out_height(),
+        width: s.out_width(),
+        out_channels: s.in_channels,
+        kernel: k,
+        pad: k - 1 - s.pad,
+    };
+    // Reversing a kernel's `k·k` taps flips it in both `ky` and `kx`.
+    let flipped: Vec<f32> = (0..s.in_channels)
+        .flat_map(|ic| {
+            (0..s.out_channels).flat_map(move |oc| {
+                weight[(oc * s.in_channels + ic) * k * k..][..k * k]
+                    .iter()
+                    .rev()
+                    .copied()
+            })
+        })
+        .collect();
+    let (planes, bias) = (pad_planes(grad_output, &g), vec![0.0f32; s.in_channels]);
+    let mut grad_input = Vec::new();
+    conv_forward_f32(&planes, &flipped, &bias, &g, &mut grad_input);
     grad_input
 }
 
-/// dW and db of [`conv_backward_f32`], read straight from the padded
-/// planes. The planes are copied channel-last, so that the window row
+/// The weight and bias gradients of a convolution over the [`pad_planes`]
+/// copy of the forward pass's input, for the flat
+/// `[batch, out_channels, oh, ow]` upstream gradient `grad_output`:
+/// accumulated into `weight_grad` (`[out_channels, K]`) and `bias_grad`
+/// (`[out_channels]`). Bit-identical to the scalar seed backward loop (see
+/// the module docs).
+///
+/// The planes are copied channel-last, so that the window row
 /// `(ky, kx = 0..k, ic = 0..in_channels)` of each output is one contiguous
 /// segment. Per output channel, the nonzero upstream gradients are listed
 /// in `(b, y, x)` order with their window's offset; db sums them in that
@@ -321,7 +307,7 @@ pub fn conv_backward_f32(
 /// [`LANES`]-wide accumulators, in a transposed `[ky][kx][ic]` layout whose
 /// rows are padded to whole accumulators. The padding lanes read past the
 /// segment and are never stored back.
-fn weight_bias_grads(
+pub fn weight_bias_grads(
     planes: &[f32],
     grad_output: &[f32],
     weight_grad: &mut [f32],
@@ -330,6 +316,11 @@ fn weight_bias_grads(
 ) {
     let (spatial, k, ow) = (s.spatial(), s.kernel, s.out_width());
     let (ph, pw) = s.padded();
+    assert_eq!(
+        planes.len(),
+        planes_len(s),
+        "planes must come from pad_planes"
+    );
     let (ic_n, padded_plane) = (s.in_channels, ph * pw);
     let row_len = (k * ic_n).next_multiple_of(LANES);
     let mut channel_last = vec![0.0f32; s.batch * padded_plane * ic_n + row_len];

@@ -173,6 +173,29 @@ impl Conv2d {
         )
     }
 
+    /// Consumes the plane cache of the last `forward` and accumulates the
+    /// weight and bias gradients for `grad_output`; returns that forward's
+    /// geometry.
+    fn param_grads(&mut self, grad_output: &Tensor) -> ConvShape {
+        let (s, planes) = self
+            .cached_planes
+            .take()
+            .expect("backward called before forward");
+        assert_eq!(
+            grad_output.shape(),
+            &[s.batch, s.out_channels, s.out_height(), s.out_width()],
+            "grad_output shape does not match the last forward output"
+        );
+        gemm::weight_bias_grads(
+            &planes,
+            grad_output.data(),
+            self.weight_grad.data_mut(),
+            self.bias_grad.data_mut(),
+            &s,
+        );
+        s
+    }
+
     /// The scalar seed kernel, kept as the oracle the direct kernel is proven
     /// bit-identical against (property tests) and as the baseline the
     /// `nn-bench` suite measures speedups from. Not used on any hot path.
@@ -322,24 +345,13 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let (s, planes) = self
-            .cached_planes
-            .take()
-            .expect("backward called before forward");
-        assert_eq!(
-            grad_output.shape(),
-            &[s.batch, s.out_channels, s.out_height(), s.out_width()],
-            "grad_output shape does not match the last forward output"
-        );
-        let grad_input = gemm::conv_backward_f32(
-            &planes,
-            self.weight.data(),
-            grad_output.data(),
-            self.weight_grad.data_mut(),
-            self.bias_grad.data_mut(),
-            &s,
-        );
+        let s = self.param_grads(grad_output);
+        let grad_input = gemm::conv_input_grad_f32(self.weight.data(), grad_output.data(), &s);
         Tensor::from_vec(grad_input, &[s.batch, s.in_channels, s.height, s.width])
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.param_grads(grad_output);
     }
 
     fn params_mut(&mut self) -> Vec<ParamGrad<'_>> {
@@ -449,7 +461,7 @@ mod tests {
             batch in 1usize..4,
             in_channels in 1usize..10,
             out_channels in 1usize..10,
-            kernel in 1usize..4,
+            kernel in 1usize..6,
             extra_h in 0usize..12,
             extra_w in 0usize..12,
             pad_same in 0u8..2,
@@ -466,27 +478,61 @@ mod tests {
         }
     }
 
+    /// A `3×3` Same conv with dW and db preset to `-0.0`, an input holding
+    /// ±inf and NaN, and a `zero_every`-sparse upstream gradient. Adding a
+    /// skipped `±0 · x` would turn `-0.0` into `+0.0` or an infinite window
+    /// into NaN.
+    fn special_fixture(ic: usize, oc: usize, zero_every: usize) -> (Conv2d, Tensor, Tensor) {
+        let mut conv = Conv2d::new(ic, oc, 3, Padding::Same, 70 + ic as u64);
+        conv.weight_grad.data_mut().fill(-0.0);
+        conv.bias_grad.data_mut().fill(-0.0);
+        let mut x = Init::XavierUniform.make(&[2, ic, 6, 7], 9, 9, 71);
+        let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
+        for (i, v) in x.data_mut().iter_mut().enumerate().step_by(5) {
+            *v = specials[i % specials.len()];
+        }
+        let g = sparse_grad(&[2, oc, 6, 7], zero_every, 72);
+        (conv, x, g)
+    }
+
+    /// The `(ic, oc, zero_every)` cases of [`special_fixture`].
+    const SPECIAL_CASES: [(usize, usize, usize); 4] = [(3, 4, 2), (8, 8, 3), (1, 8, 1), (8, 1, 4)];
+
     #[test]
     fn skipped_zero_gradients_leave_negative_zero_and_non_finite_windows_alone() {
-        // dW and db start at -0.0, and the input holds ±inf and NaN. Adding
-        // a skipped `±0 · x` would turn -0.0 into +0.0 or an infinite
-        // window into NaN, so every skip must stay a skip.
-        for (ic, oc, zero_every) in [(3, 4, 2), (8, 8, 3), (1, 8, 1), (8, 1, 4)] {
-            let mut conv = Conv2d::new(ic, oc, 3, Padding::Same, 70 + ic as u64);
-            conv.weight_grad.data_mut().fill(-0.0);
-            conv.bias_grad.data_mut().fill(-0.0);
+        for (ic, oc, zero_every) in SPECIAL_CASES {
+            let (mut conv, x, g) = special_fixture(ic, oc, zero_every);
             let mut oracle = conv.clone();
-            let mut x = Init::XavierUniform.make(&[2, ic, 6, 7], 9, 9, 71);
-            let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
-            for (i, v) in x.data_mut().iter_mut().enumerate().step_by(5) {
-                *v = specials[i % specials.len()];
-            }
-            let g = sparse_grad(&[2, oc, 6, 7], zero_every, 72);
             conv.forward(&x);
             let dx = conv.backward(&g);
             assert_bits_eq(&dx, &oracle.backward_reference(&x, &g), "dX");
             assert_bits_eq(&conv.weight_grad, &oracle.weight_grad, "dW");
             assert_bits_eq(&conv.bias_grad, &oracle.bias_grad, "db");
+        }
+    }
+
+    #[test]
+    fn backward_params_matches_backward_and_consumes_the_plane_cache() {
+        // Two accumulating steps each, on the special-value fixtures and on
+        // the 16×16 localizer 8→8 shape.
+        let mut cases: Vec<_> = SPECIAL_CASES
+            .iter()
+            .map(|&(ic, oc, zero_every)| special_fixture(ic, oc, zero_every))
+            .collect();
+        let x = Init::XavierUniform.make(&[4, 8, 16, 16], 9, 9, 73);
+        let g = sparse_grad(&[4, 8, 16, 16], 3, 74);
+        cases.push((Conv2d::new(8, 8, 3, Padding::Same, 75), x, g));
+        for (mut conv, x, g) in cases {
+            let mut full = conv.clone();
+            for _ in 0..2 {
+                conv.forward(&x);
+                conv.backward_params(&g);
+                assert!(conv.cached_planes.is_none(), "backward_params keeps planes");
+                full.forward(&x);
+                full.backward(&g);
+            }
+            assert_bits_eq(&conv.weight_grad, &full.weight_grad, "dW");
+            assert_bits_eq(&conv.bias_grad, &full.bias_grad, "db");
         }
     }
 

@@ -3,7 +3,8 @@
 //! Every layer implements the [`Layer`] trait: a mutable `forward` (layers
 //! cache whatever they need for the backward pass), a `backward` that
 //! consumes the gradient w.r.t. the layer output and returns the gradient
-//! w.r.t. the layer input, and accessors over trainable parameters.
+//! w.r.t. the layer input, its parameter-only half `backward_params`, and
+//! accessors over trainable parameters.
 
 mod activation;
 mod conv;
@@ -55,6 +56,21 @@ pub trait Layer: Send {
     ///
     /// Implementations panic if called before `forward`.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+
+    /// The parameter half of [`Layer::backward`]: accumulates exactly the
+    /// parameter gradients `backward` would, bit for bit, and consumes the
+    /// same forward cache, but returns no input gradient.
+    /// [`crate::Sequential::backward`] calls it on the first layer, whose
+    /// input gradient no trainer reads. By default it calls `backward` and
+    /// drops the result; a layer whose input gradient costs real work
+    /// ([`Conv2d`]) skips computing it.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if called before `forward`.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.backward(grad_output);
+    }
 
     /// Mutable access to `(parameter, gradient)` pairs for the optimizer.
     /// Parameter-free layers return an empty vector.

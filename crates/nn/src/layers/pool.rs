@@ -48,57 +48,14 @@ impl MaxPool2d {
     pub fn window(&self) -> usize {
         self.window
     }
-}
 
-impl Layer for MaxPool2d {
-    fn name(&self) -> &'static str {
-        "MaxPool2d"
-    }
-
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.rank(), 4, "MaxPool2d expects an NCHW tensor");
-        let (n, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let k = self.window;
-        assert!(h >= k && w >= k, "input {h}x{w} smaller than window {k}");
-        let oh = h / k;
-        let ow = w / k;
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        self.argmax = vec![0; n * c * oh * ow];
-        self.input_shape = input.shape().to_vec();
-        let mut oi = 0;
-        for b in 0..n {
-            for ch in 0..c {
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let iy = y * k + ky;
-                                let ix = x * k + kx;
-                                let v = input.get(&[b, ch, iy, ix]);
-                                if v > best {
-                                    best = v;
-                                    best_idx = ((b * c + ch) * h + iy) * w + ix;
-                                }
-                            }
-                        }
-                        out.set(&[b, ch, y, x], best);
-                        self.argmax[oi] = best_idx;
-                        oi += 1;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
+    /// Pools `input` plane by plane over contiguous window rows. With
+    /// `argmax`, also records each output's winning flat input index: the
+    /// first maximum in row-major window order, or the window's first
+    /// element when nothing beats `-inf` (an all-NaN or all-`-inf` window).
+    /// Inlined, so `infer`'s walk carries no argmax bookkeeping.
+    #[inline(always)]
+    fn pool(&self, input: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Tensor {
         assert_eq!(input.rank(), 4, "MaxPool2d expects an NCHW tensor");
         let (n, c, h, w) = (
             input.shape()[0],
@@ -110,6 +67,9 @@ impl Layer for MaxPool2d {
         assert!(h >= k && w >= k, "input {h}x{w} smaller than window {k}");
         let (oh, ow) = (h / k, w / k);
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
+        if let Some(argmax) = argmax.as_deref_mut() {
+            argmax.reserve_exact(out.len());
+        }
         let src = input.data();
         let dst = out.data_mut();
         let mut oi = 0;
@@ -117,21 +77,43 @@ impl Layer for MaxPool2d {
             let src_plane = &src[plane * h * w..][..h * w];
             for y in 0..oh {
                 for x in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
+                    let first = y * k * w + x * k;
+                    let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
                     for ky in 0..k {
-                        let row = &src_plane[(y * k + ky) * w + x * k..][..k];
-                        for &v in row {
+                        let start = first + ky * w;
+                        for (i, &v) in (start..).zip(&src_plane[start..][..k]) {
                             if v > best {
-                                best = v;
+                                (best, best_idx) = (v, i);
                             }
                         }
                     }
                     dst[oi] = best;
                     oi += 1;
+                    if let Some(argmax) = argmax.as_deref_mut() {
+                        argmax.push(plane * h * w + best_idx);
+                    }
                 }
             }
         }
         out
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn name(&self) -> &'static str {
+        "MaxPool2d"
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let mut argmax = Vec::new();
+        let out = self.pool(input, Some(&mut argmax));
+        self.argmax = argmax;
+        self.input_shape = input.shape().to_vec();
+        out
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
+        self.pool(input, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -156,6 +138,114 @@ impl Layer for MaxPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{prop_assert_eq, proptest};
+
+    /// The per-element training forward `forward` replaced, kept as the
+    /// oracle: its output and its argmax indices.
+    fn forward_oracle(input: &Tensor, k: usize) -> (Tensor, Vec<usize>) {
+        let (n, c, h, w) = (
+            input.shape()[0],
+            input.shape()[1],
+            input.shape()[2],
+            input.shape()[3],
+        );
+        let (oh, ow) = (h / k, w / k);
+        let mut out = Tensor::zeros(&[n, c, oh, ow]);
+        let mut argmax = vec![0; n * c * oh * ow];
+        let mut oi = 0;
+        for b in 0..n {
+            for ch in 0..c {
+                for y in 0..oh {
+                    for x in 0..ow {
+                        let mut best = f32::NEG_INFINITY;
+                        let mut best_idx = 0;
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let iy = y * k + ky;
+                                let ix = x * k + kx;
+                                let v = input.get(&[b, ch, iy, ix]);
+                                if v > best {
+                                    best = v;
+                                    best_idx = ((b * c + ch) * h + iy) * w + ix;
+                                }
+                            }
+                        }
+                        out.set(&[b, ch, y, x], best);
+                        argmax[oi] = best_idx;
+                        oi += 1;
+                    }
+                }
+            }
+        }
+        (out, argmax)
+    }
+
+    proptest! {
+        #[test]
+        fn slice_forward_matches_the_per_element_oracle(
+            batch in 1usize..4,
+            channels in 1usize..5,
+            window in 1usize..4,
+            extra_h in 0usize..9,
+            extra_w in 0usize..9,
+            levels in 1u64..6,
+            seed in 0u64..1_000_000,
+        ) {
+            // Few distinct finite values, so windows hold ties; both signs
+            // of zero, so a `-0.0` beside a `+0.0` must not win.
+            let shape = [batch, channels, window + extra_h, window + extra_w];
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let data = (0..shape.iter().product::<usize>())
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    match state % (levels + 2) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        v => v as f32 - 3.5,
+                    }
+                })
+                .collect();
+            let x = Tensor::from_vec(data, &shape);
+            let mut pool = MaxPool2d::new(window);
+            let y = pool.forward(&x);
+            let (y_oracle, argmax_oracle) = forward_oracle(&x, window);
+            prop_assert_eq!(y.shape(), y_oracle.shape());
+            for (a, b) in y.data().iter().zip(y_oracle.data()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            prop_assert_eq!(&pool.argmax, &argmax_oracle);
+            let z = pool.infer(&x);
+            for (a, b) in z.data().iter().zip(y.data()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_nothing_beats_routes_its_gradient_to_its_own_first_element() {
+        // Batch element 1 holds one all-NaN and one all-`-inf` window; the
+        // seed's default index 0 sent their gradients to element
+        // `(0, 0, 0, 0)`, another plane.
+        let mut data = vec![1.0f32; 2 * 2 * 4];
+        for i in [8, 9, 12, 13] {
+            data[i] = f32::NAN;
+        }
+        for i in [10, 11, 14, 15] {
+            data[i] = f32::NEG_INFINITY;
+        }
+        let x = Tensor::from_vec(data, &[2, 1, 2, 4]);
+        let mut pool = MaxPool2d::new(2);
+        let y = pool.forward(&x);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&forward_oracle(&x, 2).0), "forward changed");
+        assert_eq!(y.data(), &[1.0, 1.0, f32::NEG_INFINITY, f32::NEG_INFINITY]);
+        let g = pool.backward(&Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 1, 1, 2]));
+        let mut expected = [0.0f32; 16];
+        (expected[0], expected[2], expected[8], expected[10]) = (1.0, 2.0, 3.0, 4.0);
+        assert_eq!(g.data(), &expected[..]);
+    }
 
     #[test]
     fn pooling_selects_maximum() {

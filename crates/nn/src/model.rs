@@ -145,27 +145,34 @@ impl Sequential {
     }
 
     /// Back-propagates the gradient of the loss w.r.t. the model output,
-    /// accumulating parameter gradients in every layer.
+    /// accumulating parameter gradients in every layer. The first layer runs
+    /// [`Layer::backward_params`]: no caller reads the model's input
+    /// gradient, so it is never computed.
     ///
     /// # Panics
     ///
     /// Panics if called before [`Sequential::forward`].
-    pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        if !self.telemetry.is_enabled() {
-            let mut g = grad_output.clone();
-            for layer in self.layers.iter_mut().rev() {
+    pub fn backward(&mut self, grad_output: &Tensor) {
+        let timed = self.telemetry.is_enabled();
+        if timed {
+            self.refresh_layer_names();
+        }
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = grad_output.clone();
+        if !timed {
+            for layer in rest.iter_mut().rev() {
                 g = layer.backward(&g);
             }
-            return g;
+            first.backward_params(&g);
+            return;
         }
-        self.refresh_layer_names();
-        let rec = self.telemetry.clone();
-        let mut g = grad_output.clone();
-        let last = self.layers.len().saturating_sub(1);
-        for (back, layer) in self.layers.iter_mut().rev().enumerate() {
-            g = rec.time(&self.bwd_names[last - back], || layer.backward(&g));
+        let rec = &self.telemetry;
+        for (i, layer) in rest.iter_mut().enumerate().rev() {
+            g = rec.time(&self.bwd_names[i + 1], || layer.backward(&g));
         }
-        g
+        rec.time(&self.bwd_names[0], || first.backward_params(&g));
     }
 
     /// Resets all accumulated gradients to zero.
