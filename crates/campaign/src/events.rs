@@ -49,7 +49,8 @@ pub fn read_events(path: &Path) -> Result<EventLog, SpecError> {
     })
 }
 
-/// One named stage's aggregated timing distribution.
+/// One named stage's aggregated timing distribution. The serve status
+/// reuses it for its end-to-end and per-stage latency summaries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageTiming {
     /// Stage name (`stage.detect`, `run`, `nn.detector.fwd.0.Conv2d`, ...).
@@ -66,6 +67,21 @@ pub struct StageTiming {
     pub p99_us: u64,
     /// Largest observed duration, microseconds.
     pub max_us: u64,
+}
+
+impl StageTiming {
+    /// Summarizes the histogram `h` under `name`.
+    pub fn from_histogram(name: &str, h: &Histogram) -> Self {
+        StageTiming {
+            name: name.to_string(),
+            count: h.count(),
+            mean_us: h.mean_us(),
+            p50_us: h.p50_us(),
+            p90_us: h.p90_us(),
+            p99_us: h.p99_us(),
+            max_us: h.max_us(),
+        }
+    }
 }
 
 /// One worker thread's aggregated busy time.
@@ -251,15 +267,7 @@ pub fn summarize(log: &EventLog) -> TimingSummary {
     }
     let mut stages: Vec<StageTiming> = stages
         .into_iter()
-        .map(|(name, hist)| StageTiming {
-            name,
-            count: hist.count(),
-            mean_us: hist.mean_us(),
-            p50_us: hist.p50_us(),
-            p90_us: hist.p90_us(),
-            p99_us: hist.p99_us(),
-            max_us: hist.max_us(),
-        })
+        .map(|(name, hist)| StageTiming::from_histogram(&name, &hist))
         .collect();
     stages.sort_by(|a, b| a.name.cmp(&b.name));
     let mut workers: Vec<WorkerUtilization> = workers

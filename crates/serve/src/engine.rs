@@ -4,7 +4,7 @@
 //! [`ServeEngine`] is the synchronous core of the service — no threads, no
 //! locks — so every ingest/drain/accounting behavior is unit-testable
 //! deterministically. [`crate::DetectionService`] wraps it in a mutex and
-//! adds the dispatcher and worker pool.
+//! adds a worker pool that drains batches from it directly.
 
 use crate::assembler::{AssembledWindow, FrameAssembler, RejectReason};
 use noc_monitor::{FeatureFrame, FeatureKind};

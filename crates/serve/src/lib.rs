@@ -10,17 +10,17 @@
 //!   bundles, with **explicit backpressure** — a window that completes
 //!   while the ring is full is rejected with a [`RejectReason`] and
 //!   counted, never silently dropped;
-//! - a cross-tenant dispatcher drains assembled windows into batches and
-//!   feeds a small worker pool; workers run
-//!   [`dl2fence::Dl2Fence::analyze_frames_batch`]: batched detector
-//!   inference, and the segment → fuse → localize tail only on flagged
-//!   windows;
+//! - a small worker pool pulls batches of assembled windows straight from
+//!   the engine, round-robin across tenants, whenever a worker is free;
+//!   workers run [`dl2fence::Dl2Fence::analyze_frames_batch`]: batched
+//!   detector inference, and the segment → fuse → localize tail only on
+//!   flagged windows;
 //! - p50/p99 end-to-end and per-stage latencies fold into
 //!   [`dl2fence_telemetry::AggregateSink`] histograms, snapshotted as a
 //!   [`ServeStatus`] (`dl2fence-serve status --json`);
-//! - models **hot-swap atomically**: a [`ModelBundle`] travels with every
-//!   dispatched batch behind an `Arc`, so one batch always runs one model
-//!   version and a swap never drops in-flight frames.
+//! - models **hot-swap atomically**: a worker captures the installed
+//!   [`ModelBundle`] behind an `Arc` when it takes a batch, so one batch
+//!   always runs one model version and a swap never drops in-flight frames.
 //!
 //! The campaign engine doubles as the load generator: [`soak::run_soak`]
 //! replays a campaign spec's traffic against the service, forces a
@@ -34,7 +34,6 @@
 pub mod assembler;
 pub mod engine;
 pub mod model;
-pub mod replica;
 pub mod service;
 pub mod soak;
 pub mod status;
@@ -42,7 +41,6 @@ pub mod status;
 pub use assembler::{AssembledWindow, FrameAssembler, RejectReason};
 pub use engine::{EngineCounters, ServeEngine};
 pub use model::ModelBundle;
-pub use replica::{PipelineReplica, Verdict};
-pub use service::{DetectionService, ServeConfig};
+pub use service::{DetectionService, ServeConfig, Verdict};
 pub use soak::{run_soak, SoakOptions, SoakReport};
-pub use status::{LatencySummary, RejectCount, ServeStatus, STATUS_SCHEMA};
+pub use status::{RejectCount, ServeStatus, STATUS_SCHEMA};

@@ -2,13 +2,13 @@
 
 use dl2fence::FenceModelExport;
 
-/// Everything a worker needs to rebuild its pipeline replica: the pipeline
-/// export and a version number assigned by the service at install/swap
-/// time.
+/// Everything a worker needs to rebuild its pipeline: the pipeline export
+/// and a version number assigned by the service at install/swap time.
 ///
-/// Bundles travel with every dispatched batch behind an `Arc`, which is
-/// what makes hot-swap atomic: a batch captures one bundle at dispatch and
-/// runs it to completion, so no batch ever mixes model versions.
+/// A worker clones the installed bundle's `Arc` under the same lock that
+/// drains its batch, which is what makes hot-swap atomic: a batch captures
+/// one bundle when it forms and runs it to completion, so no batch ever
+/// mixes model versions.
 #[derive(Debug, Clone)]
 pub struct ModelBundle {
     /// The f32 pipeline (config + detector + localizer weights).

@@ -1,29 +1,35 @@
-//! The threaded detection service: dispatcher + worker pool around
-//! [`ServeEngine`], with atomic model hot-swap and SLO telemetry.
+//! The threaded detection service: a worker pool around [`ServeEngine`],
+//! with atomic model hot-swap and SLO telemetry.
 //!
-//! Threading model:
+//! Threading model — one queue, one lock:
 //!
 //! - Callers ingest frames under the state mutex (cheap: ring pushes).
-//! - One dispatcher thread drains assembled windows round-robin into
-//!   batches and sends each batch — together with an `Arc` of the model
-//!   bundle captured *at dispatch* — over a channel.
-//! - N worker threads pull batches, rebuild their cached
-//!   [`PipelineReplica`] when the captured bundle's version differs, and
-//!   run detection (+ the localization tail on flagged windows only).
+//! - `config.workers` worker threads wait on that same mutex. A free
+//!   worker drains up to `batch_windows` assembled windows round-robin
+//!   from the engine, counts them in flight, takes the next batch id and
+//!   clones the `Arc` of the model bundle installed at that moment — all
+//!   under one lock — then unlocks and runs detection (+ the localization
+//!   tail on flagged windows only). A batch forms only when a worker is
+//!   free, so under load batches grow towards `batch_windows`.
+//! - The worker keeps its pipeline across batches and rebuilds it only
+//!   when the captured bundle's version differs, then records verdicts
+//!   and counters in one more lock acquisition.
 //!
-//! Because the bundle travels with the batch, [`DetectionService::swap_model`]
-//! is atomic from the pipeline's point of view: in-flight batches finish on
-//! the version they captured, later batches see the new one, and no batch
-//! ever mixes versions. Nothing is dropped across a swap.
+//! Because each batch captures its bundle when it is drained,
+//! [`DetectionService::swap_model`] is atomic from the pipeline's point of
+//! view: batches already taken finish on the version they captured, later
+//! batches (including windows queued before the swap) see the new one,
+//! and no batch ever mixes versions. Nothing is dropped across a swap.
 
-use crate::assembler::{AssembledWindow, RejectReason};
+use crate::assembler::RejectReason;
 use crate::engine::ServeEngine;
 use crate::model::ModelBundle;
-use crate::replica::{PipelineReplica, Verdict};
-use crate::status::{LatencySummary, RejectCount, ServeStatus, STATUS_SCHEMA};
+use crate::status::{RejectCount, ServeStatus, STATUS_SCHEMA};
+use dl2fence::pipeline::FenceReport;
+use dl2fence::Dl2Fence;
+use dl2fence_campaign::StageTiming;
 use dl2fence_telemetry::{AggregateSink, Telemetry};
-use noc_monitor::FeatureFrame;
-use std::sync::mpsc;
+use noc_monitor::{DirectionalFrames, FeatureFrame};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -37,9 +43,9 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Maximum concurrent tenant sessions.
     pub max_tenants: usize,
-    /// Worker threads running pipeline replicas.
+    /// Worker threads, each running its own pipeline.
     pub workers: usize,
-    /// Maximum windows per dispatched batch.
+    /// Maximum windows per batch.
     pub batch_windows: usize,
 }
 
@@ -54,24 +60,39 @@ impl Default for ServeConfig {
     }
 }
 
+/// One analysed window: the pipeline report plus enough provenance to
+/// audit it offline — which tenant/window it answers, which batch carried
+/// it, and which model version produced it. The soak harness checks that
+/// every batch is version-pure and that every report equals
+/// [`Dl2Fence::analyze_frames`] on that version's model.
+#[derive(Debug, Clone)]
+pub struct Verdict {
+    /// The owning tenant.
+    pub tenant: u64,
+    /// The tenant's window sequence number.
+    pub seq: u64,
+    /// The batch that carried this window.
+    pub batch: u64,
+    /// The model version that produced the verdict.
+    pub model_version: u64,
+    /// The pipeline's report for the window.
+    pub report: FenceReport,
+}
+
 /// Mutable state guarded by the service mutex.
 struct State {
     engine: ServeEngine,
     bundle: Arc<ModelBundle>,
     paused: bool,
     shutdown: bool,
-    /// Windows handed to workers whose verdicts are not yet recorded.
+    /// Windows taken by workers whose verdicts are not yet recorded.
     in_flight: usize,
     next_batch: u64,
     swaps: u64,
+    /// Verdicts recorded since the last [`DetectionService::take_verdicts`].
+    verdicts: Vec<Verdict>,
     verdict_count: u64,
     flagged_count: u64,
-}
-
-struct Batch {
-    id: u64,
-    bundle: Arc<ModelBundle>,
-    windows: Vec<AssembledWindow>,
 }
 
 struct Inner {
@@ -82,19 +103,23 @@ struct Inner {
     idle: Condvar,
     sink: Arc<AggregateSink>,
     telemetry: Telemetry,
-    verdicts: Mutex<Vec<Verdict>>,
+}
+
+impl Inner {
+    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+        self.state.lock().expect("serve state poisoned")
+    }
 }
 
 /// A running multi-tenant detection service.
 pub struct DetectionService {
     inner: Arc<Inner>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl DetectionService {
-    /// Starts a service serving `bundle` with the given tuning. Spawns the
-    /// dispatcher and `config.workers` worker threads immediately.
+    /// Starts a service serving `bundle` with the given tuning. Spawns
+    /// exactly `config.workers` worker threads immediately.
     ///
     /// # Panics
     ///
@@ -123,6 +148,7 @@ impl DetectionService {
                 in_flight: 0,
                 next_batch: 0,
                 swaps: 0,
+                verdicts: Vec::new(),
                 verdict_count: 0,
                 flagged_count: 0,
             }),
@@ -130,68 +156,46 @@ impl DetectionService {
             idle: Condvar::new(),
             sink,
             telemetry,
-            verdicts: Mutex::new(Vec::new()),
         });
-
-        let (tx, rx) = mpsc::channel::<Batch>();
-        let rx = Arc::new(Mutex::new(rx));
-
-        let mut workers = Vec::with_capacity(config.workers);
-        for _ in 0..config.workers {
-            let inner = Arc::clone(&inner);
-            let rx = Arc::clone(&rx);
-            workers.push(std::thread::spawn(move || worker_loop(inner, rx)));
-        }
-        let dispatcher = {
-            let inner = Arc::clone(&inner);
-            let batch_windows = config.batch_windows;
-            std::thread::spawn(move || dispatcher_loop(inner, tx, batch_windows))
-        };
-
-        DetectionService {
-            inner,
-            dispatcher: Some(dispatcher),
-            workers,
-        }
+        let workers = (0..config.workers)
+            .map(|_| {
+                let inner = Arc::clone(&inner);
+                std::thread::spawn(move || worker_loop(&inner, config.batch_windows))
+            })
+            .collect();
+        DetectionService { inner, workers }
     }
 
     /// Ingests one frame for `tenant`. Mirrors [`ServeEngine::ingest`]:
-    /// `Ok(Some(seq))` when a window completed (the dispatcher is woken),
+    /// `Ok(Some(seq))` when a window completed (a waiting worker is woken),
     /// `Err(reason)` on explicit rejection.
     pub fn ingest(&self, tenant: u64, frame: FeatureFrame) -> Result<Option<u64>, RejectReason> {
-        let mut state = self.inner.state.lock().expect("serve state poisoned");
-        let outcome = state.engine.ingest(tenant, frame);
+        let outcome = self.inner.lock().engine.ingest(tenant, frame);
         if matches!(outcome, Ok(Some(_))) {
-            self.inner.wake.notify_all();
+            self.inner.wake.notify_one();
         }
         outcome
     }
 
-    /// Pauses dispatch: ingestion keeps filling the rings, workers finish
-    /// batches already in flight, but no new batch is formed. Used by the
-    /// soak harness to exercise backpressure deterministically.
+    /// Pauses batching: ingestion keeps filling the rings, workers finish
+    /// batches already taken, but no new batch is formed. Used by the soak
+    /// harness to exercise backpressure deterministically.
     pub fn pause(&self) {
-        self.inner
-            .state
-            .lock()
-            .expect("serve state poisoned")
-            .paused = true;
+        self.inner.lock().paused = true;
     }
 
-    /// Resumes dispatch after [`Self::pause`].
+    /// Resumes batching after [`Self::pause`].
     pub fn resume(&self) {
-        let mut state = self.inner.state.lock().expect("serve state poisoned");
-        state.paused = false;
-        drop(state);
+        self.inner.lock().paused = false;
         self.inner.wake.notify_all();
     }
 
     /// Atomically installs a new model. Returns the version assigned to it
-    /// (monotonically increasing). Batches already dispatched finish on the
-    /// old version; every batch formed after this call sees the new one.
+    /// (monotonically increasing). Batches already taken finish on the old
+    /// version; every batch formed after this call sees the new one.
     /// No frame — queued or in flight — is dropped.
     pub fn swap_model(&self, fence: dl2fence::FenceModelExport) -> u64 {
-        let mut state = self.inner.state.lock().expect("serve state poisoned");
+        let mut state = self.inner.lock();
         let version = state.bundle.version + 1;
         state.bundle = Arc::new(ModelBundle { fence, version });
         state.swaps += 1;
@@ -202,9 +206,8 @@ impl DetectionService {
     /// service is shut down). Do not call while paused with queued windows
     /// — the queue cannot drain.
     pub fn drain_until_idle(&self) {
-        let mut state = self.inner.state.lock().expect("serve state poisoned");
+        let mut state = self.inner.lock();
         while !state.shutdown && (state.engine.queued() > 0 || state.in_flight > 0) {
-            self.inner.wake.notify_all();
             state = self.inner.idle.wait(state).expect("serve state poisoned");
         }
     }
@@ -212,14 +215,14 @@ impl DetectionService {
     /// Takes all verdicts recorded since the previous call, in completion
     /// order.
     pub fn take_verdicts(&self) -> Vec<Verdict> {
-        std::mem::take(&mut *self.inner.verdicts.lock().expect("verdicts poisoned"))
+        std::mem::take(&mut self.inner.lock().verdicts)
     }
 
     /// Snapshots the service: accounting, model identity, and the
     /// end-to-end / per-stage latency histograms.
     pub fn status(&self) -> ServeStatus {
-        let state = self.inner.state.lock().expect("serve state poisoned");
-        let counters = state.engine.counters().clone();
+        let state = self.inner.lock();
+        let counters = state.engine.counters();
         let mut rejected: Vec<RejectCount> = RejectReason::ALL
             .iter()
             .map(|r| RejectCount {
@@ -228,7 +231,7 @@ impl DetectionService {
             })
             .collect();
         rejected.retain(|r| r.count > 0);
-        let status = ServeStatus {
+        let mut status = ServeStatus {
             schema: STATUS_SCHEMA.to_string(),
             tenants: state.engine.tenants(),
             ingested_frames: counters.ingested_frames,
@@ -246,16 +249,15 @@ impl DetectionService {
             stages: Vec::new(),
         };
         drop(state);
-        let mut status = status;
         let hists = self.inner.sink.histograms();
         status.e2e = hists
             .get("serve.e2e")
             .filter(|h| !h.is_empty())
-            .map(|h| LatencySummary::from_histogram("serve.e2e", h));
+            .map(|h| StageTiming::from_histogram("serve.e2e", h));
         status.stages = hists
             .iter()
             .filter(|(name, h)| name.starts_with("stage.") && !h.is_empty())
-            .map(|(name, h)| LatencySummary::from_histogram(name, h))
+            .map(|(name, h)| StageTiming::from_histogram(name, h))
             .collect();
         status
     }
@@ -264,105 +266,81 @@ impl DetectionService {
     /// in-flight window, then joins all threads. Returns the final status
     /// so callers can assert the no-loss accounting identity.
     pub fn shutdown(mut self) -> ServeStatus {
-        self.begin_shutdown();
-        if let Some(d) = self.dispatcher.take() {
-            let _ = d.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.stop();
         self.status()
     }
 
-    fn begin_shutdown(&self) {
-        let mut state = self.inner.state.lock().expect("serve state poisoned");
+    /// Unpauses, flags shutdown and joins every worker; the workers exit
+    /// once the rings are empty. Idempotent, so `Drop` after
+    /// [`Self::shutdown`] is a no-op.
+    fn stop(&mut self) {
+        let mut state = self.inner.lock();
         state.shutdown = true;
         state.paused = false;
         drop(state);
         self.inner.wake.notify_all();
         self.inner.idle.notify_all();
-    }
-}
-
-impl Drop for DetectionService {
-    fn drop(&mut self) {
-        self.begin_shutdown();
-        if let Some(d) = self.dispatcher.take() {
-            let _ = d.join();
-        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
 }
 
-/// Forms batches from ready windows and ships them to the workers. On
-/// shutdown it keeps draining until the rings are empty, then drops the
-/// sender so workers see a closed channel and exit.
-fn dispatcher_loop(inner: Arc<Inner>, tx: mpsc::Sender<Batch>, batch_windows: usize) {
+impl Drop for DetectionService {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Takes batches straight from the engine, keeps its pipeline hot across
+/// same-version batches, and records verdicts + latencies. Returns once
+/// the service is shut down and the rings are empty.
+fn worker_loop(inner: &Inner, batch_windows: usize) {
+    let recorder = inner.telemetry.recorder();
+    let mut pipeline: Option<(u64, Dl2Fence)> = None;
     loop {
-        let batch = {
-            let mut state = inner.state.lock().expect("serve state poisoned");
+        let (id, bundle, windows) = {
+            let mut state = inner.lock();
             loop {
-                if state.shutdown && state.engine.queued() == 0 {
-                    return; // drops tx → workers drain and exit
-                }
                 if !state.paused && state.engine.queued() > 0 {
                     break;
+                }
+                if state.shutdown && state.engine.queued() == 0 {
+                    return;
                 }
                 state = inner.wake.wait(state).expect("serve state poisoned");
             }
             let windows = state.engine.drain(batch_windows);
-            if windows.is_empty() {
-                continue;
-            }
             state.in_flight += windows.len();
             let id = state.next_batch;
             state.next_batch += 1;
-            Batch {
-                id,
-                bundle: Arc::clone(&state.bundle),
-                windows,
-            }
-        };
-        if tx.send(batch).is_err() {
-            return; // all workers gone (only happens under shutdown)
-        }
-    }
-}
-
-/// Pulls batches, keeps a cached replica hot across same-version batches,
-/// and records verdicts + latencies.
-fn worker_loop(inner: Arc<Inner>, rx: Arc<Mutex<mpsc::Receiver<Batch>>>) {
-    let recorder = inner.telemetry.recorder();
-    let mut replica: Option<PipelineReplica> = None;
-    loop {
-        let batch = {
-            let rx = rx.lock().expect("receiver poisoned");
-            match rx.recv() {
-                Ok(b) => b,
-                Err(_) => return, // dispatcher gone and channel drained
-            }
+            (id, Arc::clone(&state.bundle), windows)
         };
         // Rebuild only on version change — the common path re-uses the
-        // cached replica, so a hot-swap costs one rebuild per worker.
-        if replica.as_ref().map(|r| r.version()) != Some(batch.bundle.version) {
-            let mut fresh = PipelineReplica::build(&batch.bundle);
-            fresh.set_telemetry(recorder.clone());
-            replica = Some(fresh);
+        // cached pipeline, so a hot-swap costs one rebuild per worker.
+        if pipeline.as_ref().map(|(v, _)| *v) != Some(bundle.version) {
+            let mut fence = Dl2Fence::from_export(bundle.fence.clone());
+            fence.set_telemetry(recorder.clone());
+            pipeline = Some((bundle.version, fence));
         }
-        let replica = replica.as_mut().expect("just installed");
+        let fence = &mut pipeline.as_mut().expect("just installed").1;
         let now = Instant::now();
-        for w in &batch.windows {
+        for w in &windows {
             let waited = now.saturating_duration_since(w.assembled_at);
             recorder.record_us(
                 "serve.queue_wait",
                 u64::try_from(waited.as_micros()).unwrap_or(u64::MAX),
             );
         }
-        let verdicts = replica.process(batch.id, &batch.windows);
+        // Detection runs batched; only flagged windows pay the
+        // segment → fuse → localize tail.
+        let pairs: Vec<(&DirectionalFrames, &DirectionalFrames)> = windows
+            .iter()
+            .map(|w| (&w.detection, &w.localization))
+            .collect();
+        let reports = fence.analyze_frames_batch(&pairs);
         let done = Instant::now();
-        for w in &batch.windows {
+        for w in &windows {
             let e2e = done.saturating_duration_since(w.assembled_at);
             recorder.record_us(
                 "serve.e2e",
@@ -370,17 +348,19 @@ fn worker_loop(inner: Arc<Inner>, rx: Arc<Mutex<mpsc::Receiver<Batch>>>) {
             );
         }
         recorder.flush();
-        let completed = verdicts.len();
-        let flagged = verdicts.iter().filter(|v| v.report.detected).count();
-        inner
-            .verdicts
-            .lock()
-            .expect("verdicts poisoned")
-            .extend(verdicts);
-        let mut state = inner.state.lock().expect("serve state poisoned");
-        state.in_flight -= completed;
-        state.verdict_count += completed as u64;
+        let flagged = reports.iter().filter(|r| r.detected).count();
+        let verdicts = windows.iter().zip(reports).map(|(w, report)| Verdict {
+            tenant: w.tenant,
+            seq: w.seq,
+            batch: id,
+            model_version: bundle.version,
+            report,
+        });
+        let mut state = inner.lock();
+        state.in_flight -= windows.len();
+        state.verdict_count += windows.len() as u64;
         state.flagged_count += flagged as u64;
+        state.verdicts.extend(verdicts);
         drop(state);
         inner.idle.notify_all();
     }

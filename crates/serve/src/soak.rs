@@ -209,7 +209,7 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
     let mut window_source: BTreeMap<(u64, u64), usize> = BTreeMap::new();
     let mut windows_streamed = 0usize;
 
-    // Phase A — deterministic backpressure: with dispatch paused, tenant 0
+    // Phase A — deterministic backpressure: with batching paused, tenant 0
     // can absorb exactly `queue_capacity` windows; one more must be
     // rejected with QueueFull, and a replay after draining must succeed.
     let capacity = options.config.queue_capacity;

@@ -1,46 +1,12 @@
 //! The service's observable state: SLO metrics and accounting as one
 //! serializable snapshot (`dl2fence-serve status --json`).
 
-use dl2fence_telemetry::Histogram;
+use dl2fence_campaign::StageTiming;
 use serde::{Deserialize, Serialize};
 
 /// Schema tag stamped into every [`ServeStatus`]. Defined once in
 /// [`dl2fence_telemetry::schema`] alongside every other artifact schema.
 pub use dl2fence_telemetry::schema::STATUS_SCHEMA;
-
-/// One latency distribution summarized to the quantiles the SLOs bind.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LatencySummary {
-    /// Metric name (`serve.e2e`, `stage.detect`, ...).
-    pub name: String,
-    /// Observations.
-    pub count: u64,
-    /// Mean, microseconds.
-    pub mean_us: u64,
-    /// Median, microseconds.
-    pub p50_us: u64,
-    /// 90th percentile, microseconds.
-    pub p90_us: u64,
-    /// 99th percentile, microseconds.
-    pub p99_us: u64,
-    /// Largest observation, microseconds.
-    pub max_us: u64,
-}
-
-impl LatencySummary {
-    /// Summarizes a named histogram.
-    pub fn from_histogram(name: &str, h: &Histogram) -> Self {
-        LatencySummary {
-            name: name.to_string(),
-            count: h.count(),
-            mean_us: h.mean_us(),
-            p50_us: h.p50_us(),
-            p90_us: h.p90_us(),
-            p99_us: h.p99_us(),
-            max_us: h.max_us(),
-        }
-    }
-}
 
 /// One rejection reason's count.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,7 +37,7 @@ pub struct ServeStatus {
     pub rejected_total: u64,
     /// Windows currently queued in tenant rings.
     pub queued: usize,
-    /// Windows dispatched to workers but not yet verdicted.
+    /// Windows taken by workers but not yet verdicted.
     pub in_flight: usize,
     /// Verdicts produced since start.
     pub verdicts: u64,
@@ -86,10 +52,10 @@ pub struct ServeStatus {
     pub swaps: u64,
     /// End-to-end latency (window assembled → verdict recorded); `None`
     /// before the first verdict.
-    pub e2e: Option<LatencySummary>,
+    pub e2e: Option<StageTiming>,
     /// Per-stage latencies (`stage.detect`, `stage.segment`, ...), sorted
     /// by name.
-    pub stages: Vec<LatencySummary>,
+    pub stages: Vec<StageTiming>,
 }
 
 impl ServeStatus {
@@ -108,7 +74,7 @@ impl ServeStatus {
     }
 
     /// The named stage summary, if present.
-    pub fn stage(&self, name: &str) -> Option<&LatencySummary> {
+    pub fn stage(&self, name: &str) -> Option<&StageTiming> {
         self.stages.iter().find(|s| s.name == name)
     }
 
@@ -145,7 +111,7 @@ impl ServeStatus {
                 let _ = writeln!(out, "    reject.{}: {}", r.reason, r.count);
             }
         }
-        let mut rows: Vec<&LatencySummary> = Vec::new();
+        let mut rows: Vec<&StageTiming> = Vec::new();
         if let Some(e2e) = &self.e2e {
             rows.push(e2e);
         }
@@ -191,7 +157,7 @@ mod tests {
             model_version: 1,
             model_fingerprint: 0xDEADBEEF,
             swaps: 1,
-            e2e: Some(LatencySummary {
+            e2e: Some(StageTiming {
                 name: "serve.e2e".to_string(),
                 count: 11,
                 mean_us: 800,

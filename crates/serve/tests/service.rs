@@ -8,6 +8,8 @@ use dl2fence::input::sample_frames;
 use dl2fence::Dl2Fence;
 use dl2fence_serve::{DetectionService, ModelBundle, RejectReason, ServeConfig};
 use std::collections::BTreeMap;
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn small_config() -> ServeConfig {
     ServeConfig {
@@ -152,25 +154,57 @@ fn hot_swap_under_load_is_version_pure_and_lossless() {
 #[test]
 fn shutdown_mid_stream_drains_everything_before_joining() {
     let fix = fixture();
-    let service = DetectionService::new(
-        ServeConfig {
-            queue_capacity: 16,
-            ..small_config()
-        },
-        ModelBundle::f32_only(fix.export_a.clone()),
-    );
-    let mut streamed = 0;
-    for (i, sample) in fix.samples.iter().enumerate() {
-        ingest_window(&service, i as u64 % 2, sample).expect("capacity 16 fits the fixture");
-        streamed += 1;
+    // Unpaused, workers race the stream; paused, every window is still
+    // queued when `shutdown` runs, which must unpause and drain them all.
+    for paused in [false, true] {
+        let service = DetectionService::new(
+            ServeConfig {
+                queue_capacity: 16,
+                ..small_config()
+            },
+            ModelBundle::f32_only(fix.export_a.clone()),
+        );
+        if paused {
+            service.pause();
+        }
+        let mut streamed = 0;
+        for (i, sample) in fix.samples.iter().enumerate() {
+            ingest_window(&service, i as u64 % 2, sample).expect("capacity 16 fits the fixture");
+            streamed += 1;
+        }
+        if paused {
+            assert_eq!(service.status().queued, fix.samples.len());
+        }
+        // No drain: shutdown itself must finish every queued window.
+        let status = service.shutdown();
+        assert_eq!(status.assembled_windows, streamed, "paused: {paused}");
+        assert_eq!(status.verdicts, streamed, "paused: {paused}");
+        assert_eq!(status.queued, 0);
+        assert_eq!(status.in_flight, 0);
+        assert_eq!(status.rejected_total, 0);
     }
-    // No drain: shutdown itself must finish every queued window.
-    let status = service.shutdown();
-    assert_eq!(status.assembled_windows, streamed);
-    assert_eq!(status.verdicts, streamed);
-    assert_eq!(status.queued, 0);
-    assert_eq!(status.in_flight, 0);
-    assert_eq!(status.rejected_total, 0);
+}
+
+#[test]
+fn dropping_a_paused_service_with_queued_windows_returns() {
+    let fix = fixture();
+    let service =
+        DetectionService::new(small_config(), ModelBundle::f32_only(fix.export_a.clone()));
+    service.pause();
+    for tenant in 0..2 {
+        ingest_window(&service, tenant, &fix.samples[0]).expect("the rings are empty");
+    }
+    assert_eq!(service.status().queued, 2);
+    // Drop (not `shutdown`) must unpause, drain and join the workers.
+    let (done, dropped) = mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(service);
+        done.send(()).expect("the test is waiting");
+    });
+    dropped
+        .recv_timeout(Duration::from_secs(120))
+        .expect("dropping a paused service must return");
+    dropper.join().expect("the drop did not panic");
 }
 
 #[test]

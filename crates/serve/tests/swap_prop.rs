@@ -62,6 +62,14 @@ proptest! {
         // offline pipelines.
         let failures = audit_verdicts(&verdicts, &source, &fix.samples, &exports);
         prop_assert!(failures.is_empty(), "{:?}", failures);
+        // A worker never takes more than `batch_windows` windows at once.
+        let mut per_batch: BTreeMap<u64, usize> = BTreeMap::new();
+        for v in &verdicts {
+            *per_batch.entry(v.batch).or_default() += 1;
+        }
+        for (batch, n) in per_batch {
+            prop_assert!(n <= batch_windows, "batch {} carried {} windows", batch, n);
+        }
         // The drain before the swap pins the split: window i verdicts on
         // model A iff it was streamed before the swap point.
         let pivot = swap_at.min(fix.samples.len() - 1);
