@@ -1,5 +1,5 @@
-//! The `campaign` CLI: expand, run, resume, shard, merge, compact and
-//! inspect declarative scenario campaigns. Every executing subcommand is a
+//! The `campaign` CLI: expand, run, resume, shard, merge and inspect
+//! declarative scenario campaigns. Every executing subcommand is a
 //! thin call onto the library's run/resume/merge entry points, and one flag
 //! parser serves every subcommand.
 //!
@@ -9,22 +9,18 @@
 //! campaign resume  <campaign-dir> [--spec PATH] [--workers N] [--telemetry] [--quiet]
 //! campaign shard   <spec.toml|spec.json> --shards N --index I --out DIR [--telemetry]
 //! campaign merge   <dir>... --out DIR [--workers N] [--reexec-gaps] [--quiet]
-//! campaign compact <campaign-dir> [--quiet]
 //! campaign status  <dir>... [--json]
-//! campaign watch   <campaign-dir> [--interval SECS] [--json]
 //! campaign report  <report.json|campaign-dir> [--timings]
 //! ```
 
 use dl2fence_campaign::{
-    compact, expand, merge, resume, run, spec_fingerprint, status, summarize_events,
-    CampaignOutcome, CampaignReport, CampaignSpec, Executor, ShardSlice, WatchSnapshot,
-    EVENTS_FILE,
+    expand, merge, resume, run, spec_fingerprint, status, summarize_events, CampaignOutcome,
+    CampaignReport, CampaignSpec, Executor, ShardSlice, EVENTS_FILE,
 };
 use dl2fence_telemetry::Telemetry;
-use std::io::IsTerminal as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const USAGE: &str = "\
 usage:
@@ -38,7 +34,7 @@ usage:
       in .json is treated as a plain report file instead).
       --workers defaults to the machine's available parallelism.
       --telemetry (needs --out DIR) streams structured span/counter/histogram
-      events to DIR/events.jsonl for `watch` and `report --timings`.
+      events to DIR/events.jsonl for `report --timings`.
   campaign resume <campaign-dir> [--spec PATH] [--workers N] [--quiet]
                   [--telemetry]
       Resume an interrupted `run --out` or `shard` campaign: verify the
@@ -61,24 +57,11 @@ usage:
       --reexec-gaps, run indices no input holds are speculatively
       re-executed locally instead of refused — runs are deterministic, so
       the report stays byte-identical.
-  campaign compact <campaign-dir> [--quiet]
-      Atomically rewrite DIR/runs.jsonl in run-index order with duplicate
-      records and any torn tail dropped; the directory stays resumable and
-      mergeable. Do not
-      compact while the campaign is still executing (records appended
-      during the rewrite would be lost) — status is the live-safe command.
   campaign status <dir>... [--json]
       Read-only progress inspection: per directory the stored/missing run
-      counts, exact gap list, shard slice, torn-tail state and log size;
-      over several directories, the union gap list a merge would
-      refuse on. Safe to run while a campaign is executing.
-  campaign watch <campaign-dir> [--interval SECS] [--json]
-      Live progress for one campaign directory: completed/missing runs with
-      a progress bar, throughput and ETA, per-worker utilization and
-      per-stage latency quantiles (from DIR/events.jsonl when the campaign
-      runs with --telemetry). Loops every --interval seconds (default 2)
-      until every run is stored; --json prints one snapshot and exits.
-      Read-only and torn-tail-tolerant — safe against a live campaign.
+      counts, exact gap list, shard slice, torn-tail state, duplicate
+      records and log size; over several directories, the union gap list a
+      merge would refuse on. Safe to run while a campaign is executing.
   campaign report <report.json|campaign-dir> [--timings]
       Render a saved report as a human-readable table. With --timings,
       aggregate DIR/events.jsonl instead and print the timing summary JSON
@@ -105,9 +88,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         Some("resume") => cmd_resume(&args[1..]),
         Some("shard") => cmd_run(&args[1..], true),
         Some("merge") => cmd_merge(&args[1..]),
-        Some("compact") => cmd_compact(&args[1..]),
         Some("status") => cmd_status(&args[1..]),
-        Some("watch") => cmd_watch(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
         Some(other) => Err(format!("unknown subcommand `{other}`")),
         None => Err("missing subcommand".to_string()),
@@ -128,7 +109,6 @@ struct Flags {
     telemetry: bool,
     quiet: bool,
     json: bool,
-    interval: Option<f64>,
     timings: bool,
 }
 
@@ -154,16 +134,9 @@ impl Flags {
             match flag {
                 "--spec" => flags.spec = Some(value()?.to_string()),
                 "--out" => flags.out = Some(PathBuf::from(value()?)),
-                "--workers" => flags.workers = Some(parse_count(flag, value()?)?),
+                "--workers" => flags.workers = Some(parse_positive(flag, value()?)?),
                 "--shards" => flags.shards = Some(parse_count(flag, value()?)?),
                 "--index" => flags.index = Some(parse_count(flag, value()?)?),
-                "--interval" => {
-                    let v = value()?;
-                    let secs = v
-                        .parse::<f64>()
-                        .map_err(|_| format!("invalid interval `{v}`"))?;
-                    flags.interval = Some(secs);
-                }
                 "--reexec-gaps" => flags.reexec_gaps = true,
                 "--telemetry" => flags.telemetry = true,
                 "--quiet" => flags.quiet = true,
@@ -221,6 +194,15 @@ fn parse_count(flag: &str, value: &str) -> Result<usize, String> {
     value
         .parse::<usize>()
         .map_err(|_| format!("invalid {flag} `{value}`"))
+}
+
+/// Parses a count that must be at least 1, refusing zero before any
+/// directory is created or any run executes.
+fn parse_positive(flag: &str, value: &str) -> Result<usize, String> {
+    match parse_count(flag, value)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
 }
 
 fn load_spec(path: &str) -> Result<CampaignSpec, String> {
@@ -353,27 +335,6 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compact(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, "--quiet")?;
-    let dir = flags.single_path("compact")?;
-    let stats = compact(dir).map_err(|e| e.to_string())?;
-    if !flags.quiet {
-        eprintln!(
-            "compacted {dir}: {} records, {} duplicate(s) dropped{}; {} -> {} bytes",
-            stats.records,
-            stats.dropped_duplicates,
-            if stats.healed_torn_tail {
-                ", torn tail healed"
-            } else {
-                ""
-            },
-            stats.bytes_before,
-            stats.bytes_after,
-        );
-    }
-    Ok(())
-}
-
 fn cmd_status(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, "--json")?;
     let paths: Vec<PathBuf> = flags.paths.iter().map(PathBuf::from).collect();
@@ -418,32 +379,6 @@ fn finish(report: &CampaignReport, started: Instant, written_to: Option<&Path>, 
         }
         None => println!("{}", report.to_json()),
     }
-}
-
-fn cmd_watch(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, "--interval --json")?;
-    let path = Path::new(flags.single_path("watch")?);
-    let interval = flags.interval.unwrap_or(2.0).max(0.1);
-    if flags.json {
-        // One machine-readable snapshot and exit — the CI entry point.
-        let snapshot = WatchSnapshot::capture(path).map_err(|e| e.to_string())?;
-        println!("{}", snapshot.to_json());
-        return Ok(());
-    }
-    let clear = std::io::stdout().is_terminal();
-    loop {
-        let snapshot = WatchSnapshot::capture(path).map_err(|e| e.to_string())?;
-        if clear {
-            // Home the cursor and wipe the previous frame.
-            print!("\x1b[H\x1b[2J");
-        }
-        print!("{}", snapshot.render());
-        if snapshot.complete() {
-            break;
-        }
-        std::thread::sleep(Duration::from_secs_f64(interval));
-    }
-    Ok(())
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {

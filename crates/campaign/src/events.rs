@@ -7,9 +7,9 @@
 //! torn-tail-tolerant scanner as the run log (a torn final line is the
 //! shape of an in-flight append, not corruption), and [`summarize`] folds
 //! the events into a [`TimingSummary`] — per-stage latency histograms
-//! (p50/p90/p99/max), per-worker utilization and counter totals — which is
-//! what `campaign watch` renders live and `campaign report --timings`
-//! emits as the benchmark baseline schema.
+//! (p50/p90/p99/max), per-worker utilization and counter totals — which
+//! `campaign report --timings` emits as the benchmark baseline schema. It
+//! reads a live log too, so it is the timing view of a running campaign.
 
 use crate::spec::SpecError;
 use crate::stream::read_jsonl;
@@ -124,8 +124,8 @@ pub struct SessionSummary {
     pub runs: u64,
 }
 
-/// The aggregate view over one telemetry event log: what `campaign watch`
-/// renders and `campaign report --timings` emits.
+/// The aggregate view over one telemetry event log: what `campaign report
+/// --timings` emits.
 ///
 /// Stages merge both sources of duration data — explicit `hist` delta
 /// events and individual `span` events — bucket-exactly, so a stage timed

@@ -41,16 +41,18 @@
 //!    report byte-identical to a single-machine run. Shards are the one
 //!    way to split a campaign: a lost or slow machine's slice is healed by
 //!    resuming its directory or by re-executing its gaps at merge.
-//! 7. **Compaction and inspection** — [`compact`] rewrites `runs.jsonl`
-//!    atomically into index-ordered, deduplicated form; [`status`]
-//!    inspects any set of campaign directories read-only. (Each record
-//!    keeps its labeled samples: the eval phase trains on all of a frame
-//!    geometry's samples at once, so the fold keeps them in memory.)
+//! 7. **Inspection** — [`status`] inspects any set of campaign directories
+//!    read-only: stored and missing runs, the exact gap list, duplicate
+//!    records and a torn tail. The fold is the only code that writes a run
+//!    log; it reads records in any order and dedupes identical ones, so a
+//!    log never needs rewriting. (Each record keeps its labeled samples:
+//!    the eval phase trains on all of a frame geometry's samples at once,
+//!    so the fold keeps them in memory.)
 //!
 //! The `campaign` binary exposes the engine on the command line
-//! (`expand` / `run` / `resume` / `shard` / `merge` / `compact` /
-//! `status` / `watch` / `report`), and the benchmark harness's table and
-//! figure binaries are built on top of it.
+//! (`expand` / `run` / `resume` / `shard` / `merge` / `status` /
+//! `report`), and the benchmark harness's table and figure binaries are
+//! built on top of it.
 //!
 //! ## Quick example
 //!
@@ -79,7 +81,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compact;
 pub mod events;
 pub mod executor;
 pub mod grid;
@@ -89,9 +90,7 @@ pub mod report;
 pub mod spec;
 pub mod status;
 pub mod stream;
-pub mod watch;
 
-pub use compact::{compact, CompactStats};
 pub use events::{
     read_events, segment_sessions, summarize, summarize_events, CounterTotal, EventLog,
     SessionSummary, StageTiming, TimingSummary, WorkerUtilization, TIMINGS_SCHEMA,
@@ -109,4 +108,3 @@ pub use stream::{
     resume, run, run_streaming, spec_fingerprint, CampaignDir, LogIndex, Manifest, RecordEntry,
     ShardSlice, EVENTS_FILE,
 };
-pub use watch::WatchSnapshot;

@@ -44,7 +44,7 @@ pub struct DirStatus {
     /// Whether the log ends in a torn (crash- or in-flight-truncated)
     /// record.
     pub truncated_tail: bool,
-    /// Identical duplicate records in the log (compaction would drop them).
+    /// Identical duplicate records in the log (the fold skips them).
     pub duplicate_records: usize,
     /// Size of `runs.jsonl`, bytes.
     pub runs_bytes: u64,

@@ -225,7 +225,8 @@ pub struct LogIndex {
     /// next append.
     pub valid_bytes: u64,
     /// Stored records that repeated an already-indexed run index with
-    /// identical bytes (what `campaign compact` drops when rewriting).
+    /// identical bytes. The fold keeps the first and skips the rest;
+    /// `campaign status` reports the count.
     pub duplicate_records: usize,
 }
 

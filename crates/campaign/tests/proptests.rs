@@ -2,14 +2,14 @@
 //! round-trips over arbitrary grids, lossless RunResult JSONL
 //! encode/decode, resume-after-arbitrary-prefix scan recovery, shard-merge
 //! byte-identity over arbitrary partitions of the run matrix, logged-vs-
-//! in-memory eval report byte-identity over arbitrary grids, compact-then-
-//! resume/merge equivalence under arbitrary prefixes and duplicate
-//! injection, and `campaign status` gap-list correctness.
+//! in-memory eval report byte-identity over arbitrary grids, resume of a
+//! wounded log (arbitrary prefix, order and duplicate injection, torn
+//! tail), and `campaign status` gap-list correctness.
 
 use dl2fence_campaign::stream::{CampaignDir, RUNS_FILE};
 use dl2fence_campaign::{
-    compact, execute_run, expand, merge, resume, run_streaming, spec_fingerprint, status,
-    CampaignOutcome, CampaignReport, CampaignSpec, Executor, RunMetrics, RunResult, RunSpec,
+    execute_run, expand, merge, resume, run_streaming, spec_fingerprint, status, CampaignOutcome,
+    CampaignReport, CampaignSpec, Executor, RunMetrics, RunResult, RunSpec,
 };
 use noc_monitor::{DirectionalFrames, FeatureFrame, FeatureKind, GroundTruth, LabeledSample};
 use noc_sim::Direction;
@@ -573,14 +573,13 @@ proptest! {
         std::fs::remove_dir_all(&root).map_err(|e| e.to_string())?;
     }
 
-    /// Compact-then-resume equivalence: starting from an **arbitrary
-    /// prefix** of the seed campaign's records, in arbitrary order, with
-    /// arbitrary identical-duplicate injection and a torn tail, `compact`
-    /// rewrites the log into index-ordered duplicate-free form and a
-    /// subsequent resume still rebuilds the uninterrupted report
-    /// byte-identically.
+    /// Wounded-log resume: starting from an **arbitrary prefix** of the
+    /// seed campaign's records, in arbitrary order, with arbitrary
+    /// identical-duplicate injection and a torn tail, the log index counts
+    /// every wound and a resume rebuilds the uninterrupted report
+    /// byte-identically — no rewrite of the log is ever needed.
     #[test]
-    fn compact_then_resume_matches_the_reference_after_any_prefix(
+    fn wounded_log_resume_matches_the_reference_after_any_prefix(
         keep in 2usize..6,
         dup_a in 0usize..8,
         dup_b in 0usize..8,
@@ -589,7 +588,7 @@ proptest! {
     ) {
         let (spec, results) = seed_results();
         let keep = keep.min(results.len());
-        let root = temp_root("compact-resume");
+        let root = temp_root("wounded-resume");
         let dir = CampaignDir::create(&root, spec, results.len()).map_err(|e| e.to_string())?;
 
         let mut stored: Vec<&RunResult> = results[..keep].iter().collect();
@@ -611,54 +610,17 @@ proptest! {
         }
         std::fs::write(dir.runs_path(), &jsonl).map_err(|e| e.to_string())?;
 
-        let stats = compact(&root).map_err(|e| e.to_string())?;
-        prop_assert_eq!(stats.records, keep);
-        prop_assert_eq!(stats.dropped_duplicates, if keep == 0 { 0 } else { 2 });
-        prop_assert_eq!(stats.healed_torn_tail, keep < results.len());
+        let runs = expand(spec).map_err(|e| e.to_string())?;
+        let index = dir.index_log(&runs).map_err(|e| e.to_string())?;
+        prop_assert_eq!(index.completed(), keep);
+        prop_assert_eq!(index.duplicate_records, if keep == 0 { 0 } else { 2 });
+        prop_assert_eq!(index.truncated_tail, keep < results.len());
 
         let report = resume(&Executor::new(2), &root, Some(spec))
             .map_err(|e| e.to_string())?
             .expect("whole-campaign resume returns a report");
         prop_assert_eq!(&report.to_json(), streamed_reference());
         std::fs::remove_dir_all(&root).map_err(|e| e.to_string())?;
-    }
-
-    /// Compact-then-merge equivalence: an arbitrary 2-way partition of the
-    /// seed campaign's records with duplicate injection on both sides,
-    /// both directories compacted, merges into the reference report
-    /// byte-identically (no simulation at all).
-    #[test]
-    fn compact_then_merge_matches_the_reference_for_any_partition(
-        assign_seed in 0u64..u64::MAX,
-        shuffle_seed in 0u64..u64::MAX,
-        dup in 0usize..8,
-    ) {
-        let (spec, results) = seed_results();
-        let base = temp_root("compact-merge");
-        let inputs = write_partitioned_shards(
-            &base,
-            spec,
-            results,
-            2,
-            |i| (splitmix(assign_seed ^ i as u64)) as usize,
-            shuffle_seed,
-        );
-        // Inject an identical duplicate into each non-empty input, then
-        // compact both.
-        for input in &inputs {
-            let log_path = input.join(RUNS_FILE);
-            let log = std::fs::read_to_string(&log_path).map_err(|e| e.to_string())?;
-            if let Some(line) = log.lines().nth(dup % log.lines().count().max(1)) {
-                let dup_line = line.to_string();
-                std::fs::write(&log_path, format!("{log}{dup_line}\n"))
-                    .map_err(|e| e.to_string())?;
-            }
-            compact(input).map_err(|e| e.to_string())?;
-        }
-        let merged = merge(&Executor::new(2), &inputs, base.join("merged"), false)
-            .map_err(|e| e.to_string())?;
-        prop_assert_eq!(&merged.to_json(), streamed_reference());
-        std::fs::remove_dir_all(&base).map_err(|e| e.to_string())?;
     }
 
     /// `campaign status` reports exactly the gap list the log index

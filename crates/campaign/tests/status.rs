@@ -1,12 +1,13 @@
-//! Integration coverage of log compaction ([`dl2fence_campaign::compact`])
-//! and the read-only status inspector ([`dl2fence_campaign::status`]), plus
-//! the fold's refusal of an eval record that carries no samples: a typed
-//! error naming the run index, never a silently smaller training set.
+//! Integration coverage of the read-only status inspector
+//! ([`dl2fence_campaign::status`]) — including a wounded log that status
+//! diagnoses and resume heals without any rewrite — plus the fold's refusal
+//! of an eval record that carries no samples: a typed error naming the run
+//! index, never a silently smaller training set.
 
 use dl2fence_campaign::stream::{REPORT_FILE, RUNS_FILE};
 use dl2fence_campaign::{
-    compact, expand, merge, resume, run, run_streaming, status, CampaignDir, CampaignSpec,
-    Executor, ReportAccumulator, RunResult, ShardSlice,
+    expand, merge, resume, run, run_streaming, status, CampaignDir, CampaignSpec, Executor,
+    ReportAccumulator, RunResult, ShardSlice,
 };
 use std::path::{Path, PathBuf};
 
@@ -31,16 +32,16 @@ fn sample_heavy_spec() -> CampaignSpec {
 }
 
 fn temp_root(tag: &str) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("dl2fence-compact-{tag}-{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("dl2fence-status-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     root
 }
 
 #[test]
-fn compact_orders_dedupes_heals_and_preserves_the_report() {
+fn wounded_log_status_counts_its_wounds_and_resume_rebuilds_the_report() {
     let spec = sample_heavy_spec();
     let executor = Executor::new(2);
-    let root = temp_root("compact");
+    let root = temp_root("wounded");
     let reference = run_streaming(&executor, &spec, &root).unwrap().to_json();
 
     // Wound the log: shuffle whole records, repeat two of them, and append
@@ -56,23 +57,47 @@ fn compact_orders_dedupes_heals_and_preserves_the_report() {
     wounded.push_str(&dup_a[..dup_a.len() / 2]);
     std::fs::write(dir.runs_path(), &wounded).unwrap();
 
-    let stats = compact(&root).unwrap();
-    assert_eq!(stats.records, lines.len());
-    assert_eq!(stats.dropped_duplicates, 2);
-    assert!(stats.healed_torn_tail);
-    assert!(stats.bytes_after < stats.bytes_before);
+    // Status sees every run stored, both duplicates and the torn tail.
+    let report = status(std::slice::from_ref(&root)).unwrap();
+    let dir_status = &report.dirs[0];
+    assert_eq!(dir_status.completed, lines.len());
+    assert!(dir_status.missing.is_empty());
+    assert_eq!(dir_status.duplicate_records, 2);
+    assert!(dir_status.truncated_tail);
+    let rendered = report.render();
+    assert!(rendered.contains("torn tail"), "{rendered}");
+    assert!(rendered.contains("2 duplicate records"), "{rendered}");
 
-    // The rewritten log is index-ordered, gapless and duplicate-free.
-    let compacted = std::fs::read_to_string(dir.runs_path()).unwrap();
-    let indices: Vec<usize> = compacted
-        .lines()
-        .map(|l| serde_json::from_str::<RunResult>(l).unwrap().spec.index)
-        .collect();
-    assert_eq!(indices, (0..lines.len()).collect::<Vec<_>>());
-
-    // And the directory still resumes to the identical report.
+    // Resume reads the records in any order, skips the duplicates, heals
+    // the tail and rebuilds the identical report.
     let resumed = resume(&executor, &root, Some(&spec)).unwrap().unwrap();
     assert_eq!(resumed.to_json(), reference);
+    let report = status(std::slice::from_ref(&root)).unwrap();
+    assert!(!report.dirs[0].truncated_tail, "resume healed the tail");
+    assert_eq!(report.dirs[0].duplicate_records, 2, "no rewrite happened");
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A grid with no FIR points and no benign runs is valid and expands to
+/// zero runs: status reports nothing owned and nothing missing, and its
+/// JSON stays parseable (no `NaN`).
+#[test]
+fn empty_grid_status_owes_nothing() {
+    let mut spec = sample_heavy_spec();
+    spec.grid.fir = vec![];
+    spec.grid.benign_runs = 0;
+    spec.eval.enabled = false;
+    let root = temp_root("empty-grid");
+    let report = run_streaming(&Executor::new(1), &spec, &root).unwrap();
+    assert_eq!(report.total_runs, 0, "the grid must expand to zero runs");
+
+    let report = status(std::slice::from_ref(&root)).unwrap();
+    assert_eq!(report.dirs[0].owned_runs, 0);
+    assert!(report.dirs[0].missing.is_empty());
+    assert_eq!(report.union_missing.as_deref(), Some(&[] as &[usize]));
+    let json = report.to_json();
+    assert!(json.contains("\"missing\": []"), "{json}");
+    assert!(!json.contains("NaN"), "{json}");
     std::fs::remove_dir_all(&root).unwrap();
 }
 

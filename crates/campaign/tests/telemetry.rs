@@ -15,7 +15,7 @@
 //!    the whole log.
 
 use dl2fence_campaign::{
-    expand, read_events, run, summarize, CampaignSpec, Executor, WatchSnapshot, EVENTS_FILE,
+    expand, read_events, run, summarize, CampaignSpec, EventLog, Executor, EVENTS_FILE,
 };
 use dl2fence_telemetry::{Event, EventData, Telemetry};
 use std::path::{Path, PathBuf};
@@ -79,10 +79,10 @@ fn telemetry_on_report_is_byte_identical_to_telemetry_off() {
     let _ = std::fs::remove_dir_all(off_root);
 }
 
-/// The event log a real campaign writes parses in full, summarizes into
-/// non-empty stage/worker tables, and feeds a complete watch snapshot.
+/// The event log a real campaign writes parses in full and summarizes into
+/// non-empty stage/worker tables.
 #[test]
-fn campaign_event_log_parses_and_feeds_watch() {
+fn campaign_event_log_parses_and_summarizes() {
     let spec = CampaignSpec::from_path(&spec_path("smoke_eval.toml")).unwrap();
     let total_runs = expand(&spec).unwrap().len();
     let (root, _report) = run_campaign(&spec, "watch", true);
@@ -117,18 +117,39 @@ fn campaign_event_log_parses_and_feeds_watch() {
     }
     assert!(!summary.workers.is_empty(), "worker utilization missing");
     assert_eq!(summary.counter("executor.worker_panics"), 0);
-
-    let snapshot = WatchSnapshot::capture(&root).unwrap();
-    assert!(snapshot.complete());
-    assert_eq!(snapshot.progress, 1.0);
-    assert!(snapshot.dir.report_written);
-    assert!(snapshot.runs_per_sec.is_some());
-    let timings = snapshot.timings.as_ref().expect("snapshot sees the log");
-    assert!(timings.stage("stage.detect").is_some());
-    let screen = snapshot.render();
-    assert!(screen.contains("stage.detect"));
-    assert!(screen.contains("runs (100%)"));
     let _ = std::fs::remove_dir_all(root);
+}
+
+/// A log whose events have not advanced the wall clock yet (`t_us == 0`,
+/// the moment before the first batch flush) summarizes to zero worker
+/// utilization — never `busy / 0` as `inf` or `NaN`, which JSON cannot
+/// carry.
+#[test]
+fn unflushed_log_summarizes_to_zero_utilization() {
+    let counter = |seq, name: &str, delta| Event {
+        seq,
+        t_us: 0,
+        worker: 0,
+        data: EventData::Counter {
+            name: name.to_string(),
+            delta,
+            index: Some(0),
+        },
+    };
+    let log = EventLog {
+        events: vec![
+            counter(0, "worker.jobs", 1),
+            counter(1, "worker.busy_us", 500),
+        ],
+        truncated_tail: false,
+    };
+    let summary = summarize(&log);
+    assert_eq!(summary.wall_us, 0, "the clock must not have advanced");
+    assert_eq!(summary.workers.len(), 1);
+    assert_eq!(summary.workers[0].busy_us, 500);
+    assert_eq!(summary.workers[0].utilization, 0.0);
+    let json = summary.to_json();
+    assert!(!json.contains("inf") && !json.contains("NaN"), "{json}");
 }
 
 /// An appending handle (what `campaign resume --telemetry` opens) continues

@@ -57,9 +57,9 @@ fn parse_count(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usiz
         .map_err(|_| format!("invalid value `{v}` for {flag}"))
 }
 
-/// Parses a count that sizes the service. Zero is refused here: the
-/// service would assert on it only after the whole simulate-and-train
-/// phase.
+/// Parses a count that sizes the soak or its service. Zero is refused
+/// here, before the whole simulate-and-train phase after which the service
+/// would assert on it.
 fn parse_positive(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
     match parse_count(it, flag)? {
         0 => Err(format!("{flag} must be at least 1")),
@@ -77,11 +77,11 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a path")?)),
-            "--tenants" => options.tenants = parse_count(&mut it, "--tenants")?,
+            "--tenants" => options.tenants = parse_positive(&mut it, "--tenants")?,
             "--workers" => config.workers = parse_positive(&mut it, "--workers")?,
             "--capacity" => config.queue_capacity = parse_positive(&mut it, "--capacity")?,
             "--batch" => config.batch_windows = parse_positive(&mut it, "--batch")?,
-            "--sim-workers" => options.sim_workers = parse_count(&mut it, "--sim-workers")?,
+            "--sim-workers" => options.sim_workers = parse_positive(&mut it, "--sim-workers")?,
             "--no-swap" => options.swap_mid_stream = false,
             "--max-p99-us" => {
                 options.max_p99_e2e_us = parse_count(&mut it, "--max-p99-us")? as u64;

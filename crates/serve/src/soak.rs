@@ -150,11 +150,19 @@ fn ingest_window(
 ///
 /// # Errors
 ///
-/// Returns an error string when the campaign itself cannot run (invalid
-/// spec, zero runs, no samples) — *invariant violations* during serving are
-/// reported in [`SoakReport::failures`] instead.
+/// Returns an error string when the soak cannot run (zero tenants or more
+/// than `config.max_tenants`, invalid spec, zero runs, no samples) —
+/// *invariant violations* during serving are reported in
+/// [`SoakReport::failures`] instead.
 #[allow(clippy::too_many_lines)]
 pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
+    let max_tenants = options.config.max_tenants;
+    if options.tenants == 0 || options.tenants > max_tenants {
+        return Err(format!(
+            "the soak needs 1 to {max_tenants} tenants (config.max_tenants), got {}",
+            options.tenants
+        ));
+    }
     let mut failures: Vec<String> = Vec::new();
 
     // ---- Load generation: the campaign engine produces the traffic. ----
@@ -165,7 +173,7 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
     spec.grid.mesh.truncate(1);
     let topology = spec.resolved_topologies().map_err(|e| e.to_string())?[0];
     require_mesh(&topology).map_err(|e| e.to_string())?;
-    let outcome = Executor::new(options.sim_workers.max(1))
+    let outcome = Executor::new(options.sim_workers)
         .execute(&spec)
         .map_err(|e| e.to_string())?;
     let samples: Vec<LabeledSample> = outcome.runs.into_iter().flat_map(|r| r.samples).collect();
@@ -202,7 +210,7 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
     // ---- Serve. ----
     let serve_start = Instant::now();
     let service = DetectionService::new(options.config, ModelBundle::f32_only(initial));
-    let tenants = options.tenants.clamp(1, options.config.max_tenants) as u64;
+    let tenants = options.tenants as u64;
 
     // (tenant, seq) → index of the sample whose frames built that window,
     // so every verdict can be traced back to its input.

@@ -1,12 +1,19 @@
-//! The CLI refuses a zero worker, capacity or batch count while parsing,
-//! before it simulates or trains anything, instead of panicking later.
+//! The CLI refuses a zero worker, capacity, batch, tenant or sim-worker
+//! count while parsing, before it simulates or trains anything, instead of
+//! panicking or silently running with one later.
 
 use std::process::Command;
 
 #[test]
 fn zero_sized_service_flags_exit_1_without_panicking() {
     let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/serve_soak.toml");
-    for flag in ["--workers", "--capacity", "--batch"] {
+    for flag in [
+        "--workers",
+        "--capacity",
+        "--batch",
+        "--tenants",
+        "--sim-workers",
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_dl2fence-serve"))
             .args(["soak", spec, flag, "0"])
             .output()

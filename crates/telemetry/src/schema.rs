@@ -9,8 +9,8 @@
 //! which is what keeps a topology- or attack-axis field addition a
 //! single-line version decision instead of a scavenger hunt.
 
-/// `campaign report --timings` / `campaign watch` timing summaries
-/// (committed baselines live in `BENCH_campaign.json`).
+/// `campaign report --timings` timing summaries (committed baselines live
+/// in `BENCH_campaign.json`).
 pub const TIMINGS_SCHEMA: &str = "dl2fence-campaign/timings/v1";
 
 /// `dl2fence-serve status --json` snapshots. v2 dropped v1's `quantized`
