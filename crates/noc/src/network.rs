@@ -37,7 +37,11 @@ struct Link {
 ///
 /// 1. **Injection** — every node's network interface pushes flits of the
 ///    packet at the head of its injection queue into a free virtual channel
-///    of the router's local input port (one flit per cycle per node).
+///    of the router's local input port (one flit per cycle per node). Only
+///    the nodes with a queued or serializing packet are visited, in node
+///    order: a bit set marks them, set by every enqueue and cleared once a
+///    node's queue and in-progress packet are both empty. The skip is exact,
+///    because an idle network interface has nothing to send.
 /// 2. **Switch traversal** — every router moves at most one flit per input
 ///    port and one flit per output port, subject to the topology's minimal
 ///    routing, virtual channel allocation at the downstream router and
@@ -98,6 +102,9 @@ pub struct Network {
     links: Vec<Option<Link>>,
     injection_queues: Vec<VecDeque<Packet>>,
     pending: Vec<Option<PendingInjection>>,
+    /// One bit per node (word `node / 64`, bit `node % 64`), set while the
+    /// node has a queued packet or one being serialized.
+    injecting: Vec<u64>,
     stats: NetworkStats,
     cycle: u64,
     next_packet_id: u64,
@@ -137,6 +144,7 @@ impl Network {
             links,
             injection_queues: vec![VecDeque::new(); n],
             pending: vec![None; n],
+            injecting: vec![0; n.div_ceil(64)],
             stats: NetworkStats::new(n),
             cycle: 0,
             next_packet_id: 0,
@@ -268,6 +276,7 @@ impl Network {
             length_flits,
         };
         self.injection_queues[src.0].push_back(packet);
+        self.injecting[src.0 / 64] |= 1 << (src.0 % 64);
         self.stats.packets_created += 1;
         id
     }
@@ -315,52 +324,65 @@ impl Network {
     // ------------------------------------------------------------------
 
     fn inject_phase(&mut self) {
-        for node in 0..self.config.node_count() {
-            let port = port_id(node, Direction::Local);
-            // Start serializing a new packet if the NI is idle.
-            if self.pending[node].is_none() {
-                if let Some(packet) = self.injection_queues[node].pop_front() {
-                    if let Some(vc) = self.arena.free_vc_from(port, 0) {
-                        self.arena.vc_mut(port, vc).allocated = true;
-                        // The VC is free, hence empty, so the head flit is
-                        // pushed below in this same cycle: every flit carries
-                        // the packet's head-injection cycle.
-                        self.stats.packets_injected += 1;
-                        self.stats
-                            .packet_queue_latency
-                            .record(self.cycle.saturating_sub(packet.created_at));
-                        self.pending[node] = Some(PendingInjection {
-                            packet,
-                            next: 0,
-                            injected_at: self.cycle,
-                            vc,
-                        });
-                    } else {
-                        // No free VC at the local port: put the packet back.
-                        self.injection_queues[node].push_front(packet);
-                    }
+        for word in 0..self.injecting.len() {
+            let mut bits = self.injecting[word];
+            while bits != 0 {
+                let node = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.inject_node(node);
+                if self.pending[node].is_none() && self.injection_queues[node].is_empty() {
+                    self.injecting[word] &= !(1 << (node % 64));
                 }
             }
-            // Push one flit of the in-progress packet (link bandwidth: one
-            // flit per cycle from the NI into the router).
-            let Some(pending) = self.pending[node].as_mut() else {
-                continue;
-            };
-            if self.arena.is_full(port, pending.vc) {
-                continue;
+        }
+    }
+
+    /// One cycle of the network interface of `node`.
+    fn inject_node(&mut self, node: usize) {
+        let port = port_id(node, Direction::Local);
+        // Start serializing a new packet if the NI is idle.
+        if self.pending[node].is_none() {
+            if let Some(packet) = self.injection_queues[node].pop_front() {
+                if let Some(vc) = self.arena.free_vc_from(port, 0) {
+                    self.arena.vc_mut(port, vc).allocated = true;
+                    // The VC is free, hence empty, so the head flit is
+                    // pushed below in this same cycle: every flit carries
+                    // the packet's head-injection cycle.
+                    self.stats.packets_injected += 1;
+                    self.stats
+                        .packet_queue_latency
+                        .record(self.cycle.saturating_sub(packet.created_at));
+                    self.pending[node] = Some(PendingInjection {
+                        packet,
+                        next: 0,
+                        injected_at: self.cycle,
+                        vc,
+                    });
+                } else {
+                    // No free VC at the local port: put the packet back.
+                    self.injection_queues[node].push_front(packet);
+                }
             }
-            let flit = pending.packet.flit(pending.next, pending.injected_at);
-            pending.next += 1;
-            self.stats.flits_injected += 1;
-            self.stats
-                .flit_queue_latency
-                .record(self.cycle.saturating_sub(flit.created_at));
-            self.arena
-                .push(port, pending.vc, Slot::new(&flit, self.cycle));
-            self.stats.buffer_operations += 1;
-            if pending.next == pending.packet.flit_count() {
-                self.pending[node] = None;
-            }
+        }
+        // Push one flit of the in-progress packet (link bandwidth: one
+        // flit per cycle from the NI into the router).
+        let Some(pending) = self.pending[node].as_mut() else {
+            return;
+        };
+        if self.arena.is_full(port, pending.vc) {
+            return;
+        }
+        let flit = pending.packet.flit(pending.next, pending.injected_at);
+        pending.next += 1;
+        self.stats.flits_injected += 1;
+        self.stats
+            .flit_queue_latency
+            .record(self.cycle.saturating_sub(flit.created_at));
+        self.arena
+            .push(port, pending.vc, Slot::new(&flit, self.cycle));
+        self.stats.buffer_operations += 1;
+        if pending.next == pending.packet.flit_count() {
+            self.pending[node] = None;
         }
     }
 
@@ -907,6 +929,9 @@ mod tests {
                         router_flits += buffered;
                     }
                     prop_assert_eq!(fast.buffered_flits(NodeId(node)), router_flits);
+                    // Injection visits exactly the nodes with packets to send.
+                    let injecting = fast.injecting[node / 64] >> (node % 64) & 1 == 1;
+                    prop_assert_eq!(injecting, fast.injection_queue_len(NodeId(node)) > 0);
                 }
                 if cycle % 100 == 99 {
                     // End of a sampling window.
