@@ -14,7 +14,7 @@
 //! * **Hot-spot bias** — a fraction of traffic targets a small set of shared
 //!   nodes modelling memory controllers / shared caches at the mesh corners.
 
-use crate::generator::TrafficGenerator;
+use crate::generator::{Arrivals, TrafficGenerator};
 use noc_sim::flit::TrafficClass;
 use noc_sim::{Network, NodeId};
 use rand::Rng;
@@ -118,11 +118,16 @@ impl fmt::Display for ParsecWorkload {
 }
 
 /// A phase-structured traffic generator modelling one PARSEC workload.
+///
+/// Arrivals are drawn as geometric gaps, one draw per packet, and every
+/// node's next arrival is redrawn when the phase, and with it the rate,
+/// changes (exact, since the per-cycle Bernoulli process is memoryless).
 #[derive(Debug, Clone)]
 pub struct ParsecGenerator {
     workload: ParsecWorkload,
     profile: ParsecProfile,
     rng: ChaCha8Rng,
+    arrivals: Arrivals,
 }
 
 impl ParsecGenerator {
@@ -132,6 +137,7 @@ impl ParsecGenerator {
             workload,
             profile: workload.profile(),
             rng: ChaCha8Rng::seed_from_u64(seed),
+            arrivals: Arrivals::default(),
         }
     }
 
@@ -172,19 +178,19 @@ impl TrafficGenerator for ParsecGenerator {
             ParsecPhase::Communicate => self.profile.burst_injection_rate,
         };
         let hotspots = Self::hotspots(rows, cols);
-        for node in 0..n {
-            if self.rng.gen_bool(rate) {
+        let hotspot_fraction = self.profile.hotspot_fraction;
+        self.arrivals
+            .fire(n, rate, cycle, &mut self.rng, |node, rng| {
                 let src = NodeId(node);
-                let dst = if self.rng.gen_bool(self.profile.hotspot_fraction) {
-                    hotspots[self.rng.gen_range(0..hotspots.len())]
+                let dst = if rng.gen_bool(hotspot_fraction) {
+                    hotspots[rng.gen_range(0..hotspots.len())]
                 } else {
-                    NodeId(self.rng.gen_range(0..n))
+                    NodeId(rng.gen_range(0..n))
                 };
                 if dst != src {
                     network.enqueue_with_class(src, dst, cycle, TrafficClass::Benign);
                 }
-            }
-        }
+            });
     }
 
     fn name(&self) -> String {
@@ -228,6 +234,40 @@ mod tests {
             p_net.stats().packets_created,
             s_net.stats().packets_created
         );
+    }
+
+    #[test]
+    fn mean_rate_in_each_phase_matches_the_profile() {
+        let nodes = 64u64;
+        for w in ParsecWorkload::ALL {
+            let profile = w.profile();
+            let period = profile.compute_phase_len + profile.burst_phase_len;
+            // (packets, node-cycles) per phase: compute, then burst.
+            let mut tallies = [(0u64, 0u64); 2];
+            for seed in 0..20 {
+                let mut net = Network::new(NocConfig::mesh(8, 8));
+                let mut g = ParsecGenerator::new(w, seed);
+                for c in 0..4 * period {
+                    let before = net.stats().packets_created;
+                    g.inject(&mut net, c);
+                    let tally = &mut tallies[usize::from(g.phase(c) == ParsecPhase::Communicate)];
+                    tally.0 += net.stats().packets_created - before;
+                    tally.1 += nodes;
+                }
+            }
+            let rates = [profile.compute_injection_rate, profile.burst_injection_rate];
+            for ((packets, trials), rate) in tallies.into_iter().zip(rates) {
+                // A packet is dropped when it draws its own source, which
+                // averages 1/n over the nodes (hot spots included).
+                let expected = rate * (nodes - 1) as f64 / nodes as f64;
+                let sigma = (expected * (1.0 - expected) / trials as f64).sqrt();
+                let observed = packets as f64 / trials as f64;
+                assert!(
+                    (observed - expected).abs() <= 5.0 * sigma,
+                    "{w} at {rate}: {observed} packets per node-cycle, expected {expected}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,31 +3,79 @@
 use dl2fence::evaluation::evaluate;
 use dl2fence::{Dl2Fence, FenceConfig};
 use dl2fence_repro::quick_dataset;
-use noc_monitor::dataset::{CollectionConfig, DatasetGenerator, ScenarioSpec};
+use noc_monitor::dataset::{specs_for_benchmark, CollectionConfig, DatasetGenerator, ScenarioSpec};
 use noc_monitor::FeatureKind;
 use noc_sim::{NocConfig, NodeId};
 use noc_traffic::{BenignWorkload, SyntheticPattern};
+use tinycnn::BinaryConfusion;
 
 /// Full loop: train on one set of attack placements, evaluate on *different*
 /// placements, and require better-than-chance detection plus non-trivial
 /// localization overlap.
+///
+/// One realization (collection, training and test seeds) reads anywhere
+/// from ~0.5 to ~0.9 detection accuracy, so the claim is pooled over 16
+/// pre-declared realizations `k`: collection seed `0x5EED + 1000k`, fence
+/// seed `77 + k` and test seeds `9000 + 100k + i`. `k = 0` is the single
+/// realization this test used to pin.
 #[test]
 fn trained_fence_generalizes_to_unseen_attack_placements() {
+    const REALIZATIONS: u64 = 16;
+    let pooled = std::thread::scope(|scope| {
+        let halves: Vec<_> = (0..2)
+            .map(|half| {
+                scope.spawn(move || {
+                    (half..REALIZATIONS)
+                        .step_by(2)
+                        .map(generalization_realization)
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut pooled = (BinaryConfusion::new(), BinaryConfusion::new());
+        for half in halves {
+            for (detection, localization) in half.join().expect("realization panicked") {
+                pooled.0.merge(&detection);
+                pooled.1.merge(&localization);
+            }
+        }
+        pooled
+    });
+    let (detection, localization) = pooled;
+    assert!(
+        detection.accuracy() > 0.6,
+        "pooled detection accuracy too low: {}",
+        detection.accuracy()
+    );
+    assert!(
+        localization.accuracy() > 0.7,
+        "pooled localization accuracy too low: {}",
+        localization.accuracy()
+    );
+}
+
+/// Realization `k` of the generalization test: its detection and
+/// localization confusions on the unseen placements.
+fn generalization_realization(k: u64) -> (BinaryConfusion, BinaryConfusion) {
     let mesh = 8;
+    let workload = BenignWorkload::Synthetic(SyntheticPattern::UniformRandom, 0.02);
+    let generator = DatasetGenerator::new(CollectionConfig {
+        seed: 0x5EED + 1_000 * k,
+        ..CollectionConfig::quick(NocConfig::mesh(mesh, mesh))
+    });
     // A reasonably rich training set (the paper uses 18 placements per
     // benchmark): enough placement diversity for the detector's dense layer
-    // to generalize to routes it has not seen.
-    let train = quick_dataset(mesh, 14, 7);
+    // to generalize to routes it has not seen. At `k = 0` this is
+    // `quick_dataset(mesh, 14, 7)`.
+    let train = generator.collect(&specs_for_benchmark(workload, mesh, mesh, 14, 7, 0.8));
     let mut fence = Dl2Fence::new(
         FenceConfig::new(mesh, mesh)
             .with_epochs(60, 40)
-            .with_seed(77),
+            .with_seed(77 + k),
     );
     fence.train(&train);
 
     // Unseen placements.
-    let workload = BenignWorkload::Synthetic(SyntheticPattern::UniformRandom, 0.02);
-    let generator = DatasetGenerator::new(CollectionConfig::quick(NocConfig::mesh(mesh, mesh)));
     let test_specs = [
         ScenarioSpec::attacked(workload, vec![NodeId(61)], NodeId(5), 0.8),
         ScenarioSpec::attacked(workload, vec![NodeId(8)], NodeId(15), 0.8),
@@ -37,22 +85,10 @@ fn trained_fence_generalizes_to_unseen_attack_placements() {
     let test: Vec<_> = test_specs
         .iter()
         .enumerate()
-        .flat_map(|(i, s)| generator.collect_run(s, 9_000 + i as u64))
+        .flat_map(|(i, s)| generator.collect_run(s, 9_000 + 100 * k + i as u64))
         .collect();
-
     let report = evaluate(&mut fence, &test);
-    let detection = report.overall_detection();
-    assert!(
-        detection.accuracy() > 0.6,
-        "detection accuracy too low: {}",
-        detection.accuracy()
-    );
-    let localization = report.overall_localization();
-    assert!(
-        localization.accuracy() > 0.7,
-        "localization accuracy too low: {}",
-        localization.accuracy()
-    );
+    (report.overall_detection(), report.overall_localization())
 }
 
 /// The chosen feature split (VCO detection, BOC localization) must not be

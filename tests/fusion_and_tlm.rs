@@ -115,23 +115,35 @@ fn oracle_pipeline_on_16x16_paper_example() {
     );
 }
 
+/// Uniform benign traffic has no single dominant route, so a high relative
+/// threshold flags few pixels and TLM implicates few nodes. One seed
+/// implicates 0 to 4 (more than 2 on ~45% of seeds), so the claim is
+/// stated over the pre-declared seeds 0..24: none implicates more than 4,
+/// and the mean stays at most 3.
 #[test]
 fn benign_traffic_produces_no_attackers_via_oracle() {
     let mesh = 8;
-    let mut scenario = AttackScenario::builder(NocConfig::mesh(mesh, mesh))
-        .benign(SyntheticPattern::UniformRandom, 0.01)
-        .seed(9)
-        .build();
-    scenario.run(3_000);
-    let boc = FrameSampler::sample(scenario.network(), FeatureKind::Boc);
-    // Uniform benign traffic has no single dominant route, so a high relative
-    // threshold flags few or no pixels.
-    let segs = oracle_segmentation(&boc, 0.9);
-    let fusion = MultiFrameFusion::new().fuse(&segs, mesh, mesh);
-    let tlm = TableLikeMethod::new(Topology::mesh(mesh, mesh));
-    let attackers = tlm.localize(&fusion, &fusion.victims);
+    let implicated: Vec<usize> = (0..24)
+        .map(|seed| {
+            let mut scenario = AttackScenario::builder(NocConfig::mesh(mesh, mesh))
+                .benign(SyntheticPattern::UniformRandom, 0.01)
+                .seed(seed)
+                .build();
+            scenario.run(3_000);
+            let boc = FrameSampler::sample(scenario.network(), FeatureKind::Boc);
+            let segs = oracle_segmentation(&boc, 0.9);
+            let fusion = MultiFrameFusion::new().fuse(&segs, mesh, mesh);
+            let tlm = TableLikeMethod::new(Topology::mesh(mesh, mesh));
+            tlm.localize(&fusion, &fusion.victims).len()
+        })
+        .collect();
     assert!(
-        attackers.len() <= 2,
-        "benign traffic should not implicate many attackers: {attackers:?}"
+        implicated.iter().all(|&n| n <= 4),
+        "benign traffic should not implicate many attackers: {implicated:?}"
+    );
+    let mean = implicated.iter().sum::<usize>() as f64 / implicated.len() as f64;
+    assert!(
+        mean <= 3.0,
+        "mean implicated {mean} above 3: {implicated:?}"
     );
 }
