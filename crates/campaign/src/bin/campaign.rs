@@ -14,8 +14,8 @@
 //! ```
 
 use dl2fence_campaign::{
-    expand, merge, resume, run, spec_fingerprint, status, summarize_events, CampaignOutcome,
-    CampaignReport, CampaignSpec, Executor, ShardSlice, EVENTS_FILE,
+    expand, merge, resume, run, spec_fingerprint, status, summarize_events, CampaignDir,
+    CampaignOutcome, CampaignReport, CampaignSpec, Executor, ShardSlice, EVENTS_FILE,
 };
 use dl2fence_telemetry::Telemetry;
 use std::path::{Path, PathBuf};
@@ -294,6 +294,8 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, "--spec --workers --quiet --telemetry")?;
     let dir = Path::new(flags.single_path("resume")?);
     let expected = flags.spec.as_deref().map(load_spec).transpose()?;
+    // Refuse a path that is not a campaign before `--telemetry` creates it.
+    CampaignDir::open(dir).map_err(|e| e.to_string())?;
     let executor = flags.executor(Some(dir))?;
     if !flags.quiet {
         eprintln!(

@@ -1,7 +1,9 @@
 //! The `campaign` CLI refuses `--workers 0` while parsing, before it
 //! creates a directory or executes a run, instead of running on one worker;
-//! and `watch` and `compact` are no longer subcommands (`status` and
-//! `report --timings` inspect a campaign; the fold alone writes its log).
+//! `resume` refuses a path that is not a campaign before `--telemetry`
+//! creates it; and `watch` and `compact` are no longer subcommands
+//! (`status` and `report --timings` inspect a campaign; the fold alone
+//! writes its log).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -68,6 +70,16 @@ fn zero_workers_exit_1_and_create_nothing() {
         assert!(!created.exists(), "{args:?} created {}", created.display());
     }
     assert!(!root.exists(), "no subcommand may create the temp root");
+}
+
+#[test]
+fn resume_refuses_a_non_campaign_path_without_creating_it() {
+    let dir = temp_root("resume-missing");
+    let out = campaign(&["resume", path(&dir), "--telemetry"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("not a campaign directory"), "{stderr}");
+    assert!(!dir.exists(), "resume created {}", dir.display());
 }
 
 #[test]
