@@ -16,7 +16,7 @@
 //! speed; that figure is not gated. On a 2-vCPU x86-64 VM, a traversal
 //! that sweeps every router, port and VC each cycle measured 0.31–0.42×
 //! idle, and the occupancy-driven one ~0.02× (a loaded cycle includes the
-//! traffic generators' work). The sparse case read 0.18–0.21× with one
+//! traffic generators' work). The sparse case read 0.16–0.18× with one
 //! coin per node per cycle and an injection phase that visited every node.
 //!
 //! ```bash

@@ -103,8 +103,9 @@ impl Arrivals {
 
 /// Bernoulli packet injection for a [`SyntheticPattern`]: each node
 /// independently creates a packet with probability `injection_rate` per
-/// cycle, destined according to the pattern. Arrivals are drawn as
-/// geometric gaps, one draw per packet (see the crate's `Arrivals`).
+/// cycle, destined according to the pattern. Each node draws the gap to
+/// its next packet, one draw per packet, from the geometric distribution
+/// of that same process.
 ///
 /// # Examples
 ///
