@@ -202,7 +202,7 @@ impl DosLocalizer {
     /// whole four-direction bundle is available. Runs on the inference-only
     /// forward (no gradient caches).
     pub fn segment(&mut self, frame: &FeatureFrame) -> Vec<f32> {
-        let input = frame_to_tensor(frame).reshape(&[1, 1, frame.rows(), frame.cols()]);
+        let input = frame_to_tensor(frame).into_shape(&[1, 1, frame.rows(), frame.cols()]);
         let output = self.model.predict(&input);
         output.into_vec()
     }
@@ -216,18 +216,11 @@ impl DosLocalizer {
     /// frame separately.
     pub fn segment_bundle(&mut self, frames: &DirectionalFrames) -> [Vec<f32>; 4] {
         let inputs = frames_to_localizer_inputs(frames);
-        let input_refs: Vec<&Tensor> = inputs.iter().collect();
         let (h, w) = (frames.rows(), frames.cols());
-        let batched = Tensor::stack(&input_refs).reshape(&[4, 1, h, w]);
+        let batched = Tensor::from_vec(inputs.map(Tensor::into_vec).concat(), &[4, 1, h, w]);
         let output = self.model.predict(&batched);
         let data = output.data();
-        let plane = h * w;
-        [
-            data[..plane].to_vec(),
-            data[plane..2 * plane].to_vec(),
-            data[2 * plane..3 * plane].to_vec(),
-            data[3 * plane..].to_vec(),
-        ]
+        std::array::from_fn(|d| data[d * h * w..][..h * w].to_vec())
     }
 
     /// The hard Dice coefficient between a segmentation of `frame` and a

@@ -12,7 +12,13 @@
 //!    least [`DETECTOR_SPEEDUP`]× the scalar seed kernels' throughput.
 //! 2. **Serve-regime speedup** — a 16×16 localizer `predict` at batch 4
 //!    must reach at least [`LOCALIZER_SPEEDUP`]× the same three convolutions
-//!    through the scalar seed kernel.
+//!    through the scalar seed kernel, and take at most
+//!    [`PREDICT_OVER_CONVS`]× the three convolutions' training forwards on
+//!    the same inputs, timed alternately in the same run. `predict` runs
+//!    the chain as one fused pass: it pads its input once, and each
+//!    convolution applies its activation as it stores straight into the
+//!    next one's padded planes. Each training forward pads its own input
+//!    and allocates its output.
 //! 3. **Backward speedup** — the localizer's backward pass must reach at
 //!    least [`BWD_SPEEDUP`]× the speed of the same step through the scalar
 //!    seed backward loop ([`ScalarLocalizer::backward`]). The model's
@@ -42,7 +48,7 @@ use dl2fence_nn_bench::{
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use tinycnn::{Conv2d, Layer, Padding, Tensor};
+use tinycnn::{Conv2d, Layer, Padding, Relu, Tensor};
 
 /// Batch size of the headline claim (matches `Dl2Fence::DETECT_BATCH`).
 const BATCH: usize = 64;
@@ -64,6 +70,15 @@ const SERVE_ITERS: usize = 200;
 /// under the ~90× the direct kernel measures on a 2-vCPU x86-64 VM, where
 /// the column-matrix GEMM kernel it replaced measured ~13×.
 const LOCALIZER_SPEEDUP: f64 = 30.0;
+/// Timed runs per side of the fused-predict case: each side keeps its
+/// fastest.
+const FUSED_RUNS: usize = 5;
+/// Ceiling on a 16×16 batch-4 localizer `predict` over the sum of its three
+/// convolutions' training forwards, timed in the same run. Both run the
+/// same kernel. On a 2-vCPU x86-64 VM, over ten runs each, the fused
+/// `predict` measured 0.89–0.92× and the per-layer `predict` it replaced
+/// (a pad, a wide-plane copy and an activation pass per layer) 1.08–1.12×.
+const PREDICT_OVER_CONVS: f64 = 1.0;
 /// Minibatch of the timed localizer training step (the localizer trainer's).
 const TRAIN_BATCH: usize = 4;
 /// Training steps per timed run.
@@ -135,11 +150,18 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let serve_speedup = localizer_serve_speedup();
+    let (serve_speedup, over_convs) = localizer_serve_times();
     if serve_speedup < LOCALIZER_SPEEDUP {
         eprintln!(
             "FAIL: 16x16 localizer speedup {serve_speedup:.2}x is below the required \
              {LOCALIZER_SPEEDUP}x"
+        );
+        return ExitCode::FAILURE;
+    }
+    if over_convs > PREDICT_OVER_CONVS {
+        eprintln!(
+            "FAIL: a 16x16 localizer predict takes {over_convs:.3}x its three conv forwards, \
+             above the {PREDICT_OVER_CONVS}x bound"
         );
         return ExitCode::FAILURE;
     }
@@ -189,6 +211,7 @@ fn main() -> ExitCode {
     println!(
         "nn-bench guard passed: detector {speedup:.2}x >= {DETECTOR_SPEEDUP}x, \
          16x16 localizer {serve_speedup:.2}x >= {LOCALIZER_SPEEDUP}x, \
+         16x16 localizer predict {over_convs:.3}x <= {PREDICT_OVER_CONVS}x its conv forwards, \
          backward {bwd_speedup:.2}x >= {BWD_SPEEDUP}x scalar, \
          saturated backward {saturated:.2}x <= {SATURATED_OVER_PLAIN}x unsaturated, \
          8->8 16x16 conv backward {bwd_over_fwd:.2}x <= {BWD_OVER_FWD}x forward"
@@ -211,8 +234,10 @@ fn scalar_backward_time() -> Duration {
 
 /// Speedup of a 16×16 localizer `predict` at batch [`SERVE_BATCH`] over
 /// [`ScalarLocalizer`] (bit-identical by the fixture tests), per pass,
-/// min-of-2.
-fn localizer_serve_speedup() -> f64 {
+/// min-of-2; and that `predict`'s time over the sum of the same three
+/// convolutions' training forwards on the inputs `predict` gives them,
+/// min-of-[`FUSED_RUNS`] each, the two sides alternated.
+fn localizer_serve_times() -> (f64, f64) {
     let x = pseudo_tensor(6, &[SERVE_BATCH, 1, SERVE_MESH, SERVE_MESH]);
     let scalar = ScalarLocalizer::new(KERNELS, 41);
     let mut model = localizer_model(KERNELS, 41);
@@ -223,22 +248,48 @@ fn localizer_serve_speedup() -> f64 {
     })
     .as_secs_f64()
         / SERVE_REF_ITERS as f64;
-    let t_direct = min_time(2, || {
+    // The localizer's convolutions, seeded as `localizer_model` seeds them,
+    // and the input each one sees inside `predict`.
+    let mut convs = [
+        Conv2d::new(1, KERNELS, 3, Padding::Same, 41),
+        Conv2d::new(KERNELS, KERNELS, 3, Padding::Same, 42),
+        Conv2d::new(KERNELS, 1, 3, Padding::Same, 141),
+    ];
+    let a1 = Relu::new().infer(&convs[0].forward(&x));
+    let a2 = Relu::new().infer(&convs[1].forward(&a1));
+    let inputs = [x.clone(), a1, a2];
+    let timed = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
         for _ in 0..SERVE_ITERS {
-            black_box(model.predict(&x));
+            f();
         }
-    })
-    .as_secs_f64()
-        / SERVE_ITERS as f64;
+        start.elapsed()
+    };
+    let (mut t_direct, mut t_convs) = (Duration::MAX, Duration::MAX);
+    for _ in 0..=FUSED_RUNS {
+        t_direct = t_direct.min(timed(&mut || {
+            black_box(model.predict(&x));
+        }));
+        t_convs = t_convs.min(timed(&mut || {
+            for (conv, input) in convs.iter_mut().zip(&inputs) {
+                black_box(conv.forward(input));
+            }
+        }));
+    }
+    let per_pass = |d: Duration| d.as_secs_f64() / SERVE_ITERS as f64;
+    let (t_direct, t_convs) = (per_pass(t_direct), per_pass(t_convs));
     let speedup = t_scalar / t_direct;
+    let over_convs = t_direct / t_convs;
     println!(
-        "localizer forward @ {SERVE_MESH}x{SERVE_MESH}, batch {SERVE_BATCH}, min-of-2:\n\
-         scalar seed kernels : {:>9.3} µs/pass\n\
-         direct f32 predict  : {:>9.3} µs/pass  ({speedup:.2}x)",
+        "localizer forward @ {SERVE_MESH}x{SERVE_MESH}, batch {SERVE_BATCH}:\n\
+         scalar seed kernels   : {:>9.3} µs/pass  (min-of-2)\n\
+         direct f32 predict    : {:>9.3} µs/pass  ({speedup:.2}x, min-of-{FUSED_RUNS})\n\
+         3 conv fwd (training) : {:>9.3} µs/pass  (predict {over_convs:.3}x, min-of-{FUSED_RUNS})",
         t_scalar * 1e6,
         t_direct * 1e6,
+        t_convs * 1e6,
     );
-    speedup
+    (speedup, over_convs)
 }
 
 /// Min-of-2 forward and backward times of [`TRAIN_ITERS`] localizer training

@@ -10,26 +10,41 @@
 //! that copy for the backward pass; it is the input plus its border, not a
 //! column matrix nine times its size.
 //!
-//! The f32 forward [`conv_forward_f32`] computes output channels over the
-//! *wide* `oh × pw` plane: output `(y, x)` sits at index `y·pw + x`, so tap
+//! The f32 forward [`conv_forward_f32`] indexes outputs on the *wide*
+//! `oh × pw` plane: output `(y, x)` sits at index `y·pw + x`, so tap
 //! `(ic, ky, kx)` reads the planes at that index plus the fixed offset
 //! `ic·ph·pw + ky·pw + kx`, and a run of consecutive outputs reads one
-//! contiguous slice per tap. The kernel keeps a block of 16 consecutive
+//! contiguous slice per tap. The kernel keeps a tile of 16 consecutive
 //! outputs of two output channels in registers across all taps, so each
-//! input slice it loads feeds both channels, then drops the wide plane's
-//! columns `ow..pw`. It vectorizes across the flattened plane, not one row,
-//! so a narrow output (the 8×8 detector's 6-wide plane) is as fast per
-//! output as a wide one.
+//! input slice it loads feeds both channels. Tiles come in two shapes:
+//!
+//! - **Per row**, when the output width is a whole number of tiles (the
+//!   16×16 localizer): every tile lies inside one row, so no padding column
+//!   `ow..pw` is computed.
+//! - **Flattened** otherwise: tiles run across the wide plane and may span
+//!   rows, so a narrow output (the 8×8 detector's 6-wide plane) is as fast
+//!   per output as a wide one; the lanes in padding columns are dropped.
+//!
+//! There is one store primitive with two options. Each tile's accumulators
+//! go straight from registers to the destination, row run by row run,
+//! through an elementwise [`Epilogue`] (none, ReLU or sigmoid), in one of
+//! two [`Layout`]s: compact `[batch, out_channels, oh, ow]`, or the interior
+//! of the next convolution's zero-bordered [`pad_planes`] planes, which that
+//! convolution then reads without a copy. `Sequential::predict` chains
+//! convolutions this way; training, dX and `Conv2d::infer` store compact
+//! with no epilogue.
 //!
 //! **Bit-exactness contract:** [`conv_forward_f32`] accumulates each output
 //! element in exactly the seed kernel's order — starting from the bias and
 //! adding `weight × input` products with the reduction index ascending in
 //! `(in_channel, ky, kx)` order, one accumulator per output, no FMA, no
 //! reassociation — so it is bit-identical to the naive nested loops for
-//! every input. Blocking over outputs and output channels only reorders
-//! *independent* output elements, never the summation within one. This is
-//! what keeps the golden report corpus byte-identical while the hot path
-//! gets fast.
+//! every input. Tiling over outputs (per row or flattened) and blocking over
+//! output channels only choose which *independent* outputs share registers,
+//! never the summation within one. The store changes only where the
+//! finished sum goes, and its epilogue is the scalar function the
+//! activation layer's `infer` maps. This is what keeps the golden report
+//! corpus byte-identical while the hot path gets fast.
 //!
 //! The training kernels extend the contract to both gradient orders of the
 //! seed's scalar backward loop, which visited upstream gradients
@@ -128,62 +143,207 @@ const LANES: usize = 8;
 const LANE_GROUP: usize = 3;
 
 /// Length of the [`pad_planes`] buffer of geometry `s`: the padded planes
-/// plus the slack the direct kernel's last block reads past them. That
-/// block runs up to `CHUNK - 1` outputs past the wide plane, so its last
-/// taps read up to `kernel + CHUNK` elements past the last plane.
+/// plus the slack the direct kernel's last tile reads past them. A
+/// flattened tile runs up to `CHUNK - 1` outputs past the wide plane, so its
+/// last taps read up to `kernel + CHUNK` elements past the last plane.
 fn planes_len(s: &ConvShape) -> usize {
     let (ph, pw) = s.padded();
     s.batch * s.in_channels * ph * pw + s.kernel + CHUNK
 }
 
+/// Resets `planes`, keeping its allocation, to the all-zero [`pad_planes`]
+/// buffer of geometry `s`. A [`Layout::Padded`] store fills its interior
+/// and leaves the border and the slack zero.
+pub(crate) fn zero_planes(planes: &mut Vec<f32>, s: &ConvShape) {
+    planes.clear();
+    planes.resize(planes_len(s), 0.0);
+}
+
 /// Copies the flat `[batch, in_channels, height, width]` input into
 /// zero-padded `[batch, in_channels, ph, pw]` planes, followed by the slack
-/// the direct kernel's last block reads past the end. The forward and dW/db
-/// kernels read their input from these planes, and `Conv2d::forward` caches
-/// them for the backward pass; dX pads the upstream gradient with it.
-pub fn pad_planes(input: &[f32], s: &ConvShape) -> Vec<f32> {
+/// the direct kernel's last tile reads past the end, in `planes` (keeping
+/// its allocation). The forward and dW/db kernels read their input from
+/// these planes, and `Conv2d::forward` caches them for the backward pass;
+/// dX pads the upstream gradient with it.
+pub fn pad_planes(input: &[f32], s: &ConvShape, planes: &mut Vec<f32>) {
     let (ph, pw) = s.padded();
-    let mut planes = vec![0.0f32; planes_len(s)];
+    zero_planes(planes, s);
     let padded = planes.chunks_exact_mut(ph * pw);
     for (dst, src) in padded.zip(input.chunks_exact(s.height * s.width)) {
         for (y, row) in src.chunks_exact(s.width).enumerate() {
             dst[(y + s.pad) * pw + s.pad..][..s.width].copy_from_slice(row);
         }
     }
-    planes
+}
+
+/// The elementwise function [`conv_forward_f32`] applies to each output as
+/// it stores it: the inference forward of an activation layer after the
+/// convolution, fused into its store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Epilogue {
+    /// Store the accumulated value.
+    None,
+    /// `max(x, 0)`, as [`crate::Relu`].
+    Relu,
+    /// The logistic sigmoid, as [`crate::Sigmoid`].
+    Sigmoid,
+}
+
+impl Epilogue {
+    /// Writes `f(src[i])` to `dst[i]`. The activation layers' `infer` maps
+    /// the same scalar functions, so a fused store is bit-identical to a
+    /// separate pass.
+    #[inline]
+    fn store(self, src: &[f32], dst: &mut [f32]) {
+        match self {
+            Epilogue::None => dst.copy_from_slice(src),
+            Epilogue::Relu => dst.iter_mut().zip(src).for_each(|(d, &v)| *d = relu(v)),
+            Epilogue::Sigmoid => dst.iter_mut().zip(src).for_each(|(d, &v)| *d = sigmoid(v)),
+        }
+    }
+}
+
+/// `max(x, 0)`: a NaN maps to `0`.
+#[inline(always)]
+pub(crate) fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+/// Numerically stable scalar sigmoid.
+#[inline(always)]
+pub(crate) fn sigmoid(x: f32) -> f32 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
+
+/// Where [`conv_forward_f32`] stores its outputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// Flat `[batch, out_channels, oh, ow]`.
+    Compact,
+    /// The interior of [`pad_planes`] planes with a border of this width:
+    /// the input planes of a next convolution with that padding, which
+    /// reads them as they are. The caller zeroes the buffer first; the
+    /// store never writes the border or the slack.
+    Padded(usize),
+}
+
+/// A run of one tile's lanes that lands in one output row: lanes `lo..hi`
+/// of the tile whose first output sits at wide index `src` go to offset
+/// `dst` of each output channel's destination plane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    src: usize,
+    lo: usize,
+    hi: usize,
+    dst: usize,
+}
+
+/// The tiles of one output plane of geometry `s` as [`Run`]s, consecutive
+/// per tile, for a destination that stores output `(y, x)` at
+/// `origin + y·row + x` of its plane.
+///
+/// A row of a whole number of [`CHUNK`]s is tiled per row, so no padding
+/// column is computed. Other planes are tiled flattened over the wide
+/// `oh × pw` plane: a tile may span rows, and its lanes in the columns
+/// `ow..pw` are computed and never stored.
+fn tile_runs(s: &ConvShape, row: usize, origin: usize) -> Vec<Run> {
+    let (oh, ow) = (s.out_height(), s.out_width());
+    let (_, pw) = s.padded();
+    if ow.is_multiple_of(CHUNK) {
+        return (0..oh)
+            .flat_map(|y| {
+                (0..ow).step_by(CHUNK).map(move |x| Run {
+                    src: y * pw + x,
+                    lo: 0,
+                    hi: CHUNK,
+                    dst: origin + y * row + x,
+                })
+            })
+            .collect();
+    }
+    let wide = oh * pw;
+    let mut runs = Vec::new();
+    for src in (0..wide).step_by(CHUNK) {
+        let end = (src + CHUNK).min(wide);
+        for y in src / pw..=(end - 1) / pw {
+            let (lo, hi) = (src.max(y * pw), end.min(y * pw + ow));
+            if lo < hi {
+                let dst = origin + y * row + lo - y * pw;
+                runs.push(Run {
+                    src,
+                    lo: lo - src,
+                    hi: hi - src,
+                    dst,
+                });
+            }
+        }
+    }
+    runs
+}
+
+/// What every block of one [`conv_forward_f32`] call shares: the buffer
+/// offset of each tap from its output's wide index in reduction order, the
+/// tiles, the destination plane's length and the epilogue.
+struct Tiling<'a> {
+    taps: &'a [usize],
+    runs: &'a [Run],
+    plane: usize,
+    epilogue: Epilogue,
 }
 
 /// The direct f32 convolution: `planes` is the [`pad_planes`] copy of the
 /// input, `weight` the flat `[out_channels, in_channels, kernel, kernel]`
-/// tensor, `bias` is `[out_channels]`, and the flat
-/// `[batch, out_channels, oh, ow]` output is appended to `out`.
+/// tensor and `bias` is `[out_channels]`. Each output is stored through
+/// `epilogue` into `out`, laid out as `layout` says; `out` holds at least
+/// the whole batch's destination planes.
 ///
-/// Bit-identical to the scalar seed kernel (see the module docs).
+/// Bit-identical to the scalar seed kernel, and the epilogue to its
+/// activation layer (see the module docs).
 pub fn conv_forward_f32(
     planes: &[f32],
     weight: &[f32],
     bias: &[f32],
     s: &ConvShape,
-    out: &mut Vec<f32>,
+    layout: Layout,
+    epilogue: Epilogue,
+    out: &mut [f32],
 ) {
     let (k, oh, ow, k_dim) = (s.kernel, s.out_height(), s.out_width(), s.k_dim());
     let (ph, pw) = s.padded();
-    let (padded_plane, wide) = (ph * pw, oh * pw);
+    let padded_plane = ph * pw;
     assert_eq!(
         planes.len(),
         planes_len(s),
         "planes must come from pad_planes"
     );
-    // Buffer offset of each tap from its output's wide index, in reduction
-    // order.
+    let border = match layout {
+        Layout::Compact => 0,
+        Layout::Padded(border) => border,
+    };
+    let row = ow + 2 * border;
+    let plane = (oh + 2 * border) * row;
+    let element = s.out_channels * plane;
+    assert!(
+        out.len() >= s.batch * element,
+        "output buffer shorter than the batch's destination planes"
+    );
     let taps: Vec<usize> = (0..s.in_channels)
         .flat_map(|ic| {
             (0..k).flat_map(move |ky| (0..k).map(move |kx| ic * padded_plane + ky * pw + kx))
         })
         .collect();
-    let wide_len = wide.next_multiple_of(CHUNK);
-    let mut wide_out = vec![0.0f32; OC_BLOCK * wide_len];
-    out.reserve(s.batch * s.out_channels * oh * ow);
+    let runs = tile_runs(s, row, border * row + border);
+    let tiling = Tiling {
+        taps: &taps,
+        runs: &runs,
+        plane,
+        epilogue,
+    };
     let blocked = s.out_channels / OC_BLOCK * OC_BLOCK;
     // Weights of each block of output channels, tap-major, then those of
     // the channels left over, one at a time.
@@ -197,60 +357,81 @@ pub fn conv_forward_f32(
         .iter()
         .map(|&w| [[w; 4]])
         .collect();
-    for b in 0..s.batch {
-        // The element's planes run on to the end of the buffer: a block's
-        // overhang reads into the next element's planes or the slack, and
-        // those outputs are dropped with the wide plane's extra columns.
+    for (b, out_b) in out.chunks_mut(element).take(s.batch).enumerate() {
+        // The element's planes run on to the end of the buffer: a flattened
+        // tile's overhang reads into the next element's planes or the
+        // slack, and those lanes are never stored.
         let planes_b = &planes[b * s.in_channels * padded_plane..];
-        let mut emit = |channels: usize, wide_out: &[f32]| {
-            for plane in wide_out.chunks_exact(wide_len).take(channels) {
-                for row in plane[..wide].chunks_exact(pw) {
-                    out.extend_from_slice(&row[..ow]);
-                }
-            }
-        };
         for (oc, w_block) in (0..blocked)
             .step_by(OC_BLOCK)
             .zip(block_weights.chunks_exact(k_dim))
         {
             let bias_block: &[f32; OC_BLOCK] = bias[oc..][..OC_BLOCK].try_into().unwrap();
-            forward_block(planes_b, w_block, bias_block, &taps, &mut wide_out);
-            emit(OC_BLOCK, &wide_out);
+            forward_block(
+                planes_b,
+                w_block,
+                bias_block,
+                &tiling,
+                &mut out_b[oc * plane..],
+            );
         }
         for (oc, w_oc) in (blocked..s.out_channels).zip(tail_weights.chunks_exact(k_dim)) {
-            forward_block(planes_b, w_oc, &[bias[oc]], &taps, &mut wide_out);
-            emit(1, &wide_out);
+            forward_block(
+                planes_b,
+                w_oc,
+                &[bias[oc]],
+                &tiling,
+                &mut out_b[oc * plane..],
+            );
         }
     }
 }
 
-/// Computes `N` output channels over one element's wide planes, written to
-/// the first `N` of `wide_out`'s [`OC_BLOCK`] planes.
-/// `weights[t]` holds tap `t`'s weight for each channel. One accumulator
-/// per output, starting from the bias, taps ascending: the seed kernel's
-/// exact f32 operation sequence.
+/// Computes `N` output channels over one element's planes, tile by tile,
+/// and stores each tile's runs through the epilogue into the first `N`
+/// destination planes of `out`. `weights[t]` holds tap `t`'s weight for
+/// each channel.
 fn forward_block<const N: usize>(
     planes_b: &[f32],
     weights: &[[Splat; N]],
     bias: &[f32; N],
-    taps: &[usize],
-    wide_out: &mut [f32],
+    tiling: &Tiling,
+    out: &mut [f32],
 ) {
-    let wide_len = wide_out.len() / OC_BLOCK;
-    for start in (0..wide_len).step_by(CHUNK) {
-        let mut acc: [[f32; CHUNK]; N] = std::array::from_fn(|o| [bias[o]; CHUNK]);
-        for (w, &tap) in weights.iter().zip(taps) {
-            let src: &[f32; CHUNK] = planes_b[start + tap..][..CHUNK].try_into().unwrap();
-            for (acc_o, w_o) in acc.iter_mut().zip(w) {
-                for (i, (a, &v)) in acc_o.iter_mut().zip(src).enumerate() {
-                    *a += w_o[i % 4] * v;
-                }
+    for tile in tiling.runs.chunk_by(|a, b| a.src == b.src) {
+        let acc = accumulate(planes_b, weights, bias, tiling.taps, tile[0].src);
+        for run in tile {
+            for (o, acc_o) in acc.iter().enumerate() {
+                let dst = &mut out[o * tiling.plane + run.dst..][..run.hi - run.lo];
+                tiling.epilogue.store(&acc_o[run.lo..run.hi], dst);
             }
         }
-        for (o, acc_o) in acc.iter().enumerate() {
-            wide_out[o * wide_len + start..][..CHUNK].copy_from_slice(acc_o);
+    }
+}
+
+/// The [`CHUNK`] outputs from wide index `start` of `N` output channels:
+/// one accumulator per output, starting from the bias, taps ascending — the
+/// seed kernel's exact f32 operation sequence. Not inlined, so that the
+/// accumulators and the few pointers the tap loop reads all stay in
+/// registers.
+#[inline(never)]
+fn accumulate<const N: usize>(
+    planes_b: &[f32],
+    weights: &[[Splat; N]],
+    bias: &[f32; N],
+    taps: &[usize],
+    start: usize,
+) -> [[f32; CHUNK]; N] {
+    let mut acc: [[f32; CHUNK]; N] = std::array::from_fn(|o| [bias[o]; CHUNK]);
+    for (w, &tap) in weights.iter().zip(taps) {
+        let src: &[f32; CHUNK] = planes_b[start + tap..][..CHUNK].try_into().unwrap();
+        for (acc_o, w_o) in acc.iter_mut().zip(w) {
+            for (i, (a, &v)) in acc_o.iter_mut().zip(src).enumerate() {
+                *a += w_o[i % 4] * v;
+            }
         }
     }
+    acc
 }
 
 /// The input gradient of a convolution of geometry `s` with the flat
@@ -286,9 +467,20 @@ pub fn conv_input_grad_f32(weight: &[f32], grad_output: &[f32], s: &ConvShape) -
             })
         })
         .collect();
-    let (planes, bias) = (pad_planes(grad_output, &g), vec![0.0f32; s.in_channels]);
-    let mut grad_input = Vec::new();
-    conv_forward_f32(&planes, &flipped, &bias, &g, &mut grad_input);
+    let mut planes = Vec::new();
+    pad_planes(grad_output, &g, &mut planes);
+    let bias = vec![0.0f32; s.in_channels];
+    let mut grad_input = vec![0.0f32; s.batch * s.in_channels * s.height * s.width];
+    let (layout, epilogue) = (Layout::Compact, Epilogue::None);
+    conv_forward_f32(
+        &planes,
+        &flipped,
+        &bias,
+        &g,
+        layout,
+        epilogue,
+        &mut grad_input,
+    );
     grad_input
 }
 
@@ -456,8 +648,18 @@ mod tests {
 
     /// [`conv_forward_f32`] over the whole input at once.
     fn forward(input: &[f32], weight: &[f32], bias: &[f32], s: &ConvShape) -> Vec<f32> {
-        let mut out = Vec::new();
-        conv_forward_f32(&pad_planes(input, s), weight, bias, s, &mut out);
+        let mut planes = Vec::new();
+        pad_planes(input, s, &mut planes);
+        let mut out = vec![0.0f32; s.batch * s.out_channels * s.spatial()];
+        conv_forward_f32(
+            &planes,
+            weight,
+            bias,
+            s,
+            Layout::Compact,
+            Epilogue::None,
+            &mut out,
+        );
         out
     }
 

@@ -1,6 +1,7 @@
 //! Activation layers: ReLU and Sigmoid.
 
-use crate::layers::Layer;
+use crate::gemm::{relu, sigmoid, Epilogue};
+use crate::layers::{Fusion, Layer};
 use crate::serialize::LayerExport;
 use crate::tensor::Tensor;
 
@@ -38,7 +39,11 @@ impl Layer for Relu {
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        input.map(|v| v.max(0.0))
+        input.map(relu)
+    }
+
+    fn fusion(&self) -> Fusion<'_> {
+        Fusion::Epilogue(Epilogue::Relu)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -82,16 +87,6 @@ impl Sigmoid {
     }
 }
 
-/// Numerically stable scalar sigmoid.
-fn sigmoid_scalar(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
 impl Layer for Sigmoid {
     fn name(&self) -> &'static str {
         "Sigmoid"
@@ -104,7 +99,11 @@ impl Layer for Sigmoid {
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        input.map(sigmoid_scalar)
+        input.map(sigmoid)
+    }
+
+    fn fusion(&self) -> Fusion<'_> {
+        Fusion::Epilogue(Epilogue::Sigmoid)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -184,7 +183,7 @@ mod tests {
         s.forward(&Tensor::from_vec(vec![-90.0, -100.0, 90.0], &[3]));
         let g = s.backward(&Tensor::from_vec(vec![1.0, -1.0, 1.0], &[3]));
         // Unflushed, the first two would be subnormal: y ≈ e^-90 and e^-100.
-        let y = sigmoid_scalar(-90.0);
+        let y = sigmoid(-90.0);
         assert!(y > 0.0 && y * (1.0 - y) < f32::MIN_POSITIVE);
         for &v in g.data() {
             assert_eq!(v.to_bits(), 0.0f32.to_bits(), "got {v:e}, want +0.0");

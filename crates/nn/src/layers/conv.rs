@@ -1,13 +1,14 @@
 //! 2-D convolution layer.
 
-use crate::gemm::{self, ConvShape};
+use crate::gemm::{self, ConvShape, Epilogue, Layout};
 use crate::init::Init;
-use crate::layers::{Layer, ParamGrad};
+use crate::layers::{Fusion, Layer, ParamGrad};
 use crate::serialize::LayerExport;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::time::{Duration, Instant};
 
-/// Batch elements [`Layer::infer`] pads and convolves at a time. Padding a
+/// Batch elements [`infer_chain`] pads and convolves at a time. Padding a
 /// whole 64-frame 16×15 detector batch at once would hold ~245 KB of planes
 /// that inference, unlike training, never reads again.
 const INFER_CHUNK: usize = 8;
@@ -141,7 +142,11 @@ impl Conv2d {
     /// Validates the input against the layer configuration and derives the
     /// kernel geometry of the forward and backward kernels.
     fn conv_shape(&self, input: &Tensor) -> ConvShape {
-        let (n, c, h, w) = dims4(input);
+        self.shape_for(dims4(input))
+    }
+
+    /// [`Conv2d::conv_shape`] for an input of dimensions `(n, c, h, w)`.
+    fn shape_for(&self, (n, c, h, w): (usize, usize, usize, usize)) -> ConvShape {
         assert_eq!(
             c, self.in_channels,
             "input channel count {c} does not match layer in_channels {}",
@@ -165,12 +170,18 @@ impl Conv2d {
         }
     }
 
-    /// Shapes `out`, the flat output of an input of geometry `s`.
-    fn output_tensor(&self, out: Vec<f32>, s: &ConvShape) -> Tensor {
-        Tensor::from_vec(
-            out,
-            &[s.batch, self.out_channels, s.out_height(), s.out_width()],
-        )
+    /// Runs the direct kernel over `planes`, the [`gemm::pad_planes`] copy
+    /// of an input of geometry `s`, storing into `out`.
+    fn run(
+        &self,
+        planes: &[f32],
+        s: &ConvShape,
+        layout: Layout,
+        epilogue: Epilogue,
+        out: &mut [f32],
+    ) {
+        let (weight, bias) = (self.weight.data(), self.bias.data());
+        gemm::conv_forward_f32(planes, weight, bias, s, layout, epilogue, out);
     }
 
     /// Consumes the plane cache of the last `forward` and accumulates the
@@ -304,6 +315,75 @@ impl Conv2d {
     }
 }
 
+/// The output dimensions of a convolution of geometry `s`.
+fn out_dims(s: &ConvShape) -> (usize, usize, usize, usize) {
+    (s.batch, s.out_channels, s.out_height(), s.out_width())
+}
+
+/// Runs the convolutions `convs` back to back over `input`, each storing
+/// through its epilogue: every one but the last straight into the interior
+/// of the next one's padded planes, the last into the compact output. The
+/// padded planes ping-pong between two buffers, so the input is padded
+/// once per run and no tensor is allocated between the convolutions. The
+/// batch runs [`INFER_CHUNK`] elements at a time. The buffers live for
+/// one call, so a deployed model holds no planes between calls.
+///
+/// This is the inference forward of [`Conv2d::infer`] (one convolution, no
+/// epilogue) and of every run of convolutions `Sequential::predict` fuses.
+/// With `times`, each convolution's time — including its epilogue, and for
+/// the first the input's padding — is added to its slot.
+///
+/// # Panics
+///
+/// Panics if `convs` is empty or a convolution does not fit its input.
+pub(crate) fn infer_chain(
+    convs: &[(&Conv2d, Epilogue)],
+    input: &Tensor,
+    mut times: Option<&mut [Duration]>,
+) -> Tensor {
+    let mut clock = times.is_some().then(Instant::now);
+    // Every convolution's geometry over the whole batch, validated before
+    // any work.
+    let mut dims = dims4(input);
+    let shapes: Vec<ConvShape> = convs
+        .iter()
+        .map(|(conv, _)| {
+            let s = conv.shape_for(dims);
+            dims = out_dims(&s);
+            s
+        })
+        .collect();
+    let first = shapes.first().expect("a chain needs a convolution");
+    let element = first.in_channels * first.height * first.width;
+    let out_element = dims.1 * dims.2 * dims.3;
+    let mut out = vec![0.0f32; dims.0 * out_element];
+    let mut planes: [Vec<f32>; 2] = Default::default();
+    let chunks = input.data().chunks(INFER_CHUNK * element);
+    for (chunk, out_chunk) in chunks.zip(out.chunks_mut(INFER_CHUNK * out_element)) {
+        let batch = chunk.len() / element;
+        let at = |s: &ConvShape| ConvShape { batch, ..*s };
+        gemm::pad_planes(chunk, &at(first), &mut planes[0]);
+        for (j, ((conv, epilogue), s)) in convs.iter().zip(&shapes).enumerate() {
+            let [src, dst] = &mut planes;
+            match shapes.get(j + 1).map(at) {
+                Some(next) => {
+                    gemm::zero_planes(dst, &next);
+                    conv.run(src, &at(s), Layout::Padded(next.pad), *epilogue, dst);
+                    planes.swap(0, 1);
+                }
+                None => conv.run(src, &at(s), Layout::Compact, *epilogue, out_chunk),
+            }
+            if let (Some(times), Some(clock)) = (times.as_deref_mut(), clock.as_mut()) {
+                let now = Instant::now();
+                times[j] += now - *clock;
+                *clock = now;
+            }
+        }
+    }
+    let (n, c, h, w) = dims;
+    Tensor::from_vec(out, &[n, c, h, w])
+}
+
 fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
     assert_eq!(
         t.rank(),
@@ -321,27 +401,21 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let s = self.conv_shape(input);
-        let planes = gemm::pad_planes(input.data(), &s);
-        let mut out = Vec::new();
-        let (weight, bias) = (self.weight.data(), self.bias.data());
-        gemm::conv_forward_f32(&planes, weight, bias, &s, &mut out);
+        let mut planes = Vec::new();
+        gemm::pad_planes(input.data(), &s, &mut planes);
+        let (n, c, h, w) = out_dims(&s);
+        let mut out = Tensor::zeros(&[n, c, h, w]);
+        self.run(&planes, &s, Layout::Compact, Epilogue::None, out.data_mut());
         self.cached_planes = Some((s, planes));
-        self.output_tensor(out, &s)
+        out
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        let s = self.conv_shape(input);
-        let element = s.in_channels * s.height * s.width;
-        let mut out = Vec::new();
-        for chunk in input.data().chunks(INFER_CHUNK * element) {
-            let c = ConvShape {
-                batch: chunk.len() / element,
-                ..s
-            };
-            let planes = gemm::pad_planes(chunk, &c);
-            gemm::conv_forward_f32(&planes, self.weight.data(), self.bias.data(), &c, &mut out);
-        }
-        self.output_tensor(out, &s)
+        infer_chain(&[(self, Epilogue::None)], input, None)
+    }
+
+    fn fusion(&self) -> Fusion<'_> {
+        Fusion::Conv(self)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -40,13 +40,17 @@ impl Layer for Flatten {
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
+        self.infer_owned(input.clone())
+    }
+
+    fn infer_owned(&self, input: Tensor) -> Tensor {
         assert!(
             input.rank() >= 2,
             "Flatten expects at least a rank-2 tensor"
         );
         let batch = input.shape()[0];
         let features: usize = input.shape()[1..].iter().product();
-        input.reshape(&[batch, features])
+        input.into_shape(&[batch, features])
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

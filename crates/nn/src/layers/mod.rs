@@ -13,13 +13,29 @@ mod flatten;
 mod pool;
 
 pub use activation::{Relu, Sigmoid};
+pub(crate) use conv::infer_chain;
 pub use conv::{Conv2d, Padding};
 pub use dense::Dense;
 pub use flatten::Flatten;
 pub use pool::MaxPool2d;
 
+use crate::gemm::Epilogue;
 use crate::serialize::LayerExport;
 use crate::tensor::Tensor;
+
+/// What [`crate::Sequential::predict`]'s plan needs to know about a layer
+/// to fuse it, as reported by [`Layer::fusion`].
+#[derive(Debug, Clone, Copy)]
+pub enum Fusion<'a> {
+    /// A convolution: it can store straight into the next convolution's
+    /// padded planes, applying the epilogue of an activation after it.
+    Conv(&'a Conv2d),
+    /// An elementwise activation that a convolution right before it
+    /// applies as its store epilogue.
+    Epilogue(Epilogue),
+    /// Neither: `predict` runs [`Layer::infer`].
+    None,
+}
 
 /// A pair of references to a trainable parameter tensor and its accumulated
 /// gradient, as exposed by [`Layer::params_mut`].
@@ -44,6 +60,19 @@ pub trait Layer: Send {
     /// after `infer` panics (or uses a stale cache) just like calling it
     /// before `forward`.
     fn infer(&self, input: &Tensor) -> Tensor;
+
+    /// [`Layer::infer`] over an input the caller gives up, so a layer that
+    /// only reshapes ([`Flatten`]) moves the buffer instead of copying it.
+    /// By default it calls `infer`.
+    fn infer_owned(&self, input: Tensor) -> Tensor {
+        self.infer(&input)
+    }
+
+    /// How [`crate::Sequential::predict`] may fuse this layer with its
+    /// neighbours. By default it does not.
+    fn fusion(&self) -> Fusion<'_> {
+        Fusion::None
+    }
 
     /// Propagates `grad_output` (gradient of the loss w.r.t. this layer's
     /// output) backwards, accumulating parameter gradients and returning the

@@ -1,10 +1,12 @@
 //! The [`Sequential`] model container.
 
-use crate::layers::Layer;
+use crate::gemm::Epilogue;
+use crate::layers::{infer_chain, Conv2d, Fusion, Layer};
 use crate::serialize::ModelExport;
 use crate::tensor::Tensor;
 use dl2fence_telemetry::Recorder;
 use std::fmt;
+use std::time::Duration;
 
 /// An ordered stack of layers executed front to back.
 ///
@@ -34,6 +36,56 @@ pub struct Sequential {
     /// not allocate name strings per call.
     fwd_names: Vec<String>,
     bwd_names: Vec<String>,
+    /// [`Sequential::predict`]'s plan of the layer list, built on its first
+    /// call after the last `push`.
+    plan: Option<Vec<Step>>,
+}
+
+/// One step of [`Sequential::predict`]'s plan.
+enum Step {
+    /// A run of consecutive convolutions, by layer index, each with the
+    /// epilogue of the activation layer it absorbs: one [`infer_chain`].
+    Convs(Vec<(usize, Epilogue)>),
+    /// Any other layer, by index: [`Layer::infer`].
+    Layer(usize),
+}
+
+/// Plans `layers` for [`Sequential::predict`]: every `Conv2d`, with the
+/// ReLU or Sigmoid right after it, joins the run of the convolution before
+/// it; everything else is a step of its own.
+fn plan(layers: &[Box<dyn Layer>]) -> Vec<Step> {
+    let mut steps = Vec::new();
+    let mut i = 0;
+    while i < layers.len() {
+        if !matches!(layers[i].fusion(), Fusion::Conv(_)) {
+            steps.push(Step::Layer(i));
+            i += 1;
+            continue;
+        }
+        let mut run = Vec::new();
+        while let Some(Fusion::Conv(_)) = layers.get(i).map(|l| l.fusion()) {
+            match layers.get(i + 1).map(|l| l.fusion()) {
+                Some(Fusion::Epilogue(epilogue)) => {
+                    run.push((i, epilogue));
+                    i += 2;
+                }
+                _ => {
+                    run.push((i, Epilogue::None));
+                    i += 1;
+                }
+            }
+        }
+        steps.push(Step::Convs(run));
+    }
+    steps
+}
+
+/// The convolution a plan step names.
+fn conv_at(layers: &[Box<dyn Layer>], i: usize) -> &Conv2d {
+    match layers[i].fusion() {
+        Fusion::Conv(conv) => conv,
+        _ => unreachable!("layer {i} was planned as a convolution"),
+    }
 }
 
 impl Sequential {
@@ -77,14 +129,14 @@ impl Sequential {
     }
 
     /// Appends a layer, builder-style.
-    pub fn push(mut self, layer: impl Layer + 'static) -> Self {
-        self.layers.push(Box::new(layer));
-        self
+    pub fn push(self, layer: impl Layer + 'static) -> Self {
+        self.push_boxed(Box::new(layer))
     }
 
     /// Appends an already boxed layer, builder-style.
     pub fn push_boxed(mut self, layer: Box<dyn Layer>) -> Self {
         self.layers.push(layer);
+        self.plan = None;
         self
     }
 
@@ -122,26 +174,68 @@ impl Sequential {
     }
 
     /// Inference-only forward: bit-identical output to
-    /// [`Sequential::forward`] but routed through [`Layer::infer`], so no
-    /// layer clones its input or keeps backward bookkeeping. This is the hot
-    /// path for deployed models serving whole frame batches; per-layer
-    /// telemetry uses the same `<prefix>.fwd.<i>.<layer>` histogram names as
-    /// the training forward.
+    /// [`Sequential::forward`], with no gradient bookkeeping. This is the hot
+    /// path for deployed models serving whole frame batches.
+    ///
+    /// The layer list is planned once. Each run of consecutive `Conv2d`
+    /// layers, each with the `Relu` or `Sigmoid` right after it, is one
+    /// fused pass: every convolution applies its activation as it stores
+    /// and stores straight into the next one's padded planes, so the run's
+    /// input is padded once and no tensor is allocated between its layers.
+    /// Every other layer (pooling, `Dense`, an activation after anything
+    /// but a convolution) runs [`Layer::infer`], and `Flatten` moves the
+    /// buffer. Nothing copies the input.
+    ///
+    /// Per-layer telemetry uses the same `<prefix>.fwd.<i>.<layer>`
+    /// histogram names as the training forward, one observation per call.
+    /// A fused activation is timed inside its convolution's span and
+    /// records none of its own.
     pub fn predict(&mut self, input: &Tensor) -> Tensor {
-        if !self.telemetry.is_enabled() {
-            let mut x = input.clone();
-            for layer in &self.layers {
-                x = layer.infer(&x);
-            }
-            return x;
+        let timed = self.telemetry.is_enabled();
+        if timed {
+            self.refresh_layer_names();
         }
-        self.refresh_layer_names();
-        let rec = self.telemetry.clone();
-        let mut x = input.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            x = rec.time(&self.fwd_names[i], || layer.infer(&x));
+        if self.plan.is_none() {
+            self.plan = Some(plan(&self.layers));
         }
-        x
+        let Sequential {
+            layers,
+            telemetry,
+            fwd_names,
+            plan,
+            ..
+        } = self;
+        let rec = timed.then_some(&*telemetry);
+        // `None` until the first step: that step reads the caller's input.
+        let mut x: Option<Tensor> = None;
+        for step in plan.as_deref().expect("planned above") {
+            x = Some(match step {
+                Step::Convs(run) => {
+                    let convs: Vec<_> = run.iter().map(|&(i, e)| (conv_at(layers, i), e)).collect();
+                    let input = x.as_ref().unwrap_or(input);
+                    let mut times = rec.map(|_| vec![Duration::ZERO; run.len()]);
+                    let y = infer_chain(&convs, input, times.as_deref_mut());
+                    if let (Some(rec), Some(times)) = (rec, times) {
+                        for (&(i, _), d) in run.iter().zip(times) {
+                            rec.record(&fwd_names[i], d);
+                        }
+                    }
+                    y
+                }
+                Step::Layer(i) => {
+                    let layer = &layers[*i];
+                    let mut infer = || match x.take() {
+                        Some(x) => layer.infer_owned(x),
+                        None => layer.infer(input),
+                    };
+                    match rec {
+                        Some(rec) => rec.time(&fwd_names[*i], infer),
+                        None => infer(),
+                    }
+                }
+            });
+        }
+        x.unwrap_or_else(|| input.clone())
     }
 
     /// Back-propagates the gradient of the loss w.r.t. the model output,
@@ -351,6 +445,64 @@ mod tests {
         let names: Vec<String> = sink.take().iter().map(|e| e.name().to_string()).collect();
         for expected in ["nn.test.fwd.0.Dense", "nn.test.fwd.1.Sigmoid"] {
             assert!(names.contains(&expected.to_string()), "missing {expected}");
+        }
+    }
+
+    #[test]
+    fn fused_predict_keeps_each_conv_span_name() {
+        use dl2fence_telemetry::{MemorySink, Telemetry};
+        use std::sync::Arc;
+        // The localizer's fused Conv → ReLU chain, and the detector's
+        // Conv → ReLU at a batch that runs in three chunks.
+        let localizer = Sequential::new()
+            .push(Conv2d::new(1, 8, 3, Padding::Same, 0))
+            .push(Relu::new())
+            .push(Conv2d::new(8, 8, 3, Padding::Same, 1))
+            .push(Relu::new())
+            .push(Conv2d::new(8, 1, 3, Padding::Same, 2))
+            .push(Sigmoid::new());
+        let detector = Sequential::new()
+            .push(Conv2d::new(4, 8, 3, Padding::Valid, 0))
+            .push(Relu::new())
+            .push(MaxPool2d::new(2))
+            .push(Flatten::new())
+            .push(Dense::new(8 * 6 * 7, 1, 1))
+            .push(Sigmoid::new());
+        let cases = [
+            (
+                localizer,
+                [4, 1, 16, 16],
+                &["fwd.0.Conv2d", "fwd.2.Conv2d", "fwd.4.Conv2d"][..],
+            ),
+            (
+                detector,
+                [20, 4, 15, 16],
+                &[
+                    "fwd.0.Conv2d",
+                    "fwd.2.MaxPool2d",
+                    "fwd.3.Flatten",
+                    "fwd.4.Dense",
+                    "fwd.5.Sigmoid",
+                ],
+            ),
+        ];
+        for (mut m, shape, spans) in cases {
+            let sink = Arc::new(MemorySink::new());
+            let rec = Telemetry::with_sink(sink.clone()).recorder();
+            m.set_telemetry(rec.clone(), "nn.test");
+            let x = crate::init::Init::XavierUniform.make(&shape, 9, 9, 3);
+            m.predict(&x);
+            m.predict(&x);
+            rec.flush();
+            // Every histogram, with its observation count.
+            let recorded: Vec<(String, u64)> = sink
+                .take()
+                .iter()
+                .filter_map(|e| Some((e.name().to_string(), e.as_histogram()?.count())))
+                .collect();
+            let expected: Vec<(String, u64)> =
+                spans.iter().map(|s| (format!("nn.test.{s}"), 2)).collect();
+            assert_eq!(recorded, expected, "a fused activation records no span");
         }
     }
 

@@ -230,6 +230,16 @@ impl Tensor {
     ///
     /// Panics if the element counts differ.
     pub fn reshape(&self, shape: &[usize]) -> Tensor {
+        self.clone().into_shape(shape)
+    }
+
+    /// [`Tensor::reshape`] by value: the data moves into the new shape
+    /// without a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element counts differ.
+    pub fn into_shape(self, shape: &[usize]) -> Tensor {
         let expected: usize = shape.iter().product();
         assert_eq!(
             self.data.len(),
@@ -240,7 +250,7 @@ impl Tensor {
             shape,
             expected
         );
-        Tensor::from_vec(self.data.clone(), shape)
+        Tensor::from_vec(self.data, shape)
     }
 
     /// Applies a function to every element, returning a new tensor.

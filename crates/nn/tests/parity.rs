@@ -14,7 +14,7 @@
 //!    float model's decisions at 16 and 12 bits and flip at most one at
 //!    8 bits.
 
-use proptest::{prop_assert_eq, proptest};
+use proptest::{prop_assert, prop_assert_eq, proptest};
 use tinycnn::prelude::*;
 use tinycnn::quantize::quantize_model;
 
@@ -115,6 +115,128 @@ proptest! {
             for (a, b) in got.data().iter().zip(single.data()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
+        }
+    }
+}
+
+/// A xorshift stream for drawing the random layer chains below.
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 >> 33) as usize % n
+    }
+}
+
+/// A random chain over `[*, channels, height, width]` inputs: one to four
+/// convolutions (1–9 output channels, kernel 1, 3 or 5, Same or Valid),
+/// each followed by nothing, a ReLU, a Sigmoid or both, and sometimes a 2×2
+/// max-pool, which splits the fused runs; sometimes a leading activation,
+/// and sometimes a `Flatten → Dense` head. Returns the model and a
+/// description of it.
+fn random_chain(draw: &mut Draw, mut dims: [usize; 3]) -> (Sequential, Vec<String>) {
+    let mut model = Sequential::new();
+    let mut names = Vec::new();
+    let mut seed = draw.below(1 << 20) as u64;
+    if draw.below(4) == 0 {
+        model = model.push(Relu::new());
+        names.push("ReLU".to_string());
+    }
+    for _ in 0..1 + draw.below(4) {
+        let [c, h, w] = dims;
+        let kernel = [1, 3, 5][draw.below(3)];
+        let valid = h >= kernel && w >= kernel && draw.below(2) == 0;
+        let (padding, shrink) = if valid {
+            (Padding::Valid, kernel - 1)
+        } else {
+            (Padding::Same, 0)
+        };
+        let out = 1 + draw.below(9);
+        seed += 1;
+        model = model.push(Conv2d::new(c, out, kernel, padding, seed));
+        names.push(format!("Conv2d({c}->{out}, k{kernel}, {padding:?})"));
+        dims = [out, h - shrink, w - shrink];
+        for _ in 0..draw.below(3) {
+            if draw.below(2) == 0 {
+                model = model.push(Relu::new());
+                names.push("ReLU".to_string());
+            } else {
+                model = model.push(Sigmoid::new());
+                names.push("Sigmoid".to_string());
+            }
+        }
+        if dims[1] >= 2 && dims[2] >= 2 && draw.below(4) == 0 {
+            model = model.push(MaxPool2d::new(2));
+            names.push("MaxPool2d".to_string());
+            dims = [dims[0], dims[1] / 2, dims[2] / 2];
+        }
+    }
+    if draw.below(2) == 0 {
+        let out = 1 + draw.below(3);
+        let features = dims.iter().product();
+        model = model
+            .push(Flatten::new())
+            .push(Dense::new(features, out, seed + 100));
+        names.push(format!("Flatten, Dense({features}->{out})"));
+        if draw.below(2) == 0 {
+            model = model.push(Sigmoid::new());
+            names.push("Sigmoid".to_string());
+        }
+    }
+    (model, names)
+}
+
+/// Values a fused store must pass through exactly as the separate layers
+/// do: signed zeros, infinities and NaN.
+const SPECIALS: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+
+proptest! {
+    #[test]
+    fn predict_is_bit_identical_to_forward_on_random_layer_chains(
+        batch in 1usize..20,
+        channels in 1usize..10,
+        height in 1usize..13,
+        width_pick in 0usize..6,
+        special_every in 0usize..12,
+        seed in 0u64..1_000_000,
+    ) {
+        // Widths on both tilings' sides of the 16-lane tile; batches that
+        // cross `Conv2d::infer`'s 8-element chunks.
+        let width = [5, 8, 13, 16, 17, 32][width_pick];
+        let mut draw = Draw(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let (mut model, names) = random_chain(&mut draw, [channels, height, width]);
+        // A -0.0 bias and -0.0 inputs make -0.0 sums, so a slipped sign of
+        // zero in a fused ReLU shows.
+        for (param, _) in model.params_mut() {
+            for v in param.data_mut().iter_mut().step_by(3) {
+                *v = -0.0;
+            }
+        }
+        let mut x = pseudo_tensor(seed, &[batch, channels, height, width]);
+        if special_every > 0 {
+            for (i, v) in x.data_mut().iter_mut().enumerate().step_by(special_every) {
+                *v = SPECIALS[i % SPECIALS.len()];
+            }
+        } else {
+            x.data_mut().fill(-0.0);
+        }
+        let expected = model.forward(&x);
+        // Twice, with a different batch in between: the fused runs reuse
+        // the model's plane buffers.
+        for pass in 0..2 {
+            let got = model.predict(&x);
+            prop_assert_eq!(got.shape(), expected.shape());
+            for (i, (a, b)) in got.data().iter().zip(expected.data()).enumerate() {
+                prop_assert!(
+                    a.to_bits() == b.to_bits(),
+                    "pass {pass}, output {i} of {names:?} on {:?}: predict {a} vs forward {b}",
+                    x.shape()
+                );
+            }
+            model.predict(&x.batch_item(0));
         }
     }
 }
