@@ -266,7 +266,7 @@ fn localizer_serve_times() -> (f64, f64) {
         start.elapsed()
     };
     let (mut t_direct, mut t_convs) = (Duration::MAX, Duration::MAX);
-    for _ in 0..=FUSED_RUNS {
+    for _ in 0..FUSED_RUNS {
         t_direct = t_direct.min(timed(&mut || {
             black_box(model.predict(&x));
         }));

@@ -19,8 +19,11 @@
 //! input slice it loads feeds both channels. Tiles come in two shapes:
 //!
 //! - **Per row**, when the output width is a whole number of tiles (the
-//!   16×16 localizer): every tile lies inside one row, so no padding column
-//!   `ow..pw` is computed.
+//!   16×16 localizer): every tile lies inside one row and stores as one
+//!   run, and no padding column `ow..pw` is computed. On a 2-vCPU x86-64
+//!   VM the 16×16 batch-4 localizer `predict` takes 65–68 µs per row and
+//!   78–82 µs flattened (`nn_bench_guard`, the two builds alternated), and
+//!   `serve16` `op_ref_ms` reads 8% lower (median of 10 alternated pairs).
 //! - **Flattened** otherwise: tiles run across the wide plane and may span
 //!   rows, so a narrow output (the 8×8 detector's 6-wide plane) is as fast
 //!   per output as a wide one; the lanes in padding columns are dropped.

@@ -36,16 +36,14 @@ pub struct Sequential {
     /// not allocate name strings per call.
     fwd_names: Vec<String>,
     bwd_names: Vec<String>,
-    /// [`Sequential::predict`]'s plan of the layer list, built on its first
-    /// call after the last `push`.
-    plan: Option<Vec<Step>>,
 }
 
 /// One step of [`Sequential::predict`]'s plan.
-enum Step {
-    /// A run of consecutive convolutions, by layer index, each with the
-    /// epilogue of the activation layer it absorbs: one [`infer_chain`].
-    Convs(Vec<(usize, Epilogue)>),
+enum Step<'a> {
+    /// A run of consecutive convolutions, each with the epilogue of the
+    /// activation layer it absorbs, and their layer indices: one
+    /// [`infer_chain`].
+    Convs(Vec<(&'a Conv2d, Epilogue)>, Vec<usize>),
     /// Any other layer, by index: [`Layer::infer`].
     Layer(usize),
 }
@@ -53,39 +51,33 @@ enum Step {
 /// Plans `layers` for [`Sequential::predict`]: every `Conv2d`, with the
 /// ReLU or Sigmoid right after it, joins the run of the convolution before
 /// it; everything else is a step of its own.
-fn plan(layers: &[Box<dyn Layer>]) -> Vec<Step> {
+fn plan(layers: &[Box<dyn Layer>]) -> Vec<Step<'_>> {
+    let fusion = |i: usize| layers.get(i).map_or(Fusion::None, |l| l.fusion());
     let mut steps = Vec::new();
     let mut i = 0;
     while i < layers.len() {
-        if !matches!(layers[i].fusion(), Fusion::Conv(_)) {
-            steps.push(Step::Layer(i));
-            i += 1;
-            continue;
-        }
-        let mut run = Vec::new();
-        while let Some(Fusion::Conv(_)) = layers.get(i).map(|l| l.fusion()) {
-            match layers.get(i + 1).map(|l| l.fusion()) {
-                Some(Fusion::Epilogue(epilogue)) => {
-                    run.push((i, epilogue));
+        let (mut convs, mut at) = (Vec::new(), Vec::new());
+        while let Fusion::Conv(conv) = fusion(i) {
+            at.push(i);
+            match fusion(i + 1) {
+                Fusion::Epilogue(epilogue) => {
+                    convs.push((conv, epilogue));
                     i += 2;
                 }
                 _ => {
-                    run.push((i, Epilogue::None));
+                    convs.push((conv, Epilogue::None));
                     i += 1;
                 }
             }
         }
-        steps.push(Step::Convs(run));
+        if convs.is_empty() {
+            steps.push(Step::Layer(i));
+            i += 1;
+        } else {
+            steps.push(Step::Convs(convs, at));
+        }
     }
     steps
-}
-
-/// The convolution a plan step names.
-fn conv_at(layers: &[Box<dyn Layer>], i: usize) -> &Conv2d {
-    match layers[i].fusion() {
-        Fusion::Conv(conv) => conv,
-        _ => unreachable!("layer {i} was planned as a convolution"),
-    }
 }
 
 impl Sequential {
@@ -136,7 +128,6 @@ impl Sequential {
     /// Appends an already boxed layer, builder-style.
     pub fn push_boxed(mut self, layer: Box<dyn Layer>) -> Self {
         self.layers.push(layer);
-        self.plan = None;
         self
     }
 
@@ -177,14 +168,15 @@ impl Sequential {
     /// [`Sequential::forward`], with no gradient bookkeeping. This is the hot
     /// path for deployed models serving whole frame batches.
     ///
-    /// The layer list is planned once. Each run of consecutive `Conv2d`
-    /// layers, each with the `Relu` or `Sigmoid` right after it, is one
-    /// fused pass: every convolution applies its activation as it stores
-    /// and stores straight into the next one's padded planes, so the run's
-    /// input is padded once and no tensor is allocated between its layers.
-    /// Every other layer (pooling, `Dense`, an activation after anything
-    /// but a convolution) runs [`Layer::infer`], and `Flatten` moves the
-    /// buffer. Nothing copies the input.
+    /// Each run of consecutive `Conv2d` layers, each with the `Relu` or
+    /// `Sigmoid` right after it, is one fused pass: every convolution
+    /// applies its activation as it stores and stores straight into the
+    /// next one's padded planes, so the run's input is padded once and no
+    /// tensor is allocated between its layers. Every other layer (pooling,
+    /// `Dense`, an activation after anything but a convolution) runs
+    /// [`Layer::infer`], and `Flatten` moves the buffer. Nothing copies the
+    /// input. The runs are found by a scan of the layer list on every call,
+    /// so the model holds no plan that a new layer could make stale.
     ///
     /// Per-layer telemetry uses the same `<prefix>.fwd.<i>.<layer>`
     /// histogram names as the training forward, one observation per call.
@@ -195,41 +187,36 @@ impl Sequential {
         if timed {
             self.refresh_layer_names();
         }
-        if self.plan.is_none() {
-            self.plan = Some(plan(&self.layers));
-        }
         let Sequential {
             layers,
             telemetry,
             fwd_names,
-            plan,
             ..
         } = self;
         let rec = timed.then_some(&*telemetry);
         // `None` until the first step: that step reads the caller's input.
         let mut x: Option<Tensor> = None;
-        for step in plan.as_deref().expect("planned above") {
+        for step in plan(layers) {
             x = Some(match step {
-                Step::Convs(run) => {
-                    let convs: Vec<_> = run.iter().map(|&(i, e)| (conv_at(layers, i), e)).collect();
+                Step::Convs(convs, at) => {
                     let input = x.as_ref().unwrap_or(input);
-                    let mut times = rec.map(|_| vec![Duration::ZERO; run.len()]);
+                    let mut times = rec.map(|_| vec![Duration::ZERO; at.len()]);
                     let y = infer_chain(&convs, input, times.as_deref_mut());
                     if let (Some(rec), Some(times)) = (rec, times) {
-                        for (&(i, _), d) in run.iter().zip(times) {
+                        for (i, d) in at.into_iter().zip(times) {
                             rec.record(&fwd_names[i], d);
                         }
                     }
                     y
                 }
                 Step::Layer(i) => {
-                    let layer = &layers[*i];
+                    let layer = &layers[i];
                     let mut infer = || match x.take() {
                         Some(x) => layer.infer_owned(x),
                         None => layer.infer(input),
                     };
                     match rec {
-                        Some(rec) => rec.time(&fwd_names[*i], infer),
+                        Some(rec) => rec.time(&fwd_names[i], infer),
                         None => infer(),
                     }
                 }

@@ -203,8 +203,8 @@ proptest! {
         special_every in 0usize..12,
         seed in 0u64..1_000_000,
     ) {
-        // Widths on both tilings' sides of the 16-lane tile; batches that
-        // cross `Conv2d::infer`'s 8-element chunks.
+        // Widths on both sides of the 16-lane tile and whole multiples of
+        // it; batches that cross `infer_chain`'s 8-element chunks.
         let width = [5, 8, 13, 16, 17, 32][width_pick];
         let mut draw = Draw(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
         let (mut model, names) = random_chain(&mut draw, [channels, height, width]);
@@ -224,8 +224,10 @@ proptest! {
             x.data_mut().fill(-0.0);
         }
         let expected = model.forward(&x);
-        // Twice, with a different batch in between: the fused runs reuse
-        // the model's plane buffers.
+        // Twice, with a different batch in between, so `predict` must keep
+        // no state between calls. Within a call, a fused run reuses its two
+        // plane buffers across its convolutions and, past 8 elements,
+        // across the batch's chunks.
         for pass in 0..2 {
             let got = model.predict(&x);
             prop_assert_eq!(got.shape(), expected.shape());
