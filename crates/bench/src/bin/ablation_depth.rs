@@ -3,42 +3,44 @@
 //! dice accuracy, but it would substantially inflate the model's hardware
 //! overhead".
 //!
-//! The samples come from the `stp` spec's campaign, split per benchmark;
-//! run with `-- specs/paper` for the paper-scale 16×16 mesh.
+//! Each depth trains on the `stp` spec's eval-phase train split with the
+//! phase's localization feature, epochs and seed, and is scored on the
+//! phase's held-out attack windows; run with `-- specs/paper` for the
+//! paper-scale 16×16 mesh.
 
-use dl2fence::input::direction_masks;
+use dl2fence::input::{direction_masks, sample_frames};
 use dl2fence::DosLocalizer;
-use dl2fence_bench::load_spec;
-use dl2fence_campaign::{split_by_benchmark, Executor};
+use dl2fence_bench::{eval_job, load_spec};
 use hw_overhead::area::AcceleratorParams;
-use noc_monitor::FeatureKind;
 use noc_sim::Direction;
 use tinycnn::{dice_coefficient, Tensor};
 
 fn main() {
     let spec = load_spec("stp");
-    let topology = spec.resolved_topologies().expect("loaded spec is valid")[0];
-    let (rows, cols) = (topology.rows(), topology.cols());
-    let seed = spec.grid.seeds[0];
+    let job = eval_job(&spec);
+    let config = job.config;
+    let (rows, cols) = (config.rows, config.cols);
     println!("Ablation — localizer depth vs dice accuracy vs area ({rows}x{cols} mesh)");
-    let outcome = Executor::with_available_parallelism()
-        .execute(&spec)
-        .expect("loaded spec is valid");
-    let (train, test) = split_by_benchmark(outcome.runs, spec.eval.train_fraction);
-    let attack_tests: Vec<_> = test.iter().filter(|s| s.truth.under_attack).collect();
+    let attack_tests: Vec<_> = job.test.iter().filter(|s| s.truth.under_attack).collect();
 
     println!(
         "{:>11} {:>10} {:>12} {:>14}",
         "conv layers", "params", "mean dice", "accel gates"
     );
     for conv_layers in [2usize, 3, 4] {
-        let mut localizer = DosLocalizer::with_architecture(rows, cols, 8, conv_layers, seed);
-        localizer.train(&train, FeatureKind::Boc, spec.eval.localizer_epochs, seed);
+        let mut localizer =
+            DosLocalizer::with_architecture(rows, cols, 8, conv_layers, config.seed);
+        localizer.train(
+            &job.train,
+            config.localization_feature,
+            config.localizer_epochs,
+            config.seed,
+        );
         // Mean dice over every direction of every attack test sample.
         let mut dice_sum = 0.0;
         let mut count = 0usize;
         for s in &attack_tests {
-            let segs = localizer.segment_bundle(&s.boc);
+            let segs = localizer.segment_bundle(sample_frames(s, config.localization_feature));
             let masks = direction_masks(&s.truth);
             for dir in Direction::CARDINAL {
                 let pred = Tensor::from_vec(segs[dir.index()].clone(), &[rows * cols]);

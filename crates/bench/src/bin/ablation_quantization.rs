@@ -3,33 +3,20 @@
 //! the trained detector loses when its weights are quantized to various bit
 //! widths.
 //!
-//! The samples come from the `stp` spec's campaign, run on the campaign
-//! engine's worker pool; the binary then trains the float detector on the
-//! per-benchmark train split and re-scores it per precision. Run with
+//! The float model is the detector of the `stp` spec's eval phase (its
+//! 32-bit row is Table 4's detection): the binary trains the phase's job
+//! once and re-scores its held-out split per precision. Run with
 //! `-- specs/paper` for the paper-scale 16×16 mesh.
 
-use dl2fence::{DosDetector, FenceConfig};
-use dl2fence_bench::load_spec;
-use dl2fence_campaign::{split_by_benchmark, Executor};
-use noc_monitor::FeatureKind;
-use tinycnn::quantize::quantize_model;
-use tinycnn::BinaryConfusion;
+use dl2fence_bench::{eval_job, load_spec, quantized_detection};
+use dl2fence_telemetry::Recorder;
 
 fn main() {
     let spec = load_spec("stp");
-    let topology = spec.resolved_topologies().expect("loaded spec is valid")[0];
-    let (rows, cols) = (topology.rows(), topology.cols());
-    let seed = spec.grid.seeds[0];
+    let job = eval_job(&spec);
+    let (rows, cols) = (job.config.rows, job.config.cols);
     println!("Ablation — detector weight quantization ({rows}x{cols} mesh)");
-    let outcome = Executor::with_available_parallelism()
-        .execute(&spec)
-        .expect("loaded spec is valid");
-    let (train, test) = split_by_benchmark(outcome.runs, spec.eval.train_fraction);
-
-    let config = FenceConfig::new(rows, cols);
-    let mut detector = DosDetector::new(rows, cols, config.seed);
-    detector.train(&train, FeatureKind::Vco, spec.eval.detector_epochs, seed);
-    let export = detector.export();
+    let export = job.train_fence(&Recorder::default()).export_model();
 
     println!(
         "{:>10} {:>10} {:>11} {:>8}",
@@ -40,16 +27,7 @@ fn main() {
     let widths = [2u32, 3, 4, 8, 12, 16, 32];
     let mut accuracies = Vec::with_capacity(widths.len());
     for bits in widths {
-        let mut quantized = if bits >= 32 {
-            DosDetector::from_export(rows, cols, export.clone())
-        } else {
-            DosDetector::from_export(rows, cols, quantize_model(&export, bits))
-        };
-        let mut confusion = BinaryConfusion::new();
-        for sample in &test {
-            let result = quantized.detect(&sample.vco);
-            confusion.record(result.detected, sample.truth.under_attack);
-        }
+        let confusion = quantized_detection(&job, &export, bits);
         println!(
             "{:>7}bit {:>10.3} {:>11.3} {:>8.3}",
             bits,

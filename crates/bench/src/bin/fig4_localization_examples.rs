@@ -4,18 +4,17 @@
 //! showing the reconstructed attack route and the per-example localization
 //! accuracy / precision / recall.
 //!
-//! The training campaign is the `fig4_localization` spec, with enough
-//! attack placements that straight and L-shaped routes in every direction
-//! are represented; it runs on the campaign engine's worker pool. The quick
+//! The fence is the `fig4_localization` spec's eval-phase model, trained on
+//! the phase's train split of a campaign with enough attack placements that
+//! straight and L-shaped routes in every direction are represented. The quick
 //! spec uses an 8×8 mesh with analogous attacker placements; run with
 //! `-- specs/paper` for the paper's 16×16 mesh and placements. The
 //! placements exist for square meshes only, so a rectangular mesh is refused
 //! with exit status 1.
 
 use dl2fence::evaluation::evaluate;
-use dl2fence::{Dl2Fence, FenceConfig};
-use dl2fence_bench::{load_spec, square_side};
-use dl2fence_campaign::{parse_feature, split_by_benchmark, Executor};
+use dl2fence_bench::{eval_job, load_spec, square_side};
+use dl2fence_telemetry::Recorder;
 use noc_monitor::dataset::{CollectionConfig, DatasetGenerator, ScenarioSpec};
 use noc_sim::{NocConfig, NodeId};
 use noc_traffic::{BenignWorkload, SyntheticPattern};
@@ -62,24 +61,12 @@ fn main() {
         )
     };
 
-    // Train a fence on the spec's campaign (uniform traffic with extra
-    // attack placements), using the spec's split and feature assignment.
+    // Train the eval phase's fence on the spec's campaign (uniform traffic
+    // with extra attack placements).
     println!(
         "Figure 4 — localization examples on a {mesh}x{mesh} mesh (training the models first)..."
     );
-    let outcome = Executor::with_available_parallelism()
-        .execute(&spec)
-        .expect("loaded spec is valid");
-    let (train, _) = split_by_benchmark(outcome.runs, spec.eval.train_fraction);
-    let mut config = FenceConfig::new(mesh, mesh)
-        .with_seed(seed)
-        .with_epochs(spec.eval.detector_epochs, spec.eval.localizer_epochs);
-    config.detection_feature =
-        parse_feature(&spec.eval.detection_feature).expect("eval feature is vco or boc");
-    config.localization_feature =
-        parse_feature(&spec.eval.localization_feature).expect("eval feature is vco or boc");
-    let mut fence = Dl2Fence::new(config);
-    fence.train(&train);
+    let mut fence = eval_job(&spec).train_fence(&Recorder::default());
 
     // Collect the two example scenarios and analyse them.
     let collection = CollectionConfig {

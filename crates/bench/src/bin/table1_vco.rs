@@ -9,7 +9,7 @@
 //!
 //! Run with `-- specs/paper` for the paper-scale 16×16 mesh.
 
-use dl2fence_bench::{evaluate, load_spec, print_table};
+use dl2fence_bench::{load_spec, print_table};
 
 fn main() {
     let [stp, parsec] = ["stp", "parsec"].map(|name| {
@@ -25,7 +25,7 @@ fn main() {
         topology.cols(),
         stp.grid.fir[0]
     );
-    print_table("Table 1: VCO | VCO", &evaluate(&stp), &evaluate(&parsec));
+    print_table("Table 1: VCO | VCO", &stp, &parsec);
     println!(
         "Paper reference (16x16): STP detection avg acc 0.98, localization avg acc 0.53;\n\
          PARSEC detection avg acc 0.93, localization avg acc 0.98.\n\

@@ -3,7 +3,7 @@
 //!
 //! Run with `-- specs/paper` for the paper-scale 16×16 mesh.
 
-use dl2fence_bench::{evaluate, load_spec, print_table};
+use dl2fence_bench::{load_spec, print_table};
 
 fn main() {
     let [stp, parsec] = ["stp", "parsec"].map(|name| {
@@ -19,7 +19,7 @@ fn main() {
         topology.cols(),
         stp.grid.fir[0]
     );
-    print_table("Table 2: BOC | BOC", &evaluate(&stp), &evaluate(&parsec));
+    print_table("Table 2: BOC | BOC", &stp, &parsec);
     println!(
         "Paper reference (16x16): STP detection avg acc 0.997, localization avg acc 0.973;\n\
          PARSEC detection avg acc 0.94, localization avg acc 0.97.\n\

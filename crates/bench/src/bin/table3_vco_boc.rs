@@ -3,7 +3,7 @@
 //!
 //! Run with `-- specs/paper` for the paper-scale 16×16 mesh.
 
-use dl2fence_bench::{evaluate, load_spec, print_table};
+use dl2fence_bench::{load_spec, print_table};
 
 fn main() {
     let [stp, parsec] = ["stp", "parsec"].map(|name| {
@@ -19,11 +19,7 @@ fn main() {
         topology.cols(),
         stp.grid.fir[0]
     );
-    print_table(
-        "Table 3: VCO detection | BOC localization",
-        &evaluate(&stp),
-        &evaluate(&parsec),
-    );
+    print_table("Table 3: VCO detection | BOC localization", &stp, &parsec);
     println!(
         "Paper reference (16x16): detection acc 0.958 / precision 0.985,\n\
          localization acc 0.917 / precision 0.993 (STP averages).\n\

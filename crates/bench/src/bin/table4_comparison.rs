@@ -8,7 +8,8 @@
 //! The area model covers square meshes only, so a rectangular `stp` mesh is
 //! refused with exit status 1.
 
-use dl2fence_bench::{evaluate, load_spec, square_side};
+use dl2fence_bench::{eval_job, load_spec, square_side};
+use dl2fence_telemetry::Recorder;
 use hw_overhead::comparison::{our_work_entry, related_works};
 use hw_overhead::{AreaModel, RouterParams};
 
@@ -21,7 +22,7 @@ fn main() {
     let stp = load_spec("stp");
     let mesh = square_side(&stp, "table4_comparison");
     println!("Table 4 — comparison to related works (measuring our metrics at {mesh}x{mesh})");
-    let report = evaluate(&stp);
+    let report = eval_job(&stp).run(&Recorder::default()).report;
     let detection = report.overall_detection();
     let localization = report.overall_localization();
 

@@ -18,9 +18,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dl2fence::EvaluationReport;
-use dl2fence_campaign::{CampaignReport, CampaignSpec, Executor};
+use dl2fence::evaluation::evaluate;
+use dl2fence::{Dl2Fence, FenceModelExport};
+use dl2fence_campaign::{CampaignSpec, EvalJob, Executor, ReportAccumulator};
+use dl2fence_telemetry::Recorder;
 use std::path::PathBuf;
+use tinycnn::quantize::quantize_model;
+use tinycnn::BinaryConfusion;
 
 /// Loads `<dir>/<name>.toml` from the spec directory named by the first
 /// command-line argument, or from the workspace's `specs/` without one.
@@ -55,28 +59,45 @@ pub fn square_side(spec: &CampaignSpec, binary: &str) -> usize {
     rows
 }
 
-/// Runs an eval-enabled single-topology campaign on every available core
-/// and returns its per-benchmark evaluation.
+/// Executes `spec` once on every available core and returns its eval
+/// phase's job for the first frame geometry: the configuration, train split
+/// and test split behind the first entry of the spec's campaign report.
+/// Tables 1–4, Figure 4 and the ablations all start here, so each scores
+/// the eval phase's own split and models.
 ///
 /// # Panics
 ///
 /// Panics if the spec has no eval phase or the phase fails.
-pub fn evaluate(spec: &CampaignSpec) -> EvaluationReport {
+pub fn eval_job(spec: &CampaignSpec) -> EvalJob {
     let outcome = Executor::with_available_parallelism()
         .execute(spec)
         .expect("loaded spec is valid");
-    let report = CampaignReport::build(&outcome).expect("eval phase must succeed");
-    report
-        .evaluations
+    let mut acc = ReportAccumulator::for_spec(spec).expect("loaded spec is valid");
+    for run in outcome.runs {
+        acc.try_fold(&run).expect("executed runs carry samples");
+    }
+    acc.into_eval_jobs()
+        .expect("eval phase must succeed")
         .into_iter()
         .next()
         .expect("spec enables the eval phase")
-        .report
 }
 
-/// Prints a table experiment's STP and PARSEC evaluations in the paper's
-/// layout.
-pub fn print_table(title: &str, stp: &EvaluationReport, parsec: &EvaluationReport) {
+/// The detection confusion on `job`'s test split of the trained pipeline
+/// `fence` with its detector weights quantized to `bits` (2..=16); 32 keeps
+/// the float weights, which is the eval phase's own detection.
+pub fn quantized_detection(job: &EvalJob, fence: &FenceModelExport, bits: u32) -> BinaryConfusion {
+    let mut export = fence.clone();
+    if bits < 32 {
+        export.detector = quantize_model(&export.detector, bits);
+    }
+    evaluate(&mut Dl2Fence::from_export(export), &job.test).overall_detection()
+}
+
+/// Prints a table experiment's STP and PARSEC evaluations (each spec's
+/// [`eval_job`], trained and scored) in the paper's layout.
+pub fn print_table(title: &str, stp: &CampaignSpec, parsec: &CampaignSpec) {
+    let [stp, parsec] = [stp, parsec].map(|spec| eval_job(spec).run(&Recorder::default()).report);
     println!("=== {title} ===");
     println!("--- Synthetic Traffic Patterns ---");
     print!("{}", stp.render_table());

@@ -60,3 +60,14 @@ fn every_quick_bench_spec_has_a_paper_scale_twin() {
         assert_eq!(quick.eval.enabled, paper.eval.enabled, "{name}");
     }
 }
+
+#[test]
+fn figure1_config_covers_eleven_points() {
+    // Figure 1 sweeps FIR 0.0–1.0 in steps of 0.1 at both scales.
+    let dir = specs_dir();
+    for path in [dir.join("fir_sweep.toml"), dir.join("paper/fir_sweep.toml")] {
+        let fir = CampaignSpec::from_path(&path).unwrap().grid.fir;
+        let expected: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
+        assert_eq!(fir, expected, "{}", path.display());
+    }
+}

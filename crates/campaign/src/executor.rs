@@ -10,7 +10,8 @@
 use crate::grid::{self, RunSpec};
 use crate::spec::{CampaignSpec, SimParams, SpecError};
 use dl2fence_telemetry::{Recorder, Telemetry};
-use noc_monitor::{FrameSampler, GroundTruth, LabeledSample};
+use noc_monitor::dataset::sample_windows;
+use noc_monitor::LabeledSample;
 use noc_sim::{EnergyModel, NocConfig};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,23 +80,14 @@ pub fn execute_run(sim: &SimParams, run: &RunSpec) -> RunResult {
         noc = noc.with_injection_queue_capacity(sim.injection_queue_capacity);
     }
     let mut scenario = run.scenario.build(noc, run.run_seed);
-    let truth = GroundTruth::of_scenario(&scenario);
-    scenario.run(sim.warmup_cycles);
-    scenario.network_mut().reset_boc();
-    let mut samples = Vec::new();
-    for _ in 0..sim.samples_per_run {
-        scenario.run(sim.sample_period);
-        if sim.collect_samples {
-            let (vco, boc) = FrameSampler::sample_both(scenario.network());
-            samples.push(LabeledSample {
-                vco,
-                boc,
-                truth: truth.clone(),
-                benchmark: run.workload.clone(),
-            });
-        }
-        scenario.network_mut().reset_boc();
-    }
+    let samples = sample_windows(
+        &mut scenario,
+        &run.workload,
+        sim.warmup_cycles,
+        sim.sample_period,
+        sim.samples_per_run,
+        sim.collect_samples,
+    );
     let stats = scenario.network().stats();
     let energy = EnergyModel::new().estimate(stats, topology.node_count());
     RunResult {
@@ -400,6 +392,10 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::runs_from_scenarios;
+    use noc_monitor::ScenarioSpec;
+    use noc_sim::{NodeId, Topology};
+    use noc_traffic::{BenignWorkload, SyntheticPattern};
 
     fn tiny_spec() -> CampaignSpec {
         let mut spec = CampaignSpec::quick("tiny");
@@ -427,6 +423,57 @@ mod tests {
             );
             assert!(run.metrics.energy_nj > 0.0);
         }
+    }
+
+    /// Figure 1's simulator property on a small mesh: one run per FIR
+    /// (uniform traffic, attacker 15 flooding victim 0) over `cycles`
+    /// cycles, through the campaign's own run path.
+    fn fir_points(firs: &[f64], cycles: u64) -> Vec<RunMetrics> {
+        let workload = BenignWorkload::Synthetic(SyntheticPattern::UniformRandom, 0.02);
+        let scenarios = firs
+            .iter()
+            .map(|&fir| ScenarioSpec::attacked(workload, vec![NodeId(15)], NodeId(0), fir));
+        let sim = SimParams {
+            warmup_cycles: 0,
+            sample_period: cycles,
+            samples_per_run: 1,
+            collect_samples: false,
+            injection_queue_capacity: 64,
+        };
+        runs_from_scenarios(3, &Topology::mesh(4, 4), scenarios)
+            .iter()
+            .map(|run| execute_run(&sim, run).metrics)
+            .collect()
+    }
+
+    #[test]
+    fn latency_rises_with_fir() {
+        let points = fir_points(&[0.0, 0.4, 0.9], 3_000);
+        assert_eq!(points.len(), 3);
+        assert!(
+            points[2].packet_latency > points[0].packet_latency,
+            "FIR 0.9 latency {} should exceed FIR 0 latency {}",
+            points[2].packet_latency,
+            points[0].packet_latency
+        );
+    }
+
+    #[test]
+    fn fir_one_saturates_the_source() {
+        // FIR 1.0 creates one packet (5 flits) per cycle at a single NI that
+        // can inject at most 1 flit per cycle — the queue must blow up.
+        let points = fir_points(&[1.0], 2_000);
+        assert!(
+            points[0].saturated,
+            "FIR 1.0 should saturate the attacker's queue"
+        );
+        assert!(points[0].packets_created > points[0].packets_received);
+    }
+
+    #[test]
+    fn fir_zero_is_not_saturated() {
+        let points = fir_points(&[0.0], 2_000);
+        assert!(!points[0].saturated);
     }
 
     #[test]

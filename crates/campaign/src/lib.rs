@@ -98,7 +98,7 @@ pub use events::{
 pub use executor::{execute_run, CampaignOutcome, Executor, JobPanic, RunMetrics, RunResult};
 pub use grid::{derive_run_seed, expand, runs_from_scenarios, RunSpec};
 pub use merge::merge;
-pub use report::{split_by_benchmark, CampaignReport, EvalEntry, GroupSummary, ReportAccumulator};
+pub use report::{CampaignReport, EvalEntry, EvalJob, GroupSummary, ReportAccumulator};
 pub use spec::{
     parse_feature, parse_workload, require_mesh, validate_group_by, CampaignSpec, EvalSpec,
     GridSpec, ReportSpec, SimParams, SpecError,

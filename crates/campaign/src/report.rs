@@ -12,15 +12,22 @@
 //! [`CampaignReport::build_with`] is the same fold over an outcome's run
 //! vector.
 //!
+//! The eval phase is one [`EvalJob`] per frame geometry: the
+//! [`EvalSpec::fence_config`] it trains plus its [`split_samples`] split.
+//! Only the accumulator builds jobs, and [`EvalJob::run`] is the phase's
+//! whole train-and-score body, so harnesses that ablate one setting of the
+//! paper's recipe start from exactly what the report trains.
+//!
 //! Everything here is deterministic: groups appear in first-seen run order,
 //! aggregates are accumulated in run-index order, and serialization goes
 //! through the order-preserving `serde` value tree — so a report rendered
 //! from a 16-worker campaign is byte-identical to the serial one.
 
 use crate::executor::{CampaignOutcome, Executor, RunResult};
-use crate::spec::{parse_feature, validate_group_by, CampaignSpec, EvalSpec, SpecError};
+use crate::spec::{validate_group_by, CampaignSpec, EvalSpec, SpecError};
 use dl2fence::evaluation::evaluate;
 use dl2fence::{Dl2Fence, EvaluationReport, FenceConfig};
+use dl2fence_telemetry::Recorder;
 use noc_monitor::LabeledSample;
 use noc_sim::Topology;
 use serde::{Deserialize, Serialize};
@@ -474,6 +481,48 @@ impl ReportAccumulator {
         self.eval_pools.iter().map(|p| p.samples.len()).sum()
     }
 
+    /// The eval phase's jobs, one per frame geometry in first-seen order,
+    /// without running them: what [`Self::finish`] trains and scores.
+    /// Empty unless the eval phase is enabled.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] if a feature name is invalid or a
+    /// frame-geometry group has no test samples.
+    pub fn into_eval_jobs(mut self) -> Result<Vec<EvalJob>, SpecError> {
+        self.take_eval_jobs()
+    }
+
+    /// Moves every pool's samples into its job: split with
+    /// [`split_samples`] in run-index order, configured by
+    /// [`EvalSpec::fence_config`] with the pool's first campaign seed.
+    fn take_eval_jobs(&mut self) -> Result<Vec<EvalJob>, SpecError> {
+        std::mem::take(&mut self.eval_pools)
+            .into_iter()
+            .map(|pool| {
+                let EvalPool {
+                    mesh,
+                    cols,
+                    seed,
+                    samples,
+                } = pool;
+                let config = self.eval.fence_config(mesh, cols, seed)?;
+                let (train, test) = split_samples(samples, self.eval.train_fraction);
+                if test.is_empty() {
+                    return Err(SpecError::new(format!(
+                        "eval group for the {mesh}x{cols} frame geometry has no test samples; \
+                         lower eval.train_fraction or add runs"
+                    )));
+                }
+                Ok(EvalJob {
+                    config,
+                    train,
+                    test,
+                })
+            })
+            .collect()
+    }
+
     /// Finalizes the aggregates into a [`CampaignReport`], running the eval
     /// phase (fanned out over `executor`) if the spec enabled it.
     ///
@@ -482,9 +531,11 @@ impl ReportAccumulator {
     /// Returns a [`SpecError`] if the eval phase is enabled but its
     /// configuration is invalid or a frame-geometry group has no test
     /// samples.
-    pub fn finish(self, executor: &Executor) -> Result<CampaignReport, SpecError> {
+    pub fn finish(mut self, executor: &Executor) -> Result<CampaignReport, SpecError> {
         let evaluations = if self.eval.enabled {
-            run_eval_phase(self.eval_pools, &self.eval, executor)?
+            let jobs = self.take_eval_jobs()?;
+            let telemetry = executor.telemetry();
+            executor.run_jobs(&jobs, |job| job.run(&telemetry.recorder()))
         } else {
             Vec::new()
         };
@@ -504,8 +555,10 @@ impl ReportAccumulator {
 }
 
 /// Splits a group's samples into deterministic, interleaved train and test
-/// sets — the single split policy shared by the eval phase and the bench
-/// harness, so every attack placement contributes to both sides.
+/// sets, so every attack placement contributes to both sides. This is the
+/// one split policy: [`ReportAccumulator::into_eval_jobs`] applies it to
+/// each frame geometry's pool in run-index order, and the bench harness's
+/// tables, ablations and Figure 4 take their splits from those jobs.
 ///
 /// `train_fraction` is clamped to `[0.05, 0.95]`; both partitions are
 /// non-empty whenever at least two samples exist.
@@ -540,108 +593,48 @@ pub fn split_samples(
     (train, test)
 }
 
-/// One prepared per-mesh eval job: everything a worker needs to train and
-/// score one DL2Fence instance, with no shared mutable state.
-struct EvalJob {
-    mesh: usize,
-    cols: usize,
-    seed: u64,
-    train: Vec<LabeledSample>,
-    test: Vec<LabeledSample>,
+/// One frame geometry's share of the eval phase: the DL2Fence
+/// configuration it trains and its held-out split. Every worker owns its
+/// job, so jobs run in parallel with no shared mutable state.
+///
+/// Only the [`ReportAccumulator`] builds jobs
+/// ([`ReportAccumulator::into_eval_jobs`]), from one geometry's samples in
+/// run-index order, so a harness that scores the phase's models (the
+/// paper's ablations) trains exactly what the campaign report trains.
+#[derive(Debug)]
+pub struct EvalJob {
+    /// The configuration the phase trains ([`EvalSpec::fence_config`],
+    /// seeded with the geometry's first campaign seed).
+    pub config: FenceConfig,
+    /// Training windows.
+    pub train: Vec<LabeledSample>,
+    /// Held-out windows.
+    pub test: Vec<LabeledSample>,
 }
 
-/// Splits executed runs' samples into train/test sets per benchmark (groups
-/// by workload name in first-seen run order, then applies [`split_samples`]
-/// within each group), so every benchmark and attack placement contributes
-/// to both sides.
-///
-/// This is the collection half of the table-style experiments, shared by
-/// the eval phase's callers and the bench harness.
-pub fn split_by_benchmark(
-    results: Vec<RunResult>,
-    train_fraction: f64,
-) -> (Vec<LabeledSample>, Vec<LabeledSample>) {
-    let mut by_workload: Vec<(String, Vec<LabeledSample>)> = Vec::new();
-    for result in results {
-        match by_workload
-            .iter_mut()
-            .find(|(name, _)| *name == result.spec.workload)
-        {
-            Some((_, samples)) => samples.extend(result.samples),
-            None => by_workload.push((result.spec.workload, result.samples)),
-        }
-    }
-    let mut train = Vec::new();
-    let mut test = Vec::new();
-    for (_, samples) in by_workload {
-        let (tr, te) = split_samples(samples, train_fraction);
-        train.extend(tr);
-        test.extend(te);
-    }
-    (train, test)
-}
-
-/// The evaluation phase: per mesh size, split the accumulated samples,
-/// train one DL2Fence instance over the whole benchmark group (the paper's
-/// protocol) and evaluate it on the held-out set, broken down per benchmark.
-///
-/// Pools arrive from the [`ReportAccumulator`] in first-seen mesh order
-/// with samples in run-index order — identical to grouping a full in-memory
-/// result set. Splits are prepared serially (cheap), then the expensive
-/// train/evaluate jobs fan out over `executor`'s worker pool so the eval
-/// phase no longer serializes the tail of a campaign. Jobs are independent
-/// and reassembled in group order, so the entries are identical for any
-/// worker count.
-fn run_eval_phase(
-    pools: Vec<EvalPool>,
-    eval: &EvalSpec,
-    executor: &Executor,
-) -> Result<Vec<EvalEntry>, SpecError> {
-    let detection = parse_feature(&eval.detection_feature)?;
-    let localization = parse_feature(&eval.localization_feature)?;
-
-    let mut jobs = Vec::new();
-    for pool in pools {
-        let EvalPool {
-            mesh,
-            cols,
-            seed,
-            samples,
-        } = pool;
-        let (train, test) = split_samples(samples, eval.train_fraction);
-        if test.is_empty() {
-            return Err(SpecError::new(format!(
-                "eval group for the {mesh}x{cols} frame geometry has no test samples; \
-                 lower eval.train_fraction or add runs"
-            )));
-        }
-        jobs.push(EvalJob {
-            mesh,
-            cols,
-            seed,
-            train,
-            test,
-        });
-    }
-
-    let telemetry = executor.telemetry();
-    Ok(executor.run_jobs(&jobs, |job| {
-        let rec = telemetry.recorder();
-        let mut config = FenceConfig::new(job.mesh, job.cols)
-            .with_seed(job.seed)
-            .with_epochs(eval.detector_epochs, eval.localizer_epochs);
-        config.detection_feature = detection;
-        config.localization_feature = localization;
-        let mut fence = Dl2Fence::new(config);
+impl EvalJob {
+    /// Trains a DL2Fence instance from `config` on the training split,
+    /// timed as `eval.train`; the fence times its stages and layers into
+    /// `rec` too.
+    pub fn train_fence(&self, rec: &Recorder) -> Dl2Fence {
+        let mut fence = Dl2Fence::new(self.config);
         fence.set_telemetry(rec.clone());
-        rec.time("eval.train", || fence.train(&job.train));
+        rec.time("eval.train", || fence.train(&self.train));
+        fence
+    }
+
+    /// The eval phase's body for this geometry: [`Self::train_fence`],
+    /// then the fence scored on the held-out split (`eval.evaluate`),
+    /// broken down per benchmark.
+    pub fn run(&self, rec: &Recorder) -> EvalEntry {
+        let mut fence = self.train_fence(rec);
         EvalEntry {
-            mesh: job.mesh,
-            train_samples: job.train.len(),
-            test_samples: job.test.len(),
-            report: rec.time("eval.evaluate", || evaluate(&mut fence, &job.test)),
+            mesh: self.config.rows,
+            train_samples: self.train.len(),
+            test_samples: self.test.len(),
+            report: rec.time("eval.evaluate", || evaluate(&mut fence, &self.test)),
         }
-    }))
+    }
 }
 
 #[cfg(test)]

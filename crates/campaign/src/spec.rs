@@ -8,6 +8,7 @@
 //! a concrete run matrix via [`crate::grid::expand`].
 
 use crate::minitoml;
+use dl2fence::FenceConfig;
 use noc_sim::{Topology, TopologyKind};
 use noc_traffic::{AttackKind, BenignWorkload, ParsecWorkload, SyntheticPattern};
 use serde::{Deserialize, Serialize};
@@ -157,6 +158,32 @@ impl Default for EvalSpec {
             detection_feature: "vco".to_string(),
             localization_feature: "boc".to_string(),
         }
+    }
+}
+
+impl EvalSpec {
+    /// The DL2Fence configuration this phase trains on a `rows × cols`
+    /// frame geometry: the spec's feature pair and epoch counts, seeded
+    /// with `seed` (the eval phase passes its geometry's first campaign
+    /// seed). Every other field keeps [`FenceConfig::new`]'s paper default.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] when either feature name is neither `vco`
+    /// nor `boc`.
+    pub fn fence_config(
+        &self,
+        rows: usize,
+        cols: usize,
+        seed: u64,
+    ) -> Result<FenceConfig, SpecError> {
+        Ok(FenceConfig {
+            detection_feature: parse_feature(&self.detection_feature)?,
+            localization_feature: parse_feature(&self.localization_feature)?,
+            ..FenceConfig::new(rows, cols)
+                .with_seed(seed)
+                .with_epochs(self.detector_epochs, self.localizer_epochs)
+        })
     }
 }
 

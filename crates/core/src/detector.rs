@@ -33,7 +33,6 @@ pub struct DosDetector {
     rows: usize,
     cols: usize,
     threshold: f32,
-    kernels: usize,
 }
 
 impl DosDetector {
@@ -47,22 +46,10 @@ impl DosDetector {
     /// Panics if the mesh is smaller than 4×4 (the conv + pool stack needs at
     /// least a 4-pixel spatial extent).
     pub fn new(rows: usize, cols: usize, seed: u64) -> Self {
-        Self::with_kernels(rows, cols, Self::DEFAULT_KERNELS, seed)
-    }
-
-    /// Builds a detector with a custom number of convolution kernels (used by
-    /// the model-size ablation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mesh is smaller than 4×4 or `kernels` is zero.
-    pub fn with_kernels(rows: usize, cols: usize, kernels: usize, seed: u64) -> Self {
         assert!(rows >= 4 && cols >= 4, "mesh must be at least 4x4");
-        assert!(kernels > 0, "at least one kernel is required");
-        let conv_h = rows - 2;
-        let conv_w = cols - 2;
-        let pooled_h = conv_h / 2;
-        let pooled_w = conv_w / 2;
+        let kernels = Self::DEFAULT_KERNELS;
+        let pooled_h = (rows - 2) / 2;
+        let pooled_w = (cols - 2) / 2;
         let model = Sequential::new()
             .push(Conv2d::new(4, kernels, 3, Padding::Valid, seed))
             .push(Relu::new())
@@ -79,7 +66,6 @@ impl DosDetector {
             rows,
             cols,
             threshold: 0.5,
-            kernels,
         }
     }
 
@@ -90,7 +76,6 @@ impl DosDetector {
             rows,
             cols,
             threshold: 0.5,
-            kernels: Self::DEFAULT_KERNELS,
         }
     }
 
@@ -99,22 +84,9 @@ impl DosDetector {
         self.threshold
     }
 
-    /// Sets the decision threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the threshold is outside `(0, 1)`.
-    pub fn set_threshold(&mut self, threshold: f32) {
-        assert!(
-            threshold > 0.0 && threshold < 1.0,
-            "threshold must be in (0, 1)"
-        );
-        self.threshold = threshold;
-    }
-
     /// Number of convolution kernels.
     pub fn kernels(&self) -> usize {
-        self.kernels
+        Self::DEFAULT_KERNELS
     }
 
     /// Attaches a telemetry recorder: the model times every layer's forward
@@ -227,7 +199,7 @@ impl std::fmt::Debug for DosDetector {
             "DosDetector({}x{}, {} kernels, {} params)",
             self.rows,
             self.cols,
-            self.kernels,
+            Self::DEFAULT_KERNELS,
             self.parameter_count()
         )
     }
@@ -331,13 +303,6 @@ mod tests {
             );
             assert_eq!(single.detected, batch_result.detected);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold")]
-    fn invalid_threshold_panics() {
-        let mut d = DosDetector::new(8, 8, 0);
-        d.set_threshold(1.5);
     }
 
     #[test]

@@ -29,13 +29,6 @@ pub struct FusionResult {
     pub flagged_by_direction: [Vec<NodeId>; 4],
 }
 
-impl FusionResult {
-    /// Whether fusion found any victim at all.
-    pub fn has_victims(&self) -> bool {
-        !self.victims.is_empty()
-    }
-}
-
 /// Multi-Frame Fusion: binarize each directional segmentation map, zero-pad
 /// it to the standard 16×16 grid, and accumulate the four maps. Nodes with
 /// a fused value ≥ 1 are victims.
@@ -137,7 +130,7 @@ pub(crate) mod tests {
         let mff = MultiFrameFusion::new();
         let segs = [vec![0.0; 16], vec![0.0; 16], vec![0.0; 16], vec![0.0; 16]];
         let r = mff.fuse(&segs, 4, 4);
-        assert!(!r.has_victims());
+        assert!(r.victims.is_empty());
         assert!(r.abnormal_directions.is_empty());
     }
 
@@ -224,7 +217,7 @@ pub(crate) mod tests {
             vec![0.0; 16],
         ];
         let r = strict.fuse(&segs, 4, 4);
-        assert!(!r.has_victims());
+        assert!(r.victims.is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! construction of per-direction segmentation ground truth.
 
 use noc_monitor::{DirectionalFrames, FeatureFrame, FeatureKind, GroundTruth, LabeledSample};
-use noc_sim::{Direction, Topology};
+use noc_sim::Topology;
 use tinycnn::Tensor;
 
 /// Converts one directional frame into a single-channel `[1, rows, cols]`
@@ -99,16 +99,10 @@ pub fn direction_masks(truth: &GroundTruth) -> [Vec<f32>; 4] {
     masks
 }
 
-/// The ground-truth mask for one direction as a `[1, rows, cols]` tensor.
-pub fn direction_mask_tensor(truth: &GroundTruth, dir: Direction) -> Tensor {
-    let masks = direction_masks(truth);
-    Tensor::from_vec(masks[dir.index()].clone(), &[1, truth.rows, truth.cols])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_sim::{NocConfig, NodeId};
+    use noc_sim::{Direction, NocConfig, NodeId};
     use noc_traffic::{AttackKind, AttackScenario, DosAttack};
 
     fn truth_single_attack() -> GroundTruth {
@@ -252,8 +246,8 @@ mod tests {
     #[test]
     fn mask_tensor_shape() {
         let truth = truth_single_attack();
-        let t = direction_mask_tensor(&truth, Direction::East);
-        assert_eq!(t.shape(), &[1, 4, 4]);
-        assert_eq!(t.sum(), 3.0);
+        let east = &direction_masks(&truth)[Direction::East.index()];
+        assert_eq!(east.len(), 4 * 4);
+        assert_eq!(east.iter().sum::<f32>(), 3.0);
     }
 }

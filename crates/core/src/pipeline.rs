@@ -55,14 +55,6 @@ impl FenceConfig {
         }
     }
 
-    /// Uses the same feature for both tasks (the single-feature ablations of
-    /// Tables 1 and 2).
-    pub fn with_single_feature(mut self, kind: FeatureKind) -> Self {
-        self.detection_feature = kind;
-        self.localization_feature = kind;
-        self
-    }
-
     /// Enables or disables the VCE stage.
     pub fn with_vce(mut self, enabled: bool) -> Self {
         self.vce_enabled = enabled;
@@ -602,13 +594,11 @@ mod tests {
     #[test]
     fn config_builders_apply() {
         let cfg = FenceConfig::new(16, 16)
-            .with_single_feature(FeatureKind::Boc)
             .with_vce(false)
             .with_seed(9)
             .with_epochs(5, 6);
-        assert_eq!(cfg.detection_feature, FeatureKind::Boc);
-        assert_eq!(cfg.localization_feature, FeatureKind::Boc);
         assert!(!cfg.vce_enabled);
+        assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.detector_epochs, 5);
         assert_eq!(cfg.localizer_epochs, 6);
     }

@@ -148,23 +148,14 @@ impl DatasetGenerator {
     /// Runs one scenario spec and returns its labeled samples.
     pub fn collect_run(&self, spec: &ScenarioSpec, run_seed: u64) -> Vec<LabeledSample> {
         let mut scenario = spec.build(self.config.noc.clone(), run_seed);
-        let truth = GroundTruth::of_scenario(&scenario);
-        let benchmark = spec.workload.name();
-        scenario.run(self.config.warmup_cycles);
-        scenario.network_mut().reset_boc();
-        let mut samples = Vec::with_capacity(self.config.samples_per_run);
-        for _ in 0..self.config.samples_per_run {
-            scenario.run(self.config.sample_period);
-            let (vco, boc) = FrameSampler::sample_both(scenario.network());
-            scenario.network_mut().reset_boc();
-            samples.push(LabeledSample {
-                vco,
-                boc,
-                truth: truth.clone(),
-                benchmark: benchmark.clone(),
-            });
-        }
-        samples
+        sample_windows(
+            &mut scenario,
+            &spec.workload.name(),
+            self.config.warmup_cycles,
+            self.config.sample_period,
+            self.config.samples_per_run,
+            true,
+        )
     }
 
     /// Runs every spec (deriving one sub-seed per run) and concatenates the
@@ -176,6 +167,41 @@ impl DatasetGenerator {
             .flat_map(|(i, spec)| self.collect_run(spec, self.config.seed.wrapping_add(i as u64)))
             .collect()
     }
+}
+
+/// The monitoring-window loop every collection runs (the campaign engine's
+/// included): simulate `warmup_cycles` and reset BOC, then per window
+/// simulate `sample_period` cycles, sample both frame bundles and reset BOC
+/// again, so each window's BOC frames count only that window's buffer
+/// operations. Returns one labeled sample per window (`benchmark` names
+/// their workload), or none when `collect` is false; the windows are
+/// simulated either way.
+pub fn sample_windows(
+    scenario: &mut AttackScenario,
+    benchmark: &str,
+    warmup_cycles: u64,
+    sample_period: u64,
+    windows: usize,
+    collect: bool,
+) -> Vec<LabeledSample> {
+    let truth = GroundTruth::of_scenario(scenario);
+    scenario.run(warmup_cycles);
+    scenario.network_mut().reset_boc();
+    let mut samples = Vec::new();
+    for _ in 0..windows {
+        scenario.run(sample_period);
+        if collect {
+            let (vco, boc) = FrameSampler::sample_both(scenario.network());
+            samples.push(LabeledSample {
+                vco,
+                boc,
+                truth: truth.clone(),
+                benchmark: benchmark.to_string(),
+            });
+        }
+        scenario.network_mut().reset_boc();
+    }
+    samples
 }
 
 /// Deterministically generates `count` attack placements (alternating one-

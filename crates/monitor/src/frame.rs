@@ -125,14 +125,6 @@ impl FeatureFrame {
         self.data.iter().cloned().fold(0.0f32, f32::max)
     }
 
-    /// The mean pixel value.
-    pub fn mean_value(&self) -> f32 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        self.data.iter().sum::<f32>() / self.data.len() as f32
-    }
-
     /// Min–max normalizes the frame into `[0, 1]` (a constant frame becomes
     /// all zeros). BOC frames must be normalized before inference; VCO
     /// frames are already in range.
@@ -161,19 +153,6 @@ impl FeatureFrame {
                 .collect(),
             ..self.clone()
         }
-    }
-
-    /// Zero-pads (or crops) the frame to `target_rows × target_cols`,
-    /// keeping the origin at pixel `(0, 0)`. This is the "binarization &
-    /// zero padding to 16 × 16" step that precedes Multi-Frame Fusion.
-    pub fn padded_to(&self, target_rows: usize, target_cols: usize) -> FeatureFrame {
-        let mut out = FeatureFrame::zeros(self.direction, self.kind, target_rows, target_cols);
-        for y in 0..self.rows.min(target_rows) {
-            for x in 0..self.cols.min(target_cols) {
-                out.set(x, y, self.get(x, y));
-            }
-        }
-        out
     }
 }
 
@@ -312,24 +291,6 @@ mod tests {
         let f = frame(Direction::West, vec![0.1, 0.5, 0.6, 0.9]);
         let b = f.binarized(0.5);
         assert_eq!(b.data(), &[0.0, 0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn padding_extends_with_zeros() {
-        let f = frame(Direction::North, vec![1.0, 2.0, 3.0, 4.0]);
-        let p = f.padded_to(3, 3);
-        assert_eq!(p.rows(), 3);
-        assert_eq!(p.cols(), 3);
-        assert_eq!(p.get(0, 0), 1.0);
-        assert_eq!(p.get(1, 1), 4.0);
-        assert_eq!(p.get(2, 2), 0.0);
-    }
-
-    #[test]
-    fn padding_can_crop() {
-        let f = frame(Direction::North, vec![1.0, 2.0, 3.0, 4.0]);
-        let p = f.padded_to(1, 1);
-        assert_eq!(p.data(), &[1.0]);
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl GroundTruth {
             0.0
         }
     }
-
-    /// Converts a pixel coordinate of the victim mask back into a node id.
-    pub fn node_at(&self, x: usize, y: usize) -> NodeId {
-        NodeId(y * self.cols + x)
-    }
 }
 
 #[cfg(test)]
@@ -114,11 +109,19 @@ mod tests {
 
     #[test]
     fn node_at_matches_row_major_layout() {
-        let gt = GroundTruth::benign(4, 4);
-        assert_eq!(gt.node_at(0, 0), NodeId(0));
-        assert_eq!(gt.node_at(3, 0), NodeId(3));
-        assert_eq!(gt.node_at(0, 1), NodeId(4));
-        assert_eq!(gt.node_at(3, 3), NodeId(15));
+        // Route 15 -> 12 runs along the top row (y = 3): the victim mask
+        // marks pixels (0..3, 3) at indices y * cols + x = 12..=14.
+        let scenario = AttackScenario::builder(NocConfig::mesh(4, 4))
+            .attack(DosAttack::new(
+                AttackKind::Fdos,
+                vec![NodeId(15)],
+                NodeId(12),
+                0.8,
+            ))
+            .build();
+        let mask = GroundTruth::of_scenario(&scenario).victim_mask();
+        let marked: Vec<usize> = (0..16).filter(|&i| mask[i] == 1.0).collect();
+        assert_eq!(marked, vec![12, 13, 14]);
     }
 
     #[test]
@@ -142,6 +145,5 @@ mod tests {
     fn mesh_round_trip() {
         let gt = GroundTruth::benign(8, 8);
         assert_eq!(gt.victim_mask().len(), 64);
-        assert_eq!(gt.node_at(7, 7), NodeId(63));
     }
 }

@@ -19,8 +19,10 @@
 //!
 //! The crate also contains the dataset generator used to train and evaluate
 //! the two CNN models (it re-creates the paper's "162 simulations, 12 960
-//! frames" collection procedure at configurable scale) and the FIR latency
-//! sweep behind Figure 1.
+//! frames" collection procedure at configurable scale) and the one
+//! monitoring-window loop ([`dataset::sample_windows`]) that every
+//! collection, the campaign engine's included, runs. Figure 1's latency
+//! sweep runs on the campaign engine.
 //!
 //! ## Quick example
 //!
@@ -45,11 +47,9 @@
 pub mod dataset;
 pub mod frame;
 pub mod label;
-pub mod latency;
 pub mod sampler;
 
 pub use dataset::{CollectionConfig, DatasetGenerator, LabeledSample, ScenarioSpec};
 pub use frame::{DirectionalFrames, FeatureFrame, FeatureKind};
 pub use label::GroundTruth;
-pub use latency::{sweep_fir, FirSweepConfig, FirSweepPoint};
 pub use sampler::FrameSampler;

@@ -127,11 +127,6 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// The kernel (filter) size.
-    pub fn kernel_size(&self) -> usize {
-        self.kernel
-    }
-
     fn pad_amount(&self) -> usize {
         match self.padding {
             Padding::Valid => 0,

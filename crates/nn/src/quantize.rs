@@ -45,18 +45,6 @@ pub fn quantize_tensor(tensor: &Tensor, bits: u32) -> Tensor {
     })
 }
 
-/// The largest absolute element-wise error introduced by quantizing `tensor`
-/// to `bits` bits.
-pub fn quantization_error(tensor: &Tensor, bits: u32) -> f32 {
-    let q = quantize_tensor(tensor, bits);
-    tensor
-        .data()
-        .iter()
-        .zip(q.data())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max)
-}
-
 /// Quantizes every weight and bias of an exported model to `bits`-bit fixed
 /// point, returning a new export that can be turned back into a runnable
 /// model with [`ModelExport::into_model`].
@@ -102,6 +90,16 @@ mod tests {
     use super::*;
     use crate::prelude::*;
 
+    /// The largest absolute element-wise error of quantizing `t` to `bits`.
+    fn max_error(t: &Tensor, bits: u32) -> f32 {
+        let q = quantize_tensor(t, bits);
+        t.data()
+            .iter()
+            .zip(q.data())
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max)
+    }
+
     #[test]
     fn quantization_preserves_zero_tensor() {
         let t = Tensor::zeros(&[4, 4]);
@@ -111,16 +109,16 @@ mod tests {
     #[test]
     fn sixteen_bit_quantization_is_nearly_lossless() {
         let t = Tensor::from_vec(vec![0.5, -0.25, 0.125, 1.0, -1.0, 0.33], &[6]);
-        let err = quantization_error(&t, 16);
+        let err = max_error(&t, 16);
         assert!(err < 1e-4, "16-bit error too large: {err}");
     }
 
     #[test]
     fn fewer_bits_mean_more_error() {
         let t = Tensor::from_vec((0..64).map(|i| (i as f32 * 0.137).sin()).collect(), &[64]);
-        let e4 = quantization_error(&t, 4);
-        let e8 = quantization_error(&t, 8);
-        let e16 = quantization_error(&t, 16);
+        let e4 = max_error(&t, 4);
+        let e8 = max_error(&t, 8);
+        let e16 = max_error(&t, 16);
         assert!(e4 > e8);
         assert!(e8 > e16);
     }

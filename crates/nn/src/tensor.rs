@@ -88,23 +88,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a `[rows, cols]` tensor from a slice of rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have inconsistent lengths or `rows` is empty.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Self {
-        assert!(!rows.is_empty(), "at least one row is required");
-        let cols = rows[0].len();
-        assert!(cols > 0, "rows must be non-empty");
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "all rows must have the same length");
-            data.extend_from_slice(r);
-        }
-        Tensor::from_vec(data, &[rows.len(), cols])
-    }
-
     /// Stacks equally shaped tensors along a new leading batch dimension:
     /// `k` tensors of shape `[d0, d1, ...]` become one `[k, d0, d1, ...]`
     /// tensor. This is how multi-frame batches are assembled for
@@ -261,13 +244,6 @@ impl Tensor {
         }
     }
 
-    /// Applies a function to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Element-wise combination of two equally shaped tensors.
     ///
     /// # Panics
@@ -403,11 +379,6 @@ impl Tensor {
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .map(|(i, _)| i)
             .unwrap_or(0)
-    }
-
-    /// The Frobenius (L2) norm of the tensor.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 }
 
@@ -569,14 +540,6 @@ mod tests {
         assert_eq!(t.mean(), 5.0);
         assert_eq!(t.min(), 2.0);
         assert_eq!(t.max(), 8.0);
-        assert!((t.norm() - (4.0f32 + 16.0 + 36.0 + 64.0).sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn from_rows_builds_matrix() {
-        let m = Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m.shape(), &[2, 2]);
-        assert_eq!(m.get(&[1, 1]), 4.0);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use crate::service::{DetectionService, ServeConfig};
 use crate::status::ServeStatus;
 use dl2fence::input::sample_frames;
 use dl2fence::{Dl2Fence, FenceConfig};
-use dl2fence_campaign::spec::parse_feature;
 use dl2fence_campaign::{require_mesh, CampaignSpec, Executor};
 use noc_monitor::{FeatureFrame, FeatureKind, LabeledSample};
 use std::collections::{BTreeMap, BTreeSet};
@@ -182,14 +181,11 @@ pub fn run_soak(options: &SoakOptions) -> Result<SoakReport, String> {
     }
 
     // ---- Train the pipeline the service will serve. ----
-    let det_kind = parse_feature(&spec.eval.detection_feature).map_err(|e| e.to_string())?;
-    let loc_kind = parse_feature(&spec.eval.localization_feature).map_err(|e| e.to_string())?;
-    let fence_cfg = FenceConfig {
-        detection_feature: det_kind,
-        localization_feature: loc_kind,
-        ..FenceConfig::new(topology.rows(), topology.cols())
-            .with_epochs(spec.eval.detector_epochs, spec.eval.localizer_epochs)
-    };
+    let fence_cfg = spec
+        .eval
+        .fence_config(topology.rows(), topology.cols(), spec.grid.seeds[0])
+        .map_err(|e| e.to_string())?;
+    let (det_kind, loc_kind) = (fence_cfg.detection_feature, fence_cfg.localization_feature);
     let train = |config: FenceConfig| {
         let mut fence = Dl2Fence::new(config);
         fence.train(&samples);

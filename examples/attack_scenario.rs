@@ -6,43 +6,49 @@
 //! cargo run --release --example attack_scenario
 //! ```
 
-use noc_monitor::{sweep_fir, FirSweepConfig};
-use noc_sim::{NocConfig, NodeId};
+use dl2fence_campaign::{runs_from_scenarios, Executor, SimParams};
+use noc_monitor::ScenarioSpec;
+use noc_sim::{NodeId, Topology};
 use noc_traffic::{BenignWorkload, ParsecWorkload};
 
 fn main() {
     let mesh = 8;
-    let config = FirSweepConfig {
-        noc: NocConfig::mesh(mesh, mesh).with_injection_queue_capacity(512),
-        workload: BenignWorkload::Parsec(ParsecWorkload::Bodytrack),
-        attackers: vec![NodeId(mesh * mesh - 1)],
-        victim: NodeId(0),
-        firs: vec![0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
-        cycles: 4_000,
-        seed: 11,
+    let attacker = NodeId(mesh * mesh - 1);
+    let workload = BenignWorkload::Parsec(ParsecWorkload::Bodytrack);
+    let scenarios = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+        .map(|fir| ScenarioSpec::attacked(workload, vec![attacker], NodeId(0), fir));
+    let runs = runs_from_scenarios(11, &Topology::mesh(mesh, mesh), scenarios);
+    // One 4 000-cycle window per FIR point, no samples kept.
+    let sim = SimParams {
+        warmup_cycles: 0,
+        sample_period: 4_000,
+        samples_per_run: 1,
+        collect_samples: false,
+        injection_queue_capacity: 512,
     };
     println!(
         "Flooding attack (node {} -> node 0) overlaid on a PARSEC-like Bodytrack workload",
-        mesh * mesh - 1
+        attacker.0
     );
     println!(
         "{:>5} {:>14} {:>14} {:>12} {:>12} {:>9}",
         "FIR", "pkt latency", "flit latency", "delivered", "created", "crashed"
     );
-    for point in sweep_fir(&config) {
+    for run in Executor::with_available_parallelism().execute_runs(&sim, &runs) {
+        let m = &run.metrics;
         println!(
             "{:>5.1} {:>14.2} {:>14.2} {:>12} {:>12} {:>9}",
-            point.fir,
-            point.packet_latency,
-            point.flit_latency,
-            point.packets_received,
-            point.packets_created,
-            if point.saturated { "yes" } else { "no" }
+            run.spec.scenario.fir,
+            m.packet_latency,
+            m.flit_latency,
+            m.packets_received,
+            m.packets_created,
+            if m.saturated { "yes" } else { "no" }
         );
     }
     println!();
     println!(
-        "Benign traffic is never halted — it is only slowed down — until the attacker's\n\
-         own injection queue saturates at FIR = 1 (the paper's 'system crashed' point)."
+        "Benign traffic is never halted — it is only slowed down. 'crashed' marks runs\n\
+         whose attacker injection queue saturated (the paper's 'system crashed' point)."
     );
 }

@@ -2,8 +2,9 @@
 //! model, the traffic patterns and the monitor must interact the way the
 //! paper's threat model describes.
 
-use noc_monitor::{sweep_fir, FeatureKind, FirSweepConfig, FrameSampler};
-use noc_sim::{NocConfig, NodeId};
+use dl2fence_campaign::{execute_run, runs_from_scenarios, SimParams};
+use noc_monitor::{FeatureKind, FrameSampler, ScenarioSpec};
+use noc_sim::{NocConfig, NodeId, Topology};
 use noc_traffic::{
     AttackKind, AttackScenario, BenignWorkload, DosAttack, ParsecWorkload, SyntheticPattern,
 };
@@ -36,16 +37,20 @@ fn benign_traffic_keeps_flowing_under_attack() {
 /// which in turn exceeds the attack-free baseline.
 #[test]
 fn latency_increases_monotonically_across_fir_regimes() {
-    let config = FirSweepConfig {
-        noc: NocConfig::mesh(8, 8).with_injection_queue_capacity(256),
-        workload: BenignWorkload::Parsec(ParsecWorkload::Blackscholes),
-        attackers: vec![NodeId(63)],
-        victim: NodeId(0),
-        firs: vec![0.0, 0.1, 0.8],
-        cycles: 4_000,
-        seed: 2,
+    let workload = BenignWorkload::Parsec(ParsecWorkload::Blackscholes);
+    let scenarios = [0.0, 0.1, 0.8]
+        .map(|fir| ScenarioSpec::attacked(workload, vec![NodeId(63)], NodeId(0), fir));
+    let sim = SimParams {
+        warmup_cycles: 0,
+        sample_period: 4_000,
+        samples_per_run: 1,
+        collect_samples: false,
+        injection_queue_capacity: 256,
     };
-    let points = sweep_fir(&config);
+    let points: Vec<_> = runs_from_scenarios(2, &Topology::mesh(8, 8), scenarios)
+        .iter()
+        .map(|run| execute_run(&sim, run).metrics)
+        .collect();
     assert!(points[1].packet_latency >= points[0].packet_latency * 0.9);
     assert!(
         points[2].packet_latency > points[1].packet_latency,
